@@ -104,12 +104,6 @@ def _parse_floats(text: str):
     return [float(x) for x in text.split(",") if x.strip() != ""]
 
 
-def _thread_cap(args) -> int:
-    if args.threads is not None:
-        return args.threads
-    return int(os.environ.get("FRGE_LAB_THREADS", "1"))
-
-
 # -- subcommands -------------------------------------------------------
 
 
@@ -152,11 +146,7 @@ def cmd_exact(args) -> int:
     rows = []
     for k in _parse_floats(args.k):
         gamma0 = fn.gamma(ctx, k, np.zeros(1))
-        j_prev = None
-        for phi in grid:
-            solve = fn.invert_mean_field(ctx, k, np.array([phi]), j0=j_prev)
-            j_prev = solve.source
-            g = fn.gamma(ctx, k, np.array([phi]), j0=solve.source)
+        for phi, (g, solve) in zip(grid, fn.legendre_sweep(ctx, k, grid)):
             rows.append([
                 f"{k:.12g}", f"{phi:.12g}", f"{g:.15g}", f"{g - gamma0:.15g}",
                 f"{solve.source[0]:.15g}", f"{solve.residual:.3e}",
@@ -167,7 +157,7 @@ def cmd_exact(args) -> int:
     write_manifest(
         args.out + ".manifest.json", subcommand="exact", cfg_hash=cfg_hash,
         seeds={}, tolerances={"budget": ctx.budget, "newton_tol": ctx.newton_tol},
-        stats={"rows": len(rows), "threads": _thread_cap(args)},
+        stats={"rows": len(rows)},
         outputs=[os.path.basename(args.out)], started=started,
     )
     return 0
@@ -188,7 +178,6 @@ def cmd_flow(args) -> int:
     )
     stats = dict(traj.stats)
     stats.update(info)
-    stats["threads"] = _thread_cap(args)
     rows = []
     if args.rep == "grid":
         max_dev = 0.0
@@ -244,8 +233,7 @@ def cmd_frge_check(args) -> int:
     write_manifest(
         args.out + ".manifest.json", subcommand="frge-check", cfg_hash=cfg_hash,
         seeds={}, tolerances={"dk_step": 1e-3},
-        stats={"probes": len(report), "max_abs_diff": worst,
-               "threads": _thread_cap(args)},
+        stats={"probes": len(report), "max_abs_diff": worst},
         outputs=[os.path.basename(args.out)], started=started,
     )
     return 0
@@ -287,7 +275,6 @@ def cmd_converge(args) -> int:
             "uniform_monotone": report.uniform_monotone,
             "aw_monotone": report.aw_monotone,
             "probe_monotone": report.probe_monotone,
-            "threads": _thread_cap(args),
         },
         outputs=[os.path.basename(args.out)], started=started,
     )
@@ -328,8 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="frgelab",
         description="Scale-flow laboratory: oracles, flows and convergence checks.",
     )
-    parser.add_argument("--threads", type=int, default=None,
-                        help="worker cap (fallback: FRGE_LAB_THREADS)")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("validate-regulator", help="sampled admissibility checks")

@@ -28,7 +28,10 @@ class GridFunction:
 
     def __post_init__(self):
         shape = tuple(len(a) for a in self.axes)
-        assert self.values.shape == shape
+        if self.values.shape != shape:
+            raise GridMismatch(
+                f"values have shape {self.values.shape}, the axes need {shape}"
+            )
         if not np.isfinite(self.values).any():
             raise NotProper("grid function has no finite value")
 

@@ -18,7 +18,7 @@ import scipy.linalg as sla
 from scipy.integrate import RK45
 
 from . import functionals as fn
-from .errors import ConvexityLoss, StepUnderflow
+from .errors import ConvexityLoss, SpecValidationError, StepUnderflow
 from .functionals import FunctionalContext
 from .model import classical_asymptote, covariance
 
@@ -69,7 +69,10 @@ class GridAction:
     values: np.ndarray
 
     def __post_init__(self):
-        assert self.grid.size % 2 == 1, "grid node count must be odd"
+        if self.grid.size % 2 != 1:
+            raise SpecValidationError(
+                f"grid node count must be odd (0 must be a node), got {self.grid.size}"
+            )
 
     @property
     def spacing(self) -> float:
@@ -92,7 +95,10 @@ class VertexAction:
 
     def __post_init__(self):
         m = self.gamma2.shape[0]
-        assert self.gamma4.shape == (m, m, m, m)
+        if self.gamma4.shape != (m, m, m, m):
+            raise SpecValidationError(
+                f"gamma4 has shape {self.gamma4.shape}, expected {(m, m, m, m)}"
+            )
 
     @property
     def modes(self) -> int:
@@ -304,34 +310,21 @@ def integrate(
 
 
 def exact_grid_values(ctx: FunctionalContext, k: float, grid: np.ndarray) -> np.ndarray:
-    """Subtracted-action oracle values on the grid, warm-starting outward."""
+    """Subtracted-action oracle values on the grid: two warm-started Legendre
+    sweeps outward from the centre node."""
     grid = np.asarray(grid, dtype=float)
     centre = grid.size // 2
     gamma0 = fn.gamma(ctx, k, np.zeros(1))
-    values = np.empty_like(grid)
-    values[centre] = 0.0
-    for direction in (1, -1):
-        j_prev = None
-        idx = centre + direction
-        while 0 <= idx < grid.size:
-            solve = fn.invert_mean_field(ctx, k, np.array([grid[idx]]), j0=j_prev)
-            w_val = fn.W(ctx, k, solve.source)
-            f_diag = ctx.reg_diag(k)
-            phi = np.array([grid[idx]])
-            g_val = (
-                float(solve.source @ phi)
-                - w_val
-                - 0.5 * float(phi @ (f_diag * phi))
-            )
-            values[idx] = g_val - gamma0
-            j_prev = solve.source
-            idx += direction
+    values = np.zeros_like(grid)
+    for side in (np.arange(centre + 1, grid.size), np.arange(centre - 1, -1, -1)):
+        sweep = fn.legendre_sweep(ctx, k, grid[side])
+        values[side] = np.fromiter((g for g, _ in sweep), float, side.size) - gamma0
     return values
 
 
 def classical_grid_values(ctx: FunctionalContext, grid: np.ndarray) -> np.ndarray:
     grid = np.asarray(grid, dtype=float)
-    return np.array([classical_asymptote(ctx.spec, np.array([p])) for p in grid])
+    return classical_asymptote(ctx.spec, grid[:, None])
 
 
 def initial_condition(

@@ -11,30 +11,15 @@ truth for the flow integrator.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 import scipy.linalg as sla
 from scipy.special import logsumexp
 
 from .errors import NewtonStalled, RangeExceeded, SelfCheckFailed
-from .measure import GaussianMeasure, build_measure, default_level
+from .measure import GaussianMeasure, build_measure, default_level, gauss_hermite_nodes
 from .model import ModelSpec
 from .regulator import Regulator, regulator_matrix
-
-
-@lru_cache(maxsize=32)
-def _gh_rule(level: int, dim: int):
-    x, w = np.polynomial.hermite_e.hermegauss(level)
-    logw = np.log(w) - 0.5 * np.log(2.0 * np.pi)
-    if dim == 1:
-        return x[:, None], logw
-    grids = np.meshgrid(*([x] * dim), indexing="ij")
-    nodes = np.stack([g.ravel() for g in grids], axis=-1)
-    logweights = np.zeros(level**dim)
-    for axis in range(dim):
-        logweights += np.meshgrid(*([logw] * dim), indexing="ij")[axis].ravel()
-    return nodes, logweights
 
 
 @dataclass
@@ -113,7 +98,7 @@ def tilted_moments(
         0.5 * float(t_vec @ mu) + 0.5 * (logdet_s - ctx.measure.logdet)
     )
 
-    nodes, logw = _gh_rule(ctx.gh_level, m)
+    nodes, logw = gauss_hermite_nodes(ctx.gh_level, m)
     scaled = nodes @ chol_s.T
     centre = mu.copy()
     scale = float(np.sqrt(np.diag(sigma).min()))
@@ -177,10 +162,6 @@ def _w_shifted_form(ctx, k, t_vec, ln_n):
     value = 0.5 * inner - 0.5 * quad + tm.log_value - ln_n
     scale = 1.0 + abs(inner) + abs(quad)
     return value, scale
-
-
-def Z(ctx: FunctionalContext, k: float, t_vec) -> float:
-    return float(np.exp(W(ctx, k, t_vec)))
 
 
 def mean_field(ctx: FunctionalContext, k: float, t_vec) -> np.ndarray:
@@ -247,13 +228,27 @@ def invert_mean_field(
     )
 
 
+def legendre_sweep(ctx: FunctionalContext, k: float, fields, j0=None):
+    """Effective average action along a path of fields.
+
+    Yields ``(gamma_k(phi), MeanFieldSolve)`` for each field in order; each
+    mean-field inversion is warm-started from the previous field's source
+    (the first from ``j0``).  gamma_k(phi) = J.phi - W_k(J) - F_k(phi, phi)/2
+    at the inverting source J.
+    """
+    f_diag = ctx.reg_diag(k)
+    for phi in fields:
+        phi = np.atleast_1d(np.asarray(phi, dtype=float))
+        solve = invert_mean_field(ctx, k, phi, j0=j0)
+        j0 = solve.source
+        value = float(j0 @ phi) - W(ctx, k, j0) - 0.5 * float(phi @ (f_diag * phi))
+        yield value, solve
+
+
 def gamma(ctx: FunctionalContext, k: float, phi, j0=None) -> float:
     """Effective average action: Legendre value minus the regulator term."""
-    phi = np.atleast_1d(np.asarray(phi, dtype=float))
-    solve = invert_mean_field(ctx, k, phi, j0=j0)
-    w_val = W(ctx, k, solve.source)
-    f_diag = ctx.reg_diag(k)
-    return float(solve.source @ phi) - w_val - 0.5 * float(phi @ (f_diag * phi))
+    value, _ = next(legendre_sweep(ctx, k, [phi], j0=j0))
+    return value
 
 
 def gamma_bar(ctx: FunctionalContext, k: float, phi, j0=None) -> float:
@@ -310,7 +305,7 @@ def x_functional(ctx: FunctionalContext, k: float, phi, t_vec) -> float:
 def dirac_ratio(ctx: FunctionalContext, g, k: float) -> float:
     """E_nu[g exp(-F_k/2)] / E_nu[exp(-F_k/2)]; concentrates on g(0) as k grows."""
     _, _, _, chol_s, _ = ctx._k_objects(k)
-    nodes, logw = _gh_rule(ctx.gh_level, ctx.measure.dim)
+    nodes, logw = gauss_hermite_nodes(ctx.gh_level, ctx.measure.dim)
     psi = nodes @ chol_s.T
     vals = np.asarray(g(psi), dtype=float)
     w = np.exp(logw)

@@ -7,6 +7,7 @@ Cameron-Martin structure (dual pairing, covariance map and its inverse).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 import scipy.linalg as sla
@@ -85,21 +86,23 @@ def r_nu_inverse(measure: GaussianMeasure, phi: np.ndarray) -> np.ndarray:
 # -- quadrature machinery ---------------------------------------------
 
 
+@lru_cache(maxsize=32)
 def gauss_hermite_nodes(level: int, dim: int):
     """Tensorized probabilists' Gauss-Hermite rule for N(0, I_dim).
 
-    Returns nodes of shape (level**dim, dim) and weights summing to one.
+    Returns nodes of shape (level**dim, dim) and log-weights whose
+    exponentials sum to one.  The arrays are cached and read-only.
     """
     x, w = np.polynomial.hermite_e.hermegauss(level)
-    w = w / np.sqrt(2.0 * np.pi)
-    if dim == 1:
-        return x[:, None], w
+    logw = np.log(w) - 0.5 * np.log(2.0 * np.pi)
     grids = np.meshgrid(*([x] * dim), indexing="ij")
     nodes = np.stack([g.ravel() for g in grids], axis=-1)
-    weights = np.ones(level**dim)
-    for axis in range(dim):
-        weights *= np.meshgrid(*([w] * dim), indexing="ij")[axis].ravel()
-    return nodes, weights
+    logweights = np.zeros(level**dim)
+    for g in np.meshgrid(*([logw] * dim), indexing="ij"):
+        logweights += g.ravel()
+    nodes.setflags(write=False)
+    logweights.setflags(write=False)
+    return nodes, logweights
 
 
 def default_level(dim: int) -> int:
@@ -107,10 +110,10 @@ def default_level(dim: int) -> int:
 
 
 def _quadrature_value(measure: GaussianMeasure, g, level: int) -> float:
-    nodes, weights = gauss_hermite_nodes(level, measure.dim)
+    nodes, logw = gauss_hermite_nodes(level, measure.dim)
     psi = nodes @ measure.chol.T
     vals = np.asarray(g(psi), dtype=float)
-    return float(weights @ vals)
+    return float(np.exp(logw) @ vals)
 
 
 def expectation(

@@ -312,13 +312,23 @@ def covariance(spec: ModelSpec) -> np.ndarray:
     return c
 
 
-def classical_asymptote(spec: ModelSpec, phi: np.ndarray) -> float:
+def classical_asymptote(spec: ModelSpec, phi: np.ndarray) -> float | np.ndarray:
     """Large-scale limit of the subtracted effective action at ``phi``.
 
     The quadratic term carries the inverse covariance of the regularized
-    measure, not the bare free operator.
+    measure, not the bare free operator.  ``phi`` is one field of shape (M,)
+    (a float is returned) or a batch of shape (..., M) (an array of shape
+    (...) is returned); the covariance is factorized once per call.
     """
     phi = np.atleast_1d(np.asarray(phi, dtype=float))
     c = covariance(spec)
-    quad = 0.5 * float(phi @ np.linalg.solve(c, phi))
-    return quad + spec.interaction(phi) - spec.interaction(np.zeros_like(phi))
+    # one right-hand side per solve, as for a single field, so batched and
+    # single-field values agree bit for bit (a multi-column solve rounds
+    # differently)
+    quad = 0.5 * np.sum(phi * np.linalg.solve(c, phi[..., None])[..., 0], axis=-1)
+    out = (
+        quad
+        + spec.interaction_batch(phi)
+        - spec.interaction_batch(np.zeros(phi.shape[-1]))
+    )
+    return float(out) if phi.ndim == 1 else out

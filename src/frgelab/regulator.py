@@ -150,21 +150,6 @@ def make_regulator(name: str) -> Regulator:
     raise ValueError(f"unknown regulator {name!r}")
 
 
-def litim(k: float, p) -> np.ndarray | float:
-    out = LitimRegulator().value(k, np.atleast_1d(p))
-    return float(out[0]) if np.isscalar(p) else out
-
-
-def exponential(k: float, p) -> np.ndarray | float:
-    out = ExponentialRegulator().value(k, np.atleast_1d(p))
-    return float(out[0]) if np.isscalar(p) else out
-
-
-def dk(regulator: Regulator, k: float, p) -> np.ndarray | float:
-    out = regulator.dk(k, np.atleast_1d(p))
-    return float(out[0]) if np.isscalar(p) else out
-
-
 @dataclass(frozen=True)
 class RegulatorMatrix:
     """Diagonal mode-basis entries of the quadratic form and its k-derivative."""

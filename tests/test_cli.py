@@ -1,8 +1,15 @@
+import csv
 import json
 
+import numpy as np
 import pytest
 
+from frgelab import functionals
 from frgelab.cli import atomic_write, config_hash, main
+from frgelab.flow import exact_grid_values
+from frgelab.functionals import FunctionalContext
+from frgelab.model import spec_from_dict
+from frgelab.regulator import make_regulator
 
 CONFIG = {
     "dimension": 0,
@@ -69,6 +76,38 @@ class TestExact:
         assert first.splitlines()[0] == "k,phi,Gamma,GammaBar,J,residual,budget"
         assert main(args) == 0
         assert open(out).read() == first  # byte-identical rerun
+
+    def test_one_inversion_per_row_plus_one_per_scale(
+        self, config_path, tmp_path, monkeypatch
+    ):
+        calls = []
+        original = functionals.invert_mean_field
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(functionals, "invert_mean_field", counted)
+        out = str(tmp_path / "exact.csv")
+        assert main(["exact", "--config", config_path, "--k", "1,0",
+                     "--phi-nodes", "11", "--out", out]) == 0
+        rows = open(out).read().splitlines()[1:]
+        assert len(rows) == 22
+        assert len(calls) == len(rows) + 2
+
+    def test_gamma_bar_matches_grid_oracle(self, config_path, tmp_path):
+        out = str(tmp_path / "exact.csv")
+        assert main(["exact", "--config", config_path, "--k", "1,0",
+                     "--phi-max", "2", "--phi-nodes", "11", "--out", out]) == 0
+        with open(out, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        ctx = FunctionalContext(spec=spec_from_dict(CONFIG),
+                                regulator=make_regulator("litim"))
+        grid = np.linspace(-2.0, 2.0, 11)
+        for k in (1.0, 0.0):
+            swept = [float(r["GammaBar"]) for r in rows if float(r["k"]) == k]
+            oracle = exact_grid_values(ctx, k, grid)
+            assert np.abs(np.array(swept) - oracle).max() <= 1e-9
 
     def test_unknown_key_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

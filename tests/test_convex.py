@@ -26,6 +26,10 @@ class TestGridFunction:
         with pytest.raises(NotProper):
             GridFunction(axes=(np.linspace(0, 1, 5),), values=np.full(5, np.inf))
 
+    def test_value_shape_must_match_axes(self):
+        with pytest.raises(GridMismatch):
+            GridFunction(axes=(np.linspace(0, 1, 5),), values=np.zeros(4))
+
     def test_infinite_markers_allowed(self):
         v = np.array([np.inf, 1.0, 0.0, 1.0, np.inf])
         g = GridFunction(axes=(np.linspace(-2, 2, 5),), values=v)

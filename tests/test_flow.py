@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from frgelab.errors import ConvexityLoss
+from frgelab.errors import ConvexityLoss, SpecValidationError
 from frgelab.flow import (
     GridAction,
     VertexAction,
@@ -51,6 +51,15 @@ class TestStates:
         s2 = s.unpack(2.0, s.pack())
         assert np.allclose(s2.gamma2, g2)
         assert np.allclose(s2.gamma4, g4)
+
+    def test_grid_even_node_count_rejected(self):
+        grid = np.linspace(-1, 1, 10)
+        with pytest.raises(SpecValidationError):
+            GridAction(k=1.0, grid=grid, values=grid**2)
+
+    def test_vertex_gamma4_shape_rejected(self):
+        with pytest.raises(SpecValidationError):
+            VertexAction(k=1.0, gamma2=np.eye(2), gamma4=np.zeros((1, 1, 1, 1)))
 
     def test_symmetrizers(self, rng):
         a = rng.standard_normal((3, 3))

@@ -4,7 +4,6 @@ import pytest
 from frgelab.errors import RangeExceeded, SelfCheckFailed
 from frgelab.functionals import (
     W,
-    Z,
     FunctionalContext,
     connected_cov,
     dirac_ratio,
@@ -14,6 +13,7 @@ from frgelab.functionals import (
     gamma_gradient,
     gamma_hessian,
     invert_mean_field,
+    legendre_sweep,
     log_normalization,
     mean_field,
     x_functional,
@@ -48,12 +48,6 @@ class TestGeneratingFunctionals:
 
     def test_w_zero_source(self, phi4_ctx):
         assert W(phi4_ctx, 0.0, np.zeros(1)) == pytest.approx(0.0, abs=1e-12)
-
-    def test_z_exponentiates(self, phi4_ctx):
-        t = np.array([0.7])
-        assert Z(phi4_ctx, 0.0, t) == pytest.approx(
-            np.exp(W(phi4_ctx, 0.0, t)), rel=1e-12
-        )
 
     def test_w_convex_along_line(self, phi4_ctx):
         ts = np.linspace(-2, 2, 9)
@@ -112,6 +106,22 @@ class TestEffectiveAction:
         assert gamma(phi4_ctx, 0.0, np.array([1.0])) == pytest.approx(
             GAMMA_K0_PHI1, abs=1e-10
         )
+
+    def test_gamma_is_first_value_of_sweep(self, phi4_ctx):
+        phi = np.array([1.3])
+        first, solve = next(legendre_sweep(phi4_ctx, 0.6, [phi, np.array([1.4])]))
+        assert gamma(phi4_ctx, 0.6, phi) == first
+        assert np.array_equal(solve.source, invert_mean_field(phi4_ctx, 0.6, phi).source)
+
+    def test_sweep_warm_starts_from_previous_source(self, phi4_ctx):
+        fields = np.linspace(0.2, 1.8, 5)
+        swept = list(legendre_sweep(phi4_ctx, 0.6, fields))
+        cold = [gamma(phi4_ctx, 0.6, p) for p in fields]
+        assert [v for v, _ in swept] == pytest.approx(cold, abs=1e-10)
+        # each inversion starts from the previous field's source
+        for (_, prev), (_, solve), phi in zip(swept, swept[1:], fields[1:]):
+            again = invert_mean_field(phi4_ctx, 0.6, phi, j0=prev.source)
+            assert np.array_equal(solve.source, again.source)
 
     def test_gamma_zero_at_origin_even_theory(self, phi4_ctx):
         assert gamma(phi4_ctx, 1.0, np.zeros(1)) == pytest.approx(0.0, abs=1e-10)

@@ -81,11 +81,25 @@ class TestCameronMartin:
 
 class TestQuadrature:
     def test_nodes_weights_normalized(self):
-        _, w = gauss_hermite_nodes(32, 1)
-        assert w.sum() == pytest.approx(1.0)
-        nodes, w2 = gauss_hermite_nodes(8, 2)
+        _, logw = gauss_hermite_nodes(32, 1)
+        assert np.exp(logw).sum() == pytest.approx(1.0)
+        nodes, logw2 = gauss_hermite_nodes(8, 2)
         assert nodes.shape == (64, 2)
-        assert w2.sum() == pytest.approx(1.0)
+        assert np.exp(logw2).sum() == pytest.approx(1.0)
+
+    def test_tensor_rule_dim3(self):
+        nodes, logw = gauss_hermite_nodes(6, 3)
+        assert nodes.shape == (216, 3)
+        assert np.exp(logw).sum() == pytest.approx(1.0)
+        # second moments of N(0, I): E[x_a x_b] = delta_ab
+        second = (np.exp(logw)[:, None] * nodes).T @ nodes
+        assert np.allclose(second, np.eye(3), atol=1e-12)
+
+    def test_rule_is_cached_and_read_only(self):
+        nodes, logw = gauss_hermite_nodes(8, 2)
+        assert gauss_hermite_nodes(8, 2)[0] is nodes
+        with pytest.raises(ValueError):
+            logw[0] = 0.0
 
     def test_quartic_tilt_frozen_value(self, phi4_spec):
         m = build_measure(phi4_spec)

@@ -171,3 +171,18 @@ class TestClassicalAsymptote:
 
     def test_vanishes_at_origin(self, phi4_spec):
         assert classical_asymptote(phi4_spec, np.zeros(1)) == 0.0
+
+    def test_batch_matches_single_fields(self, line_spec):
+        spec = make_spec(mass=1.3, window=WindowParams(kind="scalar", r=0.7), c4=0.1)
+        grid = np.linspace(-4.5, 4.5, 1201)
+        batch = classical_asymptote(spec, grid[:, None])
+        single = [classical_asymptote(spec, np.array([p])) for p in grid]
+        assert isinstance(single[0], float)
+        assert np.array_equal(batch, single)  # d = 0: same arithmetic per node
+        fields = np.random.default_rng(3).uniform(-1, 1, size=(4, 2, 3))
+        batch = classical_asymptote(line_spec, fields)
+        assert batch.shape == (4, 2)
+        c = covariance(line_spec)
+        ref = [[0.5 * f @ np.linalg.solve(c, f) + line_spec.interaction(f)
+                - line_spec.interaction(np.zeros(3)) for f in row] for row in fields]
+        assert np.allclose(batch, ref, rtol=1e-12, atol=0)

@@ -5,9 +5,6 @@ from frgelab.errors import ConditionViolated
 from frgelab.regulator import (
     SamplePlan,
     check_conditions,
-    dk,
-    exponential,
-    litim,
     make_regulator,
     regulator_matrix,
 )
@@ -16,18 +13,23 @@ from frgelab.regulator import (
 EXPONENTIAL_DK_11 = 1.8413471884155845  # d_k R at k = 1, p = 1
 
 
-class TestLitim:
-    def test_values(self):
-        assert litim(2.0, 1.0) == pytest.approx(3.0)
-        assert litim(2.0, 3.0) == 0.0
-        assert litim(2.0, 2.0) == 0.0  # closed support edge
+def at(method, k, p):
+    """A regulator method evaluated at a single momentum."""
+    return float(method(k, np.array([p]))[0])
 
-    def test_negative_scale_vanishes(self):
-        assert litim(-1.0, 0.5) == 0.0
+
+class TestLitim:
+    def test_values(self, litim):
+        assert at(litim.value, 2.0, 1.0) == pytest.approx(3.0)
+        assert at(litim.value, 2.0, 3.0) == 0.0
+        assert at(litim.value, 2.0, 2.0) == 0.0  # closed support edge
+
+    def test_negative_scale_vanishes(self, litim):
+        assert at(litim.value, -1.0, 0.5) == 0.0
 
     def test_dk_step_profile(self, litim):
-        assert dk(litim, 2.0, 1.0) == pytest.approx(4.0)
-        assert dk(litim, 2.0, 3.0) == 0.0
+        assert at(litim.dk, 2.0, 1.0) == pytest.approx(4.0)
+        assert at(litim.dk, 2.0, 3.0) == 0.0
 
     def test_kink_scales(self):
         reg = make_regulator("litim")
@@ -35,21 +37,23 @@ class TestLitim:
 
 
 class TestExponential:
-    def test_zero_momentum_limit(self):
+    def test_zero_momentum_limit(self, exponential):
         # p^2/(e^{p^2/k^2}-1) -> k^2 as p -> 0
-        assert exponential(3.0, 1e-7) == pytest.approx(9.0, rel=1e-9)
+        assert at(exponential.value, 3.0, 1e-7) == pytest.approx(9.0, rel=1e-9)
 
-    def test_generic_value(self):
-        assert exponential(1.0, 1.0) == pytest.approx(1.0 / np.expm1(1.0))
+    def test_generic_value(self, exponential):
+        assert at(exponential.value, 1.0, 1.0) == pytest.approx(1.0 / np.expm1(1.0))
 
     def test_dk_frozen_value(self, exponential):
-        assert dk(exponential, 1.0, 1.0) == pytest.approx(EXPONENTIAL_DK_11, abs=1e-13)
+        assert at(exponential.dk, 1.0, 1.0) == pytest.approx(
+            EXPONENTIAL_DK_11, abs=1e-13
+        )
 
     def test_dk_matches_finite_difference(self, exponential):
         h = 1e-6
         fd = (exponential.value(2.0 + h, np.array([1.3]))[0]
               - exponential.value(2.0 - h, np.array([1.3]))[0]) / (2 * h)
-        assert dk(exponential, 2.0, 1.3) == pytest.approx(fd, rel=1e-8)
+        assert at(exponential.dk, 2.0, 1.3) == pytest.approx(fd, rel=1e-8)
 
     def test_extreme_momentum_underflows_to_zero(self, exponential):
         assert exponential.value(0.01, np.array([50.0]))[0] == 0.0
