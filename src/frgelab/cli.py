@@ -150,13 +150,13 @@ def cmd_exact(args) -> int:
             rows.append([
                 f"{k:.12g}", f"{phi:.12g}", f"{g:.15g}", f"{g - gamma0:.15g}",
                 f"{solve.source[0]:.15g}", f"{solve.residual:.3e}",
-                f"{ctx.budget:.1e}",
+                f"{fn.BUDGET:.1e}",
             ])
     write_csv(args.out, ["k", "phi", "Gamma", "GammaBar", "J", "residual", "budget"],
               rows)
     write_manifest(
         args.out + ".manifest.json", subcommand="exact", cfg_hash=cfg_hash,
-        seeds={}, tolerances={"budget": ctx.budget, "newton_tol": ctx.newton_tol},
+        seeds={}, tolerances={"budget": fn.BUDGET, "newton_tol": fn.NEWTON_TOL},
         stats={"rows": len(rows)},
         outputs=[os.path.basename(args.out)], started=started,
     )

@@ -16,7 +16,7 @@ import numpy as np
 from . import functionals as fn
 from .errors import EmptyEpigraphWindow, GridMismatch, NotProper
 from .functionals import FunctionalContext
-from .measure import build_measure, sample
+from .measure import build_measure
 
 
 @dataclass(frozen=True)
@@ -223,10 +223,7 @@ class ConvergenceReport:
 
 
 def _w_grid(ctx: FunctionalContext, t_axis: np.ndarray) -> GridFunction:
-    vals = np.array(
-        [fn.tilted_moments(ctx, 0.0, np.array([t])).log_value for t in t_axis]
-    )
-    vals = vals - fn.log_normalization(ctx, 0.0)
+    vals = np.array([fn.W(ctx, 0.0, np.array([t])) for t in t_axis])
     return GridFunction(axes=(t_axis,), values=vals)
 
 

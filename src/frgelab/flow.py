@@ -10,7 +10,7 @@ kink loci of non-smooth regulators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -427,8 +427,9 @@ def frge_first_form_check(
 
             lhs = (4.0 * central(dk_step / 2.0) - central(dk_step)) / 3.0
             curv = float(fn.gamma_hessian(ctx, k, phi_vec)[0, 0])
-            r_k = float(ctx.reg_diag(k)[0])
-            f_dot = float(ctx.reg_dk_diag(k)[0])
+            record = ctx.scale(k)
+            r_k = float(record.f[0])
+            f_dot = float(record.f_dot[0])
             rhs = 0.5 * f_dot / (curv + r_k) + fn.dk_log_normalization(ctx, k)
         report.append(
             {

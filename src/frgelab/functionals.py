@@ -10,6 +10,7 @@ truth for the flow integrator.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,51 +18,82 @@ import scipy.linalg as sla
 from scipy.special import logsumexp
 
 from .errors import NewtonStalled, RangeExceeded, SelfCheckFailed
-from .measure import GaussianMeasure, build_measure, default_level, gauss_hermite_nodes
+from .measure import (
+    GaussianMeasure,
+    build_measure,
+    default_level,
+    gauss_hermite_nodes,
+    r_nu,
+)
 from .model import ModelSpec
-from .regulator import Regulator, regulator_matrix
+from .regulator import Regulator
+
+BUDGET = 1e-10  # stated oracle accuracy; scales the W self-check margin
+NEWTON_TOL = 1e-10
+NEWTON_MAX_ITER = 60
+SCALE_CACHE_SIZE = 64  # scale records kept per context, least recently used dropped
+
+
+@dataclass
+class ScaleRecord:
+    """The regularised Gaussian of one scale k.
+
+    ``f`` and ``f_dot`` are the diagonals of F_k = R_k(p) w and d_k F_k,
+    ``prec`` = C^-1 + F_k, ``sigma`` its inverse with Cholesky factor
+    ``chol_s`` and ``logdet_s`` = ln det sigma.  ``moments`` holds the
+    zero-source tilted moments (ln N_k and its measure) once first asked for.
+    """
+
+    f: np.ndarray
+    f_dot: np.ndarray
+    prec: np.ndarray
+    sigma: np.ndarray
+    chol_s: np.ndarray
+    logdet_s: float
+    moments: TiltedMoments | None = None
 
 
 @dataclass
 class FunctionalContext:
     spec: ModelSpec
     regulator: Regulator
-    measure: GaussianMeasure = None
-    gh_level: int | None = None
-    budget: float = 1e-10
-    newton_tol: float = 1e-10
-    newton_max_iter: int = 60
     self_check: bool = True
-    _k_cache: dict = field(default_factory=dict, repr=False)
+    measure: GaussianMeasure = field(init=False)
+    gh_level: int = field(init=False)
+    _scales: OrderedDict = field(init=False, default_factory=OrderedDict, repr=False)
 
     def __post_init__(self):
-        if self.measure is None:
-            self.measure = build_measure(self.spec)
-        if self.gh_level is None:
-            self.gh_level = default_level(self.measure.dim)
+        self.measure = build_measure(self.spec)
+        self.gh_level = default_level(self.measure.dim)
 
-    def reg_diag(self, k: float) -> np.ndarray:
-        return regulator_matrix(
-            self.regulator, k, self.spec.momenta, self.spec.momentum_weights
-        ).diagonal
-
-    def reg_dk_diag(self, k: float) -> np.ndarray:
-        return regulator_matrix(
-            self.regulator, k, self.spec.momenta, self.spec.momentum_weights
-        ).dk_diagonal
-
-    def _k_objects(self, k: float):
-        """Per-scale precision P = C^-1 + F_k, its inverse and factorization."""
+    def scale(self, k: float) -> ScaleRecord:
+        """The record of scale k, built on first use and kept for the last
+        ``SCALE_CACHE_SIZE`` scales used; its arrays are read-only."""
         key = float(k)
-        if key not in self._k_cache:
-            f_diag = self.reg_diag(k)
-            prec = self.measure.inv + np.diag(f_diag)
-            chol_p = sla.cholesky(prec, lower=True)
-            sigma = sla.cho_solve((chol_p, True), np.eye(self.measure.dim))
-            chol_s = sla.cholesky(0.5 * (sigma + sigma.T), lower=True)
-            logdet_s = -2.0 * float(np.sum(np.log(np.diag(chol_p))))
-            self._k_cache[key] = (f_diag, prec, sigma, chol_s, logdet_s)
-        return self._k_cache[key]
+        record = self._scales.get(key)
+        if record is not None:
+            self._scales.move_to_end(key)
+            return record
+        p, w = self.spec.momenta, self.spec.momentum_weights
+        f = self.regulator.value(k, p) * w
+        prec = self.measure.inv + np.diag(f)
+        chol_p = sla.cholesky(prec, lower=True)
+        sigma = sla.cho_solve((chol_p, True), np.eye(self.measure.dim))
+        record = ScaleRecord(
+            f=f,
+            f_dot=self.regulator.dk(k, p) * w,
+            prec=prec,
+            sigma=sigma,
+            chol_s=sla.cholesky(0.5 * (sigma + sigma.T), lower=True),
+            logdet_s=-2.0 * float(np.sum(np.log(np.diag(chol_p)))),
+        )
+        # every caller of this scale shares the arrays
+        for a in (record.f, record.f_dot, record.prec, record.sigma, record.chol_s):
+            a.setflags(write=False)
+        self._scales[key] = record
+        if len(self._scales) > SCALE_CACHE_SIZE:
+            self._scales.popitem(last=False)
+        return record
 
 
 @dataclass(frozen=True)
@@ -91,17 +123,18 @@ def tilted_moments(
     m = ctx.measure.dim
     t_vec = np.zeros(m) if t_vec is None else np.asarray(t_vec, dtype=float)
     shift = np.zeros(m) if shift is None else np.asarray(shift, dtype=float)
-    _, prec, sigma, chol_s, logdet_s = ctx._k_objects(k)
+    record = ctx.scale(k)
+    prec = record.prec
 
-    mu = sigma @ t_vec
+    mu = record.sigma @ t_vec
     log_gauss = (
-        0.5 * float(t_vec @ mu) + 0.5 * (logdet_s - ctx.measure.logdet)
+        0.5 * float(t_vec @ mu) + 0.5 * (record.logdet_s - ctx.measure.logdet)
     )
 
     nodes, logw = gauss_hermite_nodes(ctx.gh_level, m)
-    scaled = nodes @ chol_s.T
+    scaled = nodes @ record.chol_s.T
     centre = mu.copy()
-    scale = float(np.sqrt(np.diag(sigma).min()))
+    scale = float(np.sqrt(np.diag(record.sigma).min()))
     result = None
     for _ in range(8):
         psi = scaled + centre
@@ -124,9 +157,17 @@ def tilted_moments(
     return result
 
 
+def _zero_source(ctx: FunctionalContext, k: float) -> TiltedMoments:
+    """Zero-source tilted moments of scale k, computed once per scale record."""
+    record = ctx.scale(k)
+    if record.moments is None:
+        record.moments = tilted_moments(ctx, k)
+    return record.moments
+
+
 def log_normalization(ctx: FunctionalContext, k: float) -> float:
     """ln N_k = ln E_nu[exp(-S^int - F_k/2 psi.psi)]."""
-    return tilted_moments(ctx, k).log_value
+    return _zero_source(ctx, k).log_value
 
 
 def W(ctx: FunctionalContext, k: float, t_vec) -> float:
@@ -143,7 +184,7 @@ def W(ctx: FunctionalContext, k: float, t_vec) -> float:
         shifted, scale = _w_shifted_form(ctx, k, t_vec, ln_n)
         # the shifted route cancels terms of size ``scale``; allow for the
         # roundoff and quadrature error that cancellation amplifies
-        tol = 10.0 * ctx.budget * (1.0 + abs(direct)) + 1e-11 * scale**2
+        tol = 10.0 * BUDGET * (1.0 + abs(direct)) + 1e-11 * scale**2
         if abs(direct - shifted) > tol:
             raise SelfCheckFailed(
                 f"W self-check failed at k={k}: direct={direct!r} "
@@ -154,8 +195,8 @@ def W(ctx: FunctionalContext, k: float, t_vec) -> float:
 
 def _w_shifted_form(ctx, k, t_vec, ln_n):
     """W via the shift identity: tilt by the Cameron-Martin representative."""
-    phi0 = ctx.measure.cov @ t_vec
-    f_diag = ctx.reg_diag(k)
+    phi0 = r_nu(ctx.measure, t_vec)
+    f_diag = ctx.scale(k).f
     inner = float(t_vec @ phi0)
     quad = float(phi0 @ (f_diag * phi0))
     tm = tilted_moments(ctx, k, -(f_diag * phi0), shift=phi0)
@@ -179,8 +220,7 @@ def invert_mean_field(
 ) -> MeanFieldSolve:
     """Solve mean_field(J) = phi by Newton with line search on the residual."""
     phi = np.atleast_1d(np.asarray(phi, dtype=float))
-    _, prec, _, _, _ = ctx._k_objects(k)
-    j = prec @ phi if j0 is None else np.asarray(j0, dtype=float).copy()
+    j = ctx.scale(k).prec @ phi if j0 is None else np.asarray(j0, dtype=float).copy()
     tm = tilted_moments(ctx, k, j)
     if not (np.all(np.isfinite(tm.mean)) and np.all(np.isfinite(tm.cov))):
         raise RangeExceeded(
@@ -189,8 +229,8 @@ def invert_mean_field(
         )
     res = tm.mean - phi
     res_norm = float(np.linalg.norm(res))
-    for it in range(1, ctx.newton_max_iter + 1):
-        if res_norm <= ctx.newton_tol:
+    for it in range(1, NEWTON_MAX_ITER + 1):
+        if res_norm <= NEWTON_TOL:
             return MeanFieldSolve(j, res_norm, it - 1)
         try:
             step = np.linalg.solve(tm.cov, -res)
@@ -209,7 +249,7 @@ def invert_mean_field(
                 )
             tm_try = tilted_moments(ctx, k, j_try)
             new_norm = float(np.linalg.norm(tm_try.mean - phi))
-            if new_norm < res_norm * (1.0 - 1e-4 * alpha) or new_norm <= ctx.newton_tol:
+            if new_norm < res_norm * (1.0 - 1e-4 * alpha) or new_norm <= NEWTON_TOL:
                 break
             alpha *= 0.5
         else:
@@ -220,10 +260,10 @@ def invert_mean_field(
         j, tm = j_try, tm_try
         res = tm.mean - phi
         res_norm = new_norm
-    if res_norm <= ctx.newton_tol:
-        return MeanFieldSolve(j, res_norm, ctx.newton_max_iter)
+    if res_norm <= NEWTON_TOL:
+        return MeanFieldSolve(j, res_norm, NEWTON_MAX_ITER)
     raise NewtonStalled(
-        f"Newton did not reach tolerance {ctx.newton_tol:.1e}; residual "
+        f"Newton did not reach tolerance {NEWTON_TOL:.1e}; residual "
         f"{res_norm:.3e} at phi={phi}, k={k}"
     )
 
@@ -236,7 +276,7 @@ def legendre_sweep(ctx: FunctionalContext, k: float, fields, j0=None):
     (the first from ``j0``).  gamma_k(phi) = J.phi - W_k(J) - F_k(phi, phi)/2
     at the inverting source J.
     """
-    f_diag = ctx.reg_diag(k)
+    f_diag = ctx.scale(k).f
     for phi in fields:
         phi = np.atleast_1d(np.asarray(phi, dtype=float))
         solve = invert_mean_field(ctx, k, phi, j0=j0)
@@ -260,7 +300,7 @@ def gamma_gradient(ctx: FunctionalContext, k: float, phi, j0=None) -> np.ndarray
     """D gamma at phi: the inverting source minus the regulator action."""
     phi = np.atleast_1d(np.asarray(phi, dtype=float))
     solve = invert_mean_field(ctx, k, phi, j0=j0)
-    return solve.source - ctx.reg_diag(k) * phi
+    return solve.source - ctx.scale(k).f * phi
 
 
 def gamma_hessian(
@@ -288,25 +328,16 @@ def gamma_hessian(
 
 def dk_log_normalization(ctx: FunctionalContext, k: float) -> float:
     """d_k ln N_k = -1/2 tr[dF_k . second moment of the k-tilted measure]."""
-    fdot = ctx.reg_dk_diag(k)
+    fdot = ctx.scale(k).f_dot
     if not np.any(fdot):
         return 0.0
-    tm = tilted_moments(ctx, k)
-    return -0.5 * float(fdot @ np.diag(tm.second_moment))
-
-
-def x_functional(ctx: FunctionalContext, k: float, phi, t_vec) -> float:
-    """Shifted-interaction moment-generating function X_{k,phi}(T)."""
-    phi = np.atleast_1d(np.asarray(phi, dtype=float))
-    tm = tilted_moments(ctx, k, np.asarray(t_vec, dtype=float), shift=phi)
-    return float(np.exp(tm.log_value - log_normalization(ctx, k)))
+    return -0.5 * float(fdot @ np.diag(_zero_source(ctx, k).second_moment))
 
 
 def dirac_ratio(ctx: FunctionalContext, g, k: float) -> float:
     """E_nu[g exp(-F_k/2)] / E_nu[exp(-F_k/2)]; concentrates on g(0) as k grows."""
-    _, _, _, chol_s, _ = ctx._k_objects(k)
     nodes, logw = gauss_hermite_nodes(ctx.gh_level, ctx.measure.dim)
-    psi = nodes @ chol_s.T
+    psi = nodes @ ctx.scale(k).chol_s.T
     vals = np.asarray(g(psi), dtype=float)
     w = np.exp(logw)
     return float((w @ vals) / w.sum())

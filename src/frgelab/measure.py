@@ -1,7 +1,7 @@
 """The regularized Gaussian measure at finite truncation.
 
 Provides sampling, Gauss-Hermite and Monte-Carlo expectations and the
-Cameron-Martin structure (dual pairing, covariance map and its inverse).
+Cameron-Martin map of dual vectors.
 """
 
 from __future__ import annotations
@@ -68,20 +68,9 @@ def sample(measure: GaussianMeasure, count: int, seed: int) -> np.ndarray:
     return z @ measure.chol.T
 
 
-def cm_inner(measure: GaussianMeasure, t: np.ndarray, s: np.ndarray) -> float:
-    """Reproducing-kernel inner product <T, S> = T^T C S of dual vectors."""
-    return float(np.asarray(t) @ measure.cov @ np.asarray(s))
-
-
 def r_nu(measure: GaussianMeasure, t: np.ndarray) -> np.ndarray:
     """Map a dual vector to its Cameron-Martin representative C T."""
     return measure.cov @ np.asarray(t, dtype=float)
-
-
-def r_nu_inverse(measure: GaussianMeasure, phi: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`r_nu` by a linear solve."""
-    return sla.cho_solve((measure.chol, True), np.asarray(phi, dtype=float))
-
 
 # -- quadrature machinery ---------------------------------------------
 
@@ -166,25 +155,3 @@ def expectation(
             n = min(4 * n, MAX_MC_SAMPLES)
     else:
         raise ValueError(f"unknown expectation method {method!r}")
-
-
-def fernique_growth_check(
-    measure: GaussianMeasure, alpha: float | None = None,
-    samples: int = 100_000, seed: int = 7,
-) -> bool:
-    """Sampled check that exp[alpha |psi|^2] has a stable mean under the measure.
-
-    Used to admit mildly unbounded (odd) interactions: a diverging running
-    mean signals a non-integrable tilt.
-    """
-    lam_max = float(np.linalg.eigvalsh(measure.cov).max())
-    if alpha is None:
-        alpha = 0.25 / lam_max
-    psi = sample(measure, samples, seed)
-    vals = np.exp(alpha * np.sum(psi**2, axis=1))
-    if not np.all(np.isfinite(vals)):
-        return False
-    # a single sample carrying a visible fraction of the total signals a
-    # heavy tail whose sample mean will not stabilise
-    top_share = float(vals.max() / vals.sum())
-    return top_share <= 0.02

@@ -11,7 +11,7 @@ provides the unitary change of basis to position values.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
@@ -255,24 +255,22 @@ def spec_from_json(path) -> ModelSpec:
 
 @dataclass(frozen=True)
 class FreeOperator:
-    """Diagonal free operator b_j = m^2 + p_j^2 with lower bound eta."""
+    """Diagonal free operator b_j = m^2 + p_j^2."""
 
     diagonal: np.ndarray
-    eta: float
 
 
 @dataclass(frozen=True)
 class RegularizationOperator:
-    """Window operator in the mode basis, with inverse and conditioning."""
+    """Window operator in the mode basis, with its condition number."""
 
     matrix: np.ndarray
-    inverse: np.ndarray
     condition_number: float
 
 
 def build_free_operator(spec: ModelSpec) -> FreeOperator:
     b = spec.mass**2 + spec.momenta**2
-    return FreeOperator(diagonal=b, eta=float(b.min()))
+    return FreeOperator(diagonal=b)
 
 
 def build_regularization(
@@ -295,8 +293,7 @@ def build_regularization(
         raise SingularWindow(
             f"window operator condition number {cond:.3e} exceeds {condition_bound:.1e}"
         )
-    inv = np.linalg.inv(r_mat)
-    return RegularizationOperator(matrix=r_mat, inverse=inv, condition_number=cond)
+    return RegularizationOperator(matrix=r_mat, condition_number=cond)
 
 
 def covariance(spec: ModelSpec) -> np.ndarray:

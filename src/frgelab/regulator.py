@@ -150,24 +150,6 @@ def make_regulator(name: str) -> Regulator:
     raise ValueError(f"unknown regulator {name!r}")
 
 
-@dataclass(frozen=True)
-class RegulatorMatrix:
-    """Diagonal mode-basis entries of the quadratic form and its k-derivative."""
-
-    diagonal: np.ndarray  # R_k(p_j) * wtilde_j
-    dk_diagonal: np.ndarray  # d_k R_k(p_j) * wtilde_j
-
-
-def regulator_matrix(regulator: Regulator, k: float, momenta, weights=None) -> RegulatorMatrix:
-    momenta = np.asarray(momenta, dtype=float)
-    if weights is None:
-        weights = np.ones_like(momenta)
-    return RegulatorMatrix(
-        diagonal=regulator.value(k, momenta) * weights,
-        dk_diagonal=regulator.dk(k, momenta) * weights,
-    )
-
-
 @dataclass
 class ConditionReport:
     kind: str

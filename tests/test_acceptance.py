@@ -142,7 +142,7 @@ def test_07_hessian_inverse_identity(phi4_ctx):
         h = gamma_hessian(phi4_ctx, k, phi)
         solve = invert_mean_field(phi4_ctx, k, phi)
         cc = connected_cov(phi4_ctx, k, solve.source)
-        f = phi4_ctx.reg_diag(k)
+        f = phi4_ctx.scale(k).f
         worst = max(worst, abs((h[0, 0] + f[0]) * cc[0, 0] - 1.0))
     ok = worst <= 1e-6
     verdict(7, ok, f"max |(D2Gamma + F) D2W - 1| {worst:.2e} at 10 probes (<= 1e-6)")

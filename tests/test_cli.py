@@ -1,5 +1,6 @@
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -59,7 +60,7 @@ class TestValidateRegulator:
         out = str(tmp_path / "report.json")
         assert main(["validate-regulator", "--regulator", "litim",
                      "--out", out]) == 0
-        doc = json.loads(open(out).read())
+        doc = json.loads(Path(out).read_text())
         assert all(doc["passed"].values())
 
     def test_unknown_regulator_is_validation_failure(self):
@@ -72,10 +73,10 @@ class TestExact:
         args = ["exact", "--config", config_path, "--k", "1,0",
                 "--phi-nodes", "11", "--out", out]
         assert main(args) == 0
-        first = open(out).read()
+        first = Path(out).read_text()
         assert first.splitlines()[0] == "k,phi,Gamma,GammaBar,J,residual,budget"
         assert main(args) == 0
-        assert open(out).read() == first  # byte-identical rerun
+        assert Path(out).read_text() == first  # byte-identical rerun
 
     def test_one_inversion_per_row_plus_one_per_scale(
         self, config_path, tmp_path, monkeypatch
@@ -91,7 +92,7 @@ class TestExact:
         out = str(tmp_path / "exact.csv")
         assert main(["exact", "--config", config_path, "--k", "1,0",
                      "--phi-nodes", "11", "--out", out]) == 0
-        rows = open(out).read().splitlines()[1:]
+        rows = Path(out).read_text().splitlines()[1:]
         assert len(rows) == 22
         assert len(calls) == len(rows) + 2
 
@@ -133,7 +134,7 @@ class TestFlowPipeline:
         summary = str(tmp_path / "summary.csv")
         assert main(["report", flow_out + ".manifest.json",
                      exact_out + ".manifest.json", "--out", summary]) == 0
-        manifest = json.loads(open(flow_out + ".manifest.json").read())
+        manifest = json.loads(Path(flow_out + ".manifest.json").read_text())
         assert manifest["stats"]["max_deviation"] <= 1e-4
         assert "max deviation" in capsys.readouterr().out
 
@@ -156,7 +157,7 @@ class TestFlowPipeline:
         out = str(tmp_path / "e.csv")
         main(["exact", "--config", config_path, "--k", "0",
               "--phi-nodes", "5", "--out", out])
-        manifest = json.loads(open(out + ".manifest.json").read())
+        manifest = json.loads(Path(out + ".manifest.json").read_text())
         assert manifest["config_hash"] == config_hash(CONFIG)
 
 
@@ -173,7 +174,7 @@ class TestConverge:
         out = str(tmp_path / "conv.csv")
         assert main(["converge", "--config", config_path, "--levels", "3",
                      "--out", out]) == 0
-        lines = open(out).read().splitlines()
+        lines = Path(out).read_text().splitlines()
         assert lines[0] == "n,uniform_distance,aw_distance,probe_distance"
         assert len(lines) == 4
 

@@ -3,8 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from frgelab import functionals as fn
 from frgelab.convex import (
     GridFunction,
+    _w_grid,
     aw_distance,
     biconjugate_check,
     conjugate,
@@ -13,6 +15,7 @@ from frgelab.convex import (
     uniform_distance,
 )
 from frgelab.errors import EmptyEpigraphWindow, GridMismatch, NotProper
+from frgelab.functionals import FunctionalContext
 from frgelab.model import ModelSpec, WindowParams
 from frgelab.regulator import make_regulator
 
@@ -210,3 +213,19 @@ class TestConvergenceSuite:
                                 primal_nodes=241, probe_samples=20_000)
         assert not rep.aw_monotone
         assert rep.aw[-1] > 0.01  # does not approach zero
+
+    def test_w_grid_is_w_on_the_dual_axis(self, phi4_spec, litim, monkeypatch):
+        ctx = FunctionalContext(spec=phi4_spec, regulator=litim, self_check=False)
+        t_axis = np.linspace(-3.0, 3.0, 13)
+        expected = [fn.W(ctx, 0.0, [t]) for t in t_axis]
+        sources = []
+        original = fn.W
+
+        def counted(ctx_, k, t_vec):
+            sources.append(float(t_vec[0]))
+            return original(ctx_, k, t_vec)
+
+        monkeypatch.setattr(fn, "W", counted)
+        grid = _w_grid(ctx, t_axis)
+        assert grid.values.tolist() == expected
+        assert sources == t_axis.tolist()  # the one formula for W lives in W

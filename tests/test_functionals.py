@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from frgelab import functionals
 from frgelab.errors import RangeExceeded, SelfCheckFailed
 from frgelab.functionals import (
+    SCALE_CACHE_SIZE,
     W,
     FunctionalContext,
     connected_cov,
@@ -16,8 +20,9 @@ from frgelab.functionals import (
     legendre_sweep,
     log_normalization,
     mean_field,
-    x_functional,
 )
+from frgelab.model import ModelSpec, WindowParams
+from frgelab.regulator import make_regulator
 
 # frozen against independent adaptive-quadrature oracles of the single-mode
 # anharmonic benchmark (unit covariance, c4 = 0.1, Litim shape)
@@ -146,7 +151,7 @@ class TestEffectiveAction:
             h = gamma_hessian(phi4_ctx, k, phi)
             solve = invert_mean_field(phi4_ctx, k, phi)
             cc = connected_cov(phi4_ctx, k, solve.source)
-            f = phi4_ctx.reg_diag(k)
+            f = phi4_ctx.scale(k).f
             assert (h[0, 0] + f[0]) * cc[0, 0] == pytest.approx(1.0, abs=1e-6)
 
     def test_legendre_duality(self, phi4_ctx):
@@ -155,7 +160,7 @@ class TestEffectiveAction:
         k = 0.8
         solve = invert_mean_field(phi4_ctx, k, phi)
         w_val = W(phi4_ctx, k, solve.source)
-        f = phi4_ctx.reg_diag(k)
+        f = phi4_ctx.scale(k).f
         lhs = gamma(phi4_ctx, k, phi) + w_val
         rhs = float(solve.source @ phi) - 0.5 * float(phi @ (f * phi))
         assert lhs == pytest.approx(rhs, abs=1e-10)
@@ -170,17 +175,98 @@ class TestScaleStructure:
     def test_dk_log_normalization_zero_without_regulator_motion(self, phi4_ctx):
         assert dk_log_normalization(phi4_ctx, -1.0) == 0.0
 
-    def test_x_functional_normalized_at_origin(self, phi4_ctx):
-        assert x_functional(phi4_ctx, 0.0, np.zeros(1), np.zeros(1)) \
-            == pytest.approx(1.0, abs=1e-12)
-
-    def test_x_functional_shift_tilts_upward(self, phi4_ctx):
-        lo = x_functional(phi4_ctx, 1.0, np.zeros(1), np.array([0.5]))
-        hi = x_functional(phi4_ctx, 1.0, np.array([0.5]), np.array([0.5]))
-        assert hi != pytest.approx(lo)
-
     def test_dirac_ratio_concentrates(self, phi4_ctx):
         g = lambda psi: np.cos(psi[..., 0])
         ratios = [abs(dirac_ratio(phi4_ctx, g, k) - 1.0) for k in (5.0, 10.0, 50.0)]
         assert ratios[0] > ratios[1] > ratios[2]
         assert ratios[2] <= 1e-2
+
+
+class TestScaleRecord:
+    def test_one_zero_source_kernel_call_per_scale(self, phi4_spec, litim, monkeypatch):
+        ctx = FunctionalContext(spec=phi4_spec, regulator=litim)
+        kernel = functionals.tilted_moments
+        zero_source = []
+
+        def counting(ctx_, k, t_vec=None, shift=None):
+            if t_vec is None:
+                zero_source.append(k)
+            return kernel(ctx_, k, t_vec, shift)
+
+        monkeypatch.setattr(functionals, "tilted_moments", counting)
+        for _ in range(3):
+            W(ctx, 0.7, np.array([0.4]))
+            log_normalization(ctx, 0.7)
+            dk_log_normalization(ctx, 0.7)
+        assert zero_source == [0.7]
+
+    def test_cache_is_bounded_and_recomputes_the_same_bits(self, phi4_spec, litim):
+        ctx = FunctionalContext(spec=phi4_spec, regulator=litim)
+        first = ctx.scale(0.005)
+        ln_n = log_normalization(ctx, 0.005)
+        for k in np.linspace(0.01, 2.0, 200):
+            log_normalization(ctx, k)
+            assert len(ctx._scales) <= SCALE_CACHE_SIZE
+        again = ctx.scale(0.005)
+        assert again is not first  # evicted and rebuilt
+        for name in ("f", "f_dot", "prec", "sigma", "chol_s"):
+            assert np.array_equal(getattr(again, name), getattr(first, name))
+        assert again.logdet_s == first.logdet_s
+        assert log_normalization(ctx, 0.005) == ln_n
+
+    def test_record_holds_the_regulator_diagonals(self, line_spec, exponential):
+        ctx = FunctionalContext(spec=line_spec, regulator=exponential)
+        record = ctx.scale(1.5)
+        p, w = line_spec.momenta, line_spec.momentum_weights
+        assert np.array_equal(record.f, exponential.value(1.5, p) * w)
+        assert np.array_equal(record.f_dot, exponential.dk(1.5, p) * w)
+        assert np.allclose(record.prec @ record.sigma, np.eye(3), atol=1e-12)
+        with pytest.raises(ValueError):
+            record.f[0] = 0.0  # shared by every caller of the scale
+
+
+def scalar_ctx(mass, r, c4, regulator):
+    spec = ModelSpec(dimension=0, modes=1, mass=mass,
+                     window=WindowParams(kind="scalar", r=r), c4=c4)
+    return FunctionalContext(spec=spec, regulator=make_regulator(regulator))
+
+
+theories = dict(
+    mass=st.floats(0.7, 1.5),
+    r=st.floats(0.5, 1.0),
+    c4=st.floats(0.0, 0.2),
+    regulator=st.sampled_from(["litim", "exponential"]),
+    k=st.floats(0.0, 3.0),
+    phi=st.floats(-1.5, 1.5),
+)
+
+
+class TestOracleProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(**theories)
+    def test_legendre_duality(self, mass, r, c4, regulator, k, phi):
+        # Gamma(phi) + W(J) = J.phi - F(phi,phi)/2 at the inverting source
+        ctx = scalar_ctx(mass, r, c4, regulator)
+        value, solve = next(legendre_sweep(ctx, k, [np.array([phi])]))
+        f = ctx.scale(k).f[0]
+        rhs = solve.source[0] * phi - 0.5 * f * phi**2
+        assert value + W(ctx, k, solve.source) == pytest.approx(rhs, abs=1e-10)
+
+    @settings(max_examples=40, deadline=None)
+    @given(**theories)
+    def test_hessian_inverse_identity(self, mass, r, c4, regulator, k, phi):
+        # (D^2 Gamma + F_k) is the inverse of the connected covariance
+        ctx = scalar_ctx(mass, r, c4, regulator)
+        phi = np.array([phi])
+        h = gamma_hessian(ctx, k, phi)
+        cc = connected_cov(ctx, k, invert_mean_field(ctx, k, phi).source)
+        f = ctx.scale(k).f[0]
+        assert (h[0, 0] + f) * cc[0, 0] == pytest.approx(1.0, abs=1e-6)
+
+    @settings(max_examples=40, deadline=None)
+    @given(**{name: s for name, s in theories.items() if name != "c4"})
+    def test_free_theory_is_the_inverse_covariance(self, mass, r, regulator, k, phi):
+        # without interaction Gamma_k is the quadratic form of C^-1 = m^2/r^2
+        ctx = scalar_ctx(mass, r, 0.0, regulator)
+        expected = 0.5 * mass**2 * phi**2 / r**2
+        assert gamma_bar(ctx, k, np.array([phi])) == pytest.approx(expected, abs=1e-10)

@@ -129,7 +129,6 @@ class TestOperators:
     def test_free_operator_diagonal(self, line_spec):
         free = build_free_operator(line_spec)
         assert np.allclose(free.diagonal, [2.0, 1.0, 2.0])
-        assert free.eta == 1.0
 
     def test_scalar_window_covariance(self):
         # C = r^2 / m^2 for the d=0 scalar window
