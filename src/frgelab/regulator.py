@@ -14,18 +14,20 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConditionViolated
-
 
 class Regulator:
-    """Shape function R_k(p) with k-derivative; vanishes identically for k < 0."""
+    """Shape function R_k(p) with k-derivative; vanishes identically for k < 0.
+
+    ``value`` and ``dk`` broadcast over k and p: each takes floats or numpy
+    arrays of any broadcast-compatible shapes.
+    """
 
     kind = "abstract"
 
-    def value(self, k: float, p: np.ndarray) -> np.ndarray:
+    def value(self, k, p):
         raise NotImplementedError
 
-    def dk(self, k: float, p: np.ndarray) -> np.ndarray:
+    def dk(self, k, p):
         raise NotImplementedError
 
     def kink_scales(self, momenta: np.ndarray) -> np.ndarray:
@@ -37,50 +39,48 @@ class LitimRegulator(Regulator):
     kind = "litim"
 
     def value(self, k, p):
-        p = np.asarray(p, dtype=float)
-        if k < 0:
-            return np.zeros_like(p)
-        return np.maximum(k * k - p * p, 0.0)
+        return np.maximum(k * k - p * p, 0.0) * (k >= 0)
 
     def dk(self, k, p):
-        p = np.asarray(p, dtype=float)
-        if k < 0:
-            return np.zeros_like(p)
         # two-sided value on the kink locus p^2 = k^2
-        return 2.0 * k * (k * k - p * p >= 0.0)
+        return 2.0 * k * ((k * k - p * p >= 0.0) & (k >= 0))
 
     def kink_scales(self, momenta):
         return np.unique(np.abs(np.asarray(momenta, dtype=float)))
+
+
+def _exponential_variable(k, p):
+    """(k', x, live) for the exponential shape at x = (p/k)^2.
+
+    Squaring the quotient keeps x from underflowing to 0/0 at tiny k, where
+    p^2/k^2 would not.  |p| is capped at 26.5 k, so x stays finite and below
+    the overflow of e^x; ``live`` marks k > 0 and x < 700, beyond which the
+    suppression underflows.  k' is k where k > 0 and 1 elsewhere.
+    """
+    positive = k > 0
+    k = np.where(positive, k, 1.0)
+    x = (np.minimum(np.abs(p), 26.5 * k) / k) ** 2
+    return k, x, positive & (x < 700.0)
 
 
 class ExponentialRegulator(Regulator):
     kind = "exponential"
 
     def value(self, k, p):
-        p = np.asarray(p, dtype=float)
-        if k <= 0:
-            return np.zeros_like(p)
-        x = p * p / (k * k)
-        out = np.zeros_like(x)
-        small = x < 1e-8
-        out[small] = k * k * (1.0 - x[small] / 2.0)  # x/(e^x - 1) ~ 1 - x/2
-        mid = ~small & (x < 700.0)  # beyond that the suppression underflows
-        out[mid] = p[mid] ** 2 / np.expm1(x[mid])
-        return out
+        k, x, live = _exponential_variable(k, p)
+        # k^2 x/(e^x - 1), with x/(e^x - 1) ~ 1 - x/2 near p = 0
+        shape = np.where(x < 1e-8, 1.0 - x / 2.0, x / np.expm1(np.maximum(x, 1e-8)))
+        return k * k * shape * live
 
     def dk(self, k, p):
-        p = np.asarray(p, dtype=float)
-        if k <= 0:
-            return np.zeros_like(p)
-        x = p * p / (k * k)
-        out = np.zeros_like(x)
-        small = x < 1e-8
-        # d/dk [k^2 x/(e^x-1)] -> 2k at p = 0
-        out[small] = 2.0 * k * (1.0 - x[small])
-        mid = ~small & (x < 700.0)  # beyond that the suppression underflows
-        # closed form: p^4 / (2 k^3 sinh^2(p^2 / (2 k^2)))
-        out[mid] = p[mid] ** 4 / (2.0 * k**3 * np.sinh(x[mid] / 2.0) ** 2)
-        return out
+        k, x, live = _exponential_variable(k, p)
+        # closed form p^4 / (2 k^3 sinh^2(p^2 / (2 k^2))) = k x^2 / (2 sinh^2(x/2)),
+        # -> 2k at p = 0
+        shape = np.where(
+            x < 1e-8, 2.0 * (1.0 - x),
+            x * x / (2.0 * np.sinh(np.maximum(x, 1e-8) / 2.0) ** 2),
+        )
+        return k * shape * live
 
 
 class TableRegulator(Regulator):
@@ -118,20 +118,20 @@ class TableRegulator(Regulator):
         return cls(k_grid, p_grid, vals, dvals)
 
     def _interp(self, table, k, p):
-        p = np.asarray(p, dtype=float)
-        if k < 0:
-            return np.zeros_like(p)
-        k = float(np.clip(k, self.k_grid[0], self.k_grid[-1]))
+        kc = np.clip(k, self.k_grid[0], self.k_grid[-1])
         pc = np.clip(p, self.p_grid[0], self.p_grid[-1])
-        i = np.clip(np.searchsorted(self.k_grid, k) - 1, 0, len(self.k_grid) - 2)
+        i = np.clip(np.searchsorted(self.k_grid, kc) - 1, 0, len(self.k_grid) - 2)
         j = np.clip(np.searchsorted(self.p_grid, pc) - 1, 0, len(self.p_grid) - 2)
-        tk = (k - self.k_grid[i]) / (self.k_grid[i + 1] - self.k_grid[i])
+        tk = (kc - self.k_grid[i]) / (self.k_grid[i + 1] - self.k_grid[i])
         tp = (pc - self.p_grid[j]) / (self.p_grid[j + 1] - self.p_grid[j])
         v00 = table[i, j]
         v01 = table[i, j + 1]
         v10 = table[i + 1, j]
         v11 = table[i + 1, j + 1]
-        return (1 - tk) * ((1 - tp) * v00 + tp * v01) + tk * ((1 - tp) * v10 + tp * v11)
+        bilinear = (1 - tk) * ((1 - tp) * v00 + tp * v01) + tk * (
+            (1 - tp) * v10 + tp * v11
+        )
+        return np.where(k >= 0, bilinear, 0.0)
 
     def value(self, k, p):
         return self._interp(self.values, k, p)
@@ -162,17 +162,30 @@ class ConditionReport:
         return all(self.passed.values())
 
 
+# symmetric-difference step of condition (e)
+FD_STEP = 1e-6
+
+
 @dataclass(frozen=True)
 class SamplePlan:
     k_max: float = 10.0
     p_max: float = 10.0
     count: int = 10_000
     seed: int = 1234
-    fd_step: float = 1e-6
+
+
+def _record(report: ConditionReport, name: str, bad: np.ndarray, *columns) -> None:
+    """Enter condition ``name``; a failed one keeps, when ``columns`` are
+    given, their entries at the first failing sample as its witness."""
+    report.passed[name] = not bad.any()
+    if columns and bad.any():
+        i = int(np.argmax(bad))
+        columns = np.broadcast_arrays(*columns)
+        report.witnesses[name] = tuple(float(c[i]) for c in columns)
 
 
 def check_conditions(
-    regulator: Regulator, plan: SamplePlan | None = None, raise_on_failure: bool = False
+    regulator: Regulator, plan: SamplePlan | None = None
 ) -> ConditionReport:
     """Sampled certificate for the admissibility conditions.
 
@@ -184,6 +197,8 @@ def check_conditions(
       (d) R_k(p) = 0 for k < 0,
       (e) symmetric-difference consistency of the analytic k-derivative away
           from kink loci.
+    Each condition is one array evaluation; a failed one keeps the first
+    failing sample as its witness.
     """
     plan = plan or SamplePlan()
     rng = np.random.default_rng(plan.seed)
@@ -191,70 +206,31 @@ def check_conditions(
     ps = rng.uniform(0.0, plan.p_max, plan.count) + 1e-9
     report = ConditionReport(kind=regulator.kind, samples=plan.count)
 
-    vals = np.array([regulator.value(k, np.array([p]))[0] for k, p in zip(ks, ps)])
+    vals = regulator.value(ks, ps)
     bad = (vals < -1e-12) | (vals > ks**2 * (1 + 1e-12))
-    report.passed["bound"] = not bad.any()
-    if bad.any():
-        i = int(np.argmax(bad))
-        report.witnesses["bound"] = (float(ks[i]), float(ps[i]), float(vals[i]))
+    _record(report, "bound", bad, ks, ps, vals)
 
-    # (b) divergence: at a handful of fixed p, R_k/k^2 over the top decade of k
-    ok_div = True
-    witness = None
-    for p in np.linspace(0.1, plan.p_max, 8):
-        k_hi = np.linspace(plan.k_max * 10, plan.k_max * 100, 16)
-        ratio = np.array([regulator.value(k, np.array([p]))[0] / k**2 for k in k_hi])
-        c_fit = float(ratio[-4:].mean())
-        if not (c_fit > 1e-6 and np.all(ratio > 0)):
-            ok_div = False
-            witness = (float(k_hi[-1]), float(p), c_fit)
-            break
-    report.passed["divergence"] = ok_div
-    if witness:
-        report.witnesses["divergence"] = witness
+    # (b) divergence: at a handful of fixed p (rows), R_k/k^2 over the top
+    # decade of k (columns); the first failing p is the witness
+    p_div = np.linspace(0.1, plan.p_max, 8)
+    k_hi = np.linspace(plan.k_max * 10, plan.k_max * 100, 16)
+    ratio = regulator.value(k_hi, p_div[:, None]) / k_hi**2
+    c_fit = ratio[:, -4:].mean(axis=1)
+    bad = ~((c_fit > 1e-6) & np.all(ratio > 0, axis=1))
+    _record(report, "divergence", bad, k_hi[-1], p_div, c_fit)
 
-    dvals = np.array([regulator.dk(k, np.array([p]))[0] for k, p in zip(ks, ps)])
-    bad = dvals < -1e-12
-    report.passed["dk_nonnegative"] = not bad.any()
-    if bad.any():
-        i = int(np.argmax(bad))
-        report.witnesses["dk_nonnegative"] = (float(ks[i]), float(ps[i]), float(dvals[i]))
+    dvals = regulator.dk(ks, ps)
+    _record(report, "dk_nonnegative", dvals < -1e-12, ks, ps, dvals)
 
-    neg = np.array(
-        [regulator.value(-k, np.array([p]))[0] for k, p in zip(ks[:200], ps[:200])]
-    )
-    report.passed["negative_k"] = bool(np.all(neg == 0.0))
+    _record(report, "negative_k", regulator.value(-ks[:200], ps[:200]) != 0.0)
 
-    # (e) finite-difference consistency, skipping the kink neighbourhood
-    h = plan.fd_step
-    ok_fd = True
-    witness = None
-    checked = 0
-    for k, p in zip(ks, ps):
-        if abs(k - p) < 0.05 or k < 0.1:  # Litim kink locus / k=0 corner
-            continue
-        fd = (
-            regulator.value(k + h, np.array([p]))[0]
-            - regulator.value(k - h, np.array([p]))[0]
-        ) / (2 * h)
-        an = regulator.dk(k, np.array([p]))[0]
-        if abs(fd - an) > 1e-4 * (1.0 + abs(an)):
-            ok_fd = False
-            witness = (float(k), float(p), float(fd - an))
-            break
-        checked += 1
-        if checked >= 500:
-            break
-    report.passed["dk_consistency"] = ok_fd
-    if witness:
-        report.witnesses["dk_consistency"] = witness
-
-    if raise_on_failure and not report.all_passed:
-        name = next(n for n, ok in report.passed.items() if not ok)
-        w = report.witnesses.get(name)
-        raise ConditionViolated(
-            f"regulator condition {name!r} failed (witness {w})",
-            k=None if w is None else w[0],
-            p=None if w is None else w[1],
-        )
+    # (e) the first 500 samples off the Litim kink locus and the k = 0 corner
+    keep = np.flatnonzero((np.abs(ks - ps) >= 0.05) & (ks >= 0.1))[:500]
+    k, p = ks[keep], ps[keep]
+    fd = (
+        regulator.value(k + FD_STEP, p) - regulator.value(k - FD_STEP, p)
+    ) / (2 * FD_STEP)
+    an = regulator.dk(k, p)
+    bad = np.abs(fd - an) > 1e-4 * (1.0 + np.abs(an))
+    _record(report, "dk_consistency", bad, k, p, fd - an)
     return report

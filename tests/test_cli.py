@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from frgelab import functionals
+from frgelab import flow, functionals
 from frgelab.cli import atomic_write, config_hash, main
 from frgelab.flow import exact_grid_values
 from frgelab.functionals import FunctionalContext
@@ -137,6 +137,27 @@ class TestFlowPipeline:
         manifest = json.loads(Path(flow_out + ".manifest.json").read_text())
         assert manifest["stats"]["max_deviation"] <= 1e-4
         assert "max deviation" in capsys.readouterr().out
+
+    def test_compare_reuses_the_start_oracle(
+        self, config_path, tmp_path, monkeypatch
+    ):
+        calls = []
+        original = flow.exact_grid_values
+
+        def counted(ctx, k, grid):
+            calls.append(k)
+            return original(ctx, k, grid)
+
+        monkeypatch.setattr(flow, "exact_grid_values", counted)
+        out = str(tmp_path / "flow.csv")
+        assert main(["flow", "--config", config_path, "--kuv", "20",
+                     "--checkpoints", "1,0", "--compare", "--out", out]) == 0
+        # one sweep for the start, one per checkpoint below k_uv
+        assert calls == [20.0, 1.0, 0.0]
+        with open(out, newline="") as fh:
+            start = [r for r in csv.DictReader(fh) if float(r["k"]) == 20.0]
+        assert len(start) == 101
+        assert all(float(r["deviation"]) == 0.0 for r in start)
 
     def test_report_refuses_mismatched_hashes(self, config_path, tmp_path):
         out = str(tmp_path / "e.csv")

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from frgelab.errors import ConvexityLoss, SpecValidationError
+from frgelab import functionals
 from frgelab.flow import (
     GridAction,
+    _fourth_derivative_at_zero,
     VertexAction,
     classical_grid_values,
     exact_grid_values,
@@ -177,6 +179,31 @@ class TestInitialConditions:
         action, _ = initial_condition(ctx, "exact", 5.0, rep="vertex")
         h = gamma_hessian(ctx, 5.0, np.zeros(1))
         assert action.gamma2[0, 0] == pytest.approx(h[0, 0], rel=1e-8)
+
+    def test_vertex_fourth_derivative_is_one_sweep(self, phi4_spec, litim,
+                                                   monkeypatch):
+        ctx = FunctionalContext(spec=phi4_spec, regulator=litim,
+                                self_check=False)
+        h = 0.25
+
+        def stencil4(hh):  # subtracted action, one gamma_bar per node
+            vals = [gamma_bar(ctx, 10.0, np.array([x]))
+                    for x in (-2 * hh, -hh, 0.0, hh, 2 * hh)]
+            return (vals[0] - 4 * vals[1] + 6 * vals[2] - 4 * vals[3]
+                    + vals[4]) / hh**4
+
+        reference = (4.0 * stencil4(h / 2.0) - stencil4(h)) / 3.0
+        fields = []
+        original = functionals.invert_mean_field
+
+        def counted(ctx, k, phi, **kwargs):
+            fields.append(float(phi[0]))
+            return original(ctx, k, phi, **kwargs)
+
+        monkeypatch.setattr(functionals, "invert_mean_field", counted)
+        g4 = _fourth_derivative_at_zero(ctx, 10.0, h)
+        assert fields == [h * x for x in (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0)]
+        assert g4 == pytest.approx(reference, rel=1e-9)
 
     def test_vertex_classical_coefficients(self, litim):
         spec = ModelSpec(dimension=0, modes=1, mass=1.0,

@@ -1,9 +1,15 @@
+import warnings
+
 import numpy as np
 import pytest
 
+from frgelab.cli import build_parser, main
 from frgelab.errors import ConditionViolated
 from frgelab.regulator import (
+    ExponentialRegulator,
+    LitimRegulator,
     SamplePlan,
+    TableRegulator,
     check_conditions,
     make_regulator,
 )
@@ -15,6 +21,33 @@ EXPONENTIAL_DK_11 = 1.8413471884155845  # d_k R at k = 1, p = 1
 def at(method, k, p):
     """A regulator method evaluated at a single momentum."""
     return float(method(k, np.array([p]))[0])
+
+
+def decreasing_table(tmp_path):
+    """Path of a tabulated Litim shape whose stated k-derivative is -2k."""
+    path = tmp_path / "bad.csv"
+    rows = ["k,p,R,dR"]
+    for k in np.linspace(0.1, 15.0, 40):
+        for p in np.linspace(0.0, 15.0, 40):
+            r = max(k * k - p * p, 0.0)
+            rows.append(f"{k},{p},{r},{-2.0 * k}")
+    path.write_text("\n".join(rows) + "\n")
+    return str(path)
+
+
+def small_table():
+    """The Litim shape tabulated on a coarse 13 x 13 grid over [0, 12]^2."""
+    grid = np.linspace(0.0, 12.0, 13)
+    k, p = np.meshgrid(grid, grid, indexing="ij")
+    return TableRegulator(grid, grid, np.maximum(k * k - p * p, 0.0),
+                          2.0 * k * (k >= p))
+
+
+REGULATORS = {
+    "litim": LitimRegulator(),
+    "exponential": ExponentialRegulator(),
+    "table": small_table(),
+}
 
 
 class TestLitim:
@@ -58,6 +91,35 @@ class TestExponential:
         assert exponential.value(0.01, np.array([50.0]))[0] == 0.0
         assert exponential.dk(0.01, np.array([50.0]))[0] == 0.0
 
+    def test_tiny_scale_does_not_underflow(self, exponential):
+        # p^2/k^2 would be 0/0 at p = 0: k^2 underflows below k ~ 1.5e-162
+        k, p = 1e-170, np.array([0.0, 1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = exponential.value(k, p)
+            dk = exponential.dk(k, p)
+        assert list(dk) == [2.0 * k, 0.0]
+        assert list(value) == [k * k, 0.0]
+
+
+class TestArrayCalls:
+    @pytest.mark.parametrize("name", sorted(REGULATORS))
+    @pytest.mark.parametrize("method", ["value", "dk"])
+    def test_array_call_is_the_scalar_calls(self, name, method):
+        rng = np.random.default_rng(20240)
+        # k = 0, -0, k < 0 and a tiny k first, then random scales and momenta
+        ks = np.r_[0.0, -0.0, -1.0, 1e-170, rng.uniform(-3.0, 14.0, 300)]
+        ps = np.r_[0.0, 1.0, 0.5, 0.0, rng.uniform(-14.0, 14.0, 300)]
+        fn = getattr(REGULATORS[name], method)
+        scalar = np.array([fn(float(k), float(p)) for k, p in zip(ks, ps)])
+        assert fn(ks, ps).tobytes() == scalar.tobytes()
+        assert not np.any(scalar[ks < 0])
+        # an outer (k, p) grid broadcasts to the same numbers
+        grid = fn(ks[:, None], ps[None, :40])
+        assert grid.shape == (ks.size, 40)
+        assert grid[:, 3].tobytes() == np.array(
+            [fn(float(k), float(ps[3])) for k in ks]).tobytes()
+
 
 class TestMatrix:
     def test_diagonal_weighted(self, litim):
@@ -78,18 +140,45 @@ class TestConditions:
 
     def test_table_counterexample_flagged(self, tmp_path):
         # tabulated shape decreasing in k: monotonicity must fail
-        path = tmp_path / "bad.csv"
-        rows = ["k,p,R,dR"]
-        for k in np.linspace(0.1, 15.0, 40):
-            for p in np.linspace(0.0, 15.0, 40):
-                r = max(k * k - p * p, 0.0)
-                rows.append(f"{k},{p},{r},{-2.0 * k}")
-        path.write_text("\n".join(rows) + "\n")
-        reg = make_regulator(f"table:{path}")
+        reg = make_regulator(f"table:{decreasing_table(tmp_path)}")
         report = check_conditions(reg)
-        assert not report.passed["dk_nonnegative"]
-        with pytest.raises(ConditionViolated):
-            check_conditions(reg, raise_on_failure=True)
+        assert report.passed == {
+            "bound": False, "divergence": True, "dk_nonnegative": False,
+            "negative_k": True, "dk_consistency": False,
+        }
+        # frozen: the first failing sample of each failed condition
+        k, p = 9.766997667981421, 7.741676954904167
+        assert report.witnesses == {
+            "bound": (8.235205517449387, 0.003820115083202819, 67.84740669115548),
+            "dk_nonnegative": (k, p, -19.533995335962842),
+            "dk_consistency": (k, p, 39.21861070657046),
+        }
+
+    def test_cli_raises_with_the_witness(self, tmp_path, capsys):
+        path = decreasing_table(tmp_path)
+        argv = ["validate-regulator", "--regulator", f"table:{path}"]
+        assert main(argv) == 3
+        assert "condition 'bound' failed" in capsys.readouterr().err
+        args = build_parser().parse_args(argv)
+        with pytest.raises(ConditionViolated) as info:
+            args.handler(args)
+        assert (info.value.k, info.value.p) == (8.235205517449387,
+                                                0.003820115083202819)
+
+    @pytest.mark.parametrize("name", sorted(REGULATORS))
+    def test_one_array_call_per_condition(self, name, monkeypatch):
+        reg = REGULATORS[name]
+        calls = {"value": 0, "dk": 0}
+        for method in calls:
+            original = getattr(type(reg), method)
+
+            def counted(self, k, p, method=method, original=original):
+                calls[method] += 1
+                return original(self, k, p)
+
+            monkeypatch.setattr(type(reg), method, counted)
+        check_conditions(reg)
+        assert calls["value"] <= 5 and calls["dk"] <= 2
 
     def test_table_roundtrips_litim(self, tmp_path, litim):
         path = tmp_path / "litim.csv"
