@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
-from scipy.special import logsumexp
 
 from .errors import NewtonStalled, RangeExceeded, SelfCheckFailed
 from .measure import (
@@ -31,6 +30,7 @@ from .regulator import Regulator
 BUDGET = 1e-10  # stated oracle accuracy; scales the W self-check margin
 NEWTON_TOL = 1e-10
 NEWTON_MAX_ITER = 60
+RECENTRE_PASSES = 8  # quadrature recentrings before a source counts as out of range
 SCALE_CACHE_SIZE = 64  # scale records kept per context, least recently used dropped
 
 
@@ -112,14 +112,43 @@ class TiltedMoments:
 
 @dataclass(frozen=True)
 class MeanFieldSolve:
+    """The inverting source, its residual and Newton iterations, and the
+    tilted moments at that source (so W_k(J) needs no further kernel call)."""
+
     source: np.ndarray
     residual: float
     iterations: int
+    moments: TiltedMoments
+
+
+def _log_sum_exp(a: np.ndarray) -> float:
+    """ln sum(exp(a)) with the arithmetic of ``scipy.special.logsumexp``.
+
+    The terms equal to the largest are taken out of the sum and counted, so
+    the value is bit for bit scipy's, without its per-call overhead.
+    """
+    top = a.max()
+    if not np.isfinite(top):
+        # an infinite or NaN term decides the sum: scipy's direct route
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return float(np.log(np.exp(a).sum()))
+    is_top = a == top
+    count = np.count_nonzero(is_top)
+    terms = np.exp(a - top)
+    terms[is_top] = 0.0
+    return float(np.log1p(terms.sum() / count) + np.log(count) + top)
 
 
 def tilted_moments(
     ctx: FunctionalContext, k: float, t_vec=None, shift=None
 ) -> TiltedMoments:
+    """Tilted moments at source ``t_vec``, with the quadrature nodes recentred
+    on the tilted mean until it moves by at most 5 % of the narrowest width.
+
+    Raises :class:`RangeExceeded` if the mean has not settled after
+    ``RECENTRE_PASSES`` recentrings: the source lies outside the range the
+    rule resolves.
+    """
     m = ctx.measure.dim
     t_vec = np.zeros(m) if t_vec is None else np.asarray(t_vec, dtype=float)
     shift = np.zeros(m) if shift is None else np.asarray(shift, dtype=float)
@@ -135,8 +164,7 @@ def tilted_moments(
     scaled = nodes @ record.chol_s.T
     centre = mu.copy()
     scale = float(np.sqrt(np.diag(record.sigma).min()))
-    result = None
-    for _ in range(8):
+    for _ in range(RECENTRE_PASSES):
         psi = scaled + centre
         # importance ratio N(psi; mu, Sigma) / N(psi; centre, Sigma)
         log_ratio = (
@@ -146,15 +174,17 @@ def tilted_moments(
         )
         log_h = -ctx.spec.interaction_batch(psi + shift)
         log_terms = logw + log_ratio + log_h
-        log_i0 = float(logsumexp(log_terms))
+        log_i0 = _log_sum_exp(log_terms)
         omega = np.exp(log_terms - log_i0)
         mean = omega @ psi
-        second = (omega[:, None] * psi).T @ psi
-        result = TiltedMoments(log_gauss + log_i0, mean, second)
         if float(np.linalg.norm(mean - centre)) <= 0.05 * scale:
-            break
+            second = (omega[:, None] * psi).T @ psi
+            return TiltedMoments(log_gauss + log_i0, mean, second)
         centre = mean
-    return result
+    raise RangeExceeded(
+        f"tilted mean did not settle after {RECENTRE_PASSES} recentrings at "
+        f"k={k}, source={t_vec}; the source lies outside the resolvable range"
+    )
 
 
 def _zero_source(ctx: FunctionalContext, k: float) -> TiltedMoments:
@@ -178,8 +208,14 @@ def W(ctx: FunctionalContext, k: float, t_vec) -> float:
     ten times the accuracy budget.
     """
     t_vec = np.asarray(t_vec, dtype=float)
+    return _checked_w(ctx, k, t_vec, tilted_moments(ctx, k, t_vec))
+
+
+def _checked_w(ctx, k, t_vec, moments: TiltedMoments) -> float:
+    """W_k(T) = ln E[...] - ln N_k from the tilted moments at T, re-derived
+    through the shifted form when the context self-checks."""
     ln_n = log_normalization(ctx, k)
-    direct = tilted_moments(ctx, k, t_vec).log_value - ln_n
+    direct = moments.log_value - ln_n
     if ctx.self_check:
         shifted, scale = _w_shifted_form(ctx, k, t_vec, ln_n)
         # the shifted route cancels terms of size ``scale``; allow for the
@@ -231,7 +267,7 @@ def invert_mean_field(
     res_norm = float(np.linalg.norm(res))
     for it in range(1, NEWTON_MAX_ITER + 1):
         if res_norm <= NEWTON_TOL:
-            return MeanFieldSolve(j, res_norm, it - 1)
+            return MeanFieldSolve(j, res_norm, it - 1, tm)
         try:
             step = np.linalg.solve(tm.cov, -res)
         except np.linalg.LinAlgError:
@@ -261,7 +297,7 @@ def invert_mean_field(
         res = tm.mean - phi
         res_norm = new_norm
     if res_norm <= NEWTON_TOL:
-        return MeanFieldSolve(j, res_norm, NEWTON_MAX_ITER)
+        return MeanFieldSolve(j, res_norm, NEWTON_MAX_ITER, tm)
     raise NewtonStalled(
         f"Newton did not reach tolerance {NEWTON_TOL:.1e}; residual "
         f"{res_norm:.3e} at phi={phi}, k={k}"
@@ -274,14 +310,16 @@ def legendre_sweep(ctx: FunctionalContext, k: float, fields, j0=None):
     Yields ``(gamma_k(phi), MeanFieldSolve)`` for each field in order; each
     mean-field inversion is warm-started from the previous field's source
     (the first from ``j0``).  gamma_k(phi) = J.phi - W_k(J) - F_k(phi, phi)/2
-    at the inverting source J.
+    at the inverting source J, where W_k(J) comes from the inversion's own
+    tilted moments.
     """
     f_diag = ctx.scale(k).f
     for phi in fields:
         phi = np.atleast_1d(np.asarray(phi, dtype=float))
         solve = invert_mean_field(ctx, k, phi, j0=j0)
         j0 = solve.source
-        value = float(j0 @ phi) - W(ctx, k, j0) - 0.5 * float(phi @ (f_diag * phi))
+        w = _checked_w(ctx, k, j0, solve.moments)
+        value = float(j0 @ phi) - w - 0.5 * float(phi @ (f_diag * phi))
         yield value, solve
 
 

@@ -18,6 +18,7 @@ from .model import ModelSpec, covariance
 DEFAULT_GH_LEVEL_1D = 128
 DEFAULT_GH_LEVEL_ND = 16
 MAX_GH_LEVEL = 256
+MAX_GH_NODES = 2_000_000  # largest tensor rule built (level**dim nodes)
 MAX_MC_SAMPLES = 4_000_000
 
 
@@ -80,8 +81,15 @@ def gauss_hermite_nodes(level: int, dim: int):
     """Tensorized probabilists' Gauss-Hermite rule for N(0, I_dim).
 
     Returns nodes of shape (level**dim, dim) and log-weights whose
-    exponentials sum to one.  The arrays are cached and read-only.
+    exponentials sum to one.  The arrays are cached and read-only.  A rule
+    of more than ``MAX_GH_NODES`` nodes raises :class:`BudgetExceeded`
+    before anything is allocated.
     """
+    if level**dim > MAX_GH_NODES:
+        raise BudgetExceeded(
+            f"a level-{level} tensor rule in {dim} dimensions has {level}^{dim} "
+            f"nodes, above the cap of {MAX_GH_NODES}"
+        )
     x, w = np.polynomial.hermite_e.hermegauss(level)
     logw = np.log(w) - 0.5 * np.log(2.0 * np.pi)
     grids = np.meshgrid(*([x] * dim), indexing="ij")
@@ -132,7 +140,8 @@ def expectation(
             err = abs(refined - value)
             if err <= target_error:
                 return ExpectationResult(refined, err, "quadrature", nxt**measure.dim)
-            if nxt >= MAX_GH_LEVEL or nxt**measure.dim > 2_000_000:
+            # stop where the next refinement would pass the level or node cap
+            if nxt >= MAX_GH_LEVEL or (2 * nxt) ** measure.dim > MAX_GH_NODES:
                 raise BudgetExceeded(
                     f"quadrature error {err:.3e} above target {target_error:.3e} "
                     f"at level {nxt}"

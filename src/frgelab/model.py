@@ -118,22 +118,33 @@ class ModelSpec:
             return np.atleast_1d(psi)
         return self.hartley_matrix() @ psi / np.sqrt(self.position_spacing)
 
+    def _polynomial(self, v: np.ndarray) -> np.ndarray:
+        """c2 v^2 + c3 v^3 + c4 v^4, summed in that order.
+
+        Only the terms with a nonzero coefficient are computed: where the
+        powers of v are finite a dropped term is a zero, and adding it to a
+        nonzero partial sum changes no bit.
+        """
+        out = None
+        for c, power in ((self.c2, 2), (self.c3, 3), (self.c4, 4)):
+            if c != 0:
+                term = c * v**power
+                out = term if out is None else out + term
+        return np.zeros_like(v) if out is None else out
+
     def interaction(self, psi: np.ndarray) -> float:
         """S^int evaluated at the mode coefficients ``psi``."""
         v = self.position_values(np.asarray(psi, dtype=float))
-        w = self.position_weights
-        return float(np.sum(w * (self.c2 * v**2 + self.c3 * v**3 + self.c4 * v**4)))
+        return float(np.sum(self.position_weights * self._polynomial(v)))
 
     def interaction_batch(self, psi: np.ndarray) -> np.ndarray:
         """Vectorized S^int over an array of shape (..., M)."""
         psi = np.asarray(psi, dtype=float)
         if self.dimension == 0:
-            v = psi[..., 0]
-            return self.c2 * v**2 + self.c3 * v**3 + self.c4 * v**4
+            return self._polynomial(psi[..., 0])
         h = self.hartley_matrix() / np.sqrt(self.position_spacing)
         v = psi @ h.T
-        w = self.position_weights
-        return np.sum(w * (self.c2 * v**2 + self.c3 * v**3 + self.c4 * v**4), axis=-1)
+        return np.sum(self.position_weights * self._polynomial(v), axis=-1)
 
 
 def validate_spec(spec: ModelSpec) -> None:

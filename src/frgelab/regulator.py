@@ -96,23 +96,22 @@ class TableRegulator(Regulator):
 
     @classmethod
     def from_csv(cls, path):
-        ks, ps, rs, drs = [], [], [], []
+        """Load a table with columns k, p, R, dR covering a full (k, p) grid."""
+        names = ("k", "p", "R", "dR")
         with open(path, newline="") as fh:
-            for row in csv.DictReader(fh):
-                ks.append(float(row["k"]))
-                ps.append(float(row["p"]))
-                rs.append(float(row["R"]))
-                drs.append(float(row["dR"]))
-        k_grid = np.unique(ks)
-        p_grid = np.unique(ps)
+            header = next(csv.reader(fh), [])
+            missing = [n for n in names if n not in header]
+            if missing:
+                raise ValueError(f"table regulator CSV lacks columns {missing}")
+            rows = np.loadtxt(fh, delimiter=",", ndmin=2,
+                              usecols=[header.index(n) for n in names])
+        k_grid, i = np.unique(rows[:, 0], return_inverse=True)
+        p_grid, j = np.unique(rows[:, 1], return_inverse=True)
         shape = (len(k_grid), len(p_grid))
         vals = np.full(shape, np.nan)
         dvals = np.full(shape, np.nan)
-        for k, p, r, dr in zip(ks, ps, rs, drs):
-            i = np.searchsorted(k_grid, k)
-            j = np.searchsorted(p_grid, p)
-            vals[i, j] = r
-            dvals[i, j] = dr
+        vals[i, j] = rows[:, 2]
+        dvals[i, j] = rows[:, 3]
         if np.isnan(vals).any():
             raise ValueError("table regulator CSV does not cover a full (k, p) grid")
         return cls(k_grid, p_grid, vals, dvals)

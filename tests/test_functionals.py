@@ -1,10 +1,13 @@
+import warnings
+
 import numpy as np
 import pytest
+import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from frgelab import functionals
-from frgelab.errors import RangeExceeded, SelfCheckFailed
+from frgelab import functionals, measure
+from frgelab.errors import BudgetExceeded, RangeExceeded, SelfCheckFailed
 from frgelab.functionals import (
     SCALE_CACHE_SIZE,
     W,
@@ -20,6 +23,7 @@ from frgelab.functionals import (
     legendre_sweep,
     log_normalization,
     mean_field,
+    tilted_moments,
 )
 from frgelab.model import ModelSpec, WindowParams
 from frgelab.regulator import make_regulator
@@ -105,6 +109,11 @@ class TestMeanField:
         with pytest.raises(RangeExceeded):
             invert_mean_field(phi4_ctx, 0.0, np.array([900.0]))
 
+    def test_unsettled_recentring_raises(self, phi4_ctx):
+        # the tilted mean at a huge source is out of the rule's reach
+        with pytest.raises(RangeExceeded, match=r"k=0\.0, source=\[10000\.\]"):
+            tilted_moments(phi4_ctx, 0.0, np.array([1e4]))
+
 
 class TestEffectiveAction:
     def test_gamma_frozen(self, phi4_ctx):
@@ -180,6 +189,106 @@ class TestScaleStructure:
         ratios = [abs(dirac_ratio(phi4_ctx, g, k) - 1.0) for k in (5.0, 10.0, 50.0)]
         assert ratios[0] > ratios[1] > ratios[2]
         assert ratios[2] <= 1e-2
+
+
+class TestKernel:
+    @staticmethod
+    def same(ours, theirs):
+        return np.float64(ours).tobytes() == np.float64(theirs).tobytes()
+
+    def test_log_sum_exp_is_scipys_bit_for_bit(self, rng):
+        for size in [1, 2, 3, 7, 128, 129, 1000, 4096] * 25:
+            a = rng.normal(0.0, rng.uniform(0.1, 300.0), size)
+            if size > 1 and rng.uniform() < 0.5:
+                # ties at the maximum and elsewhere
+                a = np.round(a, 1)
+                a[rng.integers(0, size, size // 2 + 1)] = a.max()
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                ours = functionals._log_sum_exp(a)
+            assert self.same(ours, scipy.special.logsumexp(a))
+
+    @pytest.mark.parametrize("a", [
+        [-np.inf], [-np.inf, -np.inf], [np.inf], [np.inf, 1.0], [np.inf, np.inf],
+        [np.inf, -np.inf], [np.nan, 1.0], [np.nan, np.inf], [-np.inf, 0.5, -np.inf],
+        [1e308, 1e308, -1.0], [0.0, 0.0, 0.0],
+    ])
+    def test_log_sum_exp_edge_cases_match_scipy_silently(self, a):
+        a = np.array(a)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ours = functionals._log_sum_exp(a)
+        assert self.same(ours, scipy.special.logsumexp(a))
+
+    def test_tensor_rule_over_the_node_cap_is_never_built(self, monkeypatch):
+        spec = ModelSpec(dimension=1, modes=9, mass=1.0, momentum_spacing=1.0,
+                         window=WindowParams(kind="identity"), c4=0.05)
+        ctx = FunctionalContext(spec=spec, regulator=make_regulator("litim"))
+
+        def no_meshgrid(*args, **kwargs):
+            raise AssertionError("a 16^9-node rule was being built")
+
+        monkeypatch.setattr(measure.np, "meshgrid", no_meshgrid)
+        with pytest.raises(BudgetExceeded, match="16\\^9"):
+            tilted_moments(ctx, 1.0, np.zeros(9))
+
+    def test_node_cap_boundary(self, monkeypatch):
+        assert 16**5 <= measure.MAX_GH_NODES < 16**6  # M <= 5 keeps level 16
+        build = measure.gauss_hermite_nodes.__wrapped__  # past the cache
+        monkeypatch.setattr(measure, "MAX_GH_NODES", 64)
+        assert build(8, 2)[0].shape == (64, 2)
+        with pytest.raises(BudgetExceeded):
+            build(5, 3)
+
+
+class TestSweepReusesNewtonMoments:
+    def test_one_kernel_call_fewer_per_field(self, phi4_spec, litim, monkeypatch):
+        fields = [np.array([p]) for p in np.linspace(-1.5, 2.0, 6)]
+        k = 0.6
+        swept_ctx = FunctionalContext(spec=phi4_spec, regulator=litim)
+        direct_ctx = FunctionalContext(spec=phi4_spec, regulator=litim)
+        for ctx in (swept_ctx, direct_ctx):
+            log_normalization(ctx, k)
+        kernel = functionals.tilted_moments
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(functionals, "tilted_moments", counting)
+
+        swept = list(legendre_sweep(swept_ctx, k, fields))
+        swept_calls = len(calls)
+        calls.clear()
+        f = direct_ctx.scale(k).f
+        j0, direct = None, []
+        for phi in fields:
+            solve = invert_mean_field(direct_ctx, k, phi, j0=j0)
+            j0 = solve.source
+            direct.append(float(j0 @ phi) - W(direct_ctx, k, j0)
+                          - 0.5 * float(phi @ (f * phi)))
+        assert swept_calls == len(calls) - len(fields)
+        assert [v for v, _ in swept] == direct  # bit for bit
+
+    def test_solve_carries_the_moments_at_its_source(self, phi4_ctx):
+        solve = invert_mean_field(phi4_ctx, 0.4, np.array([1.1]))
+        again = tilted_moments(phi4_ctx, 0.4, solve.source)
+        assert solve.moments.log_value == again.log_value
+        assert np.array_equal(solve.moments.mean, again.mean)
+        assert np.array_equal(solve.moments.second_moment, again.second_moment)
+
+    def test_sweep_still_self_checks(self, phi4_spec, litim, monkeypatch):
+        ctx = FunctionalContext(spec=phi4_spec, regulator=litim)
+        shifted_form = functionals._w_shifted_form
+
+        def disagreeing(*args):
+            value, scale = shifted_form(*args)
+            return value + 1e-6, scale
+
+        monkeypatch.setattr(functionals, "_w_shifted_form", disagreeing)
+        with pytest.raises(SelfCheckFailed):
+            next(legendre_sweep(ctx, 0.5, [np.array([1.0])]))
 
 
 class TestScaleRecord:

@@ -124,6 +124,35 @@ class TestGrids:
         single = np.array([line_spec.interaction(row) for row in psi])
         assert np.allclose(batch, single, atol=1e-12)
 
+    @pytest.mark.parametrize("coefficients", [
+        (0.0, 0.0, 0.1), (0.3, 0.0, 0.1), (0.0, 0.2, 0.1), (0.3, -0.2, 0.1),
+        (0.3, 0.0, 0.0), (0.0, 0.0, 0.0),
+    ])
+    @pytest.mark.parametrize("dimension", [0, 1])
+    def test_interaction_is_the_full_polynomial_bit_for_bit(
+        self, dimension, coefficients, rng
+    ):
+        c2, c3, c4 = coefficients
+        geometry = (dict(modes=1, window=WindowParams(kind="scalar", r=1.0))
+                    if dimension == 0 else
+                    dict(modes=5, momentum_spacing=0.5,
+                         window=WindowParams(kind="identity")))
+        spec = ModelSpec(dimension=dimension, mass=1.0, c2=c2, c3=c3, c4=c4,
+                         allow_unbounded=True, **geometry)
+        psi = rng.normal(0.0, 3.0, (128, spec.modes))
+        if dimension == 0:
+            v = psi[..., 0]
+            full = c2 * v**2 + c3 * v**3 + c4 * v**4
+        else:
+            v = psi @ (spec.hartley_matrix() / np.sqrt(spec.position_spacing)).T
+            w = spec.position_weights
+            full = np.sum(w * (c2 * v**2 + c3 * v**3 + c4 * v**4), axis=-1)
+        assert spec.interaction_batch(psi).tobytes() == full.tobytes()
+        for row in psi[:8]:
+            v = spec.position_values(row)
+            full = c2 * v**2 + c3 * v**3 + c4 * v**4
+            assert spec.interaction(row) == float(np.sum(spec.position_weights * full))
+
 
 class TestOperators:
     def test_free_operator_diagonal(self, line_spec):

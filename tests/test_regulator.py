@@ -192,6 +192,29 @@ class TestConditions:
         reg = make_regulator(f"table:{path}")
         assert reg.value(2.0, np.array([1.0]))[0] == pytest.approx(3.0, abs=0.01)
 
+    def test_table_loads_onto_its_grid(self, tmp_path):
+        # rows in any order, columns found by name, extra columns ignored
+        ks, ps = np.array([0.0, 0.5, 2.0]), np.array([0.0, 0.25, 1.0, 3.0])
+        values = np.add.outer(ks**2, -0.1 * ps)
+        dvalues = np.add.outer(2.0 * ks, ps)
+        rows = [",".join(["x"] + [repr(float(x)) for x in
+                                  (dvalues[i, j], values[i, j], ps[j], ks[i])])
+                for j in (3, 0, 2, 1) for i in (1, 2, 0)]
+        path = tmp_path / "table.csv"
+        path.write_text("note,dR,R,p,k\n" + "\n".join(rows) + "\n")
+        reg = TableRegulator.from_csv(path)
+        assert np.array_equal(reg.k_grid, ks)
+        assert np.array_equal(reg.p_grid, ps)
+        assert np.array_equal(reg.values, values)
+        assert np.array_equal(reg.dvalues, dvalues)
+        # one missing (k, p) pair is not a grid
+        path.write_text("note,dR,R,p,k\n" + "\n".join(rows[1:]) + "\n")
+        with pytest.raises(ValueError, match="full"):
+            TableRegulator.from_csv(path)
+        path.write_text("k,p,R\n0.0,0.0,0.0\n")
+        with pytest.raises(ValueError, match="dR"):
+            TableRegulator.from_csv(path)
+
     def test_unknown_name(self):
         with pytest.raises(ValueError):
             make_regulator("sharp")
