@@ -126,10 +126,13 @@ def cmd_exact(args) -> int:
     if ctx.measure.dim != 1:
         raise SpecValidationError("the exact sweep is single-mode only")
     grid = np.linspace(-args.phi_max, args.phi_max, args.phi_nodes)
+    zero = np.flatnonzero(grid == 0.0)
     rows = []
     for k in _parse_floats(args.k):
-        gamma0 = fn.gamma(ctx, k, np.zeros(1))
-        for phi, (g, solve) in zip(grid, fn.legendre_sweep(ctx, k, grid)):
+        swept = list(fn.legendre_sweep(ctx, k, grid))
+        # Gamma_k(0) for the subtraction: the sweep's own row where 0 is a node
+        gamma0 = swept[zero[0]][0] if zero.size else fn.gamma(ctx, k, np.zeros(1))
+        for phi, (g, solve) in zip(grid, swept):
             rows.append([
                 f"{k:.12g}", f"{phi:.12g}", f"{g:.15g}", f"{g - gamma0:.15g}",
                 f"{solve.source[0]:.15g}", f"{solve.residual:.3e}",

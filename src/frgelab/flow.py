@@ -2,10 +2,21 @@
 
 Two representations are integrated in the scale variable k: a sampled
 field grid for a single mode and a truncated vertex expansion (two- and
-four-point tensors, six-point set to zero).  The right-hand sides are the
-trace form of the exact flow with the zero-field subtraction; integration
-uses an adaptive embedded Runge-Kutta 5(4) pair with steps clamped at the
-kink loci of non-smooth regulators.
+four-point tensors, six-point set to zero).  Both right-hand sides are the
+trace form of the exact flow, and segments are split at the kink loci of
+non-smooth regulators.
+
+On the grid the trace form u' = 1/2 d_kF_k / (D2 u + R_k) is a nonlinear
+diffusion, stiff in the node count, so it is stepped with the implicit BDF
+method and its analytic Jacobian diag(-1/2 d_kF_k / (D2 u + R_k)^2) D2,
+where D2 is the sparse second-difference matrix.  D2 annihilates constants,
+so the zero-field subtraction u - u(0) is taken at the checkpoints only.
+The vertex flow is not stiff and uses the explicit Runge-Kutta 5(4) pair.
+
+After every accepted step the curvature margin min(Gamma_k'' + R_k) is
+checked directly: convexity loss is raised where it reaches zero or where
+its linear extrapolation over the last step reaches zero within
+CONVEXITY_HORIZON * k, at the extrapolated crossing scale.
 """
 
 from __future__ import annotations
@@ -15,7 +26,8 @@ from functools import lru_cache
 
 import numpy as np
 import scipy.linalg as sla
-from scipy.integrate import RK45
+import scipy.sparse as sp
+from scipy.integrate import BDF, RK45
 
 from . import functionals as fn
 from .errors import ConvexityLoss, SpecValidationError, StepUnderflow
@@ -38,23 +50,36 @@ def _stencil(offsets: tuple, order: int) -> np.ndarray:
     return np.linalg.solve(a, b)
 
 
-def second_derivative(values: np.ndarray, h: float) -> np.ndarray:
-    """4th-order second derivative on a uniform grid.
+@lru_cache(maxsize=16)
+def second_difference_matrix(n: int) -> sp.csc_matrix:
+    """Unit-spacing second-difference matrix D2 on n >= 4 uniform nodes.
 
-    The two nodes on each edge fall back to second-order stencils: their
-    small weights keep the semi-discrete flow stable, where high-order
-    one-sided stencils would feed an anti-diffusive boundary mode.
+    Interior rows carry the 4th-order central stencil.  The two nodes on
+    each edge fall back to second-order stencils: their small weights keep
+    the semi-discrete flow stable, where high-order one-sided stencils would
+    feed an anti-diffusive boundary mode.  The cached matrix is read-only.
     """
-    v = np.asarray(values, dtype=float)
-    n = v.size
-    out = np.empty(n)
     central = _stencil((-2, -1, 0, 1, 2), 2)
-    out[2 : n - 2] = np.convolve(v, central[::-1], mode="valid")
-    out[1] = v[0] - 2.0 * v[1] + v[2]
-    out[n - 2] = v[n - 3] - 2.0 * v[n - 2] + v[n - 1]
-    out[0] = 2.0 * v[0] - 5.0 * v[1] + 4.0 * v[2] - v[3]
-    out[n - 1] = 2.0 * v[n - 1] - 5.0 * v[n - 2] + 4.0 * v[n - 3] - v[n - 4]
-    return out / h**2
+    inner = np.arange(2, n - 2)
+    rows = [np.repeat(inner, 5), [1, 1, 1, n - 2, n - 2, n - 2],
+            [0, 0, 0, 0, n - 1, n - 1, n - 1, n - 1]]
+    cols = [(inner[:, None] + np.arange(-2, 3)).ravel(), [0, 1, 2, n - 3, n - 2, n - 1],
+            [0, 1, 2, 3, n - 1, n - 2, n - 3, n - 4]]
+    data = [np.tile(central, inner.size), [1.0, -2.0, 1.0] * 2,
+            [2.0, -5.0, 4.0, -1.0] * 2]
+    d2 = sp.csc_matrix(
+        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(n, n),
+    )
+    for a in (d2.data, d2.indices, d2.indptr):
+        a.flags.writeable = False
+    return d2
+
+
+def second_derivative(values: np.ndarray, h: float) -> np.ndarray:
+    """Second derivative on a uniform grid: D2 @ values / h^2."""
+    v = np.asarray(values, dtype=float)
+    return second_difference_matrix(v.size) @ v / h**2
 
 
 # -- action representations --------------------------------------------
@@ -69,9 +94,10 @@ class GridAction:
     values: np.ndarray
 
     def __post_init__(self):
-        if self.grid.size % 2 != 1:
+        if self.grid.size % 2 != 1 or self.grid.size < 5:
             raise SpecValidationError(
-                f"grid node count must be odd (0 must be a node), got {self.grid.size}"
+                "grid node count must be odd (0 must be a node) and at least 5 "
+                f"(the edge stencils), got {self.grid.size}"
             )
 
     @property
@@ -136,28 +162,43 @@ class FlowTrajectory:
 # -- right-hand sides --------------------------------------------------
 
 
+def _grid_curvature(state: GridAction, regulator, momentum: float,
+                    weight: float) -> tuple[float, np.ndarray]:
+    """d_k F_k and the regularised curvature D2 u + R_k at every node."""
+    r_k = float(regulator.value(state.k, momentum)) * weight
+    f_dot = float(regulator.dk(state.k, momentum)) * weight
+    return f_dot, second_derivative(state.values, state.spacing) + r_k
+
+
 def rhs_grid(state: GridAction, regulator, momentum: float = 0.0,
              weight: float = 1.0) -> np.ndarray:
-    """Flow of the grid action: regulated-resolvent difference at each node."""
-    k = state.k
-    r_k = float(regulator.value(k, momentum)) * weight
-    f_dot = float(regulator.dk(k, momentum)) * weight
+    """Trace-form flow 1/2 d_k F_k / (D2 u + R_k) of the grid action."""
+    f_dot, denom = _grid_curvature(state, regulator, momentum, weight)
     if f_dot == 0.0:
         return np.zeros_like(state.values)
-    curv = second_derivative(state.values, state.spacing)
-    denom = curv + r_k
     if np.any(denom <= 0.0):
         node = int(np.argmax(denom <= 0.0))
         raise ConvexityLoss(
             f"regularized curvature non-positive at node {node} "
-            f"(phi={state.grid[node]:.4g}, k={k:.6g})",
-            k=k,
+            f"(phi={state.grid[node]:.4g}, k={state.k:.6g})",
+            k=state.k,
             node=node,
         )
-    centre = state.grid.size // 2
-    dv = 0.5 * f_dot * (1.0 / denom - 1.0 / denom[centre])
-    dv[centre] = 0.0
-    return dv
+    return 0.5 * f_dot / denom
+
+
+def jacobian_grid(state: GridAction, regulator, momentum: float = 0.0,
+                  weight: float = 1.0) -> sp.csc_matrix:
+    """Jacobian of :func:`rhs_grid`: diag(-1/2 d_k F_k / (D2 u + R_k)^2) D2.
+
+    The row scaling is applied to D2's stored entries, so the result shares
+    D2's sparsity pattern and index arrays and needs no format conversion.
+    """
+    f_dot, denom = _grid_curvature(state, regulator, momentum, weight)
+    d2 = second_difference_matrix(state.values.size)
+    row_scale = -0.5 * f_dot / (denom * denom * state.spacing**2)
+    return sp.csc_matrix((row_scale[d2.indices] * d2.data, d2.indices, d2.indptr),
+                         shape=d2.shape)
 
 
 def rhs_vertex(state: VertexAction, regulator, momenta, weights) -> "VertexAction":
@@ -190,6 +231,22 @@ def rhs_vertex(state: VertexAction, regulator, momenta, weights) -> "VertexActio
 # -- integration -------------------------------------------------------
 
 
+# A curvature margin whose linear extrapolation over the last accepted step
+# reaches zero within this fraction of k counts as lost: the flow's resolvent
+# diverges at the crossing, where an adaptive step would only crawl.
+CONVEXITY_HORIZON = 1e-3
+
+
+def _curvature_margin(state, regulator, momenta, weights) -> float:
+    """Smallest eigenvalue of the regularised Hessian Gamma_k'' + R_k."""
+    if isinstance(state, GridAction):
+        _, denom = _grid_curvature(state, regulator, float(momenta[0]),
+                                   float(weights[0]))
+        return float(denom.min())
+    f_diag = regulator.value(state.k, momenta) * weights
+    return float(np.linalg.eigvalsh(state.gamma2 + np.diag(f_diag))[0])
+
+
 def integrate(
     initial,
     k_from: float,
@@ -204,7 +261,11 @@ def integrate(
     """Integrate the flow from k_from down to k_to with checkpoints.
 
     Segments are split at the regulator's kink scales inside the interval so
-    the adaptive controller never steps across a derivative discontinuity.
+    no step crosses a derivative discontinuity.  Grid actions are stepped
+    with BDF and the analytic Jacobian, vertex actions with RK45.  Raises
+    ConvexityLoss, carrying the last convex state, where the curvature
+    margin reaches zero or is extrapolated to within CONVEXITY_HORIZON * k
+    of it; ``k`` is the extrapolated crossing scale.
     """
     if k_from < k_to:
         raise ValueError("flow runs downward: k_from must be >= k_to")
@@ -219,6 +280,7 @@ def integrate(
             raise ValueError(f"checkpoint {c} outside [{k_to}, {k_from}]")
 
     is_grid = isinstance(initial, GridAction)
+    p0, w0 = float(momenta[0]), float(weights[0])  # the grid's single mode
     pending_loss = []
 
     def rhs(k, y):
@@ -227,20 +289,34 @@ def integrate(
         state = initial.unpack(k, y)
         try:
             if is_grid:
-                return rhs_grid(
-                    state, regulator, float(momenta[0]), float(weights[0])
-                )
+                return rhs_grid(state, regulator, p0, w0)
             return rhs_vertex(state, regulator, momenta, weights).pack()
         except ConvexityLoss as exc:
-            # a trial stage of an oversized step may leave the convex cone;
-            # poison the stage so the controller rejects and shrinks the step
+            # a trial stage or Newton iterate may leave the convex cone; poison
+            # it so the solver rejects the step and shrinks it
             pending_loss.append(exc)
             return np.full_like(np.asarray(y, dtype=float), np.nan)
 
+    def jac(k, y):
+        return jacobian_grid(initial.unpack(k, y), regulator, p0, w0)
+
+    def make_solver(t0, y0, t1):
+        if is_grid:
+            return BDF(rhs, t0, y0, t1, rtol=rtol, atol=atol, jac=jac)
+        return RK45(rhs, t0, y0, t1, rtol=rtol, atol=atol)
+
+    def snapshot(k, y):
+        """The action at k, with the grid's zero-field value subtracted."""
+        if is_grid:
+            y = y - y[y.size // 2]
+        return initial.unpack(k, y)
+
+    def margin(k, y):
+        return _curvature_margin(initial.unpack(k, y), regulator, momenta, weights)
+
+    stats = {"steps": 0, "nfev": 0, "njev": 0, "nlu": 0}
     if k_from == k_to:
-        return FlowTrajectory(
-            checkpoints=[(k_from, initial)], stats={"steps": 0, "nfev": 0}
-        )
+        return FlowTrajectory(checkpoints=[(k_from, initial)], stats=stats)
 
     kinks = [
         float(s) for s in regulator.kink_scales(momenta) if k_to < s < k_from
@@ -249,19 +325,19 @@ def integrate(
 
     y = initial.pack()
     results = {}
-    stats = {"steps": 0, "nfev": 0}
     last_good = (k_from, y.copy())
+    last_margin = margin(k_from, y)
+    if last_margin <= 0.0:
+        raise ConvexityLoss(
+            f"regularized curvature non-positive at the start scale k={k_from:.6g}",
+            k=k_from, last_state=initial,
+        )
     remaining = list(checkpoints)
-
-    # an adaptive controller grinding against the convex-cone boundary can
-    # crawl with ever smaller accepted steps and never fail on its own; cap
-    # the per-segment work and convert the stall into a diagnosable error
-    max_segment_steps = 20_000
 
     def segment_failure(message):
         if pending_loss:
             exc = pending_loss[-1]
-            exc.last_state = initial.unpack(*last_good)
+            exc.last_state = snapshot(*last_good)
             return exc
         return StepUnderflow(message)
 
@@ -271,35 +347,47 @@ def integrate(
         )
         pending_loss.clear()
         results[float(seg_start)] = y.copy()
-        solver = RK45(rhs, seg_start, y, seg_end, rtol=rtol, atol=atol)
-        steps = 0
-        while solver.status == "running":
-            solver.step()
+        solver = make_solver(seg_start, y, seg_end)
+        try:
+            while solver.status == "running":
+                solver.step()
+                if solver.status == "failed":
+                    break
+                stats["steps"] += 1
+                t, m = float(solver.t), margin(solver.t, solver.y)
+                # slope of the margin in k; the flow runs towards smaller k
+                slope = (last_margin - m) / (last_good[0] - t)
+                if m <= 0.0 or (slope > 0.0 and m <= CONVEXITY_HORIZON * t * slope):
+                    crossing = t - m / slope
+                    if m > 0.0:
+                        last_good = (t, solver.y.copy())
+                    raise ConvexityLoss(
+                        f"regularized curvature margin reaches zero at "
+                        f"k={crossing:.6g} (margin {m:.3g} at k={t:.6g})",
+                        k=crossing, last_state=snapshot(*last_good),
+                    )
+                last_good, last_margin = (t, solver.y.copy()), m
+                if targets and targets[0] >= t:
+                    dense = solver.dense_output()
+                    while targets and targets[0] >= t:
+                        c = targets.pop(0)
+                        results[float(c)] = np.asarray(dense(c), dtype=float).copy()
             if solver.status == "failed":
-                break
-            steps += 1
-            last_good = (float(solver.t), solver.y.copy())
-            if targets and targets[0] >= solver.t:
-                dense = solver.dense_output()
-                while targets and targets[0] >= solver.t:
-                    c = targets.pop(0)
-                    results[float(c)] = np.asarray(dense(c), dtype=float).copy()
-            if steps > max_segment_steps:
-                raise segment_failure(
-                    f"integrator stalled near k = {solver.t:.6g}: "
-                    f"{max_segment_steps} steps without completing the segment"
-                )
-        if solver.status == "failed":
-            raise segment_failure(f"integrator failed near k = {solver.t:.6g}")
-        stats["nfev"] += solver.nfev
-        stats["steps"] += steps
-        y = solver.y.copy()
-        results[float(seg_end)] = y.copy()
-        last_good = (seg_end, y.copy())
+                raise segment_failure(f"integrator failed near k = {solver.t:.6g}")
+            stats["nfev"] += solver.nfev
+            stats["njev"] += solver.njev
+            stats["nlu"] += solver.nlu
+            y = solver.y.copy()
+            results[float(seg_end)] = y.copy()
+        finally:
+            # scipy's solvers hold closures over themselves; clearing the
+            # state breaks that cycle, so BDF's sparse LU factorization is
+            # freed now rather than at the next cyclic garbage collection
+            solver.__dict__.clear()
         remaining = [c for c in remaining if c < seg_end]
 
     snaps = [
-        (c, initial.unpack(c, results[float(c)]))
+        (c, snapshot(c, results[float(c)]))
         for c in checkpoints
         if float(c) in results
     ]

@@ -78,7 +78,7 @@ class TestExact:
         assert main(args) == 0
         assert Path(out).read_text() == first  # byte-identical rerun
 
-    def test_one_inversion_per_row_plus_one_per_scale(
+    def test_one_inversion_per_row_when_zero_is_a_node(
         self, config_path, tmp_path, monkeypatch
     ):
         calls = []
@@ -90,11 +90,14 @@ class TestExact:
 
         monkeypatch.setattr(functionals, "invert_mean_field", counted)
         out = str(tmp_path / "exact.csv")
-        assert main(["exact", "--config", config_path, "--k", "1,0",
-                     "--phi-nodes", "11", "--out", out]) == 0
-        rows = Path(out).read_text().splitlines()[1:]
-        assert len(rows) == 22
-        assert len(calls) == len(rows) + 2
+        for nodes, extra_per_scale in ((11, 0), (10, 1)):
+            calls.clear()
+            assert main(["exact", "--config", config_path, "--k", "1,0",
+                         "--phi-nodes", str(nodes), "--out", out]) == 0
+            rows = Path(out).read_text().splitlines()[1:]
+            assert len(rows) == 2 * nodes
+            # an even grid misses 0, so Gamma_k(0) costs one inversion per k
+            assert len(calls) == len(rows) + 2 * extra_per_scale
 
     def test_gamma_bar_matches_grid_oracle(self, config_path, tmp_path):
         out = str(tmp_path / "exact.csv")
@@ -136,7 +139,12 @@ class TestFlowPipeline:
                      exact_out + ".manifest.json", "--out", summary]) == 0
         manifest = json.loads(Path(flow_out + ".manifest.json").read_text())
         assert manifest["stats"]["max_deviation"] <= 1e-4
+        assert manifest["stats"]["njev"] > 0 and manifest["stats"]["nlu"] > 0
         assert "max deviation" in capsys.readouterr().out
+        with open(summary, newline="") as fh:
+            flow_row = next(csv.DictReader(fh))
+        for counter in ("steps", "nfev", "njev", "nlu"):
+            assert f"{counter}={manifest['stats'][counter]}" in flow_row["stats"]
 
     def test_compare_reuses_the_start_oracle(
         self, config_path, tmp_path, monkeypatch

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from frgelab.errors import ConvexityLoss, SpecValidationError
-from frgelab import functionals
+from frgelab import flow as flow_module, functionals
 from frgelab.flow import (
     GridAction,
     _fourth_derivative_at_zero,
@@ -12,9 +12,11 @@ from frgelab.flow import (
     frge_first_form_check,
     initial_condition,
     integrate,
+    jacobian_grid,
     rhs_grid,
     rhs_vertex,
     second_derivative,
+    second_difference_matrix,
     symmetrize2,
     symmetrize4,
 )
@@ -35,6 +37,19 @@ class TestStencils:
             d2 = second_derivative(np.sin(x), x[1] - x[0])
             errs.append(np.abs(d2 + np.sin(x))[3:-3].max())
         assert errs[0] / errs[1] > 12  # ~16 for a 4th-order interior scheme
+
+    def test_matrix_carries_the_stencils(self):
+        x = np.linspace(-2, 2, 41)
+        h = x[1] - x[0]
+        d2 = second_difference_matrix(x.size)
+        quartic = x**4 - 2.0 * x**3 + x
+        assert np.array_equal(second_derivative(quartic, h), d2 @ quartic / h**2)
+        interior = (d2 @ quartic / h**2)[2:-2]
+        assert np.allclose(interior, (12.0 * x**2 - 12.0 * x)[2:-2], atol=1e-9)
+        edges = [0, 1, -2, -1]
+        cubic = x**3 - x**2
+        assert np.allclose((d2 @ cubic / h**2)[edges], (6.0 * x - 2.0)[edges],
+                           atol=1e-9)
 
 
 class TestStates:
@@ -59,6 +74,11 @@ class TestStates:
         with pytest.raises(SpecValidationError):
             GridAction(k=1.0, grid=grid, values=grid**2)
 
+    def test_grid_below_stencil_width_rejected(self):
+        grid = np.linspace(-1, 1, 3)
+        with pytest.raises(SpecValidationError):
+            GridAction(k=1.0, grid=grid, values=grid**2)
+
     def test_vertex_gamma4_shape_rejected(self):
         with pytest.raises(SpecValidationError):
             VertexAction(k=1.0, gamma2=np.eye(2), gamma4=np.zeros((1, 1, 1, 1)))
@@ -79,7 +99,27 @@ class TestRhs:
         cinv = (1.0 / 0.7) ** 2
         s = GridAction(k=2.0, grid=grid, values=0.5 * cinv * grid**2)
         r = rhs_grid(s, litim, 0.0, 1.0)
-        assert np.abs(r).max() < 1e-10
+        # the trace form shifts every node alike, which the subtraction removes
+        assert r.max() - r.min() <= 1e-10
+
+    @pytest.mark.parametrize("name", ["litim", "exponential"])
+    @pytest.mark.parametrize("k", [0.3, 3.0, 50.0])
+    def test_grid_jacobian_matches_finite_difference(self, name, k, request):
+        regulator = request.getfixturevalue(name)
+        grid = np.linspace(-3, 3, 41)
+        s = GridAction(k=k, grid=grid, values=0.5 * grid**2 + 0.1 * grid**4)
+        # at p = 0 both regulators are k^2; p = 0.25 tells them apart
+        p, w = 0.25, 1.5
+        jac = jacobian_grid(s, regulator, p, w).toarray()
+        eps = 1e-6
+        fd = np.empty_like(jac)
+        for j in range(grid.size):
+            e = np.zeros(grid.size)
+            e[j] = eps
+            plus = rhs_grid(s.unpack(k, s.values + e), regulator, p, w)
+            minus = rhs_grid(s.unpack(k, s.values - e), regulator, p, w)
+            fd[:, j] = (plus - minus) / (2.0 * eps)
+        assert np.abs(jac - fd).max() <= 1e-6 * np.abs(jac).max()
 
     def test_grid_convexity_loss(self, litim):
         grid = np.linspace(-1, 1, 21)
@@ -150,12 +190,46 @@ class TestIntegrate:
         state = exc_info.value.last_state
         assert 0.894 < state.k <= 1.0
 
+    def test_convexity_loss_is_reported_at_the_crossing(self, litim, monkeypatch):
+        calls = []
+        original = flow_module.rhs_grid
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(flow_module, "rhs_grid", counted)
+        grid = np.linspace(-1, 1, 21)
+        # D2 u stays -0.8 along the flow, so the margin is k^2 - 0.8
+        s = GridAction(k=1.0, grid=grid, values=-0.4 * grid**2)
+        with pytest.raises(ConvexityLoss) as exc_info:
+            integrate(s, 1.0, 0.0, litim)
+        assert abs(exc_info.value.k - np.sqrt(0.8)) <= 1e-3
+        assert len(calls) < 2000
+
+    def test_grid_steps_do_not_grow_with_nodes(self, litim):
+        steps = {}
+        for nodes in (151, 301, 601, 1201):
+            spec = ModelSpec(dimension=0, modes=1, mass=1.0,
+                             window=WindowParams(kind="scalar", r=1.0), c4=0.1,
+                             phi_max=4.5, phi_nodes=nodes)
+            ctx = FunctionalContext(spec=spec, regulator=litim, self_check=False)
+            init, _ = initial_condition(ctx, "classical", 100.0)
+            steps[nodes] = integrate(init, 100.0, 0.0, litim).stats["steps"]
+        # an explicit scheme on this diffusion takes ~n^2 steps (158 -> 9 870)
+        assert steps[1201] <= 2 * steps[151], steps
+
     def test_stats_reported(self, free_spec, litim):
         ctx = FunctionalContext(spec=free_spec, regulator=litim)
         init, _ = initial_condition(ctx, "classical", 5.0)
         traj = integrate(init, 5.0, 1.0, litim)
         assert traj.stats["nfev"] > 0
         assert traj.stats["steps"] > 0
+        assert traj.stats["njev"] > 0 and traj.stats["nlu"] > 0
+        vertex, _ = initial_condition(ctx, "classical", 5.0, rep="vertex")
+        traj = integrate(vertex, 5.0, 1.0, litim)
+        assert traj.stats["steps"] > 0
+        assert traj.stats["njev"] == traj.stats["nlu"] == 0  # explicit RK45
 
 
 class TestInitialConditions:
