@@ -4,7 +4,8 @@ Subcommands: validate-regulator, exact, flow, frge-check, converge, report.
 Outputs are written atomically; every numeric artifact embeds the config
 hash and gets a JSON run manifest for reproducibility.
 
-Exit codes: 0 success, 2 validation failure, 3 numerical failure.
+Exit codes: 0 success, 2 validation failure (bad input), 3 numerical
+failure.  Any other exception is an internal error and propagates.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .functionals import FunctionalContext
 from .model import WindowParams, spec_from_dict
 from .regulator import SamplePlan, check_conditions, make_regulator
 
-VALIDATION_ERRORS = (SpecValidationError, ValueError, OSError, json.JSONDecodeError)
+VALIDATION_ERRORS = (SpecValidationError, OSError, json.JSONDecodeError)
 NUMERICAL_ERRORS = FrgeLabError
 
 
@@ -83,7 +84,10 @@ def _load_config(path: str):
 
 
 def _parse_floats(text: str):
-    return [float(x) for x in text.split(",") if x.strip() != ""]
+    try:
+        return [float(x) for x in text.split(",") if x.strip() != ""]
+    except ValueError:
+        raise SpecValidationError(f"not a list of numbers: {text!r}") from None
 
 
 # -- subcommands -------------------------------------------------------
@@ -125,6 +129,8 @@ def cmd_exact(args) -> int:
     ctx = FunctionalContext(spec=spec, regulator=reg)
     if ctx.measure.dim != 1:
         raise SpecValidationError("the exact sweep is single-mode only")
+    if args.phi_nodes < 1:
+        raise SpecValidationError("--phi-nodes must be at least 1")
     grid = np.linspace(-args.phi_max, args.phi_max, args.phi_nodes)
     zero = np.flatnonzero(grid == 0.0)
     rows = []
@@ -155,7 +161,7 @@ def cmd_flow(args) -> int:
     cfg_hash = config_hash(doc)
     reg = make_regulator(args.regulator)
     ctx = FunctionalContext(spec=spec, regulator=reg)
-    checkpoints = _parse_floats(args.checkpoints) if args.checkpoints else []
+    checkpoints = _parse_floats(args.checkpoints)
     initial, info = flow_mod.initial_condition(ctx, args.init, args.kuv, rep=args.rep)
     traj = flow_mod.integrate(
         initial, args.kuv, args.kend, reg,
@@ -212,6 +218,8 @@ def cmd_frge_check(args) -> int:
     reg = make_regulator(args.regulator)
     ctx = FunctionalContext(spec=spec, regulator=reg)
     probes = _parse_floats(args.probes)
+    if not probes:
+        raise SpecValidationError("--probes lists no field")
     report = flow_mod.frge_first_form_check(ctx, args.k, probes)
     rows = [[f"{r['phi']:.12g}", f"{r['k']:.12g}", f"{r['lhs']:.15g}",
              f"{r['rhs']:.15g}", f"{r['abs_diff']:.6e}"] for r in report]
@@ -220,7 +228,7 @@ def cmd_frge_check(args) -> int:
     print(f"max |lhs - rhs| over {len(report)} probes: {worst:.3e}")
     write_manifest(
         args.out + ".manifest.json", subcommand="frge-check", cfg_hash=cfg_hash,
-        seeds={}, tolerances={"dk_step": 1e-3},
+        seeds={}, tolerances={"dk_step": flow_mod.FIRST_FORM_DK_STEP},
         stats={"probes": len(report), "max_abs_diff": worst},
         outputs=[os.path.basename(args.out)], started=started,
     )
@@ -273,7 +281,10 @@ def cmd_report(args) -> int:
     manifests = []
     for path in args.manifests:
         with open(path) as fh:
-            manifests.append((path, json.load(fh)))
+            doc = json.load(fh)
+        if not isinstance(doc, dict) or "config_hash" not in doc:
+            raise SpecValidationError(f"{path} is not a run manifest")
+        manifests.append((path, doc))
     hashes = {m["config_hash"] for _, m in manifests}
     if len(hashes) > 1 and not args.force:
         raise SpecValidationError(

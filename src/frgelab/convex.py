@@ -1,15 +1,15 @@
 """Discrete convex-duality toolkit and convergence diagnostics.
 
-Sampled convex functions on bounded boxes support fast Legendre-Fenchel
-conjugation (lower convex hull in one dimension, direct scan otherwise),
-biconjugation defects, supercoercivity certificates and two distances for
-sequences of theories: uniform distance on bounded sets and a Hausdorff
-distance between box-truncated epigraphs.
+Sampled convex functions on bounded boxes support Legendre-Fenchel
+conjugation by a direct scan, biconjugation defects from the lower convex
+hull, supercoercivity certificates and two distances for sequences of
+theories: uniform distance on bounded sets and a Hausdorff distance between
+box-truncated epigraphs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,6 +17,20 @@ from . import functionals as fn
 from .errors import EmptyEpigraphWindow, GridMismatch, NotProper
 from .functionals import FunctionalContext
 from .measure import build_measure
+
+
+def _box_axes(lo, hi, nodes) -> tuple:
+    """Uniform axes of the box [lo, hi] with ``nodes`` points along each."""
+    lo = np.atleast_1d(np.asarray(lo, dtype=float))
+    hi = np.atleast_1d(np.asarray(hi, dtype=float))
+    nodes = np.atleast_1d(np.asarray(nodes, dtype=int))
+    return tuple(np.linspace(a, b, n) for a, b, n in zip(lo, hi, nodes))
+
+
+def _box_points(axes) -> np.ndarray:
+    """Every node of the box spanned by ``axes``, one row each, in C order."""
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.stack([m.ravel() for m in mesh], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -41,25 +55,17 @@ class GridFunction:
 
     @classmethod
     def from_callable(cls, f, lo, hi, nodes):
-        lo = np.atleast_1d(np.asarray(lo, dtype=float))
-        hi = np.atleast_1d(np.asarray(hi, dtype=float))
-        nodes = np.atleast_1d(np.asarray(nodes, dtype=int))
-        axes = tuple(np.linspace(a, b, n) for a, b, n in zip(lo, hi, nodes))
+        axes = _box_axes(lo, hi, nodes)
         if len(axes) == 1:
             vals = np.array([f(x) for x in axes[0]], dtype=float)
         else:
-            mesh = np.meshgrid(*axes, indexing="ij")
-            pts = np.stack([m.ravel() for m in mesh], axis=-1)
-            vals = np.array([f(p) for p in pts], dtype=float).reshape(
+            vals = np.array([f(p) for p in _box_points(axes)], dtype=float).reshape(
                 tuple(len(a) for a in axes)
             )
         return cls(axes=axes, values=vals)
 
     def nodes(self) -> np.ndarray:
-        if self.ndim == 1:
-            return self.axes[0][:, None]
-        mesh = np.meshgrid(*self.axes, indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=-1)
+        return _box_points(self.axes)
 
 
 def _lower_hull(x: np.ndarray, y: np.ndarray):
@@ -78,39 +84,12 @@ def _lower_hull(x: np.ndarray, y: np.ndarray):
 
 
 def conjugate(f: GridFunction, lo, hi, nodes) -> GridFunction:
-    """Legendre-Fenchel transform sampled on the dual box.
-
-    One-dimensional inputs use the linear-time hull walk; higher dimensions
-    fall back to a direct scan over primal nodes per dual node.
-    """
-    finite = np.isfinite(f.values)
-    if not finite.any():
-        raise NotProper("cannot conjugate an improper grid function")
-    if f.ndim == 1:
-        x = f.axes[0][finite]
-        y = f.values[finite]
-        hull = _lower_hull(x, y)
-        xh, yh = x[hull], y[hull]
-        t_axis = np.linspace(float(lo), float(hi), int(nodes))
-        out = np.empty_like(t_axis)
-        j = 0
-        for i, t in enumerate(t_axis):
-            while j + 1 < xh.size and t * xh[j + 1] - yh[j + 1] >= t * xh[j] - yh[j]:
-                j += 1
-            # slopes on the hull increase, so the maximizer index is monotone
-            while j > 0 and t * xh[j - 1] - yh[j - 1] > t * xh[j] - yh[j]:
-                j -= 1
-            out[i] = t * xh[j] - yh[j]
-        return GridFunction(axes=(t_axis,), values=out)
-    pts = f.nodes()[finite.ravel()]
-    vals = f.values.ravel()[finite.ravel()]
-    lo = np.atleast_1d(np.asarray(lo, dtype=float))
-    hi = np.atleast_1d(np.asarray(hi, dtype=float))
-    nodes = np.atleast_1d(np.asarray(nodes, dtype=int))
-    axes = tuple(np.linspace(a, b, n) for a, b, n in zip(lo, hi, nodes))
-    mesh = np.meshgrid(*axes, indexing="ij")
-    duals = np.stack([m.ravel() for m in mesh], axis=-1)
-    out = (duals @ pts.T - vals).max(axis=1)
+    """Legendre-Fenchel transform f*(t) = max_x (t.x - f(x)) on the dual box,
+    by a direct scan over the finite primal nodes for every dual node."""
+    finite = np.isfinite(f.values).ravel()
+    axes = _box_axes(lo, hi, nodes)
+    primal = f.nodes()[finite]
+    out = (_box_points(axes) @ primal.T - f.values.ravel()[finite]).max(axis=1)
     return GridFunction(axes=axes, values=out.reshape(tuple(len(a) for a in axes)))
 
 
@@ -215,7 +194,6 @@ class ConvergenceReport:
     uniform_monotone: bool = False
     aw_monotone: bool = False
     probe_monotone: bool = False
-    meta: dict = field(default_factory=dict)
 
     @property
     def all_monotone(self) -> bool:
@@ -234,17 +212,21 @@ def _char_probe(spec, t_dict, z):
     return np.array([float((np.cos(t * psi[:, 0]) * w).sum() / w.sum()) for t in t_dict])
 
 
+# W_0 on DUAL_NODES of [-DUAL_RADIUS, DUAL_RADIUS], Gamma_0 = W_0* on PRIMAL_NODES
+# of [-aw_rho, aw_rho], and E[cos(t psi)] at PROBE_SOURCES from PROBE_SAMPLES draws
+DUAL_RADIUS = 3.0
+DUAL_NODES = 161
+PRIMAL_NODES = 1201
+PROBE_SOURCES = (0.5, 1.0, 2.0)
+PROBE_SAMPLES = 100_000
+
+
 def convergence_suite(
     models,
     limit_model,
     regulator,
-    dual_radius: float = 3.0,
-    dual_nodes: int = 161,
     uniform_radius: float = 2.0,
     aw_rho: float = 6.0,
-    primal_nodes: int = 1201,
-    probe_sources=(0.5, 1.0, 2.0),
-    probe_samples: int = 100_000,
     seed: int = 20240,
 ) -> ConvergenceReport:
     """Distances of a regularization sequence to its limit theory at k = 0.
@@ -256,27 +238,26 @@ def convergence_suite(
     for m in models:
         if m.modes != limit_model.modes:
             raise GridMismatch("sequence members must share the mode count")
-    t_axis = np.linspace(-dual_radius, dual_radius, dual_nodes)
+    t_axis = np.linspace(-DUAL_RADIUS, DUAL_RADIUS, DUAL_NODES)
 
     def analyse(spec):
         ctx = FunctionalContext(spec=spec, regulator=regulator, self_check=False)
         w_grid = _w_grid(ctx, t_axis)
-        gamma0 = conjugate(w_grid, -aw_rho, aw_rho, primal_nodes)
+        gamma0 = conjugate(w_grid, -aw_rho, aw_rho, PRIMAL_NODES)
         return w_grid, gamma0
 
     w_lim, gamma_lim = analyse(limit_model)
     rng = np.random.default_rng(seed)
-    z = rng.standard_normal((probe_samples, limit_model.modes))
-    probe_lim = _char_probe(limit_model, probe_sources, z)
+    z = rng.standard_normal((PROBE_SAMPLES, limit_model.modes))
+    probe_lim = _char_probe(limit_model, PROBE_SOURCES, z)
 
     report = ConvergenceReport(indices=list(range(1, len(models) + 1)),
-                               uniform=[], aw=[], probe=[],
-                               meta={"seed": seed, "probe_samples": probe_samples})
+                               uniform=[], aw=[], probe=[])
     for spec in models:
         w_n, gamma_n = analyse(spec)
         report.uniform.append(uniform_distance(w_n, w_lim, uniform_radius))
         report.aw.append(aw_distance(gamma_n, gamma_lim, aw_rho))
-        probe_n = _char_probe(spec, probe_sources, z)
+        probe_n = _char_probe(spec, PROBE_SOURCES, z)
         report.probe.append(float(np.max(np.abs(probe_n - probe_lim))))
 
     def strictly_decreasing(seq):

@@ -5,8 +5,8 @@ class FrgeLabError(Exception):
     """Base class for all package errors."""
 
 
-class SpecValidationError(FrgeLabError):
-    """Model specification is malformed or violates an invariant."""
+class SpecValidationError(FrgeLabError, ValueError):
+    """An input (config, option or argument) is malformed or out of range."""
 
 
 class SingularWindow(FrgeLabError):
@@ -45,15 +45,15 @@ class RangeExceeded(FrgeLabError):
 class ConvexityLoss(FrgeLabError):
     """Regularized Hessian lost positivity during a flow evaluation."""
 
-    def __init__(self, message, k=None, node=None, last_state=None):
+    def __init__(self, message, k=None, last_state=None):
         super().__init__(message)
         self.k = k
-        self.node = node
         self.last_state = last_state
 
 
 class StepUnderflow(FrgeLabError):
-    """Adaptive step size collapsed below the configured floor."""
+    """The adaptive step fell below ten times the floating-point spacing of
+    k, where the solver gives up, with no convexity loss to explain it."""
 
 
 class GridMismatch(FrgeLabError):

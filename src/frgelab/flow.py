@@ -182,7 +182,6 @@ def rhs_grid(state: GridAction, regulator, momentum: float = 0.0,
             f"regularized curvature non-positive at node {node} "
             f"(phi={state.grid[node]:.4g}, k={state.k:.6g})",
             k=state.k,
-            node=node,
         )
     return 0.5 * f_dot / denom
 
@@ -254,30 +253,35 @@ def integrate(
     regulator,
     momenta=None,
     weights=None,
-    checkpoints=None,
+    checkpoints=(),
     rtol: float = 1e-8,
     atol: float = 1e-10,
 ) -> FlowTrajectory:
     """Integrate the flow from k_from down to k_to with checkpoints.
 
-    Segments are split at the regulator's kink scales inside the interval so
-    no step crosses a derivative discontinuity.  Grid actions are stepped
-    with BDF and the analytic Jacobian, vertex actions with RK45.  Raises
-    ConvexityLoss, carrying the last convex state, where the curvature
-    margin reaches zero or is extrapolated to within CONVEXITY_HORIZON * k
-    of it; ``k`` is the extrapolated crossing scale.
+    ``checkpoints`` is any iterable of scales in [k_to, k_from], kept as
+    floats.  Segments are split at the regulator's kink scales inside the
+    interval so no step crosses a derivative discontinuity.  Grid actions
+    are stepped with BDF and the analytic Jacobian, vertex actions with
+    RK45.  Raises ConvexityLoss, carrying the last convex state, where the
+    curvature margin reaches zero or is extrapolated to within
+    CONVEXITY_HORIZON * k of it; ``k`` is the extrapolated crossing scale.
     """
-    if k_from < k_to:
-        raise ValueError("flow runs downward: k_from must be >= k_to")
+    if not k_to <= k_from:
+        raise SpecValidationError(
+            f"flow runs downward: need k_to <= k_from, got {k_to} and {k_from}")
+    if not (rtol > 0 and atol > 0):
+        raise SpecValidationError("rtol and atol must be positive")
     if momenta is None:
         momenta = np.zeros(1)
     momenta = np.asarray(momenta, dtype=float)
     if weights is None:
         weights = np.ones_like(momenta)
-    checkpoints = sorted(set(checkpoints or []) | {k_from, k_to}, reverse=True)
+    checkpoints = sorted({float(c) for c in checkpoints} | {float(k_from), float(k_to)},
+                         reverse=True)
     for c in checkpoints:
         if not (k_to <= c <= k_from):
-            raise ValueError(f"checkpoint {c} outside [{k_to}, {k_from}]")
+            raise SpecValidationError(f"checkpoint {c} outside [{k_to}, {k_from}]")
 
     is_grid = isinstance(initial, GridAction)
     p0, w0 = float(momenta[0]), float(weights[0])  # the grid's single mode
@@ -424,11 +428,11 @@ def initial_condition(
     the regularization-corrected classical asymptote.  The info dict records
     the maximum discrepancy between the two on the grid.
     """
-    if k_uv <= 0:
-        raise ValueError("k_uv must be positive")
+    if not 0 < k_uv < np.inf:
+        raise SpecValidationError("k_uv must be positive and finite")
     if rep == "grid":
         if ctx.measure.dim != 1:
-            raise ValueError("the grid representation is single-mode only")
+            raise SpecValidationError("the grid representation is single-mode only")
         grid = ctx.spec.field_grid
         classical = classical_grid_values(ctx, grid)
         if mode == "classical":
@@ -438,12 +442,12 @@ def initial_condition(
             values = exact_grid_values(ctx, k_uv, grid)
             info = {"classical_discrepancy": float(np.abs(values - classical).max())}
         else:
-            raise ValueError(f"unknown initial-condition mode {mode!r}")
+            raise SpecValidationError(f"unknown initial-condition mode {mode!r}")
         values = values - values[grid.size // 2]
         return GridAction(k=k_uv, grid=grid, values=values), info
     if rep == "vertex":
         if ctx.spec.c3 != 0:
-            raise ValueError("the vertex representation requires an even theory")
+            raise SpecValidationError("vertex flows need an even theory (c3 = 0)")
         m = ctx.measure.dim
         if mode == "classical":
             c_inv = np.linalg.inv(covariance(ctx.spec))
@@ -460,14 +464,14 @@ def initial_condition(
             info = {}
         elif mode == "exact":
             if m != 1:
-                raise ValueError("exact vertex initial conditions are single-mode only")
+                raise SpecValidationError("the exact vertex start is single-mode only")
             g2 = fn.gamma_hessian(ctx, k_uv, np.zeros(1))
             g4 = np.full((1, 1, 1, 1), _fourth_derivative_at_zero(ctx, k_uv))
             info = {}
         else:
-            raise ValueError(f"unknown initial-condition mode {mode!r}")
+            raise SpecValidationError(f"unknown initial-condition mode {mode!r}")
         return VertexAction(k=k_uv, gamma2=symmetrize2(g2), gamma4=symmetrize4(g4)), info
-    raise ValueError(f"unknown representation {rep!r}")
+    raise SpecValidationError(f"unknown representation {rep!r}")
 
 
 def _fourth_derivative_at_zero(ctx, k, h=0.25):
@@ -489,9 +493,10 @@ def _fourth_derivative_at_zero(ctx, k, h=0.25):
 # -- first-form consistency check --------------------------------------
 
 
-def frge_first_form_check(
-    ctx: FunctionalContext, k: float, probes, dk_step: float = 1e-3
-) -> list[dict]:
+FIRST_FORM_DK_STEP = 1e-3  # k-step of the Richardson difference of gamma
+
+
+def frge_first_form_check(ctx: FunctionalContext, k: float, probes) -> list[dict]:
     """Compare d_k gamma against the unsubtracted trace form at probe fields.
 
     Single-mode only.  The left side is a Richardson finite difference of
@@ -499,7 +504,7 @@ def frge_first_form_check(
     regulated inverse curvature plus the normalization drift.
     """
     if ctx.measure.dim != 1:
-        raise ValueError("first-form check is single-mode only")
+        raise SpecValidationError("first-form check is single-mode only")
     p1 = float(ctx.spec.momenta[0])
     w1 = float(ctx.spec.momentum_weights[0])
     report = []
@@ -514,7 +519,8 @@ def frge_first_form_check(
                     fn.gamma(ctx, k + hh, phi_vec) - fn.gamma(ctx, k - hh, phi_vec)
                 ) / (2.0 * hh)
 
-            lhs = (4.0 * central(dk_step / 2.0) - central(dk_step)) / 3.0
+            lhs = (4.0 * central(FIRST_FORM_DK_STEP / 2.0)
+                   - central(FIRST_FORM_DK_STEP)) / 3.0
             curv = float(fn.gamma_hessian(ctx, k, phi_vec)[0, 0])
             record = ctx.scale(k)
             r_k = float(record.f[0])

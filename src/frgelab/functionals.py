@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as sla
 
-from .errors import NewtonStalled, RangeExceeded, SelfCheckFailed
+from .errors import NewtonStalled, RangeExceeded, SelfCheckFailed, SpecValidationError
 from .measure import (
     GaussianMeasure,
     build_measure,
@@ -74,6 +74,8 @@ class FunctionalContext:
         if record is not None:
             self._scales.move_to_end(key)
             return record
+        if not np.isfinite(key):
+            raise SpecValidationError(f"the scale k must be finite, got {k}")
         p, w = self.spec.momenta, self.spec.momentum_weights
         f = self.regulator.value(k, p) * w
         prec = self.measure.inv + np.diag(f)
@@ -304,16 +306,17 @@ def invert_mean_field(
     )
 
 
-def legendre_sweep(ctx: FunctionalContext, k: float, fields, j0=None):
+def legendre_sweep(ctx: FunctionalContext, k: float, fields):
     """Effective average action along a path of fields.
 
     Yields ``(gamma_k(phi), MeanFieldSolve)`` for each field in order; each
-    mean-field inversion is warm-started from the previous field's source
-    (the first from ``j0``).  gamma_k(phi) = J.phi - W_k(J) - F_k(phi, phi)/2
-    at the inverting source J, where W_k(J) comes from the inversion's own
-    tilted moments.
+    mean-field inversion after the first is warm-started from the previous
+    field's source.  gamma_k(phi) = J.phi - W_k(J) - F_k(phi, phi)/2 at the
+    inverting source J, where W_k(J) comes from the inversion's own tilted
+    moments.
     """
     f_diag = ctx.scale(k).f
+    j0 = None
     for phi in fields:
         phi = np.atleast_1d(np.asarray(phi, dtype=float))
         solve = invert_mean_field(ctx, k, phi, j0=j0)
@@ -323,31 +326,29 @@ def legendre_sweep(ctx: FunctionalContext, k: float, fields, j0=None):
         yield value, solve
 
 
-def gamma(ctx: FunctionalContext, k: float, phi, j0=None) -> float:
+def gamma(ctx: FunctionalContext, k: float, phi) -> float:
     """Effective average action: Legendre value minus the regulator term."""
-    value, _ = next(legendre_sweep(ctx, k, [phi], j0=j0))
+    value, _ = next(legendre_sweep(ctx, k, [phi]))
     return value
 
 
-def gamma_bar(ctx: FunctionalContext, k: float, phi, j0=None) -> float:
+def gamma_bar(ctx: FunctionalContext, k: float, phi) -> float:
     """Subtracted action: gamma(phi) - gamma(0)."""
-    return gamma(ctx, k, phi, j0=j0) - gamma(ctx, k, np.zeros(ctx.measure.dim))
+    return gamma(ctx, k, phi) - gamma(ctx, k, np.zeros(ctx.measure.dim))
 
 
-def gamma_gradient(ctx: FunctionalContext, k: float, phi, j0=None) -> np.ndarray:
+def gamma_gradient(ctx: FunctionalContext, k: float, phi) -> np.ndarray:
     """D gamma at phi: the inverting source minus the regulator action."""
     phi = np.atleast_1d(np.asarray(phi, dtype=float))
-    solve = invert_mean_field(ctx, k, phi, j0=j0)
+    solve = invert_mean_field(ctx, k, phi)
     return solve.source - ctx.scale(k).f * phi
 
 
-def gamma_hessian(
-    ctx: FunctionalContext, k: float, phi, step: float | None = None
-) -> np.ndarray:
+def gamma_hessian(ctx: FunctionalContext, k: float, phi) -> np.ndarray:
     """Richardson-extrapolated finite differences of the gamma gradient."""
     phi = np.atleast_1d(np.asarray(phi, dtype=float))
     m = phi.size
-    h = step if step is not None else 1e-4 * (1.0 + float(np.linalg.norm(phi)))
+    h = 1e-4 * (1.0 + float(np.linalg.norm(phi)))
     out = np.empty((m, m))
     for a in range(m):
         e = np.zeros(m)

@@ -118,21 +118,21 @@ def expectation(
     g,
     method: str = "quadrature",
     target_error: float = 1e-10,
-    level: int | None = None,
     samples: int = 100_000,
     seed: int = 0,
 ) -> ExpectationResult:
     """Expectation of ``g`` under the measure.
 
     ``g`` must accept an array of fields of shape (n, M) and return n values.
-    Quadrature is tensorized Gauss-Hermite through the Cholesky factor and
-    refines the level until two consecutive rules agree within the target;
+    Quadrature is tensorized Gauss-Hermite through the Cholesky factor; it
+    doubles the level from :func:`default_level` until two consecutive rules
+    agree within the target;
     Monte-Carlo returns the sample mean with a standard-error estimate.
     """
     if method == "quadrature":
         if measure.dim > 4:
             raise BudgetExceeded("quadrature expectations are limited to M <= 4")
-        lvl = level if level is not None else default_level(measure.dim)
+        lvl = default_level(measure.dim)
         value = _quadrature_value(measure, g, lvl)
         while True:
             nxt = min(2 * lvl, MAX_GH_LEVEL)

@@ -1,11 +1,11 @@
 """Finite-mode truncations of a regularized scalar theory.
 
-A model is declared by a :class:`ModelSpec` and turned into concrete
-finite-dimensional objects: the diagonal free operator, the window
-(regularization) operator in the mode basis and the covariance of the
-regularized Gaussian measure.  Fields are represented by their real
-coefficients on a symmetric momentum grid; the discrete Hartley transform
-provides the unitary change of basis to position values.
+A model is declared by a :class:`ModelSpec` and turned into the covariance
+of the regularized Gaussian measure, built from the diagonal free operator
+and the window (regularization) operator in the mode basis.  Fields are
+represented by their real coefficients on a symmetric momentum grid; the
+discrete Hartley transform provides the unitary change of basis to
+position values.
 """
 
 from __future__ import annotations
@@ -157,8 +157,8 @@ def validate_spec(spec: ModelSpec) -> None:
     if spec.dimension == 1:
         if spec.modes % 2 == 0:
             raise SpecValidationError("d=1 requires an odd mode count (symmetric grid)")
-        if spec.momentum_spacing is None or spec.momentum_spacing <= 0:
-            raise SpecValidationError("d=1 requires a positive momentum_spacing")
+        if spec.momentum_spacing is None or not 0 < spec.momentum_spacing < np.inf:
+            raise SpecValidationError("d=1 requires a positive finite momentum_spacing")
     if not (spec.mass > 0 and np.isfinite(spec.mass)):
         raise SpecValidationError("mass must be positive and finite")
     for name in ("c2", "c3", "c4"):
@@ -170,10 +170,11 @@ def validate_spec(spec: ModelSpec) -> None:
         raise SpecValidationError(
             "odd c3 interactions require the allow_unbounded acknowledgment"
         )
-    if spec.phi_nodes % 2 == 0:
-        raise SpecValidationError("field grid node count must be odd (0 must be a node)")
-    if spec.phi_max <= 0:
-        raise SpecValidationError("phi_max must be positive")
+    if spec.phi_nodes < 1 or spec.phi_nodes % 2 == 0:
+        raise SpecValidationError(
+            "field grid node count must be positive and odd (0 must be a node)")
+    if not 0 < spec.phi_max < np.inf:
+        raise SpecValidationError("phi_max must be positive and finite")
     w = spec.window
     if w.kind == "identity":
         pass
@@ -192,6 +193,17 @@ def validate_spec(spec: ModelSpec) -> None:
 
 
 # -- JSON ingestion ----------------------------------------------------
+
+
+def _number(section: dict, key: str, convert, default=None):
+    """``convert(section[key])`` (``default`` if absent); a value that is not
+    a number raises :class:`SpecValidationError`."""
+    value = section.get(key, default)
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError):
+        raise SpecValidationError(
+            f"config value {key!r} is not a number: {value!r}") from None
 
 
 def spec_from_dict(doc: dict) -> ModelSpec:
@@ -217,13 +229,13 @@ def spec_from_dict(doc: dict) -> ModelSpec:
         wp = WindowParams(kind="identity")
     elif isinstance(window, dict):
         if set(window) == {"r"}:
-            wp = WindowParams(kind="scalar", r=float(window["r"]))
+            wp = WindowParams(kind="scalar", r=_number(window, "r", float))
         elif set(window) == {"K", "Lambda", "n"}:
             wp = WindowParams(
                 kind="gaussian",
-                K=float(window["K"]),
-                Lambda=float(window["Lambda"]),
-                n=int(window["n"]),
+                K=_number(window, "K", float),
+                Lambda=_number(window, "Lambda", float),
+                n=_number(window, "n", int),
             )
         else:
             raise SpecValidationError(
@@ -240,18 +252,19 @@ def spec_from_dict(doc: dict) -> ModelSpec:
         raise SpecValidationError(f"unknown field_grid keys: {sorted(unknown)}")
 
     return ModelSpec(
-        dimension=int(doc["dimension"]),
-        modes=int(doc["modes"]),
-        mass=float(doc["mass"]),
+        dimension=_number(doc, "dimension", int),
+        modes=_number(doc, "modes", int),
+        mass=_number(doc, "mass", float),
         momentum_spacing=(
-            float(doc["momentum_spacing"]) if "momentum_spacing" in doc else None
+            _number(doc, "momentum_spacing", float)
+            if "momentum_spacing" in doc else None
         ),
-        c2=float(interaction.get("c2", 0.0)),
-        c3=float(interaction.get("c3", 0.0)),
-        c4=float(interaction.get("c4", 0.0)),
+        c2=_number(interaction, "c2", float, 0.0),
+        c3=_number(interaction, "c3", float, 0.0),
+        c4=_number(interaction, "c4", float, 0.0),
         window=wp,
-        phi_max=float(fg.get("phi_max", 3.0)),
-        phi_nodes=int(fg.get("nodes", 201)),
+        phi_max=_number(fg, "phi_max", float, 3.0),
+        phi_nodes=_number(fg, "nodes", int, 201),
         allow_unbounded=bool(doc.get("allow_unbounded", False)),
     )
 
@@ -261,32 +274,16 @@ def spec_from_json(path) -> ModelSpec:
         return spec_from_dict(json.load(fh))
 
 
-# -- operators ---------------------------------------------------------
+# -- covariance --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FreeOperator:
-    """Diagonal free operator b_j = m^2 + p_j^2."""
+def covariance(spec: ModelSpec) -> np.ndarray:
+    """Covariance C = R B^{-1} R^T of the regularized Gaussian measure.
 
-    diagonal: np.ndarray
-
-
-@dataclass(frozen=True)
-class RegularizationOperator:
-    """Window operator in the mode basis, with its condition number."""
-
-    matrix: np.ndarray
-    condition_number: float
-
-
-def build_free_operator(spec: ModelSpec) -> FreeOperator:
-    b = spec.mass**2 + spec.momenta**2
-    return FreeOperator(diagonal=b)
-
-
-def build_regularization(
-    spec: ModelSpec, condition_bound: float = DEFAULT_CONDITION_BOUND
-) -> RegularizationOperator:
+    B = diag(m^2 + p_j^2) is the free operator and R the window operator in
+    the mode basis; a window whose condition number exceeds
+    ``DEFAULT_CONDITION_BOUND`` raises :class:`SingularWindow`.
+    """
     w = spec.window
     if w.kind == "identity":
         r_mat = np.eye(spec.modes)
@@ -297,21 +294,15 @@ def build_regularization(
         xi = np.exp(-spec.momenta**2 / (2.0 * nl**2))
         chi = np.exp(-spec.positions**2 / (2.0 * (w.n * w.K) ** 2))
         h = spec.hartley_matrix()
-        x_mat = h @ np.diag(chi) @ h
-        r_mat = x_mat @ np.diag(xi)
+        r_mat = h @ np.diag(chi) @ h @ np.diag(xi)
     cond = float(np.linalg.cond(r_mat))
-    if not np.isfinite(cond) or cond > condition_bound:
+    if not np.isfinite(cond) or cond > DEFAULT_CONDITION_BOUND:
         raise SingularWindow(
-            f"window operator condition number {cond:.3e} exceeds {condition_bound:.1e}"
+            f"window operator condition number {cond:.3e} exceeds "
+            f"{DEFAULT_CONDITION_BOUND:.1e}"
         )
-    return RegularizationOperator(matrix=r_mat, condition_number=cond)
-
-
-def covariance(spec: ModelSpec) -> np.ndarray:
-    """Covariance C = R B^{-1} R^T of the regularized Gaussian measure."""
-    free = build_free_operator(spec)
-    reg = build_regularization(spec)
-    c = reg.matrix @ np.diag(1.0 / free.diagonal) @ reg.matrix.T
+    b = spec.mass**2 + spec.momenta**2
+    c = r_mat @ np.diag(1.0 / b) @ r_mat.T
     c = 0.5 * (c + c.T)
     try:
         sla.cholesky(c, lower=True)

@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import SpecValidationError
+
 
 class Regulator:
     """Shape function R_k(p) with k-derivative; vanishes identically for k < 0.
@@ -96,15 +98,15 @@ class TableRegulator(Regulator):
 
     @classmethod
     def from_csv(cls, path):
-        """Load a table with columns k, p, R, dR covering a full (k, p) grid."""
-        names = ("k", "p", "R", "dR")
+        """Load columns k, p, R, dR covering a full (k, p) grid, two or more
+        values of each."""
         with open(path, newline="") as fh:
             header = next(csv.reader(fh), [])
-            missing = [n for n in names if n not in header]
-            if missing:
-                raise ValueError(f"table regulator CSV lacks columns {missing}")
-            rows = np.loadtxt(fh, delimiter=",", ndmin=2,
-                              usecols=[header.index(n) for n in names])
+            try:
+                rows = np.loadtxt(fh, delimiter=",", ndmin=2, usecols=[
+                    header.index(n) for n in ("k", "p", "R", "dR")])
+            except ValueError as exc:  # a missing column or a malformed number
+                raise SpecValidationError(f"table regulator CSV: {exc}") from None
         k_grid, i = np.unique(rows[:, 0], return_inverse=True)
         p_grid, j = np.unique(rows[:, 1], return_inverse=True)
         shape = (len(k_grid), len(p_grid))
@@ -112,8 +114,9 @@ class TableRegulator(Regulator):
         dvals = np.full(shape, np.nan)
         vals[i, j] = rows[:, 2]
         dvals[i, j] = rows[:, 3]
-        if np.isnan(vals).any():
-            raise ValueError("table regulator CSV does not cover a full (k, p) grid")
+        if np.isnan(vals).any() or min(shape) < 2:
+            raise SpecValidationError("table regulator CSV does not cover a full "
+                                      "(k, p) grid of two or more k and p values")
         return cls(k_grid, p_grid, vals, dvals)
 
     def _interp(self, table, k, p):
@@ -146,7 +149,7 @@ def make_regulator(name: str) -> Regulator:
         return ExponentialRegulator()
     if name.startswith("table:"):
         return TableRegulator.from_csv(name.split(":", 1)[1])
-    raise ValueError(f"unknown regulator {name!r}")
+    raise SpecValidationError(f"unknown regulator {name!r}")
 
 
 @dataclass
@@ -171,6 +174,12 @@ class SamplePlan:
     p_max: float = 10.0
     count: int = 10_000
     seed: int = 1234
+
+    def __post_init__(self):
+        if not (0 < self.k_max < np.inf and 0 < self.p_max < np.inf
+                and self.count >= 1):
+            raise SpecValidationError(
+                "a sample plan needs finite k_max, p_max > 0 and count >= 1")
 
 
 def _record(report: ConditionReport, name: str, bad: np.ndarray, *columns) -> None:

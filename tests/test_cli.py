@@ -198,6 +198,71 @@ class TestFrgeCheck:
         assert "max |lhs - rhs|" in capsys.readouterr().out
 
 
+class TestExitCodes:
+    D1 = {"dimension": 1, "modes": 3, "mass": 1.0, "momentum_spacing": 1.0,
+          "window": "identity"}
+
+    @pytest.mark.parametrize("mass", [None, "heavy", [1.0]])
+    def test_non_numeric_config_value_exit_2(self, tmp_path, capsys, mass):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(dict(CONFIG, mass=mass)))
+        assert main(["exact", "--config", str(cfg),
+                     "--out", str(tmp_path / "x.csv")]) == 2
+        assert "mass" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["exact", "--k", "1,x"],
+        ["exact", "--regulator", "sharp"],
+        ["flow", "--kuv", "1", "--kend", "2", "--init", "classical"],
+        ["flow", "--kuv", "1", "--checkpoints", "5", "--init", "classical"],
+        ["flow", "--kuv", "1", "--rtol", "-1", "--init", "classical"],
+        ["flow", "--kuv", "0"],
+        ["flow", "--kuv", "nan"],
+        ["exact", "--phi-nodes", "-3"],
+        ["exact", "--k", "nan"],
+        ["frge-check", "--probes", ","],
+    ])
+    def test_bad_option_exit_2(self, config_path, tmp_path, argv):
+        assert main(argv + ["--config", config_path,
+                            "--out", str(tmp_path / "o.csv")]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["flow", "--kuv", "1", "--init", "classical"],
+        ["frge-check"],
+    ])
+    def test_multi_mode_config_exit_2(self, tmp_path, argv):
+        cfg = tmp_path / "d1.json"
+        cfg.write_text(json.dumps(self.D1))
+        assert main(argv + ["--config", str(cfg),
+                            "--out", str(tmp_path / "o.csv")]) == 2
+
+    @pytest.mark.parametrize("option", [["--count", "-5"], ["--k-max", "nan"]])
+    def test_bad_sample_plan_exit_2(self, option):
+        assert main(["validate-regulator", *option]) == 2
+
+    def test_malformed_table_number_exit_2(self, tmp_path, capsys):
+        table = tmp_path / "table.csv"
+        table.write_text("k,p,R,dR\n0,0,0,0\n1,0,1,x\n")
+        assert main(["validate-regulator", "--regulator", f"table:{table}"]) == 2
+        assert "table regulator" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("doc", [{"a": 1}, [1]])
+    def test_non_manifest_report_exit_2(self, tmp_path, doc):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(doc))
+        assert main(["report", str(path), "--out", str(tmp_path / "s.csv")]) == 2
+
+    def test_internal_value_error_propagates(self, config_path, tmp_path,
+                                             monkeypatch):
+        def broken(*args, **kwargs):
+            raise ValueError("internal bug")
+
+        monkeypatch.setattr(flow, "integrate", broken)
+        with pytest.raises(ValueError, match="internal bug"):
+            main(["flow", "--config", config_path, "--kuv", "1",
+                  "--init", "classical", "--out", str(tmp_path / "f.csv")])
+
+
 class TestConverge:
     def test_short_sequence(self, config_path, tmp_path):
         out = str(tmp_path / "conv.csv")

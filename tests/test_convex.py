@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from frgelab import functionals as fn
 from frgelab.convex import (
     GridFunction,
+    _lower_hull,
     _w_grid,
     aw_distance,
     biconjugate_check,
@@ -82,6 +83,17 @@ class TestConjugate:
         fs = conjugate(f, -15, 15, 1501)
         fss = conjugate(fs, -2, 2, 201)
         assert np.all(fss.values <= f.values + 1e-9)
+
+    def test_double_well_conjugates_as_its_convex_hull(self):
+        # f* = (co f)*: the nodes off the hull never attain the maximum
+        x = np.linspace(-2, 2, 401)
+        y = x**4 - x**2
+        hull = _lower_hull(x, y)
+        envelope = np.interp(x, x[hull], y[hull])
+        assert (y - envelope).max() > 0.2  # the double well is not convex
+        fs = conjugate(GridFunction(axes=(x,), values=y), -6, 6, 241)
+        hs = conjugate(GridFunction(axes=(x,), values=envelope), -6, 6, 241)
+        assert np.abs(fs.values - hs.values).max() <= 1e-12
 
     def test_two_dimensional_scan(self):
         axes = (np.linspace(-2, 2, 41), np.linspace(-2, 2, 41))
@@ -191,8 +203,7 @@ class TestConvergenceSuite:
         reg = make_regulator("litim")
         (limit,) = self.specs([1.0])
         models = self.specs([1.0, 1.0, 1.0])
-        rep = convergence_suite(models, limit, reg, dual_nodes=81,
-                                primal_nodes=241, probe_samples=20_000)
+        rep = convergence_suite(models, limit, reg)
         assert max(rep.uniform) == 0.0
         assert max(rep.aw) == 0.0
         assert max(rep.probe) == 0.0
@@ -209,8 +220,7 @@ class TestConvergenceSuite:
         reg = make_regulator("litim")
         (limit,) = self.specs([1.0])
         models = self.specs([0.5, 0.9, 0.5, 0.9])
-        rep = convergence_suite(models, limit, reg, dual_nodes=81,
-                                primal_nodes=241, probe_samples=20_000)
+        rep = convergence_suite(models, limit, reg)
         assert not rep.aw_monotone
         assert rep.aw[-1] > 0.01  # does not approach zero
 

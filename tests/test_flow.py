@@ -160,6 +160,15 @@ class TestIntegrate:
         with pytest.raises(ValueError):
             integrate(s, 1.0, 0.0, litim, checkpoints=[2.0])
 
+    def test_checkpoints_from_an_array(self, free_spec, litim):
+        ctx = FunctionalContext(spec=free_spec, regulator=litim)
+        init, _ = initial_condition(ctx, "classical", 2.0)
+        for scales in (np.array([1.0, 0.5]), np.array([0.5])):
+            traj = integrate(init, 2.0, 0.0, litim, checkpoints=scales)
+            ks = [k for k, _ in traj.checkpoints]
+            assert ks == [2.0, *scales.tolist(), 0.0]
+            assert all(type(k) is float for k in ks)
+
     def test_free_theory_flow_is_stationary(self, free_spec, litim):
         ctx = FunctionalContext(spec=free_spec, regulator=litim)
         init, _ = initial_condition(ctx, "exact", 10.0)

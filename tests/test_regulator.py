@@ -214,6 +214,10 @@ class TestConditions:
         path.write_text("k,p,R\n0.0,0.0,0.0\n")
         with pytest.raises(ValueError, match="dR"):
             TableRegulator.from_csv(path)
+        # a single node is no grid to interpolate on
+        path.write_text("k,p,R,dR\n0.0,0.0,0.0,0.0\n")
+        with pytest.raises(ValueError, match="full"):
+            TableRegulator.from_csv(path)
 
     def test_unknown_name(self):
         with pytest.raises(ValueError):
