@@ -132,17 +132,15 @@ def cmd_exact(args) -> int:
     if args.phi_nodes < 1:
         raise SpecValidationError("--phi-nodes must be at least 1")
     grid = np.linspace(-args.phi_max, args.phi_max, args.phi_nodes)
-    zero = np.flatnonzero(grid == 0.0)
     rows = []
     for k in _parse_floats(args.k):
-        swept = list(fn.legendre_sweep(ctx, k, grid))
-        # Gamma_k(0) for the subtraction: the sweep's own row where 0 is a node
-        gamma0 = swept[zero[0]][0] if zero.size else fn.gamma(ctx, k, np.zeros(1))
-        for phi, (g, solve) in zip(grid, swept):
+        # the last lane is the field 0, for the subtraction
+        values, solve = fn.legendre_transform(ctx, k, np.append(grid, 0.0))
+        gamma0 = values[-1]
+        for phi, g, j, residual in zip(grid, values, solve.source[:, 0], solve.residual):
             rows.append([
                 f"{k:.12g}", f"{phi:.12g}", f"{g:.15g}", f"{g - gamma0:.15g}",
-                f"{solve.source[0]:.15g}", f"{solve.residual:.3e}",
-                f"{fn.BUDGET:.1e}",
+                f"{j:.15g}", f"{residual:.3e}", f"{fn.BUDGET:.1e}",
             ])
     write_csv(args.out, ["k", "phi", "Gamma", "GammaBar", "J", "residual", "budget"],
               rows)
@@ -241,6 +239,11 @@ def cmd_converge(args) -> int:
     cfg_hash = config_hash(doc)
     if spec.dimension != 0:
         raise SpecValidationError("the convergence sweep varies a d=0 scalar window")
+    if args.levels < 1:
+        raise SpecValidationError("--levels must be at least 1")
+    for flag, value in (("--rho", args.rho), ("--radius", args.radius)):
+        if not 0 < value < np.inf:
+            raise SpecValidationError(f"{flag} must be positive and finite, got {value}")
     reg = make_regulator(args.regulator)
     models = [
         dataclasses.replace(

@@ -53,17 +53,6 @@ class GridFunction:
     def ndim(self) -> int:
         return len(self.axes)
 
-    @classmethod
-    def from_callable(cls, f, lo, hi, nodes):
-        axes = _box_axes(lo, hi, nodes)
-        if len(axes) == 1:
-            vals = np.array([f(x) for x in axes[0]], dtype=float)
-        else:
-            vals = np.array([f(p) for p in _box_points(axes)], dtype=float).reshape(
-                tuple(len(a) for a in axes)
-            )
-        return cls(axes=axes, values=vals)
-
     def nodes(self) -> np.ndarray:
         return _box_points(self.axes)
 
@@ -201,8 +190,7 @@ class ConvergenceReport:
 
 
 def _w_grid(ctx: FunctionalContext, t_axis: np.ndarray) -> GridFunction:
-    vals = np.array([fn.W(ctx, 0.0, np.array([t])) for t in t_axis])
-    return GridFunction(axes=(t_axis,), values=vals)
+    return GridFunction(axes=(t_axis,), values=fn.W(ctx, 0.0, t_axis[:, None]))
 
 
 def _char_probe(spec, t_dict, z):

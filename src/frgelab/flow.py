@@ -200,6 +200,19 @@ def jacobian_grid(state: GridAction, regulator, momentum: float = 0.0,
                          shape=d2.shape)
 
 
+@lru_cache(maxsize=64)
+def _contraction_path(subscripts: str, *shapes) -> list:
+    """The optimized ``np.einsum`` contraction path; it depends only on the
+    subscripts and the operand shapes, so it is searched once per shape."""
+    return np.einsum_path(subscripts, *(np.zeros(s) for s in shapes), optimize=True)[0]
+
+
+def _contract(subscripts: str, *operands) -> np.ndarray:
+    """``np.einsum(..., optimize=True)`` with the contraction path cached."""
+    path = _contraction_path(subscripts, *(o.shape for o in operands))
+    return np.einsum(subscripts, *operands, optimize=path)
+
+
 def rhs_vertex(state: VertexAction, regulator, momenta, weights) -> "VertexAction":
     """Truncated vertex flow with the six-point function set to zero."""
     k = state.k
@@ -219,10 +232,8 @@ def rhs_vertex(state: VertexAction, regulator, momenta, weights) -> "VertexActio
         zero2 = np.zeros_like(state.gamma2)
         return VertexAction(k=k, gamma2=zero2, gamma4=np.zeros_like(state.gamma4))
     g4 = state.gamma4
-    d_g2 = -0.5 * np.einsum("x,xl,ablm,mx->ab", f_dot, g, g4, g, optimize=True)
-    t = np.einsum(
-        "x,xi,abij,jl,cdlm,mx->abcd", f_dot, g, g4, g, g4, g, optimize=True
-    )
+    d_g2 = -0.5 * _contract("x,xl,ablm,mx->ab", f_dot, g, g4, g)
+    t = _contract("x,xi,abij,jl,cdlm,mx->abcd", f_dot, g, g4, g, g4, g)
     d_g4 = t + t.transpose(0, 2, 1, 3) + t.transpose(0, 3, 1, 2)
     return VertexAction(k=k, gamma2=symmetrize2(d_g2), gamma4=symmetrize4(d_g4))
 
@@ -402,16 +413,10 @@ def integrate(
 
 
 def exact_grid_values(ctx: FunctionalContext, k: float, grid: np.ndarray) -> np.ndarray:
-    """Subtracted-action oracle values on the grid: two warm-started Legendre
-    sweeps outward from the centre node."""
-    grid = np.asarray(grid, dtype=float)
-    centre = grid.size // 2
-    gamma0 = fn.gamma(ctx, k, np.zeros(1))
-    values = np.zeros_like(grid)
-    for side in (np.arange(centre + 1, grid.size), np.arange(centre - 1, -1, -1)):
-        sweep = fn.legendre_sweep(ctx, k, grid[side])
-        values[side] = np.fromiter((g for g, _ in sweep), float, side.size) - gamma0
-    return values
+    """Subtracted-action oracle values on the grid: one Legendre transform of
+    the grid nodes and, in one extra lane, of the field 0."""
+    values, _ = fn.legendre_transform(ctx, k, np.append(grid, 0.0))
+    return values[:-1] - values[-1]
 
 
 def classical_grid_values(ctx: FunctionalContext, grid: np.ndarray) -> np.ndarray:
@@ -478,12 +483,11 @@ def _fourth_derivative_at_zero(ctx, k, h=0.25):
     """Richardson 4th derivative of the action at the origin.
 
     The stencil weights sum to zero, so gamma_k(0) cancels and the action is
-    differenced as it is: one warm-started sweep over the seven distinct
+    differenced as it is: one Legendre transform of the seven distinct
     fields h * (-2, -1, -1/2, 0, 1/2, 1, 2) serves both step sizes.
     """
     fields = h * np.array([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0])
-    sweep = fn.legendre_sweep(ctx, k, fields)
-    g = np.fromiter((v for v, _ in sweep), float, fields.size)
+    g, _ = fn.legendre_transform(ctx, k, fields)
     weights = np.array([1.0, -4.0, 6.0, -4.0, 1.0])
     d_h = g[[0, 1, 3, 5, 6]] @ weights / h**4
     d_h2 = g[[1, 2, 3, 4, 5]] @ weights / (h / 2.0) ** 4

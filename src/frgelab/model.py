@@ -121,14 +121,18 @@ class ModelSpec:
     def _polynomial(self, v: np.ndarray) -> np.ndarray:
         """c2 v^2 + c3 v^3 + c4 v^4, summed in that order.
 
-        Only the terms with a nonzero coefficient are computed: where the
-        powers of v are finite a dropped term is a zero, and adding it to a
-        nonzero partial sum changes no bit.
+        The powers are products (v^2 = v v, v^3 = v^2 v, v^4 = v^2 v^2), not
+        calls of libm's ``pow``.  Only the terms with a nonzero coefficient
+        are computed: where the powers of v are finite a dropped term is a
+        zero, and adding it to a nonzero partial sum changes no bit.
         """
+        v2 = v * v
+        powers = ((self.c2, lambda: v2), (self.c3, lambda: v2 * v),
+                  (self.c4, lambda: v2 * v2))
         out = None
-        for c, power in ((self.c2, 2), (self.c3, 3), (self.c4, 4)):
+        for c, power in powers:
             if c != 0:
-                term = c * v**power
+                term = c * power()
                 out = term if out is None else out + term
         return np.zeros_like(v) if out is None else out
 

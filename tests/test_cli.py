@@ -78,26 +78,26 @@ class TestExact:
         assert main(args) == 0
         assert Path(out).read_text() == first  # byte-identical rerun
 
-    def test_one_inversion_per_row_when_zero_is_a_node(
-        self, config_path, tmp_path, monkeypatch
-    ):
-        calls = []
+    def test_one_inversion_call_per_scale(self, config_path, tmp_path, monkeypatch):
+        lanes = []
         original = functionals.invert_mean_field
 
-        def counted(*args, **kwargs):
-            calls.append(args[1])
-            return original(*args, **kwargs)
+        def counted(ctx, k, phi):
+            lanes.append(len(phi))
+            return original(ctx, k, phi)
 
         monkeypatch.setattr(functionals, "invert_mean_field", counted)
         out = str(tmp_path / "exact.csv")
-        for nodes, extra_per_scale in ((11, 0), (10, 1)):
-            calls.clear()
+        for nodes in (11, 10):
+            lanes.clear()
             assert main(["exact", "--config", config_path, "--k", "1,0",
                          "--phi-nodes", str(nodes), "--out", out]) == 0
             rows = Path(out).read_text().splitlines()[1:]
             assert len(rows) == 2 * nodes
-            # an even grid misses 0, so Gamma_k(0) costs one inversion per k
-            assert len(calls) == len(rows) + 2 * extra_per_scale
+            # one batched inversion per k: every node plus the field 0
+            assert lanes == [nodes + 1, nodes + 1]
+            centre = [r for r in rows if r.split(",")[1] == "0"]
+            assert [r.split(",")[3] for r in centre] == ["0"] * (2 if nodes % 2 else 0)
 
     def test_gamma_bar_matches_grid_oracle(self, config_path, tmp_path):
         out = str(tmp_path / "exact.csv")
@@ -221,6 +221,9 @@ class TestExitCodes:
         ["exact", "--phi-nodes", "-3"],
         ["exact", "--k", "nan"],
         ["frge-check", "--probes", ","],
+        ["converge", "--levels", "-1"],
+        ["converge", "--rho", "-1"],
+        ["converge", "--radius", "-1"],
     ])
     def test_bad_option_exit_2(self, config_path, tmp_path, argv):
         assert main(argv + ["--config", config_path,

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from frgelab import functionals, measure
-from frgelab.errors import BudgetExceeded, RangeExceeded, SelfCheckFailed
+from frgelab.errors import BudgetExceeded, NewtonStalled, RangeExceeded, SelfCheckFailed
 from frgelab.functionals import (
     SCALE_CACHE_SIZE,
     W,
@@ -20,7 +21,7 @@ from frgelab.functionals import (
     gamma_gradient,
     gamma_hessian,
     invert_mean_field,
-    legendre_sweep,
+    legendre_transform,
     log_normalization,
     mean_field,
     tilted_moments,
@@ -122,20 +123,52 @@ class TestEffectiveAction:
         )
 
     def test_gamma_is_first_value_of_sweep(self, phi4_ctx):
+        # gamma is a one-lane transform: the lane's value and source are the
+        # same bits in any batch
         phi = np.array([1.3])
-        first, solve = next(legendre_sweep(phi4_ctx, 0.6, [phi, np.array([1.4])]))
-        assert gamma(phi4_ctx, 0.6, phi) == first
-        assert np.array_equal(solve.source, invert_mean_field(phi4_ctx, 0.6, phi).source)
+        values, solve = legendre_transform(phi4_ctx, 0.6, [phi, np.array([1.4])])
+        assert gamma(phi4_ctx, 0.6, phi) == values[0]
+        assert np.array_equal(solve.source[0], invert_mean_field(phi4_ctx, 0.6, phi).source)
 
-    def test_sweep_warm_starts_from_previous_source(self, phi4_ctx):
-        fields = np.linspace(0.2, 1.8, 5)
-        swept = list(legendre_sweep(phi4_ctx, 0.6, fields))
-        cold = [gamma(phi4_ctx, 0.6, p) for p in fields]
-        assert [v for v, _ in swept] == pytest.approx(cold, abs=1e-10)
-        # each inversion starts from the previous field's source
-        for (_, prev), (_, solve), phi in zip(swept, swept[1:], fields[1:]):
-            again = invert_mean_field(phi4_ctx, 0.6, phi, j0=prev.source)
-            assert np.array_equal(solve.source, again.source)
+    def test_every_lane_equals_a_single_field_call(self, phi4_ctx, line_spec, litim):
+        fields = np.linspace(-2.0, 2.0, 9)
+        values, solve = legendre_transform(phi4_ctx, 0.6, fields)
+        single = [gamma(phi4_ctx, 0.6, p) for p in fields]
+        assert np.abs(values - single).max() <= 1e-13
+        assert solve.iterations == sum(
+            invert_mean_field(phi4_ctx, 0.6, p).iterations for p in fields)
+        assert np.abs(W(phi4_ctx, 0.6, fields[:, None])
+                      - [W(phi4_ctx, 0.6, [t]) for t in fields]).max() <= 1e-13
+        # three modes: a batch of sources against one source at a time
+        ctx = FunctionalContext(spec=line_spec, regulator=litim)
+        sources = np.random.default_rng(5).uniform(-1.0, 1.0, (4, 3))
+        batch = tilted_moments(ctx, 0.8, sources)
+        for t, lv, mean, cov in zip(sources, batch.log_value, batch.mean, batch.cov):
+            one = tilted_moments(ctx, 0.8, t)
+            assert abs(lv - one.log_value) <= 1e-13
+            assert np.abs(mean - one.mean).max() <= 1e-13
+            assert np.abs(cov - one.cov).max() <= 1e-13
+        fields3 = sources[:3] * 0.5
+        batch_solve = invert_mean_field(ctx, 0.8, fields3)
+        for phi, j in zip(fields3, batch_solve.source):
+            assert np.abs(j - invert_mean_field(ctx, 0.8, phi).source).max() <= 1e-13
+
+    @pytest.mark.parametrize("k", [0.0, 1.0, 10.0, 100.0])
+    def test_cold_start_inverts_every_field(self, phi4_ctx, k):
+        # the range a warm-started sweep from the centre reached
+        fields = np.arange(-22, 23) * 0.25
+        values, solve = legendre_transform(phi4_ctx, k, fields)
+        assert np.all(np.isfinite(values))
+        assert solve.residual.max() <= functionals.NEWTON_TOL
+        assert np.abs(mean_field(phi4_ctx, k, solve.source)[:, 0] - fields).max() <= 1e-9
+        # converged lanes are masked out: no lane takes more than 10 steps
+        # here, where an unmasked lane would step NEWTON_MAX_ITER times
+        assert solve.iterations <= 10 * fields.size
+
+    def test_inversion_errors_name_the_failing_field(self, phi4_ctx):
+        # phi = 7 lies beyond the resolvable range (the line search stalls)
+        with pytest.raises(NewtonStalled, match=r"phi=\[7\.\]"):
+            invert_mean_field(phi4_ctx, 0.0, np.array([[1.0], [7.0], [2.0]]))
 
     def test_gamma_zero_at_origin_even_theory(self, phi4_ctx):
         assert gamma(phi4_ctx, 1.0, np.zeros(1)) == pytest.approx(0.0, abs=1e-10)
@@ -208,6 +241,18 @@ class TestKernel:
                 ours = functionals._log_sum_exp(a)
             assert self.same(ours, scipy.special.logsumexp(a))
 
+    def test_log_sum_exp_rows_are_scipys_bit_for_bit(self, rng):
+        for size in (1, 7, 128, 129):
+            a = rng.normal(0.0, 30.0, (301, size))
+            a[::3] = np.round(a[::3], 0)  # ties at the maximum
+            a[1, :] = -np.inf
+            a[2, -1] = np.inf
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                rows = functionals._log_sum_exp(a)
+            assert rows.tobytes() == np.array(
+                [scipy.special.logsumexp(r) for r in a]).tobytes()
+
     @pytest.mark.parametrize("a", [
         [-np.inf], [-np.inf, -np.inf], [np.inf], [np.inf, 1.0], [np.inf, np.inf],
         [np.inf, -np.inf], [np.nan, 1.0], [np.nan, np.inf], [-np.inf, 0.5, -np.inf],
@@ -243,33 +288,32 @@ class TestKernel:
 
 class TestSweepReusesNewtonMoments:
     def test_one_kernel_call_fewer_per_field(self, phi4_spec, litim, monkeypatch):
-        fields = [np.array([p]) for p in np.linspace(-1.5, 2.0, 6)]
+        fields = np.linspace(-1.5, 2.0, 6)[:, None]
         k = 0.6
         swept_ctx = FunctionalContext(spec=phi4_spec, regulator=litim)
         direct_ctx = FunctionalContext(spec=phi4_spec, regulator=litim)
         for ctx in (swept_ctx, direct_ctx):
             log_normalization(ctx, k)
         kernel = functionals.tilted_moments
-        calls = []
+        lanes = []
 
-        def counting(*args, **kwargs):
-            calls.append(args[1])
-            return kernel(*args, **kwargs)
+        def counting(ctx_, k_, t_vec=None, shift=None):
+            lanes.append(np.asarray(t_vec).reshape(-1, 1).shape[0])
+            return kernel(ctx_, k_, t_vec, shift)
 
         monkeypatch.setattr(functionals, "tilted_moments", counting)
 
-        swept = list(legendre_sweep(swept_ctx, k, fields))
-        swept_calls = len(calls)
-        calls.clear()
+        values, _ = legendre_transform(swept_ctx, k, fields)
+        swept_lanes = sum(lanes)
+        lanes.clear()
         f = direct_ctx.scale(k).f
-        j0, direct = None, []
-        for phi in fields:
-            solve = invert_mean_field(direct_ctx, k, phi, j0=j0)
-            j0 = solve.source
-            direct.append(float(j0 @ phi) - W(direct_ctx, k, j0)
-                          - 0.5 * float(phi @ (f * phi)))
-        assert swept_calls == len(calls) - len(fields)
-        assert [v for v, _ in swept] == direct  # bit for bit
+        solve = invert_mean_field(direct_ctx, k, fields)
+        direct = (np.sum(solve.source * fields, axis=-1) - W(direct_ctx, k, solve.source)
+                  - 0.5 * np.sum(fields * (f * fields), axis=-1))
+        # the transform reads W_k(J) from the inversion's moments: no kernel
+        # lane is evaluated at J again
+        assert swept_lanes == sum(lanes) - len(fields)
+        assert np.array_equal(values, direct)  # bit for bit
 
     def test_solve_carries_the_moments_at_its_source(self, phi4_ctx):
         solve = invert_mean_field(phi4_ctx, 0.4, np.array([1.1]))
@@ -277,18 +321,48 @@ class TestSweepReusesNewtonMoments:
         assert solve.moments.log_value == again.log_value
         assert np.array_equal(solve.moments.mean, again.mean)
         assert np.array_equal(solve.moments.second_moment, again.second_moment)
+        batch = invert_mean_field(phi4_ctx, 0.4, np.array([[-0.3], [1.1], [2.5]]))
+        again = tilted_moments(phi4_ctx, 0.4, batch.source)
+        assert np.array_equal(batch.moments.log_value, again.log_value)
+        assert np.array_equal(batch.moments.mean, again.mean)
+        assert np.array_equal(batch.moments.second_moment, again.second_moment)
 
     def test_sweep_still_self_checks(self, phi4_spec, litim, monkeypatch):
+        # one lane of the batch disagrees: the batched self-check names it
         ctx = FunctionalContext(spec=phi4_spec, regulator=litim)
         shifted_form = functionals._w_shifted_form
 
         def disagreeing(*args):
             value, scale = shifted_form(*args)
-            return value + 1e-6, scale
+            return value + np.array([0.0, 1e-6, 0.0]), scale
 
         monkeypatch.setattr(functionals, "_w_shifted_form", disagreeing)
-        with pytest.raises(SelfCheckFailed):
-            next(legendre_sweep(ctx, 0.5, [np.array([1.0])]))
+        source = invert_mean_field(ctx, 0.5, np.array([1.0])).source
+        with pytest.raises(SelfCheckFailed, match=re.escape(f"k=0.5, source={source}")):
+            legendre_transform(ctx, 0.5, [-1.0, 1.0, 2.0])
+
+
+class TestChunks:
+    def test_batch_over_the_node_cap_is_chunked_with_the_same_bits(
+        self, phi4_spec, litim, monkeypatch
+    ):
+        ctx = FunctionalContext(spec=phi4_spec, regulator=litim)
+        fields = np.linspace(-3.0, 3.0, 11)
+        whole, whole_solve = legendre_transform(ctx, 0.9, fields)
+        blocks = []
+        moments = functionals._moments
+
+        def counted(ctx_, k, t, shift):
+            blocks.append(len(t))
+            return moments(ctx_, k, t, shift)
+
+        monkeypatch.setattr(functionals, "_moments", counted)
+        monkeypatch.setattr(measure, "MAX_GH_NODES", 3 * ctx.gh_level)
+        chunked, chunked_solve = legendre_transform(ctx, 0.9, fields)
+        assert max(blocks) == 3 and len(blocks) > 2
+        assert np.array_equal(chunked, whole)
+        assert np.array_equal(chunked_solve.source, whole_solve.source)
+        assert np.array_equal(chunked_solve.residual, whole_solve.residual)
 
 
 class TestScaleRecord:
@@ -356,9 +430,10 @@ class TestOracleProperties:
     def test_legendre_duality(self, mass, r, c4, regulator, k, phi):
         # Gamma(phi) + W(J) = J.phi - F(phi,phi)/2 at the inverting source
         ctx = scalar_ctx(mass, r, c4, regulator)
-        value, solve = next(legendre_sweep(ctx, k, [np.array([phi])]))
+        values, solve = legendre_transform(ctx, k, [phi])
+        value = values[0]
         f = ctx.scale(k).f[0]
-        rhs = solve.source[0] * phi - 0.5 * f * phi**2
+        rhs = solve.source[0, 0] * phi - 0.5 * f * phi**2
         assert value + W(ctx, k, solve.source) == pytest.approx(rhs, abs=1e-10)
 
     @settings(max_examples=40, deadline=None)

@@ -144,18 +144,20 @@ class TestGrids:
         spec = ModelSpec(dimension=dimension, mass=1.0, c2=c2, c3=c3, c4=c4,
                          allow_unbounded=True, **geometry)
         psi = rng.normal(0.0, 3.0, (128, spec.modes))
+
+        def full(v):  # every term, powers as products
+            v2 = v * v
+            return c2 * v2 + c3 * (v2 * v) + c4 * (v2 * v2)
+
         if dimension == 0:
-            v = psi[..., 0]
-            full = c2 * v**2 + c3 * v**3 + c4 * v**4
+            expected = full(psi[..., 0])
         else:
             v = psi @ (spec.hartley_matrix() / np.sqrt(spec.position_spacing)).T
-            w = spec.position_weights
-            full = np.sum(w * (c2 * v**2 + c3 * v**3 + c4 * v**4), axis=-1)
-        assert spec.interaction_batch(psi).tobytes() == full.tobytes()
+            expected = np.sum(spec.position_weights * full(v), axis=-1)
+        assert spec.interaction_batch(psi).tobytes() == expected.tobytes()
         for row in psi[:8]:
-            v = spec.position_values(row)
-            full = c2 * v**2 + c3 * v**3 + c4 * v**4
-            assert spec.interaction(row) == float(np.sum(spec.position_weights * full))
+            expected = np.sum(spec.position_weights * full(spec.position_values(row)))
+            assert spec.interaction(row) == float(expected)
 
 
 class TestOperators:
