@@ -12,6 +12,8 @@ method and its analytic Jacobian diag(-1/2 d_kF_k / (D2 u + R_k)^2) D2,
 where D2 is the sparse second-difference matrix.  D2 annihilates constants,
 so the zero-field subtraction u - u(0) is taken at the checkpoints only.
 The vertex flow is not stiff and uses the explicit Runge-Kutta 5(4) pair.
+It steps only the independent components of the symmetric tensors, through
+cached orbit index maps, and its right-hand side is a few matrix products.
 
 After every accepted step the curvature margin min(Gamma_k'' + R_k) is
 checked directly: convexity loss is raised where it reaches zero or where
@@ -25,7 +27,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse as sp
 from scipy.integrate import BDF, RK45
 
@@ -111,9 +112,54 @@ class GridAction:
         return GridAction(k=k, grid=self.grid, values=np.asarray(y, dtype=float))
 
 
+@lru_cache(maxsize=32)
+def _orbit_map(m: int, rank: int) -> tuple[np.ndarray, np.ndarray]:
+    """Orbits of the fully symmetric rank-``rank`` tensors on m modes.
+
+    Returns (labels, sizes): ``labels[i]`` numbers the sorted multi-index of
+    the flat index i, in lexicographic order, and ``sizes`` counts the full
+    indices of each orbit.  There are C(m + rank - 1, rank) orbits.  The
+    cached arrays are read-only.
+    """
+    shape = (m,) * rank
+    sorted_index = np.sort(np.indices(shape).reshape(rank, -1), axis=0)
+    _, labels = np.unique(np.ravel_multi_index(sorted_index, shape),
+                          return_inverse=True)
+    sizes = np.bincount(labels).astype(float)
+    for a in (labels, sizes):
+        a.flags.writeable = False
+    return labels, sizes
+
+
+def _pack_symmetric(a: np.ndarray) -> np.ndarray:
+    """Orbit means of a tensor with equal axes: its independent symmetric
+    components, so packing also symmetrises."""
+    labels, sizes = _orbit_map(a.shape[0], a.ndim)
+    return np.bincount(labels, weights=a.ravel(), minlength=sizes.size) / sizes
+
+
+def _unpack_symmetric(y: np.ndarray, m: int, rank: int) -> np.ndarray:
+    """The full symmetric tensor of packed components: one gather."""
+    labels, _ = _orbit_map(m, rank)
+    return y[labels].reshape((m,) * rank)
+
+
+def symmetrize2(a: np.ndarray) -> np.ndarray:
+    return _unpack_symmetric(_pack_symmetric(a), a.shape[0], 2)
+
+
+def symmetrize4(a: np.ndarray) -> np.ndarray:
+    return _unpack_symmetric(_pack_symmetric(a), a.shape[0], 4)
+
+
 @dataclass(frozen=True)
 class VertexAction:
-    """Even-theory vertex truncation: symmetric 2- and 4-point tensors."""
+    """Even-theory vertex truncation: symmetric 2- and 4-point tensors.
+
+    The flow steps only the independent components, M(M+1)/2 of gamma2 and
+    C(M+3, 4) of gamma4; ``pack`` symmetrises, ``unpack`` rebuilds the full
+    tensors.
+    """
 
     k: float
     gamma2: np.ndarray
@@ -131,26 +177,14 @@ class VertexAction:
         return self.gamma2.shape[0]
 
     def pack(self) -> np.ndarray:
-        return np.concatenate([self.gamma2.ravel(), self.gamma4.ravel()])
+        return np.concatenate([_pack_symmetric(self.gamma2),
+                               _pack_symmetric(self.gamma4)])
 
     def unpack(self, k: float, y: np.ndarray) -> "VertexAction":
         m = self.modes
-        g2 = y[: m * m].reshape(m, m)
-        g4 = y[m * m :].reshape(m, m, m, m)
-        return VertexAction(k=k, gamma2=symmetrize2(g2), gamma4=symmetrize4(g4))
-
-
-def symmetrize2(a: np.ndarray) -> np.ndarray:
-    return 0.5 * (a + a.T)
-
-
-def symmetrize4(a: np.ndarray) -> np.ndarray:
-    from itertools import permutations
-
-    out = np.zeros_like(a)
-    for perm in permutations(range(4)):
-        out += np.transpose(a, perm)
-    return out / 24.0
+        n2 = m * (m + 1) // 2
+        return VertexAction(k=k, gamma2=_unpack_symmetric(y[:n2], m, 2),
+                            gamma4=_unpack_symmetric(y[n2:], m, 4))
 
 
 @dataclass
@@ -200,21 +234,15 @@ def jacobian_grid(state: GridAction, regulator, momentum: float = 0.0,
                          shape=d2.shape)
 
 
-@lru_cache(maxsize=64)
-def _contraction_path(subscripts: str, *shapes) -> list:
-    """The optimized ``np.einsum`` contraction path; it depends only on the
-    subscripts and the operand shapes, so it is searched once per shape."""
-    return np.einsum_path(subscripts, *(np.zeros(s) for s in shapes), optimize=True)[0]
+def rhs_vertex(state: VertexAction, regulator, momenta, weights) -> np.ndarray:
+    """Truncated vertex flow with the six-point function set to zero.
 
-
-def _contract(subscripts: str, *operands) -> np.ndarray:
-    """``np.einsum(..., optimize=True)`` with the contraction path cached."""
-    path = _contraction_path(subscripts, *(o.shape for o in operands))
-    return np.einsum(subscripts, *operands, optimize=path)
-
-
-def rhs_vertex(state: VertexAction, regulator, momenta, weights) -> "VertexAction":
-    """Truncated vertex flow with the six-point function set to zero."""
+    Returns the packed derivative, the vector the integrator steps.  With
+    G = (gamma2 + F_k)^-1, P = G diag(d_k F_k) G and A = gamma4 as an
+    (M^2, M^2) matrix, d_k gamma2 = -1/2 A vec(P) and d_k gamma4 is three
+    times the symmetric part of t = A (P x G) A: the s, t and u channels
+    only permute t's indices, and packing symmetrises.
+    """
     k = state.k
     momenta = np.asarray(momenta, dtype=float)
     f_diag = regulator.value(k, momenta) * weights
@@ -222,20 +250,19 @@ def rhs_vertex(state: VertexAction, regulator, momenta, weights) -> "VertexActio
     m = state.modes
     a = state.gamma2 + np.diag(f_diag)
     try:
-        c = sla.cholesky(a, lower=True)
-    except sla.LinAlgError as exc:
+        np.linalg.cholesky(a)
+    except np.linalg.LinAlgError as exc:
         raise ConvexityLoss(
             f"gamma2 + F_k lost positive definiteness at k={k:.6g}", k=k
         ) from exc
-    g = sla.cho_solve((c, True), np.eye(m))
-    if not np.any(f_dot):
-        zero2 = np.zeros_like(state.gamma2)
-        return VertexAction(k=k, gamma2=zero2, gamma4=np.zeros_like(state.gamma4))
-    g4 = state.gamma4
-    d_g2 = -0.5 * _contract("x,xl,ablm,mx->ab", f_dot, g, g4, g)
-    t = _contract("x,xi,abij,jl,cdlm,mx->abcd", f_dot, g, g4, g, g4, g)
-    d_g4 = t + t.transpose(0, 2, 1, 3) + t.transpose(0, 3, 1, 2)
-    return VertexAction(k=k, gamma2=symmetrize2(d_g2), gamma4=symmetrize4(d_g4))
+    g = np.linalg.inv(a)
+    p = (g * f_dot) @ g
+    a4 = state.gamma4.reshape(m * m, m * m)
+    d_g2 = -0.5 * (a4 @ p.ravel())
+    # the Kronecker product P x G, indexed [(i, j), (l, n)] = P_il G_jn
+    t = a4 @ (p[:, None, :, None] * g[None, :, None, :]).reshape(m * m, m * m) @ a4
+    return VertexAction(k=k, gamma2=d_g2.reshape(m, m),
+                        gamma4=3.0 * t.reshape(m, m, m, m)).pack()
 
 
 # -- integration -------------------------------------------------------
@@ -272,7 +299,8 @@ def integrate(
 
     ``checkpoints`` is any iterable of scales in [k_to, k_from], kept as
     floats.  Segments are split at the regulator's kink scales inside the
-    interval so no step crosses a derivative discontinuity.  Grid actions
+    interval so no step crosses a derivative discontinuity, and each segment
+    evaluates the regulator on its own side of a kink.  Grid actions
     are stepped with BDF and the analytic Jacobian, vertex actions with
     RK45.  Raises ConvexityLoss, carrying the last convex state, where the
     curvature margin reaches zero or is extrapolated to within
@@ -305,7 +333,7 @@ def integrate(
         try:
             if is_grid:
                 return rhs_grid(state, regulator, p0, w0)
-            return rhs_vertex(state, regulator, momenta, weights).pack()
+            return rhs_vertex(state, regulator, momenta, weights)
         except ConvexityLoss as exc:
             # a trial stage or Newton iterate may leave the convex cone; poison
             # it so the solver rejects the step and shrinks it
@@ -316,9 +344,21 @@ def integrate(
         return jacobian_grid(initial.unpack(k, y), regulator, p0, w0)
 
     def make_solver(t0, y0, t1):
+        # the regulator's value on a kink is the limit from one side only; a
+        # segment bounded by a kink evaluates there one ulp inside itself
+        hi = float(np.nextafter(t0, t1)) if t0 in kinks else t0
+        lo = float(np.nextafter(t1, t0)) if t1 in kinks else t1
+
+        def inside(k):
+            return min(max(k, lo), hi)
+
+        def segment_rhs(k, y):
+            return rhs(inside(k), y)
+
         if is_grid:
-            return BDF(rhs, t0, y0, t1, rtol=rtol, atol=atol, jac=jac)
-        return RK45(rhs, t0, y0, t1, rtol=rtol, atol=atol)
+            return BDF(segment_rhs, t0, y0, t1, rtol=rtol, atol=atol,
+                       jac=lambda k, y: jac(inside(k), y))
+        return RK45(segment_rhs, t0, y0, t1, rtol=rtol, atol=atol)
 
     def snapshot(k, y):
         """The action at k, with the grid's zero-field value subtracted."""

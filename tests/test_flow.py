@@ -1,5 +1,9 @@
+from itertools import permutations
+from math import comb
+
 import numpy as np
 import pytest
+from scipy.integrate import DOP853
 
 from frgelab.errors import ConvexityLoss, SpecValidationError
 from frgelab import flow as flow_module, functionals
@@ -22,6 +26,26 @@ from frgelab.flow import (
 )
 from frgelab.functionals import FunctionalContext, gamma_bar, gamma_hessian
 from frgelab.model import ModelSpec, WindowParams
+
+
+def _permutation_mean(a: np.ndarray) -> np.ndarray:
+    """Mean of a tensor over all permutations of its axes."""
+    perms = list(permutations(range(a.ndim)))
+    return sum(np.transpose(a, perm) for perm in perms) / len(perms)
+
+
+def _dense_rhs_vertex(state, regulator, momenta, weights):
+    """The vertex flow on full tensors: two einsum contractions and the
+    permutation-mean symmetriser."""
+    f_diag = regulator.value(state.k, momenta) * weights
+    f_dot = regulator.dk(state.k, momenta) * weights
+    g = np.linalg.inv(state.gamma2 + np.diag(f_diag))
+    g4 = state.gamma4
+    d_g2 = -0.5 * np.einsum("x,xl,ablm,mx->ab", f_dot, g, g4, g, optimize=True)
+    t = np.einsum("x,xi,abij,jl,cdlm,mx->abcd", f_dot, g, g4, g, g4, g,
+                  optimize=True)
+    d_g4 = t + t.transpose(0, 2, 1, 3) + t.transpose(0, 3, 1, 2)
+    return _permutation_mean(d_g2), _permutation_mean(d_g4)
 
 
 class TestStencils:
@@ -61,13 +85,23 @@ class TestStates:
         assert s2.k == 1.5
         assert np.array_equal(s2.values, values)
 
-    def test_vertex_pack_roundtrip(self):
+    def test_vertex_pack_roundtrip(self, rng):
         g2 = np.array([[1.0, 0.2], [0.2, 2.0]])
         g4 = symmetrize4(np.arange(16.0).reshape(2, 2, 2, 2))
         s = VertexAction(k=3.0, gamma2=g2, gamma4=g4)
         s2 = s.unpack(2.0, s.pack())
         assert np.allclose(s2.gamma2, g2)
         assert np.allclose(s2.gamma4, g4)
+        for m in range(1, 10):
+            g2 = symmetrize2(rng.standard_normal((m, m)))
+            g4 = symmetrize4(rng.standard_normal((m,) * 4))
+            s = VertexAction(k=1.0, gamma2=g2, gamma4=g4)
+            y = s.pack()
+            # the independent components only
+            assert y.size == m * (m + 1) // 2 + comb(m + 3, 4)
+            s2 = s.unpack(0.5, y)
+            assert np.allclose(s2.gamma2, g2, rtol=0, atol=1e-15)
+            assert np.allclose(s2.gamma4, g4, rtol=0, atol=1e-15)
 
     def test_grid_even_node_count_rejected(self):
         grid = np.linspace(-1, 1, 10)
@@ -90,7 +124,15 @@ class TestStates:
         b = rng.standard_normal((2, 2, 2, 2))
         t = symmetrize4(b)
         for perm in [(1, 0, 2, 3), (2, 1, 0, 3), (0, 3, 2, 1)]:
-            assert np.allclose(t, t.transpose(perm))
+            assert np.array_equal(t, t.transpose(perm))
+        # the orbit means are the means over all axis permutations
+        for m in (1, 2, 3, 5):
+            a = rng.standard_normal((m, m))
+            assert np.allclose(symmetrize2(a), _permutation_mean(a), rtol=0,
+                               atol=1e-15)
+            b = rng.standard_normal((m,) * 4)
+            assert np.allclose(symmetrize4(b), _permutation_mean(b), rtol=0,
+                               atol=1e-15)
 
 
 class TestRhs:
@@ -133,12 +175,28 @@ class TestRhs:
         g2 = np.array([[2.0]])
         g4 = np.full((1, 1, 1, 1), 0.6)
         s = VertexAction(k=k, gamma2=g2, gamma4=g4)
-        d = rhs_vertex(s, litim, np.zeros(1), np.ones(1))
+        d = s.unpack(k, rhs_vertex(s, litim, np.zeros(1), np.ones(1)))
         r = k * k
         fdot = 2 * k
         g = 1.0 / (2.0 + r)
         assert d.gamma2[0, 0] == pytest.approx(-0.5 * fdot * 0.6 * g**2, rel=1e-12)
         assert d.gamma4[0, 0, 0, 0] == pytest.approx(3 * fdot * 0.36 * g**3, rel=1e-12)
+
+    @pytest.mark.parametrize("name", ["litim", "exponential"])
+    @pytest.mark.parametrize("k", [0.4, 1.5, 6.0])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_vertex_matches_dense_contraction(self, m, k, name, rng, request):
+        regulator = request.getfixturevalue(name)
+        x = rng.standard_normal((m, m))
+        g2 = x @ x.T + 0.5 * np.eye(m)
+        g4 = 0.2 * symmetrize4(rng.standard_normal((m,) * 4))
+        momenta = np.sort(rng.uniform(0.0, 2.0, m))
+        weights = rng.uniform(0.5, 1.5, m)
+        s = VertexAction(k=k, gamma2=g2, gamma4=g4)
+        d = s.unpack(k, rhs_vertex(s, regulator, momenta, weights))
+        d_g2, d_g4 = _dense_rhs_vertex(s, regulator, momenta, weights)
+        assert np.abs(d.gamma2 - d_g2).max() <= 1e-12 * np.abs(d_g2).max()
+        assert np.abs(d.gamma4 - d_g4).max() <= 1e-12 * np.abs(d_g4).max()
 
     def test_vertex_convexity_loss(self, litim):
         s = VertexAction(k=0.1, gamma2=np.array([[-1.0]]),
@@ -239,6 +297,38 @@ class TestIntegrate:
         traj = integrate(vertex, 5.0, 1.0, litim)
         assert traj.stats["steps"] > 0
         assert traj.stats["njev"] == traj.stats["nlu"] == 0  # explicit RK45
+
+    def test_vertex_error_is_the_integrators(self, line_spec, litim, monkeypatch):
+        # d = 1, identity window, c4 = 0.05, k 10 -> 0 at default tolerances:
+        # the error is 2.6e-11 of max|gamma2|.  A segment that steps the other
+        # side's regulator value on the kink at k = 1 reads 8e-8
+        ctx = FunctionalContext(spec=line_spec, regulator=litim, self_check=False)
+        init, _ = initial_condition(ctx, "classical", 10.0, rep="vertex")
+        kwargs = dict(momenta=line_spec.momenta, weights=line_spec.momentum_weights,
+                      checkpoints=[0.0])
+        g2 = integrate(init, 10.0, 0.0, litim, **kwargs).checkpoints[-1][1].gamma2
+        monkeypatch.setattr(flow_module, "RK45", DOP853)
+        ref = integrate(init, 10.0, 0.0, litim, rtol=1e-12, atol=1e-14,
+                        **kwargs).checkpoints[-1][1].gamma2
+        assert np.abs(g2 - ref).max() <= 1e-9 * np.abs(ref).max()
+
+    def test_segments_step_their_own_side_of_a_kink(self, line_spec, litim,
+                                                     monkeypatch):
+        scales = []
+        original = flow_module.rhs_vertex
+
+        def recorded(state, *args):
+            scales.append(state.k)
+            return original(state, *args)
+
+        monkeypatch.setattr(flow_module, "rhs_vertex", recorded)
+        ctx = FunctionalContext(spec=line_spec, regulator=litim, self_check=False)
+        init, _ = initial_condition(ctx, "classical", 10.0, rep="vertex")
+        integrate(init, 10.0, 0.0, litim, momenta=line_spec.momenta,
+                  weights=line_spec.momentum_weights)
+        # litim's kink at k = |p| = 1: both sides are stepped up to one ulp of it
+        assert 1.0 not in scales
+        assert np.nextafter(1.0, 0.0) in scales and np.nextafter(1.0, 2.0) in scales
 
 
 class TestInitialConditions:
