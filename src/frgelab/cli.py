@@ -90,6 +90,11 @@ def _parse_floats(text: str):
         raise SpecValidationError(f"not a list of numbers: {text!r}") from None
 
 
+def _require_positive_finite(flag: str, value: float) -> None:
+    if not 0 < value < np.inf:
+        raise SpecValidationError(f"{flag} must be positive and finite, got {value}")
+
+
 # -- subcommands -------------------------------------------------------
 
 
@@ -131,6 +136,7 @@ def cmd_exact(args) -> int:
         raise SpecValidationError("the exact sweep is single-mode only")
     if args.phi_nodes < 1:
         raise SpecValidationError("--phi-nodes must be at least 1")
+    _require_positive_finite("--phi-max", args.phi_max)
     grid = np.linspace(-args.phi_max, args.phi_max, args.phi_nodes)
     rows = []
     for k in _parse_floats(args.k):
@@ -157,6 +163,7 @@ def cmd_flow(args) -> int:
     started = time.monotonic()
     spec, doc = _load_config(args.config)
     cfg_hash = config_hash(doc)
+    _require_positive_finite("--compare-radius", args.compare_radius)
     reg = make_regulator(args.regulator)
     ctx = FunctionalContext(spec=spec, regulator=reg)
     checkpoints = _parse_floats(args.checkpoints)
@@ -241,9 +248,8 @@ def cmd_converge(args) -> int:
         raise SpecValidationError("the convergence sweep varies a d=0 scalar window")
     if args.levels < 1:
         raise SpecValidationError("--levels must be at least 1")
-    for flag, value in (("--rho", args.rho), ("--radius", args.radius)):
-        if not 0 < value < np.inf:
-            raise SpecValidationError(f"{flag} must be positive and finite, got {value}")
+    _require_positive_finite("--rho", args.rho)
+    _require_positive_finite("--radius", args.radius)
     reg = make_regulator(args.regulator)
     models = [
         dataclasses.replace(

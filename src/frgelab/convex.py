@@ -174,15 +174,33 @@ def aw_distance(f: GridFunction, g: GridFunction, rho: float) -> float:
 # -- sequence diagnostics ----------------------------------------------
 
 
+def _strictly_decreasing(seq) -> bool:
+    return all(b < a for a, b in zip(seq, seq[1:]))
+
+
 @dataclass
 class ConvergenceReport:
-    indices: list
+    """Distances of sequence members 1..n to the limit theory."""
+
     uniform: list
     aw: list
     probe: list
-    uniform_monotone: bool = False
-    aw_monotone: bool = False
-    probe_monotone: bool = False
+
+    @property
+    def indices(self) -> list:
+        return list(range(1, len(self.uniform) + 1))
+
+    @property
+    def uniform_monotone(self) -> bool:
+        return _strictly_decreasing(self.uniform)
+
+    @property
+    def aw_monotone(self) -> bool:
+        return _strictly_decreasing(self.aw)
+
+    @property
+    def probe_monotone(self) -> bool:
+        return _strictly_decreasing(self.probe)
 
     @property
     def all_monotone(self) -> bool:
@@ -239,19 +257,11 @@ def convergence_suite(
     z = rng.standard_normal((PROBE_SAMPLES, limit_model.modes))
     probe_lim = _char_probe(limit_model, PROBE_SOURCES, z)
 
-    report = ConvergenceReport(indices=list(range(1, len(models) + 1)),
-                               uniform=[], aw=[], probe=[])
+    report = ConvergenceReport(uniform=[], aw=[], probe=[])
     for spec in models:
         w_n, gamma_n = analyse(spec)
         report.uniform.append(uniform_distance(w_n, w_lim, uniform_radius))
         report.aw.append(aw_distance(gamma_n, gamma_lim, aw_rho))
         probe_n = _char_probe(spec, PROBE_SOURCES, z)
         report.probe.append(float(np.max(np.abs(probe_n - probe_lim))))
-
-    def strictly_decreasing(seq):
-        return all(b < a for a, b in zip(seq, seq[1:]))
-
-    report.uniform_monotone = strictly_decreasing(report.uniform)
-    report.aw_monotone = strictly_decreasing(report.aw)
-    report.probe_monotone = strictly_decreasing(report.probe)
     return report

@@ -18,7 +18,7 @@ class NotSPD(FrgeLabError):
 
 
 class BudgetExceeded(FrgeLabError):
-    """Requested accuracy cannot be met within the configured node/sample limits."""
+    """Requested accuracy cannot be met within the configured node limits."""
 
 
 class SelfCheckFailed(FrgeLabError):

@@ -34,6 +34,7 @@ from . import functionals as fn
 from .errors import ConvexityLoss, SpecValidationError, StepUnderflow
 from .functionals import FunctionalContext
 from .model import classical_asymptote, covariance
+from .regulator import regulator_diagonals
 
 
 # -- finite differences ------------------------------------------------
@@ -229,7 +230,9 @@ def jacobian_grid(state: GridAction, regulator, momentum: float = 0.0,
     """
     f_dot, denom = _grid_curvature(state, regulator, momentum, weight)
     d2 = second_difference_matrix(state.values.size)
-    row_scale = -0.5 * f_dot / (denom * denom * state.spacing**2)
+    # denom^2 overflows from k ~ 1e77 on, where the entry rounds to 0 anyway
+    with np.errstate(over="ignore"):
+        row_scale = -0.5 * f_dot / (denom * denom * state.spacing**2)
     return sp.csc_matrix((row_scale[d2.indices] * d2.data, d2.indices, d2.indptr),
                          shape=d2.shape)
 
@@ -316,6 +319,8 @@ def integrate(
     momenta = np.asarray(momenta, dtype=float)
     if weights is None:
         weights = np.ones_like(momenta)
+    # R_k grows with k, so a regulator finite at k_from is finite on the flow
+    regulator_diagonals(regulator, k_from, momenta, weights)
     checkpoints = sorted({float(c) for c in checkpoints} | {float(k_from), float(k_to)},
                          reverse=True)
     for c in checkpoints:

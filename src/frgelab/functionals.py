@@ -26,7 +26,7 @@ from .measure import (
     r_nu,
 )
 from .model import ModelSpec
-from .regulator import Regulator
+from .regulator import Regulator, regulator_diagonals
 
 BUDGET = 1e-10  # stated oracle accuracy; scales the W self-check margin
 NEWTON_TOL = 1e-10
@@ -77,14 +77,14 @@ class FunctionalContext:
             return record
         if not np.isfinite(key):
             raise SpecValidationError(f"the scale k must be finite, got {k}")
-        p, w = self.spec.momenta, self.spec.momentum_weights
-        f = self.regulator.value(k, p) * w
+        f, f_dot = regulator_diagonals(
+            self.regulator, k, self.spec.momenta, self.spec.momentum_weights)
         prec = self.measure.inv + np.diag(f)
         chol_p = sla.cholesky(prec, lower=True)
         sigma = sla.cho_solve((chol_p, True), np.eye(self.measure.dim))
         record = ScaleRecord(
             f=f,
-            f_dot=self.regulator.dk(k, p) * w,
+            f_dot=f_dot,
             prec=prec,
             sigma=sigma,
             chol_s=sla.cholesky(0.5 * (sigma + sigma.T), lower=True),

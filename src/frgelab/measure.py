@@ -1,7 +1,8 @@
 """The regularized Gaussian measure at finite truncation.
 
-Provides sampling, Gauss-Hermite and Monte-Carlo expectations and the
-Cameron-Martin map of dual vectors.
+Provides the measure's Cholesky data, the Cameron-Martin map of dual
+vectors and the tensorised Gauss-Hermite rule that the quadrature kernel
+``functionals.tilted_moments`` integrates with.
 """
 
 from __future__ import annotations
@@ -17,9 +18,7 @@ from .model import ModelSpec, covariance
 
 DEFAULT_GH_LEVEL_1D = 128
 DEFAULT_GH_LEVEL_ND = 16
-MAX_GH_LEVEL = 256
 MAX_GH_NODES = 2_000_000  # largest tensor rule built (level**dim nodes)
-MAX_MC_SAMPLES = 4_000_000
 
 
 @dataclass(frozen=True)
@@ -36,14 +35,6 @@ class GaussianMeasure:
         return self.cov.shape[0]
 
 
-@dataclass(frozen=True)
-class ExpectationResult:
-    value: float
-    error: float
-    method: str  # "quadrature" | "monte-carlo"
-    count: int
-
-
 def build_measure(spec_or_cov) -> GaussianMeasure:
     """Construct the measure from a ModelSpec or an SPD covariance matrix."""
     if isinstance(spec_or_cov, ModelSpec):
@@ -58,15 +49,6 @@ def build_measure(spec_or_cov) -> GaussianMeasure:
     inv = sla.cho_solve((chol, True), np.eye(cov.shape[0]))
     logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
     return GaussianMeasure(cov=cov, chol=chol, inv=inv, logdet=logdet)
-
-
-def sample(measure: GaussianMeasure, count: int, seed: int) -> np.ndarray:
-    """Draw ``count`` fields psi = L z, deterministic given ``seed``."""
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal((count, measure.dim))
-    return z @ measure.chol.T
 
 
 def r_nu(measure: GaussianMeasure, t: np.ndarray) -> np.ndarray:
@@ -104,63 +86,3 @@ def gauss_hermite_nodes(level: int, dim: int):
 
 def default_level(dim: int) -> int:
     return DEFAULT_GH_LEVEL_1D if dim == 1 else DEFAULT_GH_LEVEL_ND
-
-
-def _quadrature_value(measure: GaussianMeasure, g, level: int) -> float:
-    nodes, logw = gauss_hermite_nodes(level, measure.dim)
-    psi = nodes @ measure.chol.T
-    vals = np.asarray(g(psi), dtype=float)
-    return float(np.exp(logw) @ vals)
-
-
-def expectation(
-    measure: GaussianMeasure,
-    g,
-    method: str = "quadrature",
-    target_error: float = 1e-10,
-    samples: int = 100_000,
-    seed: int = 0,
-) -> ExpectationResult:
-    """Expectation of ``g`` under the measure.
-
-    ``g`` must accept an array of fields of shape (n, M) and return n values.
-    Quadrature is tensorized Gauss-Hermite through the Cholesky factor; it
-    doubles the level from :func:`default_level` until two consecutive rules
-    agree within the target;
-    Monte-Carlo returns the sample mean with a standard-error estimate.
-    """
-    if method == "quadrature":
-        if measure.dim > 4:
-            raise BudgetExceeded("quadrature expectations are limited to M <= 4")
-        lvl = default_level(measure.dim)
-        value = _quadrature_value(measure, g, lvl)
-        while True:
-            nxt = min(2 * lvl, MAX_GH_LEVEL)
-            refined = _quadrature_value(measure, g, nxt)
-            err = abs(refined - value)
-            if err <= target_error:
-                return ExpectationResult(refined, err, "quadrature", nxt**measure.dim)
-            # stop where the next refinement would pass the level or node cap
-            if nxt >= MAX_GH_LEVEL or (2 * nxt) ** measure.dim > MAX_GH_NODES:
-                raise BudgetExceeded(
-                    f"quadrature error {err:.3e} above target {target_error:.3e} "
-                    f"at level {nxt}"
-                )
-            value, lvl = refined, nxt
-    elif method == "monte-carlo":
-        n = samples
-        while True:
-            psi = sample(measure, n, seed)
-            vals = np.asarray(g(psi), dtype=float)
-            mean = float(vals.mean())
-            se = float(vals.std(ddof=1) / np.sqrt(n))
-            if se <= target_error or n >= MAX_MC_SAMPLES:
-                if se > target_error:
-                    raise BudgetExceeded(
-                        f"MC standard error {se:.3e} above target {target_error:.3e} "
-                        f"at {n} samples"
-                    )
-                return ExpectationResult(mean, se, "monte-carlo", n)
-            n = min(4 * n, MAX_MC_SAMPLES)
-    else:
-        raise ValueError(f"unknown expectation method {method!r}")

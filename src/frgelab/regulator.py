@@ -85,6 +85,23 @@ class ExponentialRegulator(Regulator):
         return k * shape * live
 
 
+def regulator_diagonals(regulator: Regulator, k, momenta, weights):
+    """(F_k, d_k F_k) = (R_k(p) w, d_k R_k(p) w) over the modes.
+
+    R_k ~ k^2 overflows from k ~ 1.3e154 on; a scale where either diagonal
+    is not finite raises :class:`SpecValidationError`.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        f = regulator.value(k, momenta) * weights
+        f_dot = regulator.dk(k, momenta) * weights
+    if not (np.all(np.isfinite(f)) and np.all(np.isfinite(f_dot))):
+        raise SpecValidationError(
+            f"the regulator is not finite at the scale k={k:.6g}: "
+            f"F_k or d_k F_k overflows"
+        )
+    return f, f_dot
+
+
 class TableRegulator(Regulator):
     """Bilinear interpolation of sampled (k, p) -> (R, dR) tables."""
 

@@ -224,6 +224,18 @@ class TestExitCodes:
         ["converge", "--levels", "-1"],
         ["converge", "--rho", "-1"],
         ["converge", "--radius", "-1"],
+        ["flow", "--kuv", "1", "--compare", "--compare-radius", "-1"],
+        ["flow", "--kuv", "1", "--compare", "--compare-radius", "nan"],
+        ["exact", "--phi-max", "nan"],
+        ["exact", "--phi-max", "inf"],
+        ["exact", "--phi-max", "-1"],
+        # R_k overflows past k ~ 1.34e154
+        ["exact", "--k", "1e300"],
+        ["exact", "--k", "1e300", "--regulator", "exponential"],
+        ["flow", "--kuv", "1e200"],
+        ["flow", "--kuv", "1e200", "--init", "classical"],
+        ["flow", "--kuv", "1e200", "--init", "classical", "--regulator", "exponential"],
+        ["frge-check", "--k", "1e200"],
     ])
     def test_bad_option_exit_2(self, config_path, tmp_path, argv):
         assert main(argv + ["--config", config_path,

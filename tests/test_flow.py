@@ -227,6 +227,24 @@ class TestIntegrate:
             assert ks == [2.0, *scales.tolist(), 0.0]
             assert all(type(k) is float for k in ks)
 
+    @pytest.mark.parametrize("rep", ["grid", "vertex"])
+    @pytest.mark.parametrize("name", ["litim", "exponential"])
+    def test_overflowing_start_scale_rejected(self, phi4_spec, name, rep, request):
+        # a classical start never builds the oracle's scale record, so the
+        # integrator itself must reject k_from where R_k overflows
+        reg = request.getfixturevalue(name)
+        ctx = FunctionalContext(spec=phi4_spec, regulator=reg)
+        init, _ = initial_condition(ctx, "classical", 1e200, rep=rep)
+        with pytest.raises(SpecValidationError, match="not finite"):
+            integrate(init, 1e200, 0.0, reg)
+
+    def test_huge_start_scale_flows_without_overflow(self, phi4_spec, litim):
+        # (D2 u + R_k)^2 in the Jacobian overflows here; the entries round to 0
+        ctx = FunctionalContext(spec=phi4_spec, regulator=litim)
+        init, _ = initial_condition(ctx, "classical", 1e100)
+        _, state = integrate(init, 1e100, 0.0, litim).checkpoints[-1]
+        assert np.all(np.isfinite(state.values))
+
     def test_free_theory_flow_is_stationary(self, free_spec, litim):
         ctx = FunctionalContext(spec=free_spec, regulator=litim)
         init, _ = initial_condition(ctx, "exact", 10.0)

@@ -8,7 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from frgelab import functionals, measure
-from frgelab.errors import BudgetExceeded, NewtonStalled, RangeExceeded, SelfCheckFailed
+from frgelab.errors import (
+    BudgetExceeded,
+    NewtonStalled,
+    RangeExceeded,
+    SelfCheckFailed,
+    SpecValidationError,
+)
 from frgelab.functionals import (
     SCALE_CACHE_SIZE,
     W,
@@ -406,6 +412,14 @@ class TestScaleRecord:
         assert np.allclose(record.prec @ record.sigma, np.eye(3), atol=1e-12)
         with pytest.raises(ValueError):
             record.f[0] = 0.0  # shared by every caller of the scale
+
+    @pytest.mark.parametrize("name", ["litim", "exponential"])
+    @pytest.mark.parametrize("k", [1.4e154, 1e200, 1e300])
+    def test_overflowing_regulator_is_a_validation_error(self, phi4_spec, name, k):
+        # R_k ~ k^2 is not finite past k ~ 1.34e154; no overflow warning escapes
+        ctx = FunctionalContext(spec=phi4_spec, regulator=make_regulator(name))
+        with pytest.raises(SpecValidationError, match="not finite"):
+            ctx.scale(k)
 
 
 def scalar_ctx(mass, r, c4, regulator):

@@ -3,17 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from frgelab.errors import BudgetExceeded, NotSPD
-from frgelab.measure import (
-    build_measure,
-    expectation,
-    gauss_hermite_nodes,
-    r_nu,
-    sample,
-)
-
-# frozen against an independent adaptive-quadrature computation
-QUARTIC_TILT_MEAN = 0.8576085853444118  # E[exp(-0.1 psi^4)], C = 1
+from frgelab.errors import NotSPD
+from frgelab.functionals import W, FunctionalContext
+from frgelab.measure import build_measure, gauss_hermite_nodes, r_nu
+from frgelab.model import ModelSpec, WindowParams
 
 
 class TestBuild:
@@ -33,26 +26,6 @@ class TestBuild:
             build_measure(np.array([[1.0, 2.0], [2.0, 1.0]]))
 
 
-class TestSampling:
-    def test_deterministic(self, phi4_spec):
-        m = build_measure(phi4_spec)
-        a = sample(m, 100, seed=3)
-        b = sample(m, 100, seed=3)
-        assert np.array_equal(a, b)
-        assert not np.array_equal(a, sample(m, 100, seed=4))
-
-    def test_sample_covariance_converges(self):
-        c = np.array([[2.0, 0.7], [0.7, 1.0]])
-        m = build_measure(c)
-        psi = sample(m, 200_000, seed=11)
-        emp = psi.T @ psi / psi.shape[0]
-        assert np.allclose(emp, c, atol=0.02)
-
-    def test_count_validation(self, phi4_spec):
-        with pytest.raises(ValueError):
-            sample(build_measure(phi4_spec), 0, seed=1)
-
-
 class TestCameronMartin:
     def test_r_nu_roundtrip(self):
         m = build_measure(np.array([[2.0, 0.3], [0.3, 1.5]]))
@@ -61,12 +34,15 @@ class TestCameronMartin:
 
     @settings(max_examples=30, deadline=None)
     @given(t=st.floats(-3, 3), s=st.floats(-3, 3))
-    def test_shift_identity_matches_gaussian_mgf(self, t, s):
-        # E[exp(<T, psi>)] = exp(<T, C T>/2): quadrature against closed form
-        m = build_measure(np.array([[0.8]]))
+    def test_shift_identity_matches_gaussian_mgf(self, litim, t, s):
+        # free theory, C = 0.8: W_0(T) = ln E[exp(<T, psi>)] = <T, C T>/2
+        spec = ModelSpec(dimension=0, modes=1, mass=1.25**0.5,
+                         window=WindowParams(kind="scalar", r=1.0), c4=0.0)
+        ctx = FunctionalContext(spec=spec, regulator=litim)
         tv = np.array([t + 0.1 * s])
-        res = expectation(m, lambda psi: np.exp(psi @ tv), target_error=1e-9)
-        assert res.value == pytest.approx(np.exp(0.5 * (tv @ m.cov @ tv)), rel=1e-7)
+        assert W(ctx, 0.0, tv) == pytest.approx(
+            0.5 * (tv @ ctx.measure.cov @ tv), abs=1e-13
+        )
 
 
 class TestQuadrature:
@@ -90,40 +66,3 @@ class TestQuadrature:
         assert gauss_hermite_nodes(8, 2)[0] is nodes
         with pytest.raises(ValueError):
             logw[0] = 0.0
-
-    def test_quartic_tilt_frozen_value(self, phi4_spec):
-        m = build_measure(phi4_spec)
-        res = expectation(
-            m, lambda psi: np.exp(-0.1 * psi[:, 0] ** 4), target_error=1e-12
-        )
-        assert res.method == "quadrature"
-        assert res.value == pytest.approx(QUARTIC_TILT_MEAN, abs=1e-11)
-
-    def test_second_moment_exact(self):
-        m = build_measure(np.array([[1.7]]))
-        res = expectation(m, lambda psi: psi[:, 0] ** 2, target_error=1e-11)
-        assert res.value == pytest.approx(1.7, abs=1e-9)
-
-    def test_dimension_cap(self):
-        m = build_measure(np.eye(5))
-        with pytest.raises(BudgetExceeded):
-            expectation(m, lambda psi: np.ones(psi.shape[0]))
-
-    def test_monte_carlo_path(self, phi4_spec):
-        m = build_measure(phi4_spec)
-        res = expectation(
-            m, lambda psi: np.exp(-0.1 * psi[:, 0] ** 4),
-            method="monte-carlo", target_error=5e-3, samples=20_000, seed=5,
-        )
-        assert res.method == "monte-carlo"
-        assert abs(res.value - QUARTIC_TILT_MEAN) < 3 * 5e-3 + 3e-3
-
-    def test_monte_carlo_budget(self, phi4_spec):
-        m = build_measure(phi4_spec)
-        with pytest.raises(BudgetExceeded):
-            expectation(m, lambda psi: psi[:, 0] ** 2,
-                        method="monte-carlo", target_error=1e-12, samples=1000)
-
-    def test_unknown_method(self, phi4_spec):
-        with pytest.raises(ValueError):
-            expectation(build_measure(phi4_spec), lambda p: p[:, 0], method="bogus")
