@@ -2,7 +2,9 @@
 
 Subcommands: validate-regulator, exact, flow, frge-check, converge, report.
 Outputs are written atomically; every numeric artifact embeds the config
-hash and gets a JSON run manifest for reproducibility.
+hash and gets a JSON run manifest for reproducibility.  The config-driven
+subcommands (exact, flow, frge-check, converge) share one runner,
+``run_table``, which writes every table and its manifest.
 
 Exit codes: 0 success, 2 validation failure (bad input), 3 numerical
 failure.  Any other exception is an internal error and propagates.
@@ -95,6 +97,11 @@ def _require_positive_finite(flag: str, value: float) -> None:
         raise SpecValidationError(f"{flag} must be positive and finite, got {value}")
 
 
+def _vertex_cell(vertex: np.ndarray) -> str:
+    """A single-mode vertex as a number, a multi-mode one as a JSON array."""
+    return f"{vertex.flat[0]:.15g}" if vertex.size == 1 else json.dumps(vertex.tolist())
+
+
 # -- subcommands -------------------------------------------------------
 
 
@@ -126,20 +133,40 @@ def cmd_validate_regulator(args) -> int:
     return 0
 
 
-def cmd_exact(args) -> int:
+# -- table subcommands -------------------------------------------------
+# exact, flow, frge-check and converge each read a config and write one CSV
+# with its manifest.  Their handlers take (args, spec, regulator) and return
+# (header, rows, fields); ``fields`` holds the manifest's seeds, tolerances
+# and stats.  run_table does the rest.
+
+
+def run_table(args) -> int:
     started = time.monotonic()
     spec, doc = _load_config(args.config)
     cfg_hash = config_hash(doc)
-    reg = make_regulator(args.regulator)
-    ctx = FunctionalContext(spec=spec, regulator=reg)
+    regulator = make_regulator(args.regulator)
+    header, rows, fields = args.table(args, spec, regulator)
+    write_csv(args.out, header, rows)
+    write_manifest(
+        args.out + ".manifest.json", subcommand=args.subcommand, cfg_hash=cfg_hash,
+        outputs=[os.path.basename(args.out)], started=started, **fields,
+    )
+    return 0
+
+
+def exact_table(args, spec, regulator):
+    ctx = FunctionalContext(spec=spec, regulator=regulator)
     if ctx.measure.dim != 1:
         raise SpecValidationError("the exact sweep is single-mode only")
     if args.phi_nodes < 1:
         raise SpecValidationError("--phi-nodes must be at least 1")
     _require_positive_finite("--phi-max", args.phi_max)
+    scales = _parse_floats(args.k)
+    if not scales:
+        raise SpecValidationError("--k lists no scale")
     grid = np.linspace(-args.phi_max, args.phi_max, args.phi_nodes)
     rows = []
-    for k in _parse_floats(args.k):
+    for k in scales:
         # the last lane is the field 0, for the subtraction
         values, solve = fn.legendre_transform(ctx, k, np.append(grid, 0.0))
         gamma0 = values[-1]
@@ -148,36 +175,29 @@ def cmd_exact(args) -> int:
                 f"{k:.12g}", f"{phi:.12g}", f"{g:.15g}", f"{g - gamma0:.15g}",
                 f"{j:.15g}", f"{residual:.3e}", f"{fn.BUDGET:.1e}",
             ])
-    write_csv(args.out, ["k", "phi", "Gamma", "GammaBar", "J", "residual", "budget"],
-              rows)
-    write_manifest(
-        args.out + ".manifest.json", subcommand="exact", cfg_hash=cfg_hash,
+    header = ["k", "phi", "Gamma", "GammaBar", "J", "residual", "budget"]
+    return header, rows, dict(
         seeds={}, tolerances={"budget": fn.BUDGET, "newton_tol": fn.NEWTON_TOL},
         stats={"rows": len(rows)},
-        outputs=[os.path.basename(args.out)], started=started,
     )
-    return 0
 
 
-def cmd_flow(args) -> int:
-    started = time.monotonic()
-    spec, doc = _load_config(args.config)
-    cfg_hash = config_hash(doc)
+def flow_table(args, spec, regulator):
     _require_positive_finite("--compare-radius", args.compare_radius)
-    reg = make_regulator(args.regulator)
-    ctx = FunctionalContext(spec=spec, regulator=reg)
+    if args.compare and args.rep != "grid":
+        raise SpecValidationError("--compare needs --rep grid")
+    ctx = FunctionalContext(spec=spec, regulator=regulator)
     checkpoints = _parse_floats(args.checkpoints)
     initial, info = flow_mod.initial_condition(ctx, args.init, args.kuv, rep=args.rep)
     traj = flow_mod.integrate(
-        initial, args.kuv, args.kend, reg,
+        initial, args.kuv, args.kend, regulator,
         momenta=spec.momenta, weights=spec.momentum_weights,
         checkpoints=checkpoints, rtol=args.rtol, atol=args.atol,
     )
     stats = dict(traj.stats)
     stats.update(info)
-    rows = []
     if args.rep == "grid":
-        max_dev = 0.0
+        rows, max_dev = [], 0.0
         for k, state in traj.checkpoints:
             exact_vals = None
             if args.compare and args.init == "exact" and k == args.kuv:
@@ -196,61 +216,39 @@ def cmd_flow(args) -> int:
         if args.compare:
             stats["max_deviation"] = max_dev
     else:
-        for k, state in traj.checkpoints:
-            rows.append([
-                f"{k:.12g}",
-                f"{state.gamma2[0, 0]:.15g}" if state.gamma2.shape == (1, 1)
-                else json.dumps(state.gamma2.tolist()),
-                f"{state.gamma4[0, 0, 0, 0]:.15g}"
-                if state.gamma4.shape == (1, 1, 1, 1)
-                else json.dumps(state.gamma4.tolist()),
-            ])
+        rows = [[f"{k:.12g}", _vertex_cell(state.gamma2), _vertex_cell(state.gamma4)]
+                for k, state in traj.checkpoints]
         header = ["k", "gamma2", "gamma4"]
-    write_csv(args.out, header, rows)
-    write_manifest(
-        args.out + ".manifest.json", subcommand="flow", cfg_hash=cfg_hash,
-        seeds={},
-        tolerances={"rtol": args.rtol, "atol": args.atol},
-        stats=stats, outputs=[os.path.basename(args.out)], started=started,
+    return header, rows, dict(
+        seeds={}, tolerances={"rtol": args.rtol, "atol": args.atol}, stats=stats,
     )
-    return 0
 
 
-def cmd_frge_check(args) -> int:
-    started = time.monotonic()
-    spec, doc = _load_config(args.config)
-    cfg_hash = config_hash(doc)
-    reg = make_regulator(args.regulator)
-    ctx = FunctionalContext(spec=spec, regulator=reg)
+def frge_check_table(args, spec, regulator):
+    ctx = FunctionalContext(spec=spec, regulator=regulator)
     probes = _parse_floats(args.probes)
     if not probes:
         raise SpecValidationError("--probes lists no field")
     report = flow_mod.frge_first_form_check(ctx, args.k, probes)
     rows = [[f"{r['phi']:.12g}", f"{r['k']:.12g}", f"{r['lhs']:.15g}",
              f"{r['rhs']:.15g}", f"{r['abs_diff']:.6e}"] for r in report]
-    write_csv(args.out, ["phi", "k", "lhs", "rhs", "abs_diff"], rows)
     worst = max(r["abs_diff"] for r in report)
     print(f"max |lhs - rhs| over {len(report)} probes: {worst:.3e}")
-    write_manifest(
-        args.out + ".manifest.json", subcommand="frge-check", cfg_hash=cfg_hash,
+    return ["phi", "k", "lhs", "rhs", "abs_diff"], rows, dict(
         seeds={}, tolerances={"dk_step": flow_mod.FIRST_FORM_DK_STEP},
         stats={"probes": len(report), "max_abs_diff": worst},
-        outputs=[os.path.basename(args.out)], started=started,
     )
-    return 0
 
 
-def cmd_converge(args) -> int:
-    started = time.monotonic()
-    spec, doc = _load_config(args.config)
-    cfg_hash = config_hash(doc)
+def converge_table(args, spec, regulator):
     if spec.dimension != 0:
         raise SpecValidationError("the convergence sweep varies a d=0 scalar window")
     if args.levels < 1:
         raise SpecValidationError("--levels must be at least 1")
+    if args.seed < 0:
+        raise SpecValidationError("--seed must be non-negative")
     _require_positive_finite("--rho", args.rho)
     _require_positive_finite("--radius", args.radius)
-    reg = make_regulator(args.regulator)
     models = [
         dataclasses.replace(
             spec, window=WindowParams(kind="scalar", r=1.0 - 2.0 ** (-n))
@@ -258,21 +256,19 @@ def cmd_converge(args) -> int:
         for n in range(1, args.levels + 1)
     ]
     report = convex.convergence_suite(
-        models, spec, reg,
+        models, spec, regulator,
         uniform_radius=args.radius, aw_rho=args.rho, seed=args.seed,
     )
     rows = [
         [str(n), f"{u:.10g}", f"{a:.10g}", f"{p:.10g}"]
         for n, u, a, p in zip(report.indices, report.uniform, report.aw, report.probe)
     ]
-    write_csv(args.out, ["n", "uniform_distance", "aw_distance", "probe_distance"],
-              rows)
     for name, flag in (("uniform", report.uniform_monotone),
                        ("aw", report.aw_monotone),
                        ("probe", report.probe_monotone)):
         print(f"{name} monotone decreasing: {'yes' if flag else 'NO'}")
-    write_manifest(
-        args.out + ".manifest.json", subcommand="converge", cfg_hash=cfg_hash,
+    header = ["n", "uniform_distance", "aw_distance", "probe_distance"]
+    return header, rows, dict(
         seeds={"probe": args.seed},
         tolerances={"uniform_radius": args.radius, "aw_rho": args.rho},
         stats={
@@ -281,9 +277,7 @@ def cmd_converge(args) -> int:
             "aw_monotone": report.aw_monotone,
             "probe_monotone": report.probe_monotone,
         },
-        outputs=[os.path.basename(args.out)], started=started,
     )
-    return 0
 
 
 def cmd_report(args) -> int:
@@ -291,25 +285,28 @@ def cmd_report(args) -> int:
     for path in args.manifests:
         with open(path) as fh:
             doc = json.load(fh)
-        if not isinstance(doc, dict) or "config_hash" not in doc:
+        if not isinstance(doc, dict) or not isinstance(doc.get("config_hash"), str):
             raise SpecValidationError(f"{path} is not a run manifest")
-        manifests.append((path, doc))
-    hashes = {m["config_hash"] for _, m in manifests}
+        stats = doc.get("stats", {})
+        if not isinstance(stats, dict):
+            raise SpecValidationError(f"{path}: stats is not an object")
+        dev = stats.get("max_deviation", 0.0)
+        if not isinstance(dev, (int, float)) or isinstance(dev, bool):
+            raise SpecValidationError(f"{path}: stats.max_deviation is not a number")
+        manifests.append((path, doc, stats))
+    hashes = {m["config_hash"] for _, m, _ in manifests}
     if len(hashes) > 1 and not args.force:
         raise SpecValidationError(
             f"manifests carry different config hashes {sorted(hashes)}; "
             "pass --force to merge anyway"
         )
     rows = []
-    for path, m in manifests:
-        stats = m.get("stats", {})
+    for path, m, stats in manifests:
+        subcommand = m.get("subcommand", "?")
         summary = "; ".join(f"{k}={v}" for k, v in sorted(stats.items()))
-        rows.append([
-            os.path.basename(path), m.get("subcommand", "?"),
-            m.get("config_hash", "?"), summary,
-        ])
+        rows.append([os.path.basename(path), subcommand, m["config_hash"], summary])
         if "max_deviation" in stats:
-            print(f"{m['subcommand']}: max deviation {stats['max_deviation']:.3e}")
+            print(f"{subcommand}: max deviation {stats['max_deviation']:.3e}")
     write_csv(args.out, ["manifest", "subcommand", "config_hash", "stats"], rows)
     print(f"merged {len(rows)} manifests into {args.out}")
     return 0
@@ -334,17 +331,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(handler=cmd_validate_regulator)
 
-    p = sub.add_parser("exact", help="oracle sweep over a field grid at given scales")
-    p.add_argument("--config", required=True)
+    # the options every table subcommand takes; run_table reads them
+    table = argparse.ArgumentParser(add_help=False)
+    table.add_argument("--config", required=True)
+    table.add_argument("--regulator", default="litim")
+    table.add_argument("--out", required=True)
+
+    def add_table(name, handler, **kwargs):
+        p = sub.add_parser(name, parents=[table], **kwargs)
+        p.set_defaults(handler=run_table, table=handler)
+        return p
+
+    p = add_table("exact", exact_table,
+                  help="oracle sweep over a field grid at given scales")
     p.add_argument("--k", default="10,1,0")
     p.add_argument("--phi-max", type=float, default=2.0)
     p.add_argument("--phi-nodes", type=int, default=41)
-    p.add_argument("--regulator", default="litim")
-    p.add_argument("--out", required=True)
-    p.set_defaults(handler=cmd_exact)
 
-    p = sub.add_parser("flow", help="integrate the scale flow")
-    p.add_argument("--config", required=True)
+    p = add_table("flow", flow_table, help="integrate the scale flow")
     p.add_argument("--kuv", type=float, required=True)
     p.add_argument("--kend", type=float, default=0.0)
     p.add_argument("--checkpoints", default="")
@@ -352,31 +356,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rep", choices=("grid", "vertex"), default="grid")
     p.add_argument("--rtol", type=float, default=1e-8)
     p.add_argument("--atol", type=float, default=1e-10)
-    p.add_argument("--regulator", default="litim")
     p.add_argument("--compare", action="store_true",
                    help="record deviations from the oracle at each checkpoint")
     p.add_argument("--compare-radius", type=float, default=2.0)
-    p.add_argument("--out", required=True)
-    p.set_defaults(handler=cmd_flow)
 
-    p = sub.add_parser("frge-check", help="unsubtracted flow-identity probe")
-    p.add_argument("--config", required=True)
+    p = add_table("frge-check", frge_check_table,
+                  help="unsubtracted flow-identity probe")
     p.add_argument("--k", type=float, default=1.0)
     p.add_argument("--probes", default="0,0.5,1,1.5,2")
-    p.add_argument("--regulator", default="litim")
-    p.add_argument("--out", required=True)
-    p.set_defaults(handler=cmd_frge_check)
 
-    p = sub.add_parser("converge", help="window-sequence convergence diagnostics")
-    p.add_argument("--config", required=True,
-                   help="limit-theory config (d=0); members use r_n = 1 - 2^-n")
+    p = add_table("converge", converge_table,
+                  help="window-sequence convergence diagnostics",
+                  description="--config is the limit-theory config (d=0); "
+                              "members use r_n = 1 - 2^-n")
     p.add_argument("--levels", type=int, default=6)
     p.add_argument("--radius", type=float, default=2.0)
     p.add_argument("--rho", type=float, default=6.0)
     p.add_argument("--seed", type=int, default=20240)
-    p.add_argument("--regulator", default="litim")
-    p.add_argument("--out", required=True)
-    p.set_defaults(handler=cmd_converge)
 
     p = sub.add_parser("report", help="merge run manifests into a summary table")
     p.add_argument("manifests", nargs="+")

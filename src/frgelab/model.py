@@ -112,12 +112,6 @@ class ModelSpec:
 
     # -- interaction ---------------------------------------------------
 
-    def position_values(self, psi: np.ndarray) -> np.ndarray:
-        """Field values at the position nodes from mode coefficients."""
-        if self.dimension == 0:
-            return np.atleast_1d(psi)
-        return self.hartley_matrix() @ psi / np.sqrt(self.position_spacing)
-
     def _polynomial(self, v: np.ndarray) -> np.ndarray:
         """c2 v^2 + c3 v^3 + c4 v^4, summed in that order.
 
@@ -137,9 +131,9 @@ class ModelSpec:
         return np.zeros_like(v) if out is None else out
 
     def interaction(self, psi: np.ndarray) -> float:
-        """S^int evaluated at the mode coefficients ``psi``."""
-        v = self.position_values(np.asarray(psi, dtype=float))
-        return float(np.sum(self.position_weights * self._polynomial(v)))
+        """S^int evaluated at the mode coefficients ``psi``: one row of
+        ``interaction_batch``."""
+        return float(self.interaction_batch(np.reshape(psi, (1, -1)))[0])
 
     def interaction_batch(self, psi: np.ndarray) -> np.ndarray:
         """Vectorized S^int over an array of shape (..., M)."""

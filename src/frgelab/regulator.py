@@ -194,9 +194,9 @@ class SamplePlan:
 
     def __post_init__(self):
         if not (0 < self.k_max < np.inf and 0 < self.p_max < np.inf
-                and self.count >= 1):
-            raise SpecValidationError(
-                "a sample plan needs finite k_max, p_max > 0 and count >= 1")
+                and self.count >= 1 and self.seed >= 0):
+            raise SpecValidationError("a sample plan needs finite k_max, "
+                                      "p_max > 0, count >= 1 and seed >= 0")
 
 
 def _record(report: ConditionReport, name: str, bad: np.ndarray, *columns) -> None:

@@ -221,11 +221,14 @@ class TestExitCodes:
         ["exact", "--phi-nodes", "-3"],
         ["exact", "--k", "nan"],
         ["frge-check", "--probes", ","],
+        ["exact", "--k", ","],
+        ["converge", "--seed", "-1"],
         ["converge", "--levels", "-1"],
         ["converge", "--rho", "-1"],
         ["converge", "--radius", "-1"],
         ["flow", "--kuv", "1", "--compare", "--compare-radius", "-1"],
         ["flow", "--kuv", "1", "--compare", "--compare-radius", "nan"],
+        ["flow", "--kuv", "1", "--rep", "vertex", "--init", "classical", "--compare"],
         ["exact", "--phi-max", "nan"],
         ["exact", "--phi-max", "inf"],
         ["exact", "--phi-max", "-1"],
@@ -251,7 +254,8 @@ class TestExitCodes:
         assert main(argv + ["--config", str(cfg),
                             "--out", str(tmp_path / "o.csv")]) == 2
 
-    @pytest.mark.parametrize("option", [["--count", "-5"], ["--k-max", "nan"]])
+    @pytest.mark.parametrize("option", [["--count", "-5"], ["--k-max", "nan"],
+                                        ["--seed", "-1"]])
     def test_bad_sample_plan_exit_2(self, option):
         assert main(["validate-regulator", *option]) == 2
 
@@ -261,7 +265,11 @@ class TestExitCodes:
         assert main(["validate-regulator", "--regulator", f"table:{table}"]) == 2
         assert "table regulator" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("doc", [{"a": 1}, [1]])
+    @pytest.mark.parametrize("doc", [
+        {"a": 1}, [1], {"config_hash": [1]},
+        {"config_hash": "0", "stats": [1]},
+        {"config_hash": "0", "subcommand": "flow", "stats": {"max_deviation": "x"}},
+    ])
     def test_non_manifest_report_exit_2(self, tmp_path, doc):
         path = tmp_path / "m.json"
         path.write_text(json.dumps(doc))
@@ -295,3 +303,32 @@ class TestConverge:
         }))
         assert main(["converge", "--config", str(cfg),
                      "--out", str(tmp_path / "c.csv")]) == 2
+
+
+MANIFEST_KEYS = {"tool_version", "subcommand", "config_hash", "seeds", "tolerances",
+                 "stats", "outputs", "wall_clock_seconds"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["exact", "--k", "1,0", "--phi-nodes", "5"],
+    ["flow", "--kuv", "2", "--checkpoints", "1,0", "--compare"],
+    ["frge-check", "--probes", "0,1"],
+    ["converge", "--levels", "2"],
+])
+def test_table_runs_are_reproducible(config_path, tmp_path, argv):
+    """Every table subcommand writes a byte-identical CSV on a rerun, and a
+    manifest of the same eight keys whose only varying entry is the wall time."""
+    out = tmp_path / "t.csv"
+    runs = []
+    for _ in range(2):
+        assert main(argv + ["--config", config_path, "--out", str(out)]) == 0
+        manifest = json.loads(Path(f"{out}.manifest.json").read_text())
+        runs.append((out.read_bytes(), manifest))
+    (csv_a, man_a), (csv_b, man_b) = runs
+    assert csv_a == csv_b
+    for manifest in (man_a, man_b):
+        assert set(manifest) == MANIFEST_KEYS
+        assert manifest["subcommand"] == argv[0]
+        assert manifest["outputs"] == ["t.csv"]
+    del man_a["wall_clock_seconds"], man_b["wall_clock_seconds"]
+    assert man_a == man_b

@@ -149,15 +149,15 @@ class TestGrids:
             v2 = v * v
             return c2 * v2 + c3 * (v2 * v) + c4 * (v2 * v2)
 
-        if dimension == 0:
-            expected = full(psi[..., 0])
-        else:
-            v = psi @ (spec.hartley_matrix() / np.sqrt(spec.position_spacing)).T
-            expected = np.sum(spec.position_weights * full(v), axis=-1)
-        assert spec.interaction_batch(psi).tobytes() == expected.tobytes()
+        def reference(rows):  # the position-space sum, as the batch forms it
+            if dimension == 0:
+                return full(rows[..., 0])
+            v = rows @ (spec.hartley_matrix() / np.sqrt(spec.position_spacing)).T
+            return np.sum(spec.position_weights * full(v), axis=-1)
+
+        assert spec.interaction_batch(psi).tobytes() == reference(psi).tobytes()
         for row in psi[:8]:
-            expected = np.sum(spec.position_weights * full(spec.position_values(row)))
-            assert spec.interaction(row) == float(expected)
+            assert spec.interaction(row) == float(reference(row[None])[0])
 
 
 class TestOperators:
