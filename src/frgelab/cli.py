@@ -86,10 +86,14 @@ def _load_config(path: str):
 
 
 def _parse_floats(text: str):
+    """The comma-separated finite numbers of an option; empty entries skipped."""
     try:
-        return [float(x) for x in text.split(",") if x.strip() != ""]
+        values = [float(x) for x in text.split(",") if x.strip() != ""]
     except ValueError:
         raise SpecValidationError(f"not a list of numbers: {text!r}") from None
+    if not np.isfinite(values).all():
+        raise SpecValidationError(f"not a list of finite numbers: {text!r}")
+    return values
 
 
 def _require_positive_finite(flag: str, value: float) -> None:

@@ -78,7 +78,11 @@ def conjugate(f: GridFunction, lo, hi, nodes) -> GridFunction:
     finite = np.isfinite(f.values).ravel()
     axes = _box_axes(lo, hi, nodes)
     primal = f.nodes()[finite]
-    out = (_box_points(axes) @ primal.T - f.values.ravel()[finite]).max(axis=1)
+    # one dual x primal matrix, reused in place: each fresh one of this size
+    # is paged in anew
+    scan = _box_points(axes) @ primal.T
+    scan -= f.values.ravel()[finite]
+    out = scan.max(axis=1)
     return GridFunction(axes=axes, values=out.reshape(tuple(len(a) for a in axes)))
 
 
@@ -141,11 +145,48 @@ def _clipped_graph(x, y, rho):
 
 
 def _directed_epi_distance(xa, ta, xb, tb):
-    # distance from each graph point of A to the epigraph columns of B,
-    # product metric max(|dx|, dt); columns of B extend upward from tb
-    dx = np.abs(xa[:, None] - xb[None, :])
-    dt = np.maximum(tb[None, :] - ta[:, None], 0.0)
-    return float(np.max(np.min(np.maximum(dx, dt), axis=1)))
+    """max_a min_j max(|xa - xb_j|, (tb_j - ta)+) over graphs sorted in x.
+
+    The distance from each graph point of A to the epigraph columns of B in
+    the product metric; columns of B extend upward from tb.  On either side
+    of a point, |dx| grows away from it while the running minimum of
+    (tb - ta)+ falls, and min_j max(|dx_j|, dt_j) equals
+    min_J max(|dx_J|, min_{j <= J} dt_j); the minimum sits where the two
+    cross.  Binary lifting over a sparse table of range minima finds that
+    crossing for every point at once, in O(n log n).  Rounding is monotone,
+    so every candidate is a max of the same two floats as the n_a x n_b
+    scan and the result is the same float.
+    """
+    nb = xb.size
+    # columns right of a point as they are, then those left of it mirrored
+    # (x -> -x), so both sides are searched rightward; each block ends in an
+    # infinite sentinel column
+    xc = np.concatenate([xb, [np.inf], -xb[::-1], [np.inf]])
+    tc = np.concatenate([tb, [np.inf], tb[::-1], [np.inf]])
+    split = np.searchsorted(xb, xa)
+    p = np.concatenate([split, 2 * nb + 1 - split])
+    end = np.repeat([nb, 2 * nb + 1], xa.size)
+    xq = np.concatenate([xa, -xa])
+    tq = np.concatenate([ta, ta])
+    # table[k][i] = min tc[i : i + 2**k]
+    table = [tc]
+    for k in range(1, nb.bit_length()):
+        prev, h = table[-1], 1 << (k - 1)
+        row = prev.copy()
+        np.minimum(prev[:-h], prev[h:], out=row[:-h])
+        table.append(row)
+    # advance p over the columns where |dx| < (running min of tb - ta)+;
+    # m is the minimum of tc over the columns passed
+    m = np.full(p.size, np.inf)
+    for k in range(len(table) - 1, -1, -1):
+        h = 1 << k
+        mm = np.minimum(m, table[k][p])
+        jump = xc[np.minimum(p + (h - 1), end)] - xq < np.maximum(mm - tq, 0.0)
+        np.copyto(m, mm, where=jump)
+        np.add(p, h, out=p, where=jump)
+    # the best column is p, where |dx| wins, or the one before, where dt does
+    side = np.minimum(xc[p] - xq, np.maximum(m - tq, 0.0))
+    return float(np.max(np.minimum(side[: xa.size], side[xa.size :])))
 
 
 def aw_distance(f: GridFunction, g: GridFunction, rho: float) -> float:

@@ -11,6 +11,7 @@ truth for the flow integrator.
 from __future__ import annotations
 
 from collections import OrderedDict
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -199,6 +200,20 @@ def tilted_moments(
     return _first_lane(tm) if single else tm
 
 
+@contextmanager
+def _overflow_out_of_range(k):
+    """Raise :class:`RangeExceeded` naming the scale k where the block's
+    arithmetic overflows; it adds no work per lane."""
+    try:
+        with np.errstate(over="raise"):
+            yield
+    except FloatingPointError:
+        raise RangeExceeded(
+            f"arithmetic overflowed at the scale k={k}; the scale lies outside "
+            f"the resolvable range"
+        ) from None
+
+
 def _moments(ctx, k, t, shift) -> TiltedMoments:
     """The tilted moments of a (B, M) batch of sources, all lanes at once."""
     record = ctx.scale(k)
@@ -222,11 +237,12 @@ def _moments(ctx, k, t, shift) -> TiltedMoments:
             # importance ratio N(psi; mu, Sigma) / N(psi; centre, Sigma), which
             # is exactly 1 while the nodes sit on mu
             m_c = mu[lanes]
-            log_w = logw + (
-                (psi @ ((m_c - c) @ prec.T)[:, :, None])[..., 0]
-                + 0.5 * np.sum((c @ prec) * c, axis=-1)[:, None]
-                - 0.5 * np.sum((m_c @ prec) * m_c, axis=-1)[:, None]
-            )
+            with _overflow_out_of_range(k):
+                log_w = logw + (
+                    (psi @ ((m_c - c) @ prec.T)[:, :, None])[..., 0]
+                    + 0.5 * np.sum((c @ prec) * c, axis=-1)[:, None]
+                    - 0.5 * np.sum((m_c @ prec) * m_c, axis=-1)[:, None]
+                )
         log_terms = log_w - ctx.spec.interaction_batch(
             psi if shift is None else psi + shift[lanes][:, None, :])
         log_i0 = _log_sum_exp(log_terms)
@@ -301,11 +317,12 @@ def _w_shifted_form(ctx, k, t, ln_n):
     Cameron-Martin representative."""
     phi0 = r_nu(ctx.measure, t.T).T
     f_diag = ctx.scale(k).f
-    inner = np.sum(t * phi0, axis=-1)
-    quad = np.sum(phi0 * (f_diag * phi0), axis=-1)
-    tm = tilted_moments(ctx, k, -(f_diag * phi0), shift=phi0)
-    value = 0.5 * inner - 0.5 * quad + tm.log_value - ln_n
-    scale = 1.0 + np.abs(inner) + np.abs(quad)
+    with _overflow_out_of_range(k):
+        inner = np.sum(t * phi0, axis=-1)
+        quad = np.sum(phi0 * (f_diag * phi0), axis=-1)
+        tm = tilted_moments(ctx, k, -(f_diag * phi0), shift=phi0)
+        value = 0.5 * inner - 0.5 * quad + tm.log_value - ln_n
+        scale = 1.0 + np.abs(inner) + np.abs(quad)
     return value, scale
 
 
@@ -328,7 +345,8 @@ def invert_mean_field(ctx: FunctionalContext, k: float, phi) -> MeanFieldSolve:
     ``NEWTON_TOL``.  Errors name the first field that fails.
     """
     phis, single = _lanes(ctx, phi)
-    j = phis @ ctx.scale(k).prec.T
+    with _overflow_out_of_range(k):
+        j = phis @ ctx.scale(k).prec.T
     tm = tilted_moments(ctx, k, j)
     finite = np.isfinite(tm.mean).all(axis=-1) & np.isfinite(tm.cov).all(axis=(-2, -1))
     if not finite.all():

@@ -239,6 +239,8 @@ class TestExitCodes:
         ["flow", "--kuv", "1e200", "--init", "classical"],
         ["flow", "--kuv", "1e200", "--init", "classical", "--regulator", "exponential"],
         ["frge-check", "--k", "1e200"],
+        ["frge-check", "--probes", "nan"],
+        ["frge-check", "--probes", "1,inf"],
     ])
     def test_bad_option_exit_2(self, config_path, tmp_path, argv):
         assert main(argv + ["--config", config_path,

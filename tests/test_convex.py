@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from frgelab import functionals as fn
 from frgelab.convex import (
     GridFunction,
+    _directed_epi_distance,
     _lower_hull,
     _w_grid,
     aw_distance,
@@ -190,6 +191,66 @@ class TestAwDistance:
         with pytest.raises(EmptyEpigraphWindow):
             aw_distance(f, f, 0.5)
 
+    def test_one_epigraph_in_the_box_is_two_rho_away(self):
+        # the box-truncated epigraph of f is empty, that of g is not
+        f = grid_fn(lambda x: 10.0, lo=-1.0, hi=1.0, nodes=21)
+        g = grid_fn(lambda x: 0.0, lo=-1.0, hi=1.0, nodes=21)
+        assert aw_distance(f, g, 0.5) == 1.0
+        assert aw_distance(g, f, 0.5) == 1.0
+
+
+def dense_epi_distance(xa, ta, xb, tb):
+    """Reference: the n_a x n_b scan of max(|dx|, (tb - ta)+)."""
+    dx = np.abs(xa[:, None] - xb[None, :])
+    dt = np.maximum(tb[None, :] - ta[:, None], 0.0)
+    return float(np.max(np.min(np.maximum(dx, dt), axis=1)))
+
+
+# quarter-integer lattice values tie and land on each other's columns;
+# bounded floats do not
+_coords = st.one_of(st.integers(-8, 8).map(lambda i: 0.25 * i), st.floats(-4.0, 4.0))
+_graphs = st.lists(st.tuples(_coords, _coords), min_size=1, max_size=40).map(
+    lambda pts: tuple(np.array(c, dtype=float)
+                      for c in zip(*sorted(pts, key=lambda p: p[0]))))
+
+
+@st.composite
+def _graph_pairs(draw):
+    a = draw(_graphs)
+    kind = draw(st.sampled_from(["independent", "identical", "apart"]))
+    if kind == "identical":
+        return a, a
+    xb, tb = draw(_graphs)
+    if kind == "apart":  # x ranges that do not overlap
+        xb = xb + draw(st.sampled_from([-10.0, 10.0]))
+    return a, (xb, tb)
+
+
+def _pair(xa, ta, xb, tb):
+    xa, ta, xb, tb = (np.array(v, dtype=float) for v in (xa, ta, xb, tb))
+    return (xa, ta), (xb, tb)
+
+
+class TestDirectedEpiDistance:
+    @settings(max_examples=300, deadline=None)
+    @given(_graph_pairs())
+    @example(_pair([0.0], [1.0], [0.0], [0.5]))  # one point each, same column
+    @example(_pair([0.0], [0.0], [2.0], [0.0]))
+    @example(_pair([1.0, 1.0, 2.0], [0.0, -1.0, 3.0], [1.0, 1.0], [2.0, -2.0]))
+    @example(_pair([-1.0, 0.0, 1.0], [1.0, 0.0, 1.0], [-1.0, 0.0, 1.0], [1.0, 0.0, 1.0]))
+    @example(_pair([-3.0, -2.0], [0.0, 0.0], [2.0, 3.0], [0.0, 0.0]))
+    def test_matches_the_dense_scan_bit_for_bit(self, pair):
+        (xa, ta), (xb, tb) = pair
+        assert _directed_epi_distance(xa, ta, xb, tb) == dense_epi_distance(xa, ta, xb, tb)
+        assert _directed_epi_distance(xb, tb, xa, ta) == dense_epi_distance(xb, tb, xa, ta)
+
+    def test_matches_the_dense_scan_on_benchmark_sized_graphs(self):
+        # 2401 refined points of Gamma_0-like parabolas, as in the convergence suite
+        x = np.linspace(-6.0, 6.0, 2401)
+        ya, yb = 0.5 * x * x, 0.45 * x * x + 0.01
+        assert _directed_epi_distance(x, ya, x, yb) == dense_epi_distance(x, ya, x, yb)
+        assert _directed_epi_distance(x, yb, x, ya) == dense_epi_distance(x, yb, x, ya)
+
 
 class TestConvergenceSuite:
     @staticmethod
@@ -216,6 +277,21 @@ class TestConvergenceSuite:
         rep = convergence_suite(models, limit, reg)
         assert rep.uniform_monotone and rep.aw_monotone and rep.probe_monotone
         assert rep.all_monotone
+
+    def test_benchmark_seed_zero_aw_distances_frozen(self):
+        # the convergence workload's seed-0 config; the floats the n_a x n_b
+        # scan gave, which the sparse-table route must keep bit for bit
+        reg = make_regulator("litim")
+        limit, *models = [
+            ModelSpec(dimension=0, modes=1, mass=0.9935392973450001,
+                      window=WindowParams(kind="scalar", r=r), c4=0.10154541573207883)
+            for r in [1.0] + [1.0 - 2.0 ** (-n) for n in range(1, 7)]
+        ]
+        rep = convergence_suite(models, limit, reg, seed=1164162326)
+        assert rep.aw == [
+            0.4450000000000012, 0.1750000000000007, 0.07500000000000018,
+            0.03500000000000103, 0.015000000000001457, 0.010000000000001563,
+        ]
 
     def test_alternating_sequence_flagged_non_cauchy(self):
         reg = make_regulator("litim")

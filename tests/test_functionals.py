@@ -121,6 +121,13 @@ class TestMeanField:
         with pytest.raises(RangeExceeded, match=r"k=0\.0, source=\[10000\.\]"):
             tilted_moments(phi4_ctx, 0.0, np.array([1e4]))
 
+    def test_overflow_at_huge_scale_raises(self, phi4_spec, litim):
+        # at k = 1e153 the importance ratio's product with C^-1 + F_k
+        # overflows; warnings are errors here, so only the typed error passes
+        ctx = FunctionalContext(spec=phi4_spec, regulator=litim)
+        with pytest.raises(RangeExceeded, match=r"k=1e\+153"):
+            gamma_bar(ctx, 1e153, [3.0])
+
 
 class TestEffectiveAction:
     def test_gamma_frozen(self, phi4_ctx):
