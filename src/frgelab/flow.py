@@ -9,8 +9,9 @@ non-smooth regulators.
 On the grid the trace form u' = 1/2 d_kF_k / (D2 u + R_k) is a nonlinear
 diffusion, stiff in the node count, so it is stepped with the implicit BDF
 method and its analytic Jacobian diag(-1/2 d_kF_k / (D2 u + R_k)^2) D2,
-where D2 is the sparse second-difference matrix.  D2 annihilates constants,
-so the zero-field subtraction u - u(0) is taken at the checkpoints only.
+where D2 is the sparse second-difference matrix.  D2 annihilates constants
+up to rounding (its solved central stencil sums to -6.9e-17), so the
+zero-field subtraction u - u(0) is taken at the checkpoints only.
 The vertex flow is not stiff and uses the explicit Runge-Kutta 5(4) pair.
 It steps only the independent components of the symmetric tensors, through
 cached orbit index maps, and its right-hand side is a few matrix products.
@@ -301,13 +302,16 @@ def integrate(
     """Integrate the flow from k_from down to k_to with checkpoints.
 
     ``checkpoints`` is any iterable of scales in [k_to, k_from], kept as
-    floats.  Segments are split at the regulator's kink scales inside the
-    interval so no step crosses a derivative discontinuity, and each segment
-    evaluates the regulator on its own side of a kink.  Grid actions
-    are stepped with BDF and the analytic Jacobian, vertex actions with
-    RK45.  Raises ConvexityLoss, carrying the last convex state, where the
-    curvature margin reaches zero or is extrapolated to within
-    CONVEXITY_HORIZON * k of it; ``k`` is the extrapolated crossing scale.
+    floats; k_from and k_to are always among them.  They are taken in one
+    descending pass: a scale the flow has reached takes the current state,
+    one passed inside a step that step's dense output.  Segments end at the
+    regulator's kink scales inside the interval, so no step crosses a
+    derivative discontinuity, and each evaluates the regulator on its own
+    side of a kink.  Grid actions are stepped with BDF and the analytic
+    Jacobian, vertex actions with RK45.  Raises ConvexityLoss, carrying the
+    last convex state, where the curvature margin reaches zero or is
+    extrapolated to within CONVEXITY_HORIZON * k of it; ``k`` is the
+    extrapolated crossing scale.
     """
     if not k_to <= k_from:
         raise SpecValidationError(
@@ -321,9 +325,9 @@ def integrate(
         weights = np.ones_like(momenta)
     # R_k grows with k, so a regulator finite at k_from is finite on the flow
     regulator_diagonals(regulator, k_from, momenta, weights)
-    checkpoints = sorted({float(c) for c in checkpoints} | {float(k_from), float(k_to)},
-                         reverse=True)
-    for c in checkpoints:
+    queue = sorted({float(c) for c in checkpoints} | {float(k_from), float(k_to)},
+                   reverse=True)
+    for c in queue:
         if not (k_to <= c <= k_from):
             raise SpecValidationError(f"checkpoint {c} outside [{k_to}, {k_from}]")
 
@@ -334,7 +338,8 @@ def integrate(
     def rhs(k, y):
         if not np.all(np.isfinite(y)):
             return np.full_like(np.asarray(y, dtype=float), np.nan)
-        state = initial.unpack(k, y)
+        # k is clamped to the current segment's [lo, hi], set below
+        state = initial.unpack(min(max(k, lo), hi), y)
         try:
             if is_grid:
                 return rhs_grid(state, regulator, p0, w0)
@@ -345,26 +350,6 @@ def integrate(
             pending_loss.append(exc)
             return np.full_like(np.asarray(y, dtype=float), np.nan)
 
-    def jac(k, y):
-        return jacobian_grid(initial.unpack(k, y), regulator, p0, w0)
-
-    def make_solver(t0, y0, t1):
-        # the regulator's value on a kink is the limit from one side only; a
-        # segment bounded by a kink evaluates there one ulp inside itself
-        hi = float(np.nextafter(t0, t1)) if t0 in kinks else t0
-        lo = float(np.nextafter(t1, t0)) if t1 in kinks else t1
-
-        def inside(k):
-            return min(max(k, lo), hi)
-
-        def segment_rhs(k, y):
-            return rhs(inside(k), y)
-
-        if is_grid:
-            return BDF(segment_rhs, t0, y0, t1, rtol=rtol, atol=atol,
-                       jac=lambda k, y: jac(inside(k), y))
-        return RK45(segment_rhs, t0, y0, t1, rtol=rtol, atol=atol)
-
     def snapshot(k, y):
         """The action at k, with the grid's zero-field value subtracted."""
         if is_grid:
@@ -374,83 +359,67 @@ def integrate(
     def margin(k, y):
         return _curvature_margin(initial.unpack(k, y), regulator, momenta, weights)
 
-    stats = {"steps": 0, "nfev": 0, "njev": 0, "nlu": 0}
-    if k_from == k_to:
-        return FlowTrajectory(checkpoints=[(k_from, initial)], stats=stats)
-
-    kinks = [
-        float(s) for s in regulator.kink_scales(momenta) if k_to < s < k_from
-    ]
+    kinks = [float(s) for s in regulator.kink_scales(momenta) if k_to < s < k_from]
     breakpoints = sorted(set([k_from, k_to] + kinks), reverse=True)
-
-    y = initial.pack()
-    results = {}
-    last_good = (k_from, y.copy())
-    last_margin = margin(k_from, y)
+    stats = {"steps": 0, "nfev": 0, "njev": 0, "nlu": 0}
+    # the last accepted scale and state, and the curvature margin there
+    t, y = float(k_from), initial.pack()
+    last_margin = margin(t, y)
     if last_margin <= 0.0:
         raise ConvexityLoss(
             f"regularized curvature non-positive at the start scale k={k_from:.6g}",
             k=k_from, last_state=initial,
         )
-    remaining = list(checkpoints)
-
-    def segment_failure(message):
-        if pending_loss:
-            exc = pending_loss[-1]
-            exc.last_state = snapshot(*last_good)
-            return exc
-        return StepUnderflow(message)
+    snaps = [(queue.pop(0), snapshot(t, y))]  # k_from heads the queue
 
     for seg_start, seg_end in zip(breakpoints[:-1], breakpoints[1:]):
-        targets = sorted(
-            (c for c in remaining if seg_end <= c <= seg_start), reverse=True
-        )
+        # the regulator's value on a kink is the limit from one side only; a
+        # segment bounded by a kink evaluates there one ulp inside itself
+        hi = float(np.nextafter(seg_start, seg_end)) if seg_start in kinks else seg_start
+        lo = float(np.nextafter(seg_end, seg_start)) if seg_end in kinks else seg_end
         pending_loss.clear()
-        results[float(seg_start)] = y.copy()
-        solver = make_solver(seg_start, y, seg_end)
+        if is_grid:
+            solver = BDF(rhs, seg_start, y, seg_end, rtol=rtol, atol=atol,
+                         jac=lambda k, y: jacobian_grid(
+                             initial.unpack(min(max(k, lo), hi), y), regulator, p0, w0))
+        else:
+            solver = RK45(rhs, seg_start, y, seg_end, rtol=rtol, atol=atol)
         try:
             while solver.status == "running":
                 solver.step()
                 if solver.status == "failed":
-                    break
+                    if not pending_loss:
+                        raise StepUnderflow(f"integrator failed near k = {solver.t:.6g}")
+                    pending_loss[-1].last_state = snapshot(t, y)
+                    raise pending_loss[-1]
                 stats["steps"] += 1
-                t, m = float(solver.t), margin(solver.t, solver.y)
+                t_new, m = float(solver.t), margin(solver.t, solver.y)
                 # slope of the margin in k; the flow runs towards smaller k
-                slope = (last_margin - m) / (last_good[0] - t)
-                if m <= 0.0 or (slope > 0.0 and m <= CONVEXITY_HORIZON * t * slope):
-                    crossing = t - m / slope
+                slope = (last_margin - m) / (t - t_new)
+                if m <= 0.0 or (slope > 0.0 and m <= CONVEXITY_HORIZON * t_new * slope):
+                    crossing = t_new - m / slope
                     if m > 0.0:
-                        last_good = (t, solver.y.copy())
+                        t, y = t_new, solver.y
                     raise ConvexityLoss(
                         f"regularized curvature margin reaches zero at "
-                        f"k={crossing:.6g} (margin {m:.3g} at k={t:.6g})",
-                        k=crossing, last_state=snapshot(*last_good),
+                        f"k={crossing:.6g} (margin {m:.3g} at k={t_new:.6g})",
+                        k=crossing, last_state=snapshot(t, y),
                     )
-                last_good, last_margin = (t, solver.y.copy()), m
-                if targets and targets[0] >= t:
+                # scipy's solvers assign a new array at each step: no copy needed
+                t, y, last_margin = t_new, solver.y, m
+                if queue and queue[0] >= t:
                     dense = solver.dense_output()
-                    while targets and targets[0] >= t:
-                        c = targets.pop(0)
-                        results[float(c)] = np.asarray(dense(c), dtype=float).copy()
-            if solver.status == "failed":
-                raise segment_failure(f"integrator failed near k = {solver.t:.6g}")
+                    while queue and queue[0] >= t:
+                        c = queue.pop(0)
+                        snaps.append((c, snapshot(c, dense(c) if c > t else y)))
             stats["nfev"] += solver.nfev
             stats["njev"] += solver.njev
             stats["nlu"] += solver.nlu
-            y = solver.y.copy()
-            results[float(seg_end)] = y.copy()
         finally:
             # scipy's solvers hold closures over themselves; clearing the
             # state breaks that cycle, so BDF's sparse LU factorization is
             # freed now rather than at the next cyclic garbage collection
             solver.__dict__.clear()
-        remaining = [c for c in remaining if c < seg_end]
-
-    snaps = [
-        (c, snapshot(c, results[float(c)]))
-        for c in checkpoints
-        if float(c) in results
-    ]
     return FlowTrajectory(checkpoints=snaps, stats=stats)
 
 
@@ -554,34 +523,24 @@ def frge_first_form_check(ctx: FunctionalContext, k: float, probes) -> list[dict
     """
     if ctx.measure.dim != 1:
         raise SpecValidationError("first-form check is single-mode only")
-    p1 = float(ctx.spec.momenta[0])
-    w1 = float(ctx.spec.momentum_weights[0])
-    report = []
-    for phi in probes:
-        phi_vec = np.atleast_1d(np.asarray(phi, dtype=float))
-        if k < 0:
-            lhs = rhs = 0.0
-        else:
+    phis = np.asarray(probes, dtype=float).reshape(-1)
+    if k < 0 or phis.size == 0:
+        lhs = rhs = np.zeros(phis.size)
+    else:
 
-            def central(hh):
-                return (
-                    fn.gamma(ctx, k + hh, phi_vec) - fn.gamma(ctx, k - hh, phi_vec)
-                ) / (2.0 * hh)
+        def central(hh):  # one transform of every probe per shifted scale
+            plus, _ = fn.legendre_transform(ctx, k + hh, phis)
+            minus, _ = fn.legendre_transform(ctx, k - hh, phis)
+            return (plus - minus) / (2.0 * hh)
 
-            lhs = (4.0 * central(FIRST_FORM_DK_STEP / 2.0)
-                   - central(FIRST_FORM_DK_STEP)) / 3.0
-            curv = float(fn.gamma_hessian(ctx, k, phi_vec)[0, 0])
-            record = ctx.scale(k)
-            r_k = float(record.f[0])
-            f_dot = float(record.f_dot[0])
-            rhs = 0.5 * f_dot / (curv + r_k) + fn.dk_log_normalization(ctx, k)
-        report.append(
-            {
-                "phi": float(phi_vec[0]),
-                "k": k,
-                "lhs": float(lhs),
-                "rhs": float(rhs),
-                "abs_diff": abs(float(lhs) - float(rhs)),
-            }
-        )
-    return report
+        lhs = (4.0 * central(FIRST_FORM_DK_STEP / 2.0)
+               - central(FIRST_FORM_DK_STEP)) / 3.0
+        curv = np.array([fn.gamma_hessian(ctx, k, phi)[0, 0] for phi in phis])
+        record = ctx.scale(k)
+        rhs = (0.5 * float(record.f_dot[0]) / (curv + float(record.f[0]))
+               + fn.dk_log_normalization(ctx, k))
+    return [
+        {"phi": float(phi), "k": k, "lhs": float(l), "rhs": float(r),
+         "abs_diff": abs(float(l) - float(r))}
+        for phi, l, r in zip(phis, lhs, rhs)
+    ]

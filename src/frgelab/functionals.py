@@ -357,6 +357,10 @@ def invert_mean_field(ctx: FunctionalContext, k: float, phi) -> MeanFieldSolve:
         )
     log_value, mean, second = tm.log_value, tm.mean, tm.second_moment
     res_norm = np.linalg.norm(mean - phis, axis=-1)
+    # a source far beyond the cold start diverged; the cold start itself
+    # grows like k^2 |phi|, and a bound past the float range is no bound
+    with np.errstate(over="ignore"):
+        far_bound = 1e8 * (1.0 + np.linalg.norm(j, axis=-1))
     iterations = 0
     for _ in range(NEWTON_MAX_ITER):
         lanes = np.flatnonzero(res_norm > NEWTON_TOL)
@@ -369,7 +373,7 @@ def invert_mean_field(ctx: FunctionalContext, k: float, phi) -> MeanFieldSolve:
         while trying.size:
             at = lanes[trying]
             j_try = j[at] + alpha[trying, None] * step[trying]
-            far = np.linalg.norm(j_try, axis=-1) > 1e8
+            far = np.linalg.norm(j_try, axis=-1) > far_bound[at]
             if far.any():
                 raise RangeExceeded(
                     f"source magnitude diverged inverting the mean field at "

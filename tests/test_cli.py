@@ -167,6 +167,15 @@ class TestFlowPipeline:
         assert len(start) == 101
         assert all(float(r["deviation"]) == 0.0 for r in start)
 
+    def test_exact_start_at_a_large_scale(self, config_path, tmp_path):
+        # the oracle's source bound grows with its cold start, so an exact
+        # start at k = 1e4 inverts (it exited 3 under an absolute bound)
+        out = str(tmp_path / "flow.csv")
+        assert main(["flow", "--config", config_path, "--kuv", "1e4",
+                     "--init", "exact", "--compare", "--out", out]) == 0
+        manifest = json.loads(Path(out + ".manifest.json").read_text())
+        assert manifest["stats"]["max_deviation"] <= 1e-4
+
     def test_report_refuses_mismatched_hashes(self, config_path, tmp_path):
         out = str(tmp_path / "e.csv")
         assert main(["exact", "--config", config_path, "--k", "0",

@@ -292,6 +292,44 @@ class TestIntegrate:
         assert abs(exc_info.value.k - np.sqrt(0.8)) <= 1e-3
         assert len(calls) < 2000
 
+    def test_grid_error_is_the_integrators(self, litim):
+        # classical start, k 100 -> 0 at default tolerances: the largest error
+        # on |phi| <= 2 against a tight-tolerance run of the same grid ODE is
+        # 1.4e-7, at k = 1 (1.5e-7 at 301 nodes); rtol 1e-6 reads 7.8e-6 at k = 0
+        spec = ModelSpec(dimension=0, modes=1, mass=1.0,
+                         window=WindowParams(kind="scalar", r=1.0), c4=0.1,
+                         phi_max=4.5, phi_nodes=151)
+        ctx = FunctionalContext(spec=spec, regulator=litim, self_check=False)
+        init, _ = initial_condition(ctx, "classical", 100.0)
+        scales = [10.0, 1.0, 0.0]
+        traj = integrate(init, 100.0, 0.0, litim, checkpoints=scales)
+        ref = integrate(init, 100.0, 0.0, litim, checkpoints=scales,
+                        rtol=1e-12, atol=1e-14)
+        mask = np.abs(init.grid) <= 2.0
+        for (k, state), (_, exact) in zip(traj.checkpoints, ref.checkpoints):
+            assert np.abs(state.values - exact.values)[mask].max() <= 5e-7, k
+
+    def test_checkpoints_are_one_ordered_pass(self, line_spec, litim):
+        # litim's kinks sit at k = |p| = 1, 2, ...: the checkpoint at 1 is a
+        # segment end, given twice; 10 and 0 are the ends of the flow
+        ctx = FunctionalContext(spec=line_spec, regulator=litim, self_check=False)
+        init, _ = initial_condition(ctx, "classical", 10.0, rep="vertex")
+        kwargs = dict(momenta=line_spec.momenta, weights=line_spec.momentum_weights)
+        traj = integrate(init, 10.0, 0.0, litim,
+                         checkpoints=[1.0, 1.0, 0.5, 10.0, 0.0], **kwargs)
+        assert [k for k, _ in traj.checkpoints] == [10.0, 1.0, 0.5, 0.0]
+        assert [state.k for _, state in traj.checkpoints] == [10.0, 1.0, 0.5, 0.0]
+        traj = integrate(init, 10.0, 10.0, litim, checkpoints=[10.0], **kwargs)
+        assert [k for k, _ in traj.checkpoints] == [10.0]
+        assert traj.stats["steps"] == 0
+
+    def test_start_checkpoint_is_the_initial_state(self, phi4_spec, litim):
+        ctx = FunctionalContext(spec=phi4_spec, regulator=litim, self_check=False)
+        init, _ = initial_condition(ctx, "classical", 20.0)
+        k, state = integrate(init, 20.0, 0.0, litim).checkpoints[0]
+        assert k == 20.0
+        assert state.values.tobytes() == init.values.tobytes()
+
     def test_grid_steps_do_not_grow_with_nodes(self, litim):
         steps = {}
         for nodes in (151, 301, 601, 1201):
@@ -417,6 +455,31 @@ class TestFirstForm:
                                 self_check=False)
         report = frge_first_form_check(ctx, 1.0, [0.0, 0.5, 1.0])
         assert max(r["abs_diff"] for r in report) < 1e-6
+
+    def test_lhs_is_four_transforms(self, phi4_spec, litim, monkeypatch):
+        ctx = FunctionalContext(spec=phi4_spec, regulator=litim,
+                                self_check=False)
+        probes, k, h = [0.0, 0.5, 1.0, 2.0], 1.0, flow_module.FIRST_FORM_DK_STEP
+
+        def central(phi, hh):  # one gamma per probe and shifted scale
+            return (functionals.gamma(ctx, k + hh, [phi])
+                    - functionals.gamma(ctx, k - hh, [phi])) / (2.0 * hh)
+
+        reference = [(4.0 * central(phi, h / 2.0) - central(phi, h)) / 3.0
+                     for phi in probes]
+        calls = []
+        original = functionals.legendre_transform
+
+        def counted(ctx, k, fields):
+            calls.append((k, np.asarray(fields).tolist()))
+            return original(ctx, k, fields)
+
+        monkeypatch.setattr(functionals, "legendre_transform", counted)
+        report = frge_first_form_check(ctx, k, probes)
+        # one transform of every probe at each of the four shifted scales
+        assert sorted(c[0] for c in calls) == [k - h, k - h / 2.0, k + h / 2.0, k + h]
+        assert all(fields == probes for _, fields in calls)
+        assert [r["lhs"] for r in report] == reference
 
     def test_negative_scale_trivial(self, phi4_spec, litim):
         ctx = FunctionalContext(spec=phi4_spec, regulator=litim,

@@ -32,7 +32,7 @@ from frgelab.functionals import (
     mean_field,
     tilted_moments,
 )
-from frgelab.model import ModelSpec, WindowParams
+from frgelab.model import ModelSpec, WindowParams, classical_asymptote
 from frgelab.regulator import make_regulator
 
 # frozen against independent adaptive-quadrature oracles of the single-mode
@@ -115,6 +115,29 @@ class TestMeanField:
     def test_range_guard(self, phi4_ctx):
         with pytest.raises(RangeExceeded):
             invert_mean_field(phi4_ctx, 0.0, np.array([900.0]))
+
+    @pytest.mark.parametrize("name", ["litim", "exponential"])
+    def test_large_scale_reaches_the_classical_action(self, phi4_spec, name,
+                                                      request):
+        # the cold start J0 = (C^-1 + F_k) phi is 3e8 here, so a source bound
+        # that does not grow with J0 refused every scale from k = 1e4 on
+        ctx = FunctionalContext(spec=phi4_spec, regulator=request.getfixturevalue(name))
+        classical = float(classical_asymptote(phi4_spec, np.array([3.0])))
+        assert abs(gamma_bar(ctx, 1e4, [3.0]) - classical) <= 1e-6
+
+    def test_huge_cold_start_bounds_without_overflow(self, phi4_spec, litim):
+        # the cold start is 5e199 here, whose norm overflows; warnings are
+        # errors here, so only the typed error of a later stage passes
+        ctx = FunctionalContext(spec=phi4_spec, regulator=litim)
+        with pytest.raises(RangeExceeded, match=r"k=1e\+100"):
+            gamma_bar(ctx, 1e100, [0.5])
+
+    def test_diverging_source_raises(self, phi4_ctx, monkeypatch):
+        monkeypatch.setattr(functionals, "_newton_step",
+                            lambda k, phis, lanes, mean, second:
+                            np.full((lanes.size, 1), 1e12))
+        with pytest.raises(RangeExceeded, match="source magnitude diverged"):
+            invert_mean_field(phi4_ctx, 0.0, np.array([1.0]))
 
     def test_unsettled_recentring_raises(self, phi4_ctx):
         # the tilted mean at a huge source is out of the rule's reach
