@@ -249,8 +249,9 @@ def converge_table(args, spec, regulator):
         raise SpecValidationError("the convergence sweep varies a d=0 scalar window")
     if args.levels < 1:
         raise SpecValidationError("--levels must be at least 1")
-    if args.seed < 0:
-        raise SpecValidationError("--seed must be non-negative")
+    if args.seed is not None:
+        print("converge: --seed is ignored; the probe is a deterministic quadrature",
+              file=sys.stderr)
     _require_positive_finite("--rho", args.rho)
     _require_positive_finite("--radius", args.radius)
     models = [
@@ -261,7 +262,7 @@ def converge_table(args, spec, regulator):
     ]
     report = convex.convergence_suite(
         models, spec, regulator,
-        uniform_radius=args.radius, aw_rho=args.rho, seed=args.seed,
+        uniform_radius=args.radius, aw_rho=args.rho,
     )
     rows = [
         [str(n), f"{u:.10g}", f"{a:.10g}", f"{p:.10g}"]
@@ -273,7 +274,7 @@ def converge_table(args, spec, regulator):
         print(f"{name} monotone decreasing: {'yes' if flag else 'NO'}")
     header = ["n", "uniform_distance", "aw_distance", "probe_distance"]
     return header, rows, dict(
-        seeds={"probe": args.seed},
+        seeds={},
         tolerances={"uniform_radius": args.radius, "aw_rho": args.rho},
         stats={
             "levels": args.levels,
@@ -376,7 +377,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--levels", type=int, default=6)
     p.add_argument("--radius", type=float, default=2.0)
     p.add_argument("--rho", type=float, default=6.0)
-    p.add_argument("--seed", type=int, default=20240)
+    # accepted so that callers which still pass it keep working; it has no effect
+    p.add_argument("--seed", type=int, default=None, help=argparse.SUPPRESS)
 
     p = sub.add_parser("report", help="merge run manifests into a summary table")
     p.add_argument("manifests", nargs="+")

@@ -16,7 +16,7 @@ import numpy as np
 from . import functionals as fn
 from .errors import EmptyEpigraphWindow, GridMismatch, NotProper
 from .functionals import FunctionalContext
-from .measure import build_measure
+from .measure import build_measure, default_level, gauss_hermite_nodes
 
 
 def _box_axes(lo, hi, nodes) -> tuple:
@@ -252,20 +252,24 @@ def _w_grid(ctx: FunctionalContext, t_axis: np.ndarray) -> GridFunction:
     return GridFunction(axes=(t_axis,), values=fn.W(ctx, 0.0, t_axis[:, None]))
 
 
-def _char_probe(spec, t_dict, z):
-    measure = build_measure(spec)
-    psi = z @ measure.chol.T
-    w = np.exp(-spec.interaction_batch(psi))
-    return np.array([float((np.cos(t * psi[:, 0]) * w).sum() / w.sum()) for t in t_dict])
+def _char_probe(spec, t) -> np.ndarray:
+    """E[cos(t psi_1)] under the interacting measure at every source in t,
+    by the oracle's tensor Gauss-Hermite rule mapped through the measure's
+    Cholesky factor."""
+    nodes, logw = gauss_hermite_nodes(default_level(spec.modes), spec.modes)
+    psi = nodes @ build_measure(spec).chol.T
+    log_terms = logw - spec.interaction_batch(psi)
+    w = np.exp(log_terms - log_terms.max())
+    return np.cos(np.outer(t, psi[:, 0])) @ w / w.sum()
 
 
 # W_0 on DUAL_NODES of [-DUAL_RADIUS, DUAL_RADIUS], Gamma_0 = W_0* on PRIMAL_NODES
-# of [-aw_rho, aw_rho], and E[cos(t psi)] at PROBE_SOURCES from PROBE_SAMPLES draws
+# of [-aw_rho, aw_rho], and E[cos(t psi)] at PROBE_SOURCES by the oracle's
+# Gauss-Hermite rule
 DUAL_RADIUS = 3.0
 DUAL_NODES = 161
 PRIMAL_NODES = 1201
 PROBE_SOURCES = (0.5, 1.0, 2.0)
-PROBE_SAMPLES = 100_000
 
 
 def convergence_suite(
@@ -274,13 +278,11 @@ def convergence_suite(
     regulator,
     uniform_radius: float = 2.0,
     aw_rho: float = 6.0,
-    seed: int = 20240,
 ) -> ConvergenceReport:
     """Distances of a regularization sequence to its limit theory at k = 0.
 
-    The characteristic-function probe shares one normal sample across all
-    sequence members so successive differences are not washed out by
-    Monte-Carlo noise.
+    The characteristic-function probe is a quadrature, so the report is
+    deterministic.
     """
     for m in models:
         if m.modes != limit_model.modes:
@@ -294,15 +296,13 @@ def convergence_suite(
         return w_grid, gamma0
 
     w_lim, gamma_lim = analyse(limit_model)
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal((PROBE_SAMPLES, limit_model.modes))
-    probe_lim = _char_probe(limit_model, PROBE_SOURCES, z)
+    probe_lim = _char_probe(limit_model, PROBE_SOURCES)
 
     report = ConvergenceReport(uniform=[], aw=[], probe=[])
     for spec in models:
         w_n, gamma_n = analyse(spec)
         report.uniform.append(uniform_distance(w_n, w_lim, uniform_radius))
         report.aw.append(aw_distance(gamma_n, gamma_lim, aw_rho))
-        probe_n = _char_probe(spec, PROBE_SOURCES, z)
+        probe_n = _char_probe(spec, PROBE_SOURCES)
         report.probe.append(float(np.max(np.abs(probe_n - probe_lim))))
     return report

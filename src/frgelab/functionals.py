@@ -218,8 +218,10 @@ def _moments(ctx, k, t, shift) -> TiltedMoments:
     """The tilted moments of a (B, M) batch of sources, all lanes at once."""
     record = ctx.scale(k)
     prec = record.prec
-    mu = t @ record.sigma.T
-    log_gauss = 0.5 * np.sum(t * mu, axis=-1) + 0.5 * (record.logdet_s - ctx.measure.logdet)
+    with _overflow_out_of_range(k):
+        mu = t @ record.sigma.T
+        log_gauss = (0.5 * np.sum(t * mu, axis=-1)
+                     + 0.5 * (record.logdet_s - ctx.measure.logdet))
 
     nodes, logw = gauss_hermite_nodes(ctx.gh_level, ctx.measure.dim)
     scaled = nodes @ record.chol_s.T

@@ -231,7 +231,7 @@ class TestExitCodes:
         ["exact", "--k", "nan"],
         ["frge-check", "--probes", ","],
         ["exact", "--k", ","],
-        ["converge", "--seed", "-1"],
+        ["converge", "--levels", "0"],
         ["converge", "--levels", "-1"],
         ["converge", "--rho", "-1"],
         ["converge", "--radius", "-1"],
@@ -305,6 +305,18 @@ class TestConverge:
         lines = Path(out).read_text().splitlines()
         assert lines[0] == "n,uniform_distance,aw_distance,probe_distance"
         assert len(lines) == 4
+
+    def test_seed_is_ignored(self, config_path, tmp_path, capsys):
+        csvs = []
+        for seed in (["--seed", "-1"], ["--seed", "7"], []):
+            out = tmp_path / "conv.csv"
+            assert main(["converge", "--config", config_path, "--levels", "3",
+                         *seed, "--out", str(out)]) == 0
+            csvs.append(out.read_bytes())
+            manifest = json.loads(Path(f"{out}.manifest.json").read_text())
+            assert manifest["seeds"] == {}
+            assert ("--seed is ignored" in capsys.readouterr().err) == bool(seed)
+        assert csvs[0] == csvs[1] == csvs[2]
 
     def test_d1_config_rejected(self, tmp_path):
         cfg = tmp_path / "d1.json"

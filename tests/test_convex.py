@@ -2,10 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
 from frgelab import functionals as fn
 from frgelab.convex import (
+    PROBE_SOURCES,
     GridFunction,
+    _char_probe,
     _directed_epi_distance,
     _lower_hull,
     _w_grid,
@@ -18,6 +21,7 @@ from frgelab.convex import (
 )
 from frgelab.errors import EmptyEpigraphWindow, GridMismatch, NotProper
 from frgelab.functionals import FunctionalContext
+from frgelab.measure import build_measure
 from frgelab.model import ModelSpec, WindowParams
 from frgelab.regulator import make_regulator
 
@@ -278,20 +282,48 @@ class TestConvergenceSuite:
         assert rep.uniform_monotone and rep.aw_monotone and rep.probe_monotone
         assert rep.all_monotone
 
-    def test_benchmark_seed_zero_aw_distances_frozen(self):
-        # the convergence workload's seed-0 config; the floats the n_a x n_b
-        # scan gave, which the sparse-table route must keep bit for bit
+    @staticmethod
+    def benchmark_seed_zero():
+        # the convergence workload's seed-0 config
         reg = make_regulator("litim")
         limit, *models = [
             ModelSpec(dimension=0, modes=1, mass=0.9935392973450001,
                       window=WindowParams(kind="scalar", r=r), c4=0.10154541573207883)
             for r in [1.0] + [1.0 - 2.0 ** (-n) for n in range(1, 7)]
         ]
-        rep = convergence_suite(models, limit, reg, seed=1164162326)
-        assert rep.aw == [
+        return convergence_suite(models, limit, reg)
+
+    def test_benchmark_seed_zero_aw_distances_frozen(self):
+        # the floats the n_a x n_b scan gave, which the sparse-table route
+        # must keep bit for bit
+        assert self.benchmark_seed_zero().aw == [
             0.4450000000000012, 0.1750000000000007, 0.07500000000000018,
             0.03500000000000103, 0.015000000000001457, 0.010000000000001563,
         ]
+
+    def test_benchmark_seed_zero_probe_distances_frozen(self):
+        # the quadrature probe's floats; the bound leaves room only for the
+        # summation order of the BLAS product
+        assert self.benchmark_seed_zero().probe == pytest.approx([
+            0.3731390573120345, 0.14369082071105116, 0.0623276675903201,
+            0.029059842963705285, 0.014038545177422812, 0.006900654217020685,
+        ], rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("r", [0.5, 0.75, 1.0 - 2.0 ** (-6), 1.0])
+    def test_probe_matches_adaptive_quadrature(self, r):
+        (spec,) = self.specs([r])
+        var = float(build_measure(spec).cov[0, 0])
+
+        def density(x):
+            return np.exp(-0.5 * x * x / var - spec.interaction_batch(np.array([x])))
+
+        def integral(f):
+            return quad(f, -np.inf, np.inf, epsabs=1e-15, epsrel=1e-13, limit=200)[0]
+
+        z = integral(density)
+        expected = [integral(lambda x, t=t: np.cos(t * x) * density(x)) / z
+                    for t in PROBE_SOURCES]
+        assert np.abs(_char_probe(spec, PROBE_SOURCES) - expected).max() <= 1e-12
 
     def test_alternating_sequence_flagged_non_cauchy(self):
         reg = make_regulator("litim")

@@ -151,6 +151,15 @@ class TestMeanField:
         with pytest.raises(RangeExceeded, match=r"k=1e\+153"):
             gamma_bar(ctx, 1e153, [3.0])
 
+    def test_overflow_of_the_gaussian_shift_raises(self, phi4_spec, litim):
+        # at phi = 30 the cold-start source T is so large that the Gaussian
+        # exponent T.sigma T overflows before any importance ratio is formed
+        ctx = FunctionalContext(spec=phi4_spec, regulator=litim)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RangeExceeded, match=r"k=1e\+153"):
+                gamma_bar(ctx, 1e153, [30.0])
+
 
 class TestEffectiveAction:
     def test_gamma_frozen(self, phi4_ctx):
