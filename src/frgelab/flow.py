@@ -9,7 +9,9 @@ non-smooth regulators.
 On the grid the trace form u' = 1/2 d_kF_k / (D2 u + R_k) is a nonlinear
 diffusion, stiff in the node count, so it is stepped with the implicit BDF
 method and its analytic Jacobian diag(-1/2 d_kF_k / (D2 u + R_k)^2) D2,
-where D2 is the sparse second-difference matrix.  D2 annihilates constants
+where D2 is the sparse second-difference matrix.  J shares D2's pattern,
+so BDF's Newton matrix I - cJ is a band of half-width 3 (the 4-point edge
+stencils) and is factored with LAPACK's band LU.  D2 annihilates constants
 up to rounding (its solved central stencil sums to -6.9e-17), so the
 zero-field subtraction u - u(0) is taken at the checkpoints only.
 The vertex flow is not stiff and uses the explicit Runge-Kutta 5(4) pair.
@@ -30,6 +32,7 @@ from functools import lru_cache
 import numpy as np
 import scipy.sparse as sp
 from scipy.integrate import BDF, RK45
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from . import functionals as fn
 from .errors import ConvexityLoss, SpecValidationError, StepUnderflow
@@ -288,6 +291,42 @@ def _curvature_margin(state, regulator, momenta, weights) -> float:
     return float(np.linalg.eigvalsh(state.gamma2 + np.diag(f_diag))[0])
 
 
+class _BandBDF(BDF):
+    """BDF whose Newton matrix I - cJ is factored as a band by LAPACK.
+
+    J = jacobian_grid(...) shares the pattern of D2, so I - cJ, the CSC
+    matrix scipy forms, lies in a band of D2's half-width; ``lu`` copies it
+    into LAPACK band storage for dgbtrf and ``solve_lu`` calls dgbtrs, where
+    plain BDF calls SuperLU.  scipy binds that pair per instance, so it is
+    rebound here; a singular factor raises StepUnderflow.
+    """
+
+    def __init__(self, fun, t0, y0, t_bound, **options):
+        super().__init__(fun, t0, y0, t_bound, **options)
+        d2 = second_difference_matrix(self.n).tocoo()
+        self.half_band = int(np.abs(d2.row - d2.col).max())
+        self.lu, self.solve_lu = self._band_lu, self._band_solve
+
+    def _band_lu(self, a: sp.csc_matrix):
+        self.nlu += 1
+        b = self.half_band
+        # dgbtrf's layout: a[i, j] at row 2b + i - j, with b rows of fill on
+        # top; Fortran order spares f2py a copy
+        band = np.zeros((3 * b + 1, self.n), order="F")
+        cols = np.repeat(np.arange(self.n), np.diff(a.indptr))
+        band[2 * b + a.indices - cols, cols] = a.data
+        lu, piv, info = dgbtrf(band, b, b, overwrite_ab=True)
+        if info > 0:
+            raise StepUnderflow(
+                f"BDF's Newton matrix is singular near k = {self.t:.6g}")
+        return lu, piv
+
+    def _band_solve(self, factor, rhs: np.ndarray) -> np.ndarray:
+        lu, piv = factor
+        b = self.half_band
+        return dgbtrs(lu, b, b, rhs, piv, overwrite_b=True)[0]
+
+
 def integrate(
     initial,
     k_from: float,
@@ -308,10 +347,12 @@ def integrate(
     regulator's kink scales inside the interval, so no step crosses a
     derivative discontinuity, and each evaluates the regulator on its own
     side of a kink.  Grid actions are stepped with BDF and the analytic
-    Jacobian, vertex actions with RK45.  Raises ConvexityLoss, carrying the
-    last convex state, where the curvature margin reaches zero or is
-    extrapolated to within CONVEXITY_HORIZON * k of it; ``k`` is the
-    extrapolated crossing scale.
+    Jacobian, its Newton matrix factored as a band of half-width 3; vertex
+    actions with RK45.  Raises ConvexityLoss, carrying the last convex
+    state, where the curvature margin reaches zero or is extrapolated to
+    within CONVEXITY_HORIZON * k of it; ``k`` is the extrapolated crossing
+    scale.  Raises StepUnderflow where the step underflows or the Newton
+    matrix is singular.
     """
     if not k_to <= k_from:
         raise SpecValidationError(
@@ -379,9 +420,10 @@ def integrate(
         lo = float(np.nextafter(seg_end, seg_start)) if seg_end in kinks else seg_end
         pending_loss.clear()
         if is_grid:
-            solver = BDF(rhs, seg_start, y, seg_end, rtol=rtol, atol=atol,
-                         jac=lambda k, y: jacobian_grid(
-                             initial.unpack(min(max(k, lo), hi), y), regulator, p0, w0))
+            solver = _BandBDF(rhs, seg_start, y, seg_end, rtol=rtol, atol=atol,
+                              jac=lambda k, y: jacobian_grid(
+                                  initial.unpack(min(max(k, lo), hi), y),
+                                  regulator, p0, w0))
         else:
             solver = RK45(rhs, seg_start, y, seg_end, rtol=rtol, atol=atol)
         try:
@@ -416,9 +458,10 @@ def integrate(
             stats["njev"] += solver.njev
             stats["nlu"] += solver.nlu
         finally:
-            # scipy's solvers hold closures over themselves; clearing the
-            # state breaks that cycle, so BDF's sparse LU factorization is
-            # freed now rather than at the next cyclic garbage collection
+            # scipy's solvers hold closures and bound methods over
+            # themselves; clearing the state breaks that cycle, so BDF's band
+            # LU factors are freed now rather than at the next cyclic
+            # garbage collection
             solver.__dict__.clear()
     return FlowTrajectory(checkpoints=snaps, stats=stats)
 

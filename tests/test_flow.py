@@ -4,11 +4,14 @@ from math import comb
 import numpy as np
 import pytest
 from scipy.integrate import DOP853
+from scipy.linalg.lapack import dgbtrf
+from scipy.sparse.linalg import splu
 
-from frgelab.errors import ConvexityLoss, SpecValidationError
+from frgelab.errors import ConvexityLoss, SpecValidationError, StepUnderflow
 from frgelab import flow as flow_module, functionals
 from frgelab.flow import (
     GridAction,
+    _BandBDF,
     _fourth_derivative_at_zero,
     VertexAction,
     classical_grid_values,
@@ -292,13 +295,15 @@ class TestIntegrate:
         assert abs(exc_info.value.k - np.sqrt(0.8)) <= 1e-3
         assert len(calls) < 2000
 
-    def test_grid_error_is_the_integrators(self, litim):
+    @pytest.mark.parametrize("nodes", [151, 1201])
+    def test_grid_error_is_the_integrators(self, litim, nodes):
         # classical start, k 100 -> 0 at default tolerances: the largest error
         # on |phi| <= 2 against a tight-tolerance run of the same grid ODE is
-        # 1.4e-7, at k = 1 (1.5e-7 at 301 nodes); rtol 1e-6 reads 7.8e-6 at k = 0
+        # 1.4e-7 at 151 nodes, at k = 1 (1.5e-7 at 301 nodes, 7.8e-8 at the
+        # benchmark's 1 201); rtol 1e-6 reads 7.8e-6 at k = 0
         spec = ModelSpec(dimension=0, modes=1, mass=1.0,
                          window=WindowParams(kind="scalar", r=1.0), c4=0.1,
-                         phi_max=4.5, phi_nodes=151)
+                         phi_max=4.5, phi_nodes=nodes)
         ctx = FunctionalContext(spec=spec, regulator=litim, self_check=False)
         init, _ = initial_condition(ctx, "classical", 100.0)
         scales = [10.0, 1.0, 0.0]
@@ -308,6 +313,23 @@ class TestIntegrate:
         mask = np.abs(init.grid) <= 2.0
         for (k, state), (_, exact) in zip(traj.checkpoints, ref.checkpoints):
             assert np.abs(state.values - exact.values)[mask].max() <= 5e-7, k
+
+    def test_grid_newton_matrix_is_band_factored(self, phi4_spec, litim,
+                                                  monkeypatch):
+        # BDF.lu and BDF.solve_lu are scipy internals: if scipy stops binding
+        # them per instance under these names, SuperLU would run unseen
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].shape)
+            return dgbtrf(*args, **kwargs)
+
+        monkeypatch.setattr(flow_module, "dgbtrf", counting)
+        ctx = FunctionalContext(spec=phi4_spec, regulator=litim, self_check=False)
+        init, _ = initial_condition(ctx, "classical", 20.0)
+        traj = integrate(init, 20.0, 0.0, litim)
+        assert 0 < len(calls) == traj.stats["nlu"]
+        assert set(calls) == {(10, init.grid.size)}
 
     def test_checkpoints_are_one_ordered_pass(self, line_spec, litim):
         # litim's kinks sit at k = |p| = 1, 2, ...: the checkpoint at 1 is a
@@ -385,6 +407,47 @@ class TestIntegrate:
         # litim's kink at k = |p| = 1: both sides are stepped up to one ulp of it
         assert 1.0 not in scales
         assert np.nextafter(1.0, 0.0) in scales and np.nextafter(1.0, 2.0) in scales
+
+
+class TestBandNewtonMatrix:
+    @staticmethod
+    def _solver(nodes, k, regulator):
+        """A band BDF on a convex grid action at scale k, and its Jacobian."""
+        grid = np.linspace(-2.0, 2.0, nodes)
+        state = GridAction(k=k, grid=grid, values=0.5 * grid**2 + 0.1 * grid**4)
+        jac = jacobian_grid(state, regulator)
+        solver = _BandBDF(lambda t, y: np.zeros_like(y), k, state.values, 0.0,
+                          jac=lambda t, y: jac)
+        return solver, jac
+
+    @pytest.mark.parametrize("nodes", [5, 301, 1201])
+    @pytest.mark.parametrize("k", [1.0, 0.0])
+    @pytest.mark.parametrize("step", [1e-3, 10.0])
+    def test_solve_matches_superlu(self, litim, nodes, k, step):
+        # BDF's c = h / alpha is negative on a downward flow.  c scales with
+        # the largest Jacobian entry, so cond(I - cJ) stays below 60 and the
+        # two factorisations agree to rounding.  At k = 0 litim's d_kF_k
+        # vanishes, so J = 0 and I - cJ = I
+        solver, jac = self._solver(nodes, k, litim)
+        assert solver.half_band == 3
+        a = solver.I + step / (abs(jac).max() or 1.0) * jac
+        factor = solver.lu(a)
+        reference = splu(a)
+        assert solver.nlu == 1
+        rng = np.random.default_rng(nodes)
+        # right-hand sides on the edge nodes, whose rows are the 4-point stencils
+        rhs = np.eye(nodes)[[0, 1, nodes - 2, nodes - 1]]
+        for b in [*rhs, rng.standard_normal(nodes)]:
+            expected = reference.solve(b)
+            x = solver.solve_lu(factor, b.copy())
+            assert np.abs(x - expected).max() <= 1e-13 * np.abs(expected).max()
+            if k == 0.0:
+                assert np.array_equal(x, b)
+
+    def test_singular_newton_matrix_raises(self, litim):
+        solver, _ = self._solver(301, 2.5, litim)
+        with pytest.raises(StepUnderflow, match="k = 2.5"):
+            solver.lu(0.0 * solver.I)
 
 
 class TestInitialConditions:
