@@ -6,6 +6,12 @@ integrand (measure, quadratic regulator term, linear source) is absorbed
 exactly, and the quadrature nodes are recentred on the tilted mean so
 large sources do not cause cancellation.  These values serve as ground
 truth for the flow integrator.
+
+Neither exponential of the kernel is evaluated where its result underflows.
+The log-sum-exp writes +0 for terms below -746, exactly what ``exp`` gives
+there.  The normalised weights are +0 below ln 2^-1022, where a weight is
+subnormal: under 2^-1022 of its lane's total, too small to move a moment's
+last bit.  The benchmark's outputs keep the bits of the full exponentials.
 """
 
 from __future__ import annotations
@@ -34,6 +40,10 @@ NEWTON_TOL = 1e-10
 NEWTON_MAX_ITER = 60
 RECENTRE_PASSES = 8  # quadrature recentrings before a source counts as out of range
 SCALE_CACHE_SIZE = 64  # scale records kept per context, least recently used dropped
+# exp(x) is exactly +0 below -746 and subnormal below ln 2^-1022; numpy's exp
+# is tens to a hundred times slower on such arguments than on normal ones
+_EXP_ZERO_BELOW = -746.0
+_EXP_NORMAL_FROM = -1022.0 * float(np.log(2.0))
 
 
 @dataclass
@@ -144,6 +154,16 @@ def _first_lane(tm: TiltedMoments) -> TiltedMoments:
     return TiltedMoments(float(tm.log_value[0]), tm.mean[0], tm.second_moment[0])
 
 
+def _exp_above(x: np.ndarray, floor: float) -> np.ndarray:
+    """exp(x) in place where x >= ``floor`` and +0 below it; returns ``x``.
+
+    NaN stays NaN and -inf gives +0, as with ``np.exp``.  The arguments below
+    the floor are never passed to ``exp``.
+    """
+    np.exp(x, out=x, where=x >= floor)
+    return np.maximum(x, 0.0, out=x)
+
+
 def _log_sum_exp(a: np.ndarray):
     """ln sum(exp(a)) along the last axis, with the arithmetic of
     ``scipy.special.logsumexp``.
@@ -163,7 +183,8 @@ def _log_sum_exp(a: np.ndarray):
         return out
     is_top = a == top[..., None]
     count = np.count_nonzero(is_top, axis=-1)
-    terms = np.exp(a - top[..., None])
+    # below the floor exp is +0 anyway, so the rows stay scipy's bits
+    terms = _exp_above(a - top[..., None], _EXP_ZERO_BELOW)
     terms[is_top] = 0.0
     return np.log1p(terms.sum(axis=-1) / count) + np.log(count) + top
 
@@ -240,15 +261,27 @@ def _moments(ctx, k, t, shift) -> TiltedMoments:
             # is exactly 1 while the nodes sit on mu
             m_c = mu[lanes]
             with _overflow_out_of_range(k):
+                step = (m_c - c) @ prec.T
+                # psi . step at every node.  With one mode it is one product:
+                # the stacked matmul would make one BLAS call per lane, which
+                # costs more than the arithmetic.  With more modes the matmul
+                # is the faster route.
+                if psi.shape[-1] == 1:
+                    psi_step = psi[..., 0] * step
+                else:
+                    psi_step = (psi @ step[:, :, None])[..., 0]
                 log_w = logw + (
-                    (psi @ ((m_c - c) @ prec.T)[:, :, None])[..., 0]
+                    psi_step
                     + 0.5 * np.sum((c @ prec) * c, axis=-1)[:, None]
                     - 0.5 * np.sum((m_c @ prec) * m_c, axis=-1)[:, None]
                 )
         log_terms = log_w - ctx.spec.interaction_batch(
             psi if shift is None else psi + shift[lanes][:, None, :])
         log_i0 = _log_sum_exp(log_terms)
-        omega = np.exp(log_terms - log_i0[:, None], out=log_terms)
+        # a weight below 2^-1022 of its lane's total is dropped: it is
+        # subnormal, slow to compute and too small to move the moments
+        log_terms -= log_i0[:, None]
+        omega = _exp_above(log_terms, _EXP_NORMAL_FROM)
         mean = (omega[:, None, :] @ psi)[:, 0, :]
         settled = np.linalg.norm(mean - c, axis=-1) <= 0.05 * scale
         if settled.any():

@@ -310,6 +310,25 @@ class TestKernel:
             ours = functionals._log_sum_exp(a)
         assert self.same(ours, scipy.special.logsumexp(a))
 
+    @pytest.mark.parametrize("name", ["_EXP_ZERO_BELOW", "_EXP_NORMAL_FROM"])
+    def test_exp_above_is_exp_above_its_floor_and_zero_below(self, name):
+        floor = getattr(functionals, name)
+        # normal results, the subnormal band (-745.13, -708.40) and exact
+        # zeros, with the special values
+        x = np.concatenate([np.linspace(-760.0, 5.0, 3061),
+                            [np.nan, -np.inf, np.inf, 0.0, -0.0, floor]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            ours = functionals._exp_above(x.copy(), floor)
+        above, below = x >= floor, x < floor
+        assert ours[above].tobytes() == np.exp(x[above]).tobytes()
+        assert ours[below].tobytes() == np.zeros(np.count_nonzero(below)).tobytes()
+        assert np.isnan(ours[np.isnan(x)]).all()
+        # the log-sum-exp floor drops only exact zeros; the weight floor
+        # drops only subnormals
+        assert not np.exp(x[x < functionals._EXP_ZERO_BELOW]).any()
+        assert (np.exp(x[below]) < np.finfo(float).tiny).all()
+
     def test_tensor_rule_over_the_node_cap_is_never_built(self, monkeypatch):
         spec = ModelSpec(dimension=1, modes=9, mass=1.0, momentum_spacing=1.0,
                          window=WindowParams(kind="identity"), c4=0.05)
@@ -329,6 +348,59 @@ class TestKernel:
         assert build(8, 2)[0].shape == (64, 2)
         with pytest.raises(BudgetExceeded):
             build(5, 3)
+
+
+class TestFrozenOracleBits:
+    """The acceptance phi^4 oracle's bytes, which a faster kernel must keep."""
+
+    FIELDS = [-4.5, -2.0, 0.0, 0.03, 3.0, 4.5]
+    # k -> (gamma_k values, inverting sources) at FIELDS
+    TRANSFORMS = {
+        10.0: ([51.23902993540378, 3.623210773899075, 0.0, 0.00045542645834774353,
+                12.65078702627153, 51.23902993540378],
+               [-490.9930923564584, -205.22268047799605, 0.0, 3.0303671619852435,
+                313.83219580394956, 490.9930923564572]),
+        1.0: ([52.36226286520238, 4.155352699273568, 0.0, 0.0006508893908837562,
+               13.47083188360238, 52.362262865202354],
+              [-45.65538701057879, -7.550044855295898, 0.0, 0.07339626925512685,
+               17.081267292965137, 45.655387010577485]),
+        0.0: ([52.59295237918559, 4.3246865551410085, 0.0, 0.0007311218774300459,
+               13.679975803670459, 52.59295237918559],
+              [-41.161700691313904, -5.612449194985268, 0.0, 0.048744208824051186,
+               14.105490693936167, 41.161700691314635]),
+    }
+
+    @pytest.mark.parametrize("k", sorted(TRANSFORMS))
+    def test_acceptance_transform_bytes_frozen(self, phi4_ctx, k):
+        values, solve = legendre_transform(phi4_ctx, k, self.FIELDS)
+        frozen_values, frozen_sources = self.TRANSFORMS[k]
+        assert values.tobytes() == np.array(frozen_values).tobytes()
+        assert solve.source[:, 0].tobytes() == np.array(frozen_sources).tobytes()
+
+    def test_three_mode_kernel_bytes_frozen(self, line_spec, litim):
+        # a 16^3-node rule, whose moments take the normalised-weight floor
+        # and the importance ratio's per-lane matrix product
+        ctx = FunctionalContext(spec=line_spec, regulator=litim)
+        tm = tilted_moments(ctx, 1.0, [[0.5, -1.0, 2.0], [3.0, 0.2, -0.7],
+                                       [-6.0, 4.0, 1.0]])
+        assert tm.log_value.tobytes() == np.array(
+            [0.873274161708457, 1.8849103399002782, 11.267278727348746]).tobytes()
+        assert tm.mean.tobytes() == np.array([
+            [0.23710976468237036, -0.4806329736670615, 0.9434694216005275],
+            [1.407315716750442, 0.09311697677742596, -0.34627927889949384],
+            [-2.4564744402624035, 1.6173825224490697, 0.37084933286774496],
+        ]).tobytes()
+        assert tm.second_moment.tobytes() == np.array([
+            [[0.5296851651240939, -0.12390558349991192, 0.22106511156253797],
+             [-0.12390558349991188, 0.6971700687564946, -0.44880110341092716],
+             [0.221065111562538, -0.44880110341092716, 1.3489944516351418]],
+            [[2.4286025043155446, 0.1338666086651779, -0.4916507835443159],
+             [0.1338666086651779, 0.46388388476758957, -0.04371912725227325],
+             [-0.4916507835443159, -0.04371912725227324, 0.5822705881143745]],
+            [[6.401995399494728, -3.8986759937436486, -0.8874531805587649],
+             [-3.898675993743649, 3.0345090542861333, 0.5724798501447314],
+             [-0.8874531805587649, 0.5724798501447314, 0.606966164194201]],
+        ]).tobytes()
 
 
 class TestSweepReusesNewtonMoments:
