@@ -254,9 +254,10 @@ def _w_grid(ctx: FunctionalContext, t_axis: np.ndarray) -> GridFunction:
 
 def _char_probe(spec, t) -> np.ndarray:
     """E[cos(t psi_1)] under the interacting measure at every source in t,
-    by the oracle's tensor Gauss-Hermite rule mapped through the measure's
-    Cholesky factor."""
-    nodes, logw = gauss_hermite_nodes(default_level(spec.modes), spec.modes)
+    by a tensor Gauss-Hermite rule mapped through the measure's Cholesky
+    factor."""
+    level = PROBE_GH_LEVEL_1D if spec.modes == 1 else default_level(spec.modes)
+    nodes, logw = gauss_hermite_nodes(level, spec.modes)
     psi = nodes @ build_measure(spec).chol.T
     log_terms = logw - spec.interaction_batch(psi)
     w = np.exp(log_terms - log_terms.max())
@@ -264,12 +265,15 @@ def _char_probe(spec, t) -> np.ndarray:
 
 
 # W_0 on DUAL_NODES of [-DUAL_RADIUS, DUAL_RADIUS], Gamma_0 = W_0* on PRIMAL_NODES
-# of [-aw_rho, aw_rho], and E[cos(t psi)] at PROBE_SOURCES by the oracle's
-# Gauss-Hermite rule
+# of [-aw_rho, aw_rho], and E[cos(t psi)] at PROBE_SOURCES by a Gauss-Hermite
+# rule of PROBE_GH_LEVEL_1D nodes for one mode.  That rule keeps the untilted
+# measure's width, so it takes twice the level of the oracle kernel, whose
+# rule sits on each tilted measure.
 DUAL_RADIUS = 3.0
 DUAL_NODES = 161
 PRIMAL_NODES = 1201
 PROBE_SOURCES = (0.5, 1.0, 2.0)
+PROBE_GH_LEVEL_1D = 128
 
 
 def convergence_suite(

@@ -39,7 +39,15 @@ class NewtonStalled(FrgeLabError):
 
 
 class RangeExceeded(FrgeLabError):
-    """Requested mean field lies outside the numerically reachable range."""
+    """Requested mean field lies outside the numerically reachable range.
+
+    ``lane`` is the position, in the batch that was evaluated, of the source
+    or field the message names; None where no one lane is at fault.
+    """
+
+    def __init__(self, message, lane=None):
+        super().__init__(message)
+        self.lane = lane
 
 
 class ConvexityLoss(FrgeLabError):

@@ -3,9 +3,19 @@
 Everything here is computed by Gauss-Hermite quadrature after a
 shifted-Gaussian change of variables: the Gaussian content of the tilted
 integrand (measure, quadratic regulator term, linear source) is absorbed
-exactly, and the quadrature nodes are recentred on the tilted mean so
-large sources do not cause cancellation.  These values serve as ground
-truth for the flow integrator.
+exactly, and what remains, exp(-S^int), is integrated against it.  These
+values serve as ground truth for the flow integrator.
+
+The rule is adaptive (Naylor & Smith, Appl. Stat. 31, 1982; Liu & Pierce,
+Biometrika 81, 1994): each lane places its nodes c + L x with its own
+centre c and Cholesky factor L, weighted by the importance ratio of the
+Gaussian part to N(c, L L^T), and re-places them on the tilted mean and
+covariance it measured until both settle.  Callers that know where a
+lane's tilted measure lies start the rule there: the mean-field Newton
+solve on the field and its last tilted covariance, the W self-check on the
+direct route's moments moved by the shift.  A rule on the tilted measure's
+own width needs level 64 for one mode, where a rule of the Gaussian part's
+width needed 128 and still fell short of the budget at large fields.
 
 Neither exponential of the kernel is evaluated where its result underflows.
 The log-sum-exp writes +0 for terms below -746, exactly what ``exp`` gives
@@ -19,6 +29,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 import scipy.linalg as sla
@@ -38,12 +49,15 @@ from .regulator import Regulator, regulator_diagonals
 BUDGET = 1e-10  # stated oracle accuracy; scales the W self-check margin
 NEWTON_TOL = 1e-10
 NEWTON_MAX_ITER = 60
-RECENTRE_PASSES = 8  # quadrature recentrings before a source counts as out of range
+RECENTRE_PASSES = 8  # rule placements before a source counts as out of range
+SETTLED = 0.05  # a lane settles once its mean and width move by at most this, in rule widths
+WIDTH_FLOOR = 0.1  # smallest factor by which one pass narrows a rule
 SCALE_CACHE_SIZE = 64  # scale records kept per context, least recently used dropped
 # exp(x) is exactly +0 below -746 and subnormal below ln 2^-1022; numpy's exp
 # is tens to a hundred times slower on such arguments than on normal ones
 _EXP_ZERO_BELOW = -746.0
 _EXP_NORMAL_FROM = -1022.0 * float(np.log(2.0))
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass
@@ -51,14 +65,16 @@ class ScaleRecord:
     """The regularised Gaussian of one scale k.
 
     ``f`` and ``f_dot`` are the diagonals of F_k = R_k(p) w and d_k F_k,
-    ``prec`` = C^-1 + F_k, ``sigma`` its inverse with Cholesky factor
-    ``chol_s`` and ``logdet_s`` = ln det sigma.  ``moments`` holds the
-    zero-source tilted moments (ln N_k and its measure) once first asked for.
+    ``prec`` = C^-1 + F_k with Cholesky factor ``chol_p``, ``sigma`` its
+    inverse with Cholesky factor ``chol_s`` and ``logdet_s`` = ln det sigma.
+    ``moments`` holds the zero-source tilted moments (ln N_k and its
+    measure) once first asked for.
     """
 
     f: np.ndarray
     f_dot: np.ndarray
     prec: np.ndarray
+    chol_p: np.ndarray
     sigma: np.ndarray
     chol_s: np.ndarray
     logdet_s: float
@@ -97,12 +113,14 @@ class FunctionalContext:
             f=f,
             f_dot=f_dot,
             prec=prec,
+            chol_p=chol_p,
             sigma=sigma,
             chol_s=sla.cholesky(0.5 * (sigma + sigma.T), lower=True),
             logdet_s=-2.0 * float(np.sum(np.log(np.diag(chol_p)))),
         )
         # every caller of this scale shares the arrays
-        for a in (record.f, record.f_dot, record.prec, record.sigma, record.chol_s):
+        for a in (record.f, record.f_dot, record.prec, record.chol_p, record.sigma,
+                  record.chol_s):
             a.setflags(write=False)
         self._scales[key] = record
         if len(self._scales) > SCALE_CACHE_SIZE:
@@ -112,20 +130,25 @@ class FunctionalContext:
 
 @dataclass(frozen=True)
 class TiltedMoments:
-    """log E_nu[exp(T.psi - S^int(psi+shift) - F_k/2 psi.psi)] with moments
-    of the corresponding normalized tilted measure.
+    """log E_nu[exp(T.psi - S^int(psi+shift) - F_k/2 psi.psi)] with the mean
+    and covariance of the corresponding normalized tilted measure.
 
-    For one source the fields are a float, an (M,) mean and an (M, M)
-    second moment; for a batch of B sources each gains a leading axis B.
+    ``log_interaction`` is the interaction's share of ``log_value``,
+    ln E[exp(-S^int(psi+shift))] under the Gaussian part N(Sigma T, Sigma);
+    the rest, T.Sigma T / 2 + ln sqrt(det Sigma / det C), grows like
+    k^2 |T|^2 / k^4 and is exact.  For one source the fields are floats,
+    an (M,) mean and an (M, M) covariance; for a batch of B sources each
+    gains a leading axis B.
     """
 
     log_value: float | np.ndarray
+    log_interaction: float | np.ndarray
     mean: np.ndarray
-    second_moment: np.ndarray
+    cov: np.ndarray
 
     @property
-    def cov(self) -> np.ndarray:
-        return self.second_moment - self.mean[..., :, None] * self.mean[..., None, :]
+    def second_moment(self) -> np.ndarray:
+        return self.cov + self.mean[..., :, None] * self.mean[..., None, :]
 
 
 @dataclass(frozen=True)
@@ -151,7 +174,8 @@ def _lanes(ctx: FunctionalContext, x) -> tuple[np.ndarray, bool]:
 
 def _first_lane(tm: TiltedMoments) -> TiltedMoments:
     """The moments of a batch's first lane, shaped as for a single source."""
-    return TiltedMoments(float(tm.log_value[0]), tm.mean[0], tm.second_moment[0])
+    return TiltedMoments(float(tm.log_value[0]), float(tm.log_interaction[0]),
+                         tm.mean[0], tm.cov[0])
 
 
 def _exp_above(x: np.ndarray, floor: float) -> np.ndarray:
@@ -182,7 +206,7 @@ def _log_sum_exp(a: np.ndarray):
         out[finite] = _log_sum_exp(a[finite])
         return out
     is_top = a == top[..., None]
-    count = np.count_nonzero(is_top, axis=-1)
+    count = is_top.sum(axis=-1)
     # below the floor exp is +0 anyway, so the rows stay scipy's bits
     terms = _exp_above(a - top[..., None], _EXP_ZERO_BELOW)
     terms[is_top] = 0.0
@@ -190,33 +214,50 @@ def _log_sum_exp(a: np.ndarray):
 
 
 def tilted_moments(
-    ctx: FunctionalContext, k: float, t_vec=None, shift=None
+    ctx: FunctionalContext, k: float, t_vec=None, shift=None, start=None
 ) -> TiltedMoments:
     """Tilted moments at the source ``t_vec``, of shape (M,) or a batch (B, M).
 
-    Each lane's quadrature nodes are recentred on its tilted mean until the
-    mean moves by at most 5 % of the narrowest width; a settled lane is
-    frozen while the others go on.  ``shift`` is one (M,) vector or one per
-    lane.  A batch whose rows (lanes times rule nodes) exceed
-    ``measure.MAX_GH_NODES`` is evaluated in chunks of lanes.
+    Each lane places its quadrature rule with its own centre c and
+    Cholesky factor L, and re-places it on the tilted mean and covariance
+    it measured until the mean moves by at most 5 % of the rule's width and
+    the width by at most 5 %; a settled lane is frozen while the others go
+    on.  ``start`` = (centre, cov) is where the caller expects each lane's
+    tilted mean and covariance, one (M,) and (M, M) pair or one per lane;
+    without it the first rule sits on the Gaussian part of the integrand.
+    ``shift`` is one (M,) vector or one per lane.  A batch whose rows (lanes
+    times rule nodes) exceed ``measure.MAX_GH_NODES`` is evaluated in chunks
+    of lanes.
 
     Raises :class:`RangeExceeded`, naming the first such source, if a mean
-    has not settled after ``RECENTRE_PASSES`` recentrings: the source lies
+    or width has not settled after ``RECENTRE_PASSES`` placements or if a
+    rule is narrower than the rounding of its centre: the source lies
     outside the range the rule resolves.
     """
     m = ctx.measure.dim
     t, single = _lanes(ctx, np.zeros(m) if t_vec is None else t_vec)
     if shift is not None:
         shift = np.broadcast_to(np.asarray(shift, dtype=float).reshape(-1, m), t.shape)
+    if start is not None:
+        start = (np.broadcast_to(np.asarray(start[0], dtype=float).reshape(-1, m), t.shape),
+                 np.broadcast_to(np.asarray(start[1], dtype=float).reshape(-1, m, m),
+                                 t.shape + (m,)))
     width = max(1, measure.MAX_GH_NODES // ctx.gh_level**m)  # lanes per chunk
-    parts = [
-        _moments(ctx, k, t[i:i + width], None if shift is None else shift[i:i + width])
-        for i in range(0, len(t), width)
-    ]
+    parts = []
+    for i in range(0, len(t), width):
+        try:
+            parts.append(_moments(
+                ctx, k, t[i:i + width], None if shift is None else shift[i:i + width],
+                None if start is None else (start[0][i:i + width], start[1][i:i + width])))
+        except RangeExceeded as exc:
+            if exc.lane is not None:
+                exc.lane += i
+            raise
     tm = parts[0] if len(parts) == 1 else TiltedMoments(
         np.concatenate([p.log_value for p in parts]),
+        np.concatenate([p.log_interaction for p in parts]),
         np.concatenate([p.mean for p in parts]),
-        np.concatenate([p.second_moment for p in parts]),
+        np.concatenate([p.cov for p in parts]),
     )
     return _first_lane(tm) if single else tm
 
@@ -235,69 +276,167 @@ def _overflow_out_of_range(k):
         ) from None
 
 
-def _moments(ctx, k, t, shift) -> TiltedMoments:
-    """The tilted moments of a (B, M) batch of sources, all lanes at once."""
-    record = ctx.scale(k)
-    prec = record.prec
-    with _overflow_out_of_range(k):
-        mu = t @ record.sigma.T
-        log_gauss = (0.5 * np.sum(t * mu, axis=-1)
-                     + 0.5 * (record.logdet_s - ctx.measure.logdet))
+@dataclass(frozen=True)
+class _Rule:
+    """A tensor Gauss-Hermite rule for N(0, I_M) as the kernel reads it.
 
-    nodes, logw = gauss_hermite_nodes(ctx.gh_level, ctx.measure.dim)
-    scaled = nodes @ record.chol_s.T
-    scale = float(np.sqrt(np.diag(record.sigma).min()))
-    log_value = np.empty(len(t))
+    A lane's quantities at every node x are one product of a small per-lane
+    matrix with one of these.  ``place`` has the columns [1, x] (psi =
+    c + L x) and ``ratio`` [x, x_i x_j (i <= j), ln w] (a quadratic in x,
+    less its constant, plus the log-weight), one column per node;
+    ``moments`` has the rows [x, x_i x_j], one row per node.
+    ``pairs`` holds the flat (M, M) indices of the products x_i x_j,
+    ``pair_scale`` is 1/2 on the
+    squares and 1 elsewhere (x.Q x / 2 over the pairs), and ``pair_of`` maps
+    (i, j) to the column of x_i x_j in ``moments``' pair block.  A measured mean
+    farther than ``reach``, half the outermost node, from the centre lies
+    beyond what the rule resolves.
+    """
+
+    place: np.ndarray
+    ratio: np.ndarray
+    moments: np.ndarray
+    pairs: np.ndarray
+    pair_scale: np.ndarray
+    pair_of: np.ndarray
+    reach: float
+
+
+@lru_cache(maxsize=8)
+def _rule(level: int, dim: int) -> _Rule:
+    nodes, logw = gauss_hermite_nodes(level, dim)
+    pairs = np.triu_indices(dim)
+    products = nodes[:, pairs[0]] * nodes[:, pairs[1]]
+    ones = np.ones((len(nodes), 1))
+    pair_of = np.empty((dim, dim), dtype=np.intp)
+    pair_of[pairs] = pair_of[pairs[::-1]] = np.arange(len(pairs[0]))
+    rule = _Rule(
+        place=np.hstack([ones, nodes]).T.copy(),
+        ratio=np.hstack([nodes, products, logw[:, None]]).T.copy(),
+        moments=np.hstack([nodes, products]),
+        pairs=pairs[0] * dim + pairs[1],
+        pair_scale=np.where(pairs[0] == pairs[1], 0.5, 1.0),
+        pair_of=pair_of,
+        reach=0.5 * float(np.abs(nodes).max()),
+    )
+    for a in (rule.place, rule.ratio, rule.moments, rule.pairs, rule.pair_scale,
+              rule.pair_of):
+        a.setflags(write=False)
+    return rule
+
+
+def _cholesky(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lower Cholesky factors of a (B, M, M) batch of symmetric matrices and
+    which lanes have one.
+
+    A lane whose matrix is not positive definite, or not finite, is marked
+    false; no error or warning is raised.
+    """
+    try:
+        factor = np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        factor = np.full_like(a, np.nan)
+        for i, lane in enumerate(a):
+            try:
+                factor[i] = np.linalg.cholesky(lane)
+            except np.linalg.LinAlgError:
+                pass
+    return factor, np.isfinite(factor).all(axis=(-2, -1))
+
+
+def _moments(ctx, k, t, shift, start) -> TiltedMoments:
+    """The tilted moments of a (B, M) batch of sources, all lanes at once."""
+    with _overflow_out_of_range(k):
+        return _placed_moments(ctx, k, t, shift, start)
+
+
+def _placed_moments(ctx, k, t, shift, start) -> TiltedMoments:
+    record = ctx.scale(k)
+    m = t.shape[-1]
+    root = record.chol_p
+    eye = np.eye(m)
+    rule = _rule(ctx.gh_level, m)
+    mu = t @ record.sigma.T
+    log_gauss = 0.5 * ((t * mu).sum(axis=-1) + record.logdet_s - ctx.measure.logdet)
+    if start is None:
+        centre = mu.copy()
+        factor = np.repeat(record.chol_s[None], len(t), axis=0)
+    else:
+        # a start covariance without a factor gives way to the Gaussian part's
+        centre = np.array(start[0])
+        factor, ok = _cholesky(start[1])
+        factor[~ok] = record.chol_s
+
+    log_i0_out = np.empty(len(t))
     mean_out = np.empty_like(t)
-    second_out = np.empty(t.shape + t.shape[-1:])
-    centre = mu.copy()
-    lanes = np.arange(len(t))  # the lanes still recentring
-    for recentred in range(RECENTRE_PASSES):
-        c = centre[lanes]
-        psi = scaled + c[:, None, :]
-        log_w = logw
-        if recentred:
-            # importance ratio N(psi; mu, Sigma) / N(psi; centre, Sigma), which
-            # is exactly 1 while the nodes sit on mu
-            m_c = mu[lanes]
-            with _overflow_out_of_range(k):
-                step = (m_c - c) @ prec.T
-                # psi . step at every node.  With one mode it is one product:
-                # the stacked matmul would make one BLAS call per lane, which
-                # costs more than the arithmetic.  With more modes the matmul
-                # is the faster route.
-                if psi.shape[-1] == 1:
-                    psi_step = psi[..., 0] * step
-                else:
-                    psi_step = (psi @ step[:, :, None])[..., 0]
-                log_w = logw + (
-                    psi_step
-                    + 0.5 * np.sum((c @ prec) * c, axis=-1)[:, None]
-                    - 0.5 * np.sum((m_c @ prec) * m_c, axis=-1)[:, None]
-                )
-        log_terms = log_w - ctx.spec.interaction_batch(
+    cov_out = np.empty(t.shape + (m,))
+    lanes = np.arange(len(t))  # the lanes not yet settled
+    for _ in range(RECENTRE_PASSES):
+        c, chol, mu_c = centre[lanes], factor[lanes], mu[lanes]
+        diag = chol.diagonal(axis1=1, axis2=2)
+        # nodes c + L x are distinct only while L exceeds the rounding of c
+        blurred = _EPS * np.abs(c) >= diag
+        if blurred.any():
+            lane = int(lanes[blurred.any(axis=-1).argmax()])
+            raise RangeExceeded(
+                f"the quadrature rule is narrower than the rounding of its centre "
+                f"at k={k}, source={t[lane]}; the source lies outside the "
+                f"resolvable range", lane=lane)
+        # ln N(psi; mu, Sigma) - ln N(psi; c, L L^T) at psi = c + L x is
+        # x.Q x / 2 - (A^T a).x - |a|^2 / 2 + ln det L + ln det R, with
+        # A = R^T L, a = R^T (c - mu), Q = I - A^T A and R R^T = Sigma^-1.
+        # The constant, which can be large, is added after the sum over the
+        # nodes, so its rounding does not reach the weights.
+        a_mat = root.T @ chol
+        a_vec = (c - mu_c) @ root
+        coef = np.empty((len(lanes), len(rule.ratio)))
+        coef[:, :m] = -(a_vec[:, None, :] @ a_mat)[:, 0, :]
+        coef[:, m:-1] = (eye - a_mat.mT @ a_mat).reshape(-1, m * m)[:, rule.pairs]
+        coef[:, m:-1] *= rule.pair_scale
+        coef[:, -1] = 1.0
+        log_terms = (coef[:, None, :] @ rule.ratio)[:, 0, :]
+        constant = (np.log(diag).sum(axis=-1)
+                    - 0.5 * (record.logdet_s + (a_vec * a_vec).sum(axis=-1)))
+        psi = (np.concatenate([c[:, :, None], chol], axis=2) @ rule.place).mT
+        log_terms -= ctx.spec.interaction_batch(
             psi if shift is None else psi + shift[lanes][:, None, :])
         log_i0 = _log_sum_exp(log_terms)
         # a weight below 2^-1022 of its lane's total is dropped: it is
         # subnormal, slow to compute and too small to move the moments
         log_terms -= log_i0[:, None]
         omega = _exp_above(log_terms, _EXP_NORMAL_FROM)
-        mean = (omega[:, None, :] @ psi)[:, 0, :]
-        settled = np.linalg.norm(mean - c, axis=-1) <= 0.05 * scale
+        # mean and covariance in the rule's own coordinates x = L^-1 (psi - c)
+        moments = (omega[:, None, :] @ rule.moments)[:, 0, :]
+        mx = moments[:, :m]
+        cov_x = moments[:, m:][:, rule.pair_of] - mx[:, :, None] * mx[:, None, :]
+        mean = c + (chol @ mx[:, :, None])[..., 0]
+        # settled: the mean moved by at most SETTLED of the rule's width, and
+        # the covariance is the rule's own to 2 SETTLED, its widths to SETTLED
+        moved = (mx * mx).sum(axis=-1)
+        settled = (moved <= SETTLED**2) & (np.abs(cov_x - eye).max(axis=(1, 2)) <= 2 * SETTLED)
         if settled.any():
             done = lanes[settled]
-            log_value[done] = log_gauss[done] + log_i0[settled]
+            log_i0_out[done] = (log_i0 + constant)[settled]
             mean_out[done] = mean[settled]
-            psi_s = psi[settled]
-            second_out[done] = (omega[settled][..., None] * psi_s).transpose(0, 2, 1) @ psi_s
-        lanes = lanes[~settled]
+            cov_out[done] = (chol @ cov_x @ chol.mT)[settled]
+        going = ~settled
+        lanes = lanes[going]
         if lanes.size == 0:
-            return TiltedMoments(log_value, mean_out, second_out)
-        centre[lanes] = mean[~settled]
+            return TiltedMoments(log_gauss + log_i0_out, log_i0_out, mean_out, cov_out)
+        # the next rule's width; a measure narrower than the rule's node
+        # spacing is seen by few nodes and looks narrower still, so the rule
+        # shrinks by at most 1/WIDTH_FLOOR per pass.  A measure beyond the
+        # rule's reach piles the weights onto its edge nodes, where they
+        # measure no width: the rule moves towards it, as wide as the
+        # Gaussian part of the integrand
+        step, ok = _cholesky(cov_x[going] + WIDTH_FLOOR**2 * eye)
+        reached = ok & (moved[going] <= rule.reach**2)
+        centre[lanes] = mean[going]
+        factor[lanes] = np.where(reached[:, None, None], chol[going] @ step, record.chol_s)
     raise RangeExceeded(
-        f"tilted mean did not settle after {RECENTRE_PASSES} recentrings at "
-        f"k={k}, source={t[lanes[0]]}; the source lies outside the resolvable range"
-    )
+        f"tilted measure did not settle after {RECENTRE_PASSES} placements at "
+        f"k={k}, source={t[lanes[0]]}; the source lies outside the resolvable range",
+        lane=int(lanes[0]))
 
 
 def _zero_source(ctx: FunctionalContext, k: float) -> TiltedMoments:
@@ -319,10 +458,15 @@ def W(ctx: FunctionalContext, k: float, t_vec):
 
     Computed directly and, when self-checking is enabled, re-derived through
     the shifted-measure representation; the two routes must agree within
-    ten times the accuracy budget.
+    ten times the accuracy budget.  Each lane's rule starts where the
+    zero-source measure's linear response puts the tilted measure: at its
+    mean moved by its covariance times the source, as wide as it.
     """
     t, single = _lanes(ctx, t_vec)
-    w = _checked_w(ctx, k, t, tilted_moments(ctx, k, t))
+    zero = _zero_source(ctx, k)
+    with _overflow_out_of_range(k):
+        centre = zero.mean + t @ zero.cov
+    w = _checked_w(ctx, k, t, tilted_moments(ctx, k, t, start=(centre, zero.cov)))
     return float(w[0]) if single else w
 
 
@@ -333,7 +477,7 @@ def _checked_w(ctx, k, t, moments: TiltedMoments) -> np.ndarray:
     ln_n = log_normalization(ctx, k)
     direct = moments.log_value - ln_n
     if ctx.self_check:
-        shifted, scale = _w_shifted_form(ctx, k, t, ln_n)
+        shifted, scale = _w_shifted_form(ctx, k, t, ln_n, moments)
         # the shifted route cancels terms of size ``scale``; allow for the
         # roundoff and quadrature error that cancellation amplifies
         tol = 10.0 * BUDGET * (1.0 + np.abs(direct)) + 1e-11 * scale**2
@@ -347,15 +491,18 @@ def _checked_w(ctx, k, t, moments: TiltedMoments) -> np.ndarray:
     return direct
 
 
-def _w_shifted_form(ctx, k, t, ln_n):
+def _w_shifted_form(ctx, k, t, ln_n, moments):
     """W of a (B, M) batch via the shift identity: tilt each lane by its
-    Cameron-Martin representative."""
+    Cameron-Martin representative phi0.  The shifted integrand's tilted
+    measure is the direct one's ``moments`` moved by -phi0, which places
+    each lane's rule."""
     phi0 = r_nu(ctx.measure, t.T).T
     f_diag = ctx.scale(k).f
     with _overflow_out_of_range(k):
         inner = np.sum(t * phi0, axis=-1)
         quad = np.sum(phi0 * (f_diag * phi0), axis=-1)
-        tm = tilted_moments(ctx, k, -(f_diag * phi0), shift=phi0)
+        tm = tilted_moments(ctx, k, -(f_diag * phi0), shift=phi0,
+                            start=(moments.mean - phi0, moments.cov))
         value = 0.5 * inner - 0.5 * quad + tm.log_value - ln_n
         scale = 1.0 + np.abs(inner) + np.abs(quad)
     return value, scale
@@ -377,12 +524,15 @@ def invert_mean_field(ctx: FunctionalContext, k: float, phi) -> MeanFieldSolve:
     Newton with a backtracking line search on the residual, run on every
     lane at once: each lane starts from J = (C^-1 + F_k) phi, keeps its own
     step length and is masked out once its residual is within
-    ``NEWTON_TOL``.  Errors name the first field that fails.
+    ``NEWTON_TOL``.  Every kernel call places a lane's rule on its field,
+    as wide as the lane's tilted measure last was (at the start, as wide as
+    the scale's zero-source measure).  Errors name the first field that
+    fails.
     """
     phis, single = _lanes(ctx, phi)
     with _overflow_out_of_range(k):
         j = phis @ ctx.scale(k).prec.T
-    tm = tilted_moments(ctx, k, j)
+    tm = _moments_of_fields(ctx, k, j, phis, _zero_source(ctx, k).cov)
     finite = np.isfinite(tm.mean).all(axis=-1) & np.isfinite(tm.cov).all(axis=(-2, -1))
     if not finite.all():
         raise RangeExceeded(
@@ -390,7 +540,7 @@ def invert_mean_field(ctx: FunctionalContext, k: float, phi) -> MeanFieldSolve:
             f"phi={phis[np.argmin(finite)]}, k={k}; the field lies outside "
             f"the resolvable range"
         )
-    log_value, mean, second = tm.log_value, tm.mean, tm.second_moment
+    log_value, log_i0, mean, cov = tm.log_value, tm.log_interaction, tm.mean, tm.cov
     res_norm = np.linalg.norm(mean - phis, axis=-1)
     # a source far beyond the cold start diverged; the cold start itself
     # grows like k^2 |phi|, and a bound past the float range is no bound
@@ -402,7 +552,7 @@ def invert_mean_field(ctx: FunctionalContext, k: float, phi) -> MeanFieldSolve:
         if lanes.size == 0:
             break
         iterations += lanes.size
-        step = _newton_step(k, phis, lanes, mean, second)
+        step = _newton_step(k, phis, lanes, mean, cov)
         alpha = np.ones(lanes.size)
         trying = np.arange(lanes.size)  # lanes (by position) still searching
         while trying.size:
@@ -414,15 +564,16 @@ def invert_mean_field(ctx: FunctionalContext, k: float, phi) -> MeanFieldSolve:
                     f"source magnitude diverged inverting the mean field at "
                     f"phi={phis[at[np.argmax(far)]]}, k={k}"
                 )
-            tm_try = tilted_moments(ctx, k, j_try)
+            tm_try = _moments_of_fields(ctx, k, j_try, phis[at], cov[at])
             new_norm = np.linalg.norm(tm_try.mean - phis[at], axis=-1)
             ok = (new_norm < res_norm[at] * (1.0 - 1e-4 * alpha[trying])) | (
                 new_norm <= NEWTON_TOL)
             took = at[ok]
             j[took] = j_try[ok]
             log_value[took] = tm_try.log_value[ok]
+            log_i0[took] = tm_try.log_interaction[ok]
             mean[took] = tm_try.mean[ok]
-            second[took] = tm_try.second_moment[ok]
+            cov[took] = tm_try.cov[ok]
             res_norm[took] = new_norm[ok]
             trying = trying[~ok]
             alpha[trying] *= 0.5
@@ -440,18 +591,29 @@ def invert_mean_field(ctx: FunctionalContext, k: float, phi) -> MeanFieldSolve:
             f"Newton did not reach tolerance {NEWTON_TOL:.1e}; residual "
             f"{res_norm[i]:.3e} at phi={phis[i]}, k={k}"
         )
-    tm = TiltedMoments(log_value, mean, second)
+    tm = TiltedMoments(log_value, log_i0, mean, cov)
     if single:
         return MeanFieldSolve(j[0], float(res_norm[0]), iterations, _first_lane(tm))
     return MeanFieldSolve(j, res_norm, iterations, tm)
 
 
-def _newton_step(k, phis, lanes, mean, second) -> np.ndarray:
-    """Newton steps -cov^-1 (mean - phi) of the given lanes."""
-    m = mean[lanes]
-    cov = second[lanes] - m[:, :, None] * m[:, None, :]
+def _moments_of_fields(ctx, k, j, phis, cov) -> TiltedMoments:
+    """Tilted moments at the sources ``j`` of the fields ``phis``, each
+    lane's rule placed on its field with covariance ``cov``; a source the
+    kernel cannot resolve raises :class:`RangeExceeded` naming its field."""
     try:
-        return np.linalg.solve(cov, (phis[lanes] - m)[:, :, None])[..., 0]
+        return tilted_moments(ctx, k, j, start=(phis, cov))
+    except RangeExceeded as exc:
+        if exc.lane is None:
+            raise
+        raise RangeExceeded(f"{exc} (phi={phis[exc.lane]})", lane=exc.lane) from None
+
+
+def _newton_step(k, phis, lanes, mean, cov) -> np.ndarray:
+    """Newton steps -cov^-1 (mean - phi) of the given lanes."""
+    cov = cov[lanes]
+    try:
+        return np.linalg.solve(cov, (phis[lanes] - mean[lanes])[:, :, None])[..., 0]
     except np.linalg.LinAlgError:
         singular = lanes[np.linalg.det(cov) == 0.0]
         raise RangeExceeded(
@@ -465,17 +627,27 @@ def legendre_transform(ctx: FunctionalContext, k: float, fields):
     """Effective average action at every field of a batch.
 
     ``fields`` is a sequence of B fields, each of shape (M,) (a float for
-    M = 1); one (M,) field is a batch of one.  Returns ``(values, solve)``: the (B,) values
-    gamma_k(phi) = J.phi - W_k(J) - F_k(phi, phi)/2 at the inverting sources
-    J, and the one batched :class:`MeanFieldSolve` that found them.  W_k(J)
-    comes from the inversion's own tilted moments, self-checked per lane.
+    M = 1); one (M,) field is a batch of one.  Returns ``(values, solve)``:
+    the (B,) values gamma_k(phi) = J.phi - W_k(J) - F_k(phi, phi)/2 at the
+    inverting sources J, and the one batched :class:`MeanFieldSolve` that
+    found them.
+
+    With mu = Sigma J the value is formed as phi.C^-1 phi / 2 - (phi - mu).
+    (C^-1 + F_k)(phi - mu) / 2 - ln I(J) + ln I(0), ln I being the tilted
+    moments' ``log_interaction``: the terms of size k^2 |phi|^2 that J.phi,
+    W_k(J) and F_k(phi, phi) cancel are never formed.  ln I(J) comes from the
+    inversion's own tilted moments, whose W_k(J) is self-checked per lane.
     """
     phis, _ = _lanes(ctx, fields)
     solve = invert_mean_field(ctx, k, phis)
-    w = _checked_w(ctx, k, solve.source, solve.moments)
-    f_diag = ctx.scale(k).f
-    values = (np.sum(solve.source * phis, axis=-1) - w
-              - 0.5 * np.sum(phis * (f_diag * phis), axis=-1))
+    _checked_w(ctx, k, solve.source, solve.moments)
+    record = ctx.scale(k)
+    with _overflow_out_of_range(k):
+        gap = phis - solve.source @ record.sigma.T
+        values = (0.5 * np.sum(phis * (phis @ ctx.measure.inv.T), axis=-1)
+                  - 0.5 * np.sum(gap * (gap @ record.prec.T), axis=-1)
+                  - solve.moments.log_interaction
+                  + _zero_source(ctx, k).log_interaction)
     return values, solve
 
 

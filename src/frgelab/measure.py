@@ -16,7 +16,7 @@ import scipy.linalg as sla
 from .errors import BudgetExceeded, NotSPD
 from .model import ModelSpec, covariance
 
-DEFAULT_GH_LEVEL_1D = 128
+DEFAULT_GH_LEVEL_1D = 64  # the kernel places its one-mode rule on each tilted measure
 DEFAULT_GH_LEVEL_ND = 16
 MAX_GH_NODES = 2_000_000  # largest tensor rule built (level**dim nodes)
 

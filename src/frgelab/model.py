@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg as sla
@@ -135,14 +136,27 @@ class ModelSpec:
         ``interaction_batch``."""
         return float(self.interaction_batch(np.reshape(psi, (1, -1)))[0])
 
+    @cached_property
+    def _position_map(self) -> tuple[np.ndarray, np.ndarray]:
+        """The map of mode coefficients to position values, H^T / sqrt(dx),
+        and the position weights; read-only, built on first use."""
+        h = (self.hartley_matrix() / np.sqrt(self.position_spacing)).T
+        w = self.position_weights
+        h.setflags(write=False)
+        w.setflags(write=False)
+        return h, w
+
     def interaction_batch(self, psi: np.ndarray) -> np.ndarray:
-        """Vectorized S^int over an array of shape (..., M)."""
+        """Vectorized S^int over an array of shape (..., M).
+
+        In d = 1 the position sum is a product with the weights: a sum over
+        the short last axis costs more than the polynomial.
+        """
         psi = np.asarray(psi, dtype=float)
         if self.dimension == 0:
             return self._polynomial(psi[..., 0])
-        h = self.hartley_matrix() / np.sqrt(self.position_spacing)
-        v = psi @ h.T
-        return np.sum(self.position_weights * self._polynomial(v), axis=-1)
+        h, w = self._position_map
+        return self._polynomial(psi @ h) @ w
 
 
 def validate_spec(spec: ModelSpec) -> None:

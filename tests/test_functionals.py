@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.special
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from frgelab import functionals, measure
@@ -139,6 +139,22 @@ class TestMeanField:
         with pytest.raises(RangeExceeded, match="source magnitude diverged"):
             invert_mean_field(phi4_ctx, 0.0, np.array([1.0]))
 
+    def test_large_scale_is_resolved_or_refused(self, phi4_spec, litim):
+        # the transform never forms J.phi, W_k(J) or F_k(phi, phi), which
+        # grow like k^2 phi^2 and cancel: at k = 1e5 their rounding put the
+        # value 9e-6 off; Gamma_k - classical is S''(3)/2k^2 = 5e-10 there
+        classical = float(classical_asymptote(phi4_spec, np.array([3.0])))
+        ctx = FunctionalContext(spec=phi4_spec, regulator=litim)
+        assert abs(gamma_bar(ctx, 1e5, [3.0]) - classical) <= 1e-9
+        # at k = 1e8 the self-check's shifted route centres its rule at
+        # -C J = -5e15, where the width 1e-8 is below the centre's rounding;
+        # this value used to come back as 0.0 with no error
+        with pytest.raises(RangeExceeded, match=r"rounding of its centre at k=100000000\.0"):
+            gamma_bar(ctx, 1e8, [0.5])
+        unchecked = FunctionalContext(spec=phi4_spec, regulator=litim, self_check=False)
+        classical = float(classical_asymptote(phi4_spec, np.array([0.5])))
+        assert abs(gamma_bar(unchecked, 1e8, [0.5]) - classical) <= 1e-12
+
     def test_unsettled_recentring_raises(self, phi4_ctx):
         # the tilted mean at a huge source is out of the rule's reach
         with pytest.raises(RangeExceeded, match=r"k=0\.0, source=\[10000\.\]"):
@@ -211,9 +227,25 @@ class TestEffectiveAction:
         assert solve.iterations <= 10 * fields.size
 
     def test_inversion_errors_name_the_failing_field(self, phi4_ctx):
-        # phi = 7 lies beyond the resolvable range (the line search stalls)
-        with pytest.raises(NewtonStalled, match=r"phi=\[7\.\]"):
-            invert_mean_field(phi4_ctx, 0.0, np.array([[1.0], [7.0], [2.0]]))
+        # phi = 100 lies beyond the resolvable range: the rule cannot reach
+        # the tilted measure of its cold-start source (C^-1 + F_1) phi = 200
+        with pytest.raises(RangeExceeded, match=r"source=\[200\.\].*phi=\[100\.\]"):
+            invert_mean_field(phi4_ctx, 1.0, np.array([[1.0], [100.0], [2.0]]))
+
+    # Gamma_0(phi) = J phi - W_0(J) of the c4 = 0.1, m = r = 1 model (F_0 = 0
+    # for litim), made with scipy.integrate.quad: ln of each integral of
+    # exp(J psi - psi^2/2 - psi^4/10), and of exp(-psi^2/2 - psi^4/10) for
+    # W_0(0) = 0, over the integrand's mode +-40 after taking out its
+    # maximum (epsrel 2e-14), and J from scipy.optimize.brentq on the quad
+    # mean (xtol 1e-13).  mpmath at 40 digits agrees to 2e-13.
+    QUAD_GAMMA_K0 = {3.0: 13.679975784717328, 4.5: 52.592913374253385,
+                     5.5: 108.28707504386733, 6.0: 149.34070837373355,
+                     7.0: 266.49186926174843, 8.0: 443.62344756668836,
+                     10.0: 1052.2442811907072}
+
+    def test_gamma_matches_the_quadrature_reference(self, phi4_ctx):
+        values, _ = legendre_transform(phi4_ctx, 0.0, list(self.QUAD_GAMMA_K0))
+        assert np.abs(values - list(self.QUAD_GAMMA_K0.values())).max() <= 1e-9
 
     def test_gamma_zero_at_origin_even_theory(self, phi4_ctx):
         assert gamma(phi4_ctx, 1.0, np.zeros(1)) == pytest.approx(0.0, abs=1e-10)
@@ -351,23 +383,28 @@ class TestKernel:
 
 
 class TestFrozenOracleBits:
-    """The acceptance phi^4 oracle's bytes, which a faster kernel must keep."""
+    """The acceptance phi^4 oracle's bytes, which a faster kernel must keep.
+
+    Frozen from the adaptive kernel, whose rules sit on each tilted
+    measure; ``test_gamma_matches_the_quadrature_reference`` pins their
+    accuracy.
+    """
 
     FIELDS = [-4.5, -2.0, 0.0, 0.03, 3.0, 4.5]
     # k -> (gamma_k values, inverting sources) at FIELDS
     TRANSFORMS = {
-        10.0: ([51.23902993540378, 3.623210773899075, 0.0, 0.00045542645834774353,
-                12.65078702627153, 51.23902993540378],
-               [-490.9930923564584, -205.22268047799605, 0.0, 3.0303671619852435,
-                313.83219580394956, 490.9930923564572]),
-        1.0: ([52.36226286520238, 4.155352699273568, 0.0, 0.0006508893908837562,
-               13.47083188360238, 52.362262865202354],
-              [-45.65538701057879, -7.550044855295898, 0.0, 0.07339626925512685,
-               17.081267292965137, 45.655387010577485]),
-        0.0: ([52.59295237918559, 4.3246865551410085, 0.0, 0.0007311218774300459,
-               13.679975803670459, 52.59295237918559],
-              [-41.161700691313904, -5.612449194985268, 0.0, 0.048744208824051186,
-               14.105490693936167, 41.161700691314635]),
+        10.0: ([51.23902993540345, 3.6232107738990553, -8.881784197001252e-16,
+                0.0004554264583470959, 12.650787026271525, 51.23902993540345],
+               [-490.9930923564587, -205.22268047799608, 0.0, 3.0303671619852435,
+                313.83219580394973, 490.9930923564587]),
+        1.0: ([52.362262879742715, 4.155352699273567, 2.220446049250313e-16,
+               0.0006508893908837993, 13.470831883602376, 52.362262879742715],
+              [-45.655387185200624, -7.550044855295894, 0.0, 0.0733962692551269,
+               17.081267292964718, 45.655387185200624]),
+        0.0: ([52.59291337425328, 4.324686555149016, 2.7228219678931964e-14,
+               0.0007311218774503359, 13.679975784717326, 52.59291337425328],
+              [-41.16354009584518, -5.612449195107672, 0.0, 0.04874420882401716,
+               14.105490394721343, 41.163540095845185]),
     }
 
     @pytest.mark.parametrize("k", sorted(TRANSFORMS))
@@ -378,28 +415,27 @@ class TestFrozenOracleBits:
         assert solve.source[:, 0].tobytes() == np.array(frozen_sources).tobytes()
 
     def test_three_mode_kernel_bytes_frozen(self, line_spec, litim):
-        # a 16^3-node rule, whose moments take the normalised-weight floor
-        # and the importance ratio's per-lane matrix product
+        # a 16^3-node rule, each lane placed with its own centre and factor
         ctx = FunctionalContext(spec=line_spec, regulator=litim)
         tm = tilted_moments(ctx, 1.0, [[0.5, -1.0, 2.0], [3.0, 0.2, -0.7],
                                        [-6.0, 4.0, 1.0]])
         assert tm.log_value.tobytes() == np.array(
-            [0.873274161708457, 1.8849103399002782, 11.267278727348746]).tobytes()
+            [0.8732741617080946, 1.884910339899555, 11.267278727320905]).tobytes()
         assert tm.mean.tobytes() == np.array([
-            [0.23710976468237036, -0.4806329736670615, 0.9434694216005275],
-            [1.407315716750442, 0.09311697677742596, -0.34627927889949384],
-            [-2.4564744402624035, 1.6173825224490697, 0.37084933286774496],
+            [0.23710976468253964, -0.48063297366702007, 0.9434694215994286],
+            [1.407315716744728, 0.0931169767772197, -0.346279278899354],
+            [-2.4564744402526353, 1.6173825224513003, 0.370849332889044],
         ]).tobytes()
-        assert tm.second_moment.tobytes() == np.array([
-            [[0.5296851651240939, -0.12390558349991192, 0.22106511156253797],
-             [-0.12390558349991188, 0.6971700687564946, -0.44880110341092716],
-             [0.221065111562538, -0.44880110341092716, 1.3489944516351418]],
-            [[2.4286025043155446, 0.1338666086651779, -0.4916507835443159],
-             [0.1338666086651779, 0.46388388476758957, -0.04371912725227325],
-             [-0.4916507835443159, -0.04371912725227324, 0.5822705881143745]],
-            [[6.401995399494728, -3.8986759937436486, -0.8874531805587649],
-             [-3.898675993743649, 3.0345090542861333, 0.5724798501447314],
-             [-0.8874531805587649, 0.5724798501447314, 0.606966164194201]],
+        assert tm.cov.tobytes() == np.array([
+            [[0.47346412461753945, -0.009942812215194469, -0.0026407009791223376],
+             [-0.009942812215194469, 0.46616201338050717, 0.004661410257597815],
+             [-0.0026407009791223376, 0.004661410257597814, 0.45885990214308375]],
+            [[0.4480649776845196, 0.0028216237503626254, -0.004326511965063389],
+             [0.0028216237503626254, 0.455213113403784, -0.011474647680492785],
+             [-0.00432651196506339, -0.011474647680492786, 0.46236124911915844]],
+            [[0.3677287242922816, 0.0743828328933862, 0.02352872679624029],
+             [0.07438283289338621, 0.4185828303917875, -0.027325379301203125],
+             [0.023528726796240285, -0.027325379301203122, 0.4694369364896431]],
         ]).tobytes()
 
 
@@ -414,35 +450,70 @@ class TestSweepReusesNewtonMoments:
         kernel = functionals.tilted_moments
         lanes = []
 
-        def counting(ctx_, k_, t_vec=None, shift=None):
+        def counting(ctx_, k_, t_vec=None, shift=None, start=None):
             lanes.append(np.asarray(t_vec).reshape(-1, 1).shape[0])
-            return kernel(ctx_, k_, t_vec, shift)
+            return kernel(ctx_, k_, t_vec, shift, start)
 
         monkeypatch.setattr(functionals, "tilted_moments", counting)
 
-        values, _ = legendre_transform(swept_ctx, k, fields)
+        values, swept = legendre_transform(swept_ctx, k, fields)
         swept_lanes = sum(lanes)
         lanes.clear()
-        f = direct_ctx.scale(k).f
         solve = invert_mean_field(direct_ctx, k, fields)
-        direct = (np.sum(solve.source * fields, axis=-1) - W(direct_ctx, k, solve.source)
-                  - 0.5 * np.sum(fields * (f * fields), axis=-1))
+        W(direct_ctx, k, solve.source)
         # the transform reads W_k(J) from the inversion's moments: no kernel
         # lane is evaluated at J again
         assert swept_lanes == sum(lanes) - len(fields)
-        assert np.array_equal(values, direct)  # bit for bit
+        assert np.array_equal(swept.source, solve.source)  # bit for bit
+        # its values are J.phi - W_k(J) - F_k(phi, phi)/2 of those moments'
+        # W_k(J), formed without the terms that cancel: the two forms agree
+        # to the rounding of the terms the textbook form adds
+        f = direct_ctx.scale(k).f
+        terms = np.stack([np.sum(solve.source * fields, axis=-1),
+                          solve.moments.log_value - log_normalization(direct_ctx, k),
+                          0.5 * np.sum(fields * (f * fields), axis=-1)])
+        textbook = terms[0] - terms[1] - terms[2]
+        rounding = 8 * np.finfo(float).eps * np.abs(terms).sum(axis=0)
+        assert (np.abs(values - textbook) <= rounding).all()
 
-    def test_solve_carries_the_moments_at_its_source(self, phi4_ctx):
-        solve = invert_mean_field(phi4_ctx, 0.4, np.array([1.1]))
-        again = tilted_moments(phi4_ctx, 0.4, solve.source)
-        assert solve.moments.log_value == again.log_value
-        assert np.array_equal(solve.moments.mean, again.mean)
-        assert np.array_equal(solve.moments.second_moment, again.second_moment)
-        batch = invert_mean_field(phi4_ctx, 0.4, np.array([[-0.3], [1.1], [2.5]]))
-        again = tilted_moments(phi4_ctx, 0.4, batch.source)
-        assert np.array_equal(batch.moments.log_value, again.log_value)
-        assert np.array_equal(batch.moments.mean, again.mean)
-        assert np.array_equal(batch.moments.second_moment, again.second_moment)
+    @staticmethod
+    def recorded_kernel(monkeypatch):
+        """The kernel's calls from now on: (sources, warm start) each."""
+        kernel = functionals.tilted_moments
+        calls = []
+
+        def recording(ctx_, k_, t_vec=None, shift=None, start=None):
+            calls.append((t_vec, start))
+            return kernel(ctx_, k_, t_vec, shift, start)
+
+        monkeypatch.setattr(functionals, "tilted_moments", recording)
+        return kernel, calls
+
+    def test_solve_carries_the_moments_at_its_source(self, phi4_ctx, monkeypatch):
+        # each lane's moments are the kernel's at the lane's final source, bit
+        # for bit: a one-lane call at that source with the warm start it had
+        # in the inversion gives them again
+        kernel, calls = self.recorded_kernel(monkeypatch)
+        for phi in (np.array([1.1]), np.array([[-0.3], [1.1], [2.5]])):
+            calls.clear()
+            solve = invert_mean_field(phi4_ctx, 0.4, phi)
+            log_value = np.atleast_1d(solve.moments.log_value)
+            log_interaction = np.atleast_1d(solve.moments.log_interaction)
+            mean = np.reshape(solve.moments.mean, (-1, 1))
+            cov = np.reshape(solve.moments.cov, (-1, 1, 1))
+            for i, source in enumerate(np.reshape(solve.source, (-1, 1))):
+                # the last kernel call that evaluated this source
+                t, start = next((np.reshape(t, (-1, 1)), start)
+                                for t, start in reversed(calls)
+                                if start is not None and (np.ravel(t) == source[0]).any())
+                row = np.flatnonzero(t[:, 0] == source[0])[-1]
+                again = kernel(phi4_ctx, 0.4, source,
+                               start=(np.broadcast_to(start[0], t.shape)[row],
+                                      np.broadcast_to(start[1], t.shape + (1,))[row]))
+                assert again.log_value == log_value[i]
+                assert again.log_interaction == log_interaction[i]
+                assert np.array_equal(again.mean, mean[i])
+                assert np.array_equal(again.cov, cov[i])
 
     def test_sweep_still_self_checks(self, phi4_spec, litim, monkeypatch):
         # one lane of the batch disagrees: the batched self-check names it
@@ -469,9 +540,9 @@ class TestChunks:
         blocks = []
         moments = functionals._moments
 
-        def counted(ctx_, k, t, shift):
+        def counted(ctx_, k, t, shift, start):
             blocks.append(len(t))
-            return moments(ctx_, k, t, shift)
+            return moments(ctx_, k, t, shift, start)
 
         monkeypatch.setattr(functionals, "_moments", counted)
         monkeypatch.setattr(measure, "MAX_GH_NODES", 3 * ctx.gh_level)
@@ -488,10 +559,10 @@ class TestScaleRecord:
         kernel = functionals.tilted_moments
         zero_source = []
 
-        def counting(ctx_, k, t_vec=None, shift=None):
+        def counting(ctx_, k, t_vec=None, shift=None, start=None):
             if t_vec is None:
                 zero_source.append(k)
-            return kernel(ctx_, k, t_vec, shift)
+            return kernel(ctx_, k, t_vec, shift, start)
 
         monkeypatch.setattr(functionals, "tilted_moments", counting)
         for _ in range(3):
@@ -563,6 +634,8 @@ class TestOracleProperties:
 
     @settings(max_examples=40, deadline=None)
     @given(**theories)
+    # a rule kept at the Gaussian part's width put its covariance 1.7e-7 off
+    @example(mass=0.703125, r=1.0, c4=0.1875, regulator="litim", k=0.0, phi=0.0)
     def test_hessian_inverse_identity(self, mass, r, c4, regulator, k, phi):
         # (D^2 Gamma + F_k) is the inverse of the connected covariance
         ctx = scalar_ctx(mass, r, c4, regulator)
@@ -579,3 +652,26 @@ class TestOracleProperties:
         ctx = scalar_ctx(mass, r, 0.0, regulator)
         expected = 0.5 * mass**2 * phi**2 / r**2
         assert gamma_bar(ctx, k, np.array([phi])) == pytest.approx(expected, abs=1e-10)
+
+
+class TestWork:
+    def test_transform_rows_stay_below_two_fifths_of_the_fixed_rule(self, litim, monkeypatch):
+        # the acceptance model's 301 grid fields plus phi = 0 at k = 10, 1
+        # and 0: a level-128 rule kept at the Gaussian part's width took
+        # 1 352 320 interaction rows; rules placed on each tilted measure
+        # take 442 560 at level 64.  One more pass per kernel call breaks this
+        spec = ModelSpec(dimension=0, modes=1, mass=1.0, c4=0.1, phi_max=4.5,
+                         phi_nodes=301, window=WindowParams(kind="scalar", r=1.0))
+        ctx = FunctionalContext(spec=spec, regulator=litim)
+        rows = []
+        batch = ModelSpec.interaction_batch
+
+        def counting(self, psi):
+            values = batch(self, psi)
+            rows.append(values.size)
+            return values
+
+        monkeypatch.setattr(ModelSpec, "interaction_batch", counting)
+        for k in (10.0, 1.0, 0.0):
+            legendre_transform(ctx, k, np.append(spec.field_grid, 0.0))
+        assert sum(rows) <= 0.4 * 1_352_320

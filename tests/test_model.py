@@ -153,7 +153,7 @@ class TestGrids:
             if dimension == 0:
                 return full(rows[..., 0])
             v = rows @ (spec.hartley_matrix() / np.sqrt(spec.position_spacing)).T
-            return np.sum(spec.position_weights * full(v), axis=-1)
+            return full(v) @ spec.position_weights
 
         assert spec.interaction_batch(psi).tobytes() == reference(psi).tobytes()
         for row in psi[:8]:
