@@ -13,9 +13,9 @@ Gaussian part to N(c, L L^T), and re-places them on the tilted mean and
 covariance it measured until both settle.  Callers that know where a
 lane's tilted measure lies start the rule there: the mean-field Newton
 solve on the field and its last tilted covariance, the W self-check on the
-direct route's moments moved by the shift.  A rule on the tilted measure's
-own width needs level 64 for one mode, where a rule of the Gaussian part's
-width needed 128 and still fell short of the budget at large fields.
+direct route's moments moved by the shift, and ``W`` on the zero-source
+measure's linear response.  On the tilted measure's own width a rule of
+level 64 suffices for one mode.
 
 Neither exponential of the kernel is evaluated where its result underflows.
 The log-sum-exp writes +0 for terms below -746, exactly what ``exp`` gives
@@ -50,7 +50,7 @@ BUDGET = 1e-10  # stated oracle accuracy; scales the W self-check margin
 NEWTON_TOL = 1e-10
 NEWTON_MAX_ITER = 60
 RECENTRE_PASSES = 8  # rule placements before a source counts as out of range
-SETTLED = 0.05  # a lane settles once its mean and width move by at most this, in rule widths
+SETTLED = 0.05  # a lane settles once mean and width move by at most this, in rule widths
 WIDTH_FLOOR = 0.1  # smallest factor by which one pass narrows a rule
 SCALE_CACHE_SIZE = 64  # scale records kept per context, least recently used dropped
 # exp(x) is exactly +0 below -746 and subnormal below ln 2^-1022; numpy's exp
@@ -135,10 +135,10 @@ class TiltedMoments:
 
     ``log_interaction`` is the interaction's share of ``log_value``,
     ln E[exp(-S^int(psi+shift))] under the Gaussian part N(Sigma T, Sigma);
-    the rest, T.Sigma T / 2 + ln sqrt(det Sigma / det C), grows like
-    k^2 |T|^2 / k^4 and is exact.  For one source the fields are floats,
-    an (M,) mean and an (M, M) covariance; for a batch of B sources each
-    gains a leading axis B.
+    the rest, T.Sigma T / 2 + ln sqrt(det Sigma / det C), is exact and grows
+    like |T|^2 / k^2.  For one source the fields are floats, an (M,) mean
+    and an (M, M) covariance; for a batch of B sources each gains a leading
+    axis B.
     """
 
     log_value: float | np.ndarray
@@ -280,17 +280,17 @@ def _overflow_out_of_range(k):
 class _Rule:
     """A tensor Gauss-Hermite rule for N(0, I_M) as the kernel reads it.
 
-    A lane's quantities at every node x are one product of a small per-lane
-    matrix with one of these.  ``place`` has the columns [1, x] (psi =
-    c + L x) and ``ratio`` [x, x_i x_j (i <= j), ln w] (a quadratic in x,
-    less its constant, plus the log-weight), one column per node;
-    ``moments`` has the rows [x, x_i x_j], one row per node.
+    One array holds, one column per node x, the rows [1, x, x_i x_j
+    (i <= j), ln w]; a lane's quantities at every node are one product of a
+    small per-lane matrix with a block of them: ``place`` = [1, x] gives
+    psi = c + L x, ``ratio`` = [x, x_i x_j, ln w] a quadratic in x plus the
+    log-weight, and ``moments``, [x, x_i x_j] transposed, the moments.
     ``pairs`` holds the flat (M, M) indices of the products x_i x_j,
-    ``pair_scale`` is 1/2 on the
-    squares and 1 elsewhere (x.Q x / 2 over the pairs), and ``pair_of`` maps
-    (i, j) to the column of x_i x_j in ``moments``' pair block.  A measured mean
-    farther than ``reach``, half the outermost node, from the centre lies
-    beyond what the rule resolves.
+    ``pair_scale`` is 1/2 on the squares and 1 elsewhere (x.Q x / 2 over the
+    pairs), and ``pair_of`` maps (i, j) to the column of x_i x_j in the
+    pair block of ``moments``.  A measured mean farther than ``reach``,
+    half the outermost node, from the centre lies beyond what the rule
+    resolves.
     """
 
     place: np.ndarray
@@ -306,23 +306,17 @@ class _Rule:
 def _rule(level: int, dim: int) -> _Rule:
     nodes, logw = gauss_hermite_nodes(level, dim)
     pairs = np.triu_indices(dim)
-    products = nodes[:, pairs[0]] * nodes[:, pairs[1]]
-    ones = np.ones((len(nodes), 1))
     pair_of = np.empty((dim, dim), dtype=np.intp)
     pair_of[pairs] = pair_of[pairs[::-1]] = np.arange(len(pairs[0]))
-    rule = _Rule(
-        place=np.hstack([ones, nodes]).T.copy(),
-        ratio=np.hstack([nodes, products, logw[:, None]]).T.copy(),
-        moments=np.hstack([nodes, products]),
-        pairs=pairs[0] * dim + pairs[1],
-        pair_scale=np.where(pairs[0] == pairs[1], 0.5, 1.0),
-        pair_of=pair_of,
-        reach=0.5 * float(np.abs(nodes).max()),
-    )
-    for a in (rule.place, rule.ratio, rule.moments, rule.pairs, rule.pair_scale,
-              rule.pair_of):
+    rows = np.vstack([np.ones(len(nodes)), nodes.T,
+                      nodes.T[pairs[0]] * nodes.T[pairs[1]], logw])
+    pair_scale = np.where(pairs[0] == pairs[1], 0.5, 1.0)
+    flat_pairs = pairs[0] * dim + pairs[1]
+    for a in (rows, flat_pairs, pair_scale, pair_of):
         a.setflags(write=False)
-    return rule
+    return _Rule(place=rows[:1 + dim], ratio=rows[1:], moments=rows[1:-1].T,
+                 pairs=flat_pairs, pair_scale=pair_scale, pair_of=pair_of,
+                 reach=0.5 * float(np.abs(nodes).max()))
 
 
 def _cholesky(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -347,96 +341,95 @@ def _cholesky(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _moments(ctx, k, t, shift, start) -> TiltedMoments:
     """The tilted moments of a (B, M) batch of sources, all lanes at once."""
     with _overflow_out_of_range(k):
-        return _placed_moments(ctx, k, t, shift, start)
+        record = ctx.scale(k)
+        m = t.shape[-1]
+        root = record.chol_p
+        eye = np.eye(m)
+        rule = _rule(ctx.gh_level, m)
+        mu = t @ record.sigma.T
+        log_gauss = 0.5 * ((t * mu).sum(axis=-1) + record.logdet_s - ctx.measure.logdet)
+        if start is None:
+            centre = mu.copy()
+            factor = np.repeat(record.chol_s[None], len(t), axis=0)
+        else:
+            # a start covariance without a factor gives way to the Gaussian part's
+            centre = np.array(start[0])
+            factor, ok = _cholesky(start[1])
+            factor[~ok] = record.chol_s
 
-
-def _placed_moments(ctx, k, t, shift, start) -> TiltedMoments:
-    record = ctx.scale(k)
-    m = t.shape[-1]
-    root = record.chol_p
-    eye = np.eye(m)
-    rule = _rule(ctx.gh_level, m)
-    mu = t @ record.sigma.T
-    log_gauss = 0.5 * ((t * mu).sum(axis=-1) + record.logdet_s - ctx.measure.logdet)
-    if start is None:
-        centre = mu.copy()
-        factor = np.repeat(record.chol_s[None], len(t), axis=0)
-    else:
-        # a start covariance without a factor gives way to the Gaussian part's
-        centre = np.array(start[0])
-        factor, ok = _cholesky(start[1])
-        factor[~ok] = record.chol_s
-
-    log_i0_out = np.empty(len(t))
-    mean_out = np.empty_like(t)
-    cov_out = np.empty(t.shape + (m,))
-    lanes = np.arange(len(t))  # the lanes not yet settled
-    for _ in range(RECENTRE_PASSES):
-        c, chol, mu_c = centre[lanes], factor[lanes], mu[lanes]
-        diag = chol.diagonal(axis1=1, axis2=2)
-        # nodes c + L x are distinct only while L exceeds the rounding of c
-        blurred = _EPS * np.abs(c) >= diag
-        if blurred.any():
-            lane = int(lanes[blurred.any(axis=-1).argmax()])
-            raise RangeExceeded(
-                f"the quadrature rule is narrower than the rounding of its centre "
-                f"at k={k}, source={t[lane]}; the source lies outside the "
-                f"resolvable range", lane=lane)
-        # ln N(psi; mu, Sigma) - ln N(psi; c, L L^T) at psi = c + L x is
-        # x.Q x / 2 - (A^T a).x - |a|^2 / 2 + ln det L + ln det R, with
-        # A = R^T L, a = R^T (c - mu), Q = I - A^T A and R R^T = Sigma^-1.
-        # The constant, which can be large, is added after the sum over the
-        # nodes, so its rounding does not reach the weights.
-        a_mat = root.T @ chol
-        a_vec = (c - mu_c) @ root
-        coef = np.empty((len(lanes), len(rule.ratio)))
-        coef[:, :m] = -(a_vec[:, None, :] @ a_mat)[:, 0, :]
-        coef[:, m:-1] = (eye - a_mat.mT @ a_mat).reshape(-1, m * m)[:, rule.pairs]
-        coef[:, m:-1] *= rule.pair_scale
-        coef[:, -1] = 1.0
-        log_terms = (coef[:, None, :] @ rule.ratio)[:, 0, :]
-        constant = (np.log(diag).sum(axis=-1)
-                    - 0.5 * (record.logdet_s + (a_vec * a_vec).sum(axis=-1)))
-        psi = (np.concatenate([c[:, :, None], chol], axis=2) @ rule.place).mT
-        log_terms -= ctx.spec.interaction_batch(
-            psi if shift is None else psi + shift[lanes][:, None, :])
-        log_i0 = _log_sum_exp(log_terms)
-        # a weight below 2^-1022 of its lane's total is dropped: it is
-        # subnormal, slow to compute and too small to move the moments
-        log_terms -= log_i0[:, None]
-        omega = _exp_above(log_terms, _EXP_NORMAL_FROM)
-        # mean and covariance in the rule's own coordinates x = L^-1 (psi - c)
-        moments = (omega[:, None, :] @ rule.moments)[:, 0, :]
-        mx = moments[:, :m]
-        cov_x = moments[:, m:][:, rule.pair_of] - mx[:, :, None] * mx[:, None, :]
-        mean = c + (chol @ mx[:, :, None])[..., 0]
-        # settled: the mean moved by at most SETTLED of the rule's width, and
-        # the covariance is the rule's own to 2 SETTLED, its widths to SETTLED
-        moved = (mx * mx).sum(axis=-1)
-        settled = (moved <= SETTLED**2) & (np.abs(cov_x - eye).max(axis=(1, 2)) <= 2 * SETTLED)
-        if settled.any():
-            done = lanes[settled]
-            log_i0_out[done] = (log_i0 + constant)[settled]
-            mean_out[done] = mean[settled]
-            cov_out[done] = (chol @ cov_x @ chol.mT)[settled]
-        going = ~settled
-        lanes = lanes[going]
-        if lanes.size == 0:
-            return TiltedMoments(log_gauss + log_i0_out, log_i0_out, mean_out, cov_out)
-        # the next rule's width; a measure narrower than the rule's node
-        # spacing is seen by few nodes and looks narrower still, so the rule
-        # shrinks by at most 1/WIDTH_FLOOR per pass.  A measure beyond the
-        # rule's reach piles the weights onto its edge nodes, where they
-        # measure no width: the rule moves towards it, as wide as the
-        # Gaussian part of the integrand
-        step, ok = _cholesky(cov_x[going] + WIDTH_FLOOR**2 * eye)
-        reached = ok & (moved[going] <= rule.reach**2)
-        centre[lanes] = mean[going]
-        factor[lanes] = np.where(reached[:, None, None], chol[going] @ step, record.chol_s)
-    raise RangeExceeded(
-        f"tilted measure did not settle after {RECENTRE_PASSES} placements at "
-        f"k={k}, source={t[lanes[0]]}; the source lies outside the resolvable range",
-        lane=int(lanes[0]))
+        log_i0_out = np.empty(len(t))
+        mean_out = np.empty_like(t)
+        cov_out = np.empty(t.shape + (m,))
+        lanes = np.arange(len(t))  # the lanes not yet settled
+        for _ in range(RECENTRE_PASSES):
+            c, chol, mu_c = centre[lanes], factor[lanes], mu[lanes]
+            diag = chol.diagonal(axis1=1, axis2=2)
+            # nodes c + L x are distinct only while L exceeds the rounding of c
+            blurred = _EPS * np.abs(c) >= diag
+            if blurred.any():
+                lane = int(lanes[blurred.any(axis=-1).argmax()])
+                raise RangeExceeded(
+                    f"the quadrature rule is narrower than the rounding of its centre "
+                    f"at k={k}, source={t[lane]}; the source lies outside the "
+                    f"resolvable range", lane=lane)
+            # ln N(psi; mu, Sigma) - ln N(psi; c, L L^T) at psi = c + L x is
+            # x.Q x / 2 - (A^T a).x - |a|^2 / 2 + ln det L + ln det R, with
+            # A = R^T L, a = R^T (c - mu), Q = I - A^T A and R R^T = Sigma^-1.
+            # The constant, which can be large, is added after the sum over the
+            # nodes, so its rounding does not reach the weights.
+            a_mat = root.T @ chol
+            a_vec = (c - mu_c) @ root
+            coef = np.empty((len(lanes), len(rule.ratio)))
+            coef[:, :m] = -(a_vec[:, None, :] @ a_mat)[:, 0, :]
+            coef[:, m:-1] = (eye - a_mat.mT @ a_mat).reshape(-1, m * m)[:, rule.pairs]
+            coef[:, m:-1] *= rule.pair_scale
+            coef[:, -1] = 1.0
+            log_terms = (coef[:, None, :] @ rule.ratio)[:, 0, :]
+            psi = (np.concatenate([c[:, :, None], chol], axis=2) @ rule.place).mT
+            log_terms -= ctx.spec.interaction_batch(
+                psi if shift is None else psi + shift[lanes][:, None, :])
+            log_i0 = _log_sum_exp(log_terms)
+            # a weight below 2^-1022 of its lane's total is dropped: it is
+            # subnormal, slow to compute and too small to move the moments
+            log_terms -= log_i0[:, None]
+            omega = _exp_above(log_terms, _EXP_NORMAL_FROM)
+            # mean and covariance in the rule's own coordinates x = L^-1 (psi - c)
+            moments = (omega[:, None, :] @ rule.moments)[:, 0, :]
+            mx = moments[:, :m]
+            cov_x = moments[:, m:][:, rule.pair_of] - mx[:, :, None] * mx[:, None, :]
+            mean = c + (chol @ mx[:, :, None])[..., 0]
+            # settled: the mean moved by at most SETTLED of the rule's width, and
+            # the covariance is the rule's own to 2 SETTLED, its widths to SETTLED
+            moved = (mx * mx).sum(axis=-1)
+            settled = ((moved <= SETTLED**2)
+                       & (np.abs(cov_x - eye).max(axis=(1, 2)) <= 2 * SETTLED))
+            if settled.any():
+                done = lanes[settled]
+                constant = (np.log(diag).sum(axis=-1)
+                            - 0.5 * (record.logdet_s + (a_vec * a_vec).sum(axis=-1)))
+                log_i0_out[done] = (log_i0 + constant)[settled]
+                mean_out[done] = mean[settled]
+                cov_out[done] = (chol @ cov_x @ chol.mT)[settled]
+            going = ~settled
+            lanes = lanes[going]
+            if lanes.size == 0:
+                return TiltedMoments(log_gauss + log_i0_out, log_i0_out, mean_out, cov_out)
+            # the next rule's width; a measure narrower than the rule's node
+            # spacing is seen by few nodes and looks narrower still, so the rule
+            # shrinks by at most 1/WIDTH_FLOOR per pass.  A measure beyond the
+            # rule's reach piles the weights onto its edge nodes, where they
+            # measure no width: the rule moves towards it and widens by the
+            # distance it moved, in its own widths, to reach further
+            moved, chol = moved[going], chol[going]
+            step, ok = _cholesky(cov_x[going] + WIDTH_FLOOR**2 * eye)
+            reached = (ok & (moved <= rule.reach**2))[:, None, None]
+            centre[lanes] = mean[going]
+            factor[lanes] = np.where(reached, chol @ step,
+                                     chol * np.sqrt(np.maximum(moved, 1.0))[:, None, None])
+        raise RangeExceeded(
+            f"tilted measure did not settle after {RECENTRE_PASSES} placements at "
+            f"k={k}, source={t[lanes[0]]}; the source lies outside the resolvable range",
+            lane=int(lanes[0]))
 
 
 def _zero_source(ctx: FunctionalContext, k: float) -> TiltedMoments:
@@ -672,10 +665,16 @@ def gamma_gradient(ctx: FunctionalContext, k: float, phi) -> np.ndarray:
 
 
 def gamma_hessian(ctx: FunctionalContext, k: float, phi) -> np.ndarray:
-    """Richardson-extrapolated finite differences of the gamma gradient."""
+    """Richardson-extrapolated finite differences of the gamma gradient.
+
+    Each gradient is a Newton solve, exact only to ``NEWTON_TOL`` in the mean
+    field, which the differences divide by the step; a step of 1e-3 keeps
+    that below 1e-6 of the curvature, and Richardson leaves an error of order
+    step^4.
+    """
     phi = np.atleast_1d(np.asarray(phi, dtype=float))
     m = phi.size
-    h = 1e-4 * (1.0 + float(np.linalg.norm(phi)))
+    h = 1e-3 * (1.0 + float(np.linalg.norm(phi)))
     out = np.empty((m, m))
     for a in range(m):
         e = np.zeros(m)

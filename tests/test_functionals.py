@@ -149,7 +149,7 @@ class TestMeanField:
         # at k = 1e8 the self-check's shifted route centres its rule at
         # -C J = -5e15, where the width 1e-8 is below the centre's rounding;
         # this value used to come back as 0.0 with no error
-        with pytest.raises(RangeExceeded, match=r"rounding of its centre at k=100000000\.0"):
+        with pytest.raises(RangeExceeded, match=r"its centre at k=100000000\.0"):
             gamma_bar(ctx, 1e8, [0.5])
         unchecked = FunctionalContext(spec=phi4_spec, regulator=litim, self_check=False)
         classical = float(classical_asymptote(phi4_spec, np.array([0.5])))
@@ -227,10 +227,11 @@ class TestEffectiveAction:
         assert solve.iterations <= 10 * fields.size
 
     def test_inversion_errors_name_the_failing_field(self, phi4_ctx):
-        # phi = 100 lies beyond the resolvable range: the rule cannot reach
-        # the tilted measure of its cold-start source (C^-1 + F_1) phi = 200
-        with pytest.raises(RangeExceeded, match=r"source=\[200\.\].*phi=\[100\.\]"):
-            invert_mean_field(phi4_ctx, 1.0, np.array([[1.0], [100.0], [2.0]]))
+        # phi = 1e4 lies beyond the resolvable range: the rule does not
+        # settle on the tilted measure of its cold-start source
+        # (C^-1 + F_1) phi = 2e4
+        with pytest.raises(RangeExceeded, match=r"source=\[20000\.\].*phi=\[10000\.\]"):
+            invert_mean_field(phi4_ctx, 1.0, np.array([[1.0], [1e4], [2.0]]))
 
     # Gamma_0(phi) = J phi - W_0(J) of the c4 = 0.1, m = r = 1 model (F_0 = 0
     # for litim), made with scipy.integrate.quad: ln of each integral of
@@ -394,17 +395,17 @@ class TestFrozenOracleBits:
     # k -> (gamma_k values, inverting sources) at FIELDS
     TRANSFORMS = {
         10.0: ([51.23902993540345, 3.6232107738990553, -8.881784197001252e-16,
-                0.0004554264583470959, 12.650787026271525, 51.23902993540345],
-               [-490.9930923564587, -205.22268047799608, 0.0, 3.0303671619852435,
+                0.00045542645834687384, 12.650787026271525, 51.23902993540345],
+               [-490.9930923564587, -205.22268047799608, 0.0, 3.030367161985243,
                 313.83219580394973, 490.9930923564587]),
-        1.0: ([52.362262879742715, 4.155352699273567, 2.220446049250313e-16,
-               0.0006508893908837993, 13.470831883602376, 52.362262879742715],
-              [-45.655387185200624, -7.550044855295894, 0.0, 0.0733962692551269,
-               17.081267292964718, 45.655387185200624]),
-        0.0: ([52.59291337425328, 4.324686555149016, 2.7228219678931964e-14,
-               0.0007311218774503359, 13.679975784717326, 52.59291337425328],
-              [-41.16354009584518, -5.612449195107672, 0.0, 0.04874420882401716,
-               14.105490394721343, 41.163540095845185]),
+        1.0: ([52.36226287974277, 4.155352699273567, 2.220446049250313e-16,
+               0.0006508893908837993, 13.470831883602376, 52.36226287974283],
+              [-45.65538718520063, -7.550044855295894, 0.0, 0.07339626925512674,
+               17.081267292964718, 45.65538718520061]),
+        0.0: ([52.59291337425328, 4.324686555149016, 2.6922908347160046e-14,
+               0.0007311218774501138, 13.67997578471732, 52.59291337425339],
+              [-41.163540095845185, -5.612449195107672, 0.0, 0.04874420882401702,
+               14.105490394721345, 41.163540095845164]),
     }
 
     @pytest.mark.parametrize("k", sorted(TRANSFORMS))
@@ -420,22 +421,22 @@ class TestFrozenOracleBits:
         tm = tilted_moments(ctx, 1.0, [[0.5, -1.0, 2.0], [3.0, 0.2, -0.7],
                                        [-6.0, 4.0, 1.0]])
         assert tm.log_value.tobytes() == np.array(
-            [0.8732741617080946, 1.884910339899555, 11.267278727320905]).tobytes()
+            [0.8732741617080946, 1.884910339899555, 11.267278727320907]).tobytes()
         assert tm.mean.tobytes() == np.array([
-            [0.23710976468253964, -0.48063297366702007, 0.9434694215994286],
-            [1.407315716744728, 0.0931169767772197, -0.346279278899354],
-            [-2.4564744402526353, 1.6173825224513003, 0.370849332889044],
+            [0.2371097646825397, -0.48063297366702, 0.9434694215994286],
+            [1.4073157167447283, 0.09311697677721974, -0.34627927889935395],
+            [-2.4564744402526353, 1.6173825224513003, 0.3708493328890439],
         ]).tobytes()
         assert tm.cov.tobytes() == np.array([
-            [[0.47346412461753945, -0.009942812215194469, -0.0026407009791223376],
-             [-0.009942812215194469, 0.46616201338050717, 0.004661410257597815],
-             [-0.0026407009791223376, 0.004661410257597814, 0.45885990214308375]],
-            [[0.4480649776845196, 0.0028216237503626254, -0.004326511965063389],
-             [0.0028216237503626254, 0.455213113403784, -0.011474647680492785],
-             [-0.00432651196506339, -0.011474647680492786, 0.46236124911915844]],
-            [[0.3677287242922816, 0.0743828328933862, 0.02352872679624029],
-             [0.07438283289338621, 0.4185828303917875, -0.027325379301203125],
-             [0.023528726796240285, -0.027325379301203122, 0.4694369364896431]],
+            [[0.4734641246175392, -0.00994281221519445, -0.002640700979122304],
+             [-0.00994281221519445, 0.4661620133805075, 0.004661410257597815],
+             [-0.002640700979122304, 0.004661410257597816, 0.45885990214308464]],
+            [[0.4480649776845196, 0.002821623750362665, -0.0043265119650634475],
+             [0.002821623750362665, 0.4552131134037838, -0.011474647680492753],
+             [-0.004326511965063448, -0.011474647680492755, 0.4623612491191589]],
+            [[0.3677287242922821, 0.07438283289338629, 0.023528726796240344],
+             [0.07438283289338629, 0.41858283039178756, -0.02732537930120312],
+             [0.02352872679624035, -0.027325379301203115, 0.469436936489644]],
         ]).tobytes()
 
 
@@ -636,6 +637,8 @@ class TestOracleProperties:
     @given(**theories)
     # a rule kept at the Gaussian part's width put its covariance 1.7e-7 off
     @example(mass=0.703125, r=1.0, c4=0.1875, regulator="litim", k=0.0, phi=0.0)
+    # a Hessian step of 1e-4 passed on the Newton tolerance as 1.9e-6
+    @example(mass=1.0, r=1.0, c4=1.192092896e-07, regulator="litim", k=0.0, phi=0.0)
     def test_hessian_inverse_identity(self, mass, r, c4, regulator, k, phi):
         # (D^2 Gamma + F_k) is the inverse of the connected covariance
         ctx = scalar_ctx(mass, r, c4, regulator)
@@ -655,7 +658,8 @@ class TestOracleProperties:
 
 
 class TestWork:
-    def test_transform_rows_stay_below_two_fifths_of_the_fixed_rule(self, litim, monkeypatch):
+    def test_transform_rows_stay_below_two_fifths_of_the_fixed_rule(self, litim,
+                                                                    monkeypatch):
         # the acceptance model's 301 grid fields plus phi = 0 at k = 10, 1
         # and 0: a level-128 rule kept at the Gaussian part's width took
         # 1 352 320 interaction rows; rules placed on each tilted measure
