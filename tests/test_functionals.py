@@ -226,12 +226,22 @@ class TestEffectiveAction:
         # here, where an unmasked lane would step NEWTON_MAX_ITER times
         assert solve.iterations <= 10 * fields.size
 
-    def test_inversion_errors_name_the_failing_field(self, phi4_ctx):
+    def test_inversion_errors_name_the_failing_field(self, phi4_ctx, monkeypatch):
         # phi = 1e4 lies beyond the resolvable range: the rule does not
         # settle on the tilted measure of its cold-start source
         # (C^-1 + F_1) phi = 2e4
         with pytest.raises(RangeExceeded, match=r"source=\[20000\.\].*phi=\[10000\.\]"):
             invert_mean_field(phi4_ctx, 1.0, np.array([[1.0], [1e4], [2.0]]))
+        # a lane whose steps only climb stalls its line search
+        step = functionals._newton_step
+
+        def climbing_at_7(k, phis, lanes, mean, cov):
+            s = step(k, phis, lanes, mean, cov)
+            return np.where(phis[lanes] == 7.0, -s, s)
+
+        monkeypatch.setattr(functionals, "_newton_step", climbing_at_7)
+        with pytest.raises(NewtonStalled, match=r"phi=\[7\.\]"):
+            invert_mean_field(phi4_ctx, 0.0, np.array([[1.0], [7.0], [2.0]]))
 
     # Gamma_0(phi) = J phi - W_0(J) of the c4 = 0.1, m = r = 1 model (F_0 = 0
     # for litim), made with scipy.integrate.quad: ln of each integral of
@@ -477,24 +487,18 @@ class TestSweepReusesNewtonMoments:
         rounding = 8 * np.finfo(float).eps * np.abs(terms).sum(axis=0)
         assert (np.abs(values - textbook) <= rounding).all()
 
-    @staticmethod
-    def recorded_kernel(monkeypatch):
-        """The kernel's calls from now on: (sources, warm start) each."""
+    def test_solve_carries_the_moments_at_its_source(self, phi4_ctx, monkeypatch):
+        # each lane's moments are the kernel's at the lane's final source, bit
+        # for bit: a one-lane call at that source with the warm start it had
+        # in the inversion gives them again
         kernel = functionals.tilted_moments
-        calls = []
+        calls = []  # (sources, warm start) of each kernel call
 
         def recording(ctx_, k_, t_vec=None, shift=None, start=None):
             calls.append((t_vec, start))
             return kernel(ctx_, k_, t_vec, shift, start)
 
         monkeypatch.setattr(functionals, "tilted_moments", recording)
-        return kernel, calls
-
-    def test_solve_carries_the_moments_at_its_source(self, phi4_ctx, monkeypatch):
-        # each lane's moments are the kernel's at the lane's final source, bit
-        # for bit: a one-lane call at that source with the warm start it had
-        # in the inversion gives them again
-        kernel, calls = self.recorded_kernel(monkeypatch)
         for phi in (np.array([1.1]), np.array([[-0.3], [1.1], [2.5]])):
             calls.clear()
             solve = invert_mean_field(phi4_ctx, 0.4, phi)
