@@ -16,7 +16,7 @@ import numpy as np
 from . import functionals as fn
 from .errors import EmptyEpigraphWindow, GridMismatch, NotProper
 from .functionals import FunctionalContext
-from .measure import build_measure, default_level, gauss_hermite_nodes
+from .measure import build_measure, gauss_hermite_nodes, untilted_level
 
 
 def _box_axes(lo, hi, nodes) -> tuple:
@@ -256,8 +256,7 @@ def _char_probe(spec, t) -> np.ndarray:
     """E[cos(t psi_1)] under the interacting measure at every source in t,
     by a tensor Gauss-Hermite rule mapped through the measure's Cholesky
     factor."""
-    level = PROBE_GH_LEVEL_1D if spec.modes == 1 else default_level(spec.modes)
-    nodes, logw = gauss_hermite_nodes(level, spec.modes)
+    nodes, logw = gauss_hermite_nodes(untilted_level(spec.modes), spec.modes)
     psi = nodes @ build_measure(spec).chol.T
     log_terms = logw - spec.interaction_batch(psi)
     w = np.exp(log_terms - log_terms.max())
@@ -266,14 +265,11 @@ def _char_probe(spec, t) -> np.ndarray:
 
 # W_0 on DUAL_NODES of [-DUAL_RADIUS, DUAL_RADIUS], Gamma_0 = W_0* on PRIMAL_NODES
 # of [-aw_rho, aw_rho], and E[cos(t psi)] at PROBE_SOURCES by a Gauss-Hermite
-# rule of PROBE_GH_LEVEL_1D nodes for one mode.  That rule keeps the untilted
-# measure's width, so it takes twice the level of the oracle kernel, whose
-# rule sits on each tilted measure.
+# rule on the untilted measure's width (``measure.untilted_level``)
 DUAL_RADIUS = 3.0
 DUAL_NODES = 161
 PRIMAL_NODES = 1201
 PROBE_SOURCES = (0.5, 1.0, 2.0)
-PROBE_GH_LEVEL_1D = 128
 
 
 def convergence_suite(

@@ -39,15 +39,7 @@ class NewtonStalled(FrgeLabError):
 
 
 class RangeExceeded(FrgeLabError):
-    """Requested mean field lies outside the numerically reachable range.
-
-    ``lane`` is the position, in the batch that was evaluated, of the source
-    or field the message names; None where no one lane is at fault.
-    """
-
-    def __init__(self, message, lane=None):
-        super().__init__(message)
-        self.lane = lane
+    """Requested mean field lies outside the numerically reachable range."""
 
 
 class ConvexityLoss(FrgeLabError):

@@ -42,6 +42,7 @@ from .measure import (
     default_level,
     gauss_hermite_nodes,
     r_nu,
+    untilted_level,
 )
 from .model import ModelSpec
 from .regulator import Regulator, regulator_diagonals
@@ -52,6 +53,9 @@ NEWTON_MAX_ITER = 60
 RECENTRE_PASSES = 8  # rule placements before a source counts as out of range
 SETTLED = 0.05  # a lane settles once mean and width move by at most this, in rule widths
 WIDTH_FLOOR = 0.1  # smallest factor by which one pass narrows a rule
+# rule nodes the kernel reads at once: the 16^3-node rule of three modes is
+# one block, kept between calls; larger rules are read in blocks
+RULE_BLOCK = 4096
 SCALE_CACHE_SIZE = 64  # scale records kept per context, least recently used dropped
 # exp(x) is exactly +0 below -746 and subnormal below ln 2^-1022; numpy's exp
 # is tens to a hundred times slower on such arguments than on normal ones
@@ -245,14 +249,9 @@ def tilted_moments(
     width = max(1, measure.MAX_GH_NODES // ctx.gh_level**m)  # lanes per chunk
     parts = []
     for i in range(0, len(t), width):
-        try:
-            parts.append(_moments(
-                ctx, k, t[i:i + width], None if shift is None else shift[i:i + width],
-                None if start is None else (start[0][i:i + width], start[1][i:i + width])))
-        except RangeExceeded as exc:
-            if exc.lane is not None:
-                exc.lane += i
-            raise
+        parts.append(_moments(
+            ctx, k, t[i:i + width], None if shift is None else shift[i:i + width],
+            None if start is None else (start[0][i:i + width], start[1][i:i + width])))
     tm = parts[0] if len(parts) == 1 else TiltedMoments(
         np.concatenate([p.log_value for p in parts]),
         np.concatenate([p.log_interaction for p in parts]),
@@ -278,45 +277,64 @@ def _overflow_out_of_range(k):
 
 @dataclass(frozen=True)
 class _Rule:
-    """A tensor Gauss-Hermite rule for N(0, I_M) as the kernel reads it.
+    """A block of a tensor Gauss-Hermite rule for N(0, I_M) as the kernel
+    reads it.
 
     One array holds, one column per node x, the rows [1, x, x_i x_j
     (i <= j), ln w]; a lane's quantities at every node are one product of a
     small per-lane matrix with a block of them: ``place`` = [1, x] gives
     psi = c + L x, ``ratio`` = [x, x_i x_j, ln w] a quadratic in x plus the
     log-weight, and ``moments``, [x, x_i x_j] transposed, the moments.
-    ``pairs`` holds the flat (M, M) indices of the products x_i x_j,
-    ``pair_scale`` is 1/2 on the squares and 1 elsewhere (x.Q x / 2 over the
-    pairs), and ``pair_of`` maps (i, j) to the column of x_i x_j in the
-    pair block of ``moments``.  A measured mean farther than ``reach``,
-    half the outermost node, from the centre lies beyond what the rule
-    resolves.
     """
 
     place: np.ndarray
     ratio: np.ndarray
     moments: np.ndarray
-    pairs: np.ndarray
-    pair_scale: np.ndarray
-    pair_of: np.ndarray
-    reach: float
+
+    @classmethod
+    def of(cls, nodes: np.ndarray, logw: np.ndarray) -> _Rule:
+        dim = nodes.shape[-1]
+        first, second = np.triu_indices(dim)
+        rows = np.vstack([np.ones(len(nodes)), nodes.T,
+                          nodes.T[first] * nodes.T[second], logw])
+        rows.setflags(write=False)
+        return cls(place=rows[:1 + dim], ratio=rows[1:], moments=rows[1:-1].T)
 
 
 @lru_cache(maxsize=8)
-def _rule(level: int, dim: int) -> _Rule:
-    nodes, logw = gauss_hermite_nodes(level, dim)
-    pairs = np.triu_indices(dim)
-    pair_of = np.empty((dim, dim), dtype=np.intp)
-    pair_of[pairs] = pair_of[pairs[::-1]] = np.arange(len(pairs[0]))
-    rows = np.vstack([np.ones(len(nodes)), nodes.T,
-                      nodes.T[pairs[0]] * nodes.T[pairs[1]], logw])
-    pair_scale = np.where(pairs[0] == pairs[1], 0.5, 1.0)
-    flat_pairs = pairs[0] * dim + pairs[1]
-    for a in (rows, flat_pairs, pair_scale, pair_of):
+def _pairs(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The products x_i x_j (i <= j) of a rule's pair rows: their flat
+    (M, M) indices, 1/2 on the squares and 1 elsewhere (x.Q x / 2 over the
+    pairs), and the (M, M) map of (i, j) to the pair's column."""
+    first, second = np.triu_indices(dim)
+    column = np.empty((dim, dim), dtype=np.intp)
+    column[first, second] = column[second, first] = np.arange(len(first))
+    layout = (first * dim + second, np.where(first == second, 0.5, 1.0), column)
+    for a in layout:
         a.setflags(write=False)
-    return _Rule(place=rows[:1 + dim], ratio=rows[1:], moments=rows[1:-1].T,
-                 pairs=flat_pairs, pair_scale=pair_scale, pair_of=pair_of,
-                 reach=0.5 * float(np.abs(nodes).max()))
+    return layout
+
+
+@lru_cache(maxsize=8)
+def _small_rule(level: int, dim: int) -> tuple[tuple[slice, _Rule]]:
+    """A rule of at most ``RULE_BLOCK`` nodes as one block."""
+    nodes, logw = gauss_hermite_nodes(level, dim)
+    return ((slice(0, len(nodes)), _Rule.of(nodes, logw)),)
+
+
+def _rule_blocks(level: int, dim: int):
+    """The blocks of the level-``level`` tensor rule in ``dim`` dimensions,
+    each with the slice of the nodes it holds.
+
+    A rule of at most ``RULE_BLOCK`` nodes is one block, kept between calls;
+    a larger one is built block by block as it is read, so its
+    dim (dim + 3) / 2 + 2 rows never stand in memory whole.
+    """
+    if level**dim <= RULE_BLOCK:
+        return _small_rule(level, dim)
+    nodes, logw = gauss_hermite_nodes(level, dim)
+    return ((slice(i, i + RULE_BLOCK), _Rule.of(nodes[i:i + RULE_BLOCK], logw[i:i + RULE_BLOCK]))
+            for i in range(0, len(nodes), RULE_BLOCK))
 
 
 def _cholesky(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -345,7 +363,10 @@ def _moments(ctx, k, t, shift, start) -> TiltedMoments:
         m = t.shape[-1]
         root = record.chol_p
         eye = np.eye(m)
-        rule = _rule(ctx.gh_level, m)
+        pairs, pair_scale, pair_of = _pairs(m)
+        # a measured mean farther than half the outermost node from the
+        # centre lies beyond what the rule resolves
+        reach = 0.5 * float(gauss_hermite_nodes(ctx.gh_level, m)[0][-1, 0])
         mu = t @ record.sigma.T
         log_gauss = 0.5 * ((t * mu).sum(axis=-1) + record.logdet_s - ctx.measure.logdet)
         if start is None:
@@ -371,7 +392,7 @@ def _moments(ctx, k, t, shift, start) -> TiltedMoments:
                 raise RangeExceeded(
                     f"the quadrature rule is narrower than the rounding of its centre "
                     f"at k={k}, source={t[lane]}; the source lies outside the "
-                    f"resolvable range", lane=lane)
+                    f"resolvable range")
             # ln N(psi; mu, Sigma) - ln N(psi; c, L L^T) at psi = c + L x is
             # x.Q x / 2 - (A^T a).x - |a|^2 / 2 + ln det L + ln det R, with
             # A = R^T L, a = R^T (c - mu), Q = I - A^T A and R R^T = Sigma^-1.
@@ -379,24 +400,32 @@ def _moments(ctx, k, t, shift, start) -> TiltedMoments:
             # nodes, so its rounding does not reach the weights.
             a_mat = root.T @ chol
             a_vec = (c - mu_c) @ root
-            coef = np.empty((len(lanes), len(rule.ratio)))
+            coef = np.empty((len(lanes), len(pair_scale) + m + 1))
             coef[:, :m] = -(a_vec[:, None, :] @ a_mat)[:, 0, :]
-            coef[:, m:-1] = (eye - a_mat.mT @ a_mat).reshape(-1, m * m)[:, rule.pairs]
-            coef[:, m:-1] *= rule.pair_scale
+            coef[:, m:-1] = (eye - a_mat.mT @ a_mat).reshape(-1, m * m)[:, pairs]
+            coef[:, m:-1] *= pair_scale
             coef[:, -1] = 1.0
-            log_terms = (coef[:, None, :] @ rule.ratio)[:, 0, :]
-            psi = (np.concatenate([c[:, :, None], chol], axis=2) @ rule.place).mT
-            log_terms -= ctx.spec.interaction_batch(
-                psi if shift is None else psi + shift[lanes][:, None, :])
+            placing = np.concatenate([c[:, :, None], chol], axis=2)
+            blocks = []
+            for _, rule in _rule_blocks(ctx.gh_level, m):
+                block_terms = (coef[:, None, :] @ rule.ratio)[:, 0, :]
+                psi = (placing @ rule.place).mT
+                block_terms -= ctx.spec.interaction_batch(
+                    psi if shift is None else psi + shift[lanes][:, None, :])
+                blocks.append(block_terms)
+            log_terms = blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=1)
             log_i0 = _log_sum_exp(log_terms)
             # a weight below 2^-1022 of its lane's total is dropped: it is
             # subnormal, slow to compute and too small to move the moments
             log_terms -= log_i0[:, None]
             omega = _exp_above(log_terms, _EXP_NORMAL_FROM)
             # mean and covariance in the rule's own coordinates x = L^-1 (psi - c)
-            moments = (omega[:, None, :] @ rule.moments)[:, 0, :]
+            moments = None
+            for block, rule in _rule_blocks(ctx.gh_level, m):
+                block_moments = (omega[:, None, block] @ rule.moments)[:, 0, :]
+                moments = block_moments if moments is None else moments + block_moments
             mx = moments[:, :m]
-            cov_x = moments[:, m:][:, rule.pair_of] - mx[:, :, None] * mx[:, None, :]
+            cov_x = moments[:, m:][:, pair_of] - mx[:, :, None] * mx[:, None, :]
             mean = c + (chol @ mx[:, :, None])[..., 0]
             # settled: the mean moved by at most SETTLED of the rule's width, and
             # the covariance is the rule's own to 2 SETTLED, its widths to SETTLED
@@ -422,14 +451,13 @@ def _moments(ctx, k, t, shift, start) -> TiltedMoments:
             # distance it moved, in its own widths, to reach further
             moved, chol = moved[going], chol[going]
             step, ok = _cholesky(cov_x[going] + WIDTH_FLOOR**2 * eye)
-            reached = (ok & (moved <= rule.reach**2))[:, None, None]
+            reached = (ok & (moved <= reach**2))[:, None, None]
             centre[lanes] = mean[going]
             factor[lanes] = np.where(reached, chol @ step,
                                      chol * np.sqrt(np.maximum(moved, 1.0))[:, None, None])
         raise RangeExceeded(
             f"tilted measure did not settle after {RECENTRE_PASSES} placements at "
-            f"k={k}, source={t[lanes[0]]}; the source lies outside the resolvable range",
-            lane=int(lanes[0]))
+            f"k={k}, source={t[lanes[0]]}; the source lies outside the resolvable range")
 
 
 def _zero_source(ctx: FunctionalContext, k: float) -> TiltedMoments:
@@ -520,12 +548,12 @@ def invert_mean_field(ctx: FunctionalContext, k: float, phi) -> MeanFieldSolve:
     ``NEWTON_TOL``.  Every kernel call places a lane's rule on its field,
     as wide as the lane's tilted measure last was (at the start, as wide as
     the scale's zero-source measure).  Errors name the first field that
-    fails.
+    fails, except the kernel's refusals, which name its source.
     """
     phis, single = _lanes(ctx, phi)
     with _overflow_out_of_range(k):
         j = phis @ ctx.scale(k).prec.T
-    tm = _moments_of_fields(ctx, k, j, phis, _zero_source(ctx, k).cov)
+    tm = tilted_moments(ctx, k, j, start=(phis, _zero_source(ctx, k).cov))
     finite = np.isfinite(tm.mean).all(axis=-1) & np.isfinite(tm.cov).all(axis=(-2, -1))
     if not finite.all():
         raise RangeExceeded(
@@ -557,7 +585,7 @@ def invert_mean_field(ctx: FunctionalContext, k: float, phi) -> MeanFieldSolve:
                     f"source magnitude diverged inverting the mean field at "
                     f"phi={phis[at[np.argmax(far)]]}, k={k}"
                 )
-            tm_try = _moments_of_fields(ctx, k, j_try, phis[at], cov[at])
+            tm_try = tilted_moments(ctx, k, j_try, start=(phis[at], cov[at]))
             new_norm = np.linalg.norm(tm_try.mean - phis[at], axis=-1)
             ok = (new_norm < res_norm[at] * (1.0 - 1e-4 * alpha[trying])) | (
                 new_norm <= NEWTON_TOL)
@@ -588,18 +616,6 @@ def invert_mean_field(ctx: FunctionalContext, k: float, phi) -> MeanFieldSolve:
     if single:
         return MeanFieldSolve(j[0], float(res_norm[0]), iterations, _first_lane(tm))
     return MeanFieldSolve(j, res_norm, iterations, tm)
-
-
-def _moments_of_fields(ctx, k, j, phis, cov) -> TiltedMoments:
-    """Tilted moments at the sources ``j`` of the fields ``phis``, each
-    lane's rule placed on its field with covariance ``cov``; a source the
-    kernel cannot resolve raises :class:`RangeExceeded` naming its field."""
-    try:
-        return tilted_moments(ctx, k, j, start=(phis, cov))
-    except RangeExceeded as exc:
-        if exc.lane is None:
-            raise
-        raise RangeExceeded(f"{exc} (phi={phis[exc.lane]})", lane=exc.lane) from None
 
 
 def _newton_step(k, phis, lanes, mean, cov) -> np.ndarray:
@@ -700,8 +716,12 @@ def dk_log_normalization(ctx: FunctionalContext, k: float) -> float:
 
 
 def dirac_ratio(ctx: FunctionalContext, g, k: float) -> float:
-    """E_nu[g exp(-F_k/2)] / E_nu[exp(-F_k/2)]; concentrates on g(0) as k grows."""
-    nodes, logw = gauss_hermite_nodes(ctx.gh_level, ctx.measure.dim)
+    """E_nu[g exp(-F_k/2)] / E_nu[exp(-F_k/2)]; concentrates on g(0) as k grows.
+
+    The rule sits on the regularised Gaussian's own, untilted width.
+    """
+    m = ctx.measure.dim
+    nodes, logw = gauss_hermite_nodes(untilted_level(m), m)
     psi = nodes @ ctx.scale(k).chol_s.T
     vals = np.asarray(g(psi), dtype=float)
     w = np.exp(logw)

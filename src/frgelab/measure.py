@@ -17,6 +17,7 @@ from .errors import BudgetExceeded, NotSPD
 from .model import ModelSpec, covariance
 
 DEFAULT_GH_LEVEL_1D = 64  # the kernel places its one-mode rule on each tilted measure
+UNTILTED_GH_LEVEL_1D = 128  # a one-mode rule kept at an untilted Gaussian's width
 DEFAULT_GH_LEVEL_ND = 16
 MAX_GH_NODES = 2_000_000  # largest tensor rule built (level**dim nodes)
 
@@ -86,3 +87,10 @@ def gauss_hermite_nodes(level: int, dim: int):
 
 def default_level(dim: int) -> int:
     return DEFAULT_GH_LEVEL_1D if dim == 1 else DEFAULT_GH_LEVEL_ND
+
+
+def untilted_level(dim: int) -> int:
+    """The level of a rule that integrates against an untilted Gaussian on
+    its own width: that width is up to several times the tilted one, so one
+    mode takes twice the kernel's level."""
+    return UNTILTED_GH_LEVEL_1D if dim == 1 else DEFAULT_GH_LEVEL_ND
