@@ -170,9 +170,11 @@ def exact_table(args, spec, regulator):
         raise SpecValidationError("--k lists no scale")
     grid = np.linspace(-args.phi_max, args.phi_max, args.phi_nodes)
     rows = []
+    newton_iterations = 0
     for k in scales:
         # the last lane is the field 0, for the subtraction
         values, solve = fn.legendre_transform(ctx, k, np.append(grid, 0.0))
+        newton_iterations += solve.iterations
         gamma0 = values[-1]
         for phi, g, j, residual in zip(grid, values, solve.source[:, 0], solve.residual):
             rows.append([
@@ -182,7 +184,7 @@ def exact_table(args, spec, regulator):
     header = ["k", "phi", "Gamma", "GammaBar", "J", "residual", "budget"]
     return header, rows, dict(
         seeds={}, tolerances={"budget": fn.BUDGET, "newton_tol": fn.NEWTON_TOL},
-        stats={"rows": len(rows)},
+        stats={"rows": len(rows), "newton_iterations": newton_iterations},
     )
 
 

@@ -12,9 +12,10 @@ centre c and Cholesky factor L, weighted by the importance ratio of the
 Gaussian part to N(c, L L^T), and re-places them on the tilted mean and
 covariance it measured until both settle.  Callers that know where a
 lane's tilted measure lies start the rule there: the mean-field Newton
-solve on the field and its last tilted covariance, the W self-check on the
-direct route's moments moved by the shift, and ``W`` on the zero-source
-measure's linear response.  On the tilted measure's own width a rule of
+solve on the field and its last tilted covariance (at its one-loop start,
+the one-loop covariance), the W self-check on the direct route's moments
+moved by the shift, and ``W`` on the zero-source measure's linear
+response.  On the tilted measure's own width a rule of
 level 64 suffices for one mode.
 
 Neither exponential of the kernel is evaluated where its result underflows.
@@ -72,7 +73,8 @@ class ScaleRecord:
     ``prec`` = C^-1 + F_k with Cholesky factor ``chol_p``, ``sigma`` its
     inverse with Cholesky factor ``chol_s`` and ``logdet_s`` = ln det sigma.
     ``moments`` holds the zero-source tilted moments (ln N_k and its
-    measure) once first asked for.
+    measure) once first asked for, and ``start`` what the Newton start
+    reads of them once first inverted at.
     """
 
     f: np.ndarray
@@ -83,6 +85,22 @@ class ScaleRecord:
     chol_s: np.ndarray
     logdet_s: float
     moments: TiltedMoments | None = None
+    start: StartTerms | None = None
+
+
+@dataclass(frozen=True)
+class StartTerms:
+    """What the one-loop Newton start reads of a scale's zero-source tilted
+    covariance Z: ``z_inv`` = Z^-1, ``curvature`` = Z^-1 - D^2 S(0), so that
+    G(phi)^-1 = curvature + D^2 S(phi), ``matching`` = Z^-1 - L0 with
+    L0 = C^-1 + F_k + D^2 S(0) + D^4 S(0):Z / 2, and ``widest`` = the largest
+    eigenvalue of Z.
+    """
+
+    z_inv: np.ndarray
+    curvature: np.ndarray
+    matching: np.ndarray
+    widest: float
 
 
 @dataclass
@@ -468,6 +486,80 @@ def _zero_source(ctx: FunctionalContext, k: float) -> TiltedMoments:
     return record.moments
 
 
+def _start_terms(ctx: FunctionalContext, k: float) -> StartTerms:
+    """The one-loop start's terms of scale k, computed once per scale record."""
+    record = ctx.scale(k)
+    if record.start is None:
+        z = _zero_source(ctx, k).cov
+        h, _ = ctx.spec._position_map
+        jet, _ = ctx.spec.interaction_jet(np.zeros(ctx.measure.dim), [2, 4])
+        d2, d4 = jet.T
+        with _overflow_out_of_range(k):
+            z_inv = np.linalg.inv(z)
+            z_inv = 0.5 * (z_inv + z_inv.T)
+            hessian = (h * d2) @ h.T
+            slope = record.prec + hessian + 0.5 * (h * (d4 * _spread(h, z))) @ h.T
+            record.start = StartTerms(z_inv, z_inv - hessian, z_inv - slope,
+                                      float(np.linalg.eigvalsh(z)[-1]))
+    return record.start
+
+
+def _spread(h: np.ndarray, cov: np.ndarray) -> np.ndarray:
+    """h_l . cov h_l for each column h_l of the position map: the variance of
+    each position value under ``cov``, (M, M) or a batch (B, M, M)."""
+    return ((h.T @ cov) * h.T).sum(axis=-1)
+
+
+def _definite_inverse(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The inverse and smallest eigenvalue of each matrix of a symmetric
+    (B, M, M) batch, and which matrices are finite and positive definite,
+    from one eigendecomposition; a matrix that is not has the identity's."""
+    finite = np.isfinite(a).all(axis=(1, 2))
+    lam, vec = np.linalg.eigh(np.where(finite[:, None, None], a, 0.0))
+    ok = finite & (lam[:, 0] > 0.0)
+    lam = np.where(ok[:, None], lam, 1.0)
+    return (vec / lam[:, None, :]) @ vec.mT, lam[:, 0], ok
+
+
+def _one_loop_start(ctx: FunctionalContext, k: float, phis: np.ndarray):
+    """Each lane's Newton start: its source J0 and the covariance G on which
+    its first rule sits, for a (B, M) batch of fields.
+
+    With G(phi) = (Z^-1 + D^2 S(phi) - D^2 S(0))^-1, Z the scale's
+    zero-source tilted covariance, J0 is the one-loop source
+    (C^-1 + F_k) phi + D S(phi) + D^3 S(phi):G / 2 (Jackiw 1974) plus
+    (Z^-1 - L0) G Z^-1 phi, which makes J0 = Z^-1 phi + O(phi^2) near 0 (L0
+    is the first terms' slope there) and fades where D^2 S grows.  A lane
+    whose G^-1 is not positive definite starts from the Gaussian source
+    (C^-1 + F_k) phi on Z.
+
+    Raises :class:`RangeExceeded`, naming the first such field, where the
+    rounding of S^int, eps sum_l w_l |c_n v_l^n| times the tilted width
+    sqrt(lambda_max(G)), exceeds ``NEWTON_TOL``: no source there has a mean
+    the kernel resolves to the tolerance.
+    """
+    record, terms = ctx.scale(k), _start_terms(ctx, k)
+    h, _ = ctx.spec._position_map
+    with _overflow_out_of_range(k):
+        jet, size = ctx.spec.interaction_jet(phis, [1, 2, 3])
+        d1, d2, d3 = jet[..., 0], jet[..., 1], jet[..., 2]
+        g, smallest, ok = _definite_inverse(terms.curvature + (h * d2[:, None, :]) @ h.T)
+        cov = np.where(ok[:, None, None], g, _zero_source(ctx, k).cov)
+        j = phis @ record.prec.T
+        one_loop = (d1 @ h.T + 0.5 * (d3 * _spread(h, cov)) @ h.T
+                    + (cov @ (phis @ terms.z_inv)[:, :, None])[..., 0] @ terms.matching.T)
+        j = np.where(ok[:, None], j + one_loop, j)
+        floor = _EPS * size * np.sqrt(np.where(ok, 1.0 / smallest, terms.widest))
+    beyond = floor > NEWTON_TOL
+    if beyond.any():
+        i = int(np.argmax(beyond))
+        raise RangeExceeded(
+            f"the interaction's rounding at phi={phis[i]}, k={k} moves the tilted "
+            f"mean by {floor[i]:.1e}, more than the Newton tolerance "
+            f"{NEWTON_TOL:.0e}; the field lies outside the resolvable range")
+    return j, cov
+
+
 def log_normalization(ctx: FunctionalContext, k: float) -> float:
     """ln N_k = ln E_nu[exp(-S^int - F_k/2 psi.psi)]."""
     return _zero_source(ctx, k).log_value
@@ -543,17 +635,16 @@ def invert_mean_field(ctx: FunctionalContext, k: float, phi) -> MeanFieldSolve:
     """Solve mean_field(J) = phi for one field (M,) or a batch (B, M).
 
     Newton with a backtracking line search on the residual, run on every
-    lane at once: each lane starts from J = (C^-1 + F_k) phi, keeps its own
-    step length and is masked out once its residual is within
-    ``NEWTON_TOL``.  Every kernel call places a lane's rule on its field,
-    as wide as the lane's tilted measure last was (at the start, as wide as
-    the scale's zero-source measure).  Errors name the first field that
-    fails, except the kernel's refusals, which name its source.
+    lane at once: each lane starts from the one-loop source of
+    :func:`_one_loop_start`, keeps its own step length and is masked out once
+    its residual is within ``NEWTON_TOL``.  Every kernel call places a
+    lane's rule on its field, as wide as the lane's tilted measure last was
+    (at the start, the one-loop covariance G).  Errors name the first field
+    that fails, except the kernel's refusals, which name its source.
     """
     phis, single = _lanes(ctx, phi)
-    with _overflow_out_of_range(k):
-        j = phis @ ctx.scale(k).prec.T
-    tm = tilted_moments(ctx, k, j, start=(phis, _zero_source(ctx, k).cov))
+    j, start_cov = _one_loop_start(ctx, k, phis)
+    tm = tilted_moments(ctx, k, j, start=(phis, start_cov))
     finite = np.isfinite(tm.mean).all(axis=-1) & np.isfinite(tm.cov).all(axis=(-2, -1))
     if not finite.all():
         raise RangeExceeded(
@@ -563,8 +654,8 @@ def invert_mean_field(ctx: FunctionalContext, k: float, phi) -> MeanFieldSolve:
         )
     log_value, log_i0, mean, cov = tm.log_value, tm.log_interaction, tm.mean, tm.cov
     res_norm = np.linalg.norm(mean - phis, axis=-1)
-    # a source far beyond the cold start diverged; the cold start itself
-    # grows like k^2 |phi|, and a bound past the float range is no bound
+    # a source far beyond the start diverged; the start itself grows like
+    # k^2 |phi| and like S'(phi), and a bound past the float range is no bound
     with np.errstate(over="ignore"):
         far_bound = 1e8 * (1.0 + np.linalg.norm(j, axis=-1))
     iterations = 0

@@ -11,6 +11,7 @@ position values.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -138,10 +139,14 @@ class ModelSpec:
 
     @cached_property
     def _position_map(self) -> tuple[np.ndarray, np.ndarray]:
-        """The map of mode coefficients to position values, H^T / sqrt(dx),
-        and the position weights; read-only, built on first use."""
-        h = (self.hartley_matrix() / np.sqrt(self.position_spacing)).T
-        w = self.position_weights
+        """The map h of mode coefficients to position values, H^T / sqrt(dx),
+        and the position weights w; read-only, built on first use.  In d = 0
+        the one mode is the one value: h = w = 1."""
+        if self.dimension == 0:
+            h, w = np.ones((1, 1)), np.ones(1)
+        else:
+            h = (self.hartley_matrix() / np.sqrt(self.position_spacing)).T
+            w = self.position_weights
         h.setflags(write=False)
         w.setflags(write=False)
         return h, w
@@ -157,6 +162,34 @@ class ModelSpec:
             return self._polynomial(psi[..., 0])
         h, w = self._position_map
         return self._polynomial(psi @ h) @ w
+
+    @cached_property
+    def _derivative_table(self) -> np.ndarray:
+        """D[j, n], the coefficient of v^j in the n-th derivative of
+        c2 v^2 + c3 v^3 + c4 v^4 (n = 0 ... 4); read-only."""
+        table = np.zeros((5, 5))
+        for power, c in ((2, self.c2), (3, self.c3), (4, self.c4)):
+            for n in range(power + 1):
+                table[power - n, n] = c * math.perm(power, n)
+        table.setflags(write=False)
+        return table
+
+    def interaction_jet(self, psi: np.ndarray, orders) -> tuple[np.ndarray, np.ndarray]:
+        """Derivatives of S^int at an array psi (..., M), as position sums.
+
+        Returns w_l p^(n)(v_l) at the position values v = psi h, one column
+        per order n in ``orders`` (shape (..., L, len(orders))), p being
+        c2 v^2 + c3 v^3 + c4 v^4, and sum_l w_l (|c2 v_l^2| + |c3 v_l^3| +
+        |c4 v_l^4|) (shape (...)), the size of the terms S^int adds, which
+        sets its rounding.  The n-th derivative of S^int at psi is the sum
+        over l of the l-th weight times the n-fold outer product of h's
+        column l: with d = w p^(n), the gradient is d @ h.T and the Hessian
+        (h * d[..., None, :]) @ h.T.
+        """
+        h, w = self._position_map
+        table = self._derivative_table
+        powers = (psi @ h)[..., None] ** np.arange(5.0)
+        return (powers @ table[:, orders]) * w[:, None], np.abs(powers) @ np.abs(table[:, 0]) @ w
 
 
 def validate_spec(spec: ModelSpec) -> None:

@@ -75,8 +75,12 @@ class TestExact:
         assert main(args) == 0
         first = Path(out).read_text()
         assert first.splitlines()[0] == "k,phi,Gamma,GammaBar,J,residual,budget"
+        stats = json.loads(Path(out + ".manifest.json").read_text())["stats"]
+        assert stats["newton_iterations"] > 0  # the oracle's work, for report
         assert main(args) == 0
         assert Path(out).read_text() == first  # byte-identical rerun
+        again = json.loads(Path(out + ".manifest.json").read_text())["stats"]
+        assert again["newton_iterations"] == stats["newton_iterations"]
 
     def test_one_inversion_call_per_scale(self, config_path, tmp_path, monkeypatch):
         lanes = []

@@ -119,14 +119,14 @@ class TestMeanField:
     @pytest.mark.parametrize("name", ["litim", "exponential"])
     def test_large_scale_reaches_the_classical_action(self, phi4_spec, name,
                                                       request):
-        # the cold start J0 = (C^-1 + F_k) phi is 3e8 here, so a source bound
+        # the start J0 ~ (C^-1 + F_k) phi is 3e8 here, so a source bound
         # that does not grow with J0 refused every scale from k = 1e4 on
         ctx = FunctionalContext(spec=phi4_spec, regulator=request.getfixturevalue(name))
         classical = float(classical_asymptote(phi4_spec, np.array([3.0])))
         assert abs(gamma_bar(ctx, 1e4, [3.0]) - classical) <= 1e-6
 
     def test_huge_cold_start_bounds_without_overflow(self, phi4_spec, litim):
-        # the cold start is 5e199 here, whose norm overflows; warnings are
+        # the start is 5e199 here, whose norm overflows; warnings are
         # errors here, so only the typed error of a later stage passes
         ctx = FunctionalContext(spec=phi4_spec, regulator=litim)
         with pytest.raises(RangeExceeded, match=r"k=1e\+100"):
@@ -168,7 +168,7 @@ class TestMeanField:
             gamma_bar(ctx, 1e153, [3.0])
 
     def test_overflow_of_the_gaussian_shift_raises(self, phi4_spec, litim):
-        # at phi = 30 the cold-start source T is so large that the Gaussian
+        # at phi = 30 the start's source T is so large that the Gaussian
         # exponent T.sigma T overflows before any importance ratio is formed
         ctx = FunctionalContext(spec=phi4_spec, regulator=litim)
         with warnings.catch_warnings():
@@ -227,10 +227,10 @@ class TestEffectiveAction:
         assert solve.iterations <= 10 * fields.size
 
     def test_inversion_errors_name_the_failing_field(self, phi4_ctx, monkeypatch):
-        # phi = 1e4 lies beyond the resolvable range: the rule does not
-        # settle on the tilted measure of its cold-start source
-        # (C^-1 + F_1) phi = 2e4, which the kernel's refusal names
-        with pytest.raises(RangeExceeded, match=r"source=\[20000\.\]"):
+        # phi = 1e4 lies beyond the resolvable range: the rounding of S^int
+        # there moves the tilted mean by more than the Newton tolerance, and
+        # the start's refusal names the middle lane's field
+        with pytest.raises(RangeExceeded, match=r"phi=\[10000\.\]"):
             invert_mean_field(phi4_ctx, 1.0, np.array([[1.0], [1e4], [2.0]]))
         # a lane whose steps only climb stalls its line search
         step = functionals._newton_step
@@ -397,25 +397,25 @@ class TestFrozenOracleBits:
     """The acceptance phi^4 oracle's bytes, which a faster kernel must keep.
 
     Frozen from the adaptive kernel, whose rules sit on each tilted
-    measure; ``test_gamma_matches_the_quadrature_reference`` pins their
-    accuracy.
+    measure, and the one-loop Newton start;
+    ``test_gamma_matches_the_quadrature_reference`` pins their accuracy.
     """
 
     FIELDS = [-4.5, -2.0, 0.0, 0.03, 3.0, 4.5]
     # k -> (gamma_k values, inverting sources) at FIELDS
     TRANSFORMS = {
         10.0: ([51.23902993540345, 3.6232107738990553, -8.881784197001252e-16,
-                0.00045542645834687384, 12.650787026271525, 51.23902993540345],
-               [-490.9930923564587, -205.22268047799608, 0.0, 3.030367161985243,
-                313.83219580394973, 490.9930923564587]),
-        1.0: ([52.36226287974277, 4.155352699273567, 2.220446049250313e-16,
-               0.0006508893908837993, 13.470831883602376, 52.36226287974283],
-              [-45.65538718520063, -7.550044855295894, 0.0, 0.07339626925512674,
-               17.081267292964718, 45.65538718520061]),
-        0.0: ([52.59291337425328, 4.324686555149016, 2.6922908347160046e-14,
-               0.0007311218774501138, 13.67997578471732, 52.59291337425339],
-              [-41.163540095845185, -5.612449195107672, 0.0, 0.04874420882401702,
-               14.105490394721345, 41.163540095845164]),
+                0.00045542645834687915, 12.650787026271525, 51.23902993540345],
+               [-490.99309235646047, -205.222680479039, 0.0, 3.0303671619837784,
+                313.83219580394973, 490.99309235646047]),
+        1.0: ([52.36226287974266, 4.155352699273568, 2.220446049250313e-16,
+               0.0006508893908835564, 13.470831883602386, 52.36226287974266],
+              [-45.65538718524771, -7.550044855467256, 0.0, 0.07339626925510544,
+               17.081267292949963, 45.65538718524771]),
+        0.0: ([52.59291337425339, 4.324686555149016, 2.6922908347160046e-14,
+               0.0007311218774503914, 13.67997578471732, 52.59291337425339],
+              [-41.16354009584396, -5.612449195107674, 0.0, 0.0487442088236884,
+               14.105490394502134, 41.16354009584396]),
     }
 
     @pytest.mark.parametrize("k", sorted(TRANSFORMS))
@@ -692,12 +692,14 @@ class TestOracleProperties:
 
 
 class TestWork:
-    def test_transform_rows_stay_below_two_fifths_of_the_fixed_rule(self, litim,
-                                                                    monkeypatch):
+    def test_transform_rows_stay_below_a_fifth_of_the_fixed_rule(self, litim,
+                                                                 monkeypatch):
         # the acceptance model's 301 grid fields plus phi = 0 at k = 10, 1
         # and 0: a level-128 rule kept at the Gaussian part's width took
         # 1 352 320 interaction rows; rules placed on each tilted measure
-        # take 442 560 at level 64.  One more pass per kernel call breaks this
+        # take 234 560 at level 64 from the one-loop start, in 1 686 Newton
+        # iterations (443 456 rows and 3 418 from the Gaussian source
+        # (C^-1 + F_k) phi).  One more pass per kernel call breaks this
         spec = ModelSpec(dimension=0, modes=1, mass=1.0, c4=0.1, phi_max=4.5,
                          phi_nodes=301, window=WindowParams(kind="scalar", r=1.0))
         ctx = FunctionalContext(spec=spec, regulator=litim)
@@ -710,6 +712,71 @@ class TestWork:
             return values
 
         monkeypatch.setattr(ModelSpec, "interaction_batch", counting)
+        iterations = 0
         for k in (10.0, 1.0, 0.0):
-            legendre_transform(ctx, k, np.append(spec.field_grid, 0.0))
-        assert sum(rows) <= 0.4 * 1_352_320
+            _, solve = legendre_transform(ctx, k, np.append(spec.field_grid, 0.0))
+            iterations += solve.iterations
+        assert sum(rows) <= 0.2 * 1_352_320
+        assert iterations <= 2_000
+
+    def test_three_mode_hessian_takes_one_kernel_pass_per_gradient(
+        self, line_spec, litim, monkeypatch
+    ):
+        # each of the 12 gradients at phi = +-h e_a starts within the Newton
+        # tolerance of its source: one kernel call of one pass, where the
+        # Gaussian source (C^-1 + F_k) phi took a Newton step and 24 passes
+        ctx = FunctionalContext(spec=line_spec, regulator=litim)
+        log_normalization(ctx, 0.0)
+        calls = []
+        batch = ModelSpec.interaction_batch
+
+        def counting(self, psi):
+            calls.append(len(psi))
+            return batch(self, psi)
+
+        monkeypatch.setattr(ModelSpec, "interaction_batch", counting)
+        gamma_hessian(ctx, 0.0, np.zeros(3))
+        assert len(calls) <= 12
+
+
+class TestNewtonStart:
+    @pytest.mark.parametrize("k", [0.0, 100.0])
+    def test_fields_invert_until_the_interaction_rounds_past_the_tolerance(
+        self, phi4_ctx, k
+    ):
+        solve = invert_mean_field(phi4_ctx, k, [[100.0], [120.0], [150.0], [165.0]])
+        assert solve.residual.max() <= functionals.NEWTON_TOL
+        # from |phi| ~ 170 the rounding of S^int moves the tilted mean by
+        # more than the tolerance: the start refuses the field by name,
+        # where a line search from it would stall
+        for phi in (180.0, 260.0, 900.0):
+            with pytest.raises(RangeExceeded, match=re.escape(f"phi=[{phi:.0f}.], k={k}")):
+                invert_mean_field(phi4_ctx, k, np.array([phi]))
+
+    def test_indefinite_curvature_starts_from_the_gaussian_source(
+        self, phi4_ctx, monkeypatch
+    ):
+        # a unimodal cubic model whose S'' dips by more than Z^-1 at phi = -1
+        spec = ModelSpec(dimension=0, modes=1, mass=1.0, c3=0.4, c4=0.1,
+                         allow_unbounded=True, window=WindowParams(kind="scalar", r=1.0))
+        ctx = FunctionalContext(spec=spec, regulator=phi4_ctx.regulator)
+        j, cov = functionals._one_loop_start(ctx, 0.0, np.array([[-1.0], [1.0]]))
+        prec, zero_cov = ctx.scale(0.0).prec[0, 0], ctx.scale(0.0).moments.cov
+        assert j[0, 0] == -prec and np.array_equal(cov[0], zero_cov)
+        assert j[1, 0] != prec
+        assert invert_mean_field(ctx, 0.0, [-1.0]).residual <= functionals.NEWTON_TOL
+        # forced on the even model's lane phi = 3, whose quadrature value is known
+        definite_inverse = functionals._definite_inverse
+
+        def first_indefinite(a):
+            g, smallest, ok = definite_inverse(a)
+            return g, smallest, ok & (np.arange(len(ok)) > 0)
+
+        monkeypatch.setattr(functionals, "_definite_inverse", first_indefinite)
+        fields = [3.0, 4.5]
+        j, _ = functionals._one_loop_start(phi4_ctx, 0.0, np.array(fields)[:, None])
+        assert j[0, 0] == 3.0 * phi4_ctx.scale(0.0).prec[0, 0]
+        values, solve = legendre_transform(phi4_ctx, 0.0, fields)
+        assert solve.residual.max() <= functionals.NEWTON_TOL
+        reference = [TestEffectiveAction.QUAD_GAMMA_K0[phi] for phi in fields]
+        assert np.abs(values - reference).max() <= 1e-9

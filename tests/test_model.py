@@ -160,6 +160,43 @@ class TestGrids:
             assert spec.interaction(row) == float(reference(row[None])[0])
 
 
+    @pytest.mark.parametrize("dimension", [0, 1])
+    def test_interaction_jet_differentiates_the_batch(self, dimension, rng):
+        c2, c3, c4 = 0.3, -0.2, 0.1
+        geometry = (dict(modes=1, window=WindowParams(kind="scalar", r=1.0))
+                    if dimension == 0 else
+                    dict(modes=5, momentum_spacing=0.5,
+                         window=WindowParams(kind="identity")))
+        spec = ModelSpec(dimension=dimension, mass=1.0, c2=c2, c3=c3, c4=c4,
+                         allow_unbounded=True, **geometry)
+        h, w = spec._position_map
+        psi = rng.normal(0.0, 1.5, (4, spec.modes))
+        jet, size = spec.interaction_jet(psi, [1, 2, 3])
+
+        def tensor(d, *fixed):  # sum_l d_l h_l (x) h_l (x) ..., the axes in fixed taken
+            return (d * np.prod([h[a] for a in fixed], axis=0)) @ h.T
+
+        def jet_of(p, order):
+            return spec.interaction_jet(p, [order])[0][..., 0]
+
+        # each order is the central difference of the one below it
+        step = 1e-5 * np.eye(spec.modes)
+        for a in range(spec.modes):
+            def diff(f):
+                return (f(psi + step[a]) - f(psi - step[a])) / 2e-5
+
+            assert np.allclose(diff(spec.interaction_batch), tensor(jet[..., 0])[:, a],
+                               rtol=1e-8, atol=1e-8)
+            assert np.allclose(diff(lambda p: tensor(jet_of(p, 1))), tensor(jet[..., 1], a),
+                               rtol=1e-7, atol=1e-7)
+            for b in range(spec.modes):
+                assert np.allclose(diff(lambda p: tensor(jet_of(p, 2), b)),
+                                   tensor(jet[..., 2], a, b), rtol=1e-7, atol=1e-7)
+        v = psi @ h
+        assert np.allclose(size, (abs(c2) * v**2 + abs(c3 * v**3) + c4 * v**4) @ w,
+                           rtol=1e-15, atol=0)
+
+
 class TestOperators:
     def test_scalar_window_covariance(self):
         # C = r^2 / m^2 for the d=0 scalar window
