@@ -20,7 +20,6 @@ from .errors import (
     NotProper,
     NotSPD,
     RangeExceeded,
-    SelfCheckFailed,
     SingularWindow,
     SpecValidationError,
     StepUnderflow,
@@ -38,7 +37,6 @@ __all__ = [
     "SingularWindow",
     "NotSPD",
     "BudgetExceeded",
-    "SelfCheckFailed",
     "ConditionViolated",
     "NewtonStalled",
     "RangeExceeded",

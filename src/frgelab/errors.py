@@ -21,10 +21,6 @@ class BudgetExceeded(FrgeLabError):
     """Requested accuracy cannot be met within the configured node limits."""
 
 
-class SelfCheckFailed(FrgeLabError):
-    """Two independent evaluation routes disagree beyond the allowed margin."""
-
-
 class ConditionViolated(FrgeLabError):
     """A regulator admissibility condition failed; carries the witnessing point."""
 

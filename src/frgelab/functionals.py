@@ -13,10 +13,9 @@ Gaussian part to N(c, L L^T), and re-places them on the tilted mean and
 covariance it measured until both settle.  Callers that know where a
 lane's tilted measure lies start the rule there: the mean-field Newton
 solve on the field and its last tilted covariance (at its one-loop start,
-the one-loop covariance), the W self-check on the direct route's moments
-moved by the shift, and ``W`` on the zero-source measure's linear
-response.  On the tilted measure's own width a rule of
-level 64 suffices for one mode.
+the one-loop covariance), and ``W`` on the zero-source measure's linear
+response.  What the oracle returns is certified on the same placement by
+the next, finer rule of ``measure.ladder`` (see ``_certified``).
 
 Neither exponential of the kernel is evaluated where its result underflows.
 The log-sum-exp writes +0 for terms below -746, exactly what ``exp`` gives
@@ -29,26 +28,25 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
 import scipy.linalg as sla
 
 from . import measure
-from .errors import NewtonStalled, RangeExceeded, SelfCheckFailed, SpecValidationError
+from .errors import BudgetExceeded, NewtonStalled, RangeExceeded, SpecValidationError
 from .measure import (
     GaussianMeasure,
     build_measure,
-    default_level,
     gauss_hermite_nodes,
-    r_nu,
+    ladder,
     untilted_level,
 )
 from .model import ModelSpec
 from .regulator import Regulator, regulator_diagonals
 
-BUDGET = 1e-10  # stated oracle accuracy; scales the W self-check margin
+BUDGET = 1e-10  # stated oracle accuracy of ln I, relative where |ln I| > 1
 NEWTON_TOL = 1e-10
 NEWTON_MAX_ITER = 60
 RECENTRE_PASSES = 8  # rule placements before a source counts as out of range
@@ -105,6 +103,9 @@ class StartTerms:
 
 @dataclass
 class FunctionalContext:
+    """The oracle of one model and regulator; with ``self_check`` the values
+    it returns are certified within ``BUDGET`` (``_certified``)."""
+
     spec: ModelSpec
     regulator: Regulator
     self_check: bool = True
@@ -114,7 +115,7 @@ class FunctionalContext:
 
     def __post_init__(self):
         self.measure = build_measure(self.spec)
-        self.gh_level = default_level(self.measure.dim)
+        self.gh_level = ladder(self.measure.dim)[0]
 
     def scale(self, k: float) -> ScaleRecord:
         """The record of scale k, built on first use and kept for the last
@@ -152,11 +153,11 @@ class FunctionalContext:
 
 @dataclass(frozen=True)
 class TiltedMoments:
-    """log E_nu[exp(T.psi - S^int(psi+shift) - F_k/2 psi.psi)] with the mean
-    and covariance of the corresponding normalized tilted measure.
+    """log E_nu[exp(T.psi - S^int(psi) - F_k/2 psi.psi)] with the mean and
+    covariance of the corresponding normalized tilted measure.
 
     ``log_interaction`` is the interaction's share of ``log_value``,
-    ln E[exp(-S^int(psi+shift))] under the Gaussian part N(Sigma T, Sigma);
+    ln I = ln E[exp(-S^int(psi))] under the Gaussian part N(Sigma T, Sigma);
     the rest, T.Sigma T / 2 + ln sqrt(det Sigma / det C), is exact and grows
     like |T|^2 / k^2.  For one source the fields are floats, an (M,) mean
     and an (M, M) covariance; for a batch of B sources each gains a leading
@@ -236,7 +237,7 @@ def _log_sum_exp(a: np.ndarray):
 
 
 def tilted_moments(
-    ctx: FunctionalContext, k: float, t_vec=None, shift=None, start=None
+    ctx: FunctionalContext, k: float, t_vec=None, level=None, start=None
 ) -> TiltedMoments:
     """Tilted moments at the source ``t_vec``, of shape (M,) or a batch (B, M).
 
@@ -247,9 +248,9 @@ def tilted_moments(
     on.  ``start`` = (centre, cov) is where the caller expects each lane's
     tilted mean and covariance, one (M,) and (M, M) pair or one per lane;
     without it the first rule sits on the Gaussian part of the integrand.
-    ``shift`` is one (M,) vector or one per lane.  A batch whose rows (lanes
-    times rule nodes) exceed ``measure.MAX_GH_NODES`` is evaluated in chunks
-    of lanes.
+    ``level`` is the rule's level per axis, by default ``ctx.gh_level``.  A
+    batch whose rows (lanes times rule nodes) exceed ``measure.MAX_GH_NODES``
+    is evaluated in chunks of lanes.
 
     Raises :class:`RangeExceeded`, naming the first such source, if a mean
     or width has not settled after ``RECENTRE_PASSES`` placements or if a
@@ -258,17 +259,16 @@ def tilted_moments(
     """
     m = ctx.measure.dim
     t, single = _lanes(ctx, np.zeros(m) if t_vec is None else t_vec)
-    if shift is not None:
-        shift = np.broadcast_to(np.asarray(shift, dtype=float).reshape(-1, m), t.shape)
+    level = ctx.gh_level if level is None else level
     if start is not None:
         start = (np.broadcast_to(np.asarray(start[0], dtype=float).reshape(-1, m), t.shape),
                  np.broadcast_to(np.asarray(start[1], dtype=float).reshape(-1, m, m),
                                  t.shape + (m,)))
-    width = max(1, measure.MAX_GH_NODES // ctx.gh_level**m)  # lanes per chunk
+    width = max(1, measure.MAX_GH_NODES // level**m)  # lanes per chunk
     parts = []
     for i in range(0, len(t), width):
         parts.append(_moments(
-            ctx, k, t[i:i + width], None if shift is None else shift[i:i + width],
+            ctx, k, t[i:i + width], level,
             None if start is None else (start[0][i:i + width], start[1][i:i + width])))
     tm = parts[0] if len(parts) == 1 else TiltedMoments(
         np.concatenate([p.log_value for p in parts]),
@@ -374,7 +374,7 @@ def _cholesky(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return factor, np.isfinite(factor).all(axis=(-2, -1))
 
 
-def _moments(ctx, k, t, shift, start) -> TiltedMoments:
+def _moments(ctx, k, t, level, start) -> TiltedMoments:
     """The tilted moments of a (B, M) batch of sources, all lanes at once."""
     with _overflow_out_of_range(k):
         record = ctx.scale(k)
@@ -384,7 +384,7 @@ def _moments(ctx, k, t, shift, start) -> TiltedMoments:
         pairs, pair_scale, pair_of = _pairs(m)
         # a measured mean farther than half the outermost node from the
         # centre lies beyond what the rule resolves
-        reach = 0.5 * float(gauss_hermite_nodes(ctx.gh_level, m)[0][-1, 0])
+        reach = 0.5 * float(gauss_hermite_nodes(level, m)[0][-1, 0])
         mu = t @ record.sigma.T
         log_gauss = 0.5 * ((t * mu).sum(axis=-1) + record.logdet_s - ctx.measure.logdet)
         if start is None:
@@ -425,11 +425,9 @@ def _moments(ctx, k, t, shift, start) -> TiltedMoments:
             coef[:, -1] = 1.0
             placing = np.concatenate([c[:, :, None], chol], axis=2)
             blocks = []
-            for _, rule in _rule_blocks(ctx.gh_level, m):
+            for _, rule in _rule_blocks(level, m):
                 block_terms = (coef[:, None, :] @ rule.ratio)[:, 0, :]
-                psi = (placing @ rule.place).mT
-                block_terms -= ctx.spec.interaction_batch(
-                    psi if shift is None else psi + shift[lanes][:, None, :])
+                block_terms -= ctx.spec.interaction_batch((placing @ rule.place).mT)
                 blocks.append(block_terms)
             log_terms = blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=1)
             log_i0 = _log_sum_exp(log_terms)
@@ -439,7 +437,7 @@ def _moments(ctx, k, t, shift, start) -> TiltedMoments:
             omega = _exp_above(log_terms, _EXP_NORMAL_FROM)
             # mean and covariance in the rule's own coordinates x = L^-1 (psi - c)
             moments = None
-            for block, rule in _rule_blocks(ctx.gh_level, m):
+            for block, rule in _rule_blocks(level, m):
                 block_moments = (omega[:, None, block] @ rule.moments)[:, 0, :]
                 moments = block_moments if moments is None else moments + block_moments
             mx = moments[:, :m]
@@ -479,10 +477,12 @@ def _moments(ctx, k, t, shift, start) -> TiltedMoments:
 
 
 def _zero_source(ctx: FunctionalContext, k: float) -> TiltedMoments:
-    """Zero-source tilted moments of scale k, computed once per scale record."""
+    """Zero-source tilted moments of scale k, computed and certified once per
+    scale record."""
     record = ctx.scale(k)
     if record.moments is None:
-        record.moments = tilted_moments(ctx, k)
+        zero = np.zeros((1, ctx.measure.dim))
+        record.moments = _first_lane(_certified(ctx, k, zero, tilted_moments(ctx, k, zero)))
     return record.moments
 
 
@@ -569,56 +569,51 @@ def W(ctx: FunctionalContext, k: float, t_vec):
     """Log moment-generating function of the scale-k theory at one source
     (M,) or a batch (B, M); a float or (B,) values.
 
-    Computed directly and, when self-checking is enabled, re-derived through
-    the shifted-measure representation; the two routes must agree within
-    ten times the accuracy budget.  Each lane's rule starts where the
-    zero-source measure's linear response puts the tilted measure: at its
-    mean moved by its covariance times the source, as wide as it.
+    W_k(T) = ln E[...] - ln N_k, each lane's value certified when the
+    context self-checks.  Each lane's rule starts where the zero-source
+    measure's linear response puts the tilted measure: at its mean moved by
+    its covariance times the source, as wide as it.
     """
     t, single = _lanes(ctx, t_vec)
     zero = _zero_source(ctx, k)
     with _overflow_out_of_range(k):
         centre = zero.mean + t @ zero.cov
-    w = _checked_w(ctx, k, t, tilted_moments(ctx, k, t, start=(centre, zero.cov)))
+    moments = _certified(ctx, k, t, tilted_moments(ctx, k, t, start=(centre, zero.cov)))
+    w = moments.log_value - zero.log_value
     return float(w[0]) if single else w
 
 
-def _checked_w(ctx, k, t, moments: TiltedMoments) -> np.ndarray:
-    """W_k(T) = ln E[...] - ln N_k of a (B, M) batch from the tilted moments
-    at T, each lane re-derived through the shifted form when the context
-    self-checks."""
-    ln_n = log_normalization(ctx, k)
-    direct = moments.log_value - ln_n
-    if ctx.self_check:
-        shifted, scale = _w_shifted_form(ctx, k, t, ln_n, moments)
-        # the shifted route cancels terms of size ``scale``; allow for the
-        # roundoff and quadrature error that cancellation amplifies
-        tol = 10.0 * BUDGET * (1.0 + np.abs(direct)) + 1e-11 * scale**2
-        bad = np.flatnonzero(np.abs(direct - shifted) > tol)
-        if bad.size:
-            i = bad[0]
-            raise SelfCheckFailed(
-                f"W self-check failed at k={k}, source={t[i]}: "
-                f"direct={float(direct[i])!r} shifted={float(shifted[i])!r}"
-            )
-    return direct
+def _certified(ctx, k, t, moments: TiltedMoments) -> TiltedMoments:
+    """``moments`` of a (B, M) batch of sources with each lane's ln I
+    certified, when the context self-checks.
 
-
-def _w_shifted_form(ctx, k, t, ln_n, moments):
-    """W of a (B, M) batch via the shift identity: tilt each lane by its
-    Cameron-Martin representative phi0.  The shifted integrand's tilted
-    measure is the direct one's ``moments`` moved by -phi0, which places
-    each lane's rule."""
-    phi0 = r_nu(ctx.measure, t.T).T
-    f_diag = ctx.scale(k).f
-    with _overflow_out_of_range(k):
-        inner = np.sum(t * phi0, axis=-1)
-        quad = np.sum(phi0 * (f_diag * phi0), axis=-1)
-        tm = tilted_moments(ctx, k, -(f_diag * phi0), shift=phi0,
-                            start=(moments.mean - phi0, moments.cov))
-        value = 0.5 * inner - 0.5 * quad + tm.log_value - ln_n
-        scale = 1.0 + np.abs(inner) + np.abs(quad)
-    return value, scale
+    Each lane's ln I is taken again on the next rule of ``measure.ladder``,
+    placed on the lane's mean and covariance, which stay; the finer value is
+    kept, and a lane whose two values differ by more than ``BUDGET``
+    (1 + |ln I|) climbs on.  The relative part spares a large ln I its own
+    rounding.  Raises :class:`BudgetExceeded` naming k and the first source
+    still over at the top, or whose next rule exceeds ``MAX_GH_NODES``.
+    """
+    if not ctx.self_check:
+        return moments
+    log_value, log_i = moments.log_value.copy(), moments.log_interaction.copy()
+    lanes = np.arange(len(t))  # the lanes not yet certified
+    for level in ladder(ctx.measure.dim)[1:]:
+        try:
+            fine = tilted_moments(ctx, k, t[lanes], level,
+                                  start=(moments.mean[lanes], moments.cov[lanes]))
+        except BudgetExceeded as exc:
+            raise BudgetExceeded(f"{exc}, at k={k}, source={t[lanes[0]]}") from None
+        # a NaN estimate certifies nothing
+        over = ~(np.abs(fine.log_interaction - log_i[lanes])
+                 <= BUDGET * (1.0 + np.abs(fine.log_interaction)))
+        log_value[lanes], log_i[lanes] = fine.log_value, fine.log_interaction
+        lanes = lanes[over]
+        if lanes.size == 0:
+            return TiltedMoments(log_value, log_i, moments.mean, moments.cov)
+    raise BudgetExceeded(
+        f"the level-{level} rule moved ln I by more than the budget {BUDGET:.0e} "
+        f"at k={k}, source={t[lanes[0]]}: no rule on the ladder certifies it")
 
 
 def mean_field(ctx: FunctionalContext, k: float, t_vec) -> np.ndarray:
@@ -730,17 +725,18 @@ def legendre_transform(ctx: FunctionalContext, k: float, fields):
     M = 1); one (M,) field is a batch of one.  Returns ``(values, solve)``:
     the (B,) values gamma_k(phi) = J.phi - W_k(J) - F_k(phi, phi)/2 at the
     inverting sources J, and the one batched :class:`MeanFieldSolve` that
-    found them.
+    found them, its moments certified when the context self-checks.
 
     With mu = Sigma J the value is formed as phi.C^-1 phi / 2 - (phi - mu).
     (C^-1 + F_k)(phi - mu) / 2 - ln I(J) + ln I(0), ln I being the tilted
     moments' ``log_interaction``: the terms of size k^2 |phi|^2 that J.phi,
     W_k(J) and F_k(phi, phi) cancel are never formed.  ln I(J) comes from the
-    inversion's own tilted moments, whose W_k(J) is self-checked per lane.
+    inversion's own tilted moments: its Newton iterates are not certified,
+    only the moments at its final sources.
     """
     phis, _ = _lanes(ctx, fields)
     solve = invert_mean_field(ctx, k, phis)
-    _checked_w(ctx, k, solve.source, solve.moments)
+    solve = replace(solve, moments=_certified(ctx, k, solve.source, solve.moments))
     record = ctx.scale(k)
     with _overflow_out_of_range(k):
         gap = phis - solve.source @ record.sigma.T

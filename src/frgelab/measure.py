@@ -1,8 +1,7 @@
 """The regularized Gaussian measure at finite truncation.
 
-Provides the measure's Cholesky data, the Cameron-Martin map of dual
-vectors and the tensorised Gauss-Hermite rule that the quadrature kernel
-``functionals.tilted_moments`` integrates with.
+Provides the measure's Cholesky data and the tensorised Gauss-Hermite rules
+that the quadrature kernel ``functionals.tilted_moments`` integrates with.
 """
 
 from __future__ import annotations
@@ -16,9 +15,11 @@ import scipy.linalg as sla
 from .errors import BudgetExceeded, NotSPD
 from .model import ModelSpec, covariance
 
-DEFAULT_GH_LEVEL_1D = 64  # the kernel places its one-mode rule on each tilted measure
+# the kernel's rule levels on each tilted measure, its own first: each finer
+# rung certifies the value of the rung below it
+LADDER_1D = (64, 80, 96, 128)
+LADDER_ND = (16, 24)
 UNTILTED_GH_LEVEL_1D = 128  # a one-mode rule kept at an untilted Gaussian's width
-DEFAULT_GH_LEVEL_ND = 16
 MAX_GH_NODES = 2_000_000  # largest tensor rule built (level**dim nodes)
 
 
@@ -52,10 +53,6 @@ def build_measure(spec_or_cov) -> GaussianMeasure:
     return GaussianMeasure(cov=cov, chol=chol, inv=inv, logdet=logdet)
 
 
-def r_nu(measure: GaussianMeasure, t: np.ndarray) -> np.ndarray:
-    """Map a dual vector to its Cameron-Martin representative C T."""
-    return measure.cov @ np.asarray(t, dtype=float)
-
 # -- quadrature machinery ---------------------------------------------
 
 
@@ -85,12 +82,12 @@ def gauss_hermite_nodes(level: int, dim: int):
     return nodes, logweights
 
 
-def default_level(dim: int) -> int:
-    return DEFAULT_GH_LEVEL_1D if dim == 1 else DEFAULT_GH_LEVEL_ND
+def ladder(dim: int) -> tuple[int, ...]:
+    return LADDER_1D if dim == 1 else LADDER_ND
 
 
 def untilted_level(dim: int) -> int:
     """The level of a rule that integrates against an untilted Gaussian on
     its own width: that width is up to several times the tilted one, so one
     mode takes twice the kernel's level."""
-    return UNTILTED_GH_LEVEL_1D if dim == 1 else DEFAULT_GH_LEVEL_ND
+    return UNTILTED_GH_LEVEL_1D if dim == 1 else LADDER_ND[0]

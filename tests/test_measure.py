@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from frgelab.errors import NotSPD
 from frgelab.functionals import W, FunctionalContext
-from frgelab.measure import build_measure, gauss_hermite_nodes, r_nu
+from frgelab.measure import build_measure, gauss_hermite_nodes
 from frgelab.model import ModelSpec, WindowParams
 
 
@@ -27,11 +27,6 @@ class TestBuild:
 
 
 class TestCameronMartin:
-    def test_r_nu_roundtrip(self):
-        m = build_measure(np.array([[2.0, 0.3], [0.3, 1.5]]))
-        t = np.array([0.7, -1.1])
-        assert np.allclose(np.linalg.solve(m.cov, r_nu(m, t)), t, atol=1e-12)
-
     @settings(max_examples=30, deadline=None)
     @given(t=st.floats(-3, 3), s=st.floats(-3, 3))
     def test_shift_identity_matches_gaussian_mgf(self, litim, t, s):
