@@ -169,18 +169,21 @@ def exact_table(args, spec, regulator):
     if not scales:
         raise SpecValidationError("--k lists no scale")
     grid = np.linspace(-args.phi_max, args.phi_max, args.phi_nodes)
+    # cells are formatted from Python floats, the same digits as numpy's
+    phi_cells = [f"{phi:.12g}" for phi in grid.tolist()]
+    budget = f"{fn.BUDGET:.1e}"
     rows = []
     newton_iterations = 0
     for k in scales:
         # the last lane is the field 0, for the subtraction
         values, solve = fn.legendre_transform(ctx, k, np.append(grid, 0.0))
         newton_iterations += solve.iterations
-        gamma0 = values[-1]
-        for phi, g, j, residual in zip(grid, values, solve.source[:, 0], solve.residual):
-            rows.append([
-                f"{k:.12g}", f"{phi:.12g}", f"{g:.15g}", f"{g - gamma0:.15g}",
-                f"{j:.15g}", f"{residual:.3e}", f"{fn.BUDGET:.1e}",
-            ])
+        values = values.tolist()
+        gamma0, k_cell = values[-1], f"{k:.12g}"
+        for phi, g, j, residual in zip(phi_cells, values, solve.source[:, 0].tolist(),
+                                       solve.residual.tolist()):
+            rows.append([k_cell, phi, f"{g:.15g}", f"{g - gamma0:.15g}",
+                         f"{j:.15g}", f"{residual:.3e}", budget])
     header = ["k", "phi", "Gamma", "GammaBar", "J", "residual", "budget"]
     return header, rows, dict(
         seeds={}, tolerances={"budget": fn.BUDGET, "newton_tol": fn.NEWTON_TOL},
@@ -204,16 +207,22 @@ def flow_table(args, spec, regulator):
     stats.update(info)
     if args.rep == "grid":
         rows, max_dev = [], 0.0
+        # every checkpoint shares the grid; cells are formatted from Python floats
+        grid = traj.checkpoints[0][1].grid.tolist()
+        phi_cells = [f"{phi:.12g}" for phi in grid]
         for k, state in traj.checkpoints:
             exact_vals = None
             if args.compare and args.init == "exact" and k == args.kuv:
                 exact_vals = initial.values  # an exact start is the oracle at k_uv
             elif args.compare:
                 exact_vals = flow_mod.exact_grid_values(ctx, k, state.grid)
-            for i, (phi, val) in enumerate(zip(state.grid, state.values)):
-                row = [f"{k:.12g}", f"{phi:.12g}", f"{val:.15g}"]
-                if exact_vals is not None:
-                    dev = abs(val - exact_vals[i])
+            k_cell = f"{k:.12g}"
+            exact = [None] * len(grid) if exact_vals is None else exact_vals.tolist()
+            for phi, phi_cell, val, ex in zip(grid, phi_cells, state.values.tolist(),
+                                              exact):
+                row = [k_cell, phi_cell, f"{val:.15g}"]
+                if ex is not None:
+                    dev = abs(val - ex)
                     row.append(f"{dev:.6e}")
                     if abs(phi) <= args.compare_radius:
                         max_dev = max(max_dev, dev)

@@ -9,11 +9,14 @@ non-smooth regulators.
 On the grid the trace form u' = 1/2 d_kF_k / (D2 u + R_k) is a nonlinear
 diffusion, stiff in the node count, so it is stepped with the implicit BDF
 method and its analytic Jacobian diag(-1/2 d_kF_k / (D2 u + R_k)^2) D2,
-where D2 is the sparse second-difference matrix.  J shares D2's pattern,
-so BDF's Newton matrix I - cJ is a band of half-width 3 (the 4-point edge
-stencils) and is factored with LAPACK's band LU.  D2 annihilates constants
-up to rounding (its solved central stencil sums to -6.9e-17), so the
-zero-field subtraction u - u(0) is taken at the checkpoints only.
+where D2 is the sparse second-difference matrix.  The stepper, _GridBDF, is
+scipy's variable-order BDF ported operation for operation, so its steps and
+states are scipy's bits; it evaluates the flow on the bare node vector.  J
+shares D2's pattern, so BDF's Newton matrix I - cJ is a band of half-width 3
+(the 4-point edge stencils), written straight into LAPACK's band layout and
+factored with its band LU.  D2 annihilates constants up to rounding (its
+solved central stencil sums to -6.9e-17), so the zero-field subtraction
+u - u(0) is taken at the checkpoints only.
 The vertex flow is not stiff and uses the explicit Runge-Kutta 5(4) pair.
 It steps only the independent components of the symmetric tensors, through
 cached orbit index maps, and its right-hand side is a few matrix products.
@@ -26,12 +29,13 @@ CONVEXITY_HORIZON * k, at the extrapolated crossing scale.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.integrate import BDF, RK45
+from scipy.integrate import RK45
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from . import functionals as fn
@@ -201,28 +205,50 @@ class FlowTrajectory:
 # -- right-hand sides --------------------------------------------------
 
 
-def _grid_curvature(state: GridAction, regulator, momentum: float,
-                    weight: float) -> tuple[float, np.ndarray]:
-    """d_k F_k and the regularised curvature D2 u + R_k at every node."""
-    r_k = float(regulator.value(state.k, momentum)) * weight
-    f_dot = float(regulator.dk(state.k, momentum)) * weight
-    return f_dot, second_derivative(state.values, state.spacing) + r_k
+class _GridFlow:
+    """The grid flow of one grid, regulator and mode, on bare node values:
+    what the stepper evaluates, with no GridAction built per call."""
+
+    def __init__(self, grid: np.ndarray, regulator, momentum: float, weight: float):
+        self.grid = grid
+        self.regulator, self.momentum, self.weight = regulator, momentum, weight
+        self.d2 = second_difference_matrix(grid.size)
+        self.h2 = float(grid[1] - grid[0]) ** 2
+
+    def curvature(self, k, u: np.ndarray) -> tuple[float, np.ndarray]:
+        """d_k F_k and the regularised curvature D2 u + R_k at every node."""
+        r_k = float(self.regulator.value(k, self.momentum)) * self.weight
+        f_dot = float(self.regulator.dk(k, self.momentum)) * self.weight
+        return f_dot, self.d2 @ u / self.h2 + r_k
+
+    def rhs(self, k, u: np.ndarray) -> np.ndarray:
+        f_dot, denom = self.curvature(k, u)
+        if f_dot == 0.0:
+            return np.zeros_like(u)
+        nonpositive = denom <= 0.0
+        if nonpositive.any():
+            node = int(np.argmax(nonpositive))
+            raise ConvexityLoss(
+                f"regularized curvature non-positive at node {node} "
+                f"(phi={self.grid[node]:.4g}, k={k:.6g})",
+                k=k,
+            )
+        return 0.5 * f_dot / denom
+
+    def jacobian_data(self, k, u: np.ndarray) -> np.ndarray:
+        """The entries of J = diag(-1/2 d_k F_k / (D2 u + R_k)^2) D2 in D2's
+        stored (CSC) order."""
+        f_dot, denom = self.curvature(k, u)
+        # denom^2 overflows from k ~ 1e77 on, where the entry rounds to 0 anyway
+        with np.errstate(over="ignore"):
+            row_scale = -0.5 * f_dot / (denom * denom * self.h2)
+        return row_scale[self.d2.indices] * self.d2.data
 
 
 def rhs_grid(state: GridAction, regulator, momentum: float = 0.0,
              weight: float = 1.0) -> np.ndarray:
     """Trace-form flow 1/2 d_k F_k / (D2 u + R_k) of the grid action."""
-    f_dot, denom = _grid_curvature(state, regulator, momentum, weight)
-    if f_dot == 0.0:
-        return np.zeros_like(state.values)
-    if np.any(denom <= 0.0):
-        node = int(np.argmax(denom <= 0.0))
-        raise ConvexityLoss(
-            f"regularized curvature non-positive at node {node} "
-            f"(phi={state.grid[node]:.4g}, k={state.k:.6g})",
-            k=state.k,
-        )
-    return 0.5 * f_dot / denom
+    return _GridFlow(state.grid, regulator, momentum, weight).rhs(state.k, state.values)
 
 
 def jacobian_grid(state: GridAction, regulator, momentum: float = 0.0,
@@ -232,13 +258,10 @@ def jacobian_grid(state: GridAction, regulator, momentum: float = 0.0,
     The row scaling is applied to D2's stored entries, so the result shares
     D2's sparsity pattern and index arrays and needs no format conversion.
     """
-    f_dot, denom = _grid_curvature(state, regulator, momentum, weight)
-    d2 = second_difference_matrix(state.values.size)
-    # denom^2 overflows from k ~ 1e77 on, where the entry rounds to 0 anyway
-    with np.errstate(over="ignore"):
-        row_scale = -0.5 * f_dot / (denom * denom * state.spacing**2)
-    return sp.csc_matrix((row_scale[d2.indices] * d2.data, d2.indices, d2.indptr),
-                         shape=d2.shape)
+    flow = _GridFlow(state.grid, regulator, momentum, weight)
+    d2 = flow.d2
+    return sp.csc_matrix((flow.jacobian_data(state.k, state.values), d2.indices,
+                          d2.indptr), shape=d2.shape)
 
 
 def rhs_vertex(state: VertexAction, regulator, momenta, weights) -> np.ndarray:
@@ -281,50 +304,334 @@ def rhs_vertex(state: VertexAction, regulator, momenta, weights) -> np.ndarray:
 CONVEXITY_HORIZON = 1e-3
 
 
-def _curvature_margin(state, regulator, momenta, weights) -> float:
-    """Smallest eigenvalue of the regularised Hessian Gamma_k'' + R_k."""
-    if isinstance(state, GridAction):
-        _, denom = _grid_curvature(state, regulator, float(momenta[0]),
-                                   float(weights[0]))
-        return float(denom.min())
+def _vertex_margin(state: VertexAction, regulator, momenta, weights) -> float:
+    """Smallest eigenvalue of the regularised Hessian gamma2 + F_k."""
     f_diag = regulator.value(state.k, momenta) * weights
     return float(np.linalg.eigvalsh(state.gamma2 + np.diag(f_diag))[0])
 
 
-class _BandBDF(BDF):
-    """BDF whose Newton matrix I - cJ is factored as a band by LAPACK.
+# -- the grid stepper --------------------------------------------------
+#
+# scipy 1.17's BDF (scipy/integrate/_ivp/bdf.py), ported operation for
+# operation: variable order 1 to 5 with the NDF corrector on a quasi-constant
+# step (Shampine & Reichelt, SIAM J. Sci. Comput. 18, 1997).  Every array
+# expression is scipy's, in its order and on its dtypes, so the steps, the
+# counters and the states are scipy's bits.  What the port leaves out is
+# scipy's general machinery around them: J is held as its entries in D2's
+# stored order, I - cJ is written straight into LAPACK's band layout, and
+# the RMS norm is numpy's own formula sqrt(x.x) / sqrt(n) without
+# np.linalg.norm's dispatch.
 
-    J = jacobian_grid(...) shares the pattern of D2, so I - cJ, the CSC
-    matrix scipy forms, lies in a band of D2's half-width; ``lu`` copies it
-    into LAPACK band storage for dgbtrf and ``solve_lu`` calls dgbtrs, where
-    plain BDF calls SuperLU.  scipy binds that pair per instance, so it is
-    rebound here; a singular factor raises StepUnderflow.
+_MAX_ORDER = 5
+_NEWTON_MAXITER = 4
+_MIN_FACTOR = 0.2
+_MAX_FACTOR = 10
+_EPS = np.finfo(float).eps
+_KAPPA = np.array([0, -0.1850, -1 / 9, -0.0823, -0.0415, 0])
+_GAMMA = np.hstack((0, np.cumsum(1 / np.arange(1, _MAX_ORDER + 1))))
+_ALPHA = (1 - _KAPPA) * _GAMMA
+_ERROR_CONST = _KAPPA * _GAMMA + 1 / np.arange(1, _MAX_ORDER + 2)
+
+
+def _compute_r(order, factor) -> np.ndarray:
+    """The matrix that rescales the differences array by ``factor``."""
+    i = np.arange(1, order + 1)[:, None]
+    j = np.arange(1, order + 1)
+    m = np.zeros((order + 1, order + 1))
+    m[1:, 1:] = (i - 1 - factor * j) / i
+    m[0] = 1
+    return np.cumprod(m, axis=0)
+
+
+def _change_d(d: np.ndarray, order, factor) -> None:
+    """Rescale the differences array in place to a step ``factor`` times as long."""
+    ru = _compute_r(order, factor).dot(_compute_r(order, 1))
+    d[:order + 1] = np.dot(ru.T, d[:order + 1])
+
+
+@lru_cache(maxsize=16)
+def _band_pattern(n: int) -> tuple[int, np.ndarray, np.ndarray]:
+    """D2's half-band b, and for each stored entry (i, j), in CSC order, its
+    flat index in dgbtrf's Fortran-ordered (3b + 1, n) layout, row 2b + i - j
+    of column j (b rows of fill on top), and whether it is diagonal (1.0) or
+    not (0.0).  The cached arrays are read-only."""
+    d2 = second_difference_matrix(n)
+    rows = d2.indices
+    cols = np.repeat(np.arange(n), np.diff(d2.indptr))
+    b = int(np.abs(rows - cols).max())
+    flat = 2 * b + rows - cols + (3 * b + 1) * cols
+    unit = (rows == cols).astype(float)
+    for a in (flat, unit):
+        a.flags.writeable = False
+    return b, flat, unit
+
+
+class _GridBDF:
+    """The BDF stepper of a grid flow.
+
+    ``fun(k, u)`` is the flow's right-hand side and ``jac(k, u)`` the entries
+    of its Jacobian J in D2's stored order (:meth:`_GridFlow.jacobian_data`).
+    ``step``, ``status``, ``t``, ``y``, ``dense_output`` and the counters
+    ``nfev``, ``njev`` and ``nlu`` are those of a scipy ODE solver.  The
+    Newton matrix I - cJ has the entries 1 - c J_ii and 0 - c J_ij that
+    scipy's sparse I - c*J holds; dgbtrf factors it as a band, and a singular
+    factor raises StepUnderflow.
     """
 
-    def __init__(self, fun, t0, y0, t_bound, **options):
-        super().__init__(fun, t0, y0, t_bound, **options)
-        d2 = second_difference_matrix(self.n).tocoo()
-        self.half_band = int(np.abs(d2.row - d2.col).max())
-        self.lu, self.solve_lu = self._band_lu, self._band_solve
+    def __init__(self, fun, jac, t0: float, y0: np.ndarray, t_bound: float,
+                 rtol: float, atol: float):
+        self._fun, self._jac = fun, jac
+        self.t, self.y, self.t_bound = t0, y0, t_bound
+        self.direction = np.sign(t_bound - t0) if t_bound != t0 else 1
+        self.n = y0.size
+        self.status = "running"
+        self.nfev = self.njev = self.nlu = 0
+        self.rtol, self.atol = rtol, atol
+        if rtol < 100 * _EPS:
+            warnings.warn(f"rtol is too small; setting rtol = {100 * _EPS}",
+                          stacklevel=3)
+            self.rtol = np.maximum(rtol, 100 * _EPS)
+        self._root_n = self.n ** 0.5
+        self.half_band, self._band_flat, self._band_unit = _band_pattern(self.n)
+        f = self._rhs(t0, y0)
+        self.h_abs = self._initial_step(f)
+        # as in scipy, from the rtol asked for, not the raised one
+        self.newton_tol = max(10 * _EPS / rtol, min(0.03, rtol ** 0.5))
+        self.J = jac(t0, y0)
+        self.njev += 1
+        self.D = np.empty((_MAX_ORDER + 3, self.n))
+        self.D[0] = y0
+        self.D[1] = f * self.h_abs * self.direction
+        self.order = 1
+        self.n_equal_steps = 0
+        self.LU = None
 
-    def _band_lu(self, a: sp.csc_matrix):
+    def _rhs(self, t, y) -> np.ndarray:
+        self.nfev += 1
+        return self._fun(t, y)
+
+    def _norm(self, x: np.ndarray):
+        """RMS norm: np.linalg.norm(x) / sqrt(n), with its arithmetic."""
+        return np.sqrt(x.dot(x)) / self._root_n
+
+    def _initial_step(self, f0: np.ndarray):
+        """scipy's select_initial_step for order 1 (Hairer, Norsett & Wanner,
+        Sec. II.4); the step is unbounded but by the interval."""
+        t0, y0, direction = self.t, self.y, self.direction
+        interval_length = abs(self.t_bound - t0)
+        if interval_length == 0.0:
+            return 0.0
+        scale = self.atol + np.abs(y0) * self.rtol
+        d0 = self._norm(y0 / scale)
+        d1 = self._norm(f0 / scale)
+        if d0 < 1e-5 or d1 < 1e-5:
+            h0 = 1e-6
+        else:
+            h0 = 0.01 * d0 / d1
+        h0 = min(h0, interval_length)
+        y1 = y0 + h0 * direction * f0
+        f1 = self._rhs(t0 + h0 * direction, y1)
+        d2 = self._norm((f1 - f0) / scale) / h0
+        if d1 <= 1e-15 and d2 <= 1e-15:
+            h1 = max(1e-6, h0 * 1e-3)
+        else:
+            h1 = (0.01 / max(d1, d2)) ** (1 / 2)
+        return min(100 * h0, h1, interval_length)
+
+    def _factor(self, c, jac_data: np.ndarray):
+        """dgbtrf's band LU of I - cJ."""
         self.nlu += 1
         b = self.half_band
-        # dgbtrf's layout: a[i, j] at row 2b + i - j, with b rows of fill on
-        # top; Fortran order spares f2py a copy
-        band = np.zeros((3 * b + 1, self.n), order="F")
-        cols = np.repeat(np.arange(self.n), np.diff(a.indptr))
-        band[2 * b + a.indices - cols, cols] = a.data
-        lu, piv, info = dgbtrf(band, b, b, overwrite_ab=True)
+        band = np.zeros((3 * b + 1) * self.n)
+        band[self._band_flat] = self._band_unit - c * jac_data
+        lu, piv, info = dgbtrf(band.reshape((3 * b + 1, self.n), order="F"), b, b,
+                               overwrite_ab=True)
         if info > 0:
             raise StepUnderflow(
                 f"BDF's Newton matrix is singular near k = {self.t:.6g}")
         return lu, piv
 
-    def _band_solve(self, factor, rhs: np.ndarray) -> np.ndarray:
+    def _solve_lu(self, factor, rhs: np.ndarray) -> np.ndarray:
         lu, piv = factor
         b = self.half_band
         return dgbtrs(lu, b, b, rhs, piv, overwrite_b=True)[0]
+
+    def _solve_bdf_system(self, t_new, y_predict, c, psi, factor, scale):
+        """The simplified Newton iteration of one step: (converged,
+        iterations, y, d)."""
+        d = 0
+        y = y_predict.copy()
+        dy_norm_old = None
+        converged = False
+        tol = self.newton_tol
+        for k in range(_NEWTON_MAXITER):
+            f = self._rhs(t_new, y)
+            if not np.isfinite(f).all():
+                break
+            dy = self._solve_lu(factor, c * f - psi - d)
+            dy_norm = self._norm(dy / scale)
+            if dy_norm_old is None:
+                rate = None
+            else:
+                rate = dy_norm / dy_norm_old
+            if (rate is not None and (rate >= 1 or
+                    rate ** (_NEWTON_MAXITER - k) / (1 - rate) * dy_norm > tol)):
+                break
+            y += dy
+            d += dy
+            if (dy_norm == 0 or
+                    rate is not None and rate / (1 - rate) * dy_norm < tol):
+                converged = True
+                break
+            dy_norm_old = dy_norm
+        return converged, k + 1, y, d
+
+    def step(self) -> None:
+        if not self._step_impl():
+            self.status = "failed"
+        elif self.direction * (self.t - self.t_bound) >= 0:
+            self.status = "finished"
+
+    def _step_impl(self) -> bool:
+        """One accepted step, or False where the step fell below ten ulps of t."""
+        t = self.t
+        D = self.D
+        min_step = 10 * np.abs(np.nextafter(t, self.direction * np.inf) - t)
+        if self.h_abs < min_step:
+            h_abs = min_step
+            _change_d(D, self.order, min_step / self.h_abs)
+            self.n_equal_steps = 0
+        else:
+            h_abs = self.h_abs
+
+        atol, rtol, order = self.atol, self.rtol, self.order
+        J = self.J
+        LU = self.LU
+        current_jac = False
+
+        step_accepted = False
+        while not step_accepted:
+            if h_abs < min_step:
+                return False
+
+            h = h_abs * self.direction
+            t_new = t + h
+
+            if self.direction * (t_new - self.t_bound) > 0:
+                t_new = self.t_bound
+                _change_d(D, order, np.abs(t_new - t) / h_abs)
+                self.n_equal_steps = 0
+                LU = None
+
+            h = t_new - t
+            h_abs = np.abs(h)
+
+            y_predict = D[:order + 1].sum(axis=0)
+
+            scale = atol + rtol * np.abs(y_predict)
+            psi = np.dot(D[1: order + 1].T, _GAMMA[1: order + 1]) / _ALPHA[order]
+
+            converged = False
+            c = h / _ALPHA[order]
+            while not converged:
+                if LU is None:
+                    LU = self._factor(c, J)
+
+                converged, n_iter, y_new, d = self._solve_bdf_system(
+                    t_new, y_predict, c, psi, LU, scale)
+
+                if not converged:
+                    if current_jac:
+                        break
+                    J = self._jac(t_new, y_predict)
+                    self.njev += 1
+                    LU = None
+                    current_jac = True
+
+            if not converged:
+                factor = 0.5
+                h_abs *= factor
+                _change_d(D, order, factor)
+                self.n_equal_steps = 0
+                LU = None
+                continue
+
+            safety = 0.9 * (2 * _NEWTON_MAXITER + 1) / (2 * _NEWTON_MAXITER + n_iter)
+
+            scale = atol + rtol * np.abs(y_new)
+            error = _ERROR_CONST[order] * d
+            error_norm = self._norm(error / scale)
+
+            if error_norm > 1:
+                factor = max(_MIN_FACTOR, safety * error_norm ** (-1 / (order + 1)))
+                h_abs *= factor
+                _change_d(D, order, factor)
+                self.n_equal_steps = 0
+                # the Newton iteration converged: the factor stays
+            else:
+                step_accepted = True
+
+        self.n_equal_steps += 1
+
+        self.t = t_new
+        self.y = y_new
+
+        self.h_abs = h_abs
+        self.J = J
+        self.LU = LU
+
+        # d = D^{k+1} y_n and D^{j+1} y_n = D^j y_n - D^j y_{n-1}
+        D[order + 2] = d - D[order + 1]
+        D[order + 1] = d
+        for i in reversed(range(order + 1)):
+            D[i] += D[i + 1]
+
+        if self.n_equal_steps < order + 1:
+            return True
+
+        if order > 1:
+            error_m = _ERROR_CONST[order - 1] * D[order]
+            error_m_norm = self._norm(error_m / scale)
+        else:
+            error_m_norm = np.inf
+
+        if order < _MAX_ORDER:
+            error_p = _ERROR_CONST[order + 1] * D[order + 2]
+            error_p_norm = self._norm(error_p / scale)
+        else:
+            error_p_norm = np.inf
+
+        error_norms = np.array([error_m_norm, error_norm, error_p_norm])
+        with np.errstate(divide="ignore"):
+            factors = error_norms ** (-1 / np.arange(order, order + 3))
+
+        delta_order = np.argmax(factors) - 1
+        order += delta_order
+        self.order = order
+
+        factor = min(_MAX_FACTOR, safety * np.max(factors))
+        self.h_abs *= factor
+        _change_d(D, order, factor)
+        self.n_equal_steps = 0
+        self.LU = None
+
+        return True
+
+    def dense_output(self):
+        """The interpolant of the last accepted step, scipy's BdfDenseOutput."""
+        h = self.h_abs * self.direction
+        order = self.order
+        t_shift = self.t - h * np.arange(order)
+        denom = h * (1 + np.arange(order))
+        D = self.D[:order + 1].copy()
+
+        def dense(t):
+            p = np.cumprod((t - t_shift) / denom)
+            y = np.dot(D[1:].T, p)
+            y += D[0]
+            return y
+
+        return dense
 
 
 def integrate(
@@ -346,13 +653,14 @@ def integrate(
     one passed inside a step that step's dense output.  Segments end at the
     regulator's kink scales inside the interval, so no step crosses a
     derivative discontinuity, and each evaluates the regulator on its own
-    side of a kink.  Grid actions are stepped with BDF and the analytic
-    Jacobian, its Newton matrix factored as a band of half-width 3; vertex
-    actions with RK45.  Raises ConvexityLoss, carrying the last convex
-    state, where the curvature margin reaches zero or is extrapolated to
-    within CONVEXITY_HORIZON * k of it; ``k`` is the extrapolated crossing
-    scale.  Raises StepUnderflow where the step underflows or the Newton
-    matrix is singular.
+    side of a kink.  Grid actions are stepped with the ported BDF and the
+    analytic Jacobian, its Newton matrix factored as a band of half-width 3;
+    vertex actions with scipy's RK45.  Raises ConvexityLoss, carrying the
+    last convex state, where the curvature margin reaches zero or is
+    extrapolated to within CONVEXITY_HORIZON * k of it; ``k`` is the
+    extrapolated crossing scale.  Raises StepUnderflow where the step
+    underflows or the Newton matrix is singular, and SpecValidationError
+    where the initial action is not finite.
     """
     if not k_to <= k_from:
         raise SpecValidationError(
@@ -373,23 +681,27 @@ def integrate(
             raise SpecValidationError(f"checkpoint {c} outside [{k_to}, {k_from}]")
 
     is_grid = isinstance(initial, GridAction)
-    p0, w0 = float(momenta[0]), float(weights[0])  # the grid's single mode
+    if is_grid:  # the grid's single mode
+        grid_flow = _GridFlow(initial.grid, regulator, float(momenta[0]),
+                              float(weights[0]))
     pending_loss = []
 
+    def clamp(k):
+        """k within the current segment's [lo, hi], set below."""
+        return min(max(k, lo), hi)
+
     def rhs(k, y):
-        if not np.all(np.isfinite(y)):
-            return np.full_like(np.asarray(y, dtype=float), np.nan)
-        # k is clamped to the current segment's [lo, hi], set below
-        state = initial.unpack(min(max(k, lo), hi), y)
+        if not np.isfinite(y).all():
+            return np.full_like(y, np.nan)
         try:
             if is_grid:
-                return rhs_grid(state, regulator, p0, w0)
-            return rhs_vertex(state, regulator, momenta, weights)
+                return grid_flow.rhs(clamp(k), y)
+            return rhs_vertex(initial.unpack(clamp(k), y), regulator, momenta, weights)
         except ConvexityLoss as exc:
             # a trial stage or Newton iterate may leave the convex cone; poison
             # it so the solver rejects the step and shrinks it
             pending_loss.append(exc)
-            return np.full_like(np.asarray(y, dtype=float), np.nan)
+            return np.full_like(y, np.nan)
 
     def snapshot(k, y):
         """The action at k, with the grid's zero-field value subtracted."""
@@ -398,13 +710,17 @@ def integrate(
         return initial.unpack(k, y)
 
     def margin(k, y):
-        return _curvature_margin(initial.unpack(k, y), regulator, momenta, weights)
+        if is_grid:
+            return float(grid_flow.curvature(k, y)[1].min())
+        return _vertex_margin(initial.unpack(k, y), regulator, momenta, weights)
 
     kinks = [float(s) for s in regulator.kink_scales(momenta) if k_to < s < k_from]
     breakpoints = sorted(set([k_from, k_to] + kinks), reverse=True)
     stats = {"steps": 0, "nfev": 0, "njev": 0, "nlu": 0}
     # the last accepted scale and state, and the curvature margin there
-    t, y = float(k_from), initial.pack()
+    t, y = float(k_from), np.asarray(initial.pack(), dtype=float)
+    if not np.isfinite(y).all():
+        raise SpecValidationError(f"the initial action at k={k_from} is not finite")
     last_margin = margin(t, y)
     if last_margin <= 0.0:
         raise ConvexityLoss(
@@ -420,10 +736,8 @@ def integrate(
         lo = float(np.nextafter(seg_end, seg_start)) if seg_end in kinks else seg_end
         pending_loss.clear()
         if is_grid:
-            solver = _BandBDF(rhs, seg_start, y, seg_end, rtol=rtol, atol=atol,
-                              jac=lambda k, y: jacobian_grid(
-                                  initial.unpack(min(max(k, lo), hi), y),
-                                  regulator, p0, w0))
+            solver = _GridBDF(rhs, lambda k, y: grid_flow.jacobian_data(clamp(k), y),
+                              seg_start, y, seg_end, rtol, atol)
         else:
             solver = RK45(rhs, seg_start, y, seg_end, rtol=rtol, atol=atol)
         try:
@@ -447,7 +761,7 @@ def integrate(
                         f"k={crossing:.6g} (margin {m:.3g} at k={t_new:.6g})",
                         k=crossing, last_state=snapshot(t, y),
                     )
-                # scipy's solvers assign a new array at each step: no copy needed
+                # both steppers assign a new array at each step: no copy needed
                 t, y, last_margin = t_new, solver.y, m
                 if queue and queue[0] >= t:
                     dense = solver.dense_output()
@@ -458,10 +772,9 @@ def integrate(
             stats["njev"] += solver.njev
             stats["nlu"] += solver.nlu
         finally:
-            # scipy's solvers hold closures and bound methods over
-            # themselves; clearing the state breaks that cycle, so BDF's band
-            # LU factors are freed now rather than at the next cyclic
-            # garbage collection
+            # scipy's RK45 holds closures over itself; clearing the state
+            # breaks that cycle, so the solver is freed now rather than at the
+            # next cyclic garbage collection
             solver.__dict__.clear()
     return FlowTrajectory(checkpoints=snaps, stats=stats)
 

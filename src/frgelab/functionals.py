@@ -71,7 +71,8 @@ class ScaleRecord:
     ``prec`` = C^-1 + F_k with Cholesky factor ``chol_p``, ``sigma`` its
     inverse with Cholesky factor ``chol_s`` and ``logdet_s`` = ln det sigma.
     ``moments`` holds the zero-source tilted moments (ln N_k and its
-    measure) once first asked for, and ``start`` what the Newton start
+    measure) once first asked for, their ln N_k ``certified`` once a value
+    that reads it is first asked for, and ``start`` what the Newton start
     reads of them once first inverted at.
     """
 
@@ -83,6 +84,7 @@ class ScaleRecord:
     chol_s: np.ndarray
     logdet_s: float
     moments: TiltedMoments | None = None
+    certified: bool = False
     start: StartTerms | None = None
 
 
@@ -348,9 +350,9 @@ def _rule_blocks(level: int, dim: int):
     a larger one is built block by block as it is read, so its
     dim (dim + 3) / 2 + 2 rows never stand in memory whole.
     """
-    if level**dim <= RULE_BLOCK:
+    nodes, logw = gauss_hermite_nodes(level, dim)  # refused above the node cap
+    if len(nodes) <= RULE_BLOCK:
         return _small_rule(level, dim)
-    nodes, logw = gauss_hermite_nodes(level, dim)
     return ((slice(i, i + RULE_BLOCK), _Rule.of(nodes[i:i + RULE_BLOCK], logw[i:i + RULE_BLOCK]))
             for i in range(0, len(nodes), RULE_BLOCK))
 
@@ -476,13 +478,24 @@ def _moments(ctx, k, t, level, start) -> TiltedMoments:
             f"k={k}, source={t[lanes[0]]}; the source lies outside the resolvable range")
 
 
-def _zero_source(ctx: FunctionalContext, k: float) -> TiltedMoments:
-    """Zero-source tilted moments of scale k, computed and certified once per
-    scale record."""
+def _zero_source(ctx: FunctionalContext, k: float, certify: bool = False) -> TiltedMoments:
+    """Zero-source tilted moments of scale k, computed once per scale record.
+
+    With ``certify`` their ln N_k (and ln I(0)) is certified as well, once
+    per record: only the values built on ln N_k ask for it.  The mean and
+    covariance are the kernel's either way, so what reads only those, the
+    Newton start and d_k ln N_k, runs where no certificate can be had.
+    """
     record = ctx.scale(k)
+    zero = np.zeros((1, ctx.measure.dim))
     if record.moments is None:
-        zero = np.zeros((1, ctx.measure.dim))
-        record.moments = _first_lane(_certified(ctx, k, zero, tilted_moments(ctx, k, zero)))
+        record.moments = _first_lane(tilted_moments(ctx, k, zero))
+    if certify and not record.certified:
+        tm = record.moments
+        lane = TiltedMoments(np.array([tm.log_value]), np.array([tm.log_interaction]),
+                             tm.mean[None], tm.cov[None])
+        record.moments = _first_lane(_certified(ctx, k, zero, lane))
+        record.certified = True
     return record.moments
 
 
@@ -562,7 +575,7 @@ def _one_loop_start(ctx: FunctionalContext, k: float, phis: np.ndarray):
 
 def log_normalization(ctx: FunctionalContext, k: float) -> float:
     """ln N_k = ln E_nu[exp(-S^int - F_k/2 psi.psi)]."""
-    return _zero_source(ctx, k).log_value
+    return _zero_source(ctx, k, certify=True).log_value
 
 
 def W(ctx: FunctionalContext, k: float, t_vec):
@@ -575,7 +588,7 @@ def W(ctx: FunctionalContext, k: float, t_vec):
     its covariance times the source, as wide as it.
     """
     t, single = _lanes(ctx, t_vec)
-    zero = _zero_source(ctx, k)
+    zero = _zero_source(ctx, k, certify=True)
     with _overflow_out_of_range(k):
         centre = zero.mean + t @ zero.cov
     moments = _certified(ctx, k, t, tilted_moments(ctx, k, t, start=(centre, zero.cov)))
@@ -743,7 +756,7 @@ def legendre_transform(ctx: FunctionalContext, k: float, fields):
         values = (0.5 * np.sum(phis * (phis @ ctx.measure.inv.T), axis=-1)
                   - 0.5 * np.sum(gap * (gap @ record.prec.T), axis=-1)
                   - solve.moments.log_interaction
-                  + _zero_source(ctx, k).log_interaction)
+                  + _zero_source(ctx, k, certify=True).log_interaction)
     return values, solve
 
 

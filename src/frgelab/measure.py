@@ -56,20 +56,25 @@ def build_measure(spec_or_cov) -> GaussianMeasure:
 # -- quadrature machinery ---------------------------------------------
 
 
-@lru_cache(maxsize=32)
 def gauss_hermite_nodes(level: int, dim: int):
     """Tensorized probabilists' Gauss-Hermite rule for N(0, I_dim).
 
     Returns nodes of shape (level**dim, dim) and log-weights whose
     exponentials sum to one.  The arrays are cached and read-only.  A rule
     of more than ``MAX_GH_NODES`` nodes raises :class:`BudgetExceeded`
-    before anything is allocated.
+    before anything is allocated; the cap is read on every call, so a
+    lowered cap refuses a rule built before.
     """
     if level**dim > MAX_GH_NODES:
         raise BudgetExceeded(
             f"a level-{level} tensor rule in {dim} dimensions has {level}^{dim} "
             f"nodes, above the cap of {MAX_GH_NODES}"
         )
+    return _tensor_rule(level, dim)
+
+
+@lru_cache(maxsize=32)
+def _tensor_rule(level: int, dim: int):
     x, w = np.polynomial.hermite_e.hermegauss(level)
     logw = np.log(w) - 0.5 * np.log(2.0 * np.pi)
     grids = np.meshgrid(*([x] * dim), indexing="ij")

@@ -3,15 +3,18 @@ from math import comb
 
 import numpy as np
 import pytest
-from scipy.integrate import DOP853
-from scipy.linalg.lapack import dgbtrf
+import scipy.sparse as sp
+from scipy.integrate import BDF, DOP853
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 from scipy.sparse.linalg import splu
 
 from frgelab.errors import ConvexityLoss, SpecValidationError, StepUnderflow
 from frgelab import flow as flow_module, functionals
 from frgelab.flow import (
     GridAction,
-    _BandBDF,
+    _GridBDF,
+    _GridFlow,
+    _band_pattern,
     _fourth_derivative_at_zero,
     VertexAction,
     classical_grid_values,
@@ -49,6 +52,45 @@ def _dense_rhs_vertex(state, regulator, momenta, weights):
                   optimize=True)
     d_g4 = t + t.transpose(0, 2, 1, 3) + t.transpose(0, 3, 1, 2)
     return _permutation_mean(d_g2), _permutation_mean(d_g4)
+
+
+class _ScipyBandBDF(BDF):
+    """scipy's own BDF with its Newton matrix I - cJ, the CSC matrix scipy
+    forms, copied into LAPACK band storage and factored by dgbtrf: the
+    stepper of grid flows before the port, and the reference the port
+    reproduces bit for bit.  scipy binds ``lu`` and ``solve_lu`` per
+    instance, so they are rebound here."""
+
+    def __init__(self, fun, t0, y0, t_bound, **options):
+        super().__init__(fun, t0, y0, t_bound, **options)
+        d2 = second_difference_matrix(self.n).tocoo()
+        self.half_band = int(np.abs(d2.row - d2.col).max())
+        self.lu, self.solve_lu = self._band_lu, self._band_solve
+
+    def _band_lu(self, a: sp.csc_matrix):
+        self.nlu += 1
+        b = self.half_band
+        band = np.zeros((3 * b + 1, self.n), order="F")
+        cols = np.repeat(np.arange(self.n), np.diff(a.indptr))
+        band[2 * b + a.indices - cols, cols] = a.data
+        lu, piv, info = dgbtrf(band, b, b, overwrite_ab=True)
+        assert info == 0
+        return lu, piv
+
+    def _band_solve(self, factor, rhs: np.ndarray) -> np.ndarray:
+        lu, piv = factor
+        b = self.half_band
+        return dgbtrs(lu, b, b, rhs, piv, overwrite_b=True)[0]
+
+
+def _scipy_stepper(fun, jac, t0, y0, t_bound, rtol, atol):
+    """:class:`_ScipyBandBDF` called as ``integrate`` calls ``_GridBDF``; the
+    Jacobian's entries in D2's order become the CSC matrix scipy expects."""
+    d2 = second_difference_matrix(y0.size)
+    return _ScipyBandBDF(
+        fun, t0, y0, t_bound, rtol=rtol, atol=atol,
+        jac=lambda t, y: sp.csc_matrix((jac(t, y), d2.indices, d2.indptr),
+                                       shape=d2.shape))
 
 
 class TestStencils:
@@ -241,6 +283,12 @@ class TestIntegrate:
         with pytest.raises(SpecValidationError, match="not finite"):
             integrate(init, 1e200, 0.0, reg)
 
+    def test_non_finite_initial_action_rejected(self, litim):
+        grid = np.linspace(-1, 1, 11)
+        s = GridAction(k=1.0, grid=grid, values=np.where(grid > 0.5, np.nan, grid**2))
+        with pytest.raises(SpecValidationError, match="initial action at k=1.0"):
+            integrate(s, 1.0, 0.0, litim)
+
     def test_huge_start_scale_flows_without_overflow(self, phi4_spec, litim):
         # (D2 u + R_k)^2 in the Jacobian overflows here; the entries round to 0
         ctx = FunctionalContext(spec=phi4_spec, regulator=litim)
@@ -280,20 +328,20 @@ class TestIntegrate:
 
     def test_convexity_loss_is_reported_at_the_crossing(self, litim, monkeypatch):
         calls = []
-        original = flow_module.rhs_grid
+        original = _GridFlow.rhs
 
         def counted(*args, **kwargs):
             calls.append(1)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(flow_module, "rhs_grid", counted)
+        monkeypatch.setattr(_GridFlow, "rhs", counted)
         grid = np.linspace(-1, 1, 21)
         # D2 u stays -0.8 along the flow, so the margin is k^2 - 0.8
         s = GridAction(k=1.0, grid=grid, values=-0.4 * grid**2)
         with pytest.raises(ConvexityLoss) as exc_info:
             integrate(s, 1.0, 0.0, litim)
         assert abs(exc_info.value.k - np.sqrt(0.8)) <= 1e-3
-        assert len(calls) < 2000
+        assert 0 < len(calls) < 2000
 
     @pytest.mark.parametrize("nodes", [151, 1201])
     def test_grid_error_is_the_integrators(self, litim, nodes):
@@ -316,8 +364,8 @@ class TestIntegrate:
 
     def test_grid_newton_matrix_is_band_factored(self, phi4_spec, litim,
                                                   monkeypatch):
-        # BDF.lu and BDF.solve_lu are scipy internals: if scipy stops binding
-        # them per instance under these names, SuperLU would run unseen
+        # every factorisation the stepper counts is one dgbtrf call on the
+        # (3b + 1, n) band layout, b = 3
         calls = []
 
         def counting(*args, **kwargs):
@@ -409,15 +457,51 @@ class TestIntegrate:
         assert np.nextafter(1.0, 0.0) in scales and np.nextafter(1.0, 2.0) in scales
 
 
+class TestGridStepper:
+    @staticmethod
+    def _flow(nodes, regulator, **kwargs):
+        spec = ModelSpec(dimension=0, modes=1, mass=1.0,
+                         window=WindowParams(kind="scalar", r=1.0), c4=0.1,
+                         phi_max=4.5, phi_nodes=nodes)
+        ctx = FunctionalContext(spec=spec, regulator=regulator, self_check=False)
+        init, _ = initial_condition(ctx, "classical", 100.0)
+        # p = 0.25 tells the regulators apart (at p = 0 both are k^2), and
+        # litim's kink there splits the flow in two segments
+        return integrate(init, 100.0, 0.0, regulator, momenta=[0.25], weights=[1.5],
+                         checkpoints=[10.0, 1.0, 0.5, 0.1, 0.0], **kwargs)
+
+    @pytest.mark.parametrize("nodes", [151, 1201])
+    @pytest.mark.parametrize("name", ["litim", "exponential"])
+    def test_steps_are_scipys_bdf(self, name, nodes, request, monkeypatch):
+        regulator = request.getfixturevalue(name)
+        ported = self._flow(nodes, regulator)
+        monkeypatch.setattr(flow_module, "_GridBDF", _scipy_stepper)
+        reference = self._flow(nodes, regulator)
+        assert ported.stats == reference.stats
+        assert [k for k, _ in ported.checkpoints] == [k for k, _ in reference.checkpoints]
+        for (_, state), (_, expected) in zip(ported.checkpoints, reference.checkpoints):
+            assert state.values.tobytes() == expected.values.tobytes()
+
+    def test_tiny_rtol_is_raised_as_scipy_raises_it(self, litim, monkeypatch):
+        with pytest.warns(UserWarning, match="rtol"):
+            ported = self._flow(151, litim, rtol=1e-15)
+        monkeypatch.setattr(flow_module, "_GridBDF", _scipy_stepper)
+        with pytest.warns(UserWarning, match="rtol"):
+            reference = self._flow(151, litim, rtol=1e-15)
+        assert ported.stats == reference.stats
+        final, expected = ported.checkpoints[-1][1], reference.checkpoints[-1][1]
+        assert final.values.tobytes() == expected.values.tobytes()
+
+
 class TestBandNewtonMatrix:
     @staticmethod
     def _solver(nodes, k, regulator):
-        """A band BDF on a convex grid action at scale k, and its Jacobian."""
+        """The grid stepper on a convex grid action at scale k, and its Jacobian."""
         grid = np.linspace(-2.0, 2.0, nodes)
         state = GridAction(k=k, grid=grid, values=0.5 * grid**2 + 0.1 * grid**4)
         jac = jacobian_grid(state, regulator)
-        solver = _BandBDF(lambda t, y: np.zeros_like(y), k, state.values, 0.0,
-                          jac=lambda t, y: jac)
+        solver = _GridBDF(lambda t, y: np.zeros_like(y), lambda t, y: jac.data, k,
+                          state.values, 0.0, 1e-8, 1e-10)
         return solver, jac
 
     @pytest.mark.parametrize("nodes", [5, 301, 1201])
@@ -430,24 +514,45 @@ class TestBandNewtonMatrix:
         # vanishes, so J = 0 and I - cJ = I
         solver, jac = self._solver(nodes, k, litim)
         assert solver.half_band == 3
-        a = solver.I + step / (abs(jac).max() or 1.0) * jac
-        factor = solver.lu(a)
-        reference = splu(a)
+        c = -step / (abs(jac).max() or 1.0)
+        factor = solver._factor(c, jac.data)
+        reference = splu(sp.eye(nodes, format="csc") - c * jac)
         assert solver.nlu == 1
         rng = np.random.default_rng(nodes)
         # right-hand sides on the edge nodes, whose rows are the 4-point stencils
         rhs = np.eye(nodes)[[0, 1, nodes - 2, nodes - 1]]
         for b in [*rhs, rng.standard_normal(nodes)]:
             expected = reference.solve(b)
-            x = solver.solve_lu(factor, b.copy())
+            x = solver._solve_lu(factor, b.copy())
             assert np.abs(x - expected).max() <= 1e-13 * np.abs(expected).max()
             if k == 0.0:
                 assert np.array_equal(x, b)
 
+    @pytest.mark.parametrize("k", [1.0, 0.0])
+    def test_band_holds_scipys_sparse_newton_matrix(self, litim, k, monkeypatch):
+        # 1 - cJ_ii on the diagonal and 0 - cJ_ij off it: the bits of scipy's
+        # CSC I - c*J in dgbtrf's layout, signed zeros included
+        bands = []
+
+        def captured(band, *args, **kwargs):
+            bands.append(band.copy(order="F"))
+            return dgbtrf(band, *args, **kwargs)
+
+        monkeypatch.setattr(flow_module, "dgbtrf", captured)
+        solver, jac = self._solver(301, k, litim)
+        c = np.float64(-0.37) / (abs(jac).max() or 1.0)
+        solver._factor(c, jac.data)
+        a = sp.eye(301, format="csc") - c * jac
+        expected = np.zeros((10, 301), order="F")
+        cols = np.repeat(np.arange(301), np.diff(a.indptr))
+        expected[6 + a.indices - cols, cols] = a.data
+        assert bands[0].tobytes(order="F") == expected.tobytes(order="F")
+
     def test_singular_newton_matrix_raises(self, litim):
         solver, _ = self._solver(301, 2.5, litim)
+        _, _, unit = _band_pattern(301)
         with pytest.raises(StepUnderflow, match="k = 2.5"):
-            solver.lu(0.0 * solver.I)
+            solver._factor(1.0, unit)  # I - I = 0
 
 
 class TestInitialConditions:

@@ -102,10 +102,11 @@ class TestCertificate:
 
     def test_rule_over_the_node_cap_is_refused(self, line_spec, litim, monkeypatch):
         # the 24^3-node rung exceeds a cap of 16^3 nodes: the certified
-        # transform is refused before the rule is built, the unchecked one
-        # keeps its 16^3-node value
+        # transform is refused, the unchecked one keeps its 16^3-node value.
+        # The rung is built under the default cap first: the lowered cap
+        # refuses it all the same
+        measure.gauss_hermite_nodes(24, 3)
         monkeypatch.setattr(measure, "MAX_GH_NODES", 16**3)
-        measure.gauss_hermite_nodes.cache_clear()  # the cap is read on a build
         phi = np.array([0.3, -0.2, 0.1])
         ctx = FunctionalContext(spec=line_spec, regulator=litim)
         with pytest.raises(BudgetExceeded, match=r"24\^3.*k=0\.5, source="):
@@ -113,11 +114,30 @@ class TestCertificate:
         unchecked = FunctionalContext(spec=line_spec, regulator=litim, self_check=False)
         assert np.isfinite(gamma(unchecked, 0.5, phi))
 
+    def test_gradient_certifies_nothing_and_runs_over_the_node_cap(
+        self, line_spec, litim, monkeypatch
+    ):
+        # with the 24^3-node rung over the cap no value built on ln N_k can
+        # be certified, but the gradient is the inverting source, which the
+        # certificate never changes: a self-checking context returns it, and
+        # the unchecked context's bits
+        monkeypatch.setattr(measure, "MAX_GH_NODES", 16**3)
+        phi = np.array([0.3, -0.2, 0.1])
+        ctx = FunctionalContext(spec=line_spec, regulator=litim)
+        unchecked = FunctionalContext(spec=line_spec, regulator=litim, self_check=False)
+        gradient = gamma_gradient(ctx, 0.5, phi)
+        assert gradient.tobytes() == gamma_gradient(unchecked, 0.5, phi).tobytes()
+        for refused in (lambda: gamma(ctx, 0.5, phi), lambda: log_normalization(ctx, 0.5),
+                        lambda: W(ctx, 0.5, phi)):
+            with pytest.raises(BudgetExceeded, match=r"24\^3"):
+                refused()
+
     def test_one_finer_pass_per_lane_and_none_unchecked(self, phi4_spec, litim,
                                                         monkeypatch):
-        # rows (lanes times nodes) of the transform beyond its Newton solve
-        # (which certifies the zero source for its start): one level-80 pass
-        # per field, or none
+        # rows (lanes times nodes) of the transform beyond its Newton solve:
+        # one level-80 pass per field and one for ln I(0), or none.  The
+        # solve's start reads only the zero source's covariance, which the
+        # certificate leaves as it is, so the solve certifies nothing
         fields = np.linspace(-2.0, 2.0, 7)
         rows = []
         batch = ModelSpec.interaction_batch
@@ -127,7 +147,7 @@ class TestCertificate:
             return batch(self, psi)
 
         monkeypatch.setattr(ModelSpec, "interaction_batch", counting)
-        for self_check, extra in ((True, 80 * fields.size), (False, 0)):
+        for self_check, extra in ((True, 80 * (fields.size + 1)), (False, 0)):
             rows.clear()
             invert_mean_field(FunctionalContext(phi4_spec, litim, self_check), 0.6, fields)
             solve_rows = sum(rows)
@@ -448,11 +468,12 @@ class TestKernel:
 
     def test_node_cap_boundary(self, monkeypatch):
         assert 16**5 <= measure.MAX_GH_NODES < 16**6  # M <= 5 keeps level 16
-        build = measure.gauss_hermite_nodes.__wrapped__  # past the cache
+        build = measure.gauss_hermite_nodes
+        build(5, 3)  # cached under the default cap
         monkeypatch.setattr(measure, "MAX_GH_NODES", 64)
         assert build(8, 2)[0].shape == (64, 2)
         with pytest.raises(BudgetExceeded):
-            build(5, 3)
+            build(5, 3)  # the lowered cap refuses it all the same
 
 
 class TestFrozenOracleBits:
