@@ -86,12 +86,6 @@ def second_difference_matrix(n: int) -> sp.csc_matrix:
     return d2
 
 
-def second_derivative(values: np.ndarray, h: float) -> np.ndarray:
-    """Second derivative on a uniform grid: D2 @ values / h^2."""
-    v = np.asarray(values, dtype=float)
-    return second_difference_matrix(v.size) @ v / h**2
-
-
 # -- action representations --------------------------------------------
 
 
@@ -249,19 +243,6 @@ def rhs_grid(state: GridAction, regulator, momentum: float = 0.0,
              weight: float = 1.0) -> np.ndarray:
     """Trace-form flow 1/2 d_k F_k / (D2 u + R_k) of the grid action."""
     return _GridFlow(state.grid, regulator, momentum, weight).rhs(state.k, state.values)
-
-
-def jacobian_grid(state: GridAction, regulator, momentum: float = 0.0,
-                  weight: float = 1.0) -> sp.csc_matrix:
-    """Jacobian of :func:`rhs_grid`: diag(-1/2 d_k F_k / (D2 u + R_k)^2) D2.
-
-    The row scaling is applied to D2's stored entries, so the result shares
-    D2's sparsity pattern and index arrays and needs no format conversion.
-    """
-    flow = _GridFlow(state.grid, regulator, momentum, weight)
-    d2 = flow.d2
-    return sp.csc_matrix((flow.jacobian_data(state.k, state.values), d2.indices,
-                          d2.indptr), shape=d2.shape)
 
 
 def rhs_vertex(state: VertexAction, regulator, momenta, weights) -> np.ndarray:
@@ -826,16 +807,10 @@ def initial_condition(
         m = ctx.measure.dim
         if mode == "classical":
             c_inv = np.linalg.inv(covariance(ctx.spec))
-            if ctx.spec.dimension == 0:
-                g2 = c_inv + 2.0 * ctx.spec.c2 * np.eye(1)
-                g4 = 24.0 * ctx.spec.c4 * np.ones((1, 1, 1, 1))
-            else:
-                h = ctx.spec.hartley_matrix() / np.sqrt(ctx.spec.position_spacing)
-                w = ctx.spec.position_weights
-                g2 = c_inv + 2.0 * ctx.spec.c2 * np.einsum("l,la,lb->ab", w, h, h)
-                g4 = 24.0 * ctx.spec.c4 * np.einsum(
-                    "l,la,lb,lc,ld->abcd", w, h, h, h, h
-                )
+            h, w = ctx.spec._position_map
+            h = h.T  # one row per position
+            g2 = c_inv + 2.0 * ctx.spec.c2 * np.einsum("l,la,lb->ab", w, h, h)
+            g4 = 24.0 * ctx.spec.c4 * np.einsum("l,la,lb,lc,ld->abcd", w, h, h, h, h)
             info = {}
         elif mode == "exact":
             if m != 1:
@@ -875,7 +850,9 @@ def frge_first_form_check(ctx: FunctionalContext, k: float, probes) -> list[dict
 
     Single-mode only.  The left side is a Richardson finite difference of
     gamma in k; the right side is half the regulator derivative against the
-    regulated inverse curvature plus the normalization drift.
+    regulated inverse curvature (gamma'' + F_k)^-1 = W''(J), the tilted
+    covariance at the inverting source, plus the normalization drift.  One
+    batched inversion serves every probe.
     """
     if ctx.measure.dim != 1:
         raise SpecValidationError("first-form check is single-mode only")
@@ -891,9 +868,8 @@ def frge_first_form_check(ctx: FunctionalContext, k: float, probes) -> list[dict
 
         lhs = (4.0 * central(FIRST_FORM_DK_STEP / 2.0)
                - central(FIRST_FORM_DK_STEP)) / 3.0
-        curv = np.array([fn.gamma_hessian(ctx, k, phi)[0, 0] for phi in phis])
-        record = ctx.scale(k)
-        rhs = (0.5 * float(record.f_dot[0]) / (curv + float(record.f[0]))
+        w2 = fn.invert_mean_field(ctx, k, phis[:, None]).moments.cov[:, 0, 0]
+        rhs = (0.5 * float(ctx.scale(k).f_dot[0]) * w2
                + fn.dk_log_normalization(ctx, k))
     return [
         {"phi": float(phi), "k": k, "lhs": float(l), "rhs": float(r),

@@ -781,29 +781,14 @@ def gamma_gradient(ctx: FunctionalContext, k: float, phi) -> np.ndarray:
 
 
 def gamma_hessian(ctx: FunctionalContext, k: float, phi) -> np.ndarray:
-    """Richardson-extrapolated finite differences of the gamma gradient.
+    """D^2 gamma at phi from the Legendre duality D^2 gamma + F_k = W''(J)^-1.
 
-    Each gradient is a Newton solve, exact only to ``NEWTON_TOL`` in the mean
-    field, which the differences divide by the step; a step of 1e-3 keeps
-    that below 1e-6 of the curvature, and Richardson leaves an error of order
-    step^4.
+    W''(J) is the tilted covariance at the inverting source J, which the
+    Newton solve returns: one solve, no differencing step.
     """
     phi = np.atleast_1d(np.asarray(phi, dtype=float))
-    m = phi.size
-    h = 1e-3 * (1.0 + float(np.linalg.norm(phi)))
-    out = np.empty((m, m))
-    for a in range(m):
-        e = np.zeros(m)
-        e[a] = 1.0
-
-        def central(hh):
-            gp = gamma_gradient(ctx, k, phi + hh * e)
-            gm = gamma_gradient(ctx, k, phi - hh * e)
-            return (gp - gm) / (2.0 * hh)
-
-        d_h = central(h)
-        d_h2 = central(h / 2.0)
-        out[:, a] = (4.0 * d_h2 - d_h) / 3.0
+    solve = invert_mean_field(ctx, k, phi)
+    out = np.linalg.inv(solve.moments.cov) - np.diag(ctx.scale(k).f)
     return 0.5 * (out + out.T)
 
 

@@ -1,9 +1,41 @@
 import numpy as np
 import pytest
 
-from frgelab.functionals import FunctionalContext
+from frgelab.functionals import FunctionalContext, gamma_gradient
 from frgelab.model import ModelSpec, WindowParams
 from frgelab.regulator import make_regulator
+
+
+def _richardson_hessian(ctx, k, phi):
+    """D^2 gamma by Richardson-extrapolated central differences of
+    ``gamma_gradient``: 4M Newton solves, independent of the duality form
+    ``gamma_hessian`` takes.
+
+    Each gradient is exact only to the Newton tolerance in the mean field,
+    which the differences divide by the step; a step of 1e-3 keeps that below
+    1e-6 of the curvature, and Richardson leaves an error of order step^4.
+    """
+    phi = np.atleast_1d(np.asarray(phi, dtype=float))
+    m = phi.size
+    h = 1e-3 * (1.0 + float(np.linalg.norm(phi)))
+    out = np.empty((m, m))
+    for a in range(m):
+        e = np.zeros(m)
+        e[a] = 1.0
+
+        def central(hh):
+            gp = gamma_gradient(ctx, k, phi + hh * e)
+            gm = gamma_gradient(ctx, k, phi - hh * e)
+            return (gp - gm) / (2.0 * hh)
+
+        out[:, a] = (4.0 * central(h / 2.0) - central(h)) / 3.0
+    return 0.5 * (out + out.T)
+
+
+@pytest.fixture(scope="session")
+def fd_hessian():
+    """The finite-difference reference Hessian, (ctx, k, phi) -> (M, M)."""
+    return _richardson_hessian
 
 
 @pytest.fixture(scope="session")

@@ -21,7 +21,6 @@ from frgelab.convex import (
 )
 from frgelab.errors import EmptyEpigraphWindow, GridMismatch, NotProper
 from frgelab.functionals import FunctionalContext
-from frgelab.measure import build_measure
 from frgelab.model import ModelSpec, WindowParams
 from frgelab.regulator import make_regulator
 
@@ -312,7 +311,8 @@ class TestConvergenceSuite:
     @pytest.mark.parametrize("r", [0.5, 0.75, 1.0 - 2.0 ** (-6), 1.0])
     def test_probe_matches_adaptive_quadrature(self, r):
         (spec,) = self.specs([r])
-        var = float(build_measure(spec).cov[0, 0])
+        ctx = FunctionalContext(spec=spec, regulator=make_regulator("litim"))
+        var = float(ctx.measure.cov[0, 0])
 
         def density(x):
             return np.exp(-0.5 * x * x / var - spec.interaction_batch(np.array([x])))
@@ -323,7 +323,7 @@ class TestConvergenceSuite:
         z = integral(density)
         expected = [integral(lambda x, t=t: np.cos(t * x) * density(x)) / z
                     for t in PROBE_SOURCES]
-        assert np.abs(_char_probe(spec, PROBE_SOURCES) - expected).max() <= 1e-12
+        assert np.abs(_char_probe(ctx, PROBE_SOURCES) - expected).max() <= 1e-12
 
     def test_alternating_sequence_flagged_non_cauchy(self):
         reg = make_regulator("litim")

@@ -749,14 +749,18 @@ class TestOracleProperties:
     @example(mass=0.703125, r=1.0, c4=0.1875, regulator="litim", k=0.0, phi=0.0)
     # a Hessian step of 1e-4 passed on the Newton tolerance as 1.9e-6
     @example(mass=1.0, r=1.0, c4=1.192092896e-07, regulator="litim", k=0.0, phi=0.0)
-    def test_hessian_inverse_identity(self, mass, r, c4, regulator, k, phi):
-        # (D^2 Gamma + F_k) is the inverse of the connected covariance
+    def test_hessian_inverse_identity(self, mass, r, c4, regulator, k, phi,
+                                      fd_hessian):
+        # (D^2 Gamma + F_k) is the inverse of the connected covariance: checked
+        # on the finite-difference Hessian, with which gamma_hessian agrees
         ctx = scalar_ctx(mass, r, c4, regulator)
         phi = np.array([phi])
-        h = gamma_hessian(ctx, k, phi)
+        h_fd = fd_hessian(ctx, k, phi)
         cc = connected_cov(ctx, k, invert_mean_field(ctx, k, phi).source)
         f = ctx.scale(k).f[0]
-        assert (h[0, 0] + f) * cc[0, 0] == pytest.approx(1.0, abs=1e-6)
+        assert (h_fd[0, 0] + f) * cc[0, 0] == pytest.approx(1.0, abs=1e-6)
+        h = gamma_hessian(ctx, k, phi)
+        assert abs(h[0, 0] - h_fd[0, 0]) <= 1e-6 * (1.0 + abs(h[0, 0]))
 
     @settings(max_examples=40, deadline=None)
     @given(**{name: s for name, s in theories.items() if name != "c4"})
@@ -795,14 +799,9 @@ class TestWork:
         assert sum(rows) <= 0.2 * 1_352_320
         assert iterations <= 2_000
 
-    def test_three_mode_hessian_takes_one_kernel_pass_per_gradient(
-        self, line_spec, litim, monkeypatch
-    ):
-        # each of the 12 gradients at phi = +-h e_a starts within the Newton
-        # tolerance of its source: one kernel call of one pass, where the
-        # Gaussian source (C^-1 + F_k) phi took a Newton step and 24 passes
-        ctx = FunctionalContext(spec=line_spec, regulator=litim)
-        log_normalization(ctx, 0.0)
+    @staticmethod
+    def _kernel_calls(monkeypatch) -> list:
+        """One entry per interaction_batch call from now on (its len(psi))."""
         calls = []
         batch = ModelSpec.interaction_batch
 
@@ -811,8 +810,31 @@ class TestWork:
             return batch(self, psi)
 
         monkeypatch.setattr(ModelSpec, "interaction_batch", counting)
-        gamma_hessian(ctx, 0.0, np.zeros(3))
+        return calls
+
+    def test_three_mode_gradients_take_one_kernel_pass_each(
+        self, line_spec, litim, monkeypatch
+    ):
+        # each of the 12 gradients at phi = +-h e_a, +-h/2 e_a (h = 1e-3)
+        # starts within the Newton tolerance of its source: one kernel call
+        # of one pass, where the Gaussian source (C^-1 + F_k) phi took a
+        # Newton step and 24 passes
+        ctx = FunctionalContext(spec=line_spec, regulator=litim)
+        log_normalization(ctx, 0.0)
+        calls = self._kernel_calls(monkeypatch)
+        for a in range(3):
+            for step in (1e-3, -1e-3, 5e-4, -5e-4):
+                gamma_gradient(ctx, 0.0, step * np.eye(3)[a])
         assert len(calls) <= 12
+
+    def test_warm_three_mode_hessian_takes_one_kernel_call(
+        self, line_spec, litim, monkeypatch
+    ):
+        ctx = FunctionalContext(spec=line_spec, regulator=litim)
+        log_normalization(ctx, 0.0)
+        calls = self._kernel_calls(monkeypatch)
+        gamma_hessian(ctx, 0.0, np.zeros(3))
+        assert len(calls) == 1
 
 
 class TestNewtonStart:
