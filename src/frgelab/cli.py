@@ -25,7 +25,7 @@ import time
 
 import numpy as np
 
-from . import __version__, convex, flow as flow_mod, functionals as fn
+from . import __version__, convex, functionals as fn
 from .errors import ConditionViolated, FrgeLabError, SpecValidationError
 from .functionals import FunctionalContext
 from .model import WindowParams, spec_from_dict
@@ -192,6 +192,7 @@ def exact_table(args, spec, regulator):
 
 
 def flow_table(args, spec, regulator):
+    from . import flow as flow_mod  # deferred: other commands skip flow's imports
     _require_positive_finite("--compare-radius", args.compare_radius)
     if args.compare and args.rep != "grid":
         raise SpecValidationError("--compare needs --rep grid")
@@ -240,6 +241,7 @@ def flow_table(args, spec, regulator):
 
 
 def frge_check_table(args, spec, regulator):
+    from . import flow as flow_mod
     ctx = FunctionalContext(spec=spec, regulator=regulator)
     probes = _parse_floats(args.probes)
     if not probes:

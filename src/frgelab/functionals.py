@@ -32,7 +32,6 @@ from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
-import scipy.linalg as sla
 
 from . import measure
 from .errors import BudgetExceeded, NewtonStalled, RangeExceeded, SpecValidationError
@@ -41,6 +40,7 @@ from .measure import (
     build_measure,
     gauss_hermite_nodes,
     ladder,
+    spd_inverse,
     untilted_level,
 )
 from .model import ModelSpec
@@ -132,20 +132,12 @@ class FunctionalContext:
         f, f_dot = regulator_diagonals(
             self.regulator, k, self.spec.momenta, self.spec.momentum_weights)
         prec = self.measure.inv + np.diag(f)
-        chol_p = sla.cholesky(prec, lower=True)
-        sigma = sla.cho_solve((chol_p, True), np.eye(self.measure.dim))
-        record = ScaleRecord(
-            f=f,
-            f_dot=f_dot,
-            prec=prec,
-            chol_p=chol_p,
-            sigma=sigma,
-            chol_s=sla.cholesky(0.5 * (sigma + sigma.T), lower=True),
-            logdet_s=-2.0 * float(np.sum(np.log(np.diag(chol_p)))),
-        )
+        chol_p, sigma, logdet_p = spd_inverse(prec, f"C^-1 + F_k at k = {key}")
+        record = ScaleRecord(f=f, f_dot=f_dot, prec=prec, chol_p=chol_p, sigma=sigma,
+                             chol_s=np.linalg.cholesky(0.5 * (sigma + sigma.T)),
+                             logdet_s=-logdet_p)
         # every caller of this scale shares the arrays
-        for a in (record.f, record.f_dot, record.prec, record.chol_p, record.sigma,
-                  record.chol_s):
+        for a in (f, f_dot, prec, chol_p, sigma, record.chol_s):
             a.setflags(write=False)
         self._scales[key] = record
         if len(self._scales) > SCALE_CACHE_SIZE:

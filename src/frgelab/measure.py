@@ -2,6 +2,7 @@
 
 Provides the measure's Cholesky data and the tensorised Gauss-Hermite rules
 that the quadrature kernel ``functionals.tilted_moments`` integrates with.
+``spd_inverse`` factors and inverts the covariance and each C^-1 + F_k.
 """
 
 from __future__ import annotations
@@ -10,7 +11,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import BudgetExceeded, NotSPD
 from .model import ModelSpec, covariance
@@ -39,18 +39,24 @@ class GaussianMeasure:
 
 def build_measure(spec_or_cov) -> GaussianMeasure:
     """Construct the measure from a ModelSpec or an SPD covariance matrix."""
-    if isinstance(spec_or_cov, ModelSpec):
-        cov = covariance(spec_or_cov)
-    else:
-        cov = np.atleast_2d(np.asarray(spec_or_cov, dtype=float))
+    cov = (covariance(spec_or_cov) if isinstance(spec_or_cov, ModelSpec)
+           else np.atleast_2d(np.asarray(spec_or_cov, dtype=float)))
     cov = 0.5 * (cov + cov.T)
+    return GaussianMeasure(cov, *spd_inverse(cov, "covariance"))
+
+
+def spd_inverse(a: np.ndarray, what: str):
+    """The Cholesky factor L of the SPD ``a``, its inverse inv(L)^T inv(L) (at one
+    mode scipy's ``cho_solve`` bits, which inv(a) is not) and ln det a.  A
+    non-finite or indefinite ``a`` raises :class:`NotSPD` naming ``what``."""
+    if not np.isfinite(a).all():
+        raise NotSPD(f"{what} is not finite")
     try:
-        chol = sla.cholesky(cov, lower=True)
-    except sla.LinAlgError as exc:
-        raise NotSPD("covariance is not positive definite") from exc
-    inv = sla.cho_solve((chol, True), np.eye(cov.shape[0]))
-    logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
-    return GaussianMeasure(cov=cov, chol=chol, inv=inv, logdet=logdet)
+        chol = np.linalg.cholesky(a)
+    except np.linalg.LinAlgError as exc:
+        raise NotSPD(f"{what} is not positive definite") from exc
+    chol_inv = np.linalg.inv(chol)
+    return chol, chol_inv.T @ chol_inv, 2.0 * float(np.sum(np.log(np.diag(chol))))
 
 
 # -- quadrature machinery ---------------------------------------------

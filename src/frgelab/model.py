@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import NotSPD, SingularWindow, SpecValidationError
 
@@ -350,8 +349,8 @@ def covariance(spec: ModelSpec) -> np.ndarray:
     c = r_mat @ np.diag(1.0 / b) @ r_mat.T
     c = 0.5 * (c + c.T)
     try:
-        sla.cholesky(c, lower=True)
-    except sla.LinAlgError as exc:
+        np.linalg.cholesky(c)
+    except np.linalg.LinAlgError as exc:
         raise NotSPD("covariance factorization failed") from exc
     return c
 

@@ -1,5 +1,8 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -280,6 +283,15 @@ class TestExitCodes:
         assert main(["validate-regulator", "--regulator", f"table:{table}"]) == 2
         assert "table regulator" in capsys.readouterr().err
 
+    def test_indefinite_precision_exit_3(self, config_path, tmp_path, capsys):
+        # R = -5 makes C^-1 + F_k = 1 - 5 indefinite at every scale
+        table = tmp_path / "neg.csv"
+        table.write_text("k,p,R,dR\n0,0,-5,0\n0,1,-5,0\n10,0,-5,0\n10,1,-5,0\n")
+        assert main(["exact", "--config", config_path, "--regulator", f"table:{table}",
+                     "--k", "1", "--out", str(tmp_path / "e.csv")]) == 3
+        err = capsys.readouterr().err
+        assert "not positive definite" in err and "k = 1" in err
+
     @pytest.mark.parametrize("doc", [
         {"a": 1}, [1], {"config_hash": [1]},
         {"config_hash": "0", "stats": [1]},
@@ -330,6 +342,39 @@ class TestConverge:
         }))
         assert main(["converge", "--config", str(cfg),
                      "--out", str(tmp_path / "c.csv")]) == 2
+
+
+NON_FLOW_COMMANDS = """
+import json, sys
+from frgelab import cli
+cfg, out = sys.argv[1], sys.argv[2]
+codes = [
+    cli.main(["validate-regulator", "--count", "100"]),
+    cli.main(["exact", "--config", cfg, "--k", "1", "--phi-nodes", "3",
+              "--out", out + "/e.csv"]),
+    cli.main(["converge", "--config", cfg, "--levels", "2", "--out", out + "/c.csv"]),
+    cli.main(["report", out + "/e.csv.manifest.json", out + "/c.csv.manifest.json",
+              "--out", out + "/r.csv"]),
+]
+loaded = sorted(name for name in sys.modules if name.startswith("scipy"))
+import frgelab.flow
+print(json.dumps({"codes": codes, "loaded": loaded, "flow": "scipy" in sys.modules}))
+"""
+
+
+def test_non_flow_commands_load_no_scipy(config_path, tmp_path):
+    """Only ``flow`` needs scipy, so every other command starts in numpy's time.
+    pytest's own warning filters import scipy, hence the fresh interpreter."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, "-c", NON_FLOW_COMMANDS, config_path,
+                          str(tmp_path)], env=env, capture_output=True, text=True,
+                         check=True)
+    result = json.loads(run.stdout.splitlines()[-1])
+    assert result["codes"] == [0, 0, 0, 0]
+    assert result["loaded"] == []
+    assert result["flow"]  # the check can see scipy when it is loaded
 
 
 MANIFEST_KEYS = {"tool_version", "subcommand", "config_hash", "seeds", "tolerances",
