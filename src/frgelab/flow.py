@@ -10,13 +10,14 @@ On the grid the trace form u' = 1/2 d_kF_k / (D2 u + R_k) is a nonlinear
 diffusion, stiff in the node count, so it is stepped with the implicit BDF
 method and its analytic Jacobian diag(-1/2 d_kF_k / (D2 u + R_k)^2) D2,
 where D2 is the sparse second-difference matrix.  The stepper, _GridBDF, is
-scipy's variable-order BDF ported operation for operation, so its steps and
-states are scipy's bits; it evaluates the flow on the bare node vector.  J
-shares D2's pattern, so BDF's Newton matrix I - cJ is a band of half-width 3
-(the 4-point edge stencils), written straight into LAPACK's band layout and
-factored with its band LU.  D2 annihilates constants up to rounding (its
-solved central stencil sums to -6.9e-17), so the zero-field subtraction
-u - u(0) is taken at the checkpoints only.
+scipy's variable-order BDF step ported operation for operation onto scipy's
+public OdeSolver base class, so its steps and states are scipy's bits; it
+evaluates the flow on the bare node vector.  J shares D2's pattern, so BDF's
+Newton matrix I - cJ is a band of half-width 3 (the 4-point edge stencils),
+written straight into LAPACK's band layout and factored with its band LU.
+D2 annihilates constants up to rounding (its solved central stencil sums to
+-6.9e-17), so the zero-field subtraction u - u(0) is taken at the
+checkpoints only.
 The vertex flow is not stiff and uses the explicit Runge-Kutta 5(4) pair.
 It steps only the independent components of the symmetric tensors, through
 cached orbit index maps, and its right-hand side is a few matrix products.
@@ -35,7 +36,7 @@ from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.integrate import RK45
+from scipy.integrate import RK45, OdeSolver
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from . import functionals as fn
@@ -104,10 +105,6 @@ class GridAction:
                 f"(the edge stencils), got {self.grid.size}"
             )
 
-    @property
-    def spacing(self) -> float:
-        return float(self.grid[1] - self.grid[0])
-
     def pack(self) -> np.ndarray:
         return self.values.copy()
 
@@ -147,12 +144,9 @@ def _unpack_symmetric(y: np.ndarray, m: int, rank: int) -> np.ndarray:
     return y[labels].reshape((m,) * rank)
 
 
-def symmetrize2(a: np.ndarray) -> np.ndarray:
-    return _unpack_symmetric(_pack_symmetric(a), a.shape[0], 2)
-
-
-def symmetrize4(a: np.ndarray) -> np.ndarray:
-    return _unpack_symmetric(_pack_symmetric(a), a.shape[0], 4)
+def symmetrize(a: np.ndarray) -> np.ndarray:
+    """The mean of a tensor with equal axes over all permutations of its axes."""
+    return _unpack_symmetric(_pack_symmetric(a), a.shape[0], a.ndim)
 
 
 @dataclass(frozen=True)
@@ -272,8 +266,8 @@ def rhs_vertex(state: VertexAction, regulator, momenta, weights) -> np.ndarray:
     d_g2 = -0.5 * (a4 @ p.ravel())
     # the Kronecker product P x G, indexed [(i, j), (l, n)] = P_il G_jn
     t = a4 @ (p[:, None, :, None] * g[None, :, None, :]).reshape(m * m, m * m) @ a4
-    return VertexAction(k=k, gamma2=d_g2.reshape(m, m),
-                        gamma4=3.0 * t.reshape(m, m, m, m)).pack()
+    return np.concatenate([_pack_symmetric(d_g2.reshape(m, m)),
+                           _pack_symmetric(3.0 * t.reshape(m, m, m, m))])
 
 
 # -- integration -------------------------------------------------------
@@ -285,22 +279,18 @@ def rhs_vertex(state: VertexAction, regulator, momenta, weights) -> np.ndarray:
 CONVEXITY_HORIZON = 1e-3
 
 
-def _vertex_margin(state: VertexAction, regulator, momenta, weights) -> float:
-    """Smallest eigenvalue of the regularised Hessian gamma2 + F_k."""
-    f_diag = regulator.value(state.k, momenta) * weights
-    return float(np.linalg.eigvalsh(state.gamma2 + np.diag(f_diag))[0])
-
-
 # -- the grid stepper --------------------------------------------------
 #
-# scipy 1.17's BDF (scipy/integrate/_ivp/bdf.py), ported operation for
-# operation: variable order 1 to 5 with the NDF corrector on a quasi-constant
-# step (Shampine & Reichelt, SIAM J. Sci. Comput. 18, 1997).  Every array
-# expression is scipy's, in its order and on its dtypes, so the steps, the
-# counters and the states are scipy's bits.  What the port leaves out is
-# scipy's general machinery around them: J is held as its entries in D2's
-# stored order, I - cJ is written straight into LAPACK's band layout, and
-# the RMS norm is numpy's own formula sqrt(x.x) / sqrt(n) without
+# scipy 1.17's BDF step (scipy/integrate/_ivp/bdf.py), ported operation for
+# operation onto scipy's public OdeSolver base class: variable order 1 to 5
+# with the NDF corrector on a quasi-constant step (Shampine & Reichelt, SIAM
+# J. Sci. Comput. 18, 1997).  OdeSolver supplies the solver protocol (step,
+# status, the nfev-counting fun and the counters); the port keeps only BDF's
+# numerics.  Every array expression is scipy's, in its order and on its
+# dtypes, so the steps, the counters and the states are scipy's bits.  What
+# the port leaves out is scipy's general Jacobian machinery: J is held as its
+# entries in D2's stored order, I - cJ is written straight into LAPACK's band
+# layout, and the RMS norm is numpy's own formula sqrt(x.x) / sqrt(n) without
 # np.linalg.norm's dispatch.
 
 _MAX_ORDER = 5
@@ -347,26 +337,20 @@ def _band_pattern(n: int) -> tuple[int, np.ndarray, np.ndarray]:
     return b, flat, unit
 
 
-class _GridBDF:
-    """The BDF stepper of a grid flow.
+class _GridBDF(OdeSolver):
+    """The BDF stepper of a grid flow, a scipy ``OdeSolver``.
 
     ``fun(k, u)`` is the flow's right-hand side and ``jac(k, u)`` the entries
     of its Jacobian J in D2's stored order (:meth:`_GridFlow.jacobian_data`).
-    ``step``, ``status``, ``t``, ``y``, ``dense_output`` and the counters
-    ``nfev``, ``njev`` and ``nlu`` are those of a scipy ODE solver.  The
-    Newton matrix I - cJ has the entries 1 - c J_ii and 0 - c J_ij that
+    The Newton matrix I - cJ has the entries 1 - c J_ii and 0 - c J_ij that
     scipy's sparse I - c*J holds; dgbtrf factors it as a band, and a singular
     factor raises StepUnderflow.
     """
 
     def __init__(self, fun, jac, t0: float, y0: np.ndarray, t_bound: float,
                  rtol: float, atol: float):
-        self._fun, self._jac = fun, jac
-        self.t, self.y, self.t_bound = t0, y0, t_bound
-        self.direction = np.sign(t_bound - t0) if t_bound != t0 else 1
-        self.n = y0.size
-        self.status = "running"
-        self.nfev = self.njev = self.nlu = 0
+        super().__init__(fun, t0, y0, t_bound, vectorized=False)
+        self._jac = jac
         self.rtol, self.atol = rtol, atol
         if rtol < 100 * _EPS:
             warnings.warn(f"rtol is too small; setting rtol = {100 * _EPS}",
@@ -374,22 +358,18 @@ class _GridBDF:
             self.rtol = np.maximum(rtol, 100 * _EPS)
         self._root_n = self.n ** 0.5
         self.half_band, self._band_flat, self._band_unit = _band_pattern(self.n)
-        f = self._rhs(t0, y0)
+        f = self.fun(self.t, self.y)
         self.h_abs = self._initial_step(f)
         # as in scipy, from the rtol asked for, not the raised one
         self.newton_tol = max(10 * _EPS / rtol, min(0.03, rtol ** 0.5))
-        self.J = jac(t0, y0)
+        self.J = jac(self.t, self.y)
         self.njev += 1
         self.D = np.empty((_MAX_ORDER + 3, self.n))
-        self.D[0] = y0
+        self.D[0] = self.y
         self.D[1] = f * self.h_abs * self.direction
         self.order = 1
         self.n_equal_steps = 0
         self.LU = None
-
-    def _rhs(self, t, y) -> np.ndarray:
-        self.nfev += 1
-        return self._fun(t, y)
 
     def _norm(self, x: np.ndarray):
         """RMS norm: np.linalg.norm(x) / sqrt(n), with its arithmetic."""
@@ -411,7 +391,7 @@ class _GridBDF:
             h0 = 0.01 * d0 / d1
         h0 = min(h0, interval_length)
         y1 = y0 + h0 * direction * f0
-        f1 = self._rhs(t0 + h0 * direction, y1)
+        f1 = self.fun(t0 + h0 * direction, y1)
         d2 = self._norm((f1 - f0) / scale) / h0
         if d1 <= 1e-15 and d2 <= 1e-15:
             h1 = max(1e-6, h0 * 1e-3)
@@ -446,7 +426,7 @@ class _GridBDF:
         converged = False
         tol = self.newton_tol
         for k in range(_NEWTON_MAXITER):
-            f = self._rhs(t_new, y)
+            f = self.fun(t_new, y)
             if not np.isfinite(f).all():
                 break
             dy = self._solve_lu(factor, c * f - psi - d)
@@ -467,14 +447,8 @@ class _GridBDF:
             dy_norm_old = dy_norm
         return converged, k + 1, y, d
 
-    def step(self) -> None:
-        if not self._step_impl():
-            self.status = "failed"
-        elif self.direction * (self.t - self.t_bound) >= 0:
-            self.status = "finished"
-
-    def _step_impl(self) -> bool:
-        """One accepted step, or False where the step fell below ten ulps of t."""
+    def _step_impl(self) -> tuple[bool, str | None]:
+        """One accepted step, or failure where the step fell below ten ulps of t."""
         t = self.t
         D = self.D
         min_step = 10 * np.abs(np.nextafter(t, self.direction * np.inf) - t)
@@ -493,7 +467,7 @@ class _GridBDF:
         step_accepted = False
         while not step_accepted:
             if h_abs < min_step:
-                return False
+                return False, self.TOO_SMALL_STEP
 
             h = h_abs * self.direction
             t_new = t + h
@@ -568,7 +542,7 @@ class _GridBDF:
             D[i] += D[i + 1]
 
         if self.n_equal_steps < order + 1:
-            return True
+            return True, None
 
         if order > 1:
             error_m = _ERROR_CONST[order - 1] * D[order]
@@ -596,9 +570,9 @@ class _GridBDF:
         self.n_equal_steps = 0
         self.LU = None
 
-        return True
+        return True, None
 
-    def dense_output(self):
+    def _dense_output_impl(self):
         """The interpolant of the last accepted step, scipy's BdfDenseOutput."""
         h = self.h_abs * self.direction
         order = self.order
@@ -693,7 +667,9 @@ def integrate(
     def margin(k, y):
         if is_grid:
             return float(grid_flow.curvature(k, y)[1].min())
-        return _vertex_margin(initial.unpack(k, y), regulator, momenta, weights)
+        f_diag = regulator.value(k, momenta) * weights
+        return float(np.linalg.eigvalsh(initial.unpack(k, y).gamma2
+                                        + np.diag(f_diag))[0])
 
     kinks = [float(s) for s in regulator.kink_scales(momenta) if k_to < s < k_from]
     breakpoints = sorted(set([k_from, k_to] + kinks), reverse=True)
@@ -753,9 +729,10 @@ def integrate(
             stats["njev"] += solver.njev
             stats["nlu"] += solver.nlu
         finally:
-            # scipy's RK45 holds closures over itself; clearing the state
-            # breaks that cycle, so the solver is freed now rather than at the
-            # next cyclic garbage collection
+            # every OdeSolver, RK45 and _GridBDF alike, holds a closure over
+            # itself (its nfev-counting ``fun``); clearing the state breaks that
+            # cycle, so the solver is freed now rather than at the next cyclic
+            # garbage collection
             solver.__dict__.clear()
     return FlowTrajectory(checkpoints=snaps, stats=stats)
 
@@ -820,7 +797,7 @@ def initial_condition(
             info = {}
         else:
             raise SpecValidationError(f"unknown initial-condition mode {mode!r}")
-        return VertexAction(k=k_uv, gamma2=symmetrize2(g2), gamma4=symmetrize4(g4)), info
+        return VertexAction(k=k_uv, gamma2=symmetrize(g2), gamma4=symmetrize(g4)), info
     raise SpecValidationError(f"unknown representation {rep!r}")
 
 

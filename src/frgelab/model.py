@@ -10,8 +10,10 @@ position values.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -239,15 +241,18 @@ def validate_spec(spec: ModelSpec) -> None:
 # -- JSON ingestion ----------------------------------------------------
 
 
-def _number(section: dict, key: str, convert, default=None):
-    """``convert(section[key])`` (``default`` if absent); a value that is not
-    a number raises :class:`SpecValidationError`."""
+def _number(section: dict, key: str, kind, default=None):
+    """``section[key]`` (``default`` if absent) as ``kind``: an int key takes
+    JSON integers only, a float key any JSON number.  Anything else, a bool
+    or a string included, raises :class:`SpecValidationError`; nothing is
+    coerced."""
     value = section.get(key, default)
-    try:
-        return convert(value)
-    except (TypeError, ValueError, OverflowError):
-        raise SpecValidationError(
-            f"config value {key!r} is not a number: {value!r}") from None
+    accepted = numbers.Integral if kind is int else numbers.Real
+    if isinstance(value, accepted) and not isinstance(value, bool):
+        with contextlib.suppress(OverflowError):  # an integer beyond any float
+            return kind(value)
+    what = "an integer" if kind is int else "a number"
+    raise SpecValidationError(f"config value {key!r} is not {what}: {value!r}")
 
 
 def spec_from_dict(doc: dict) -> ModelSpec:
@@ -295,6 +300,11 @@ def spec_from_dict(doc: dict) -> ModelSpec:
     if unknown:
         raise SpecValidationError(f"unknown field_grid keys: {sorted(unknown)}")
 
+    allow_unbounded = doc.get("allow_unbounded", False)
+    if not isinstance(allow_unbounded, bool):
+        raise SpecValidationError(
+            f"config value 'allow_unbounded' is not a boolean: {allow_unbounded!r}")
+
     return ModelSpec(
         dimension=_number(doc, "dimension", int),
         modes=_number(doc, "modes", int),
@@ -309,7 +319,7 @@ def spec_from_dict(doc: dict) -> ModelSpec:
         window=wp,
         phi_max=_number(fg, "phi_max", float, 3.0),
         phi_nodes=_number(fg, "nodes", int, 201),
-        allow_unbounded=bool(doc.get("allow_unbounded", False)),
+        allow_unbounded=allow_unbounded,
     )
 
 

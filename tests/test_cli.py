@@ -183,6 +183,47 @@ class TestFlowPipeline:
         manifest = json.loads(Path(out + ".manifest.json").read_text())
         assert manifest["stats"]["max_deviation"] <= 1e-4
 
+    @staticmethod
+    def _vertex_flow(argv, tmp_path, monkeypatch):
+        """Run ``flow --rep vertex``; return the CSV rows and the trajectory."""
+        trajectories = []
+        original = flow.integrate
+
+        def kept(*args, **kwargs):
+            trajectories.append(original(*args, **kwargs))
+            return trajectories[-1]
+
+        monkeypatch.setattr(flow, "integrate", kept)
+        out = str(tmp_path / "vertex.csv")
+        assert main(["flow", *argv, "--rep", "vertex", "--kuv", "10",
+                     "--checkpoints", "1,0", "--out", out]) == 0
+        with open(out, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        [traj] = trajectories
+        assert [float(r["k"]) for r in rows] == [k for k, _ in traj.checkpoints]
+        return rows, traj
+
+    def test_single_mode_vertex_cells_are_numbers(self, config_path, tmp_path,
+                                                  monkeypatch):
+        rows, traj = self._vertex_flow(["--config", config_path], tmp_path,
+                                       monkeypatch)
+        for row, (_, state) in zip(rows, traj.checkpoints):
+            g2, g4 = float(state.gamma2[0, 0]), float(state.gamma4[0, 0, 0, 0])
+            assert (row["gamma2"], row["gamma4"]) == (f"{g2:.15g}", f"{g4:.15g}")
+            assert float(row["gamma2"]) == pytest.approx(g2, rel=1e-14, abs=0)
+            assert float(row["gamma4"]) == pytest.approx(g4, rel=1e-14, abs=0)
+
+    def test_multi_mode_vertex_cells_are_json_arrays(self, tmp_path, monkeypatch):
+        cfg = tmp_path / "d1.json"
+        cfg.write_text(json.dumps(dict(TestExitCodes.D1, interaction={"c4": 0.05})))
+        rows, traj = self._vertex_flow(["--config", str(cfg), "--init", "classical"],
+                                       tmp_path, monkeypatch)
+        for row, (_, state) in zip(rows, traj.checkpoints):
+            g2, g4 = np.array(json.loads(row["gamma2"])), np.array(json.loads(row["gamma4"]))
+            assert g2.shape == (3, 3) and g4.shape == (3, 3, 3, 3)
+            assert g2.tobytes() == state.gamma2.tobytes()
+            assert g4.tobytes() == state.gamma4.tobytes()
+
     def test_report_refuses_mismatched_hashes(self, config_path, tmp_path):
         out = str(tmp_path / "e.csv")
         assert main(["exact", "--config", config_path, "--k", "0",

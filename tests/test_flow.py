@@ -25,8 +25,7 @@ from frgelab.flow import (
     rhs_grid,
     rhs_vertex,
     second_difference_matrix,
-    symmetrize2,
-    symmetrize4,
+    symmetrize,
 )
 from frgelab.functionals import FunctionalContext, gamma_bar, gamma_hessian
 from frgelab.model import ModelSpec, WindowParams
@@ -138,14 +137,14 @@ class TestStates:
 
     def test_vertex_pack_roundtrip(self, rng):
         g2 = np.array([[1.0, 0.2], [0.2, 2.0]])
-        g4 = symmetrize4(np.arange(16.0).reshape(2, 2, 2, 2))
+        g4 = symmetrize(np.arange(16.0).reshape(2, 2, 2, 2))
         s = VertexAction(k=3.0, gamma2=g2, gamma4=g4)
         s2 = s.unpack(2.0, s.pack())
         assert np.allclose(s2.gamma2, g2)
         assert np.allclose(s2.gamma4, g4)
         for m in range(1, 10):
-            g2 = symmetrize2(rng.standard_normal((m, m)))
-            g4 = symmetrize4(rng.standard_normal((m,) * 4))
+            g2 = symmetrize(rng.standard_normal((m, m)))
+            g4 = symmetrize(rng.standard_normal((m,) * 4))
             s = VertexAction(k=1.0, gamma2=g2, gamma4=g4)
             y = s.pack()
             # the independent components only
@@ -170,19 +169,19 @@ class TestStates:
 
     def test_symmetrizers(self, rng):
         a = rng.standard_normal((3, 3))
-        s = symmetrize2(a)
+        s = symmetrize(a)
         assert np.allclose(s, s.T)
         b = rng.standard_normal((2, 2, 2, 2))
-        t = symmetrize4(b)
+        t = symmetrize(b)
         for perm in [(1, 0, 2, 3), (2, 1, 0, 3), (0, 3, 2, 1)]:
             assert np.array_equal(t, t.transpose(perm))
         # the orbit means are the means over all axis permutations
         for m in (1, 2, 3, 5):
             a = rng.standard_normal((m, m))
-            assert np.allclose(symmetrize2(a), _permutation_mean(a), rtol=0,
+            assert np.allclose(symmetrize(a), _permutation_mean(a), rtol=0,
                                atol=1e-15)
             b = rng.standard_normal((m,) * 4)
-            assert np.allclose(symmetrize4(b), _permutation_mean(b), rtol=0,
+            assert np.allclose(symmetrize(b), _permutation_mean(b), rtol=0,
                                atol=1e-15)
 
 
@@ -240,7 +239,7 @@ class TestRhs:
         regulator = request.getfixturevalue(name)
         x = rng.standard_normal((m, m))
         g2 = x @ x.T + 0.5 * np.eye(m)
-        g4 = 0.2 * symmetrize4(rng.standard_normal((m,) * 4))
+        g4 = 0.2 * symmetrize(rng.standard_normal((m,) * 4))
         momenta = np.sort(rng.uniform(0.0, 2.0, m))
         weights = rng.uniform(0.5, 1.5, m)
         s = VertexAction(k=k, gamma2=g2, gamma4=g4)
@@ -461,6 +460,106 @@ class TestIntegrate:
         # litim's kink at k = |p| = 1: both sides are stepped up to one ulp of it
         assert 1.0 not in scales
         assert np.nextafter(1.0, 0.0) in scales and np.nextafter(1.0, 2.0) in scales
+
+
+class TestFailureRoutes:
+    """How ``integrate`` meets a right-hand side that leaves the convex cone
+    or stops being finite, on the grid (the BDF port) and the vertex (RK45)
+    representations."""
+
+    @staticmethod
+    def _start(c2, litim, rep="grid", nodes=201):
+        spec = ModelSpec(dimension=0, modes=1, mass=1.0,
+                         window=WindowParams(kind="scalar", r=1.0), c2=c2, c4=0.1,
+                         phi_max=4.5, phi_nodes=nodes)
+        ctx = FunctionalContext(spec=spec, regulator=litim, self_check=False)
+        init, _ = initial_condition(ctx, "classical", 100.0, rep=rep)
+        return init
+
+    @staticmethod
+    def _count_losses(monkeypatch, owner, name):
+        """Record every ConvexityLoss that ``owner.name`` raises."""
+        losses = []
+        original = getattr(owner, name)
+
+        def recorded(*args):
+            try:
+                return original(*args)
+            except ConvexityLoss as exc:
+                losses.append(exc)
+                raise
+
+        monkeypatch.setattr(owner, name, recorded)
+        return losses
+
+    def test_vertex_flow_outlives_a_poisoned_stage(self, litim, monkeypatch):
+        # c2 = -0.6: one RK45 stage leaves the cone (one loss at scipy 1.17),
+        # the step is rejected and retried, and the flow reaches k = 0
+        losses = self._count_losses(monkeypatch, flow_module, "rhs_vertex")
+        init = self._start(-0.6, litim, rep="vertex")
+        traj = integrate(init, 100.0, 0.0, litim)
+        assert losses
+        k, state = traj.checkpoints[-1]
+        assert k == 0.0 and state.gamma2[0, 0] > 0.0
+
+    def test_grid_flow_loses_convexity_after_poisoned_iterates(self, litim,
+                                                                 monkeypatch):
+        # c2 = -1.0 at loose tolerances: Newton iterates leave the cone (12 at
+        # scipy 1.17) before the margin's extrapolation reaches zero at k ~ 1.228
+        losses = self._count_losses(monkeypatch, _GridFlow, "rhs")
+        init = self._start(-1.0, litim, nodes=151)
+        with pytest.raises(ConvexityLoss, match="margin reaches zero") as exc_info:
+            integrate(init, 100.0, 0.0, litim, rtol=1e-3, atol=1e-5)
+        assert losses
+        assert abs(exc_info.value.k - 1.228) <= 1e-3
+        last = exc_info.value.last_state
+        assert exc_info.value.k < last.k and np.isfinite(last.values).all()
+
+    def test_non_convex_start_is_refused(self, litim):
+        # D2 u = -1 against R_1 = 1: the margin is zero at the start scale
+        grid = np.linspace(-1, 1, 21)
+        s = GridAction(k=1.0, grid=grid, values=-0.5 * grid**2)
+        with pytest.raises(ConvexityLoss, match="start scale") as exc_info:
+            integrate(s, 1.0, 0.0, litim)
+        assert exc_info.value.k == 1.0
+        assert exc_info.value.last_state is s
+
+    @pytest.mark.parametrize("rep", ["grid", "vertex"])
+    def test_every_trial_poisoned_raises_the_pending_loss(self, litim, rep,
+                                                          monkeypatch):
+        # every evaluation below the start scale leaves the cone: the step
+        # shrinks below ten ulps of k, the solver fails, and the last loss
+        # comes out with the last accepted state, the start
+        def poisoned(*args):
+            k = args[1] if rep == "grid" else args[0].k
+            if k < 100.0:
+                raise ConvexityLoss(f"trial at k={k}", k=k)
+            return original(*args)
+
+        owner, name = (_GridFlow, "rhs") if rep == "grid" else (flow_module, "rhs_vertex")
+        original = getattr(owner, name)
+        monkeypatch.setattr(owner, name, poisoned)
+        init = self._start(0.0, litim, rep=rep)
+        with pytest.raises(ConvexityLoss, match="trial at k=") as exc_info:
+            integrate(init, 100.0, 0.0, litim)
+        last = exc_info.value.last_state
+        assert last.k == 100.0
+        assert last.pack().tobytes() == init.pack().tobytes()
+
+    @pytest.mark.parametrize("rep", ["grid", "vertex"])
+    def test_non_finite_rhs_without_a_loss_underflows(self, litim, rep,
+                                                      monkeypatch):
+        def not_finite(*args):
+            k = args[1] if rep == "grid" else args[0].k
+            y = original(*args)
+            return np.full_like(y, np.nan) if k < 100.0 else y
+
+        owner, name = (_GridFlow, "rhs") if rep == "grid" else (flow_module, "rhs_vertex")
+        original = getattr(owner, name)
+        monkeypatch.setattr(owner, name, not_finite)
+        init = self._start(0.0, litim, rep=rep)
+        with pytest.raises(StepUnderflow, match="integrator failed near k = 100"):
+            integrate(init, 100.0, 0.0, litim)
 
 
 class TestGridStepper:

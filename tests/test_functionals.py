@@ -454,6 +454,25 @@ class TestKernel:
         assert not np.exp(x[x < functionals._EXP_ZERO_BELOW]).any()
         assert (np.exp(x[below]) < np.finfo(float).tiny).all()
 
+    def test_indefinite_start_covariance_falls_back_per_lane(self, line_spec):
+        # one lane's start covariance has no Cholesky factor, so the batch's
+        # factorisation fails: that lane alone starts from the Gaussian part's
+        # factor chol_s, and every lane keeps the bits of a batch whose
+        # covariances all factor, that lane's being the one chol_s factors
+        ctx = FunctionalContext(spec=line_spec, regulator=make_regulator("litim"))
+        record = ctx.scale(1.0)
+        t = np.array([[0.3, -0.2, 0.1], [0.1, 0.0, -0.4], [-0.5, 0.2, 0.0]])
+        centre = t @ record.sigma.T
+        covs = np.repeat(0.9 * record.sigma[None], 3, axis=0)
+        gaussian, indefinite = covs.copy(), covs.copy()
+        gaussian[1] = 0.5 * (record.sigma + record.sigma.T)
+        indefinite[1] = np.diag([1.0, -1.0, 1.0])
+        assert np.linalg.cholesky(gaussian[1]).tobytes() == record.chol_s.tobytes()
+        ours = tilted_moments(ctx, 1.0, t, start=(centre, indefinite))
+        ref = tilted_moments(ctx, 1.0, t, start=(centre, gaussian))
+        for name in ("log_value", "log_interaction", "mean", "cov"):
+            assert getattr(ours, name).tobytes() == getattr(ref, name).tobytes()
+
     def test_tensor_rule_over_the_node_cap_is_never_built(self, monkeypatch):
         spec = ModelSpec(dimension=1, modes=9, mass=1.0, momentum_spacing=1.0,
                          window=WindowParams(kind="identity"), c4=0.05)

@@ -97,6 +97,35 @@ class TestJsonIngestion:
         assert spec.window.kind == "gaussian"
         assert spec.window.n == 2
 
+    @pytest.mark.parametrize("change", [
+        {"modes": 1.9},
+        {"modes": True},
+        {"dimension": 0.0},
+        {"mass": "1.5"},
+        {"mass": True},
+        {"interaction": {"c4": "0.1"}},
+        {"window": {"r": False}},
+        {"field_grid": {"nodes": 301.7}},
+        {"field_grid": {"phi_max": "3"}},
+        {"dimension": 1, "modes": 3, "momentum_spacing": 1.0,
+         "window": {"K": 2.0, "Lambda": 3.0, "n": 1.5}},
+        {"allow_unbounded": "no", "interaction": {"c3": 0.2, "c4": 0.1}},
+        {"allow_unbounded": 1},
+    ], ids=["modes-fraction", "modes-bool", "dimension-float", "mass-string",
+            "mass-bool", "c4-string", "r-bool", "nodes-fraction",
+            "phi_max-string", "n-fraction", "allow_unbounded-string",
+            "allow_unbounded-int"])
+    def test_malformed_value_is_rejected_not_coerced(self, change):
+        with pytest.raises(SpecValidationError, match="is not"):
+            spec_from_dict(dict(self.DOC, **change))
+
+    def test_json_integers_are_numbers(self):
+        spec = spec_from_dict(dict(self.DOC, mass=2, window={"r": 1},
+                                   interaction={"c3": 0, "c4": 1},
+                                   allow_unbounded=False))
+        assert (spec.mass, spec.window.r, spec.c4) == (2.0, 1.0, 1.0)
+        assert all(type(v) is float for v in (spec.mass, spec.window.r, spec.c4))
+
     def test_from_json_file(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(self.DOC))
