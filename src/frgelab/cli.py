@@ -236,7 +236,9 @@ def flow_table(args, spec, regulator):
                 for k, state in traj.checkpoints]
         header = ["k", "gamma2", "gamma4"]
     return header, rows, dict(
-        seeds={}, tolerances={"rtol": args.rtol, "atol": args.atol}, stats=stats,
+        seeds={}, tolerances={"rtol": args.rtol, "atol": args.atol,
+                              "rg_time_scale": flow_mod.RG_TIME_SCALE},
+        stats=stats,
     )
 
 
@@ -372,8 +374,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoints", default="")
     p.add_argument("--init", choices=("exact", "classical"), default="exact")
     p.add_argument("--rep", choices=("grid", "vertex"), default="grid")
-    p.add_argument("--rtol", type=float, default=1e-8)
-    p.add_argument("--atol", type=float, default=1e-10)
+    # flow.integrate's defaults, repeated: the parser must not import flow
+    p.add_argument("--rtol", type=float, default=1e-9)
+    p.add_argument("--atol", type=float, default=1e-11)
     p.add_argument("--compare", action="store_true",
                    help="record deviations from the oracle at each checkpoint")
     p.add_argument("--compare-radius", type=float, default=2.0)

@@ -49,8 +49,9 @@ class ConvexityLoss(FrgeLabError):
 
 class StepUnderflow(FrgeLabError):
     """The integrator cannot take a step: the adaptive step fell below ten
-    times the floating-point spacing of k, where the solver gives up, with
-    no convexity loss to explain it, or BDF's Newton matrix is singular."""
+    times the floating-point spacing of the RG time it steps, where the
+    solver gives up, with no convexity loss to explain it, or BDF's Newton
+    matrix is singular."""
 
 
 class GridMismatch(FrgeLabError):

@@ -1,4 +1,5 @@
 import csv
+import inspect
 import json
 import os
 import subprocess
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 from frgelab import flow, functionals
-from frgelab.cli import atomic_write, config_hash, main
+from frgelab.cli import atomic_write, build_parser, config_hash, main
 from frgelab.flow import exact_grid_values
 from frgelab.functionals import FunctionalContext
 from frgelab.model import spec_from_dict
@@ -147,11 +148,22 @@ class TestFlowPipeline:
         manifest = json.loads(Path(flow_out + ".manifest.json").read_text())
         assert manifest["stats"]["max_deviation"] <= 1e-4
         assert manifest["stats"]["njev"] > 0 and manifest["stats"]["nlu"] > 0
+        assert manifest["tolerances"] == {"rtol": 1e-9, "atol": 1e-11,
+                                          "rg_time_scale": flow.RG_TIME_SCALE}
         assert "max deviation" in capsys.readouterr().out
         with open(summary, newline="") as fh:
             flow_row = next(csv.DictReader(fh))
         for counter in ("steps", "nfev", "njev", "nlu"):
             assert f"{counter}={manifest['stats'][counter]}" in flow_row["stats"]
+
+    def test_tolerance_defaults_are_integrates(self):
+        # cli repeats them, since importing flow at its top would load scipy
+        # for every command
+        args = build_parser().parse_args(["flow", "--config", "c.json", "--kuv", "1",
+                                          "--out", "f.csv"])
+        defaults = inspect.signature(flow.integrate).parameters
+        assert (args.rtol, args.atol) == (defaults["rtol"].default,
+                                          defaults["atol"].default)
 
     def test_compare_reuses_the_start_oracle(
         self, config_path, tmp_path, monkeypatch

@@ -1,3 +1,4 @@
+import math
 from itertools import permutations
 from math import comb
 
@@ -352,8 +353,9 @@ class TestIntegrate:
     def test_grid_error_is_the_integrators(self, litim, nodes):
         # classical start, k 100 -> 0 at default tolerances: the largest error
         # on |phi| <= 2 against a tight-tolerance run of the same grid ODE is
-        # 1.4e-7 at 151 nodes, at k = 1 (1.5e-7 at 301 nodes, 7.8e-8 at the
-        # benchmark's 1 201); rtol 1e-6 reads 7.8e-6 at k = 0
+        # 1.6e-8 at 151 nodes, at k = 1 (1.9e-8 at 301 nodes, 1.6e-8 at the
+        # benchmark's 1 201); stepped in k at rtol 1e-8, atol 1e-10 it was
+        # 1.4e-7, and rtol 1e-6 read 7.8e-6 at k = 0
         spec = ModelSpec(dimension=0, modes=1, mass=1.0,
                          window=WindowParams(kind="scalar", r=1.0), c4=0.1,
                          phi_max=4.5, phi_nodes=nodes)
@@ -365,7 +367,7 @@ class TestIntegrate:
                         rtol=1e-12, atol=1e-14)
         mask = np.abs(init.grid) <= 2.0
         for (k, state), (_, exact) in zip(traj.checkpoints, ref.checkpoints):
-            assert np.abs(state.values - exact.values)[mask].max() <= 5e-7, k
+            assert np.abs(state.values - exact.values)[mask].max() <= 4e-8, k
 
     def test_grid_newton_matrix_is_band_factored(self, phi4_spec, litim,
                                                   monkeypatch):
@@ -397,6 +399,27 @@ class TestIntegrate:
         traj = integrate(init, 10.0, 10.0, litim, checkpoints=[10.0], **kwargs)
         assert [k for k, _ in traj.checkpoints] == [10.0]
         assert traj.stats["steps"] == 0
+
+    @pytest.mark.parametrize("rep", ["grid", "vertex"])
+    def test_scales_land_exactly_in_rg_time(self, phi4_spec, line_spec, litim, rep):
+        # the flow steps in tau = asinh(k / kappa), and kappa sinh(tau) need
+        # not give a scale back (here 7.3, 3.1 and 0.25); every checkpoint, the
+        # segment end at litim's kink k = |p| = 1 and the end k_to = 0.25 are
+        # still the scales asked for, bit for bit
+        kappa = flow_module.RG_TIME_SCALE
+        scales = [7.3, 3.1, 1.0, 0.7]
+        assert any(kappa * math.sinh(math.asinh(c / kappa)) != c
+                   for c in scales + [0.25])
+        spec = phi4_spec if rep == "grid" else line_spec
+        ctx = FunctionalContext(spec=spec, regulator=litim, self_check=False)
+        init, _ = initial_condition(ctx, "classical", 20.0, rep=rep)
+        momenta = [1.0] if rep == "grid" else spec.momenta
+        weights = [1.0] if rep == "grid" else spec.momentum_weights
+        traj = integrate(init, 20.0, 0.25, litim, momenta=momenta, weights=weights,
+                         checkpoints=scales)
+        expected = [20.0, *scales, 0.25]
+        assert [k for k, _ in traj.checkpoints] == expected
+        assert [state.k for _, state in traj.checkpoints] == expected
 
     def test_start_checkpoint_is_the_initial_state(self, phi4_spec, litim):
         ctx = FunctionalContext(spec=phi4_spec, regulator=litim, self_check=False)
@@ -431,8 +454,9 @@ class TestIntegrate:
 
     def test_vertex_error_is_the_integrators(self, line_spec, litim, monkeypatch):
         # d = 1, identity window, c4 = 0.05, k 10 -> 0 at default tolerances:
-        # the error is 2.6e-11 of max|gamma2|.  A segment that steps the other
-        # side's regulator value on the kink at k = 1 reads 8e-8
+        # the error is 1.2e-11 of max|gamma2| (2.6e-11 stepped in k at rtol
+        # 1e-8, atol 1e-10).  A segment that steps the other side's regulator
+        # value on the kink at k = 1 read 8e-8
         ctx = FunctionalContext(spec=line_spec, regulator=litim, self_check=False)
         init, _ = initial_condition(ctx, "classical", 10.0, rep="vertex")
         kwargs = dict(momenta=line_spec.momenta, weights=line_spec.momentum_weights,
@@ -441,7 +465,7 @@ class TestIntegrate:
         monkeypatch.setattr(flow_module, "RK45", DOP853)
         ref = integrate(init, 10.0, 0.0, litim, rtol=1e-12, atol=1e-14,
                         **kwargs).checkpoints[-1][1].gamma2
-        assert np.abs(g2 - ref).max() <= 1e-9 * np.abs(ref).max()
+        assert np.abs(g2 - ref).max() <= 2.5e-11 * np.abs(ref).max()
 
     def test_segments_step_their_own_side_of_a_kink(self, line_spec, litim,
                                                      monkeypatch):
@@ -504,14 +528,17 @@ class TestFailureRoutes:
 
     def test_grid_flow_loses_convexity_after_poisoned_iterates(self, litim,
                                                                  monkeypatch):
-        # c2 = -1.0 at loose tolerances: Newton iterates leave the cone (12 at
-        # scipy 1.17) before the margin's extrapolation reaches zero at k ~ 1.228
+        # c2 = -1.0 at a loose tolerance: Newton iterates leave the cone (13 at
+        # scipy 1.17) before the margin's extrapolation reaches zero at
+        # k ~ 1.6243.  The loss is an artefact of the tolerance: at rtol 1e-3
+        # this flow reaches k = 0 after 3 poisoned iterates, and from rtol
+        # 1e-5 on it reaches k = 0 with none
         losses = self._count_losses(monkeypatch, _GridFlow, "rhs")
         init = self._start(-1.0, litim, nodes=151)
         with pytest.raises(ConvexityLoss, match="margin reaches zero") as exc_info:
-            integrate(init, 100.0, 0.0, litim, rtol=1e-3, atol=1e-5)
+            integrate(init, 100.0, 0.0, litim, rtol=5e-3, atol=5e-5)
         assert losses
-        assert abs(exc_info.value.k - 1.228) <= 1e-3
+        assert abs(exc_info.value.k - 1.6243) <= 8e-4 * exc_info.value.k
         last = exc_info.value.last_state
         assert exc_info.value.k < last.k and np.isfinite(last.values).all()
 
@@ -559,6 +586,18 @@ class TestFailureRoutes:
         monkeypatch.setattr(owner, name, not_finite)
         init = self._start(0.0, litim, rep=rep)
         with pytest.raises(StepUnderflow, match="integrator failed near k = 100"):
+            integrate(init, 100.0, 0.0, litim)
+
+
+    def test_singular_newton_matrix_names_the_scale(self, litim, monkeypatch):
+        # the stepper steps the RG time; the failure names k, not tau
+        def singular(band, *args, **kwargs):
+            lu, piv, _ = dgbtrf(band, *args, **kwargs)
+            return lu, piv, 1
+
+        monkeypatch.setattr(flow_module, "dgbtrf", singular)
+        init = self._start(0.0, litim)
+        with pytest.raises(StepUnderflow, match="singular near k = 100$"):
             integrate(init, 100.0, 0.0, litim)
 
 
