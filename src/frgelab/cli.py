@@ -63,13 +63,12 @@ def write_csv(path: str, header, rows) -> None:
     atomic_write(path, buf.getvalue())
 
 
-def write_manifest(path: str, *, subcommand, cfg_hash, seeds, tolerances,
-                   stats, outputs, started) -> None:
+def write_manifest(path: str, *, subcommand, cfg_hash, tolerances, stats,
+                   outputs, started) -> None:
     doc = {
         "tool_version": __version__,
         "subcommand": subcommand,
         "config_hash": cfg_hash,
-        "seeds": seeds,
         "tolerances": tolerances,
         "stats": stats,
         "outputs": outputs,
@@ -140,8 +139,8 @@ def cmd_validate_regulator(args) -> int:
 # -- table subcommands -------------------------------------------------
 # exact, flow, frge-check and converge each read a config and write one CSV
 # with its manifest.  Their handlers take (args, spec, regulator) and return
-# (header, rows, fields); ``fields`` holds the manifest's seeds, tolerances
-# and stats.  run_table does the rest.
+# (header, rows, fields); ``fields`` holds the manifest's tolerances and
+# stats.  run_table does the rest.
 
 
 def run_table(args) -> int:
@@ -186,7 +185,7 @@ def exact_table(args, spec, regulator):
                          f"{j:.15g}", f"{residual:.3e}", budget])
     header = ["k", "phi", "Gamma", "GammaBar", "J", "residual", "budget"]
     return header, rows, dict(
-        seeds={}, tolerances={"budget": fn.BUDGET, "newton_tol": fn.NEWTON_TOL},
+        tolerances={"budget": fn.BUDGET, "newton_tol": fn.NEWTON_TOL},
         stats={"rows": len(rows), "newton_iterations": newton_iterations},
     )
 
@@ -236,25 +235,24 @@ def flow_table(args, spec, regulator):
                 for k, state in traj.checkpoints]
         header = ["k", "gamma2", "gamma4"]
     return header, rows, dict(
-        seeds={}, tolerances={"rtol": args.rtol, "atol": args.atol,
-                              "rg_time_scale": flow_mod.RG_TIME_SCALE},
+        tolerances={"rtol": args.rtol, "atol": args.atol,
+                    "rg_time_scale": flow_mod.RG_TIME_SCALE},
         stats=stats,
     )
 
 
 def frge_check_table(args, spec, regulator):
-    from . import flow as flow_mod
     ctx = FunctionalContext(spec=spec, regulator=regulator)
     probes = _parse_floats(args.probes)
     if not probes:
         raise SpecValidationError("--probes lists no field")
-    report = flow_mod.frge_first_form_check(ctx, args.k, probes)
+    report = fn.frge_first_form_check(ctx, args.k, probes)
     rows = [[f"{r['phi']:.12g}", f"{r['k']:.12g}", f"{r['lhs']:.15g}",
              f"{r['rhs']:.15g}", f"{r['abs_diff']:.6e}"] for r in report]
     worst = max(r["abs_diff"] for r in report)
     print(f"max |lhs - rhs| over {len(report)} probes: {worst:.3e}")
     return ["phi", "k", "lhs", "rhs", "abs_diff"], rows, dict(
-        seeds={}, tolerances={"dk_step": flow_mod.FIRST_FORM_DK_STEP},
+        tolerances={"dk_step": fn.FIRST_FORM_DK_STEP},
         stats={"probes": len(report), "max_abs_diff": worst},
     )
 
@@ -289,7 +287,6 @@ def converge_table(args, spec, regulator):
         print(f"{name} monotone decreasing: {'yes' if flag else 'NO'}")
     header = ["n", "uniform_distance", "aw_distance", "probe_distance"]
     return header, rows, dict(
-        seeds={},
         tolerances={"uniform_radius": args.radius, "aw_rho": args.rho},
         stats={
             "levels": args.levels,

@@ -33,7 +33,6 @@ CONVEXITY_HORIZON * k, at the extrapolated crossing scale.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -365,15 +364,10 @@ class _GridBDF(OdeSolver):
         super().__init__(fun, t0, y0, t_bound, vectorized=False)
         self._jac = jac
         self.rtol, self.atol = rtol, atol
-        if rtol < 100 * _EPS:
-            warnings.warn(f"rtol is too small; setting rtol = {100 * _EPS}",
-                          stacklevel=3)
-            self.rtol = np.maximum(rtol, 100 * _EPS)
         self._root_n = self.n ** 0.5
         self.half_band, self._band_flat, self._band_unit = _band_pattern(self.n)
         f = self.fun(self.t, self.y)
         self.h_abs = self._initial_step(f)
-        # as in scipy, from the rtol asked for, not the raised one
         self.newton_tol = max(10 * _EPS / rtol, min(0.03, rtol ** 0.5))
         self.J = jac(self.t, self.y)
         self.njev += 1
@@ -635,13 +629,18 @@ def integrate(
     k^2, reaches zero within CONVEXITY_HORIZON * k of it; ``k`` is the
     extrapolated crossing scale.  Raises StepUnderflow where the step
     underflows or the Newton matrix is singular, and SpecValidationError
-    where the initial action is not finite.
+    where rtol is below 100 eps, the floor of scipy's solvers, or the initial
+    action is not finite.
     """
     if not k_to <= k_from:
         raise SpecValidationError(
             f"flow runs downward: need k_to <= k_from, got {k_to} and {k_from}")
     if not (rtol > 0 and atol > 0):
         raise SpecValidationError("rtol and atol must be positive")
+    if rtol < 100 * _EPS:
+        raise SpecValidationError(
+            f"rtol {rtol:g} is below 100 eps = {100 * _EPS:.3g}, the smallest "
+            "relative tolerance scipy's solvers honour")
     if momenta is None:
         momenta = np.zeros(1)
     momenta = np.asarray(momenta, dtype=float)
@@ -866,41 +865,3 @@ def _fourth_derivative_at_zero(ctx, k, h=0.25):
     d_h2 = g[[1, 2, 3, 4, 5]] @ weights / (h / 2.0) ** 4
     return (4.0 * d_h2 - d_h) / 3.0
 
-
-# -- first-form consistency check --------------------------------------
-
-
-FIRST_FORM_DK_STEP = 1e-3  # k-step of the Richardson difference of gamma
-
-
-def frge_first_form_check(ctx: FunctionalContext, k: float, probes) -> list[dict]:
-    """Compare d_k gamma against the unsubtracted trace form at probe fields.
-
-    Single-mode only.  The left side is a Richardson finite difference of
-    gamma in k; the right side is half the regulator derivative against the
-    regulated inverse curvature (gamma'' + F_k)^-1 = W''(J), the tilted
-    covariance at the inverting source, plus the normalization drift.  One
-    batched inversion serves every probe.
-    """
-    if ctx.measure.dim != 1:
-        raise SpecValidationError("first-form check is single-mode only")
-    phis = np.asarray(probes, dtype=float).reshape(-1)
-    if k < 0 or phis.size == 0:
-        lhs = rhs = np.zeros(phis.size)
-    else:
-
-        def central(hh):  # one transform of every probe per shifted scale
-            plus, _ = fn.legendre_transform(ctx, k + hh, phis)
-            minus, _ = fn.legendre_transform(ctx, k - hh, phis)
-            return (plus - minus) / (2.0 * hh)
-
-        lhs = (4.0 * central(FIRST_FORM_DK_STEP / 2.0)
-               - central(FIRST_FORM_DK_STEP)) / 3.0
-        w2 = fn.invert_mean_field(ctx, k, phis[:, None]).moments.cov[:, 0, 0]
-        rhs = (0.5 * float(ctx.scale(k).f_dot[0]) * w2
-               + fn.dk_log_normalization(ctx, k))
-    return [
-        {"phi": float(phi), "k": k, "lhs": float(l), "rhs": float(r),
-         "abs_diff": abs(float(l) - float(r))}
-        for phi, l, r in zip(phis, lhs, rhs)
-    ]

@@ -4,7 +4,8 @@ Everything here is computed by Gauss-Hermite quadrature after a
 shifted-Gaussian change of variables: the Gaussian content of the tilted
 integrand (measure, quadratic regulator term, linear source) is absorbed
 exactly, and what remains, exp(-S^int), is integrated against it.  These
-values serve as ground truth for the flow integrator.
+values serve as ground truth for the flow integrator, and
+``frge_first_form_check`` tests the exact flow identity on them alone.
 
 The rule is adaptive (Naylor & Smith, Appl. Stat. 31, 1982; Liu & Pierce,
 Biometrika 81, 1994): each lane places its nodes c + L x with its own
@@ -71,9 +72,9 @@ class ScaleRecord:
     ``prec`` = C^-1 + F_k with Cholesky factor ``chol_p``, ``sigma`` its
     inverse with Cholesky factor ``chol_s`` and ``logdet_s`` = ln det sigma.
     ``moments`` holds the zero-source tilted moments (ln N_k and its
-    measure) once first asked for, their ln N_k ``certified`` once a value
-    that reads it is first asked for, and ``start`` what the Newton start
-    reads of them once first inverted at.
+    measure), as a batch of one lane, once first asked for, their ln N_k
+    ``certified`` once a value that reads it is first asked for, and
+    ``start`` what the Newton start reads of them once first inverted at.
     """
 
     f: np.ndarray
@@ -481,14 +482,11 @@ def _zero_source(ctx: FunctionalContext, k: float, certify: bool = False) -> Til
     record = ctx.scale(k)
     zero = np.zeros((1, ctx.measure.dim))
     if record.moments is None:
-        record.moments = _first_lane(tilted_moments(ctx, k, zero))
+        record.moments = tilted_moments(ctx, k, zero)
     if certify and not record.certified:
-        tm = record.moments
-        lane = TiltedMoments(np.array([tm.log_value]), np.array([tm.log_interaction]),
-                             tm.mean[None], tm.cov[None])
-        record.moments = _first_lane(_certified(ctx, k, zero, lane))
+        record.moments = _certified(ctx, k, zero, record.moments)
         record.certified = True
-    return record.moments
+    return _first_lane(record.moments)
 
 
 def _start_terms(ctx: FunctionalContext, k: float) -> StartTerms:
@@ -803,3 +801,42 @@ def dirac_ratio(ctx: FunctionalContext, g, k: float) -> float:
     vals = np.asarray(g(psi), dtype=float)
     w = np.exp(logw)
     return float((w @ vals) / w.sum())
+
+
+# -- first-form consistency check --------------------------------------
+
+
+FIRST_FORM_DK_STEP = 1e-3  # k-step of the Richardson difference of gamma
+
+
+def frge_first_form_check(ctx: FunctionalContext, k: float, probes) -> list[dict]:
+    """Compare d_k gamma against the unsubtracted trace form at probe fields.
+
+    Single-mode only.  The left side is a Richardson finite difference of
+    gamma in k; the right side is half the regulator derivative against the
+    regulated inverse curvature (gamma'' + F_k)^-1 = W''(J), the tilted
+    covariance at the inverting source, plus the normalization drift.  One
+    batched inversion serves every probe.
+    """
+    if ctx.measure.dim != 1:
+        raise SpecValidationError("first-form check is single-mode only")
+    phis = np.asarray(probes, dtype=float).reshape(-1)
+    if k < 0 or phis.size == 0:
+        lhs = rhs = np.zeros(phis.size)
+    else:
+
+        def central(hh):  # one transform of every probe per shifted scale
+            plus, _ = legendre_transform(ctx, k + hh, phis)
+            minus, _ = legendre_transform(ctx, k - hh, phis)
+            return (plus - minus) / (2.0 * hh)
+
+        lhs = (4.0 * central(FIRST_FORM_DK_STEP / 2.0)
+               - central(FIRST_FORM_DK_STEP)) / 3.0
+        w2 = invert_mean_field(ctx, k, phis[:, None]).moments.cov[:, 0, 0]
+        rhs = (0.5 * float(ctx.scale(k).f_dot[0]) * w2
+               + dk_log_normalization(ctx, k))
+    return [
+        {"phi": float(phi), "k": k, "lhs": float(l), "rhs": float(r),
+         "abs_diff": abs(float(l) - float(r))}
+        for phi, l, r in zip(phis, lhs, rhs)
+    ]

@@ -16,6 +16,7 @@ from frgelab.functionals import (
     FunctionalContext,
     connected_cov,
     dirac_ratio,
+    frge_first_form_check,
     gamma,
     gamma_bar,
     gamma_hessian,
@@ -154,7 +155,7 @@ def test_07_hessian_inverse_identity(phi4_ctx, fd_hessian):
 
 
 def test_08_first_form_consistency(phi4_ctx):
-    report = fl.frge_first_form_check(phi4_ctx, 1.0, [0.0, 0.5, 1.0, 1.5, 2.0])
+    report = frge_first_form_check(phi4_ctx, 1.0, [0.0, 0.5, 1.0, 1.5, 2.0])
     worst = max(r["abs_diff"] for r in report)
     ok = worst <= 1e-6
     verdict(8, ok, f"unsubtracted-form residual {worst:.2e} at 5 probes (<= 1e-6)")

@@ -43,6 +43,14 @@ class TestPlumbing:
     def test_hash_sensitive_to_values(self):
         assert config_hash({"x": 1}) != config_hash({"x": 2})
 
+    def test_failed_atomic_write_keeps_the_old_file(self, tmp_path):
+        target = tmp_path / "out.txt"
+        atomic_write(str(target), "old\n")
+        with pytest.raises(TypeError):
+            atomic_write(str(target), None)
+        assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+        assert target.read_text() == "old\n"
+
     def test_atomic_write(self, tmp_path):
         target = tmp_path / "out.txt"
         atomic_write(str(target), "hello\n")
@@ -310,6 +318,9 @@ class TestExitCodes:
         ["frge-check", "--k", "1e200"],
         ["frge-check", "--probes", "nan"],
         ["frge-check", "--probes", "1,inf"],
+        # below 100 eps, the smallest rtol scipy's solvers honour
+        ["flow", "--kuv", "1", "--rtol", "1e-15", "--init", "classical"],
+        ["flow", "--kuv", "1", "--rtol", "1e-15", "--init", "classical", "--rep", "vertex"],
     ])
     def test_bad_option_exit_2(self, config_path, tmp_path, argv):
         assert main(argv + ["--config", config_path,
@@ -318,6 +329,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv", [
         ["flow", "--kuv", "1", "--init", "classical"],
         ["frge-check"],
+        ["exact"],
     ])
     def test_multi_mode_config_exit_2(self, tmp_path, argv):
         cfg = tmp_path / "d1.json"
@@ -383,7 +395,7 @@ class TestConverge:
                          *seed, "--out", str(out)]) == 0
             csvs.append(out.read_bytes())
             manifest = json.loads(Path(f"{out}.manifest.json").read_text())
-            assert manifest["seeds"] == {}
+            assert "seeds" not in manifest
             assert ("--seed is ignored" in capsys.readouterr().err) == bool(seed)
         assert csvs[0] == csvs[1] == csvs[2]
 
@@ -405,9 +417,10 @@ codes = [
     cli.main(["validate-regulator", "--count", "100"]),
     cli.main(["exact", "--config", cfg, "--k", "1", "--phi-nodes", "3",
               "--out", out + "/e.csv"]),
+    cli.main(["frge-check", "--config", cfg, "--probes", "0,1", "--out", out + "/f.csv"]),
     cli.main(["converge", "--config", cfg, "--levels", "2", "--out", out + "/c.csv"]),
-    cli.main(["report", out + "/e.csv.manifest.json", out + "/c.csv.manifest.json",
-              "--out", out + "/r.csv"]),
+    cli.main(["report", out + "/e.csv.manifest.json", out + "/f.csv.manifest.json",
+              out + "/c.csv.manifest.json", "--out", out + "/r.csv"]),
 ]
 loaded = sorted(name for name in sys.modules if name.startswith("scipy"))
 import frgelab.flow
@@ -425,13 +438,13 @@ def test_non_flow_commands_load_no_scipy(config_path, tmp_path):
                           str(tmp_path)], env=env, capture_output=True, text=True,
                          check=True)
     result = json.loads(run.stdout.splitlines()[-1])
-    assert result["codes"] == [0, 0, 0, 0]
+    assert result["codes"] == [0, 0, 0, 0, 0]
     assert result["loaded"] == []
     assert result["flow"]  # the check can see scipy when it is loaded
 
 
-MANIFEST_KEYS = {"tool_version", "subcommand", "config_hash", "seeds", "tolerances",
-                 "stats", "outputs", "wall_clock_seconds"}
+MANIFEST_KEYS = {"tool_version", "subcommand", "config_hash", "tolerances", "stats",
+                 "outputs", "wall_clock_seconds"}
 
 
 @pytest.mark.parametrize("argv", [
@@ -442,7 +455,7 @@ MANIFEST_KEYS = {"tool_version", "subcommand", "config_hash", "seeds", "toleranc
 ])
 def test_table_runs_are_reproducible(config_path, tmp_path, argv):
     """Every table subcommand writes a byte-identical CSV on a rerun, and a
-    manifest of the same eight keys whose only varying entry is the wall time."""
+    manifest of the same seven keys whose only varying entry is the wall time."""
     out = tmp_path / "t.csv"
     runs = []
     for _ in range(2):

@@ -30,6 +30,28 @@ def grid_fn(f, lo=-5.0, hi=5.0, nodes=201):
     return GridFunction(axes=(x,), values=np.array([f(t) for t in x], dtype=float))
 
 
+def _plane():
+    x = np.linspace(-1.0, 1.0, 3)
+    return GridFunction(axes=(x, x), values=np.zeros((3, 3)))
+
+
+@pytest.mark.parametrize("refused, error, message", [
+    (lambda: biconjugate_check(_plane()), NotImplementedError, "in 1D"),
+    (lambda: aw_distance(_plane(), _plane(), 1.0), NotImplementedError, "in 1D"),
+    (lambda: uniform_distance(grid_fn(abs, 1.0, 2.0), grid_fn(abs, 1.0, 2.0), 0.5),
+     GridMismatch, "no grid node within radius 0.5"),
+    (lambda: convergence_suite(
+        [ModelSpec(dimension=1, modes=3, mass=1.0, momentum_spacing=1.0,
+                   window=WindowParams(kind="identity"))],
+        ModelSpec(dimension=0, modes=1, mass=1.0, window=WindowParams(kind="scalar", r=1.0)),
+        make_regulator("litim")),
+     GridMismatch, "share the mode count"),
+], ids=["biconjugate-2d", "aw-2d", "uniform-empty-ball", "suite-modes"])
+def test_refusals(refused, error, message):
+    with pytest.raises(error, match=message):
+        refused()
+
+
 class TestGridFunction:
     def test_properness_enforced(self):
         with pytest.raises(NotProper):

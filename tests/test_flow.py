@@ -1,4 +1,5 @@
 import math
+import warnings
 from itertools import permutations
 from math import comb
 
@@ -20,7 +21,6 @@ from frgelab.flow import (
     VertexAction,
     classical_grid_values,
     exact_grid_values,
-    frge_first_form_check,
     initial_condition,
     integrate,
     rhs_grid,
@@ -28,8 +28,15 @@ from frgelab.flow import (
     second_difference_matrix,
     symmetrize,
 )
-from frgelab.functionals import FunctionalContext, gamma_bar, gamma_hessian
+from frgelab.functionals import (
+    FunctionalContext,
+    frge_first_form_check,
+    gamma_bar,
+    gamma_hessian,
+)
 from frgelab.model import ModelSpec, WindowParams
+
+RTOL_FLOOR = 100 * np.finfo(float).eps  # the smallest rtol scipy's solvers honour
 
 
 def _permutation_mean(a: np.ndarray) -> np.ndarray:
@@ -626,15 +633,35 @@ class TestGridStepper:
         for (_, state), (_, expected) in zip(ported.checkpoints, reference.checkpoints):
             assert state.values.tobytes() == expected.values.tobytes()
 
-    def test_tiny_rtol_is_raised_as_scipy_raises_it(self, litim, monkeypatch):
-        with pytest.warns(UserWarning, match="rtol"):
-            ported = self._flow(151, litim, rtol=1e-15)
-        monkeypatch.setattr(flow_module, "_GridBDF", _scipy_stepper)
-        with pytest.warns(UserWarning, match="rtol"):
-            reference = self._flow(151, litim, rtol=1e-15)
+    @pytest.mark.parametrize("rep", ["grid", "vertex"])
+    def test_rtol_below_scipys_floor_is_refused(self, litim, rep):
+        # scipy raises such an rtol to 100 eps with a warning, but takes BDF's
+        # Newton tolerance from the rtol asked for: 2.2 at rtol 1e-15
+        spec = ModelSpec(dimension=0, modes=1, mass=1.0,
+                         window=WindowParams(kind="scalar", r=1.0), c4=0.1)
+        ctx = FunctionalContext(spec=spec, regulator=litim, self_check=False)
+        init, _ = initial_condition(ctx, "classical", 100.0, rep=rep)
+        for rtol in (np.nextafter(RTOL_FLOOR, 0.0), 1e-15):
+            with pytest.raises(SpecValidationError, match="rtol .* below 100 eps"):
+                integrate(init, 100.0, 0.0, litim, rtol=rtol)
+
+    @pytest.mark.parametrize("name", ["litim", "exponential"])
+    def test_floor_rtol_is_scipys_bdf(self, name, request, monkeypatch):
+        regulator = request.getfixturevalue(name)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ported = self._flow(151, regulator, rtol=RTOL_FLOOR)
+            monkeypatch.setattr(flow_module, "_GridBDF", _scipy_stepper)
+            reference = self._flow(151, regulator, rtol=RTOL_FLOOR)
         assert ported.stats == reference.stats
-        final, expected = ported.checkpoints[-1][1], reference.checkpoints[-1][1]
-        assert final.values.tobytes() == expected.values.tobytes()
+        for (_, state), (_, expected) in zip(ported.checkpoints, reference.checkpoints):
+            assert state.values.tobytes() == expected.values.tobytes()
+
+    def test_floor_rtol_reaches_k_zero(self, exponential):
+        # at rtol 1e-15 this flow raised a false ConvexityLoss
+        traj = self._flow(1201, exponential, rtol=RTOL_FLOOR)
+        assert [k for k, _ in traj.checkpoints] == [100.0, 10.0, 1.0, 0.5, 0.1, 0.0]
+        assert np.isfinite(traj.checkpoints[-1][1].values).all()
 
 
 class TestBandNewtonMatrix:
@@ -760,6 +787,21 @@ class TestInitialConditions:
         with pytest.raises(ValueError):
             initial_condition(phi4_ctx, "interpolated", 5.0)
 
+    @pytest.mark.parametrize("model, mode, rep, message", [
+        ({}, "classical", "spectral", "unknown representation 'spectral'"),
+        ({}, "interpolated", "vertex", "unknown initial-condition mode 'interpolated'"),
+        ({"c3": 0.2, "allow_unbounded": True}, "classical", "vertex", "even theory"),
+        ({"dimension": 1, "modes": 3, "momentum_spacing": 1.0,
+          "window": WindowParams(kind="identity")}, "exact", "vertex",
+         "exact vertex start is single-mode only"),
+    ], ids=["rep", "vertex-mode", "vertex-c3", "exact-vertex-modes"])
+    def test_refused_start(self, litim, model, mode, rep, message):
+        spec = ModelSpec(**{"dimension": 0, "modes": 1, "mass": 1.0, "c4": 0.1,
+                            "window": WindowParams(kind="scalar", r=1.0), **model})
+        ctx = FunctionalContext(spec=spec, regulator=litim, self_check=False)
+        with pytest.raises(SpecValidationError, match=message):
+            initial_condition(ctx, mode, 5.0, rep=rep)
+
 
 class TestFirstForm:
     def test_probes_agree(self, phi4_spec, litim):
@@ -771,7 +813,7 @@ class TestFirstForm:
     def test_lhs_is_four_transforms(self, phi4_spec, litim, monkeypatch):
         ctx = FunctionalContext(spec=phi4_spec, regulator=litim,
                                 self_check=False)
-        probes, k, h = [0.0, 0.5, 1.0, 2.0], 1.0, flow_module.FIRST_FORM_DK_STEP
+        probes, k, h = [0.0, 0.5, 1.0, 2.0], 1.0, functionals.FIRST_FORM_DK_STEP
 
         def central(phi, hh):  # one gamma per probe and shifted scale
             return (functionals.gamma(ctx, k + hh, [phi])

@@ -878,7 +878,7 @@ class TestNewtonStart:
                          allow_unbounded=True, window=WindowParams(kind="scalar", r=1.0))
         ctx = FunctionalContext(spec=spec, regulator=phi4_ctx.regulator)
         j, cov = functionals._one_loop_start(ctx, 0.0, np.array([[-1.0], [1.0]]))
-        prec, zero_cov = ctx.scale(0.0).prec[0, 0], ctx.scale(0.0).moments.cov
+        prec, zero_cov = ctx.scale(0.0).prec[0, 0], ctx.scale(0.0).moments.cov[0]
         assert j[0, 0] == -prec and np.array_equal(cov[0], zero_cov)
         assert j[1, 0] != prec
         assert invert_mean_field(ctx, 0.0, [-1.0]).residual <= functionals.NEWTON_TOL

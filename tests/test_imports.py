@@ -1,9 +1,11 @@
-"""Static check: frgelab imports only scipy's public modules.
+"""Static checks: only ``flow`` imports scipy, and only its public modules.
 
-scipy keeps its internals in modules whose path has a component starting
-with an underscore (``scipy.integrate._ivp``, ``scipy.sparse._csr``); they
-change between releases without notice.  Every source file is parsed, not
-imported, so an import inside a function is seen as well.
+scipy costs about half a second of start-up, so every command but ``flow``
+runs on numpy alone.  scipy keeps its internals in modules whose path has a
+component starting with an underscore (``scipy.integrate._ivp``,
+``scipy.sparse._csr``); they change between releases without notice.  Every
+source file is parsed, not imported, so an import inside a function is seen
+as well.
 """
 
 import ast
@@ -16,9 +18,8 @@ import frgelab
 SOURCES = sorted(Path(frgelab.__file__).parent.glob("*.py"))
 
 
-def private_scipy_imports(source: str) -> list[str]:
-    """The dotted names of scipy that ``source`` imports through a private
-    module path component."""
+def scipy_imports(source: str) -> list[str]:
+    """The dotted names of scipy that ``source`` imports, at any depth."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
@@ -27,11 +28,15 @@ def private_scipy_imports(source: str) -> list[str]:
             names = [f"{node.module}.{alias.name}" for alias in node.names]
         else:
             continue
-        for name in names:
-            head, *rest = name.split(".")
-            if head == "scipy" and any(part.startswith("_") for part in rest):
-                found.append(name)
+        found += [name for name in names if name.split(".")[0] == "scipy"]
     return found
+
+
+def private_scipy_imports(source: str) -> list[str]:
+    """The dotted names of scipy that ``source`` imports through a private
+    module path component."""
+    return [name for name in scipy_imports(source)
+            if any(part.startswith("_") for part in name.split(".")[1:])]
 
 
 def test_sources_found():
@@ -41,6 +46,22 @@ def test_sources_found():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_private_scipy_module(path):
     assert private_scipy_imports(path.read_text()) == []
+
+
+def test_only_flow_imports_scipy():
+    assert [p.name for p in SOURCES if scipy_imports(p.read_text())] == ["flow.py"]
+
+
+def test_the_check_sees_nested_imports():
+    source = """
+import numpy as np
+from . import flow
+def late():
+    if True:
+        import scipy as sp
+    from scipy.special import logsumexp
+"""
+    assert sorted(scipy_imports(source)) == ["scipy", "scipy.special.logsumexp"]
 
 
 def test_the_check_sees_private_paths():

@@ -23,6 +23,9 @@ def make_spec(**kw):
 
 
 class TestValidation:
+    D1 = {"dimension": 1, "modes": 3, "momentum_spacing": 1.0,
+          "window": WindowParams(kind="identity")}
+
     def test_dimension_rejected(self):
         with pytest.raises(SpecValidationError):
             make_spec(dimension=2, modes=3, momentum_spacing=1.0,
@@ -57,6 +60,26 @@ class TestValidation:
     def test_field_grid_range(self, grid):
         with pytest.raises(SpecValidationError):
             make_spec(**grid)
+
+
+    @pytest.mark.parametrize("change, message", [
+        ({"modes": 0}, "mode count must be >= 1"),
+        ({"modes": 3}, "exactly one mode"),
+        ({**D1, "momentum_spacing": None}, "momentum_spacing"),
+        ({**D1, "momentum_spacing": np.inf}, "momentum_spacing"),
+        ({"c2": np.nan}, "c2 is not finite"),
+        ({**D1, "window": WindowParams(kind="scalar", r=0.5)}, "only defined for d=0"),
+        ({**D1, "window": WindowParams(kind="gaussian", K=1.0, Lambda=1.0)},
+         "requires K, Lambda and n"),
+        ({**D1, "window": WindowParams(kind="gaussian", K=1.0, Lambda=0.0, n=1)},
+         "K, Lambda > 0"),
+        ({"window": WindowParams(kind="triangle")}, "unknown window kind 'triangle'"),
+    ], ids=["no-modes", "d0-modes", "no-spacing", "infinite-spacing", "c2-nan",
+            "scalar-window-d1", "gaussian-incomplete", "gaussian-zero-lambda",
+            "unknown-window"])
+    def test_bad_spec_rejected(self, change, message):
+        with pytest.raises(SpecValidationError, match=message):
+            make_spec(**change)
 
 
 class TestJsonIngestion:
@@ -118,6 +141,19 @@ class TestJsonIngestion:
     def test_malformed_value_is_rejected_not_coerced(self, change):
         with pytest.raises(SpecValidationError, match="is not"):
             spec_from_dict(dict(self.DOC, **change))
+
+    @pytest.mark.parametrize("doc, message", [
+        ([DOC], "must be a JSON object"),
+        (dict(DOC, interaction=[0.1]), "interaction must be an object"),
+        (dict(DOC, window={"r": 0.5, "K": 1.0}), "window must be 'identity', {K"),
+        (dict(DOC, window=0.5), "window must be 'identity' or an object"),
+        (dict(DOC, field_grid=[3.0]), "field_grid must be an object"),
+        (dict(DOC, field_grid={"spacing": 0.1}), r"unknown field_grid keys: \['spacing'\]"),
+    ], ids=["not-object", "interaction-list", "window-keys", "window-number",
+            "field_grid-list", "field_grid-key"])
+    def test_malformed_document_is_rejected(self, doc, message):
+        with pytest.raises(SpecValidationError, match=message):
+            spec_from_dict(doc)
 
     def test_json_integers_are_numbers(self):
         spec = spec_from_dict(dict(self.DOC, mass=2, window={"r": 1},
