@@ -20,6 +20,23 @@ written straight into LAPACK's band layout and factored with its band LU.
 D2 annihilates constants up to rounding (its solved central stencil sums to
 -6.9e-17), so the zero-field subtraction u - u(0) is taken at the
 checkpoints only.
+
+The regulator term 1/2 phi.R_k phi keeps the reflection phi -> -phi, and D2
+is mirror-symmetric, edge stencils included (the solved central stencil to
+two ulps), so the trace form maps even functions to even functions: an even
+theory (c3 = 0) flows inside them, and its flow on the nodes phi >= 0 is the
+full flow, exactly in exact arithmetic.  An action whose grid is
+mirror-symmetric (grid == -grid[::-1]) and whose values are even (values ==
+values[::-1]), both bit for bit, is stepped on its N + 1 nodes phi >= 0
+alone, through the folded D2: D2's rows phi >= 0 with each column phi < 0
+added onto its mirror.  Its band keeps half-width 3, and the stepper is
+unchanged; checkpoints, dense output and errors unfold to the full grid, so
+every checkpoint of an even flow is exactly even.  Any other action steps
+all 2N + 1 nodes, bit for bit as before.  The oracle's grid values fold
+alike (exact_grid_values).  On a 2-core VM the fold took 30 % off the
+benchmark's 1 201-node grid flow (0.064 -> 0.045 s) and 11 % off its phi^4
+pipeline, at the same step counts.
+
 The vertex flow is not stiff and uses the explicit Runge-Kutta 5(4) pair.
 It steps only the independent components of the symmetric tensors, through
 cached orbit index maps, and its right-hand side is a few matrix products.
@@ -42,7 +59,7 @@ from scipy.integrate import RK45, OdeSolver
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from . import functionals as fn
-from .errors import ConvexityLoss, SpecValidationError, StepUnderflow
+from .errors import ConvexityLoss, GridMismatch, SpecValidationError, StepUnderflow
 from .functionals import FunctionalContext
 from .model import classical_asymptote, covariance
 from .regulator import regulator_diagonals
@@ -82,9 +99,45 @@ def second_difference_matrix(n: int) -> sp.csc_matrix:
         (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
         shape=(n, n),
     )
-    for a in (d2.data, d2.indices, d2.indptr):
+    return _read_only(d2)
+
+
+@lru_cache(maxsize=16)
+def folded_second_difference_matrix(n: int) -> sp.csc_matrix:
+    """D2 of n nodes (n odd) acting on even functions, on their nodes phi >= 0.
+
+    Index i is the full grid's node n // 2 + i: the rows phi >= 0 of D2, each
+    column phi < 0 added onto its mirror column.  For u even, D2 u on the
+    nodes phi >= 0 is this matrix times u there.  Row 0 is the central
+    stencil folded onto nodes 0, 1 and 2, still fourth order; the last row is
+    D2's 4-point edge stencil, so the half-band stays 3.  The cached matrix
+    is read-only.
+    """
+    d2 = second_difference_matrix(n).tocoo()
+    centre = n // 2
+    half = d2.row >= centre
+    folded = sp.csc_matrix(
+        (d2.data[half], (d2.row[half] - centre, np.abs(d2.col[half] - centre))),
+        shape=(centre + 1, centre + 1),
+    )
+    return _read_only(folded)
+
+
+def _read_only(m: sp.csc_matrix) -> sp.csc_matrix:
+    for a in (m.data, m.indices, m.indptr):
         a.flags.writeable = False
-    return d2
+    return m
+
+
+def _mirror_symmetric(grid: np.ndarray) -> bool:
+    """Whether a grid is odd and mirror-symmetric bit for bit, grid ==
+    -grid[::-1], so that its centre node is phi = 0."""
+    return grid.size % 2 == 1 and np.array_equal(grid, -grid[::-1])
+
+
+def _unfold(half: np.ndarray) -> np.ndarray:
+    """The even function on the full grid of its values on the nodes phi >= 0."""
+    return np.concatenate([half[:0:-1], half])
 
 
 # -- action representations --------------------------------------------
@@ -195,12 +248,23 @@ class FlowTrajectory:
 
 class _GridFlow:
     """The grid flow of one grid, regulator and mode, on bare node values:
-    what the stepper evaluates, with no GridAction built per call."""
+    what the stepper evaluates, with no GridAction built per call.
 
-    def __init__(self, grid: np.ndarray, regulator, momentum: float, weight: float):
+    A folded flow evaluates an even function on the nodes phi >= 0 of its
+    (full, mirror-symmetric) grid alone, through the folded D2; its errors
+    still name full-grid nodes.
+    """
+
+    def __init__(self, grid: np.ndarray, regulator, momentum: float, weight: float,
+                 folded: bool = False):
         self.grid = grid
         self.regulator, self.momentum, self.weight = regulator, momentum, weight
-        self.d2 = second_difference_matrix(grid.size)
+        if folded:
+            self.d2 = folded_second_difference_matrix(grid.size)
+            self.first_node = grid.size // 2  # the full-grid index of node 0
+        else:
+            self.d2 = second_difference_matrix(grid.size)
+            self.first_node = 0
         self.h2 = float(grid[1] - grid[0]) ** 2
 
     def curvature(self, k, u: np.ndarray) -> tuple[float, np.ndarray]:
@@ -215,7 +279,7 @@ class _GridFlow:
             return np.zeros_like(u)
         nonpositive = denom <= 0.0
         if nonpositive.any():
-            node = int(np.argmax(nonpositive))
+            node = self.first_node + int(np.argmax(nonpositive))
             raise ConvexityLoss(
                 f"regularized curvature non-positive at node {node} "
                 f"(phi={self.grid[node]:.4g}, k={k:.6g})",
@@ -330,20 +394,17 @@ def _change_d(d: np.ndarray, order, factor) -> None:
     d[:order + 1] = np.dot(ru.T, d[:order + 1])
 
 
-@lru_cache(maxsize=16)
-def _band_pattern(n: int) -> tuple[int, np.ndarray, np.ndarray]:
-    """D2's half-band b, and for each stored entry (i, j), in CSC order, its
-    flat index in dgbtrf's Fortran-ordered (3b + 1, n) layout, row 2b + i - j
-    of column j (b rows of fill on top), and whether it is diagonal (1.0) or
-    not (0.0).  The cached arrays are read-only."""
-    d2 = second_difference_matrix(n)
-    rows = d2.indices
-    cols = np.repeat(np.arange(n), np.diff(d2.indptr))
+def _band_pattern(pattern: sp.csc_matrix) -> tuple[int, np.ndarray, np.ndarray]:
+    """A square CSC pattern's half-band b, and for each stored entry (i, j),
+    in CSC order, its flat index in dgbtrf's Fortran-ordered (3b + 1, n)
+    layout, row 2b + i - j of column j (b rows of fill on top), and whether
+    it is diagonal (1.0) or not (0.0)."""
+    n = pattern.shape[1]
+    rows = pattern.indices
+    cols = np.repeat(np.arange(n), np.diff(pattern.indptr))
     b = int(np.abs(rows - cols).max())
     flat = 2 * b + rows - cols + (3 * b + 1) * cols
     unit = (rows == cols).astype(float)
-    for a in (flat, unit):
-        a.flags.writeable = False
     return b, flat, unit
 
 
@@ -352,20 +413,25 @@ class _GridBDF(OdeSolver):
 
     ``fun(t, u)`` is the flow's right-hand side in the stepped variable t
     (the RG time, in ``integrate``) and ``jac(t, u)`` the entries of its
-    Jacobian J in D2's stored order (:meth:`_GridFlow.jacobian_data`, times
-    dk/dt).
+    Jacobian J in the stored order of ``pattern``, the CSC matrix whose
+    pattern J shares (:meth:`_GridFlow.jacobian_data`, times dk/dt, on the
+    flow's D2).  A pattern of another size than ``y0`` raises GridMismatch.
     The Newton matrix I - cJ has the entries 1 - c J_ii and 0 - c J_ij that
     scipy's sparse I - c*J holds; dgbtrf factors it as a band, and a singular
     factor raises StepUnderflow.
     """
 
-    def __init__(self, fun, jac, t0: float, y0: np.ndarray, t_bound: float,
-                 rtol: float, atol: float):
+    def __init__(self, fun, jac, pattern: sp.csc_matrix, t0: float, y0: np.ndarray,
+                 t_bound: float, rtol: float, atol: float):
         super().__init__(fun, t0, y0, t_bound, vectorized=False)
+        if pattern.shape != (self.n, self.n):
+            raise GridMismatch(
+                f"the Jacobian pattern is {pattern.shape[0]} x {pattern.shape[1]}, "
+                f"the state has {self.n} nodes")
         self._jac = jac
         self.rtol, self.atol = rtol, atol
         self._root_n = self.n ** 0.5
-        self.half_band, self._band_flat, self._band_unit = _band_pattern(self.n)
+        self.half_band, self._band_flat, self._band_unit = _band_pattern(pattern)
         f = self.fun(self.t, self.y)
         self.h_abs = self._initial_step(f)
         self.newton_tol = max(10 * _EPS / rtol, min(0.03, rtol ** 0.5))
@@ -623,7 +689,9 @@ def integrate(
     step crosses a derivative discontinuity, and each evaluates the
     regulator on its own side of a kink.  Grid actions are stepped with the
     ported BDF and the analytic Jacobian, its Newton matrix factored as a
-    band of half-width 3; vertex actions with scipy's RK45.  Raises
+    band of half-width 3; an even one (mirror-symmetric grid, values ==
+    values[::-1], bit for bit) on its nodes phi >= 0 alone, and reported on
+    the full grid.  Vertex actions are stepped with scipy's RK45.  Raises
     ConvexityLoss, carrying the last convex state, where the curvature
     margin reaches zero or its extrapolation over the last step, linear in
     k^2, reaches zero within CONVEXITY_HORIZON * k of it; ``k`` is the
@@ -655,9 +723,13 @@ def integrate(
             raise SpecValidationError(f"checkpoint {c} outside [{k_to}, {k_from}]")
 
     is_grid = isinstance(initial, GridAction)
+    # an even grid action flows inside the even functions: step its nodes
+    # phi >= 0 alone
+    folded = (is_grid and _mirror_symmetric(initial.grid)
+              and np.array_equal(initial.values, initial.values[::-1]))
     if is_grid:  # the grid's single mode
         grid_flow = _GridFlow(initial.grid, regulator, float(momenta[0]),
-                              float(weights[0]))
+                              float(weights[0]), folded=folded)
     pending_loss = []
     kappa = RG_TIME_SCALE
 
@@ -699,7 +771,10 @@ def integrate(
         return math.hypot(kappa, k) * grid_flow.jacobian_data(k, y)
 
     def snapshot(k, y):
-        """The action at k, with the grid's zero-field value subtracted."""
+        """The action at k, on the full grid with its zero-field value
+        subtracted."""
+        if folded:
+            y = _unfold(y)
         if is_grid:
             y = y - y[y.size // 2]
         return initial.unpack(k, y)
@@ -716,6 +791,8 @@ def integrate(
     stats = {"steps": 0, "nfev": 0, "njev": 0, "nlu": 0}
     # the last accepted scale and state, and the curvature margin there
     t, y = float(k_from), np.asarray(initial.pack(), dtype=float)
+    if folded:
+        y = y[y.size // 2:]
     if not np.isfinite(y).all():
         raise SpecValidationError(f"the initial action at k={k_from} is not finite")
     last_margin = margin(t, y)
@@ -734,7 +811,7 @@ def integrate(
         tau_start, tau_end = rg_time(seg_start), rg_time(seg_end)
         pending_loss.clear()
         if is_grid:
-            solver = _GridBDF(rhs, jac, tau_start, y, tau_end, rtol, atol)
+            solver = _GridBDF(rhs, jac, grid_flow.d2, tau_start, y, tau_end, rtol, atol)
         else:
             solver = RK45(rhs, tau_start, y, tau_end, rtol=rtol, atol=atol)
         try:
@@ -791,8 +868,17 @@ def integrate(
 
 
 def exact_grid_values(ctx: FunctionalContext, k: float, grid: np.ndarray) -> np.ndarray:
-    """Subtracted-action oracle values on the grid: one Legendre transform of
-    the grid nodes and, in one extra lane, of the field 0."""
+    """Subtracted-action oracle values on the grid.
+
+    An even theory (c3 = 0) on an odd mirror-symmetric grid takes one
+    Legendre transform of the nodes phi >= 0, the first of them the field 0,
+    and mirrors the values, which are then exactly even.  Any other grid
+    takes one transform of its nodes and, in one extra lane, of the field 0.
+    """
+    grid = np.asarray(grid, dtype=float)
+    if ctx.spec.c3 == 0 and _mirror_symmetric(grid):
+        values, _ = fn.legendre_transform(ctx, k, grid[grid.size // 2:])
+        return _unfold(values - values[0])
     values, _ = fn.legendre_transform(ctx, k, np.append(grid, 0.0))
     return values[:-1] - values[-1]
 

@@ -104,7 +104,11 @@ class ModelSpec:
 
     @property
     def field_grid(self) -> np.ndarray:
-        return np.linspace(-self.phi_max, self.phi_max, self.phi_nodes)
+        """The uniform grid on [-phi_max, phi_max]: the nodes phi >= 0 of
+        linspace(0, phi_max) and their mirror images, so that grid ==
+        -grid[::-1] bit for bit and the centre node is 0.0."""
+        half = np.linspace(0.0, self.phi_max, self.phi_nodes // 2 + 1)
+        return np.concatenate([-half[:0:-1], half])
 
     def hartley_matrix(self) -> np.ndarray:
         """Real orthogonal position<->momentum map on the symmetric grid."""

@@ -10,7 +10,7 @@ from scipy.integrate import BDF, DOP853
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 from scipy.sparse.linalg import splu
 
-from frgelab.errors import ConvexityLoss, SpecValidationError, StepUnderflow
+from frgelab.errors import ConvexityLoss, GridMismatch, SpecValidationError, StepUnderflow
 from frgelab import flow as flow_module, functionals
 from frgelab.flow import (
     GridAction,
@@ -21,6 +21,7 @@ from frgelab.flow import (
     VertexAction,
     classical_grid_values,
     exact_grid_values,
+    folded_second_difference_matrix,
     initial_condition,
     integrate,
     rhs_grid,
@@ -29,6 +30,7 @@ from frgelab.flow import (
     symmetrize,
 )
 from frgelab.functionals import (
+    BUDGET,
     FunctionalContext,
     frge_first_form_check,
     gamma_bar,
@@ -61,15 +63,14 @@ def _dense_rhs_vertex(state, regulator, momenta, weights):
 
 class _ScipyBandBDF(BDF):
     """scipy's own BDF with its Newton matrix I - cJ, the CSC matrix scipy
-    forms, copied into LAPACK band storage and factored by dgbtrf: the
-    stepper of grid flows before the port, and the reference the port
-    reproduces bit for bit.  scipy binds ``lu`` and ``solve_lu`` per
-    instance, so they are rebound here."""
+    forms, copied into LAPACK band storage of half-band ``half_band`` and
+    factored by dgbtrf: the stepper of grid flows before the port, and the
+    reference the port reproduces bit for bit.  scipy binds ``lu`` and
+    ``solve_lu`` per instance, so they are rebound here."""
 
-    def __init__(self, fun, t0, y0, t_bound, **options):
+    def __init__(self, fun, t0, y0, t_bound, half_band, **options):
         super().__init__(fun, t0, y0, t_bound, **options)
-        d2 = second_difference_matrix(self.n).tocoo()
-        self.half_band = int(np.abs(d2.row - d2.col).max())
+        self.half_band = half_band
         self.lu, self.solve_lu = self._band_lu, self._band_solve
 
     def _band_lu(self, a: sp.csc_matrix):
@@ -88,14 +89,16 @@ class _ScipyBandBDF(BDF):
         return dgbtrs(lu, b, b, rhs, piv, overwrite_b=True)[0]
 
 
-def _scipy_stepper(fun, jac, t0, y0, t_bound, rtol, atol):
+def _scipy_stepper(fun, jac, pattern, t0, y0, t_bound, rtol, atol):
     """:class:`_ScipyBandBDF` called as ``integrate`` calls ``_GridBDF``; the
-    Jacobian's entries in D2's order become the CSC matrix scipy expects."""
-    d2 = second_difference_matrix(y0.size)
+    Jacobian's entries in the order of the stepped flow's own D2, folded or
+    not, become the CSC matrix scipy expects."""
+    coo = pattern.tocoo()
     return _ScipyBandBDF(
-        fun, t0, y0, t_bound, rtol=rtol, atol=atol,
-        jac=lambda t, y: sp.csc_matrix((jac(t, y), d2.indices, d2.indptr),
-                                       shape=d2.shape))
+        fun, t0, y0, t_bound, int(np.abs(coo.row - coo.col).max()),
+        rtol=rtol, atol=atol,
+        jac=lambda t, y: sp.csc_matrix((jac(t, y), pattern.indices, pattern.indptr),
+                                       shape=pattern.shape))
 
 
 def _jacobian(state: GridAction, regulator, momentum: float = 0.0,
@@ -132,6 +135,31 @@ class TestStencils:
         cubic = x**3 - x**2
         assert np.allclose((d2 @ cubic / h**2)[edges], (6.0 * x - 2.0)[edges],
                            atol=1e-9)
+
+    @pytest.mark.parametrize("n", [5, 41, 1201])
+    def test_folded_matrix_is_d2_on_even_functions(self, n, rng):
+        # on an even function the folded D2 gives D2's rows phi >= 0
+        centre = n // 2
+        x = 2.0 * np.abs(np.arange(n) - centre) / centre  # |phi| on [-2, 2]
+        folded = folded_second_difference_matrix(n)
+        assert folded.shape == (centre + 1, centre + 1)
+        noise = rng.standard_normal(centre + 1)[np.abs(np.arange(n) - centre)]
+        for f in (np.cos(x), x**4 - x**2 + 1.0, noise):
+            full = second_difference_matrix(n) @ f
+            half = folded @ f[centre:]
+            # the two sum the same products in another order
+            assert np.abs(half - full[centre:]).max() <= 1e-14 * np.abs(f).max()
+        # the 4-point edge stencil sets the half-band, as on the full grid
+        coo = folded.tocoo()
+        assert np.abs(coo.row - coo.col).max() == min(3, centre)
+
+    def test_folded_matrix_is_fourth_order_at_zero(self):
+        errs = []
+        for n in (41, 81):
+            x = np.linspace(-1.0, 1.0, n)
+            d2 = folded_second_difference_matrix(n) @ np.cos(x[n // 2:])
+            errs.append(abs(d2[0] / (x[1] - x[0]) ** 2 + 1.0))
+        assert errs[0] / errs[1] > 12  # ~16 for the central stencil
 
 
 class TestStates:
@@ -226,6 +254,18 @@ class TestRhs:
         s = GridAction(k=0.1, grid=grid, values=-(grid**2))
         with pytest.raises(ConvexityLoss):
             rhs_grid(s, litim, 0.0, 1.0)
+
+    def test_folded_convexity_loss_names_a_full_grid_node(self, litim):
+        # a bump at |phi| = 0.4 on an even convex function: the folded flow
+        # evaluates nodes 10 to 20 of 21 and names the full grid's node 14 and
+        # its phi, where the full flow finds the mirror node 6 first
+        half = np.linspace(0.0, 1.0, 11)
+        grid = np.concatenate([-half[:0:-1], half])
+        values = grid**2 + np.where(np.abs(grid) == 0.4, 0.1, 0.0)
+        with pytest.raises(ConvexityLoss, match=r"node 14 \(phi=0.4, k=0.1\)"):
+            _GridFlow(grid, litim, 0.0, 1.0, folded=True).rhs(0.1, values[10:])
+        with pytest.raises(ConvexityLoss, match=r"node 6 \(phi=-0.4, k=0.1\)"):
+            _GridFlow(grid, litim, 0.0, 1.0).rhs(0.1, values)
 
     def test_vertex_single_mode_series(self, litim):
         # d_k g2 = -Fdot g4 / (2 (g2+R)^2); d_k g4 = 3 Fdot g4^2 / (g2+R)^3
@@ -357,12 +397,14 @@ class TestIntegrate:
         assert 0 < len(calls) < 2000
 
     @pytest.mark.parametrize("nodes", [151, 1201])
-    def test_grid_error_is_the_integrators(self, litim, nodes):
-        # classical start, k 100 -> 0 at default tolerances: the largest error
-        # on |phi| <= 2 against a tight-tolerance run of the same grid ODE is
-        # 1.6e-8 at 151 nodes, at k = 1 (1.9e-8 at 301 nodes, 1.6e-8 at the
-        # benchmark's 1 201); stepped in k at rtol 1e-8, atol 1e-10 it was
-        # 1.4e-7, and rtol 1e-6 read 7.8e-6 at k = 0
+    def test_grid_error_is_the_integrators(self, litim, nodes, monkeypatch):
+        # classical start, k 100 -> 0 at default tolerances, stepped on
+        # phi >= 0: the largest error on |phi| <= 2 against a tight-tolerance
+        # run of the same grid ODE on every node is 1.4e-8 at 151 nodes, at
+        # k = 1 (1.7e-8 at 301 nodes, 1.5e-8 at the benchmark's 1 201; the
+        # tight runs, folded and not, agree to 2e-12).  Stepped on every node
+        # it was 1.6e-8, 1.9e-8 and 1.6e-8; stepped in k at rtol 1e-8, atol
+        # 1e-10, 1.4e-7; and rtol 1e-6 read 7.8e-6 at k = 0
         spec = ModelSpec(dimension=0, modes=1, mass=1.0,
                          window=WindowParams(kind="scalar", r=1.0), c4=0.1,
                          phi_max=4.5, phi_nodes=nodes)
@@ -370,16 +412,32 @@ class TestIntegrate:
         init, _ = initial_condition(ctx, "classical", 100.0)
         scales = [10.0, 1.0, 0.0]
         traj = integrate(init, 100.0, 0.0, litim, checkpoints=scales)
+        monkeypatch.setattr(flow_module, "_mirror_symmetric", lambda grid: False)
         ref = integrate(init, 100.0, 0.0, litim, checkpoints=scales,
                         rtol=1e-12, atol=1e-14)
         mask = np.abs(init.grid) <= 2.0
         for (k, state), (_, exact) in zip(traj.checkpoints, ref.checkpoints):
             assert np.abs(state.values - exact.values)[mask].max() <= 4e-8, k
 
+    def test_even_checkpoints_are_exactly_even(self, phi4_spec, litim):
+        # the exact and the classical start of an even theory are even bit for
+        # bit, and so is every checkpoint, dense output and segment end alike
+        ctx = FunctionalContext(spec=phi4_spec, regulator=litim, self_check=False)
+        for mode in ("exact", "classical"):
+            init, _ = initial_condition(ctx, mode, 20.0)
+            traj = integrate(init, 20.0, 0.0, litim, momenta=[0.5],
+                             checkpoints=[7.3, 0.5, 0.2])
+            assert len(traj.checkpoints) == 5
+            for _, state in traj.checkpoints:
+                assert np.array_equal(state.grid, -state.grid[::-1])
+                assert state.values.tobytes() == state.values[::-1].tobytes()
+                assert state.values[state.grid.size // 2] == 0.0
+
     def test_grid_newton_matrix_is_band_factored(self, phi4_spec, litim,
                                                   monkeypatch):
         # every factorisation the stepper counts is one dgbtrf call on the
-        # (3b + 1, n) band layout, b = 3
+        # (3b + 1, n) band layout, b = 3: n = N + 1, the nodes phi >= 0, for
+        # an even start and n = 2N + 1 for a non-even one (c3 != 0)
         calls = []
 
         def counting(*args, **kwargs):
@@ -387,11 +445,17 @@ class TestIntegrate:
             return dgbtrf(*args, **kwargs)
 
         monkeypatch.setattr(flow_module, "dgbtrf", counting)
-        ctx = FunctionalContext(spec=phi4_spec, regulator=litim, self_check=False)
-        init, _ = initial_condition(ctx, "classical", 20.0)
-        traj = integrate(init, 20.0, 0.0, litim)
-        assert 0 < len(calls) == traj.stats["nlu"]
-        assert set(calls) == {(10, init.grid.size)}
+        odd = ModelSpec(dimension=0, modes=1, mass=1.0,
+                        window=WindowParams(kind="scalar", r=1.0), c3=0.05, c4=0.1,
+                        allow_unbounded=True)
+        for spec, stepped in ((phi4_spec, 101), (odd, 201)):
+            calls.clear()
+            ctx = FunctionalContext(spec=spec, regulator=litim, self_check=False)
+            init, _ = initial_condition(ctx, "classical", 20.0)
+            assert init.grid.size == 201
+            traj = integrate(init, 20.0, 0.0, litim)
+            assert 0 < len(calls) == traj.stats["nlu"]
+            assert set(calls) == {(10, stepped)}
 
     def test_checkpoints_are_one_ordered_pass(self, line_spec, litim):
         # litim's kinks sit at k = |p| = 1, 2, ...: the checkpoint at 1 is a
@@ -535,19 +599,27 @@ class TestFailureRoutes:
 
     def test_grid_flow_loses_convexity_after_poisoned_iterates(self, litim,
                                                                  monkeypatch):
-        # c2 = -1.0 at a loose tolerance: Newton iterates leave the cone (13 at
-        # scipy 1.17) before the margin's extrapolation reaches zero at
-        # k ~ 1.6243.  The loss is an artefact of the tolerance: at rtol 1e-3
-        # this flow reaches k = 0 after 3 poisoned iterates, and from rtol
-        # 1e-5 on it reaches k = 0 with none
+        # a uniform curvature -200 flows unchanged (the trace form shifts every
+        # node alike), so the margin is k^2 - 200 and the loss is real, at
+        # k = sqrt(200).  At this loose tolerance the steps overshoot it:
+        # Newton iterates leave the cone (10-13 at scipy 1.17) before the
+        # margin's extrapolation reaches zero.  Even (stepped on phi >= 0) and
+        # tilted by a linear term (stepped on the full grid), and with the
+        # values perturbed by 1e-15 relative, the loss lands within 4e-8 of
+        # sqrt(200), relative (151 nodes; within 6e-8 at 101 and 201)
         losses = self._count_losses(monkeypatch, _GridFlow, "rhs")
-        init = self._start(-1.0, litim, nodes=151)
-        with pytest.raises(ConvexityLoss, match="margin reaches zero") as exc_info:
-            integrate(init, 100.0, 0.0, litim, rtol=5e-3, atol=5e-5)
-        assert losses
-        assert abs(exc_info.value.k - 1.6243) <= 8e-4 * exc_info.value.k
-        last = exc_info.value.last_state
-        assert exc_info.value.k < last.k and np.isfinite(last.values).all()
+        half = np.linspace(0.0, 4.5, 76)
+        grid = np.concatenate([-half[:0:-1], half])
+        for tilt in (0.0, 0.3):
+            losses.clear()
+            init = GridAction(k=30.0, grid=grid, values=-100.0 * grid**2 + tilt * grid)
+            with pytest.raises(ConvexityLoss, match="margin reaches zero") as exc_info:
+                integrate(init, 30.0, 0.0, litim, rtol=2e-3, atol=2e-5)
+            assert losses
+            assert abs(exc_info.value.k - math.sqrt(200.0)) <= 8e-4 * exc_info.value.k
+            last = exc_info.value.last_state
+            assert exc_info.value.k < last.k and np.isfinite(last.values).all()
+            assert last.values.size == grid.size
 
     def test_non_convex_start_is_refused(self, litim):
         # D2 u = -1 against R_1 = 1: the margin is zero at the start scale
@@ -610,10 +682,12 @@ class TestFailureRoutes:
 
 class TestGridStepper:
     @staticmethod
-    def _flow(nodes, regulator, **kwargs):
+    def _flow(nodes, regulator, c3=0.0, **kwargs):
+        """The classical start's flow: even, and so stepped on the nodes
+        phi >= 0, where c3 = 0, and on the full grid otherwise."""
         spec = ModelSpec(dimension=0, modes=1, mass=1.0,
-                         window=WindowParams(kind="scalar", r=1.0), c4=0.1,
-                         phi_max=4.5, phi_nodes=nodes)
+                         window=WindowParams(kind="scalar", r=1.0), c3=c3, c4=0.1,
+                         phi_max=4.5, phi_nodes=nodes, allow_unbounded=c3 != 0)
         ctx = FunctionalContext(spec=spec, regulator=regulator, self_check=False)
         init, _ = initial_condition(ctx, "classical", 100.0)
         # p = 0.25 tells the regulators apart (at p = 0 both are k^2), and
@@ -621,17 +695,28 @@ class TestGridStepper:
         return integrate(init, 100.0, 0.0, regulator, momenta=[0.25], weights=[1.5],
                          checkpoints=[10.0, 1.0, 0.5, 0.1, 0.0], **kwargs)
 
+    @staticmethod
+    def _assert_same_bits(ported, reference):
+        assert ported.stats == reference.stats
+        assert [k for k, _ in ported.checkpoints] == [k for k, _ in reference.checkpoints]
+        for (_, state), (_, expected) in zip(ported.checkpoints, reference.checkpoints):
+            assert state.values.tobytes() == expected.values.tobytes()
+
     @pytest.mark.parametrize("nodes", [151, 1201])
     @pytest.mark.parametrize("name", ["litim", "exponential"])
     def test_steps_are_scipys_bdf(self, name, nodes, request, monkeypatch):
         regulator = request.getfixturevalue(name)
         ported = self._flow(nodes, regulator)
         monkeypatch.setattr(flow_module, "_GridBDF", _scipy_stepper)
-        reference = self._flow(nodes, regulator)
-        assert ported.stats == reference.stats
-        assert [k for k, _ in ported.checkpoints] == [k for k, _ in reference.checkpoints]
-        for (_, state), (_, expected) in zip(ported.checkpoints, reference.checkpoints):
-            assert state.values.tobytes() == expected.values.tobytes()
+        self._assert_same_bits(ported, self._flow(nodes, regulator))
+
+    @pytest.mark.parametrize("name", ["litim", "exponential"])
+    def test_full_grid_steps_are_scipys_bdf(self, name, request, monkeypatch):
+        # c3 = 0.05: a start that is not even steps every node
+        regulator = request.getfixturevalue(name)
+        ported = self._flow(151, regulator, c3=0.05)
+        monkeypatch.setattr(flow_module, "_GridBDF", _scipy_stepper)
+        self._assert_same_bits(ported, self._flow(151, regulator, c3=0.05))
 
     @pytest.mark.parametrize("rep", ["grid", "vertex"])
     def test_rtol_below_scipys_floor_is_refused(self, litim, rep):
@@ -653,9 +738,7 @@ class TestGridStepper:
             ported = self._flow(151, regulator, rtol=RTOL_FLOOR)
             monkeypatch.setattr(flow_module, "_GridBDF", _scipy_stepper)
             reference = self._flow(151, regulator, rtol=RTOL_FLOOR)
-        assert ported.stats == reference.stats
-        for (_, state), (_, expected) in zip(ported.checkpoints, reference.checkpoints):
-            assert state.values.tobytes() == expected.values.tobytes()
+        self._assert_same_bits(ported, reference)
 
     def test_floor_rtol_reaches_k_zero(self, exponential):
         # at rtol 1e-15 this flow raised a false ConvexityLoss
@@ -671,8 +754,9 @@ class TestBandNewtonMatrix:
         grid = np.linspace(-2.0, 2.0, nodes)
         state = GridAction(k=k, grid=grid, values=0.5 * grid**2 + 0.1 * grid**4)
         jac = _jacobian(state, regulator)
-        solver = _GridBDF(lambda t, y: np.zeros_like(y), lambda t, y: jac.data, k,
-                          state.values, 0.0, 1e-8, 1e-10)
+        solver = _GridBDF(lambda t, y: np.zeros_like(y), lambda t, y: jac.data,
+                          second_difference_matrix(nodes), k, state.values, 0.0,
+                          1e-8, 1e-10)
         return solver, jac
 
     @pytest.mark.parametrize("nodes", [5, 301, 1201])
@@ -721,9 +805,18 @@ class TestBandNewtonMatrix:
 
     def test_singular_newton_matrix_raises(self, litim):
         solver, _ = self._solver(301, 2.5, litim)
-        _, _, unit = _band_pattern(301)
+        _, _, unit = _band_pattern(second_difference_matrix(301))
         with pytest.raises(StepUnderflow, match="k = 2.5"):
             solver._factor(1.0, unit)  # I - I = 0
+
+    def test_pattern_of_another_size_is_refused(self):
+        # the band layout is read off the pattern: the full D2 of 151 nodes
+        # for the 76 nodes phi >= 0 of a folded state is refused with a typed
+        # error, not factored as a wrong band
+        y0 = np.linspace(0.0, 1.0, 76) ** 2
+        with pytest.raises(GridMismatch, match="151 x 151, the state has 76 nodes"):
+            _GridBDF(lambda t, y: np.zeros_like(y), lambda t, y: None,
+                     second_difference_matrix(151), 1.0, y0, 0.0, 1e-8, 1e-10)
 
 
 class TestInitialConditions:
@@ -732,6 +825,37 @@ class TestInitialConditions:
         vals = classical_grid_values(phi4_ctx, grid)
         assert vals[2] == 0.0
         assert vals[-1] == pytest.approx(0.5 * 4.0 + 0.1 * 16.0)
+
+    @pytest.mark.parametrize("k", [0.0, 1.0, 20.0])
+    def test_exact_grid_values_fold_an_even_theory(self, phi4_spec, litim, k,
+                                                   monkeypatch):
+        # c3 = 0 on a mirror-symmetric grid: one transform of the N + 1 nodes
+        # phi >= 0, phi = 0 among them, mirrored, so the values are exactly
+        # even and within BUDGET of a transform of every node (3.6e-14 at most)
+        ctx = FunctionalContext(spec=phi4_spec, regulator=litim, self_check=False)
+        grid = phi4_spec.field_grid
+        original = functionals.legendre_transform
+        full, _ = original(ctx, k, np.append(grid, 0.0))
+        full = full[:-1] - full[-1]
+        batches = []
+
+        def counted(ctx, k, fields):
+            batches.append(len(fields))
+            return original(ctx, k, fields)
+
+        monkeypatch.setattr(functionals, "legendre_transform", counted)
+        folded = exact_grid_values(ctx, k, grid)
+        assert batches == [grid.size // 2 + 1]
+        assert folded.tobytes() == folded[::-1].tobytes()
+        assert np.abs(folded - full).max() <= BUDGET * np.abs(full).max()
+        # an odd theory, or a grid that is not mirror-symmetric, keeps every
+        # node and the extra lane of the field 0
+        odd = FunctionalContext(spec=ModelSpec(
+            dimension=0, modes=1, mass=1.0, window=WindowParams(kind="scalar", r=1.0),
+            c3=0.05, c4=0.1, allow_unbounded=True), regulator=litim, self_check=False)
+        exact_grid_values(odd, k, grid)
+        exact_grid_values(ctx, k, grid + 0.01)
+        assert batches[1:] == [grid.size + 1] * 2
 
     def test_exact_approaches_classical(self, phi4_spec, litim):
         ctx = FunctionalContext(spec=phi4_spec, regulator=litim,

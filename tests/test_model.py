@@ -187,6 +187,27 @@ class TestGrids:
         grid = phi4_spec.field_grid
         assert grid[grid.size // 2] == 0.0
 
+    @pytest.mark.parametrize("phi_max", [0.1, 2.0, 3.0, 4.5, 123.456])
+    @pytest.mark.parametrize("nodes", [5, 41, 101, 201, 301, 1201])
+    def test_field_grid_is_exactly_symmetric(self, phi_max, nodes):
+        # the nodes phi >= 0 of linspace(0, phi_max) and their mirror images:
+        # grid == -grid[::-1] bit for bit and the centre is 0.0.  On these
+        # grids linspace(-phi_max, phi_max) is up to 3e-16 phi_max off
+        # symmetric (1.3e-15 at 4.5 and 1 201 nodes) and its centre up to
+        # 1.4e-16 phi_max off 0
+        grid = make_spec(phi_max=phi_max, phi_nodes=nodes).field_grid
+        centre = nodes // 2
+        assert grid.size == nodes
+        assert np.array_equal(grid, -grid[::-1])
+        assert grid[centre] == 0.0 and grid[0] == -phi_max and grid[-1] == phi_max
+        assert np.all(np.diff(grid) > 0)
+        # flow.csv's %.12g phi cells are linspace's, but for a centre that now
+        # reads 0 wherever linspace's was off it
+        cells = [f"{phi:.12g}" for phi in grid.tolist()]
+        old = [f"{phi:.12g}" for phi in np.linspace(-phi_max, phi_max, nodes).tolist()]
+        assert cells[:centre] + cells[centre + 1:] == old[:centre] + old[centre + 1:]
+        assert cells[centre] == "0"
+
     def test_interaction_batch_matches_scalar(self, line_spec, rng):
         psi = rng.standard_normal((7, line_spec.modes))
         batch = line_spec.interaction_batch(psi)
