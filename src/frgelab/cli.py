@@ -158,31 +158,27 @@ def run_table(args) -> int:
 
 
 def exact_table(args, spec, regulator):
+    # the flow's field grid, which the spec validates
+    spec = dataclasses.replace(spec, phi_max=args.phi_max, phi_nodes=args.phi_nodes)
     ctx = FunctionalContext(spec=spec, regulator=regulator)
     if ctx.measure.dim != 1:
         raise SpecValidationError("the exact sweep is single-mode only")
-    if args.phi_nodes < 1:
-        raise SpecValidationError("--phi-nodes must be at least 1")
-    _require_positive_finite("--phi-max", args.phi_max)
     scales = _parse_floats(args.k)
     if not scales:
         raise SpecValidationError("--k lists no scale")
-    grid = np.linspace(-args.phi_max, args.phi_max, args.phi_nodes)
+    grid = spec.field_grid
     # cells are formatted from Python floats, the same digits as numpy's
     phi_cells = [f"{phi:.12g}" for phi in grid.tolist()]
     budget = f"{fn.BUDGET:.1e}"
-    rows = []
-    newton_iterations = 0
+    rows, newton_iterations = [], 0
     for k in scales:
-        # the last lane is the field 0, for the subtraction
-        values, solve = fn.legendre_transform(ctx, k, np.append(grid, 0.0))
-        newton_iterations += solve.iterations
-        values = values.tolist()
-        gamma0, k_cell = values[-1], f"{k:.12g}"
-        for phi, g, j, residual in zip(phi_cells, values, solve.source[:, 0].tolist(),
-                                       solve.residual.tolist()):
-            rows.append([k_cell, phi, f"{g:.15g}", f"{g - gamma0:.15g}",
-                         f"{j:.15g}", f"{residual:.3e}", budget])
+        gamma, gamma_bar, source, residual, iterations = fn.grid_transform(ctx, k, grid)
+        newton_iterations += iterations
+        k_cell = f"{k:.12g}"
+        cells = zip(phi_cells, gamma.tolist(), gamma_bar.tolist(), source.tolist(),
+                    residual.tolist())
+        rows += [[k_cell, phi, f"{g:.15g}", f"{g_bar:.15g}", f"{j:.15g}", f"{r:.3e}",
+                  budget] for phi, g, g_bar, j, r in cells]
     header = ["k", "phi", "Gamma", "GammaBar", "J", "residual", "budget"]
     return header, rows, dict(
         tolerances={"budget": fn.BUDGET, "newton_tol": fn.NEWTON_TOL},
@@ -211,13 +207,13 @@ def flow_table(args, spec, regulator):
         grid = traj.checkpoints[0][1].grid.tolist()
         phi_cells = [f"{phi:.12g}" for phi in grid]
         for k, state in traj.checkpoints:
-            exact_vals = None
-            if args.compare and args.init == "exact" and k == args.kuv:
-                exact_vals = initial.values  # an exact start is the oracle at k_uv
-            elif args.compare:
-                exact_vals = flow_mod.exact_grid_values(ctx, k, state.grid)
+            if not args.compare:
+                exact = [None] * len(grid)
+            elif args.init == "exact" and k == args.kuv:
+                exact = initial.values.tolist()  # an exact start is the oracle at k_uv
+            else:
+                exact = flow_mod.exact_grid_values(ctx, k, state.grid).tolist()
             k_cell = f"{k:.12g}"
-            exact = [None] * len(grid) if exact_vals is None else exact_vals.tolist()
             for phi, phi_cell, val, ex in zip(grid, phi_cells, state.values.tolist(),
                                               exact):
                 row = [k_cell, phi_cell, f"{val:.15g}"]

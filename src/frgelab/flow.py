@@ -32,10 +32,8 @@ alone, through the folded D2: D2's rows phi >= 0 with each column phi < 0
 added onto its mirror.  Its band keeps half-width 3, and the stepper is
 unchanged; checkpoints, dense output and errors unfold to the full grid, so
 every checkpoint of an even flow is exactly even.  Any other action steps
-all 2N + 1 nodes, bit for bit as before.  The oracle's grid values fold
-alike (exact_grid_values).  On a 2-core VM the fold took 30 % off the
-benchmark's 1 201-node grid flow (0.064 -> 0.045 s) and 11 % off its phi^4
-pipeline, at the same step counts.
+all 2N + 1 nodes.  The oracle's grid values fold alike
+(functionals.grid_transform, which `frgelab exact` shares).
 
 The vertex flow is not stiff and uses the explicit Runge-Kutta 5(4) pair.
 It steps only the independent components of the symmetric tensors, through
@@ -60,7 +58,8 @@ from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from . import functionals as fn
 from .errors import ConvexityLoss, GridMismatch, SpecValidationError, StepUnderflow
-from .functionals import FunctionalContext
+from .functionals import (FunctionalContext, _mirror_symmetric, _unfold,
+                          exact_grid_values)
 from .model import classical_asymptote, covariance
 from .regulator import regulator_diagonals
 
@@ -127,17 +126,6 @@ def _read_only(m: sp.csc_matrix) -> sp.csc_matrix:
     for a in (m.data, m.indices, m.indptr):
         a.flags.writeable = False
     return m
-
-
-def _mirror_symmetric(grid: np.ndarray) -> bool:
-    """Whether a grid is odd and mirror-symmetric bit for bit, grid ==
-    -grid[::-1], so that its centre node is phi = 0."""
-    return grid.size % 2 == 1 and np.array_equal(grid, -grid[::-1])
-
-
-def _unfold(half: np.ndarray) -> np.ndarray:
-    """The even function on the full grid of its values on the nodes phi >= 0."""
-    return np.concatenate([half[:0:-1], half])
 
 
 # -- action representations --------------------------------------------
@@ -867,22 +855,6 @@ def integrate(
 # -- initial conditions ------------------------------------------------
 
 
-def exact_grid_values(ctx: FunctionalContext, k: float, grid: np.ndarray) -> np.ndarray:
-    """Subtracted-action oracle values on the grid.
-
-    An even theory (c3 = 0) on an odd mirror-symmetric grid takes one
-    Legendre transform of the nodes phi >= 0, the first of them the field 0,
-    and mirrors the values, which are then exactly even.  Any other grid
-    takes one transform of its nodes and, in one extra lane, of the field 0.
-    """
-    grid = np.asarray(grid, dtype=float)
-    if ctx.spec.c3 == 0 and _mirror_symmetric(grid):
-        values, _ = fn.legendre_transform(ctx, k, grid[grid.size // 2:])
-        return _unfold(values - values[0])
-    values, _ = fn.legendre_transform(ctx, k, np.append(grid, 0.0))
-    return values[:-1] - values[-1]
-
-
 def classical_grid_values(ctx: FunctionalContext, grid: np.ndarray) -> np.ndarray:
     grid = np.asarray(grid, dtype=float)
     return classical_asymptote(ctx.spec, grid[:, None])
@@ -899,19 +871,17 @@ def initial_condition(
     """
     if not 0 < k_uv < np.inf:
         raise SpecValidationError("k_uv must be positive and finite")
+    if mode not in ("exact", "classical"):
+        raise SpecValidationError(f"unknown initial-condition mode {mode!r}")
+    info = {}
     if rep == "grid":
         if ctx.measure.dim != 1:
             raise SpecValidationError("the grid representation is single-mode only")
         grid = ctx.spec.field_grid
-        classical = classical_grid_values(ctx, grid)
-        if mode == "classical":
-            values = classical
-            info = {}
-        elif mode == "exact":
+        values = classical = classical_grid_values(ctx, grid)
+        if mode == "exact":
             values = exact_grid_values(ctx, k_uv, grid)
-            info = {"classical_discrepancy": float(np.abs(values - classical).max())}
-        else:
-            raise SpecValidationError(f"unknown initial-condition mode {mode!r}")
+            info["classical_discrepancy"] = float(np.abs(values - classical).max())
         values = values - values[grid.size // 2]
         return GridAction(k=k_uv, grid=grid, values=values), info
     if rep == "vertex":
@@ -924,15 +894,11 @@ def initial_condition(
             h = h.T  # one row per position
             g2 = c_inv + 2.0 * ctx.spec.c2 * np.einsum("l,la,lb->ab", w, h, h)
             g4 = 24.0 * ctx.spec.c4 * np.einsum("l,la,lb,lc,ld->abcd", w, h, h, h, h)
-            info = {}
-        elif mode == "exact":
+        else:
             if m != 1:
                 raise SpecValidationError("the exact vertex start is single-mode only")
             g2 = fn.gamma_hessian(ctx, k_uv, np.zeros(1))
             g4 = np.full((1, 1, 1, 1), _fourth_derivative_at_zero(ctx, k_uv))
-            info = {}
-        else:
-            raise SpecValidationError(f"unknown initial-condition mode {mode!r}")
         return VertexAction(k=k_uv, gamma2=symmetrize(g2), gamma4=symmetrize(g4)), info
     raise SpecValidationError(f"unknown representation {rep!r}")
 

@@ -763,6 +763,44 @@ def gamma_bar(ctx: FunctionalContext, k: float, phi) -> float:
     return float(values[0] - values[1])
 
 
+def _mirror_symmetric(grid: np.ndarray) -> bool:
+    """Whether a grid is odd and mirror-symmetric bit for bit, grid ==
+    -grid[::-1], so that its centre node is phi = 0."""
+    return grid.size % 2 == 1 and np.array_equal(grid, -grid[::-1])
+
+
+def _unfold(half: np.ndarray) -> np.ndarray:
+    """The even function on the full grid of its values on the nodes phi >= 0."""
+    return np.concatenate([half[:0:-1], half])
+
+
+def grid_transform(ctx: FunctionalContext, k: float, grid):
+    """One Legendre transform of a single-mode field grid and of the field 0.
+
+    Returns (gamma, gamma_bar, source, residual, iterations): gamma_k,
+    gamma_k - gamma_k(0), the inverting source J and its Newton residual at
+    each node, and the Newton lane-iterations of the lanes solved.  An even
+    theory (c3 = 0) on an odd mirror-symmetric grid transforms the nodes
+    phi >= 0, the first the field 0, and mirrors them: J as an odd function,
+    the rest as even ones, exactly.  Any other grid transforms its nodes and,
+    in one extra lane, the field 0.
+    """
+    grid = np.asarray(grid, dtype=float)
+    if ctx.spec.c3 == 0 and _mirror_symmetric(grid):
+        values, solve = legendre_transform(ctx, k, grid[grid.size // 2:])
+        j = solve.source[:, 0]
+        return (_unfold(values), _unfold(values - values[0]),
+                np.concatenate([-j[:0:-1], j]), _unfold(solve.residual), solve.iterations)
+    values, solve = legendre_transform(ctx, k, np.append(grid, 0.0))
+    return (values[:-1], values[:-1] - values[-1], solve.source[:-1, 0],
+            solve.residual[:-1], solve.iterations)
+
+
+def exact_grid_values(ctx: FunctionalContext, k: float, grid) -> np.ndarray:
+    """Subtracted-action oracle values on the grid: grid_transform's gamma_bar."""
+    return grid_transform(ctx, k, grid)[1]
+
+
 def gamma_gradient(ctx: FunctionalContext, k: float, phi) -> np.ndarray:
     """D gamma at phi: the inverting source minus the regulator action."""
     phi = np.atleast_1d(np.asarray(phi, dtype=float))

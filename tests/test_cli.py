@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import inspect
 import json
 import os
@@ -11,8 +12,7 @@ import pytest
 
 from frgelab import flow, functionals
 from frgelab.cli import atomic_write, build_parser, config_hash, main
-from frgelab.flow import exact_grid_values
-from frgelab.functionals import FunctionalContext
+from frgelab.functionals import FunctionalContext, exact_grid_values
 from frgelab.model import spec_from_dict
 from frgelab.regulator import make_regulator
 
@@ -104,30 +104,55 @@ class TestExact:
 
         monkeypatch.setattr(functionals, "invert_mean_field", counted)
         out = str(tmp_path / "exact.csv")
-        for nodes in (11, 10):
+        odd = tmp_path / "odd.json"
+        odd.write_text(json.dumps(dict(CONFIG, interaction={"c3": 0.05, "c4": 0.1},
+                                       allow_unbounded=True)))
+        # an even theory: one batched inversion per k of the N + 1 nodes
+        # phi >= 0, phi = 0 among them; c3 != 0: every node plus the field 0
+        for config, nodes, per_k in ((config_path, 11, 6), (str(odd), 11, 12),
+                                     (config_path, 1, 1)):
             lanes.clear()
-            assert main(["exact", "--config", config_path, "--k", "1,0",
+            assert main(["exact", "--config", config, "--k", "1,0",
                          "--phi-nodes", str(nodes), "--out", out]) == 0
-            rows = Path(out).read_text().splitlines()[1:]
+            rows = [r.split(",") for r in Path(out).read_text().splitlines()[1:]]
             assert len(rows) == 2 * nodes
-            # one batched inversion per k: every node plus the field 0
-            assert lanes == [nodes + 1, nodes + 1]
-            centre = [r for r in rows if r.split(",")[1] == "0"]
-            assert [r.split(",")[3] for r in centre] == ["0"] * (2 if nodes % 2 else 0)
+            assert lanes == [per_k, per_k]
+            assert [r[3] for r in rows if r[1] == "0"] == ["0", "0"]
+        assert [r[:2] for r in rows] == [["1", "0"], ["0", "0"]]
+
+    def test_mirrored_rows_match(self, config_path, tmp_path):
+        # grid == -grid[::-1] bit for bit: the centre row is phi = 0 with
+        # GammaBar 0, and rows +-phi share Gamma, GammaBar and the residual,
+        # their J differing only in sign
+        out = str(tmp_path / "exact.csv")
+        assert main(["exact", "--config", config_path, "--phi-max", "123.456",
+                     "--phi-nodes", "41", "--out", out]) == 0
+        with open(out, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        for k in ("10", "1", "0"):
+            sweep = [r for r in rows if r["k"] == k]
+            assert len(sweep) == 41
+            assert (sweep[20]["phi"], sweep[20]["GammaBar"]) == ("0", "0")
+            for minus, plus in zip(sweep[:20], sweep[:20:-1]):
+                assert minus["phi"] == "-" + plus["phi"]
+                for key in ("Gamma", "GammaBar", "residual"):
+                    assert minus[key] == plus[key], (k, plus["phi"], key)
+                assert float(minus["J"]) == -float(plus["J"]) != 0.0
+                assert minus["J"].lstrip("-") == plus["J"].lstrip("-")
 
     def test_gamma_bar_matches_grid_oracle(self, config_path, tmp_path):
+        # the sweep prints the grid oracle's values: one code path
         out = str(tmp_path / "exact.csv")
         assert main(["exact", "--config", config_path, "--k", "1,0",
                      "--phi-max", "2", "--phi-nodes", "11", "--out", out]) == 0
         with open(out, newline="") as fh:
             rows = list(csv.DictReader(fh))
-        ctx = FunctionalContext(spec=spec_from_dict(CONFIG),
-                                regulator=make_regulator("litim"))
-        grid = np.linspace(-2.0, 2.0, 11)
+        spec = dataclasses.replace(spec_from_dict(CONFIG), phi_max=2.0, phi_nodes=11)
+        ctx = FunctionalContext(spec=spec, regulator=make_regulator("litim"))
         for k in (1.0, 0.0):
-            swept = [float(r["GammaBar"]) for r in rows if float(r["k"]) == k]
-            oracle = exact_grid_values(ctx, k, grid)
-            assert np.abs(np.array(swept) - oracle).max() <= 1e-9
+            swept = [r["GammaBar"] for r in rows if float(r["k"]) == k]
+            oracle = exact_grid_values(ctx, k, spec.field_grid)
+            assert swept == [f"{v:.15g}" for v in oracle.tolist()]
 
     def test_unknown_key_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -321,6 +346,8 @@ class TestExitCodes:
         # below 100 eps, the smallest rtol scipy's solvers honour
         ["flow", "--kuv", "1", "--rtol", "1e-15", "--init", "classical"],
         ["flow", "--kuv", "1", "--rtol", "1e-15", "--init", "classical", "--rep", "vertex"],
+        # the field grid's node count must be odd: 0 must be a node
+        ["exact", "--phi-nodes", "10"],
     ])
     def test_bad_option_exit_2(self, config_path, tmp_path, argv):
         assert main(argv + ["--config", config_path,

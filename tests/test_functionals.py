@@ -21,10 +21,12 @@ from frgelab.functionals import (
     connected_cov,
     dirac_ratio,
     dk_log_normalization,
+    exact_grid_values,
     gamma,
     gamma_bar,
     gamma_gradient,
     gamma_hessian,
+    grid_transform,
     invert_mean_field,
     legendre_transform,
     log_normalization,
@@ -854,6 +856,42 @@ class TestWork:
         calls = self._kernel_calls(monkeypatch)
         gamma_hessian(ctx, 0.0, np.zeros(3))
         assert len(calls) == 1
+
+
+class TestGridTransform:
+    @pytest.mark.parametrize("k", [0.0, 1.0, 10.0])
+    def test_even_theory_mirrors_its_nodes_phi_ge_0(self, phi4_spec, litim, k):
+        # c3 = 0 on field_grid: the half phi >= 0 is the transform of those
+        # nodes bit for bit, mirrored with J odd and the rest even, and the
+        # Newton count is that of the lanes solved
+        ctx = FunctionalContext(spec=phi4_spec, regulator=litim, self_check=False)
+        grid = phi4_spec.field_grid
+        centre = grid.size // 2
+        g, g_bar, j, residual, iterations = grid_transform(ctx, k, grid)
+        values, solve = legendre_transform(ctx, k, grid[centre:])
+        assert g[centre:].tobytes() == values.tobytes()
+        assert g_bar[centre:].tobytes() == (values - values[0]).tobytes()
+        assert j[centre:].tobytes() == solve.source[:, 0].tobytes()
+        assert residual[centre:].tobytes() == solve.residual.tobytes()
+        assert iterations == solve.iterations > 0
+        for even in (g, g_bar, residual):
+            assert even.tobytes() == even[::-1].tobytes()
+        assert j[:centre].tobytes() == (-j[:centre:-1]).tobytes()
+        assert g_bar[centre] == 0.0
+        assert exact_grid_values(ctx, k, grid).tobytes() == g_bar.tobytes()
+
+    def test_odd_theory_transforms_every_node_and_the_field_0(self, litim):
+        spec = ModelSpec(dimension=0, modes=1, mass=1.0, c3=0.05, c4=0.1,
+                         allow_unbounded=True, phi_nodes=21,
+                         window=WindowParams(kind="scalar", r=1.0))
+        ctx = FunctionalContext(spec=spec, regulator=litim, self_check=False)
+        g, g_bar, j, residual, iterations = grid_transform(ctx, 1.0, spec.field_grid)
+        values, solve = legendre_transform(ctx, 1.0, np.append(spec.field_grid, 0.0))
+        assert g.tobytes() == values[:-1].tobytes()
+        assert g_bar.tobytes() == (values[:-1] - values[-1]).tobytes()
+        assert j.tobytes() == solve.source[:-1, 0].tobytes()
+        assert residual.tobytes() == solve.residual[:-1].tobytes()
+        assert iterations == solve.iterations
 
 
 class TestNewtonStart:
