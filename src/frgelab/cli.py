@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import hashlib
 import io
 import json
@@ -158,8 +159,11 @@ def run_table(args) -> int:
 
 
 def exact_table(args, spec, regulator):
-    # the flow's field grid, which the spec validates
-    spec = dataclasses.replace(spec, phi_max=args.phi_max, phi_nodes=args.phi_nodes)
+    # the config's field grid, which the flow steps, with any option put in;
+    # the spec validates the result
+    options = {"phi_max": args.phi_max, "phi_nodes": args.phi_nodes}
+    spec = dataclasses.replace(
+        spec, **{name: value for name, value in options.items() if value is not None})
     ctx = FunctionalContext(spec=spec, regulator=regulator)
     if ctx.measure.dim != 1:
         raise SpecValidationError("the exact sweep is single-mode only")
@@ -328,7 +332,10 @@ def cmd_report(args) -> int:
 # -- argument parsing --------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``frgelab`` parser, built once per process: parsing leaves it
+    unchanged, and each of its forty options builds a help formatter."""
     parser = argparse.ArgumentParser(
         prog="frgelab",
         description="Scale-flow laboratory: oracles, flows and convergence checks.",
@@ -358,8 +365,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = add_table("exact", exact_table,
                   help="oracle sweep over a field grid at given scales")
     p.add_argument("--k", default="10,1,0")
-    p.add_argument("--phi-max", type=float, default=2.0)
-    p.add_argument("--phi-nodes", type=int, default=41)
+    # default: the config's field_grid
+    p.add_argument("--phi-max", type=float, default=None)
+    p.add_argument("--phi-nodes", type=int, default=None)
 
     p = add_table("flow", flow_table, help="integrate the scale flow")
     p.add_argument("--kuv", type=float, required=True)

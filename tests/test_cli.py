@@ -51,6 +51,21 @@ class TestPlumbing:
         assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
         assert target.read_text() == "old\n"
 
+    def test_parser_built_once_and_left_unchanged_by_a_parse(self):
+        assert build_parser() is build_parser()
+        flow_args = build_parser().parse_args(
+            ["flow", "--config", "c.json", "--kuv", "1", "--rtol", "1e-6",
+             "--out", "f.csv"])
+        assert flow_args.rtol == 1e-6
+        exact_args = build_parser().parse_args(["exact", "--config", "c.json",
+                                                "--out", "e.csv"])
+        assert not hasattr(exact_args, "rtol") and not hasattr(exact_args, "kuv")
+        assert (exact_args.k, exact_args.phi_max, exact_args.phi_nodes) == (
+            "10,1,0", None, None)
+        again = build_parser().parse_args(["flow", "--config", "c.json", "--kuv", "1",
+                                           "--out", "f.csv"])
+        assert again.rtol == 1e-9
+
     def test_atomic_write(self, tmp_path):
         target = tmp_path / "out.txt"
         atomic_write(str(target), "hello\n")
@@ -153,6 +168,22 @@ class TestExact:
             swept = [r["GammaBar"] for r in rows if float(r["k"]) == k]
             oracle = exact_grid_values(ctx, k, spec.field_grid)
             assert swept == [f"{v:.15g}" for v in oracle.tolist()]
+
+    def test_default_grid_is_the_flows(self, config_path, tmp_path):
+        # without --phi-max and --phi-nodes, exact sweeps the config's
+        # field_grid, the grid flow steps: the two CSVs share their phi cells
+        exact_out, flow_out = str(tmp_path / "exact.csv"), str(tmp_path / "flow.csv")
+        assert main(["exact", "--config", config_path, "--k", "0",
+                     "--out", exact_out]) == 0
+        assert main(["flow", "--config", config_path, "--kuv", "2",
+                     "--checkpoints", "0", "--out", flow_out]) == 0
+        cells = []
+        for out in (exact_out, flow_out):
+            with open(out, newline="") as fh:
+                cells.append([r["phi"] for r in csv.DictReader(fh)
+                              if float(r["k"]) == 0.0])
+        assert len(cells[0]) == CONFIG["field_grid"]["nodes"]
+        assert cells[0] == cells[1]
 
     def test_unknown_key_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -1,6 +1,6 @@
 import math
 import warnings
-from itertools import permutations
+from itertools import combinations_with_replacement, permutations
 from math import comb
 
 import numpy as np
@@ -189,6 +189,29 @@ class TestStates:
             assert np.allclose(s2.gamma2, g2, rtol=0, atol=1e-15)
             assert np.allclose(s2.gamma4, g4, rtol=0, atol=1e-15)
 
+    @pytest.mark.parametrize("m", range(1, 10))
+    def test_pair_maps_follow_the_packed_order(self, m):
+        # the packed order is the lexicographic order of the sorted
+        # multi-indices, which combinations_with_replacement enumerates
+        rows, channels = flow_module._pair_maps(m)
+        pairs = list(combinations_with_replacement(range(m), 2))
+        quads = list(combinations_with_replacement(range(m), 4))
+        assert rows.tolist() == [i * m + j for i, j in pairs]
+        pair_labels, _ = flow_module._orbit_map(m, 2)
+        assert pair_labels[rows].tolist() == list(range(len(pairs)))
+        n2, h = len(pairs), {pair: h for h, pair in enumerate(pairs)}
+        # the s, t and u channels (ij, kl), (ik, jl) and (il, jk) of an
+        # (n2, n2) pair matrix, flat
+        assert channels.tolist() == [
+            [h[i, j] * n2 + h[k, l] for i, j, k, l in quads],
+            [h[i, k] * n2 + h[j, l] for i, j, k, l in quads],
+            [h[i, l] * n2 + h[j, k] for i, j, k, l in quads],
+        ]
+        quad_labels, _ = flow_module._orbit_map(m, 4)
+        flat = np.ravel_multi_index(np.array(quads).T, (m,) * 4)
+        assert quad_labels[flat].tolist() == list(range(len(quads)))
+        assert not rows.flags.writeable and not channels.flags.writeable
+
     def test_grid_even_node_count_rejected(self):
         grid = np.linspace(-1, 1, 10)
         with pytest.raises(SpecValidationError):
@@ -282,7 +305,7 @@ class TestRhs:
 
     @pytest.mark.parametrize("name", ["litim", "exponential"])
     @pytest.mark.parametrize("k", [0.4, 1.5, 6.0])
-    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 9])
     def test_vertex_matches_dense_contraction(self, m, k, name, rng, request):
         regulator = request.getfixturevalue(name)
         x = rng.standard_normal((m, m))

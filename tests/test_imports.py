@@ -52,6 +52,17 @@ def test_only_flow_imports_scipy():
     assert [p.name for p in SOURCES if scipy_imports(p.read_text())] == ["flow.py"]
 
 
+def test_flow_takes_only_the_band_lu_from_lapack():
+    # the vertex flow's Cholesky and inverse stay with np.linalg: scipy's
+    # dpotrf/dpotri ran a second OpenBLAS thread and lifted the benchmark's
+    # vertex_multimode cpu_norm_s from 0.075-0.081 s to 0.108-0.113 s while
+    # its wall time fell
+    flow_source = next(p for p in SOURCES if p.name == "flow.py").read_text()
+    lapack = [name for name in scipy_imports(flow_source)
+              if name.startswith("scipy.linalg.lapack")]
+    assert sorted(lapack) == ["scipy.linalg.lapack.dgbtrf", "scipy.linalg.lapack.dgbtrs"]
+
+
 def test_the_check_sees_nested_imports():
     source = """
 import numpy as np
