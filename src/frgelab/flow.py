@@ -37,8 +37,12 @@ all 2N + 1 nodes.  The oracle's grid values fold alike
 
 The vertex flow is not stiff and uses the explicit Runge-Kutta 5(4) pair.
 It steps only the independent components of the symmetric tensors, through
-cached orbit index maps, and its right-hand side contracts over the sorted
-index pairs alone: a few small matrix products and a gather.
+cached orbit index maps, and its right-hand side contracts that packed
+vector over the sorted index pairs alone: small matrix products and gathers.
+
+Each representation has one flow object, _GridFlow or _VertexFlow, holding
+the stepped start vector, the right-hand side, the curvature margin, the
+stepper and the action at a scale; `integrate` knows no more of either.
 
 After every accepted step the curvature margin min(Gamma_k'' + R_k) is
 checked directly: convexity loss is raised where it reaches zero or where
@@ -141,17 +145,21 @@ class GridAction:
     values: np.ndarray
 
     def __post_init__(self):
-        if self.grid.size % 2 != 1 or self.grid.size < 5:
+        if self.grid.ndim != 1 or self.grid.size % 2 != 1 or self.grid.size < 5:
             raise SpecValidationError(
                 "grid node count must be odd (0 must be a node) and at least 5 "
                 f"(the edge stencils), got {self.grid.size}"
             )
-
-    def pack(self) -> np.ndarray:
-        return self.values.copy()
-
-    def unpack(self, k: float, y: np.ndarray) -> "GridAction":
-        return GridAction(k=k, grid=self.grid, values=np.asarray(y, dtype=float))
+        if self.values.shape != self.grid.shape:
+            raise SpecValidationError(
+                f"{self.values.shape} values on a grid of {self.grid.size} nodes")
+        # D2 takes one spacing h; rounding spreads field_grid's spacings (phi_max
+        # 4.5) by 1.2e-13 h at 1 201 nodes and 9.9e-12 h at 100 001
+        h = np.diff(self.grid)
+        if not (h[0] > 0.0 and np.abs(h - h[0]).max() <= 1e-9 * h[0]):
+            raise SpecValidationError(
+                "the grid must be increasing and uniform: its spacings span "
+                f"[{h.min():.6g}, {h.max():.6g}]")
 
 
 @lru_cache(maxsize=32)
@@ -196,8 +204,7 @@ class VertexAction:
     """Even-theory vertex truncation: symmetric 2- and 4-point tensors.
 
     The flow steps only the independent components, M(M+1)/2 of gamma2 and
-    C(M+3, 4) of gamma4; ``pack`` symmetrises, ``unpack`` rebuilds the full
-    tensors.
+    C(M+3, 4) of gamma4 (see _VertexFlow).
     """
 
     k: float
@@ -205,6 +212,9 @@ class VertexAction:
     gamma4: np.ndarray
 
     def __post_init__(self):
+        if self.gamma2.ndim != 2 or self.gamma2.shape[0] != self.gamma2.shape[1]:
+            raise SpecValidationError(
+                f"gamma2 has shape {self.gamma2.shape}, expected a square matrix")
         m = self.gamma2.shape[0]
         if self.gamma4.shape != (m, m, m, m):
             raise SpecValidationError(
@@ -214,16 +224,6 @@ class VertexAction:
     @property
     def modes(self) -> int:
         return self.gamma2.shape[0]
-
-    def pack(self) -> np.ndarray:
-        return np.concatenate([_pack_symmetric(self.gamma2),
-                               _pack_symmetric(self.gamma4)])
-
-    def unpack(self, k: float, y: np.ndarray) -> "VertexAction":
-        m = self.modes
-        n2 = m * (m + 1) // 2
-        return VertexAction(k=k, gamma2=_unpack_symmetric(y[:n2], m, 2),
-                            gamma4=_unpack_symmetric(y[n2:], m, 4))
 
 
 @dataclass
@@ -235,25 +235,37 @@ class FlowTrajectory:
 # -- right-hand sides --------------------------------------------------
 
 
-class _GridFlow:
-    """The grid flow of one grid, regulator and mode, on bare node values:
-    what the stepper evaluates, with no GridAction built per call.
+def _one_per_mode(modes: int, momenta, weights) -> tuple[np.ndarray, np.ndarray]:
+    """momenta and weights as float arrays of one entry per mode."""
+    momenta = np.asarray(momenta, dtype=float)
+    weights = np.asarray(weights, dtype=float)
+    if momenta.shape != (modes,) or weights.shape != (modes,):
+        raise SpecValidationError(
+            f"a flow of {modes} mode(s) needs one momentum and one weight per mode, "
+            f"got {momenta.size} and {weights.size}")
+    return momenta, weights
 
-    A folded flow evaluates an even function on the nodes phi >= 0 of its
-    (full, mirror-symmetric) grid alone, through the folded D2; its errors
-    still name full-grid nodes.
+
+class _GridFlow:
+    """The grid flow of one action, regulator and mode on its stepped node
+    vector ``y0``; only ``action`` builds a GridAction.  An even action
+    (mirror-symmetric grid, values == values[::-1], both bit for bit) is
+    stepped on the nodes phi >= 0 alone, through the folded D2; ``action``
+    and the errors still name the full grid.
     """
 
-    def __init__(self, grid: np.ndarray, regulator, momentum: float, weight: float,
-                 folded: bool = False):
-        self.grid = grid
-        self.regulator, self.momentum, self.weight = regulator, momentum, weight
-        if folded:
+    def __init__(self, initial: GridAction, regulator, momenta, weights):
+        grid, values = initial.grid, initial.values
+        self.grid, self.regulator = grid, regulator
+        self.momenta, self.weights = _one_per_mode(1, momenta, weights)
+        self.momentum, self.weight = float(self.momenta[0]), float(self.weights[0])
+        if _mirror_symmetric(grid) and np.array_equal(values, values[::-1]):
             self.d2 = folded_second_difference_matrix(grid.size)
             self.first_node = grid.size // 2  # the full-grid index of node 0
         else:
             self.d2 = second_difference_matrix(grid.size)
             self.first_node = 0
+        self.y0 = np.array(values[self.first_node:], dtype=float)
         self.h2 = float(grid[1] - grid[0]) ** 2
 
     def curvature(self, k, u: np.ndarray) -> tuple[float, np.ndarray]:
@@ -285,11 +297,26 @@ class _GridFlow:
             row_scale = -0.5 * f_dot / (denom * denom * self.h2)
         return row_scale[self.d2.indices] * self.d2.data
 
+    def margin(self, k, u: np.ndarray) -> float:  # min(D2 u + R_k)
+        return float(self.curvature(k, u)[1].min())
+
+    def unfold(self, u: np.ndarray) -> np.ndarray:
+        return _unfold(u) if self.first_node else u
+
+    def action(self, k, u: np.ndarray) -> GridAction:
+        """The action at k on the full grid, its zero-field value subtracted."""
+        u = self.unfold(u)
+        return GridAction(k=k, grid=self.grid, values=u - u[u.size // 2])
+
+    def solver(self, fun, jac, t0, y0, t_bound, rtol, atol) -> OdeSolver:
+        return _GridBDF(fun, jac, self.d2, t0, y0, t_bound, rtol, atol)
+
 
 def rhs_grid(state: GridAction, regulator, momentum: float = 0.0,
              weight: float = 1.0) -> np.ndarray:
-    """Trace-form flow 1/2 d_k F_k / (D2 u + R_k) of the grid action."""
-    return _GridFlow(state.grid, regulator, momentum, weight).rhs(state.k, state.values)
+    """Trace-form flow 1/2 d_k F_k / (D2 u + R_k) of the grid action, all nodes."""
+    flow = _GridFlow(state, regulator, [momentum], [weight])
+    return flow.unfold(flow.rhs(state.k, flow.y0))
 
 
 @lru_cache(maxsize=32)
@@ -297,19 +324,20 @@ def _pair_maps(m: int) -> tuple[np.ndarray, np.ndarray]:
     """Index maps of the vertex flow's contraction over sorted index pairs.
 
     Returns (rows, channels), both read from _orbit_map's labels, so they
-    follow the packed order.  ``rows[h]`` is the flat index i m + j of the
-    h-th sorted pair i <= j, a row of gamma4 as an (M^2, M^2) matrix.
+    follow the packed order.  ``rows[h, a m + b]`` indexes gamma4[i, j, a, b]
+    in the packed state y, for the h-th sorted pair i <= j: y[rows] is A_h.
     ``channels`` is (3, C(m + 3, 4)): for the sorted representative
     i <= j <= k <= l of each packed four-index orbit, the flat indices into
     an (n2, n2) pair matrix of (ij, kl), (ik, jl) and (il, jk), all sorted
     pairs.  The cached arrays are read-only.
     """
-    pair_labels, _ = _orbit_map(m, 2)
-    _, rows = np.unique(pair_labels, return_index=True)
+    (pair_labels, _), (quad_labels, _) = _orbit_map(m, 2), _orbit_map(m, 4)
+    _, pairs = np.unique(pair_labels, return_index=True)
     # an orbit's smallest flat index is its ascending, sorted multi-index
-    _, first = np.unique(_orbit_map(m, 4)[0], return_index=True)
+    _, first = np.unique(quad_labels, return_index=True)
     i, j, k, l = np.unravel_index(first, (m,) * 4)
-    pair, n2 = pair_labels.reshape(m, m), rows.size
+    pair, n2 = pair_labels.reshape(m, m), pairs.size
+    rows = n2 + quad_labels.reshape(m * m, m * m)[pairs]
     channels = np.stack([pair[i, j] * n2 + pair[k, l],
                          pair[i, k] * n2 + pair[j, l],
                          pair[i, l] * n2 + pair[j, k]])
@@ -318,27 +346,30 @@ def _pair_maps(m: int) -> tuple[np.ndarray, np.ndarray]:
     return rows, channels
 
 
-def rhs_vertex(state: VertexAction, regulator, momenta, weights) -> np.ndarray:
+def rhs_vertex(k, y: np.ndarray, regulator, momenta, weights) -> np.ndarray:
     """Truncated vertex flow with the six-point function set to zero.
 
-    Returns the packed derivative, the vector the integrator steps.  With
-    G = (gamma2 + F_k)^-1, P = G diag(d_k F_k) G and A = gamma4 as an
-    (M^2, M^2) matrix, d_k gamma2 = -1/2 A vec(P) and d_k gamma4 is the sum
-    of the s, t and u channels of t = A (P x G) A.  t is unchanged under
-    i <-> j, k <-> l and (ij) <-> (kl), so at a sorted index i <= j <= k <= l
-    the packed d_k gamma4 is t[ij, kl] + t[ik, jl] + t[il, jk], and only the
-    n2 = M(M+1)/2 rows A_h of A at sorted pairs are needed: d_k gamma2 is
-    -1/2 A_h vec(P), Y = A_h (P x G) is two (n2 M, M) @ (M, M) products,
-    and T = Y A_h^T is t on the sorted pairs, whose three channels are
-    cached gathers.  That is about 0.7k multiply-adds at M = 3 and 230k at
-    M = 9, against 1.5k and 1.06M for the full t.
+    ``y`` is the packed state of M = len(momenta) modes that the integrator
+    steps, and so is the result.  With G = (gamma2 + F_k)^-1,
+    P = G diag(d_k F_k) G and A = gamma4 as an (M^2, M^2) matrix,
+    d_k gamma2 = -1/2 A vec(P) and d_k gamma4 is the sum of the s, t and u
+    channels of t = A (P x G) A.  t is unchanged under i <-> j, k <-> l and
+    (ij) <-> (kl), so at a sorted index i <= j <= k <= l the packed
+    d_k gamma4 is t[ij, kl] + t[ik, jl] + t[il, jk], and only the
+    n2 = M(M+1)/2 rows A_h of A at sorted pairs are needed, one gather of y:
+    d_k gamma2 is -1/2 A_h vec(P), Y = A_h (P x G) is two (n2 M, M) @ (M, M)
+    products, and T = Y A_h^T is t on the sorted pairs, whose three channels
+    are cached gathers.  That is about 0.7k multiply-adds at M = 3 and 230k
+    at M = 9, against 1.5k and 1.06M for the full t.  Raises ConvexityLoss
+    where gamma2 + F_k is not positive definite.
     """
-    k = state.k
     momenta = np.asarray(momenta, dtype=float)
     f_diag = regulator.value(k, momenta) * weights
     f_dot = regulator.dk(k, momenta) * weights
-    m = state.modes
-    a = state.gamma2 + np.diag(f_diag)
+    m = momenta.size
+    rows, channels = _pair_maps(m)
+    n2 = rows.shape[0]
+    a = _unpack_symmetric(y[:n2], m, 2) + np.diag(f_diag)
     # np.linalg, not scipy's dpotrf/dpotri, whose OpenBLAS runs a second thread
     # here: the vertex flow's CPU time would rise to twice its wall time
     try:
@@ -349,9 +380,7 @@ def rhs_vertex(state: VertexAction, regulator, momenta, weights) -> np.ndarray:
         ) from exc
     g = np.linalg.inv(a)
     p = (g * f_dot) @ g
-    rows, channels = _pair_maps(m)
-    n2 = rows.size
-    a_h = state.gamma4.reshape(m * m, m * m)[rows]
+    a_h = y[rows]
     d_g2 = -0.5 * (a_h @ p.ravel())
     # Y[h, (l, n)] = sum_ab A_h[h, (a, b)] P_al G_bn: G over b, then P over a,
     # leaving w[h, n, l]; A_h's rows are symmetric in their index pair, so w
@@ -360,6 +389,35 @@ def rhs_vertex(state: VertexAction, regulator, momenta, weights) -> np.ndarray:
     w = z.transpose(0, 2, 1).reshape(n2 * m, m) @ p
     t = w.reshape(n2, m * m) @ a_h.T
     return np.concatenate([d_g2, t.ravel()[channels].sum(axis=0)])
+
+
+class _VertexFlow:
+    """The vertex flow of one action and regulator on its packed state ``y0``:
+    the independent components of gamma2, then of gamma4, in _orbit_map's
+    order (packing symmetrises); only ``action`` builds a VertexAction."""
+
+    def __init__(self, initial: VertexAction, regulator, momenta, weights):
+        self.modes, self.regulator = initial.modes, regulator
+        self.momenta, self.weights = _one_per_mode(initial.modes, momenta, weights)
+        self.n2 = initial.modes * (initial.modes + 1) // 2
+        self.y0 = np.concatenate([_pack_symmetric(initial.gamma2),
+                                  _pack_symmetric(initial.gamma4)])
+
+    def rhs(self, k, y: np.ndarray) -> np.ndarray:
+        return rhs_vertex(k, y, self.regulator, self.momenta, self.weights)
+
+    def margin(self, k, y: np.ndarray) -> float:
+        """The least eigenvalue of gamma2 + F_k."""
+        f_diag = self.regulator.value(k, self.momenta) * self.weights
+        gamma2 = _unpack_symmetric(y[:self.n2], self.modes, 2)
+        return float(np.linalg.eigvalsh(gamma2 + np.diag(f_diag))[0])
+
+    def action(self, k, y: np.ndarray) -> VertexAction:
+        return VertexAction(k=k, gamma2=_unpack_symmetric(y[:self.n2], self.modes, 2),
+                            gamma4=_unpack_symmetric(y[self.n2:], self.modes, 4))
+
+    def solver(self, fun, jac, t0, y0, t_bound, rtol, atol) -> OdeSolver:
+        return RK45(fun, t0, y0, t_bound, rtol=rtol, atol=atol)  # explicit: no jac
 
 
 # -- integration -------------------------------------------------------
@@ -715,18 +773,20 @@ def integrate(
     one passed inside a step that step's dense output, read at tau(c).
     Segments end at the regulator's kink scales inside the interval, so no
     step crosses a derivative discontinuity, and each evaluates the
-    regulator on its own side of a kink.  Grid actions are stepped with the
-    ported BDF and the analytic Jacobian, its Newton matrix factored as a
-    band of half-width 3; an even one (mirror-symmetric grid, values ==
-    values[::-1], bit for bit) on its nodes phi >= 0 alone, and reported on
-    the full grid.  Vertex actions are stepped with scipy's RK45.  Raises
-    ConvexityLoss, carrying the last convex state, where the curvature
-    margin reaches zero or its extrapolation over the last step, linear in
-    k^2, reaches zero within CONVEXITY_HORIZON * k of it; ``k`` is the
-    extrapolated crossing scale.  Raises StepUnderflow where the step
-    underflows or the Newton matrix is singular, and SpecValidationError
-    where rtol is below 100 eps, the floor of scipy's solvers, or the initial
-    action is not finite.
+    regulator on its own side of a kink.  The action's flow object steps it:
+    a grid action (_GridFlow) with the ported BDF and the analytic Jacobian,
+    its Newton matrix factored as a band of half-width 3, an even one on its
+    nodes phi >= 0 alone and reported on the full grid; a vertex action
+    (_VertexFlow) with scipy's RK45 on its packed state.  ``momenta`` and
+    ``weights`` give one entry per mode, one for a grid action; they default
+    to a single zero momentum and unit weights.  Raises ConvexityLoss,
+    carrying the last convex state, where the curvature margin reaches zero
+    or its extrapolation over the last step, linear in k^2, reaches zero
+    within CONVEXITY_HORIZON * k of it; ``k`` is the extrapolated crossing
+    scale.  Raises StepUnderflow where the step underflows or the Newton
+    matrix is singular, and SpecValidationError where rtol is below 100 eps,
+    the floor of scipy's solvers, the momenta or weights are not one per
+    mode, or the initial action is not finite.
     """
     if not k_to <= k_from:
         raise SpecValidationError(
@@ -739,27 +799,18 @@ def integrate(
             "relative tolerance scipy's solvers honour")
     if momenta is None:
         momenta = np.zeros(1)
-    momenta = np.asarray(momenta, dtype=float)
     if weights is None:
-        weights = np.ones_like(momenta)
+        weights = np.ones(np.shape(momenta))
+    flow = (_GridFlow if isinstance(initial, GridAction) else _VertexFlow)(
+        initial, regulator, momenta, weights)
     # R_k grows with k, so a regulator finite at k_from is finite on the flow
-    regulator_diagonals(regulator, k_from, momenta, weights)
+    regulator_diagonals(regulator, k_from, flow.momenta, flow.weights)
     queue = sorted({float(c) for c in checkpoints} | {float(k_from), float(k_to)},
                    reverse=True)
     for c in queue:
         if not (k_to <= c <= k_from):
             raise SpecValidationError(f"checkpoint {c} outside [{k_to}, {k_from}]")
 
-    is_grid = isinstance(initial, GridAction)
-    # an even grid action flows inside the even functions: step its nodes
-    # phi >= 0 alone
-    folded = (is_grid and _mirror_symmetric(initial.grid)
-              and np.array_equal(initial.values, initial.values[::-1]))
-    if is_grid:  # the grid's single mode
-        grid_flow = _GridFlow(initial.grid, regulator, float(momenta[0]),
-                              float(weights[0]), folded=folded)
-    else:  # the packed gamma2 heads the vertex state
-        n2 = initial.modes * (initial.modes + 1) // 2
     pending_loss = []
     kappa = RG_TIME_SCALE
 
@@ -784,10 +835,7 @@ def integrate(
             return np.full_like(y, np.nan)
         k = clamp(scale(tau))
         try:
-            if is_grid:
-                f = grid_flow.rhs(k, y)
-            else:
-                f = rhs_vertex(initial.unpack(k, y), regulator, momenta, weights)
+            f = flow.rhs(k, y)
         except ConvexityLoss as exc:
             # a trial stage or Newton iterate may leave the convex cone; poison
             # it so the solver rejects the step and shrinks it
@@ -798,40 +846,22 @@ def integrate(
 
     def jac(tau, y):
         k = clamp(scale(tau))
-        return math.hypot(kappa, k) * grid_flow.jacobian_data(k, y)
+        return math.hypot(kappa, k) * flow.jacobian_data(k, y)
 
-    def snapshot(k, y):
-        """The action at k, on the full grid with its zero-field value
-        subtracted."""
-        if folded:
-            y = _unfold(y)
-        if is_grid:
-            y = y - y[y.size // 2]
-        return initial.unpack(k, y)
-
-    def margin(k, y):
-        if is_grid:
-            return float(grid_flow.curvature(k, y)[1].min())
-        f_diag = regulator.value(k, momenta) * weights
-        gamma2 = _unpack_symmetric(y[:n2], initial.modes, 2)
-        return float(np.linalg.eigvalsh(gamma2 + np.diag(f_diag))[0])
-
-    kinks = [float(s) for s in regulator.kink_scales(momenta) if k_to < s < k_from]
+    kinks = [float(s) for s in regulator.kink_scales(flow.momenta) if k_to < s < k_from]
     breakpoints = sorted(set([k_from, k_to] + kinks), reverse=True)
     stats = {"steps": 0, "nfev": 0, "njev": 0, "nlu": 0}
     # the last accepted scale and state, and the curvature margin there
-    t, y = float(k_from), np.asarray(initial.pack(), dtype=float)
-    if folded:
-        y = y[y.size // 2:]
+    t, y = float(k_from), flow.y0
     if not np.isfinite(y).all():
         raise SpecValidationError(f"the initial action at k={k_from} is not finite")
-    last_margin = margin(t, y)
+    last_margin = flow.margin(t, y)
     if last_margin <= 0.0:
         raise ConvexityLoss(
             f"regularized curvature non-positive at the start scale k={k_from:.6g}",
             k=k_from, last_state=initial,
         )
-    snaps = [(queue.pop(0), snapshot(t, y))]  # k_from heads the queue
+    snaps = [(queue.pop(0), flow.action(t, y))]  # k_from heads the queue
 
     for seg_start, seg_end in zip(breakpoints[:-1], breakpoints[1:]):
         # the regulator's value on a kink is the limit from one side only; a
@@ -840,10 +870,7 @@ def integrate(
         lo = float(np.nextafter(seg_end, seg_start)) if seg_end in kinks else seg_end
         tau_start, tau_end = rg_time(seg_start), rg_time(seg_end)
         pending_loss.clear()
-        if is_grid:
-            solver = _GridBDF(rhs, jac, grid_flow.d2, tau_start, y, tau_end, rtol, atol)
-        else:
-            solver = RK45(rhs, tau_start, y, tau_end, rtol=rtol, atol=atol)
+        solver = flow.solver(rhs, jac, tau_start, y, tau_end, rtol, atol)
         try:
             while solver.status == "running":
                 try:
@@ -854,11 +881,11 @@ def integrate(
                 if solver.status == "failed":
                     if not pending_loss:
                         raise StepUnderflow(f"integrator failed near k = {t:.6g}")
-                    pending_loss[-1].last_state = snapshot(t, y)
+                    pending_loss[-1].last_state = flow.action(t, y)
                     raise pending_loss[-1]
                 stats["steps"] += 1
                 t_new = scale(solver.t)
-                m = margin(t_new, solver.y)
+                m = flow.margin(t_new, solver.y)
                 # the margin's secant in k^2, exact for a margin k^2 + c such as
                 # litim's in the UV, where one step spans decades of k and a
                 # secant in k would overstate the tangent by that span
@@ -873,7 +900,7 @@ def integrate(
                     raise ConvexityLoss(
                         f"regularized curvature margin reaches zero at "
                         f"k={crossing:.6g} (margin {m:.3g} at k={t_new:.6g})",
-                        k=crossing, last_state=snapshot(t, y),
+                        k=crossing, last_state=flow.action(t, y),
                     )
                 # both steppers assign a new array at each step: no copy needed
                 t, y, last_margin = t_new, solver.y, m
@@ -881,7 +908,7 @@ def integrate(
                     dense = solver.dense_output()
                     while queue and queue[0] >= t:
                         c = queue.pop(0)
-                        snaps.append((c, snapshot(c, dense(rg_time(c)) if c > t else y)))
+                        snaps.append((c, flow.action(c, dense(rg_time(c)) if c > t else y)))
             stats["nfev"] += solver.nfev
             stats["njev"] += solver.njev
             stats["nlu"] += solver.nlu

@@ -16,6 +16,7 @@ from frgelab.flow import (
     GridAction,
     _GridBDF,
     _GridFlow,
+    _VertexFlow,
     _band_pattern,
     _fourth_derivative_at_zero,
     VertexAction,
@@ -103,11 +104,11 @@ def _scipy_stepper(fun, jac, pattern, t0, y0, t_bound, rtol, atol):
 
 def _jacobian(state: GridAction, regulator, momentum: float = 0.0,
               weight: float = 1.0) -> sp.csc_matrix:
-    """The grid flow's Jacobian as a CSC matrix on D2's pattern."""
-    d2 = second_difference_matrix(state.grid.size)
-    data = _GridFlow(state.grid, regulator, momentum, weight).jacobian_data(
-        state.k, state.values)
-    return sp.csc_matrix((data, d2.indices, d2.indptr), shape=d2.shape)
+    """The grid flow's Jacobian at the state as a CSC matrix on its D2's
+    pattern."""
+    flow = _GridFlow(state, regulator, [momentum], [weight])
+    data = flow.jacobian_data(state.k, flow.y0)
+    return sp.csc_matrix((data, flow.d2.indices, flow.d2.indptr), shape=flow.d2.shape)
 
 
 class TestStencils:
@@ -163,29 +164,37 @@ class TestStencils:
 
 
 class TestStates:
-    def test_grid_pack_roundtrip(self):
-        grid = np.linspace(-1, 1, 11)
-        values = grid**2
-        s = GridAction(k=2.0, grid=grid, values=values)
-        s2 = s.unpack(1.5, s.pack())
-        assert s2.k == 1.5
-        assert np.array_equal(s2.values, values)
+    def test_grid_pack_roundtrip(self, litim):
+        # the grid flow steps an even action on its nodes phi >= 0 and any
+        # other on every node; its action at a scale is the full grid again
+        half = np.linspace(0.0, 1.0, 6)
+        grid = np.concatenate([-half[:0:-1], half])
+        for values, stepped in ((grid**2, 6), (grid**2 + 0.1 * grid, 11)):
+            flow = _GridFlow(GridAction(k=2.0, grid=grid, values=values), litim,
+                             [0.0], [1.0])
+            assert flow.y0.size == stepped
+            s2 = flow.action(1.5, flow.y0)
+            assert s2.k == 1.5 and s2.grid is grid
+            assert s2.values.tobytes() == values.tobytes()
 
-    def test_vertex_pack_roundtrip(self, rng):
+    def test_vertex_pack_roundtrip(self, rng, litim):
         g2 = np.array([[1.0, 0.2], [0.2, 2.0]])
         g4 = symmetrize(np.arange(16.0).reshape(2, 2, 2, 2))
-        s = VertexAction(k=3.0, gamma2=g2, gamma4=g4)
-        s2 = s.unpack(2.0, s.pack())
+        flow = _VertexFlow(VertexAction(k=3.0, gamma2=g2, gamma4=g4), litim,
+                           np.zeros(2), np.ones(2))
+        s2 = flow.action(2.0, flow.y0)
+        assert s2.k == 2.0
         assert np.allclose(s2.gamma2, g2)
         assert np.allclose(s2.gamma4, g4)
         for m in range(1, 10):
             g2 = symmetrize(rng.standard_normal((m, m)))
             g4 = symmetrize(rng.standard_normal((m,) * 4))
-            s = VertexAction(k=1.0, gamma2=g2, gamma4=g4)
-            y = s.pack()
+            flow = _VertexFlow(VertexAction(k=1.0, gamma2=g2, gamma4=g4), litim,
+                               np.zeros(m), np.ones(m))
+            y = flow.y0
             # the independent components only
             assert y.size == m * (m + 1) // 2 + comb(m + 3, 4)
-            s2 = s.unpack(0.5, y)
+            s2 = flow.action(0.5, y)
             assert np.allclose(s2.gamma2, g2, rtol=0, atol=1e-15)
             assert np.allclose(s2.gamma4, g4, rtol=0, atol=1e-15)
 
@@ -196,10 +205,14 @@ class TestStates:
         rows, channels = flow_module._pair_maps(m)
         pairs = list(combinations_with_replacement(range(m), 2))
         quads = list(combinations_with_replacement(range(m), 4))
-        assert rows.tolist() == [i * m + j for i, j in pairs]
-        pair_labels, _ = flow_module._orbit_map(m, 2)
-        assert pair_labels[rows].tolist() == list(range(len(pairs)))
         n2, h = len(pairs), {pair: h for h, pair in enumerate(pairs)}
+        # rows[h] gathers gamma4's row (i, j) from the packed state, whose
+        # n2 components of gamma2 come first
+        packed = {quad: n2 + q for q, quad in enumerate(quads)}
+        assert rows.tolist() == [
+            [packed[tuple(sorted((i, j, a, b)))] for a in range(m) for b in range(m)]
+            for i, j in pairs
+        ]
         # the s, t and u channels (ij, kl), (ik, jl) and (il, jk) of an
         # (n2, n2) pair matrix, flat
         assert channels.tolist() == [
@@ -222,9 +235,38 @@ class TestStates:
         with pytest.raises(SpecValidationError):
             GridAction(k=1.0, grid=grid, values=grid**2)
 
+    @pytest.mark.parametrize("grid, values, message", [
+        (np.linspace(-1, 1, 21), np.zeros(19), r"\(19,\) values on a grid of 21 nodes"),
+        # 10 nodes at spacing 0.3 on [-3, 0), 21 at 0.15 on [0, 3]
+        (np.concatenate([np.linspace(-3.0, -0.3, 10), np.linspace(0.0, 3.0, 21)]),
+         np.zeros(31), r"increasing and uniform: its spacings span \[0.15, 0.3\]"),
+        (np.linspace(1, -1, 5), np.zeros(5), "increasing and uniform"),
+        (np.zeros(5), np.zeros(5), "increasing and uniform"),
+    ], ids=["values", "non-uniform", "decreasing", "one-point"])
+    def test_unsteppable_grid_rejected(self, grid, values, message):
+        # each would fail inside D2 u or step on a wrong spacing
+        with pytest.raises(SpecValidationError, match=message):
+            GridAction(k=1.0, grid=grid, values=values)
+
+    @pytest.mark.parametrize("nodes, phi_max", [(101, 3.0), (201, 3.0), (301, 4.5),
+                                                (1201, 4.5), (100_001, 4.5)])
+    def test_field_grids_are_uniform(self, nodes, phi_max):
+        # the README's, the default, the benchmark's and a fine grid: linspace's
+        # rounding stays far below the uniformity bound
+        spec = ModelSpec(dimension=0, modes=1, mass=1.0,
+                         window=WindowParams(kind="scalar", r=1.0), c4=0.1,
+                         phi_max=phi_max, phi_nodes=nodes)
+        grid = spec.field_grid
+        GridAction(k=1.0, grid=grid, values=grid**2)
+
     def test_vertex_gamma4_shape_rejected(self):
         with pytest.raises(SpecValidationError):
             VertexAction(k=1.0, gamma2=np.eye(2), gamma4=np.zeros((1, 1, 1, 1)))
+
+    @pytest.mark.parametrize("gamma2", [np.zeros((2, 3)), np.ones(2)])
+    def test_vertex_gamma2_must_be_square(self, gamma2):
+        with pytest.raises(SpecValidationError, match="expected a square matrix"):
+            VertexAction(k=1.0, gamma2=gamma2, gamma4=np.zeros((2, 2, 2, 2)))
 
     def test_symmetrizers(self, rng):
         a = rng.standard_normal((3, 3))
@@ -267,8 +309,8 @@ class TestRhs:
         for j in range(grid.size):
             e = np.zeros(grid.size)
             e[j] = eps
-            plus = rhs_grid(s.unpack(k, s.values + e), regulator, p, w)
-            minus = rhs_grid(s.unpack(k, s.values - e), regulator, p, w)
+            plus, minus = (rhs_grid(GridAction(k=k, grid=grid, values=s.values + d),
+                                    regulator, p, w) for d in (e, -e))
             fd[:, j] = (plus - minus) / (2.0 * eps)
         assert np.abs(jac - fd).max() <= 1e-6 * np.abs(jac).max()
 
@@ -278,25 +320,34 @@ class TestRhs:
         with pytest.raises(ConvexityLoss):
             rhs_grid(s, litim, 0.0, 1.0)
 
-    def test_folded_convexity_loss_names_a_full_grid_node(self, litim):
+    def test_folded_convexity_loss_names_a_full_grid_node(self, litim, monkeypatch):
         # a bump at |phi| = 0.4 on an even convex function: the folded flow
         # evaluates nodes 10 to 20 of 21 and names the full grid's node 14 and
         # its phi, where the full flow finds the mirror node 6 first
         half = np.linspace(0.0, 1.0, 11)
         grid = np.concatenate([-half[:0:-1], half])
-        values = grid**2 + np.where(np.abs(grid) == 0.4, 0.1, 0.0)
+        s = GridAction(k=0.1, grid=grid,
+                       values=grid**2 + np.where(np.abs(grid) == 0.4, 0.1, 0.0))
+        flow = _GridFlow(s, litim, [0.0], [1.0])
+        assert flow.y0.size == 11
         with pytest.raises(ConvexityLoss, match=r"node 14 \(phi=0.4, k=0.1\)"):
-            _GridFlow(grid, litim, 0.0, 1.0, folded=True).rhs(0.1, values[10:])
+            flow.rhs(0.1, flow.y0)
+        with pytest.raises(ConvexityLoss, match=r"node 14 \(phi=0.4, k=0.1\)"):
+            rhs_grid(s, litim)
+        monkeypatch.setattr(flow_module, "_mirror_symmetric", lambda grid: False)
+        flow = _GridFlow(s, litim, [0.0], [1.0])
+        assert flow.y0.size == 21
         with pytest.raises(ConvexityLoss, match=r"node 6 \(phi=-0.4, k=0.1\)"):
-            _GridFlow(grid, litim, 0.0, 1.0).rhs(0.1, values)
+            flow.rhs(0.1, flow.y0)
 
     def test_vertex_single_mode_series(self, litim):
         # d_k g2 = -Fdot g4 / (2 (g2+R)^2); d_k g4 = 3 Fdot g4^2 / (g2+R)^3
         k = 1.5
         g2 = np.array([[2.0]])
         g4 = np.full((1, 1, 1, 1), 0.6)
-        s = VertexAction(k=k, gamma2=g2, gamma4=g4)
-        d = s.unpack(k, rhs_vertex(s, litim, np.zeros(1), np.ones(1)))
+        flow = _VertexFlow(VertexAction(k=k, gamma2=g2, gamma4=g4), litim,
+                           np.zeros(1), np.ones(1))
+        d = flow.action(k, rhs_vertex(k, flow.y0, litim, np.zeros(1), np.ones(1)))
         r = k * k
         fdot = 2 * k
         g = 1.0 / (2.0 + r)
@@ -314,7 +365,8 @@ class TestRhs:
         momenta = np.sort(rng.uniform(0.0, 2.0, m))
         weights = rng.uniform(0.5, 1.5, m)
         s = VertexAction(k=k, gamma2=g2, gamma4=g4)
-        d = s.unpack(k, rhs_vertex(s, regulator, momenta, weights))
+        flow = _VertexFlow(s, regulator, momenta, weights)
+        d = flow.action(k, rhs_vertex(k, flow.y0, regulator, momenta, weights))
         d_g2, d_g4 = _dense_rhs_vertex(s, regulator, momenta, weights)
         assert np.abs(d.gamma2 - d_g2).max() <= 1e-12 * np.abs(d_g2).max()
         assert np.abs(d.gamma4 - d_g4).max() <= 1e-12 * np.abs(d_g4).max()
@@ -322,8 +374,9 @@ class TestRhs:
     def test_vertex_convexity_loss(self, litim):
         s = VertexAction(k=0.1, gamma2=np.array([[-1.0]]),
                          gamma4=np.zeros((1, 1, 1, 1)))
+        y = _VertexFlow(s, litim, np.zeros(1), np.ones(1)).y0
         with pytest.raises(ConvexityLoss):
-            rhs_vertex(s, litim, np.zeros(1), np.ones(1))
+            rhs_vertex(0.1, y, litim, np.zeros(1), np.ones(1))
 
 
 class TestIntegrate:
@@ -358,6 +411,51 @@ class TestIntegrate:
         init, _ = initial_condition(ctx, "classical", 1e200, rep=rep)
         with pytest.raises(SpecValidationError, match="not finite"):
             integrate(init, 1e200, 0.0, reg)
+
+    @pytest.mark.parametrize("rep, kwargs, got", [
+        # 3 modes: an omitted momenta is one zero momentum, whose 1 x 1 F_k
+        # would broadcast onto every entry of gamma2
+        ("vertex", {}, "got 1 and 1"),
+        ("vertex", {"momenta": [0.0, 1.0]}, "got 2 and 2"),
+        ("vertex", {"momenta": [-1.0, 0.0, 1.0], "weights": [1.0]}, "got 3 and 1"),
+        ("grid", {"momenta": [0.0, 1.0]}, "got 2 and 2"),
+        ("grid", {"weights": [1.0, 1.0]}, "got 1 and 2"),
+    ], ids=["vertex-omitted", "vertex-momenta", "vertex-weights", "grid-momenta",
+            "grid-weights"])
+    def test_one_momentum_and_weight_per_mode(self, phi4_spec, line_spec, litim,
+                                              rep, kwargs, got):
+        spec = phi4_spec if rep == "grid" else line_spec
+        ctx = FunctionalContext(spec=spec, regulator=litim, self_check=False)
+        init, _ = initial_condition(ctx, "classical", 10.0, rep=rep)
+        with pytest.raises(SpecValidationError,
+                           match=f"needs one momentum and one weight per mode, {got}"):
+            integrate(init, 10.0, 0.0, litim, **kwargs)
+
+    @pytest.mark.parametrize("rep", ["grid", "vertex"])
+    def test_actions_are_built_only_at_checkpoints(self, phi4_spec, line_spec, litim,
+                                                   rep, monkeypatch):
+        # the flow objects step bare vectors: an M = 3 vertex flow and an even
+        # grid flow, stepped on its nodes phi >= 0, build one action per
+        # checkpoint and none per right-hand side
+        spec = phi4_spec if rep == "grid" else line_spec
+        ctx = FunctionalContext(spec=spec, regulator=litim, self_check=False)
+        init, _ = initial_condition(ctx, "classical", 10.0, rep=rep)
+        if rep == "grid":
+            cls = GridAction
+            assert _GridFlow(init, litim, [0.0], [1.0]).y0.size == init.grid.size // 2 + 1
+        else:
+            cls = VertexAction
+        built, original = [], cls.__post_init__
+
+        def counted(self):
+            built.append(self.k)
+            original(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counted)
+        traj = integrate(init, 10.0, 0.0, litim, momenta=spec.momenta,
+                         weights=spec.momentum_weights, checkpoints=[5.0, 0.5])
+        assert built == [k for k, _ in traj.checkpoints] == [10.0, 5.0, 0.5, 0.0]
+        assert traj.stats["nfev"] > 100
 
     def test_non_finite_initial_action_rejected(self, litim):
         grid = np.linspace(-1, 1, 11)
@@ -576,9 +674,9 @@ class TestIntegrate:
         scales = []
         original = flow_module.rhs_vertex
 
-        def recorded(state, *args):
-            scales.append(state.k)
-            return original(state, *args)
+        def recorded(k, *args):
+            scales.append(k)
+            return original(k, *args)
 
         monkeypatch.setattr(flow_module, "rhs_vertex", recorded)
         ctx = FunctionalContext(spec=line_spec, regulator=litim, self_check=False)
@@ -670,7 +768,7 @@ class TestFailureRoutes:
         # shrinks below ten ulps of k, the solver fails, and the last loss
         # comes out with the last accepted state, the start
         def poisoned(*args):
-            k = args[1] if rep == "grid" else args[0].k
+            k = args[1] if rep == "grid" else args[0]
             if k < 100.0:
                 raise ConvexityLoss(f"trial at k={k}", k=k)
             return original(*args)
@@ -683,13 +781,14 @@ class TestFailureRoutes:
             integrate(init, 100.0, 0.0, litim)
         last = exc_info.value.last_state
         assert last.k == 100.0
-        assert last.pack().tobytes() == init.pack().tobytes()
+        for name in ("values",) if rep == "grid" else ("gamma2", "gamma4"):
+            assert getattr(last, name).tobytes() == getattr(init, name).tobytes()
 
     @pytest.mark.parametrize("rep", ["grid", "vertex"])
     def test_non_finite_rhs_without_a_loss_underflows(self, litim, rep,
                                                       monkeypatch):
         def not_finite(*args):
-            k = args[1] if rep == "grid" else args[0].k
+            k = args[1] if rep == "grid" else args[0]
             y = original(*args)
             return np.full_like(y, np.nan) if k < 100.0 else y
 
@@ -782,8 +881,11 @@ class TestGridStepper:
 
 class TestBandNewtonMatrix:
     @staticmethod
-    def _solver(nodes, k, regulator):
-        """The grid stepper on a convex grid action at scale k, and its Jacobian."""
+    def _solver(nodes, k, regulator, monkeypatch):
+        """The grid stepper on a convex grid action at scale k, and its Jacobian,
+        both on every node: linspace(-2, 2, 5) is mirror-symmetric to the bit,
+        and the even action's flow would step only its nodes phi >= 0."""
+        monkeypatch.setattr(flow_module, "_mirror_symmetric", lambda grid: False)
         grid = np.linspace(-2.0, 2.0, nodes)
         state = GridAction(k=k, grid=grid, values=0.5 * grid**2 + 0.1 * grid**4)
         jac = _jacobian(state, regulator)
@@ -795,12 +897,12 @@ class TestBandNewtonMatrix:
     @pytest.mark.parametrize("nodes", [5, 301, 1201])
     @pytest.mark.parametrize("k", [1.0, 0.0])
     @pytest.mark.parametrize("step", [1e-3, 10.0])
-    def test_solve_matches_superlu(self, litim, nodes, k, step):
+    def test_solve_matches_superlu(self, litim, nodes, k, step, monkeypatch):
         # BDF's c = h / alpha is negative on a downward flow.  c scales with
         # the largest Jacobian entry, so cond(I - cJ) stays below 60 and the
         # two factorisations agree to rounding.  At k = 0 litim's d_kF_k
         # vanishes, so J = 0 and I - cJ = I
-        solver, jac = self._solver(nodes, k, litim)
+        solver, jac = self._solver(nodes, k, litim, monkeypatch)
         assert solver.half_band == 3
         c = -step / (abs(jac).max() or 1.0)
         factor = solver._factor(c, jac.data)
@@ -827,7 +929,7 @@ class TestBandNewtonMatrix:
             return dgbtrf(band, *args, **kwargs)
 
         monkeypatch.setattr(flow_module, "dgbtrf", captured)
-        solver, jac = self._solver(301, k, litim)
+        solver, jac = self._solver(301, k, litim, monkeypatch)
         c = np.float64(-0.37) / (abs(jac).max() or 1.0)
         solver._factor(c, jac.data)
         a = sp.eye(301, format="csc") - c * jac
@@ -836,8 +938,8 @@ class TestBandNewtonMatrix:
         expected[6 + a.indices - cols, cols] = a.data
         assert bands[0].tobytes(order="F") == expected.tobytes(order="F")
 
-    def test_singular_newton_matrix_raises(self, litim):
-        solver, _ = self._solver(301, 2.5, litim)
+    def test_singular_newton_matrix_raises(self, litim, monkeypatch):
+        solver, _ = self._solver(301, 2.5, litim, monkeypatch)
         _, _, unit = _band_pattern(second_difference_matrix(301))
         with pytest.raises(StepUnderflow, match="k = 2.5"):
             solver._factor(1.0, unit)  # I - I = 0
