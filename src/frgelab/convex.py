@@ -5,6 +5,16 @@ conjugation by a direct scan, biconjugation defects from the lower convex
 hull, supercoercivity certificates and two distances for sequences of
 theories: uniform distance on bounded sets and a Hausdorff distance between
 box-truncated epigraphs.
+
+Even functions fold.  A 1-D function is even when its axis is mirrored bit
+for bit (``axis == -axis[::-1]``, odd length, as :func:`model.mirrored_axis`
+builds it) and ``values == values[::-1]``.  The conjugate of an even
+function onto a mirrored dual axis scans the dual nodes t >= 0 only, and
+the epigraph distance between two even functions queries the graph points
+x >= 0 only; both mirror the result back, the float the full computation
+gives.  The convergence suite evaluates W_0 of an even theory (c3 = 0) on
+the sources t >= 0 only and mirrors it, so it is exactly even where the
+quadrature at -t would differ from that at t by rounding.
 """
 
 from __future__ import annotations
@@ -15,17 +25,20 @@ import numpy as np
 
 from . import functionals as fn
 from .errors import EmptyEpigraphWindow, GridMismatch, NotProper
-from .functionals import FunctionalContext
+from .functionals import FunctionalContext, _mirror_symmetric, _unfold
 # build_measure is not called here but stays bound: perfbench's tracer wraps it by name
 from .measure import build_measure, gauss_hermite_nodes, untilted_level  # noqa: F401
+from .model import mirrored_axis
 
 
 def _box_axes(lo, hi, nodes) -> tuple:
-    """Uniform axes of the box [lo, hi] with ``nodes`` points along each."""
+    """Uniform axes of the box [lo, hi] with ``nodes`` points along each; an
+    axis with lo = -hi and an odd node count is mirrored bit for bit."""
     lo = np.atleast_1d(np.asarray(lo, dtype=float))
     hi = np.atleast_1d(np.asarray(hi, dtype=float))
     nodes = np.atleast_1d(np.asarray(nodes, dtype=int))
-    return tuple(np.linspace(a, b, n) for a, b, n in zip(lo, hi, nodes))
+    return tuple(mirrored_axis(b, n) if a == -b and n % 2 == 1 else np.linspace(a, b, n)
+                 for a, b, n in zip(lo, hi, nodes))
 
 
 def _box_points(axes) -> np.ndarray:
@@ -47,6 +60,15 @@ class GridFunction:
             raise GridMismatch(
                 f"values have shape {self.values.shape}, the axes need {shape}"
             )
+        # a proper function's samples lie in (-inf, +inf]
+        bad = np.isnan(self.values) | (self.values == -np.inf)
+        if bad.any():
+            index = np.unravel_index(np.argmax(bad), shape)
+            node = [float(a[i]) for a, i in zip(self.axes, index)]
+            raise NotProper(
+                f"grid function value {self.values[index]} at node {node} is not "
+                "in (-inf, +inf]"
+            )
         if not np.isfinite(self.values).any():
             raise NotProper("grid function has no finite value")
 
@@ -56,6 +78,13 @@ class GridFunction:
 
     def nodes(self) -> np.ndarray:
         return _box_points(self.axes)
+
+
+def _even(f: GridFunction) -> bool:
+    """Whether f is 1-D on a mirrored axis with values mirrored bit for bit,
+    so that it can be folded onto x >= 0."""
+    return (f.ndim == 1 and _mirror_symmetric(f.axes[0])
+            and np.array_equal(f.values, f.values[::-1]))
 
 
 def _lower_hull(x: np.ndarray, y: np.ndarray):
@@ -75,15 +104,29 @@ def _lower_hull(x: np.ndarray, y: np.ndarray):
 
 def conjugate(f: GridFunction, lo, hi, nodes) -> GridFunction:
     """Legendre-Fenchel transform f*(t) = max_x (t.x - f(x)) on the dual box,
-    by a direct scan over the finite primal nodes for every dual node."""
+    by a direct scan over the finite primal nodes for every dual node.
+
+    An even f (``_even``) onto a mirrored dual axis is scanned for the dual
+    nodes t >= 0 only and mirrored back: t.(-x) = (-t).x in floating point,
+    so the row of -t holds the floats of the row of t and has the same
+    maximum (a zero maximum may change its sign).  Any other input is
+    scanned on every dual node.
+    """
     finite = np.isfinite(f.values).ravel()
     axes = _box_axes(lo, hi, nodes)
+    dual = _box_points(axes)
+    fold = _even(f) and _mirror_symmetric(axes[0])
+    if fold:
+        dual = dual[dual.shape[0] // 2:]
     primal = f.nodes()[finite]
-    # one dual x primal matrix, reused in place: each fresh one of this size
-    # is paged in anew
-    scan = _box_points(axes) @ primal.T
-    scan -= f.values.ravel()[finite]
-    out = scan.max(axis=1)
+    # one primal x dual matrix, reused in place: each fresh one of this size
+    # is paged in anew.  einsum forms the products directly, where a matrix
+    # product of inner dimension 1 costs more than the products themselves.
+    scan = np.einsum("jd,id->ji", primal, dual)
+    scan -= f.values.ravel()[finite][:, None]
+    out = scan.max(axis=0)
+    if fold:
+        out = _unfold(out)
     return GridFunction(axes=axes, values=out.reshape(tuple(len(a) for a in axes)))
 
 
@@ -120,7 +163,7 @@ def supercoercivity_certificate(fstar: GridFunction, weights) -> dict:
 def uniform_distance(f: GridFunction, g: GridFunction, radius: float) -> float:
     """Sup-distance over grid nodes within the given ball."""
     if len(f.axes) != len(g.axes) or any(
-        a.shape != b.shape or not np.allclose(a, b) for a, b in zip(f.axes, g.axes)
+        not np.array_equal(a, b) for a, b in zip(f.axes, g.axes)
     ):
         raise GridMismatch("uniform distance requires a shared grid")
     norms = np.linalg.norm(f.nodes(), axis=1).reshape(f.values.shape)
@@ -195,7 +238,11 @@ def aw_distance(f: GridFunction, g: GridFunction, rho: float) -> float:
 
     Graph samples (with one midpoint refinement) represent each epigraph;
     the supremum of the point-to-epigraph distance is attained on the
-    clipped graph because columns only widen upward.
+    clipped graph because columns only widen upward.  When f and g are both
+    even (``_even``) both graphs are mirror images of themselves, so each
+    direction queries its graph points x >= 0 only, against the columns of
+    the whole other graph: the point at -x meets the floats the point at x
+    does, mirrored.
     """
     if f.ndim != 1 or g.ndim != 1:
         raise NotImplementedError("epigraph distance is implemented in 1D")
@@ -207,9 +254,11 @@ def aw_distance(f: GridFunction, g: GridFunction, rho: float) -> float:
         raise EmptyEpigraphWindow(f"neither epigraph meets the box of radius {rho}")
     if xa.size == 0 or xb.size == 0:
         return 2.0 * rho
+    # the query points of each direction
+    qa, qb = (xa >= 0, xb >= 0) if _even(f) and _even(g) else (slice(None),) * 2
     return max(
-        _directed_epi_distance(xa, ta, xb, tb),
-        _directed_epi_distance(xb, tb, xa, ta),
+        _directed_epi_distance(xa[qa], ta[qa], xb, tb),
+        _directed_epi_distance(xb[qb], tb[qb], xa, ta),
     )
 
 
@@ -250,7 +299,13 @@ class ConvergenceReport:
 
 
 def _w_grid(ctx: FunctionalContext, t_axis: np.ndarray) -> GridFunction:
-    return GridFunction(axes=(t_axis,), values=fn.W(ctx, 0.0, t_axis[:, None]))
+    """W_0 on a single-mode source axis; an even theory (c3 = 0) on a
+    mirrored axis is evaluated at t >= 0 and mirrored, exactly even."""
+    if ctx.spec.c3 == 0 and _mirror_symmetric(t_axis):
+        values = _unfold(fn.W(ctx, 0.0, t_axis[t_axis.size // 2:, None]))
+    else:
+        values = fn.W(ctx, 0.0, t_axis[:, None])
+    return GridFunction(axes=(t_axis,), values=values)
 
 
 def _char_probe(ctx: FunctionalContext, t) -> np.ndarray:
@@ -266,8 +321,8 @@ def _char_probe(ctx: FunctionalContext, t) -> np.ndarray:
 
 
 # W_0 on DUAL_NODES of [-DUAL_RADIUS, DUAL_RADIUS], Gamma_0 = W_0* on PRIMAL_NODES
-# of [-aw_rho, aw_rho], and E[cos(t psi)] at PROBE_SOURCES by a Gauss-Hermite
-# rule on the untilted measure's width (``measure.untilted_level``)
+# of [-aw_rho, aw_rho], both mirrored axes, and E[cos(t psi)] at PROBE_SOURCES by
+# a Gauss-Hermite rule on the untilted measure's width (``measure.untilted_level``)
 DUAL_RADIUS = 3.0
 DUAL_NODES = 161
 PRIMAL_NODES = 1201
@@ -289,7 +344,7 @@ def convergence_suite(
     for m in models:
         if m.modes != limit_model.modes:
             raise GridMismatch("sequence members must share the mode count")
-    t_axis = np.linspace(-DUAL_RADIUS, DUAL_RADIUS, DUAL_NODES)
+    t_axis = mirrored_axis(DUAL_RADIUS, DUAL_NODES)
 
     def analyse(spec):
         """W_0 on the dual grid, its conjugate Gamma_0 and the probe values,

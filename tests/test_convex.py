@@ -1,16 +1,21 @@
+import dataclasses
+
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from frgelab import convex
 from frgelab import functionals as fn
 from frgelab.convex import (
     PROBE_SOURCES,
     GridFunction,
     _char_probe,
+    _clipped_graph,
     _directed_epi_distance,
     _lower_hull,
+    _refined,
     _w_grid,
     aw_distance,
     biconjugate_check,
@@ -21,7 +26,7 @@ from frgelab.convex import (
 )
 from frgelab.errors import EmptyEpigraphWindow, GridMismatch, NotProper
 from frgelab.functionals import FunctionalContext
-from frgelab.model import ModelSpec, WindowParams
+from frgelab.model import ModelSpec, WindowParams, mirrored_axis
 from frgelab.regulator import make_regulator
 
 
@@ -65,6 +70,22 @@ class TestGridFunction:
         v = np.array([np.inf, 1.0, 0.0, 1.0, np.inf])
         g = GridFunction(axes=(np.linspace(-2, 2, 5),), values=v)
         assert g.ndim == 1
+
+    @pytest.mark.parametrize("bad, node", [
+        ([1.0, -np.inf, 0.0, 1.0, 4.0], r"\[-1\.0\]"),
+        ([1.0, 2.0, 0.0, np.nan, -np.inf], r"\[1\.0\]"),
+    ], ids=["minus-inf", "nan-first"])
+    def test_improper_samples_refused(self, bad, node):
+        # a NaN or -inf sample was dropped as if it were +inf: the first
+        # case conjugated to [1, 0, 0] with biconjugate defect 0.0
+        with pytest.raises(NotProper, match=f"at node {node}"):
+            GridFunction(axes=(np.linspace(-2, 2, 5),), values=np.array(bad))
+
+    def test_improper_sample_named_on_a_box(self):
+        values = np.zeros((3, 3))
+        values[2, 1] = np.nan
+        with pytest.raises(NotProper, match=r"nan at node \[1\.0, 0\.0\]"):
+            GridFunction(axes=(np.linspace(-1, 1, 3),) * 2, values=values)
 
 
 class TestConjugate:
@@ -122,6 +143,47 @@ class TestConjugate:
         hs = conjugate(GridFunction(axes=(x,), values=envelope), -6, 6, 241)
         assert np.abs(fs.values - hs.values).max() <= 1e-12
 
+    @settings(max_examples=100, deadline=None)
+    @given(half=st.lists(st.one_of(st.floats(-5.0, 5.0), st.just(np.inf)),
+                         min_size=1, max_size=30),
+           primal_radius=st.floats(0.5, 4.0), dual_radius=st.floats(0.5, 4.0),
+           dual_half=st.integers(0, 40))
+    @example(half=[np.inf, 0.0, np.inf], primal_radius=2.0, dual_radius=3.0, dual_half=15)
+    def test_folded_scan_is_the_full_scan(self, half, primal_radius, dual_radius,
+                                          dual_half):
+        half = np.array(half)
+        assume(np.isfinite(half).any())
+        x = mirrored_axis(primal_radius, 2 * half.size - 1)
+        f = GridFunction(axes=(x,), values=np.concatenate([half[:0:-1], half]))
+        fs = conjugate(f, -dual_radius, dual_radius, 2 * dual_half + 1)
+        # the scan over every dual node, by broadcasting
+        t, finite = fs.axes[0], np.isfinite(f.values)
+        full = (t[:, None] * x[None, finite] - f.values[None, finite]).max(axis=1)
+        # equal floats; a zero maximum may differ in its sign only
+        assert np.array_equal(fs.values, full)
+
+    def test_odd_or_unmirrored_inputs_scan_every_dual_node(self, monkeypatch):
+        unfolds = []
+
+        def counted(half):
+            unfolds.append(half.size)
+            return fn._unfold(half)
+
+        monkeypatch.setattr(convex, "_unfold", counted)
+        x = mirrored_axis(2.0, 41)
+        even = GridFunction(axes=(x,), values=x * x)
+        for f, lo, hi, nodes in [
+            (GridFunction(axes=(x,), values=x * x + x), -3.0, 3.0, 31),  # odd values
+            (GridFunction(axes=(np.linspace(-2.0, 2.0, 161),),  # unmirrored by rounding
+                          values=np.linspace(-2.0, 2.0, 161) ** 2), -3.0, 3.0, 31),
+            (even, -3.0, 2.0, 31),  # lo != -hi
+            (even, -3.0, 3.0, 30),  # no centre node
+        ]:
+            conjugate(f, lo, hi, nodes)
+        assert unfolds == []
+        conjugate(even, -3.0, 3.0, 31)
+        assert unfolds == [16]
+
     def test_two_dimensional_scan(self):
         axes = (np.linspace(-2, 2, 41), np.linspace(-2, 2, 41))
         xx, yy = np.meshgrid(*axes, indexing="ij")
@@ -175,6 +237,13 @@ class TestUniformDistance:
         g = grid_fn(lambda x: x, nodes=103)
         with pytest.raises(GridMismatch):
             uniform_distance(f, g, 1.0)
+
+    def test_scaled_axis_is_a_mismatch(self):
+        # within allclose's rtol 1e-5, and at points that differ
+        f = grid_fn(lambda x: x * x)
+        g = GridFunction(axes=(f.axes[0] * (1.0 + 5e-6),), values=f.values)
+        with pytest.raises(GridMismatch, match="shared grid"):
+            uniform_distance(f, g, 2.0)
 
 
 class TestAwDistance:
@@ -277,6 +346,56 @@ class TestDirectedEpiDistance:
         assert _directed_epi_distance(x, yb, x, ya) == dense_epi_distance(x, yb, x, ya)
 
 
+# even functions on mirrored axes: a half-graph of values in a band that the
+# box of radius 2 cuts, +inf markers included, mirrored onto x < 0
+_halves = st.lists(st.one_of(st.integers(-8, 8).map(lambda i: 0.25 * i),
+                             st.floats(-3.0, 3.0), st.just(np.inf)),
+                   min_size=1, max_size=25)
+
+
+def _even_function(half, radius):
+    half = np.array(half)
+    x = mirrored_axis(radius, 2 * half.size - 1)
+    return GridFunction(axes=(x,), values=np.concatenate([half[:0:-1], half]))
+
+
+class TestFoldedAwDistance:
+    @settings(max_examples=200, deadline=None)
+    @given(half_f=_halves, half_g=_halves, radius_f=st.sampled_from([1.0, 2.0, 2.5]),
+           radius_g=st.sampled_from([1.0, 2.0, 2.5]), same=st.booleans())
+    def test_matches_the_dense_scan_of_the_full_graphs(self, half_f, half_g, radius_f,
+                                                       radius_g, same):
+        rho = 2.0
+        assume(np.isfinite(half_f).any() and np.isfinite(half_g).any())
+        f = _even_function(half_f, radius_f)
+        g = f if same else _even_function(half_g, radius_g)
+        a = _clipped_graph(*_refined(f.axes[0], f.values), rho)
+        b = _clipped_graph(*_refined(g.axes[0], g.values), rho)
+        assume(a[0].size and b[0].size)
+        assert convex._even(f) and convex._even(g)
+        assert aw_distance(f, g, rho) == max(dense_epi_distance(*a, *b),
+                                             dense_epi_distance(*b, *a))
+
+    def test_only_two_even_functions_fold(self, monkeypatch):
+        queries = []
+
+        def counted(xa, ta, xb, tb):
+            queries.append((xa.size, xb.size))
+            return _directed_epi_distance(xa, ta, xb, tb)
+
+        monkeypatch.setattr(convex, "_directed_epi_distance", counted)
+        x = mirrored_axis(2.0, 21)  # 41 refined points, 21 of them at x >= 0
+        even = GridFunction(axes=(x,), values=x * x)
+        odd = GridFunction(axes=(x,), values=x * x + 0.1 * x)
+        unmirrored = grid_fn(lambda t: t * t, lo=-2.0, hi=2.0, nodes=161)
+        aw_distance(even, even, 10.0)
+        assert queries == [(21, 41), (21, 41)]
+        queries.clear()
+        aw_distance(even, odd, 10.0)
+        aw_distance(unmirrored, unmirrored, 10.0)
+        assert queries == [(41, 41), (41, 41), (321, 321), (321, 321)]
+
+
 class TestConvergenceSuite:
     @staticmethod
     def specs(rs, c4=0.1):
@@ -315,11 +434,13 @@ class TestConvergenceSuite:
         return convergence_suite(models, limit, reg)
 
     def test_benchmark_seed_zero_aw_distances_frozen(self):
-        # the floats the n_a x n_b scan gave, which the sparse-table route
-        # must keep bit for bit
+        # the floats of the n_a x n_b scan (dense_epi_distance) over the full
+        # refined graphs of Gamma_0 = W_0*, W_0 evaluated on every dual node
+        # and conjugated by a full broadcast scan; the folds and the
+        # sparse-table route must keep them bit for bit
         assert self.benchmark_seed_zero().aw == [
-            0.4450000000000012, 0.1750000000000007, 0.07500000000000018,
-            0.03500000000000103, 0.015000000000001457, 0.010000000000001563,
+            0.4450000000000003, 0.17499999999999982, 0.07500000000000018,
+            0.03500000000000014, 0.015000000000000124, 0.010000000000000231,
         ]
 
     def test_benchmark_seed_zero_probe_distances_frozen(self):
@@ -356,9 +477,6 @@ class TestConvergenceSuite:
         assert rep.aw[-1] > 0.01  # does not approach zero
 
     def test_w_grid_is_w_on_the_dual_axis(self, phi4_spec, litim, monkeypatch):
-        ctx = FunctionalContext(spec=phi4_spec, regulator=litim, self_check=False)
-        t_axis = np.linspace(-3.0, 3.0, 13)
-        expected = [fn.W(ctx, 0.0, [t]) for t in t_axis]
         calls = []
         original = fn.W
 
@@ -366,8 +484,18 @@ class TestConvergenceSuite:
             calls.append(np.asarray(t_vec).shape)
             return original(ctx_, k, t_vec)
 
-        monkeypatch.setattr(fn, "W", counted)
-        grid = _w_grid(ctx, t_axis)
-        # one batched W call: the one formula for W lives in W
-        assert calls == [(13, 1)]
-        assert np.abs(grid.values - expected).max() <= 1e-13
+        for c3, t_axis, lanes in [
+            (0.0, mirrored_axis(3.0, 13), 7),  # even: the sources t >= 0, mirrored
+            (0.0, np.linspace(-3.0, 3.1, 13), 13),  # an unmirrored axis
+            (0.02, mirrored_axis(3.0, 13), 13),  # an odd theory
+        ]:
+            spec = dataclasses.replace(phi4_spec, c3=c3, allow_unbounded=c3 != 0)
+            ctx = FunctionalContext(spec=spec, regulator=litim, self_check=False)
+            expected = [original(ctx, 0.0, [t]) for t in t_axis]
+            calls.clear()
+            with monkeypatch.context() as m:
+                m.setattr(fn, "W", counted)
+                grid = _w_grid(ctx, t_axis)
+            # one batched W call: the one formula for W lives in W
+            assert calls == [(lanes, 1)], c3
+            assert np.abs(grid.values - expected).max() <= 1e-13
