@@ -34,6 +34,8 @@ from .regulator import SamplePlan, check_conditions, make_regulator
 
 VALIDATION_ERRORS = (SpecValidationError, OSError, json.JSONDecodeError)
 NUMERICAL_ERRORS = FrgeLabError
+# |phi| bound of flow --compare's max_deviation, clear of D2's second-order edge stencils
+COMPARE_RADIUS = 2.0
 
 
 def config_hash(doc) -> str:
@@ -96,11 +98,6 @@ def _parse_floats(text: str):
     return values
 
 
-def _require_positive_finite(flag: str, value: float) -> None:
-    if not 0 < value < np.inf:
-        raise SpecValidationError(f"{flag} must be positive and finite, got {value}")
-
-
 def _vertex_cell(vertex: np.ndarray) -> str:
     """A single-mode vertex as a number, a multi-mode one as a JSON array."""
     return f"{vertex.flat[0]:.15g}" if vertex.size == 1 else json.dumps(vertex.tolist())
@@ -111,8 +108,7 @@ def _vertex_cell(vertex: np.ndarray) -> str:
 
 def cmd_validate_regulator(args) -> int:
     started = time.monotonic()
-    plan = SamplePlan(k_max=args.k_max, p_max=args.p_max,
-                      count=args.count, seed=args.seed)
+    plan = SamplePlan(count=args.count, seed=args.seed)
     reg = make_regulator(args.regulator)
     report = check_conditions(reg, plan)
     for name, ok in report.passed.items():
@@ -192,7 +188,6 @@ def exact_table(args, spec, regulator):
 
 def flow_table(args, spec, regulator):
     from . import flow as flow_mod  # deferred: other commands skip flow's imports
-    _require_positive_finite("--compare-radius", args.compare_radius)
     if args.compare and args.rep != "grid":
         raise SpecValidationError("--compare needs --rep grid")
     ctx = FunctionalContext(spec=spec, regulator=regulator)
@@ -224,7 +219,7 @@ def flow_table(args, spec, regulator):
                 if ex is not None:
                     dev = abs(val - ex)
                     row.append(f"{dev:.6e}")
-                    if abs(phi) <= args.compare_radius:
+                    if abs(phi) <= COMPARE_RADIUS:
                         max_dev = max(max_dev, dev)
                 rows.append(row)
         header = ["k", "phi", "GammaBar"] + (["deviation"] if args.compare else [])
@@ -265,18 +260,13 @@ def converge_table(args, spec, regulator):
     if args.seed is not None:
         print("converge: --seed is ignored; the probe is a deterministic quadrature",
               file=sys.stderr)
-    _require_positive_finite("--rho", args.rho)
-    _require_positive_finite("--radius", args.radius)
     models = [
         dataclasses.replace(
             spec, window=WindowParams(kind="scalar", r=1.0 - 2.0 ** (-n))
         )
         for n in range(1, args.levels + 1)
     ]
-    report = convex.convergence_suite(
-        models, spec, regulator,
-        uniform_radius=args.radius, aw_rho=args.rho,
-    )
+    report = convex.convergence_suite(models, spec, regulator)
     rows = [
         [str(n), f"{u:.10g}", f"{a:.10g}", f"{p:.10g}"]
         for n, u, a, p in zip(report.indices, report.uniform, report.aw, report.probe)
@@ -287,7 +277,7 @@ def converge_table(args, spec, regulator):
         print(f"{name} monotone decreasing: {'yes' if flag else 'NO'}")
     header = ["n", "uniform_distance", "aw_distance", "probe_distance"]
     return header, rows, dict(
-        tolerances={"uniform_radius": args.radius, "aw_rho": args.rho},
+        tolerances={"uniform_radius": convex.UNIFORM_RADIUS, "aw_rho": convex.AW_RHO},
         stats={
             "levels": args.levels,
             "uniform_monotone": report.uniform_monotone,
@@ -335,7 +325,7 @@ def cmd_report(args) -> int:
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The ``frgelab`` parser, built once per process: parsing leaves it
-    unchanged, and each of its forty options builds a help formatter."""
+    unchanged, and each option it adds builds a help formatter."""
     parser = argparse.ArgumentParser(
         prog="frgelab",
         description="Scale-flow laboratory: oracles, flows and convergence checks.",
@@ -344,8 +334,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate-regulator", help="sampled admissibility checks")
     p.add_argument("--regulator", default="litim")
-    p.add_argument("--k-max", type=float, default=10.0)
-    p.add_argument("--p-max", type=float, default=10.0)
     p.add_argument("--count", type=int, default=10_000)
     p.add_argument("--seed", type=int, default=1234)
     p.add_argument("--out", default=None)
@@ -380,7 +368,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--atol", type=float, default=1e-11)
     p.add_argument("--compare", action="store_true",
                    help="record deviations from the oracle at each checkpoint")
-    p.add_argument("--compare-radius", type=float, default=2.0)
 
     p = add_table("frge-check", frge_check_table,
                   help="unsubtracted flow-identity probe")
@@ -392,8 +379,6 @@ def build_parser() -> argparse.ArgumentParser:
                   description="--config is the limit-theory config (d=0); "
                               "members use r_n = 1 - 2^-n")
     p.add_argument("--levels", type=int, default=6)
-    p.add_argument("--radius", type=float, default=2.0)
-    p.add_argument("--rho", type=float, default=6.0)
     # accepted so that callers which still pass it keep working; it has no effect
     p.add_argument("--seed", type=int, default=None, help=argparse.SUPPRESS)
 

@@ -25,18 +25,22 @@ import numpy as np
 
 from . import functionals as fn
 from .errors import EmptyEpigraphWindow, GridMismatch, NotProper
-from .functionals import FunctionalContext, _mirror_symmetric, _unfold
+from .functionals import FunctionalContext
 # build_measure is not called here but stays bound: perfbench's tracer wraps it by name
 from .measure import build_measure, gauss_hermite_nodes, untilted_level  # noqa: F401
-from .model import mirrored_axis
+from .model import is_even, is_mirrored, mirrored_axis, unfold
 
 
-def _box_axes(lo, hi, nodes) -> tuple:
-    """Uniform axes of the box [lo, hi] with ``nodes`` points along each; an
-    axis with lo = -hi and an odd node count is mirrored bit for bit."""
-    lo = np.atleast_1d(np.asarray(lo, dtype=float))
-    hi = np.atleast_1d(np.asarray(hi, dtype=float))
-    nodes = np.atleast_1d(np.asarray(nodes, dtype=int))
+def _box_axes(lo, hi, nodes, ndim: int) -> tuple:
+    """Uniform axes of the box [lo, hi] with ``nodes`` points along each of
+    its ``ndim`` axes, each given once for all or once per axis; an axis
+    with lo = -hi and an odd node count is mirrored bit for bit."""
+    try:
+        lo, hi, nodes = (np.broadcast_to(np.asarray(v, dtype=t), (ndim,))
+                         for v, t in ((lo, float), (hi, float), (nodes, int)))
+    except ValueError:
+        raise GridMismatch(f"a box of {ndim} axes takes one lo, hi and nodes "
+                           f"or {ndim} of each") from None
     return tuple(mirrored_axis(b, n) if a == -b and n % 2 == 1 else np.linspace(a, b, n)
                  for a, b, n in zip(lo, hi, nodes))
 
@@ -49,12 +53,17 @@ def _box_points(axes) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GridFunction:
-    """Extended-real function sampled on a bounded uniform box."""
+    """Extended-real function sampled on a bounded box: finite, strictly
+    increasing axes (not necessarily uniform) and one value in (-inf, +inf]
+    per node, at least one finite; else GridMismatch or NotProper."""
 
     axes: tuple
     values: np.ndarray
 
     def __post_init__(self):
+        for i, a in enumerate(self.axes):
+            if not (np.ndim(a) == 1 and np.isfinite(a).all() and (np.diff(a) > 0).all()):
+                raise GridMismatch(f"axis {i} is not finite and strictly increasing")
         shape = tuple(len(a) for a in self.axes)
         if self.values.shape != shape:
             raise GridMismatch(
@@ -81,10 +90,8 @@ class GridFunction:
 
 
 def _even(f: GridFunction) -> bool:
-    """Whether f is 1-D on a mirrored axis with values mirrored bit for bit,
-    so that it can be folded onto x >= 0."""
-    return (f.ndim == 1 and _mirror_symmetric(f.axes[0])
-            and np.array_equal(f.values, f.values[::-1]))
+    """Whether f is 1-D and even (``model.is_even``), so it folds onto x >= 0."""
+    return f.ndim == 1 and is_even(f.axes[0], f.values)
 
 
 def _lower_hull(x: np.ndarray, y: np.ndarray):
@@ -113,9 +120,9 @@ def conjugate(f: GridFunction, lo, hi, nodes) -> GridFunction:
     scanned on every dual node.
     """
     finite = np.isfinite(f.values).ravel()
-    axes = _box_axes(lo, hi, nodes)
+    axes = _box_axes(lo, hi, nodes, f.ndim)
     dual = _box_points(axes)
-    fold = _even(f) and _mirror_symmetric(axes[0])
+    fold = _even(f) and is_mirrored(axes[0])
     if fold:
         dual = dual[dual.shape[0] // 2:]
     primal = f.nodes()[finite]
@@ -126,7 +133,7 @@ def conjugate(f: GridFunction, lo, hi, nodes) -> GridFunction:
     scan -= f.values.ravel()[finite][:, None]
     out = scan.max(axis=0)
     if fold:
-        out = _unfold(out)
+        out = unfold(out)
     return GridFunction(axes=axes, values=out.reshape(tuple(len(a) for a in axes)))
 
 
@@ -301,8 +308,8 @@ class ConvergenceReport:
 def _w_grid(ctx: FunctionalContext, t_axis: np.ndarray) -> GridFunction:
     """W_0 on a single-mode source axis; an even theory (c3 = 0) on a
     mirrored axis is evaluated at t >= 0 and mirrored, exactly even."""
-    if ctx.spec.c3 == 0 and _mirror_symmetric(t_axis):
-        values = _unfold(fn.W(ctx, 0.0, t_axis[t_axis.size // 2:, None]))
+    if ctx.spec.c3 == 0 and is_mirrored(t_axis):
+        values = unfold(fn.W(ctx, 0.0, t_axis[t_axis.size // 2:, None]))
     else:
         values = fn.W(ctx, 0.0, t_axis[:, None])
     return GridFunction(axes=(t_axis,), values=values)
@@ -320,22 +327,19 @@ def _char_probe(ctx: FunctionalContext, t) -> np.ndarray:
     return np.cos(np.outer(t, psi[:, 0])) @ w / w.sum()
 
 
-# W_0 on DUAL_NODES of [-DUAL_RADIUS, DUAL_RADIUS], Gamma_0 = W_0* on PRIMAL_NODES
-# of [-aw_rho, aw_rho], both mirrored axes, and E[cos(t psi)] at PROBE_SOURCES by
-# a Gauss-Hermite rule on the untilted measure's width (``measure.untilted_level``)
+# W_0 on DUAL_NODES of [-DUAL_RADIUS, DUAL_RADIUS], compared within UNIFORM_RADIUS;
+# Gamma_0 = W_0* on PRIMAL_NODES of [-AW_RHO, AW_RHO], its epigraphs compared in that
+# box; both mirrored axes.  E[cos(t psi)] at PROBE_SOURCES by a Gauss-Hermite rule on
+# the untilted measure's width (``measure.untilted_level``)
 DUAL_RADIUS = 3.0
 DUAL_NODES = 161
 PRIMAL_NODES = 1201
+UNIFORM_RADIUS = 2.0
+AW_RHO = 6.0
 PROBE_SOURCES = (0.5, 1.0, 2.0)
 
 
-def convergence_suite(
-    models,
-    limit_model,
-    regulator,
-    uniform_radius: float = 2.0,
-    aw_rho: float = 6.0,
-) -> ConvergenceReport:
+def convergence_suite(models, limit_model, regulator) -> ConvergenceReport:
     """Distances of a regularization sequence to its limit theory at k = 0.
 
     The characteristic-function probe is a quadrature, so the report is
@@ -351,7 +355,7 @@ def convergence_suite(
         all from one context and so one Gaussian measure."""
         ctx = FunctionalContext(spec=spec, regulator=regulator, self_check=False)
         w_grid = _w_grid(ctx, t_axis)
-        gamma0 = conjugate(w_grid, -aw_rho, aw_rho, PRIMAL_NODES)
+        gamma0 = conjugate(w_grid, -AW_RHO, AW_RHO, PRIMAL_NODES)
         return w_grid, gamma0, _char_probe(ctx, PROBE_SOURCES)
 
     w_lim, gamma_lim, probe_lim = analyse(limit_model)
@@ -359,7 +363,7 @@ def convergence_suite(
     report = ConvergenceReport(uniform=[], aw=[], probe=[])
     for spec in models:
         w_n, gamma_n, probe_n = analyse(spec)
-        report.uniform.append(uniform_distance(w_n, w_lim, uniform_radius))
-        report.aw.append(aw_distance(gamma_n, gamma_lim, aw_rho))
+        report.uniform.append(uniform_distance(w_n, w_lim, UNIFORM_RADIUS))
+        report.aw.append(aw_distance(gamma_n, gamma_lim, AW_RHO))
         report.probe.append(float(np.max(np.abs(probe_n - probe_lim))))
     return report

@@ -63,9 +63,8 @@ from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from . import functionals as fn
 from .errors import ConvexityLoss, GridMismatch, SpecValidationError, StepUnderflow
-from .functionals import (FunctionalContext, _mirror_symmetric, _unfold,
-                          exact_grid_values)
-from .model import classical_asymptote, covariance
+from .functionals import FunctionalContext, exact_grid_values
+from .model import classical_asymptote, covariance, is_even, unfold
 from .regulator import regulator_diagonals
 
 
@@ -259,7 +258,7 @@ class _GridFlow:
         self.grid, self.regulator = grid, regulator
         self.momenta, self.weights = _one_per_mode(1, momenta, weights)
         self.momentum, self.weight = float(self.momenta[0]), float(self.weights[0])
-        if _mirror_symmetric(grid) and np.array_equal(values, values[::-1]):
+        if is_even(grid, values):
             self.d2 = folded_second_difference_matrix(grid.size)
             self.first_node = grid.size // 2  # the full-grid index of node 0
         else:
@@ -301,7 +300,7 @@ class _GridFlow:
         return float(self.curvature(k, u)[1].min())
 
     def unfold(self, u: np.ndarray) -> np.ndarray:
-        return _unfold(u) if self.first_node else u
+        return unfold(u) if self.first_node else u
 
     def action(self, k, u: np.ndarray) -> GridAction:
         """The action at k on the full grid, its zero-field value subtracted."""

@@ -44,7 +44,7 @@ from .measure import (
     spd_inverse,
     untilted_level,
 )
-from .model import ModelSpec
+from .model import ModelSpec, is_mirrored, unfold
 from .regulator import Regulator, regulator_diagonals
 
 BUDGET = 1e-10  # stated oracle accuracy of ln I, relative where |ln I| > 1
@@ -184,10 +184,18 @@ class MeanFieldSolve:
     moments: TiltedMoments
 
 
-def _lanes(ctx: FunctionalContext, x) -> tuple[np.ndarray, bool]:
-    """``x`` as a (B, M) batch, and whether it was a single (M,) vector."""
+def _lanes(ctx: FunctionalContext, x, one: bool = False) -> tuple[np.ndarray, bool]:
+    """``x`` as a (B, M) batch, and whether it was one field or source: an
+    (M,) vector, or a float at M = 1.  A batch is (B, M), or (B,) at M = 1,
+    and ``one`` refuses it; any other shape raises SpecValidationError."""
     x = np.asarray(x, dtype=float)
-    return x.reshape(-1, ctx.measure.dim), x.ndim < 2
+    m = ctx.measure.dim
+    single = x.shape == (m,) or (m == 1 and x.ndim == 0)
+    batch = x.shape[1:] == (m,) or (m == 1 and x.ndim == 1)
+    if not (single or batch and not one):
+        what = "one field" if one else "a field, a source or a batch"
+        raise SpecValidationError(f"an array of shape {x.shape} is not {what} of {m} mode(s)")
+    return x.reshape(-1, m), single
 
 
 def _first_lane(tm: TiltedMoments) -> TiltedMoments:
@@ -752,26 +760,15 @@ def legendre_transform(ctx: FunctionalContext, k: float, fields):
 
 def gamma(ctx: FunctionalContext, k: float, phi) -> float:
     """Effective average action: Legendre value minus the regulator term."""
-    values, _ = legendre_transform(ctx, k, phi)
+    values, _ = legendre_transform(ctx, k, _lanes(ctx, phi, one=True)[0])
     return float(values[0])
 
 
 def gamma_bar(ctx: FunctionalContext, k: float, phi) -> float:
     """Subtracted action: gamma(phi) - gamma(0), one transform of both fields."""
-    phi = np.atleast_1d(np.asarray(phi, dtype=float))
-    values, _ = legendre_transform(ctx, k, [phi, np.zeros_like(phi)])
+    phis, _ = _lanes(ctx, phi, one=True)
+    values, _ = legendre_transform(ctx, k, np.vstack([phis, np.zeros_like(phis)]))
     return float(values[0] - values[1])
-
-
-def _mirror_symmetric(grid: np.ndarray) -> bool:
-    """Whether a grid is odd and mirror-symmetric bit for bit, grid ==
-    -grid[::-1], so that its centre node is phi = 0."""
-    return grid.size % 2 == 1 and np.array_equal(grid, -grid[::-1])
-
-
-def _unfold(half: np.ndarray) -> np.ndarray:
-    """The even function on the full grid of its values on the nodes phi >= 0."""
-    return np.concatenate([half[:0:-1], half])
 
 
 def grid_transform(ctx: FunctionalContext, k: float, grid):
@@ -786,11 +783,11 @@ def grid_transform(ctx: FunctionalContext, k: float, grid):
     in one extra lane, the field 0.
     """
     grid = np.asarray(grid, dtype=float)
-    if ctx.spec.c3 == 0 and _mirror_symmetric(grid):
+    if ctx.spec.c3 == 0 and is_mirrored(grid):
         values, solve = legendre_transform(ctx, k, grid[grid.size // 2:])
-        j = solve.source[:, 0]
-        return (_unfold(values), _unfold(values - values[0]),
-                np.concatenate([-j[:0:-1], j]), _unfold(solve.residual), solve.iterations)
+        return (unfold(values), unfold(values - values[0]),
+                unfold(solve.source[:, 0], odd=True), unfold(solve.residual),
+                solve.iterations)
     values, solve = legendre_transform(ctx, k, np.append(grid, 0.0))
     return (values[:-1], values[:-1] - values[-1], solve.source[:-1, 0],
             solve.residual[:-1], solve.iterations)
@@ -803,9 +800,9 @@ def exact_grid_values(ctx: FunctionalContext, k: float, grid) -> np.ndarray:
 
 def gamma_gradient(ctx: FunctionalContext, k: float, phi) -> np.ndarray:
     """D gamma at phi: the inverting source minus the regulator action."""
-    phi = np.atleast_1d(np.asarray(phi, dtype=float))
-    solve = invert_mean_field(ctx, k, phi)
-    return solve.source - ctx.scale(k).f * phi
+    phis, _ = _lanes(ctx, phi, one=True)
+    solve = invert_mean_field(ctx, k, phis)
+    return (solve.source - ctx.scale(k).f * phis)[0]
 
 
 def gamma_hessian(ctx: FunctionalContext, k: float, phi) -> np.ndarray:
@@ -814,9 +811,9 @@ def gamma_hessian(ctx: FunctionalContext, k: float, phi) -> np.ndarray:
     W''(J) is the tilted covariance at the inverting source J, which the
     Newton solve returns: one solve, no differencing step.
     """
-    phi = np.atleast_1d(np.asarray(phi, dtype=float))
-    solve = invert_mean_field(ctx, k, phi)
-    out = np.linalg.inv(solve.moments.cov) - np.diag(ctx.scale(k).f)
+    phis, _ = _lanes(ctx, phi, one=True)
+    solve = invert_mean_field(ctx, k, phis)
+    out = np.linalg.inv(solve.moments.cov[0]) - np.diag(ctx.scale(k).f)
     return 0.5 * (out + out.T)
 
 

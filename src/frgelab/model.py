@@ -46,8 +46,22 @@ def mirrored_axis(radius: float, nodes: int) -> np.ndarray:
     6.7e-16 at radius 3 and 161 points), so even functions sampled on it
     could not be folded onto x >= 0 exactly.
     """
-    half = np.linspace(0.0, radius, nodes // 2 + 1)
-    return np.concatenate([-half[:0:-1], half])
+    return unfold(np.linspace(0.0, radius, nodes // 2 + 1), odd=True)
+
+
+def is_mirrored(axis: np.ndarray) -> bool:
+    """Whether an axis is odd and axis == -axis[::-1] bit for bit (centre 0)."""
+    return axis.size % 2 == 1 and np.array_equal(axis, -axis[::-1])
+
+
+def is_even(axis: np.ndarray, values: np.ndarray) -> bool:
+    """Whether values on a mirrored axis read the same reversed, bit for bit."""
+    return is_mirrored(axis) and np.array_equal(values, values[::-1])
+
+
+def unfold(half: np.ndarray, odd: bool = False) -> np.ndarray:
+    """An even (or odd) function on a mirrored axis from its values at x >= 0."""
+    return np.concatenate([-half[:0:-1] if odd else half[:0:-1], half])
 
 
 @dataclass(frozen=True)

@@ -357,10 +357,6 @@ class TestExitCodes:
         ["exact", "--k", ","],
         ["converge", "--levels", "0"],
         ["converge", "--levels", "-1"],
-        ["converge", "--rho", "-1"],
-        ["converge", "--radius", "-1"],
-        ["flow", "--kuv", "1", "--compare", "--compare-radius", "-1"],
-        ["flow", "--kuv", "1", "--compare", "--compare-radius", "nan"],
         ["flow", "--kuv", "1", "--rep", "vertex", "--init", "classical", "--compare"],
         ["exact", "--phi-max", "nan"],
         ["exact", "--phi-max", "inf"],
@@ -395,10 +391,27 @@ class TestExitCodes:
         assert main(argv + ["--config", str(cfg),
                             "--out", str(tmp_path / "o.csv")]) == 2
 
-    @pytest.mark.parametrize("option", [["--count", "-5"], ["--k-max", "nan"],
-                                        ["--seed", "-1"]])
+    @pytest.mark.parametrize("option", [["--count", "-5"], ["--seed", "-1"]])
     def test_bad_sample_plan_exit_2(self, option):
         assert main(["validate-regulator", *option]) == 2
+
+    @pytest.mark.parametrize("argv, option", [
+        pytest.param(["converge"], "--rho", id="--rho"),
+        pytest.param(["converge"], "--radius", id="--radius"),
+        pytest.param(["flow", "--kuv", "1", "--compare"], "--compare-radius",
+                     id="--compare-radius"),
+        pytest.param(["validate-regulator"], "--k-max", id="--k-max"),
+        pytest.param(["validate-regulator"], "--p-max", id="--p-max"),
+    ])
+    def test_removed_option_refused(self, config_path, tmp_path, capsys, argv, option):
+        # the compare radius, the convergence radii and the regulator sample
+        # box are constants; the parser refuses the options that set them
+        if argv[0] != "validate-regulator":
+            argv = argv + ["--config", config_path, "--out", str(tmp_path / "o.csv")]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + [option, "2"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {option} 2" in capsys.readouterr().err
 
     def test_malformed_table_number_exit_2(self, tmp_path, capsys):
         table = tmp_path / "table.csv"
@@ -444,6 +457,8 @@ class TestConverge:
         lines = Path(out).read_text().splitlines()
         assert lines[0] == "n,uniform_distance,aw_distance,probe_distance"
         assert len(lines) == 4
+        manifest = json.loads(Path(f"{out}.manifest.json").read_text())
+        assert manifest["tolerances"] == {"uniform_radius": 2.0, "aw_rho": 6.0}
 
     def test_seed_is_ignored(self, config_path, tmp_path, capsys):
         csvs = []

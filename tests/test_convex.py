@@ -26,7 +26,7 @@ from frgelab.convex import (
 )
 from frgelab.errors import EmptyEpigraphWindow, GridMismatch, NotProper
 from frgelab.functionals import FunctionalContext
-from frgelab.model import ModelSpec, WindowParams, mirrored_axis
+from frgelab.model import ModelSpec, WindowParams, mirrored_axis, unfold
 from frgelab.regulator import make_regulator
 
 
@@ -81,6 +81,35 @@ class TestGridFunction:
         with pytest.raises(NotProper, match=f"at node {node}"):
             GridFunction(axes=(np.linspace(-2, 2, 5),), values=np.array(bad))
 
+    @pytest.mark.parametrize("axis", [
+        [2.0, 1.0, 0.0, -1.0, -2.0],
+        [-2.0, -1.0, -1.0, 1.0, 2.0],
+        [-2.0, -1.0, np.nan, 1.0, 2.0],
+        [-2.0, -1.0, 0.0, 1.0, np.inf],
+    ], ids=["decreasing", "repeated", "nan", "infinite"])
+    def test_axis_must_be_finite_and_increasing(self, axis):
+        with pytest.raises(GridMismatch, match="axis 0 is not finite and strictly increasing"):
+            GridFunction(axes=(np.array(axis),), values=np.zeros(5))
+        with pytest.raises(GridMismatch, match="axis 1"):
+            GridFunction(axes=(np.linspace(-2, 2, 5), np.array(axis)),
+                         values=np.zeros((5, 5)))
+
+    def test_reversed_axis_no_longer_misreads_the_distance(self):
+        # the epigraph distance assumes graphs sorted in x: these samples
+        # read 0.4 on the increasing axis and 4.0 reversed
+        x = np.linspace(-2.0, 2.0, 41)
+        f, g = x * x, 0.5 * x * x + 0.3
+        assert aw_distance(GridFunction(axes=(x,), values=f),
+                           GridFunction(axes=(x,), values=g), 6.0) == pytest.approx(0.4)
+        with pytest.raises(GridMismatch):
+            GridFunction(axes=(x[::-1],), values=f[::-1])
+
+    def test_uneven_axis_accepted(self):
+        x = np.array([-2.0, -0.5, 0.0, 0.1, 3.0])
+        fs = conjugate(GridFunction(axes=(x,), values=np.zeros(5)), -1.0, 1.0, 5)
+        # the support function of [-2, 3]
+        assert np.array_equal(fs.values, np.where(fs.axes[0] < 0, -2.0, 3.0) * fs.axes[0])
+
     def test_improper_sample_named_on_a_box(self):
         values = np.zeros((3, 3))
         values[2, 1] = np.nan
@@ -89,6 +118,29 @@ class TestGridFunction:
 
 
 class TestConjugate:
+    @pytest.mark.parametrize("lo, hi, nodes", [
+        (-1.0, 1.0, 5), ([-1.0, -1.0], [1.0, 1.0], 5), ([-1.0], 1.0, [5, 5]),
+    ], ids=["scalars", "node-scalar", "one-bound"])
+    def test_box_values_broadcast_to_every_axis(self, lo, hi, nodes):
+        # a 2-D f onto (-1, 1, 5) gave a (5,) array, and (lo, hi) of two
+        # axes with one node count dropped an axis
+        fs = conjugate(_plane(), lo, hi, nodes)
+        assert fs.values.shape == (5, 5)
+        t = fs.nodes()
+        # the support function of [-1, 1]^2
+        assert np.array_equal(fs.values.ravel(), np.abs(t).sum(axis=1))
+
+    @pytest.mark.parametrize("f, lo, hi, nodes", [
+        (grid_fn(abs, -1.0, 1.0, 3), [-1.0, -1.0], [1.0, 1.0], [5, 5]),
+        (grid_fn(abs, -1.0, 1.0, 3), -1.0, 1.0, [5, 5]),
+        (_plane(), [-1.0, -1.0, -1.0], [1.0, 1.0, 1.0], 5),
+        (_plane(), [[-1.0, -1.0]], 1.0, 5),
+    ], ids=["1d-onto-2d", "1d-two-node-counts", "2d-onto-3d", "nested-bound"])
+    def test_box_of_another_dimension_refused(self, f, lo, hi, nodes):
+        # the 1-D f onto a 2-D box returned a (5, 5) array
+        with pytest.raises(GridMismatch, match=f"a box of {f.ndim} axes"):
+            conjugate(f, lo, hi, nodes)
+
     def test_half_square_self_conjugate(self):
         f = grid_fn(lambda x: 0.5 * x * x)
         fs = conjugate(f, -3, 3, 121)
@@ -167,9 +219,9 @@ class TestConjugate:
 
         def counted(half):
             unfolds.append(half.size)
-            return fn._unfold(half)
+            return unfold(half)
 
-        monkeypatch.setattr(convex, "_unfold", counted)
+        monkeypatch.setattr(convex, "unfold", counted)
         x = mirrored_axis(2.0, 41)
         even = GridFunction(axes=(x,), values=x * x)
         for f, lo, hi, nodes in [

@@ -334,7 +334,7 @@ class TestRhs:
             flow.rhs(0.1, flow.y0)
         with pytest.raises(ConvexityLoss, match=r"node 14 \(phi=0.4, k=0.1\)"):
             rhs_grid(s, litim)
-        monkeypatch.setattr(flow_module, "_mirror_symmetric", lambda grid: False)
+        monkeypatch.setattr(flow_module, "is_even", lambda axis, values: False)
         flow = _GridFlow(s, litim, [0.0], [1.0])
         assert flow.y0.size == 21
         with pytest.raises(ConvexityLoss, match=r"node 6 \(phi=-0.4, k=0.1\)"):
@@ -539,7 +539,7 @@ class TestIntegrate:
             shapes.append(args[0].shape)
             return dgbtrf(*args, **kwargs)
 
-        monkeypatch.setattr(flow_module, "_mirror_symmetric", lambda grid: False)
+        monkeypatch.setattr(flow_module, "is_even", lambda axis, values: False)
         monkeypatch.setattr(flow_module, "dgbtrf", counting)
         ref = integrate(init, 100.0, 0.0, litim, checkpoints=scales,
                         rtol=1e-12, atol=1e-14)
@@ -885,7 +885,7 @@ class TestBandNewtonMatrix:
         """The grid stepper on a convex grid action at scale k, and its Jacobian,
         both on every node: linspace(-2, 2, 5) is mirror-symmetric to the bit,
         and the even action's flow would step only its nodes phi >= 0."""
-        monkeypatch.setattr(flow_module, "_mirror_symmetric", lambda grid: False)
+        monkeypatch.setattr(flow_module, "is_even", lambda axis, values: False)
         grid = np.linspace(-2.0, 2.0, nodes)
         state = GridAction(k=k, grid=grid, values=0.5 * grid**2 + 0.1 * grid**4)
         jac = _jacobian(state, regulator)

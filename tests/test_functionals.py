@@ -214,6 +214,13 @@ class TestMeanField:
         with pytest.raises(RangeExceeded, match="source magnitude diverged"):
             invert_mean_field(phi4_ctx, 0.0, np.array([1.0]))
 
+    def test_newton_iteration_cap_raises_naming_the_field(self, phi4_ctx, monkeypatch):
+        # phi = 1 takes three Newton iterations at k = 0 and phi = 0.1 two;
+        # with a cap of one both are unconverged and the first is named
+        monkeypatch.setattr(functionals, "NEWTON_MAX_ITER", 1)
+        with pytest.raises(NewtonStalled, match=r"did not reach tolerance .* phi=\[1\.\]"):
+            invert_mean_field(phi4_ctx, 0.0, np.array([[1.0], [0.1]]))
+
     def test_large_scale_is_resolved_or_refused(self, phi4_spec, litim):
         # the transform never forms J.phi, W_k(J) or F_k(phi, phi), which
         # grow like k^2 phi^2 and cancel: at k = 1e5 their rounding put the
@@ -313,6 +320,42 @@ class TestEffectiveAction:
         monkeypatch.setattr(functionals, "_newton_step", climbing_at_7)
         with pytest.raises(NewtonStalled, match=r"phi=\[7\.\]"):
             invert_mean_field(phi4_ctx, 0.0, np.array([[1.0], [7.0], [2.0]]))
+
+    def test_single_mode_vector_is_a_batch_of_fields(self, phi4_ctx):
+        # at M = 1 a (B,) array is B fields: W and the inversion returned the
+        # first lane's value alone, as if it were one field
+        fields = np.array([0.1, 0.2])
+        w = W(phi4_ctx, 1.0, fields)
+        assert w.shape == (2,)
+        assert np.array_equal(w, W(phi4_ctx, 1.0, fields[:, None]))
+        solve = invert_mean_field(phi4_ctx, 1.0, fields)
+        assert solve.source.shape == (2, 1)
+        assert np.array_equal(solve.source,
+                              invert_mean_field(phi4_ctx, 1.0, fields[:, None]).source)
+        # a float and a (1,) vector are one field
+        assert W(phi4_ctx, 1.0, 0.1) == W(phi4_ctx, 1.0, [0.1]) == w[0]
+        assert gamma_bar(phi4_ctx, 1.0, 0.1) == gamma_bar(phi4_ctx, 1.0, [0.1])
+        assert gamma_bar(phi4_ctx, 1.0, 0.1) == pytest.approx(0.007238247, abs=1e-9)
+
+    @pytest.mark.parametrize("name", ["gamma", "gamma_bar", "gamma_gradient",
+                                      "gamma_hessian"])
+    def test_gamma_functions_take_exactly_one_field(self, phi4_ctx, name):
+        # gamma_bar(0.1, 0.2) returned gamma(0.1) - gamma(0.2) = -0.0218 and
+        # gamma_gradient lane 0's source for both fields
+        function = getattr(functionals, name)
+        for fields in ([0.1, 0.2], [[0.1]], [[0.1], [0.2]]):
+            with pytest.raises(SpecValidationError, match="not one field"):
+                function(phi4_ctx, 1.0, fields)
+
+    @pytest.mark.parametrize("shape", [(6,), (2,), (1,), (), (2, 2), (1, 2, 3)])
+    def test_other_shapes_are_refused(self, line_spec, litim, shape):
+        # three modes: a flat (6,) vector was read as two sources and gave
+        # the first one's W; a (2,) vector raised numpy's ValueError
+        ctx = FunctionalContext(spec=line_spec, regulator=litim)
+        with pytest.raises(SpecValidationError, match=re.escape(f"shape {shape}")):
+            W(ctx, 1.0, np.full(shape, 0.1))
+        with pytest.raises(SpecValidationError, match=re.escape(f"shape {shape}")):
+            invert_mean_field(ctx, 1.0, np.full(shape, 0.1))
 
     # Gamma_0(phi) = J phi - W_0(J) of the c4 = 0.1, m = r = 1 model (F_0 = 0
     # for litim), made with scipy.integrate.quad: ln of each integral of
@@ -723,6 +766,13 @@ class TestScaleRecord:
         assert np.allclose(record.prec @ record.sigma, np.eye(3), atol=1e-12)
         with pytest.raises(ValueError):
             record.f[0] = 0.0  # shared by every caller of the scale
+
+    @pytest.mark.parametrize("k", [np.nan, np.inf, -np.inf])
+    def test_scale_must_be_finite(self, phi4_spec, litim, k):
+        ctx = FunctionalContext(spec=phi4_spec, regulator=litim)
+        with pytest.raises(SpecValidationError, match=f"must be finite, got {k}"):
+            ctx.scale(k)
+        assert not ctx._scales
 
     @pytest.mark.parametrize("name", ["litim", "exponential"])
     @pytest.mark.parametrize("k", [1.4e154, 1e200, 1e300])

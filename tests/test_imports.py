@@ -1,11 +1,13 @@
-"""Static checks: only ``flow`` imports scipy, and only its public modules.
+"""Static checks: only ``flow`` imports scipy, and only its public modules;
+no frgelab module imports another's private names.
 
 scipy costs about half a second of start-up, so every command but ``flow``
 runs on numpy alone.  scipy keeps its internals in modules whose path has a
 component starting with an underscore (``scipy.integrate._ivp``,
-``scipy.sparse._csr``); they change between releases without notice.  Every
-source file is parsed, not imported, so an import inside a function is seen
-as well.
+``scipy.sparse._csr``); they change between releases without notice.  What
+one frgelab module shares with another is public, so a private helper can
+change with its own module.  Every source file is parsed, not imported, so an
+import inside a function is seen as well.
 """
 
 import ast
@@ -37,6 +39,18 @@ def private_scipy_imports(source: str) -> list[str]:
     module path component."""
     return [name for name in scipy_imports(source)
             if any(part.startswith("_") for part in name.split(".")[1:])]
+
+
+def private_frgelab_imports(source: str) -> list[str]:
+    """The underscore names, dunders aside, that ``source`` imports from a
+    frgelab module, relatively or by the package's name."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level > 0 or (node.module or "").split(".")[0] == "frgelab"):
+            found += [alias.name for alias in node.names
+                      if alias.name.startswith("_") and not alias.name.endswith("__")]
+    return found
 
 
 def test_sources_found():
@@ -88,3 +102,20 @@ def late():
         "scipy.sparse._csr", "scipy.integrate._ivp.bdf.BDF", "scipy.integrate._ivp",
         "scipy.sparse._sparsetools",
     ]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_private_frgelab_import(path):
+    assert private_frgelab_imports(path.read_text()) == []
+
+
+def test_the_check_sees_private_frgelab_names():
+    source = """
+from . import __version__, convex
+from .model import unfold, _position
+from frgelab.functionals import _lanes
+from numpy import _core
+def late():
+    from ..frgelab.flow import _GridFlow
+"""
+    assert private_frgelab_imports(source) == ["_position", "_lanes", "_GridFlow"]
