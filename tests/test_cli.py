@@ -357,6 +357,10 @@ class TestExitCodes:
         ["exact", "--k", ","],
         ["converge", "--levels", "0"],
         ["converge", "--levels", "-1"],
+        ["flow", "--kuv", "1", "--checkpoints", "x", "--init", "classical"],
+        ["flow", "--kuv", "1", "--atol", "-1", "--init", "classical"],
+        ["flow", "--kuv", "1", "--kend", "nan", "--init", "classical"],
+        ["frge-check", "--k", "nan"],
         ["flow", "--kuv", "1", "--rep", "vertex", "--init", "classical", "--compare"],
         ["exact", "--phi-max", "nan"],
         ["exact", "--phi-max", "inf"],
@@ -391,7 +395,8 @@ class TestExitCodes:
         assert main(argv + ["--config", str(cfg),
                             "--out", str(tmp_path / "o.csv")]) == 2
 
-    @pytest.mark.parametrize("option", [["--count", "-5"], ["--seed", "-1"]])
+    @pytest.mark.parametrize("option", [["--count", "-5"], ["--count", "0"],
+                                        ["--seed", "-1"]])
     def test_bad_sample_plan_exit_2(self, option):
         assert main(["validate-regulator", *option]) == 2
 
