@@ -98,6 +98,16 @@ def _parse_floats(text: str):
     return values
 
 
+def _scales(values, option: str):
+    """``values``, scales given with ``option``; a negative one raises
+    SpecValidationError, as the regulator family is defined for k >= 0."""
+    for k in values:
+        if k < 0:
+            raise SpecValidationError(
+                f"{option} {k:g} is negative; the regulator family is defined for k >= 0")
+    return values
+
+
 def _vertex_cell(vertex: np.ndarray) -> str:
     """A single-mode vertex as a number, a multi-mode one as a JSON array."""
     return f"{vertex.flat[0]:.15g}" if vertex.size == 1 else json.dumps(vertex.tolist())
@@ -163,7 +173,7 @@ def exact_table(args, spec, regulator):
     ctx = FunctionalContext(spec=spec, regulator=regulator)
     if ctx.measure.dim != 1:
         raise SpecValidationError("the exact sweep is single-mode only")
-    scales = _parse_floats(args.k)
+    scales = _scales(_parse_floats(args.k), "--k")
     if not scales:
         raise SpecValidationError("--k lists no scale")
     grid = spec.field_grid
@@ -191,7 +201,8 @@ def flow_table(args, spec, regulator):
     if args.compare and args.rep != "grid":
         raise SpecValidationError("--compare needs --rep grid")
     ctx = FunctionalContext(spec=spec, regulator=regulator)
-    checkpoints = _parse_floats(args.checkpoints)
+    _scales([args.kend], "--kend")
+    checkpoints = _scales(_parse_floats(args.checkpoints), "--checkpoints")
     initial, info = flow_mod.initial_condition(ctx, args.init, args.kuv, rep=args.rep)
     traj = flow_mod.integrate(
         initial, args.kuv, args.kend, regulator,
@@ -238,6 +249,7 @@ def flow_table(args, spec, regulator):
 
 def frge_check_table(args, spec, regulator):
     ctx = FunctionalContext(spec=spec, regulator=regulator)
+    _scales([args.k], "--k")
     probes = _parse_floats(args.probes)
     if not probes:
         raise SpecValidationError("--probes lists no field")

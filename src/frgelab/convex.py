@@ -305,14 +305,15 @@ class ConvergenceReport:
         return self.uniform_monotone and self.aw_monotone and self.probe_monotone
 
 
-def _w_grid(ctx: FunctionalContext, t_axis: np.ndarray) -> GridFunction:
-    """W_0 on a single-mode source axis; an even theory (c3 = 0) on a
-    mirrored axis is evaluated at t >= 0 and mirrored, exactly even."""
-    if ctx.spec.c3 == 0 and is_mirrored(t_axis):
-        values = unfold(fn.W(ctx, 0.0, t_axis[t_axis.size // 2:, None]))
-    else:
-        values = fn.W(ctx, 0.0, t_axis[:, None])
-    return GridFunction(axes=(t_axis,), values=values)
+def _w_grid(ctxs, t_axis: np.ndarray) -> list[GridFunction]:
+    """W_0 of each of a sequence of contexts that share a single-mode
+    interaction on a source axis, from one ``W`` call; an even theory
+    (c3 = 0) on a mirrored axis is evaluated at t >= 0 and mirrored,
+    exactly even."""
+    fold = ctxs[0].spec.c3 == 0 and is_mirrored(t_axis)
+    rows = fn.W(ctxs, 0.0, (t_axis[t_axis.size // 2:] if fold else t_axis)[:, None])
+    return [GridFunction(axes=(t_axis,), values=unfold(row) if fold else row)
+            for row in rows]
 
 
 def _char_probe(ctx: FunctionalContext, t) -> np.ndarray:
@@ -342,28 +343,30 @@ PROBE_SOURCES = (0.5, 1.0, 2.0)
 def convergence_suite(models, limit_model, regulator) -> ConvergenceReport:
     """Distances of a regularization sequence to its limit theory at k = 0.
 
-    The characteristic-function probe is a quadrature, so the report is
-    deterministic.
+    W_0 of the limit and of every member comes from one batched ``W`` call
+    per distinct interaction (``ModelSpec.interaction_key``), so one call for
+    a sequence that varies only the window; the conjugate Gamma_0 = W_0*, the
+    distances and the probe are taken per member.  The characteristic-
+    function probe is a quadrature, so the report is deterministic.
     """
     for m in models:
         if m.modes != limit_model.modes:
             raise GridMismatch("sequence members must share the mode count")
     t_axis = mirrored_axis(DUAL_RADIUS, DUAL_NODES)
-
-    def analyse(spec):
-        """W_0 on the dual grid, its conjugate Gamma_0 and the probe values,
-        all from one context and so one Gaussian measure."""
-        ctx = FunctionalContext(spec=spec, regulator=regulator, self_check=False)
-        w_grid = _w_grid(ctx, t_axis)
-        gamma0 = conjugate(w_grid, -AW_RHO, AW_RHO, PRIMAL_NODES)
-        return w_grid, gamma0, _char_probe(ctx, PROBE_SOURCES)
-
-    w_lim, gamma_lim, probe_lim = analyse(limit_model)
-
-    report = ConvergenceReport(uniform=[], aw=[], probe=[])
-    for spec in models:
-        w_n, gamma_n, probe_n = analyse(spec)
-        report.uniform.append(uniform_distance(w_n, w_lim, UNIFORM_RADIUS))
-        report.aw.append(aw_distance(gamma_n, gamma_lim, AW_RHO))
-        report.probe.append(float(np.max(np.abs(probe_n - probe_lim))))
-    return report
+    # one context per theory, the limit first, and so one Gaussian measure each
+    ctxs = [FunctionalContext(spec=spec, regulator=regulator, self_check=False)
+            for spec in [limit_model, *models]]
+    groups = {}
+    for i, ctx in enumerate(ctxs):
+        groups.setdefault(ctx.spec.interaction_key, []).append(i)
+    by_index = {}
+    for members in groups.values():
+        by_index.update(zip(members, _w_grid([ctxs[i] for i in members], t_axis)))
+    w_grids = [by_index[i] for i in range(len(ctxs))]
+    gammas = [conjugate(w, -AW_RHO, AW_RHO, PRIMAL_NODES) for w in w_grids]
+    probes = [_char_probe(ctx, PROBE_SOURCES) for ctx in ctxs]
+    return ConvergenceReport(
+        uniform=[uniform_distance(w, w_grids[0], UNIFORM_RADIUS) for w in w_grids[1:]],
+        aw=[aw_distance(g, gammas[0], AW_RHO) for g in gammas[1:]],
+        probe=[float(np.max(np.abs(p - probes[0]))) for p in probes[1:]],
+    )

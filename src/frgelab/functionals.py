@@ -16,7 +16,10 @@ lane's tilted measure lies start the rule there: the mean-field Newton
 solve on the field and its last tilted covariance (at its one-loop start,
 the one-loop covariance), and ``W`` on the zero-source measure's linear
 response.  What the oracle returns is certified on the same placement by
-the next, finer rule of ``measure.ladder`` (see ``_certified``).
+the next, finer rule of ``measure.ladder`` (see ``_certified``).  Each lane
+reads the regularised Gaussian part of its own context, so one kernel call
+serves several contexts that share an interaction: ``W`` takes every member
+of a window sequence at once.
 
 Neither exponential of the kernel is evaluated where its result underflows.
 The log-sum-exp writes +0 for terms below -746, exactly what ``exp`` gives
@@ -70,7 +73,8 @@ class ScaleRecord:
 
     ``f`` and ``f_dot`` are the diagonals of F_k = R_k(p) w and d_k F_k,
     ``prec`` = C^-1 + F_k with Cholesky factor ``chol_p``, ``sigma`` its
-    inverse with Cholesky factor ``chol_s`` and ``logdet_s`` = ln det sigma.
+    inverse with Cholesky factor ``chol_s`` and ``logdet_s`` = ln det sigma;
+    ``gaussian`` holds them as the kernel's lanes read them.
     ``moments`` holds the zero-source tilted moments (ln N_k and its
     measure), as a batch of one lane, once first asked for, their ln N_k
     ``certified`` once a value that reads it is first asked for, and
@@ -84,6 +88,7 @@ class ScaleRecord:
     sigma: np.ndarray
     chol_s: np.ndarray
     logdet_s: float
+    gaussian: _Gaussian
     moments: TiltedMoments | None = None
     certified: bool = False
     start: StartTerms | None = None
@@ -134,11 +139,13 @@ class FunctionalContext:
             self.regulator, k, self.spec.momenta, self.spec.momentum_weights)
         prec = self.measure.inv + np.diag(f)
         chol_p, sigma, logdet_p = spd_inverse(prec, f"C^-1 + F_k at k = {key}")
-        record = ScaleRecord(f=f, f_dot=f_dot, prec=prec, chol_p=chol_p, sigma=sigma,
-                             chol_s=np.linalg.cholesky(0.5 * (sigma + sigma.T)),
-                             logdet_s=-logdet_p)
+        chol_s = np.linalg.cholesky(0.5 * (sigma + sigma.T))
+        record = ScaleRecord(
+            f=f, f_dot=f_dot, prec=prec, chol_p=chol_p, sigma=sigma, chol_s=chol_s,
+            logdet_s=-logdet_p, gaussian=_Gaussian(
+                self.spec, None, None, sigma, chol_p, chol_s, -logdet_p, self.measure.logdet))
         # every caller of this scale shares the arrays
-        for a in (f, f_dot, prec, chol_p, sigma, record.chol_s):
+        for a in (f, f_dot, prec, chol_p, sigma, chol_s):
             a.setflags(write=False)
         self._scales[key] = record
         if len(self._scales) > SCALE_CACHE_SIZE:
@@ -184,6 +191,40 @@ class MeanFieldSolve:
     moments: TiltedMoments
 
 
+def _contexts(ctx) -> list[FunctionalContext]:
+    """``ctx`` as a list: one context, or a sequence of contexts that share a
+    mode count and an interaction; else SpecValidationError."""
+    if isinstance(ctx, FunctionalContext):
+        return [ctx]
+    ctxs = list(ctx)
+    for i, c in enumerate(ctxs[1:], start=1):
+        if c.measure.dim != ctxs[0].measure.dim:
+            raise SpecValidationError(
+                f"member {i} has {c.measure.dim} mode(s), member 0 has "
+                f"{ctxs[0].measure.dim}: the contexts must share the mode count")
+        if c.spec.interaction_key != ctxs[0].spec.interaction_key:
+            raise SpecValidationError(
+                f"member {i} has another interaction than member 0: the contexts "
+                f"must share it")
+    return ctxs
+
+
+def _member(ctxs: list, index) -> np.ndarray | None:
+    """The lanes' ``member`` argument of the kernel: None for one context,
+    whose lanes all read it, else each lane's index into ``ctxs``."""
+    return None if len(ctxs) == 1 else np.asarray(index, dtype=np.intp)
+
+
+def _naming(k, t, lane, ctxs, member) -> str:
+    """The scale and a lane's source, and its member (index and window) when
+    the lanes read several contexts."""
+    where = f"k={k}, source={t[lane]}"
+    if member is not None:
+        i = int(member[lane])
+        where += f", member {i} (window {ctxs[i].spec.window})"
+    return where
+
+
 def _lanes(ctx: FunctionalContext, x, one: bool = False) -> tuple[np.ndarray, bool]:
     """``x`` as a (B, M) batch, and whether it was one field or source: an
     (M,) vector, or a float at M = 1.  A batch is (B, M), or (B,) at M = 1,
@@ -202,6 +243,23 @@ def _first_lane(tm: TiltedMoments) -> TiltedMoments:
     """The moments of a batch's first lane, shaped as for a single source."""
     return TiltedMoments(float(tm.log_value[0]), float(tm.log_interaction[0]),
                          tm.mean[0], tm.cov[0])
+
+
+def _lane(tm: TiltedMoments, i: int) -> TiltedMoments:
+    """Lane i of a batch, as a batch of one."""
+    return TiltedMoments(tm.log_value[i:i + 1], tm.log_interaction[i:i + 1],
+                         tm.mean[i:i + 1], tm.cov[i:i + 1])
+
+
+def _join(parts, m: int) -> TiltedMoments:
+    """The lanes of a list of batches as one batch; no batch is the empty
+    batch of M modes."""
+    if len(parts) == 1:
+        return parts[0]
+    if not parts:
+        return TiltedMoments(np.empty(0), np.empty(0), np.empty((0, m)), np.empty((0, m, m)))
+    return TiltedMoments(*(np.concatenate([getattr(p, name) for p in parts])
+                           for name in ("log_value", "log_interaction", "mean", "cov")))
 
 
 def _exp_above(x: np.ndarray, floor: float) -> np.ndarray:
@@ -240,9 +298,16 @@ def _log_sum_exp(a: np.ndarray):
 
 
 def tilted_moments(
-    ctx: FunctionalContext, k: float, t_vec=None, level=None, start=None
+    ctx, k: float, t_vec=None, level=None, start=None, member=None
 ) -> TiltedMoments:
     """Tilted moments at the source ``t_vec``, of shape (M,) or a batch (B, M).
+
+    ``ctx`` is one context, whose regularised Gaussian part every lane reads,
+    or a sequence of contexts that share a mode count and an interaction
+    (else SpecValidationError); then ``member``, a (B,) array of indices
+    into it, gives each lane's context, and each lane reads that context's
+    Gaussian part.  A lane's bits do not depend on the other lanes of its
+    batch.
 
     Each lane places its quadrature rule with its own centre c and
     Cholesky factor L, and re-places it on the tilted mean and covariance
@@ -251,34 +316,40 @@ def tilted_moments(
     on.  ``start`` = (centre, cov) is where the caller expects each lane's
     tilted mean and covariance, one (M,) and (M, M) pair or one per lane;
     without it the first rule sits on the Gaussian part of the integrand.
-    ``level`` is the rule's level per axis, by default ``ctx.gh_level``.  A
-    batch whose rows (lanes times rule nodes) exceed ``measure.MAX_GH_NODES``
-    is evaluated in chunks of lanes.
+    ``level`` is the rule's level per axis, by default the context's
+    ``gh_level``.  A batch whose rows (lanes times rule nodes) exceed
+    ``measure.MAX_GH_NODES`` is evaluated in chunks of lanes; an empty batch
+    returns empty moments without evaluating anything.
 
-    Raises :class:`RangeExceeded`, naming the first such source, if a mean
-    or width has not settled after ``RECENTRE_PASSES`` placements or if a
-    rule is narrower than the rounding of its centre: the source lies
-    outside the range the rule resolves.
+    Raises :class:`RangeExceeded`, naming the first such source (and its
+    member), if a mean or width has not settled after ``RECENTRE_PASSES``
+    placements or if a rule is narrower than the rounding of its centre: the
+    source lies outside the range the rule resolves.
     """
-    m = ctx.measure.dim
-    t, single = _lanes(ctx, np.zeros(m) if t_vec is None else t_vec)
-    level = ctx.gh_level if level is None else level
+    ctxs = _contexts(ctx)
+    if not ctxs or member is None and len(ctxs) != 1:
+        raise SpecValidationError("the lanes need one context, or several and each lane's member")
+    m = ctxs[0].measure.dim
+    t, single = _lanes(ctxs[0], np.zeros(m) if t_vec is None else t_vec)
+    if member is not None:
+        member = np.asarray(member, dtype=np.intp)
+        if member.shape != (len(t),):
+            raise SpecValidationError(
+                f"member has shape {member.shape}, the batch needs ({len(t)},)")
+    level = ctxs[0].gh_level if level is None else level
     if start is not None:
         start = (np.broadcast_to(np.asarray(start[0], dtype=float).reshape(-1, m), t.shape),
                  np.broadcast_to(np.asarray(start[1], dtype=float).reshape(-1, m, m),
                                  t.shape + (m,)))
+    gaussian = _Gaussian.of(ctxs, k, member)
     width = max(1, measure.MAX_GH_NODES // level**m)  # lanes per chunk
     parts = []
     for i in range(0, len(t), width):
+        chunk = slice(i, i + width)
         parts.append(_moments(
-            ctx, k, t[i:i + width], level,
-            None if start is None else (start[0][i:i + width], start[1][i:i + width])))
-    tm = parts[0] if len(parts) == 1 else TiltedMoments(
-        np.concatenate([p.log_value for p in parts]),
-        np.concatenate([p.log_interaction for p in parts]),
-        np.concatenate([p.mean for p in parts]),
-        np.concatenate([p.cov for p in parts]),
-    )
+            gaussian.take(chunk), k, t[chunk], level,
+            None if start is None else (start[0][chunk], start[1][chunk])))
+    tm = _join(parts, m)
     return _first_lane(tm) if single else tm
 
 
@@ -377,27 +448,74 @@ def _cholesky(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return factor, np.isfinite(factor).all(axis=(-2, -1))
 
 
-def _moments(ctx, k, t, level, start) -> TiltedMoments:
-    """The tilted moments of a (B, M) batch of sources, all lanes at once."""
+@dataclass(frozen=True)
+class _Gaussian:
+    """What the kernel's lanes read of their contexts at scale k.
+
+    ``spec`` gives the interaction, which the contexts share.  The
+    regularised Gaussian part N(Sigma T, Sigma), Sigma^-1 = C^-1 + F_k, is
+    held as ``sigma``, the Cholesky factors ``root`` of Sigma^-1 and
+    ``chol_s`` of Sigma, ``logdet_s`` = ln det Sigma and ``logdet_c`` =
+    ln det C.  One context's part, kept in its scale record with ``ctxs``
+    and ``member`` None, is its record's (M, M) matrices and floats, shared
+    by every lane; lanes of several contexts hold one entry per lane, along
+    a leading axis, their context's, which ``member`` indexes in ``ctxs``.
+    """
+
+    spec: ModelSpec
+    ctxs: list | None
+    member: np.ndarray | None
+    sigma: np.ndarray
+    root: np.ndarray
+    chol_s: np.ndarray
+    logdet_s: float | np.ndarray
+    logdet_c: float | np.ndarray
+
+    @classmethod
+    def of(cls, ctxs: list, k: float, member) -> _Gaussian:
+        """The parts of lanes of one context (``member`` None) or of the
+        contexts ``member`` indexes in ``ctxs``."""
+        if member is None:
+            return ctxs[0].scale(k).gaussian
+        parts = zip(*(c.scale(k).gaussian.parts() for c in ctxs))
+        return cls(ctxs[0].spec, ctxs, member, *(np.stack(part)[member] for part in parts))
+
+    def parts(self) -> tuple:
+        return self.sigma, self.root, self.chol_s, self.logdet_s, self.logdet_c
+
+    def take(self, lanes) -> _Gaussian:
+        """The parts of the lanes ``lanes``; one context's are every lane's."""
+        if self.member is None:
+            return self
+        return _Gaussian(self.spec, self.ctxs, self.member[lanes],
+                         *(a[lanes] for a in self.parts()))
+
+    def product(self, x: np.ndarray, mats: np.ndarray) -> np.ndarray:
+        """x_l @ mats_l for each row of a (B, M) batch: one matrix product
+        with one context's shared matrix."""
+        return x @ mats if self.member is None else (x[:, None, :] @ mats)[:, 0, :]
+
+
+def _moments(gaussian: _Gaussian, k, t, level, start) -> TiltedMoments:
+    """The tilted moments of a (B, M) batch of sources, all lanes at once,
+    each lane on its Gaussian part."""
     with _overflow_out_of_range(k):
-        record = ctx.scale(k)
         m = t.shape[-1]
-        root = record.chol_p
         eye = np.eye(m)
         pairs, pair_scale, pair_of = _pairs(m)
         # a measured mean farther than half the outermost node from the
         # centre lies beyond what the rule resolves
         reach = 0.5 * float(gauss_hermite_nodes(level, m)[0][-1, 0])
-        mu = t @ record.sigma.T
-        log_gauss = 0.5 * ((t * mu).sum(axis=-1) + record.logdet_s - ctx.measure.logdet)
+        mu = gaussian.product(t, gaussian.sigma.mT)
+        log_gauss = 0.5 * ((t * mu).sum(axis=-1) + gaussian.logdet_s - gaussian.logdet_c)
         if start is None:
             centre = mu.copy()
-            factor = np.repeat(record.chol_s[None], len(t), axis=0)
+            factor = np.broadcast_to(gaussian.chol_s, t.shape + (m,)).copy()
         else:
             # a start covariance without a factor gives way to the Gaussian part's
             centre = np.array(start[0])
             factor, ok = _cholesky(start[1])
-            factor[~ok] = record.chol_s
+            factor[~ok] = gaussian.take(~ok).chol_s
 
         log_i0_out = np.empty(len(t))
         mean_out = np.empty_like(t)
@@ -405,6 +523,8 @@ def _moments(ctx, k, t, level, start) -> TiltedMoments:
         lanes = np.arange(len(t))  # the lanes not yet settled
         for _ in range(RECENTRE_PASSES):
             c, chol, mu_c = centre[lanes], factor[lanes], mu[lanes]
+            part = gaussian.take(lanes)
+            root = part.root
             diag = chol.diagonal(axis1=1, axis2=2)
             # nodes c + L x are distinct only while L exceeds the rounding of c
             blurred = _EPS * np.abs(c) >= diag
@@ -412,15 +532,15 @@ def _moments(ctx, k, t, level, start) -> TiltedMoments:
                 lane = int(lanes[blurred.any(axis=-1).argmax()])
                 raise RangeExceeded(
                     f"the quadrature rule is narrower than the rounding of its centre "
-                    f"at k={k}, source={t[lane]}; the source lies outside the "
-                    f"resolvable range")
+                    f"at {_naming(k, t, lane, gaussian.ctxs, gaussian.member)}; the source "
+                    f"lies outside the resolvable range")
             # ln N(psi; mu, Sigma) - ln N(psi; c, L L^T) at psi = c + L x is
             # x.Q x / 2 - (A^T a).x - |a|^2 / 2 + ln det L + ln det R, with
             # A = R^T L, a = R^T (c - mu), Q = I - A^T A and R R^T = Sigma^-1.
             # The constant, which can be large, is added after the sum over the
             # nodes, so its rounding does not reach the weights.
-            a_mat = root.T @ chol
-            a_vec = (c - mu_c) @ root
+            a_mat = root.mT @ chol
+            a_vec = gaussian.product(c - mu_c, root)
             coef = np.empty((len(lanes), len(pair_scale) + m + 1))
             coef[:, :m] = -(a_vec[:, None, :] @ a_mat)[:, 0, :]
             coef[:, m:-1] = (eye - a_mat.mT @ a_mat).reshape(-1, m * m)[:, pairs]
@@ -430,7 +550,7 @@ def _moments(ctx, k, t, level, start) -> TiltedMoments:
             blocks = []
             for _, rule in _rule_blocks(level, m):
                 block_terms = (coef[:, None, :] @ rule.ratio)[:, 0, :]
-                block_terms -= ctx.spec.interaction_batch((placing @ rule.place).mT)
+                block_terms -= gaussian.spec.interaction_batch((placing @ rule.place).mT)
                 blocks.append(block_terms)
             log_terms = blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=1)
             log_i0 = _log_sum_exp(log_terms)
@@ -454,7 +574,7 @@ def _moments(ctx, k, t, level, start) -> TiltedMoments:
             if settled.any():
                 done = lanes[settled]
                 constant = (np.log(diag).sum(axis=-1)
-                            - 0.5 * (record.logdet_s + (a_vec * a_vec).sum(axis=-1)))
+                            - 0.5 * (part.logdet_s + (a_vec * a_vec).sum(axis=-1)))
                 log_i0_out[done] = (log_i0 + constant)[settled]
                 mean_out[done] = mean[settled]
                 cov_out[done] = (chol @ cov_x @ chol.mT)[settled]
@@ -476,25 +596,50 @@ def _moments(ctx, k, t, level, start) -> TiltedMoments:
                                      chol * np.sqrt(np.maximum(moved, 1.0))[:, None, None])
         raise RangeExceeded(
             f"tilted measure did not settle after {RECENTRE_PASSES} placements at "
-            f"k={k}, source={t[lanes[0]]}; the source lies outside the resolvable range")
+            f"{_naming(k, t, lanes[0], gaussian.ctxs, gaussian.member)}; the source "
+            f"lies outside the resolvable range")
+
+
+def _kernel(ctxs: list, member, k, t, level=None, start=None) -> TiltedMoments:
+    """``tilted_moments`` of lanes of one context (``member`` None) or of
+    the contexts ``member`` indexes in ``ctxs``."""
+    if member is None:
+        return tilted_moments(ctxs[0], k, t, level, start)
+    return tilted_moments(ctxs, k, t, level, start, member=member)
+
+
+def _zero_sources(ctxs: list, k: float, certify: bool = False) -> list[TiltedMoments]:
+    """Each context's zero-source tilted moments of scale k, computed once
+    per scale record: one kernel call for the records that lack them.
+
+    With ``certify`` their ln N_k (and ln I(0)) is certified as well, once
+    per record and in one certificate for the records not yet certified,
+    where the context self-checks: only the values built on ln N_k ask for
+    it.  The mean and covariance are the kernel's either way, so what reads
+    only those, the Newton start and d_k ln N_k, runs where no certificate
+    can be had.
+    """
+    records = [c.scale(k) for c in ctxs]
+    zero = np.zeros((len(ctxs), ctxs[0].measure.dim))
+    lacking = [i for i, r in enumerate(records) if r.moments is None]
+    if lacking:
+        tm = _kernel(ctxs, _member(ctxs, lacking), k, zero[lacking])
+        for lane, i in enumerate(lacking):
+            records[i].moments = _lane(tm, lane)
+    pending = [i for i, r in enumerate(records) if certify and not r.certified]
+    if pending:
+        tm = _certified(ctxs, k, zero[pending],
+                        _join([records[i].moments for i in pending], zero.shape[1]),
+                        _member(ctxs, pending))
+        for lane, i in enumerate(pending):
+            records[i].moments = _lane(tm, lane)
+            records[i].certified = True
+    return [_first_lane(r.moments) for r in records]
 
 
 def _zero_source(ctx: FunctionalContext, k: float, certify: bool = False) -> TiltedMoments:
-    """Zero-source tilted moments of scale k, computed once per scale record.
-
-    With ``certify`` their ln N_k (and ln I(0)) is certified as well, once
-    per record: only the values built on ln N_k ask for it.  The mean and
-    covariance are the kernel's either way, so what reads only those, the
-    Newton start and d_k ln N_k, runs where no certificate can be had.
-    """
-    record = ctx.scale(k)
-    zero = np.zeros((1, ctx.measure.dim))
-    if record.moments is None:
-        record.moments = tilted_moments(ctx, k, zero)
-    if certify and not record.certified:
-        record.moments = _certified(ctx, k, zero, record.moments)
-        record.certified = True
-    return _first_lane(record.moments)
+    """One context's zero-source tilted moments of scale k (``_zero_sources``)."""
+    return _zero_sources([ctx], k, certify)[0]
 
 
 def _start_terms(ctx: FunctionalContext, k: float) -> StartTerms:
@@ -576,45 +721,78 @@ def log_normalization(ctx: FunctionalContext, k: float) -> float:
     return _zero_source(ctx, k, certify=True).log_value
 
 
-def W(ctx: FunctionalContext, k: float, t_vec):
+def W(ctx, k: float, t_vec):
     """Log moment-generating function of the scale-k theory at one source
     (M,) or a batch (B, M); a float or (B,) values.
 
-    W_k(T) = ln E[...] - ln N_k, each lane's value certified when the
+    W_k(T) = ln E[...] - ln N_k, each lane's value certified when its
     context self-checks.  Each lane's rule starts where the zero-source
     measure's linear response puts the tilted measure: at its mean moved by
     its covariance times the source, as wide as it.
+
+    ``ctx`` may also be a sequence of G contexts that share a mode count
+    and an interaction (else SpecValidationError): then W is one row per
+    context, (G,) for one source and (G, B) for a batch, each row the bits
+    of that context's own W at one mode.  The zero-source moments the
+    contexts' scale records lack take one kernel call, and every (context,
+    source) lane one more; an error of a lane names its member, by index
+    and window.  An empty batch, or no context, evaluates nothing: with no
+    context a 2-D ``t_vec`` is read as a batch and anything else as one
+    source.
     """
-    t, single = _lanes(ctx, t_vec)
-    zero = _zero_source(ctx, k, certify=True)
-    with _overflow_out_of_range(k):
-        centre = zero.mean + t @ zero.cov
-    moments = _certified(ctx, k, t, tilted_moments(ctx, k, t, start=(centre, zero.cov)))
-    w = moments.log_value - zero.log_value
-    return float(w[0]) if single else w
+    ctxs = _contexts(ctx)
+    one = isinstance(ctx, FunctionalContext)
+    if not ctxs:
+        t = np.asarray(t_vec, dtype=float)
+        return np.empty((0, len(t)) if t.ndim == 2 else 0)
+    t, single = _lanes(ctxs[0], t_vec)
+    if len(t) == 0:
+        w = np.empty((len(ctxs), 0))
+    else:
+        zeros = _zero_sources(ctxs, k, certify=True)
+        with _overflow_out_of_range(k):
+            centre = np.concatenate([z.mean + t @ z.cov for z in zeros])
+        cov = np.repeat(np.stack([z.cov for z in zeros]), len(t), axis=0)
+        sources = np.tile(t, (len(ctxs), 1))
+        member = _member(ctxs, np.repeat(np.arange(len(ctxs)), len(t)))
+        moments = _certified(ctxs, k, sources,
+                             _kernel(ctxs, member, k, sources, start=(centre, cov)), member)
+        w = (moments.log_value.reshape(len(ctxs), len(t))
+             - np.array([z.log_value for z in zeros])[:, None])
+    if single:
+        w = w[:, 0]
+    if not one:
+        return w
+    return float(w[0]) if single else w[0]
 
 
-def _certified(ctx, k, t, moments: TiltedMoments) -> TiltedMoments:
-    """``moments`` of a (B, M) batch of sources with each lane's ln I
-    certified, when the context self-checks.
+def _certified(ctxs: list, k, t, moments: TiltedMoments, member=None) -> TiltedMoments:
+    """``moments`` of a (B, M) batch of sources with the ln I of each lane
+    whose context self-checks certified; ``member`` as for ``_kernel``.
 
     Each lane's ln I is taken again on the next rule of ``measure.ladder``,
     placed on the lane's mean and covariance, which stay; the finer value is
     kept, and a lane whose two values differ by more than ``BUDGET``
     (1 + |ln I|) climbs on.  The relative part spares a large ln I its own
     rounding.  Raises :class:`BudgetExceeded` naming k and the first source
-    still over at the top, or whose next rule exceeds ``MAX_GH_NODES``.
+    (and its member) still over at the top, or whose next rule exceeds
+    ``MAX_GH_NODES``.
     """
-    if not ctx.self_check:
+    if member is None:
+        lanes = np.arange(len(t) if ctxs[0].self_check else 0)
+    else:
+        lanes = np.flatnonzero(np.array([c.self_check for c in ctxs])[member])
+    if lanes.size == 0:
         return moments
     log_value, log_i = moments.log_value.copy(), moments.log_interaction.copy()
-    lanes = np.arange(len(t))  # the lanes not yet certified
-    for level in ladder(ctx.measure.dim)[1:]:
+    for level in ladder(ctxs[0].measure.dim)[1:]:
+        lane_member = None if member is None else member[lanes]
         try:
-            fine = tilted_moments(ctx, k, t[lanes], level,
-                                  start=(moments.mean[lanes], moments.cov[lanes]))
+            fine = _kernel(ctxs, lane_member, k, t[lanes], level,
+                           start=(moments.mean[lanes], moments.cov[lanes]))
         except BudgetExceeded as exc:
-            raise BudgetExceeded(f"{exc}, at k={k}, source={t[lanes[0]]}") from None
+            raise BudgetExceeded(
+                f"{exc}, at {_naming(k, t, lanes[0], ctxs, member)}") from None
         # a NaN estimate certifies nothing
         over = ~(np.abs(fine.log_interaction - log_i[lanes])
                  <= BUDGET * (1.0 + np.abs(fine.log_interaction)))
@@ -624,7 +802,7 @@ def _certified(ctx, k, t, moments: TiltedMoments) -> TiltedMoments:
             return TiltedMoments(log_value, log_i, moments.mean, moments.cov)
     raise BudgetExceeded(
         f"the level-{level} rule moved ln I by more than the budget {BUDGET:.0e} "
-        f"at k={k}, source={t[lanes[0]]}: no rule on the ladder certifies it")
+        f"at {_naming(k, t, lanes[0], ctxs, member)}: no rule on the ladder certifies it")
 
 
 def mean_field(ctx: FunctionalContext, k: float, t_vec) -> np.ndarray:
@@ -649,6 +827,8 @@ def invert_mean_field(ctx: FunctionalContext, k: float, phi) -> MeanFieldSolve:
     that fails, except the kernel's refusals, which name its source.
     """
     phis, single = _lanes(ctx, phi)
+    if not len(phis):
+        return MeanFieldSolve(np.empty(phis.shape), np.empty(0), 0, _join([], phis.shape[1]))
     j, start_cov = _one_loop_start(ctx, k, phis)
     tm = tilted_moments(ctx, k, j, start=(phis, start_cov))
     finite = np.isfinite(tm.mean).all(axis=-1) & np.isfinite(tm.cov).all(axis=(-2, -1))
@@ -747,7 +927,9 @@ def legendre_transform(ctx: FunctionalContext, k: float, fields):
     """
     phis, _ = _lanes(ctx, fields)
     solve = invert_mean_field(ctx, k, phis)
-    solve = replace(solve, moments=_certified(ctx, k, solve.source, solve.moments))
+    if not len(phis):
+        return np.empty(0), solve
+    solve = replace(solve, moments=_certified([ctx], k, solve.source, solve.moments))
     record = ctx.scale(k)
     with _overflow_out_of_range(k):
         gap = phis - solve.source @ record.sigma.T

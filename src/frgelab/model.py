@@ -74,6 +74,12 @@ class WindowParams:
     Lambda: float | None = None
     n: int | None = None
 
+    def __str__(self) -> str:
+        """The kind and the parameters it sets, e.g. ``scalar r=0.75``."""
+        return " ".join([self.kind] + [f"{name}={value}" for name, value in (
+            ("r", self.r), ("K", self.K), ("Lambda", self.Lambda), ("n", self.n))
+            if value is not None])
+
 
 @dataclass(frozen=True)
 class ModelSpec:
@@ -161,6 +167,14 @@ class ModelSpec:
                 term = c * power()
                 out = term if out is None else out + term
         return np.zeros_like(v) if out is None else out
+
+    @property
+    def interaction_key(self) -> tuple:
+        """What S^int reads of the spec: the dimension, the mode count, c2, c3
+        and c4 and, in d = 1, the momentum spacing that sets the position
+        grid.  Specs with equal keys have the same interaction."""
+        return (self.dimension, self.modes, self.c2, self.c3, self.c4,
+                self.momentum_spacing if self.dimension else None)
 
     def interaction(self, psi: np.ndarray) -> float:
         """S^int evaluated at the mode coefficients ``psi``: one row of

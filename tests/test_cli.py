@@ -379,10 +379,28 @@ class TestExitCodes:
         ["flow", "--kuv", "1", "--rtol", "1e-15", "--init", "classical", "--rep", "vertex"],
         # the field grid's node count must be odd: 0 must be a node
         ["exact", "--phi-nodes", "10"],
+        # the regulator family is defined for k >= 0
+        ["exact", "--k", "-1"],
+        ["frge-check", "--k", "-1"],
+        ["flow", "--kuv", "1", "--kend", "-1", "--init", "classical"],
+        ["flow", "--kuv", "1", "--checkpoints", "0.5,-0.5", "--init", "classical"],
     ])
     def test_bad_option_exit_2(self, config_path, tmp_path, argv):
         assert main(argv + ["--config", config_path,
                             "--out", str(tmp_path / "o.csv")]) == 2
+
+    @pytest.mark.parametrize("argv, option", [
+        (["exact", "--k", "1,-1"], "--k -1"),
+        (["frge-check", "--k", "-1"], "--k -1"),
+        (["flow", "--kuv", "1", "--kend", "-1", "--init", "classical"], "--kend -1"),
+        (["flow", "--kuv", "1", "--checkpoints", "0.5,-0.5", "--init", "classical"],
+         "--checkpoints -0.5"),
+    ])
+    def test_negative_scale_names_its_option(self, config_path, tmp_path, capsys,
+                                             argv, option):
+        assert main(argv + ["--config", config_path,
+                            "--out", str(tmp_path / "o.csv")]) == 2
+        assert f"{option} is negative" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
         ["flow", "--kuv", "1", "--init", "classical"],

@@ -528,6 +528,24 @@ class TestConvergenceSuite:
         assert not rep.aw_monotone
         assert rep.aw[-1] > 0.01  # does not approach zero
 
+    @pytest.mark.parametrize("members", [6, 1])
+    def test_one_w_call_and_two_kernel_calls(self, monkeypatch, members):
+        # the limit and every member in one batched W: one kernel call for the
+        # zero sources and one for every (member, source) lane
+        calls = []
+
+        def counted(name, original):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(fn, "W", counted("W", fn.W))
+        monkeypatch.setattr(fn, "tilted_moments", counted("kernel", fn.tilted_moments))
+        limit, *models = self.specs([1.0] + [1.0 - 2.0 ** (-n) for n in range(1, members + 1)])
+        convergence_suite(models, limit, make_regulator("litim"))
+        assert calls == ["W", "kernel", "kernel"]
+
     def test_w_grid_is_w_on_the_dual_axis(self, phi4_spec, litim, monkeypatch):
         calls = []
         original = fn.W
@@ -541,13 +559,18 @@ class TestConvergenceSuite:
             (0.0, np.linspace(-3.0, 3.1, 13), 13),  # an unmirrored axis
             (0.02, mirrored_axis(3.0, 13), 13),  # an odd theory
         ]:
-            spec = dataclasses.replace(phi4_spec, c3=c3, allow_unbounded=c3 != 0)
-            ctx = FunctionalContext(spec=spec, regulator=litim, self_check=False)
-            expected = [original(ctx, 0.0, [t]) for t in t_axis]
+            # three windows of one interaction
+            ctxs = [FunctionalContext(
+                spec=dataclasses.replace(phi4_spec, c3=c3, allow_unbounded=c3 != 0,
+                                         window=WindowParams(kind="scalar", r=r)),
+                regulator=litim, self_check=False) for r in (1.0, 0.75, 0.5)]
+            expected = [[original(ctx, 0.0, [t]) for t in t_axis] for ctx in ctxs]
             calls.clear()
             with monkeypatch.context() as m:
                 m.setattr(fn, "W", counted)
-                grid = _w_grid(ctx, t_axis)
-            # one batched W call: the one formula for W lives in W
+                grids = _w_grid(ctxs, t_axis)
+            # one batched W call for every context: the one formula for W lives in W
             assert calls == [(lanes, 1)], c3
-            assert np.abs(grid.values - expected).max() <= 1e-13
+            assert len(grids) == len(ctxs)
+            for grid, want in zip(grids, expected):
+                assert np.abs(grid.values - want).max() <= 1e-13

@@ -985,3 +985,124 @@ class TestNewtonStart:
         assert solve.residual.max() <= functionals.NEWTON_TOL
         reference = [TestEffectiveAction.QUAD_GAMMA_K0[phi] for phi in fields]
         assert np.abs(values - reference).max() <= 1e-9
+
+
+class TestEmptyBatches:
+    @pytest.fixture
+    def no_kernel(self, monkeypatch):
+        def refused(*args):
+            raise AssertionError("the kernel ran on an empty batch")
+
+        monkeypatch.setattr(functionals, "_moments", refused)
+
+    def test_tilted_moments(self, phi4_ctx, line_spec, litim, no_kernel):
+        tm = tilted_moments(phi4_ctx, 1.0, np.zeros((0, 1)))
+        assert (tm.log_value.shape, tm.log_interaction.shape) == ((0,), (0,))
+        assert (tm.mean.shape, tm.cov.shape) == ((0, 1), (0, 1, 1))
+        ctx = FunctionalContext(spec=line_spec, regulator=litim)
+        tm = tilted_moments(ctx, 1.0, np.zeros((0, 3)))
+        assert (tm.mean.shape, tm.cov.shape) == ((0, 3), (0, 3, 3))
+
+    def test_w(self, phi4_spec, litim, no_kernel):
+        ctxs = [FunctionalContext(spec=phi4_spec, regulator=litim) for _ in range(2)]
+        assert W(ctxs[0], 1.0, np.zeros((0, 1))).shape == (0,)
+        assert W(ctxs, 1.0, np.zeros((0, 1))).shape == (2, 0)
+        # no context: no row, for a batch and for one source
+        assert W([], 1.0, np.zeros((4, 1))).shape == (0, 4)
+        assert W([], 1.0, [0.5]).shape == (0,)
+
+    def test_invert_mean_field(self, phi4_ctx, no_kernel):
+        solve = invert_mean_field(phi4_ctx, 1.0, np.zeros((0, 1)))
+        assert (solve.source.shape, solve.residual.shape) == ((0, 1), (0,))
+        assert solve.iterations == 0
+        assert solve.moments.cov.shape == (0, 1, 1)
+
+    def test_legendre_transform(self, phi4_ctx, no_kernel):
+        values, solve = legendre_transform(phi4_ctx, 1.0, [])
+        assert values.shape == (0,)
+        assert solve.source.shape == (0, 1)
+
+
+class TestWOverContexts:
+    # r = 1 and 0.75 settle their zero source in two passes, 0.25 and 0.1 in one
+    WINDOWS = (1.0, 0.75, 0.25, 0.1)
+
+    @staticmethod
+    def contexts(litim, c3=0.0, self_check=True, windows=WINDOWS):
+        """One context per window; ``self_check`` is one flag for all or one each."""
+        checks = np.broadcast_to(self_check, len(windows))
+        return [FunctionalContext(
+            spec=ModelSpec(dimension=0, modes=1, mass=1.0, c3=c3, c4=0.1,
+                           allow_unbounded=c3 != 0,
+                           window=WindowParams(kind="scalar", r=r)),
+            regulator=litim, self_check=bool(check)) for r, check in zip(windows, checks)]
+
+    def test_zero_sources_settle_in_one_pass_and_in_two(self, litim, monkeypatch):
+        passes = []
+        batch = ModelSpec.interaction_batch
+
+        def counting(self, psi):
+            passes[-1] += 1
+            return batch(self, psi)
+
+        monkeypatch.setattr(ModelSpec, "interaction_batch", counting)
+        for c3 in (0.0, 0.3):
+            found = []
+            for ctx in self.contexts(litim, c3, self_check=False):
+                passes.append(0)
+                functionals.log_normalization(ctx, 0.0)
+                found.append(passes[-1])
+            assert found == [2, 2, 1, 1], c3
+
+    @pytest.mark.parametrize("c3", [0.0, 0.3], ids=["even", "odd"])
+    @pytest.mark.parametrize("k", [0.0, 1.0])
+    @pytest.mark.parametrize("self_check", [True, False, (True, False, False, True)],
+                             ids=["checked", "unchecked", "mixed"])
+    def test_each_row_is_the_contexts_own_w_bit_for_bit(self, litim, c3, k, self_check):
+        t = np.linspace(-2.0, 2.0, 9)[:, None]
+        rows = W(self.contexts(litim, c3, self_check), k, t)
+        own = [W(ctx, k, t) for ctx in self.contexts(litim, c3, self_check)]
+        assert rows.shape == (len(self.WINDOWS), len(t))
+        assert np.array_equal(rows, own)
+        # one source gives one value per context
+        one = W(self.contexts(litim, c3, self_check), k, [1.5])
+        assert np.array_equal(one, [W(ctx, k, [1.5]) for ctx in
+                                    self.contexts(litim, c3, self_check)])
+
+    def test_one_kernel_call_for_the_zero_sources_and_one_for_the_lanes(
+        self, litim, monkeypatch
+    ):
+        kernel = functionals.tilted_moments
+        lanes = []
+
+        def counting(ctx_, k, t_vec=None, level=None, start=None, **kwargs):
+            lanes.append(len(np.reshape(t_vec, (-1, 1))))
+            return kernel(ctx_, k, t_vec, level, start, **kwargs)
+
+        monkeypatch.setattr(functionals, "tilted_moments", counting)
+        ctxs = self.contexts(litim, self_check=False)
+        log_normalization(ctxs[1], 0.0)  # this record has its moments already
+        lanes.clear()
+        W(ctxs, 0.0, np.linspace(0.0, 2.0, 5))
+        assert lanes == [3, 4 * 5]
+        lanes.clear()
+        W(ctxs, 0.0, np.linspace(0.0, 2.0, 5))
+        assert lanes == [4 * 5]
+
+    def test_contexts_must_share_modes_and_interaction(self, phi4_spec, line_spec, litim):
+        ctx = FunctionalContext(spec=phi4_spec, regulator=litim)
+        lines = FunctionalContext(spec=line_spec, regulator=litim)
+        with pytest.raises(SpecValidationError, match="share the mode count"):
+            W([ctx, lines], 0.0, [0.5])
+        other = FunctionalContext(spec=ModelSpec(
+            dimension=0, modes=1, mass=1.0, c4=0.2,
+            window=WindowParams(kind="scalar", r=1.0)), regulator=litim)
+        with pytest.raises(SpecValidationError, match="interaction"):
+            W([ctx, other], 0.0, [0.5])
+
+    def test_refused_lane_names_its_member(self, litim):
+        # at t = 1e4 the narrow window r = 0.1 settles and r = 1 does not
+        ctxs = self.contexts(litim, self_check=False, windows=(0.1, 1.0))
+        with pytest.raises(RangeExceeded, match=re.escape(
+                "k=0.0, source=[10000.], member 1 (window scalar r=1.0)")):
+            W(ctxs, 0.0, [[1.0], [1e4]])
