@@ -958,7 +958,7 @@ def initial_condition(
         m = ctx.measure.dim
         if mode == "classical":
             c_inv = np.linalg.inv(covariance(ctx.spec))
-            h, w = ctx.spec._position_map
+            h, w = ctx.spec.position_map
             h = h.T  # one row per position
             g2 = c_inv + 2.0 * ctx.spec.c2 * np.einsum("l,la,lb->ab", w, h, h)
             g4 = 24.0 * ctx.spec.c4 * np.einsum("l,la,lb,lc,ld->abcd", w, h, h, h, h)

@@ -73,8 +73,7 @@ class ScaleRecord:
 
     ``f`` and ``f_dot`` are the diagonals of F_k = R_k(p) w and d_k F_k,
     ``prec`` = C^-1 + F_k with Cholesky factor ``chol_p``, ``sigma`` its
-    inverse with Cholesky factor ``chol_s`` and ``logdet_s`` = ln det sigma;
-    ``gaussian`` holds them as the kernel's lanes read them.
+    inverse with Cholesky factor ``chol_s`` and ``logdet_s`` = ln det sigma.
     ``moments`` holds the zero-source tilted moments (ln N_k and its
     measure), as a batch of one lane, once first asked for, their ln N_k
     ``certified`` once a value that reads it is first asked for, and
@@ -88,7 +87,6 @@ class ScaleRecord:
     sigma: np.ndarray
     chol_s: np.ndarray
     logdet_s: float
-    gaussian: _Gaussian
     moments: TiltedMoments | None = None
     certified: bool = False
     start: StartTerms | None = None
@@ -142,8 +140,7 @@ class FunctionalContext:
         chol_s = np.linalg.cholesky(0.5 * (sigma + sigma.T))
         record = ScaleRecord(
             f=f, f_dot=f_dot, prec=prec, chol_p=chol_p, sigma=sigma, chol_s=chol_s,
-            logdet_s=-logdet_p, gaussian=_Gaussian(
-                self.spec, None, None, sigma, chol_p, chol_s, -logdet_p, self.measure.logdet))
+            logdet_s=-logdet_p)
         # every caller of this scale shares the arrays
         for a in (f, f_dot, prec, chol_p, sigma, chol_s):
             a.setflags(write=False)
@@ -209,17 +206,11 @@ def _contexts(ctx) -> list[FunctionalContext]:
     return ctxs
 
 
-def _member(ctxs: list, index) -> np.ndarray | None:
-    """The lanes' ``member`` argument of the kernel: None for one context,
-    whose lanes all read it, else each lane's index into ``ctxs``."""
-    return None if len(ctxs) == 1 else np.asarray(index, dtype=np.intp)
-
-
 def _naming(k, t, lane, ctxs, member) -> str:
     """The scale and a lane's source, and its member (index and window) when
     the lanes read several contexts."""
     where = f"k={k}, source={t[lane]}"
-    if member is not None:
+    if len(ctxs) > 1:
         i = int(member[lane])
         where += f", member {i} (window {ctxs[i].spec.window})"
     return where
@@ -228,7 +219,8 @@ def _naming(k, t, lane, ctxs, member) -> str:
 def _lanes(ctx: FunctionalContext, x, one: bool = False) -> tuple[np.ndarray, bool]:
     """``x`` as a (B, M) batch, and whether it was one field or source: an
     (M,) vector, or a float at M = 1.  A batch is (B, M), or (B,) at M = 1,
-    and ``one`` refuses it; any other shape raises SpecValidationError."""
+    and ``one`` refuses it; any other shape, or a non-finite entry, raises
+    SpecValidationError."""
     x = np.asarray(x, dtype=float)
     m = ctx.measure.dim
     single = x.shape == (m,) or (m == 1 and x.ndim == 0)
@@ -236,7 +228,13 @@ def _lanes(ctx: FunctionalContext, x, one: bool = False) -> tuple[np.ndarray, bo
     if not (single or batch and not one):
         what = "one field" if one else "a field, a source or a batch"
         raise SpecValidationError(f"an array of shape {x.shape} is not {what} of {m} mode(s)")
-    return x.reshape(-1, m), single
+    x = x.reshape(-1, m)
+    finite = np.isfinite(x).all(axis=-1)
+    if not finite.all():
+        lane = int(np.argmin(finite))
+        raise SpecValidationError(
+            f"lane {lane} of the fields or sources, {x[lane]}, is not finite")
+    return x, single
 
 
 def _first_lane(tm: TiltedMoments) -> TiltedMoments:
@@ -302,12 +300,13 @@ def tilted_moments(
 ) -> TiltedMoments:
     """Tilted moments at the source ``t_vec``, of shape (M,) or a batch (B, M).
 
-    ``ctx`` is one context, whose regularised Gaussian part every lane reads,
-    or a sequence of contexts that share a mode count and an interaction
-    (else SpecValidationError); then ``member``, a (B,) array of indices
-    into it, gives each lane's context, and each lane reads that context's
-    Gaussian part.  A lane's bits do not depend on the other lanes of its
-    batch.
+    ``ctx`` is one context, or a sequence of contexts that share a mode
+    count and an interaction (else SpecValidationError).  ``member``, a (B,)
+    array of indices into the sequence, gives each lane's context, and each
+    lane reads that context's regularised Gaussian part; one context needs
+    none.  An entry that is not an index into the sequence raises
+    SpecValidationError naming its lane.  A lane's bits do not depend on the
+    other lanes of its batch, nor on how many contexts the call was given.
 
     Each lane places its quadrature rule with its own centre c and
     Cholesky factor L, and re-places it on the tilted mean and covariance
@@ -332,10 +331,19 @@ def tilted_moments(
     m = ctxs[0].measure.dim
     t, single = _lanes(ctxs[0], np.zeros(m) if t_vec is None else t_vec)
     if member is not None:
-        member = np.asarray(member, dtype=np.intp)
+        member = np.asarray(member)
         if member.shape != (len(t),):
             raise SpecValidationError(
                 f"member has shape {member.shape}, the batch needs ({len(t)},)")
+        if member.dtype.kind not in "iuf":
+            raise SpecValidationError(f"member holds {member.dtype} entries, not indices")
+        bad = ~((member == np.floor(member)) & (member >= 0) & (member < len(ctxs)))
+        if bad.any():
+            lane = int(np.argmax(bad))
+            raise SpecValidationError(
+                f"member {member[lane]} of lane {lane} is not an index into the "
+                f"{len(ctxs)} context(s)")
+        member = member.astype(np.intp)
     level = ctxs[0].gh_level if level is None else level
     if start is not None:
         start = (np.broadcast_to(np.asarray(start[0], dtype=float).reshape(-1, m), t.shape),
@@ -456,14 +464,14 @@ class _Gaussian:
     regularised Gaussian part N(Sigma T, Sigma), Sigma^-1 = C^-1 + F_k, is
     held as ``sigma``, the Cholesky factors ``root`` of Sigma^-1 and
     ``chol_s`` of Sigma, ``logdet_s`` = ln det Sigma and ``logdet_c`` =
-    ln det C.  One context's part, kept in its scale record with ``ctxs``
-    and ``member`` None, is its record's (M, M) matrices and floats, shared
-    by every lane; lanes of several contexts hold one entry per lane, along
-    a leading axis, their context's, which ``member`` indexes in ``ctxs``.
+    ln det C.  Lanes of one context share its scale record's (M, M)
+    matrices and floats, gathered in no pass; lanes of several contexts
+    hold one entry per lane, along a leading axis, the context their
+    ``member`` indexes in ``ctxs``.
     """
 
     spec: ModelSpec
-    ctxs: list | None
+    ctxs: list
     member: np.ndarray | None
     sigma: np.ndarray
     root: np.ndarray
@@ -473,27 +481,26 @@ class _Gaussian:
 
     @classmethod
     def of(cls, ctxs: list, k: float, member) -> _Gaussian:
-        """The parts of lanes of one context (``member`` None) or of the
-        contexts ``member`` indexes in ``ctxs``."""
-        if member is None:
-            return ctxs[0].scale(k).gaussian
-        parts = zip(*(c.scale(k).gaussian.parts() for c in ctxs))
-        return cls(ctxs[0].spec, ctxs, member, *(np.stack(part)[member] for part in parts))
-
-    def parts(self) -> tuple:
-        return self.sigma, self.root, self.chol_s, self.logdet_s, self.logdet_c
+        """The parts of the lanes whose contexts ``member`` indexes in ``ctxs``."""
+        records = [c.scale(k) for c in ctxs]
+        parts = [(r.sigma, r.chol_p, r.chol_s, r.logdet_s, c.measure.logdet)
+                 for c, r in zip(ctxs, records)]
+        if len(ctxs) == 1:
+            return cls(ctxs[0].spec, ctxs, member, *parts[0])
+        return cls(ctxs[0].spec, ctxs, member,
+                   *(np.stack(part)[member] for part in zip(*parts)))
 
     def take(self, lanes) -> _Gaussian:
         """The parts of the lanes ``lanes``; one context's are every lane's."""
-        if self.member is None:
+        if len(self.ctxs) == 1:
             return self
-        return _Gaussian(self.spec, self.ctxs, self.member[lanes],
-                         *(a[lanes] for a in self.parts()))
+        return _Gaussian(self.spec, self.ctxs, self.member[lanes], *(a[lanes] for a in (
+            self.sigma, self.root, self.chol_s, self.logdet_s, self.logdet_c)))
 
     def product(self, x: np.ndarray, mats: np.ndarray) -> np.ndarray:
         """x_l @ mats_l for each row of a (B, M) batch: one matrix product
         with one context's shared matrix."""
-        return x @ mats if self.member is None else (x[:, None, :] @ mats)[:, 0, :]
+        return x @ mats if len(self.ctxs) == 1 else (x[:, None, :] @ mats)[:, 0, :]
 
 
 def _moments(gaussian: _Gaussian, k, t, level, start) -> TiltedMoments:
@@ -600,14 +607,6 @@ def _moments(gaussian: _Gaussian, k, t, level, start) -> TiltedMoments:
             f"lies outside the resolvable range")
 
 
-def _kernel(ctxs: list, member, k, t, level=None, start=None) -> TiltedMoments:
-    """``tilted_moments`` of lanes of one context (``member`` None) or of
-    the contexts ``member`` indexes in ``ctxs``."""
-    if member is None:
-        return tilted_moments(ctxs[0], k, t, level, start)
-    return tilted_moments(ctxs, k, t, level, start, member=member)
-
-
 def _zero_sources(ctxs: list, k: float, certify: bool = False) -> list[TiltedMoments]:
     """Each context's zero-source tilted moments of scale k, computed once
     per scale record: one kernel call for the records that lack them.
@@ -621,16 +620,15 @@ def _zero_sources(ctxs: list, k: float, certify: bool = False) -> list[TiltedMom
     """
     records = [c.scale(k) for c in ctxs]
     zero = np.zeros((len(ctxs), ctxs[0].measure.dim))
-    lacking = [i for i, r in enumerate(records) if r.moments is None]
-    if lacking:
-        tm = _kernel(ctxs, _member(ctxs, lacking), k, zero[lacking])
+    lacking = np.flatnonzero([r.moments is None for r in records])
+    if lacking.size:
+        tm = tilted_moments(ctxs, k, zero[lacking], member=lacking)
         for lane, i in enumerate(lacking):
             records[i].moments = _lane(tm, lane)
-    pending = [i for i, r in enumerate(records) if certify and not r.certified]
-    if pending:
+    pending = np.flatnonzero([certify and not r.certified for r in records])
+    if pending.size:
         tm = _certified(ctxs, k, zero[pending],
-                        _join([records[i].moments for i in pending], zero.shape[1]),
-                        _member(ctxs, pending))
+                        _join([records[i].moments for i in pending], zero.shape[1]), pending)
         for lane, i in enumerate(pending):
             records[i].moments = _lane(tm, lane)
             records[i].certified = True
@@ -647,7 +645,7 @@ def _start_terms(ctx: FunctionalContext, k: float) -> StartTerms:
     record = ctx.scale(k)
     if record.start is None:
         z = _zero_source(ctx, k).cov
-        h, _ = ctx.spec._position_map
+        h, _ = ctx.spec.position_map
         jet, _ = ctx.spec.interaction_jet(np.zeros(ctx.measure.dim), [2, 4])
         d2, d4 = jet.T
         with _overflow_out_of_range(k):
@@ -695,7 +693,7 @@ def _one_loop_start(ctx: FunctionalContext, k: float, phis: np.ndarray):
     the kernel resolves to the tolerance.
     """
     record, terms = ctx.scale(k), _start_terms(ctx, k)
-    h, _ = ctx.spec._position_map
+    h, _ = ctx.spec.position_map
     with _overflow_out_of_range(k):
         jet, size = ctx.spec.interaction_jet(phis, [1, 2, 3])
         d1, d2, d3 = jet[..., 0], jet[..., 1], jet[..., 2]
@@ -754,9 +752,9 @@ def W(ctx, k: float, t_vec):
             centre = np.concatenate([z.mean + t @ z.cov for z in zeros])
         cov = np.repeat(np.stack([z.cov for z in zeros]), len(t), axis=0)
         sources = np.tile(t, (len(ctxs), 1))
-        member = _member(ctxs, np.repeat(np.arange(len(ctxs)), len(t)))
-        moments = _certified(ctxs, k, sources,
-                             _kernel(ctxs, member, k, sources, start=(centre, cov)), member)
+        member = np.repeat(np.arange(len(ctxs)), len(t))
+        moments = _certified(ctxs, k, sources, tilted_moments(
+            ctxs, k, sources, start=(centre, cov), member=member), member)
         w = (moments.log_value.reshape(len(ctxs), len(t))
              - np.array([z.log_value for z in zeros])[:, None])
     if single:
@@ -766,9 +764,10 @@ def W(ctx, k: float, t_vec):
     return float(w[0]) if single else w[0]
 
 
-def _certified(ctxs: list, k, t, moments: TiltedMoments, member=None) -> TiltedMoments:
+def _certified(ctxs: list, k, t, moments: TiltedMoments, member) -> TiltedMoments:
     """``moments`` of a (B, M) batch of sources with the ln I of each lane
-    whose context self-checks certified; ``member`` as for ``_kernel``.
+    whose context self-checks certified; ``member`` indexes each lane's
+    context in ``ctxs``.
 
     Each lane's ln I is taken again on the next rule of ``measure.ladder``,
     placed on the lane's mean and covariance, which stay; the finer value is
@@ -778,18 +777,14 @@ def _certified(ctxs: list, k, t, moments: TiltedMoments, member=None) -> TiltedM
     (and its member) still over at the top, or whose next rule exceeds
     ``MAX_GH_NODES``.
     """
-    if member is None:
-        lanes = np.arange(len(t) if ctxs[0].self_check else 0)
-    else:
-        lanes = np.flatnonzero(np.array([c.self_check for c in ctxs])[member])
+    lanes = np.flatnonzero(np.array([c.self_check for c in ctxs])[member])
     if lanes.size == 0:
         return moments
     log_value, log_i = moments.log_value.copy(), moments.log_interaction.copy()
     for level in ladder(ctxs[0].measure.dim)[1:]:
-        lane_member = None if member is None else member[lanes]
         try:
-            fine = _kernel(ctxs, lane_member, k, t[lanes], level,
-                           start=(moments.mean[lanes], moments.cov[lanes]))
+            fine = tilted_moments(ctxs, k, t[lanes], level, member=member[lanes],
+                                  start=(moments.mean[lanes], moments.cov[lanes]))
         except BudgetExceeded as exc:
             raise BudgetExceeded(
                 f"{exc}, at {_naming(k, t, lanes[0], ctxs, member)}") from None
@@ -856,7 +851,8 @@ def invert_mean_field(ctx: FunctionalContext, k: float, phi) -> MeanFieldSolve:
         while trying.size:
             at = lanes[trying]
             j_try = j[at] + alpha[trying, None] * step[trying]
-            far = np.linalg.norm(j_try, axis=-1) > far_bound[at]
+            # a non-finite iterate diverged as well
+            far = ~(np.linalg.norm(j_try, axis=-1) <= far_bound[at])
             if far.any():
                 raise RangeExceeded(
                     f"source magnitude diverged inverting the mean field at "
@@ -929,7 +925,8 @@ def legendre_transform(ctx: FunctionalContext, k: float, fields):
     solve = invert_mean_field(ctx, k, phis)
     if not len(phis):
         return np.empty(0), solve
-    solve = replace(solve, moments=_certified([ctx], k, solve.source, solve.moments))
+    solve = replace(solve, moments=_certified(
+        [ctx], k, solve.source, solve.moments, np.zeros(len(phis), dtype=np.intp)))
     record = ctx.scale(k)
     with _overflow_out_of_range(k):
         gap = phis - solve.source @ record.sigma.T

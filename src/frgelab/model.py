@@ -182,7 +182,7 @@ class ModelSpec:
         return float(self.interaction_batch(np.reshape(psi, (1, -1)))[0])
 
     @cached_property
-    def _position_map(self) -> tuple[np.ndarray, np.ndarray]:
+    def position_map(self) -> tuple[np.ndarray, np.ndarray]:
         """The map h of mode coefficients to position values, H^T / sqrt(dx),
         and the position weights w; read-only, built on first use.  In d = 0
         the one mode is the one value: h = w = 1."""
@@ -204,7 +204,7 @@ class ModelSpec:
         psi = np.asarray(psi, dtype=float)
         if self.dimension == 0:
             return self._polynomial(psi[..., 0])
-        h, w = self._position_map
+        h, w = self.position_map
         return self._polynomial(psi @ h) @ w
 
     @cached_property
@@ -230,7 +230,7 @@ class ModelSpec:
         column l: with d = w p^(n), the gradient is d @ h.T and the Hessian
         (h * d[..., None, :]) @ h.T.
         """
-        h, w = self._position_map
+        h, w = self.position_map
         table = self._derivative_table
         powers = (psi @ h)[..., None] ** np.arange(5.0)
         return (powers @ table[:, orders]) * w[:, None], np.abs(powers) @ np.abs(table[:, 0]) @ w

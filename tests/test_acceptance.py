@@ -236,7 +236,7 @@ def test_13_broken_translation_invariance(litim):
     def setup(window):
         spec = ModelSpec(dimension=1, modes=3, mass=1.0, momentum_spacing=1.0,
                          window=window, c4=0.05)
-        h, _ = spec._position_map
+        h, _ = spec.position_map
         jet, _ = spec.interaction_jet(phi, [2])
         s2 = (h * jet[:, 0]) @ h.T
         b = np.diag(spec.mass**2 + spec.momenta**2) + s2

@@ -87,8 +87,8 @@ class TestCertificate:
         kernel = functionals.tilted_moments
         climbed = []
 
-        def disagreeing(ctx_, k_, t_vec=None, level=None, start=None):
-            tm = kernel(ctx_, k_, t_vec, level, start)
+        def disagreeing(ctx_, k_, t_vec=None, level=None, start=None, **kwargs):
+            tm = kernel(ctx_, k_, t_vec, level, start, **kwargs)
             if level is None:
                 return tm
             t = np.reshape(t_vec, (-1, 1))
@@ -609,9 +609,9 @@ class TestSweepReusesNewtonMoments:
         kernel = functionals.tilted_moments
         lanes = []
 
-        def counting(ctx_, k_, t_vec=None, level=None, start=None):
+        def counting(ctx_, k_, t_vec=None, level=None, start=None, **kwargs):
             lanes.append(np.asarray(t_vec).reshape(-1, 1).shape[0])
-            return kernel(ctx_, k_, t_vec, level, start)
+            return kernel(ctx_, k_, t_vec, level, start, **kwargs)
 
         monkeypatch.setattr(functionals, "tilted_moments", counting)
 
@@ -649,9 +649,9 @@ class TestSweepReusesNewtonMoments:
         kernel = functionals.tilted_moments
         calls = []  # (sources, warm start) of each kernel call
 
-        def recording(ctx_, k_, t_vec=None, level=None, start=None):
+        def recording(ctx_, k_, t_vec=None, level=None, start=None, **kwargs):
             calls.append((t_vec, start))
-            return kernel(ctx_, k_, t_vec, level, start)
+            return kernel(ctx_, k_, t_vec, level, start, **kwargs)
 
         monkeypatch.setattr(functionals, "tilted_moments", recording)
         for phi in (np.array([1.1]), np.array([[-0.3], [1.1], [2.5]])):
@@ -730,10 +730,10 @@ class TestScaleRecord:
         kernel = functionals.tilted_moments
         zero_source = []
 
-        def counting(ctx_, k, t_vec=None, level=None, start=None):
+        def counting(ctx_, k, t_vec=None, level=None, start=None, **kwargs):
             if not np.any(t_vec):
                 zero_source.append((k, level))
-            return kernel(ctx_, k, t_vec, level, start)
+            return kernel(ctx_, k, t_vec, level, start, **kwargs)
 
         monkeypatch.setattr(functionals, "tilted_moments", counting)
         for _ in range(3):
@@ -987,14 +987,16 @@ class TestNewtonStart:
         assert np.abs(values - reference).max() <= 1e-9
 
 
+@pytest.fixture
+def no_kernel(monkeypatch):
+    """Fails the test if the kernel evaluates any lane."""
+    def refused(*args):
+        raise AssertionError("the kernel ran")
+
+    monkeypatch.setattr(functionals, "_moments", refused)
+
+
 class TestEmptyBatches:
-    @pytest.fixture
-    def no_kernel(self, monkeypatch):
-        def refused(*args):
-            raise AssertionError("the kernel ran on an empty batch")
-
-        monkeypatch.setattr(functionals, "_moments", refused)
-
     def test_tilted_moments(self, phi4_ctx, line_spec, litim, no_kernel):
         tm = tilted_moments(phi4_ctx, 1.0, np.zeros((0, 1)))
         assert (tm.log_value.shape, tm.log_interaction.shape) == ((0,), (0,))
@@ -1106,3 +1108,83 @@ class TestWOverContexts:
         with pytest.raises(RangeExceeded, match=re.escape(
                 "k=0.0, source=[10000.], member 1 (window scalar r=1.0)")):
             W(ctxs, 0.0, [[1.0], [1e4]])
+
+
+class TestOneContextInASequence:
+    def test_tilted_moments_are_the_contexts_own_bits(self, phi4_ctx, line_spec, litim):
+        t = np.linspace(-2.0, 2.0, 7)[:, None]
+        cov = np.full((len(t), 1, 1), 0.5)
+        lines = FunctionalContext(spec=line_spec, regulator=litim, self_check=False)
+        cases = [(phi4_ctx, t, None, None), (phi4_ctx, t, 80, (t, cov)),
+                 (lines, [[0.5, -1.0, 2.0], [3.0, 0.2, -0.7]], None, None)]
+        for ctx, sources, level, start in cases:
+            own = tilted_moments(ctx, 0.5, sources, level, start)
+            zero = np.zeros(len(sources), dtype=int)
+            listed = tilted_moments([ctx], 0.5, sources, level, start, member=zero)
+            for name in ("log_value", "log_interaction", "mean", "cov"):
+                assert np.array_equal(getattr(listed, name), getattr(own, name)), name
+
+    def test_w_is_the_contexts_own_bits(self, phi4_ctx):
+        t = np.linspace(-2.0, 2.0, 7)[:, None]
+        assert np.array_equal(W([phi4_ctx], 0.5, t)[0], W(phi4_ctx, 0.5, t))
+        assert W([phi4_ctx], 0.5, [1.0])[0] == W(phi4_ctx, 0.5, [1.0])
+
+    def test_lanes_of_one_context_share_its_record(self, phi4_ctx):
+        # one context's part is its record's own matrices: no gather per lane
+        part = functionals._Gaussian.of([phi4_ctx], 0.5, np.zeros(5, dtype=int))
+        record = phi4_ctx.scale(0.5)
+        assert part.sigma is record.sigma and part.root is record.chol_p
+        assert part.chol_s is record.chol_s and part.logdet_s == record.logdet_s
+        assert part.take(np.arange(2)) is part
+
+
+class TestRefusedInputs:
+    @pytest.mark.parametrize("member, lane", [([0, 2], 1), ([-1, 0], 0), ([0, 0.7], 1)],
+                             ids=["out_of_range", "negative", "fractional"])
+    def test_member_that_is_no_index_names_its_lane(self, phi4_spec, litim, no_kernel,
+                                                      member, lane):
+        ctxs = [FunctionalContext(spec=phi4_spec, regulator=litim) for _ in range(2)]
+        with pytest.raises(SpecValidationError, match=re.escape(
+                f"member {member[lane]} of lane {lane} is not an index into the 2")):
+            tilted_moments(ctxs, 0.0, [[1.0], [0.5]], member=member)
+
+    @pytest.mark.parametrize("member", [[True, False], ["0", "1"]], ids=["boolean", "text"])
+    def test_member_that_holds_no_numbers_is_refused(self, phi4_spec, litim, no_kernel,
+                                                       member):
+        ctxs = [FunctionalContext(spec=phi4_spec, regulator=litim) for _ in range(2)]
+        with pytest.raises(SpecValidationError, match="not indices"):
+            tilted_moments(ctxs, 0.0, [[1.0], [0.5]], member=member)
+
+    def test_empty_batch_with_empty_member(self, phi4_spec, litim, no_kernel):
+        ctxs = [FunctionalContext(spec=phi4_spec, regulator=litim) for _ in range(2)]
+        tm = tilted_moments(ctxs, 0.0, np.zeros((0, 1)), member=[])
+        assert (tm.log_value.shape, tm.mean.shape, tm.cov.shape) == ((0,), (0, 1), (0, 1, 1))
+
+    ENTRY_POINTS = {
+        "W": lambda ctx, x: W(ctx, 0.0, [[0.5], [x]]),
+        "tilted_moments": lambda ctx, x: tilted_moments(ctx, 0.0, [[0.5], [x]]),
+        "invert_mean_field": lambda ctx, x: invert_mean_field(ctx, 0.0, [[0.5], [x]]),
+        "legendre_transform": lambda ctx, x: legendre_transform(ctx, 0.0, [0.5, x]),
+        "gamma": lambda ctx, x: gamma(ctx, 0.0, [x]),
+        "gamma_bar": lambda ctx, x: gamma_bar(ctx, 0.0, [x]),
+    }
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_non_finite_field_or_source_is_refused_unevaluated(self, phi4_spec, litim,
+                                                                 no_kernel, entry, bad):
+        ctx = FunctionalContext(spec=phi4_spec, regulator=litim)
+        lane = 0 if entry.startswith("gamma") else 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SpecValidationError, match=re.escape(
+                    f"lane {lane} of the fields or sources, [{bad}], is not finite")):
+                self.ENTRY_POINTS[entry](ctx, bad)
+
+    def test_non_finite_newton_iterate_is_out_of_range(self, phi4_ctx, monkeypatch):
+        def poisoned(k, phis, lanes, mean, cov):
+            return np.full((lanes.size, phis.shape[1]), np.nan)
+
+        monkeypatch.setattr(functionals, "_newton_step", poisoned)
+        with pytest.raises(RangeExceeded, match="source magnitude diverged"):
+            invert_mean_field(phi4_ctx, 0.5, [[1.0]])

@@ -1,5 +1,6 @@
 """Static checks: only ``flow`` imports scipy, and only its public modules;
-no frgelab module imports another's private names.
+no frgelab module imports another's private names or reads a private
+attribute of an object other than its own.
 
 scipy costs about half a second of start-up, so every command but ``flow``
 runs on numpy alone.  scipy keeps its internals in modules whose path has a
@@ -50,6 +51,21 @@ def private_frgelab_imports(source: str) -> list[str]:
                 node.level > 0 or (node.module or "").split(".")[0] == "frgelab"):
             found += [alias.name for alias in node.names
                       if alias.name.startswith("_") and not alias.name.endswith("__")]
+    return found
+
+
+def foreign_private_attributes(source: str) -> list[str]:
+    """The underscore attributes, dunders aside, that ``source`` reads or
+    writes on anything but ``self`` or ``cls``, as ``owner.name`` (the owner
+    a name or the kind of its expression)."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                and not node.attr.endswith("__")):
+            continue
+        owner = node.value.id if isinstance(node.value, ast.Name) else type(node.value).__name__
+        if owner not in ("self", "cls"):
+            found.append(f"{owner}.{node.attr}")
     return found
 
 
@@ -119,3 +135,23 @@ def late():
     from ..frgelab.flow import _GridFlow
 """
     assert private_frgelab_imports(source) == ["_position", "_lanes", "_GridFlow"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_foreign_private_attribute(path):
+    assert foreign_private_attributes(path.read_text()) == []
+
+
+def test_the_check_sees_foreign_private_attributes():
+    source = """
+class A:
+    def f(self, other):
+        self._own = other._theirs
+        cls = type(self)
+        return cls._table, other.spec._position_map, super().__init__()
+def g(ctx, solver):
+    ctx._scales = solver.__dict__
+    return (ctx or solver)._cache
+"""
+    assert sorted(foreign_private_attributes(source)) == [
+        "Attribute._position_map", "BoolOp._cache", "ctx._scales", "other._theirs"]

@@ -255,7 +255,7 @@ class TestGrids:
                          window=WindowParams(kind="identity")))
         spec = ModelSpec(dimension=dimension, mass=1.0, c2=c2, c3=c3, c4=c4,
                          allow_unbounded=True, **geometry)
-        h, w = spec._position_map
+        h, w = spec.position_map
         psi = rng.normal(0.0, 1.5, (4, spec.modes))
         jet, size = spec.interaction_jet(psi, [1, 2, 3])
 
