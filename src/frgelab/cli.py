@@ -58,11 +58,17 @@ def atomic_write(path: str, text: str) -> None:
 
 
 def write_csv(path: str, header, rows) -> None:
+    """Write a table: ``rows`` is a list of rows of cells, or a grid table's
+    rows as text (``_grid_rows``).  ``csv.writer`` quotes the cells that
+    hold free text, the vertex flow's JSON arrays and report's stats; the
+    converge and frge-check tables are a few rows long."""
+    if isinstance(rows, str):
+        atomic_write(path, ",".join(header) + "\n" + rows)
+        return
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    for row in rows:
-        writer.writerow(row)
+    writer.writerows(rows)
     atomic_write(path, buf.getvalue())
 
 
@@ -108,6 +114,21 @@ def _scales(values, option: str):
     return values
 
 
+def _grid_rows(row: str, scales, grid: np.ndarray, columns) -> str:
+    """A grid table's rows as text, one ``row.format`` of the k and phi cells
+    and each column's value per (scale, node), the columns (S, N) arrays.
+
+    The cells are formatted numbers, which ``csv.writer`` never quotes, so the
+    rows are its output without its per-row cost.  Cells are formatted from
+    Python floats, the same digits as numpy's.
+    """
+    phi_cells = [f"{phi:.12g}" for phi in grid.tolist()]
+    return "".join([row.format(k_cell, *cells)
+                    for k_cell, *values in zip([f"{k:.12g}" for k in scales],
+                                               *(c.tolist() for c in columns))
+                    for cells in zip(phi_cells, *values)])
+
+
 def _vertex_cell(vertex: np.ndarray) -> str:
     """A single-mode vertex as a number, a multi-mode one as a JSON array."""
     return f"{vertex.flat[0]:.15g}" if vertex.size == 1 else json.dumps(vertex.tolist())
@@ -146,8 +167,8 @@ def cmd_validate_regulator(args) -> int:
 # -- table subcommands -------------------------------------------------
 # exact, flow, frge-check and converge each read a config and write one CSV
 # with its manifest.  Their handlers take (args, spec, regulator) and return
-# (header, rows, fields); ``fields`` holds the manifest's tolerances and
-# stats.  run_table does the rest.
+# (header, rows, fields), ``rows`` as write_csv takes them; ``fields`` holds
+# the manifest's tolerances and stats.  run_table does the rest.
 
 
 def run_table(args) -> int:
@@ -177,22 +198,14 @@ def exact_table(args, spec, regulator):
     if not scales:
         raise SpecValidationError("--k lists no scale")
     grid = spec.field_grid
-    # cells are formatted from Python floats, the same digits as numpy's
-    phi_cells = [f"{phi:.12g}" for phi in grid.tolist()]
-    budget = f"{fn.BUDGET:.1e}"
-    rows, newton_iterations = [], 0
-    for k in scales:
-        gamma, gamma_bar, source, residual, iterations = fn.grid_transform(ctx, k, grid)
-        newton_iterations += iterations
-        k_cell = f"{k:.12g}"
-        cells = zip(phi_cells, gamma.tolist(), gamma_bar.tolist(), source.tolist(),
-                    residual.tolist())
-        rows += [[k_cell, phi, f"{g:.15g}", f"{g_bar:.15g}", f"{j:.15g}", f"{r:.3e}",
-                  budget] for phi, g, g_bar, j, r in cells]
+    # one transform of every scale
+    *columns, newton_iterations = fn.grid_transform(ctx, scales, grid)
+    rows = _grid_rows("{},{},{:.15g},{:.15g},{:.15g},{:.3e}," + f"{fn.BUDGET:.1e}\n",
+                      scales, grid, columns)
     header = ["k", "phi", "Gamma", "GammaBar", "J", "residual", "budget"]
     return header, rows, dict(
         tolerances={"budget": fn.BUDGET, "newton_tol": fn.NEWTON_TOL},
-        stats={"rows": len(rows), "newton_iterations": newton_iterations},
+        stats={"rows": columns[0].size, "newton_iterations": newton_iterations},
     )
 
 
@@ -212,30 +225,24 @@ def flow_table(args, spec, regulator):
     stats = dict(traj.stats)
     stats.update(info)
     if args.rep == "grid":
-        rows, max_dev = [], 0.0
-        # every checkpoint shares the grid; cells are formatted from Python floats
-        grid = traj.checkpoints[0][1].grid.tolist()
-        phi_cells = [f"{phi:.12g}" for phi in grid]
-        for k, state in traj.checkpoints:
-            if not args.compare:
-                exact = [None] * len(grid)
-            elif args.init == "exact" and k == args.kuv:
-                exact = initial.values.tolist()  # an exact start is the oracle at k_uv
-            else:
-                exact = flow_mod.exact_grid_values(ctx, k, state.grid).tolist()
-            k_cell = f"{k:.12g}"
-            for phi, phi_cell, val, ex in zip(grid, phi_cells, state.values.tolist(),
-                                              exact):
-                row = [k_cell, phi_cell, f"{val:.15g}"]
-                if ex is not None:
-                    dev = abs(val - ex)
-                    row.append(f"{dev:.6e}")
-                    if abs(phi) <= COMPARE_RADIUS:
-                        max_dev = max(max_dev, dev)
-                rows.append(row)
-        header = ["k", "phi", "GammaBar"] + (["deviation"] if args.compare else [])
+        # every checkpoint shares the grid
+        grid = traj.checkpoints[0][1].grid
+        scales = [k for k, _ in traj.checkpoints]
+        columns = [np.array([state.values for _, state in traj.checkpoints])]
         if args.compare:
-            stats["max_deviation"] = max_dev
+            # an exact start is the oracle at k_uv; one transform of the other scales
+            reused = np.array([args.init == "exact" and k == args.kuv for k in scales])
+            exact = np.empty_like(columns[0])
+            exact[reused] = initial.values
+            if not reused.all():
+                exact[~reused] = flow_mod.exact_grid_values(
+                    ctx, [k for k, r in zip(scales, reused) if not r], grid)
+            columns.append(np.abs(columns[0] - exact))
+            stats["max_deviation"] = float(np.max(
+                columns[1][:, np.abs(grid) <= COMPARE_RADIUS], initial=0.0))
+        rows = _grid_rows("{},{},{:.15g}" + (",{:.6e}" if args.compare else "") + "\n",
+                          scales, grid, columns)
+        header = ["k", "phi", "GammaBar"] + (["deviation"] if args.compare else [])
     else:
         rows = [[f"{k:.12g}", _vertex_cell(state.gamma2), _vertex_cell(state.gamma4)]
                 for k, state in traj.checkpoints]

@@ -17,9 +17,12 @@ solve on the field and its last tilted covariance (at its one-loop start,
 the one-loop covariance), and ``W`` on the zero-source measure's linear
 response.  What the oracle returns is certified on the same placement by
 the next, finer rule of ``measure.ladder`` (see ``_certified``).  Each lane
-reads the regularised Gaussian part of its own context, so one kernel call
-serves several contexts that share an interaction: ``W`` takes every member
-of a window sequence at once.
+reads the regularised Gaussian part of its own (context, scale) pair, its
+``member``, so one kernel call serves several contexts that share an
+interaction and several scales: ``W`` takes every member of a window
+sequence at once, and ``invert_mean_field``, ``legendre_transform``,
+``grid_transform`` and ``exact_grid_values`` take a sequence of scales and
+solve every (scale, field) lane in one batch, one row per scale.
 
 Neither exponential of the kernel is evaluated where its result underflows.
 The log-sum-exp writes +0 for terms below -746, exactly what ``exp`` gives
@@ -206,12 +209,40 @@ def _contexts(ctx) -> list[FunctionalContext]:
     return ctxs
 
 
+def _scale_list(k) -> tuple[list, bool]:
+    """``k`` as a list of scales, and whether it was one scale (a number)
+    rather than a sequence of them."""
+    if isinstance(k, float) or np.ndim(k) == 0:
+        return [k], True
+    return list(k), False
+
+
+def _per_lane(parts: list, member):
+    """One (context, scale) pair's part, shared by every lane as it is, or
+    several pairs' parts stacked and gathered into one entry per lane by
+    ``member``."""
+    return parts[0] if len(parts) == 1 else np.stack(parts)[member]
+
+
+def _apply(x: np.ndarray, mats: np.ndarray) -> np.ndarray:
+    """x_l @ mats_l for each row of a (B, M) batch: one matrix product with a
+    shared (M, M) matrix, or one per lane with a (B, M, M) stack."""
+    return x @ mats if mats.ndim == 2 else (x[:, None, :] @ mats)[:, 0, :]
+
+
+def _scale_at(k, member, lane: int):
+    """The scale of lane ``lane``: ``k``, or the entry of the sequence ``k``
+    that the lane's member names."""
+    ks, _ = _scale_list(k)
+    return ks[0] if member is None else ks[int(member[lane]) % len(ks)]
+
+
 def _naming(k, t, lane, ctxs, member) -> str:
-    """The scale and a lane's source, and its member (index and window) when
-    the lanes read several contexts."""
-    where = f"k={k}, source={t[lane]}"
+    """A lane's scale and source, and its context (index and window) when the
+    lanes read several contexts."""
+    where = f"k={_scale_at(k, member, lane)}, source={t[lane]}"
     if len(ctxs) > 1:
-        i = int(member[lane])
+        i = int(member[lane]) // len(_scale_list(k)[0])
         where += f", member {i} (window {ctxs[i].spec.window})"
     return where
 
@@ -300,13 +331,15 @@ def tilted_moments(
 ) -> TiltedMoments:
     """Tilted moments at the source ``t_vec``, of shape (M,) or a batch (B, M).
 
-    ``ctx`` is one context, or a sequence of contexts that share a mode
-    count and an interaction (else SpecValidationError).  ``member``, a (B,)
-    array of indices into the sequence, gives each lane's context, and each
-    lane reads that context's regularised Gaussian part; one context needs
-    none.  An entry that is not an index into the sequence raises
-    SpecValidationError naming its lane.  A lane's bits do not depend on the
-    other lanes of its batch, nor on how many contexts the call was given.
+    ``ctx`` is one context, or a sequence of G contexts that share a mode
+    count and an interaction (else SpecValidationError); ``k`` is one scale,
+    or a sequence of S scales.  Their (context, scale) pairs are numbered
+    context by context, pair i S + s being context i at scale s, and
+    ``member``, a (B,) array of pair numbers, gives each lane's pair: the
+    lane reads that context's regularised Gaussian part at that scale.  One
+    context at one scale needs none.  An entry that is not a pair number
+    raises SpecValidationError naming its lane.  A lane's bits do not depend
+    on the other lanes of its batch, nor on how many pairs the call was given.
 
     Each lane places its quadrature rule with its own centre c and
     Cholesky factor L, and re-places it on the tilted mean and covariance
@@ -320,14 +353,16 @@ def tilted_moments(
     ``measure.MAX_GH_NODES`` is evaluated in chunks of lanes; an empty batch
     returns empty moments without evaluating anything.
 
-    Raises :class:`RangeExceeded`, naming the first such source (and its
-    member), if a mean or width has not settled after ``RECENTRE_PASSES``
-    placements or if a rule is narrower than the rounding of its centre: the
-    source lies outside the range the rule resolves.
+    Raises :class:`RangeExceeded`, naming the first such source, its scale
+    (and its context), if a mean or width has not settled after
+    ``RECENTRE_PASSES`` placements or if a rule is narrower than the rounding
+    of its centre: the source lies outside the range the rule resolves.
     """
     ctxs = _contexts(ctx)
-    if not ctxs or member is None and len(ctxs) != 1:
-        raise SpecValidationError("the lanes need one context, or several and each lane's member")
+    pairs = len(ctxs) * len(_scale_list(k)[0])
+    if not pairs or member is None and pairs != 1:
+        raise SpecValidationError(
+            "the lanes need one context at one scale, or several pairs and each lane's member")
     m = ctxs[0].measure.dim
     t, single = _lanes(ctxs[0], np.zeros(m) if t_vec is None else t_vec)
     if member is not None:
@@ -337,18 +372,22 @@ def tilted_moments(
                 f"member has shape {member.shape}, the batch needs ({len(t)},)")
         if member.dtype.kind not in "iuf":
             raise SpecValidationError(f"member holds {member.dtype} entries, not indices")
-        bad = ~((member == np.floor(member)) & (member >= 0) & (member < len(ctxs)))
+        bad = ~((member == np.floor(member)) & (member >= 0) & (member < pairs))
         if bad.any():
             lane = int(np.argmax(bad))
             raise SpecValidationError(
                 f"member {member[lane]} of lane {lane} is not an index into the "
-                f"{len(ctxs)} context(s)")
+                f"{pairs} (context, scale) pair(s)")
         member = member.astype(np.intp)
     level = ctxs[0].gh_level if level is None else level
     if start is not None:
-        start = (np.broadcast_to(np.asarray(start[0], dtype=float).reshape(-1, m), t.shape),
-                 np.broadcast_to(np.asarray(start[1], dtype=float).reshape(-1, m, m),
-                                 t.shape + (m,)))
+        # one (centre, cov) pair serves every lane; a pair per lane is taken as is
+        centre, cov = (np.asarray(a, dtype=float) for a in start)
+        if centre.shape != t.shape:
+            centre = np.broadcast_to(centre.reshape(-1, m), t.shape)
+        if cov.shape != t.shape + (m,):
+            cov = np.broadcast_to(cov.reshape(-1, m, m), t.shape + (m,))
+        start = (centre, cov)
     gaussian = _Gaussian.of(ctxs, k, member)
     width = max(1, measure.MAX_GH_NODES // level**m)  # lanes per chunk
     parts = []
@@ -363,14 +402,17 @@ def tilted_moments(
 
 @contextmanager
 def _overflow_out_of_range(k):
-    """Raise :class:`RangeExceeded` naming the scale k where the block's
-    arithmetic overflows; it adds no work per lane."""
+    """Raise :class:`RangeExceeded` naming the scale k, or the sequence of
+    scales k, where the block's arithmetic overflows; it adds no work per
+    lane."""
     try:
         with np.errstate(over="raise"):
             yield
     except FloatingPointError:
+        ks, one = _scale_list(k)
+        where = f"the scale k={k}" if one else f"one of the scales k={ks}"
         raise RangeExceeded(
-            f"arithmetic overflowed at the scale k={k}; the scale lies outside "
+            f"arithmetic overflowed at {where}; the scale lies outside "
             f"the resolvable range"
         ) from None
 
@@ -458,16 +500,15 @@ def _cholesky(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class _Gaussian:
-    """What the kernel's lanes read of their contexts at scale k.
+    """What the kernel's lanes read of their (context, scale) pairs.
 
     ``spec`` gives the interaction, which the contexts share.  The
     regularised Gaussian part N(Sigma T, Sigma), Sigma^-1 = C^-1 + F_k, is
     held as ``sigma``, the Cholesky factors ``root`` of Sigma^-1 and
     ``chol_s`` of Sigma, ``logdet_s`` = ln det Sigma and ``logdet_c`` =
-    ln det C.  Lanes of one context share its scale record's (M, M)
-    matrices and floats, gathered in no pass; lanes of several contexts
-    hold one entry per lane, along a leading axis, the context their
-    ``member`` indexes in ``ctxs``.
+    ln det C.  Lanes of one pair share its scale record's (M, M) matrices
+    and floats, gathered in no pass; lanes of several pairs hold one entry
+    per lane, along a leading axis, of the pair their ``member`` numbers.
     """
 
     spec: ModelSpec
@@ -480,27 +521,21 @@ class _Gaussian:
     logdet_c: float | np.ndarray
 
     @classmethod
-    def of(cls, ctxs: list, k: float, member) -> _Gaussian:
-        """The parts of the lanes whose contexts ``member`` indexes in ``ctxs``."""
-        records = [c.scale(k) for c in ctxs]
+    def of(cls, ctxs: list, k, member) -> _Gaussian:
+        """The parts of the lanes whose (context, scale) pairs ``member``
+        numbers; ``k`` is one scale or a sequence of them."""
+        ks, _ = _scale_list(k)
         parts = [(r.sigma, r.chol_p, r.chol_s, r.logdet_s, c.measure.logdet)
-                 for c, r in zip(ctxs, records)]
-        if len(ctxs) == 1:
-            return cls(ctxs[0].spec, ctxs, member, *parts[0])
+                 for c in ctxs for r in (c.scale(s) for s in ks)]
         return cls(ctxs[0].spec, ctxs, member,
-                   *(np.stack(part)[member] for part in zip(*parts)))
+                   *(_per_lane(part, member) for part in zip(*parts)))
 
     def take(self, lanes) -> _Gaussian:
-        """The parts of the lanes ``lanes``; one context's are every lane's."""
-        if len(self.ctxs) == 1:
+        """The parts of the lanes ``lanes``; one pair's are every lane's."""
+        if self.sigma.ndim == 2:
             return self
         return _Gaussian(self.spec, self.ctxs, self.member[lanes], *(a[lanes] for a in (
             self.sigma, self.root, self.chol_s, self.logdet_s, self.logdet_c)))
-
-    def product(self, x: np.ndarray, mats: np.ndarray) -> np.ndarray:
-        """x_l @ mats_l for each row of a (B, M) batch: one matrix product
-        with one context's shared matrix."""
-        return x @ mats if len(self.ctxs) == 1 else (x[:, None, :] @ mats)[:, 0, :]
 
 
 def _moments(gaussian: _Gaussian, k, t, level, start) -> TiltedMoments:
@@ -513,7 +548,7 @@ def _moments(gaussian: _Gaussian, k, t, level, start) -> TiltedMoments:
         # a measured mean farther than half the outermost node from the
         # centre lies beyond what the rule resolves
         reach = 0.5 * float(gauss_hermite_nodes(level, m)[0][-1, 0])
-        mu = gaussian.product(t, gaussian.sigma.mT)
+        mu = _apply(t, gaussian.sigma.mT)
         log_gauss = 0.5 * ((t * mu).sum(axis=-1) + gaussian.logdet_s - gaussian.logdet_c)
         if start is None:
             centre = mu.copy()
@@ -547,7 +582,7 @@ def _moments(gaussian: _Gaussian, k, t, level, start) -> TiltedMoments:
             # The constant, which can be large, is added after the sum over the
             # nodes, so its rounding does not reach the weights.
             a_mat = root.mT @ chol
-            a_vec = gaussian.product(c - mu_c, root)
+            a_vec = _apply(c - mu_c, root)
             coef = np.empty((len(lanes), len(pair_scale) + m + 1))
             coef[:, :m] = -(a_vec[:, None, :] @ a_mat)[:, 0, :]
             coef[:, m:-1] = (eye - a_mat.mT @ a_mat).reshape(-1, m * m)[:, pairs]
@@ -556,8 +591,11 @@ def _moments(gaussian: _Gaussian, k, t, level, start) -> TiltedMoments:
             placing = np.concatenate([c[:, :, None], chol], axis=2)
             blocks = []
             for _, rule in _rule_blocks(level, m):
-                block_terms = (coef[:, None, :] @ rule.ratio)[:, 0, :]
-                block_terms -= gaussian.spec.interaction_batch((placing @ rule.place).mT)
+                # the log ratio less S^int, written over the array S^int
+                # returns: one array of the block's size fewer at the peak
+                interaction = gaussian.spec.interaction_batch((placing @ rule.place).mT)
+                block_terms = np.subtract((coef[:, None, :] @ rule.ratio)[:, 0, :], interaction,
+                                          out=interaction)
                 blocks.append(block_terms)
             log_terms = blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=1)
             log_i0 = _log_sum_exp(log_terms)
@@ -607,9 +645,10 @@ def _moments(gaussian: _Gaussian, k, t, level, start) -> TiltedMoments:
             f"lies outside the resolvable range")
 
 
-def _zero_sources(ctxs: list, k: float, certify: bool = False) -> list[TiltedMoments]:
-    """Each context's zero-source tilted moments of scale k, computed once
-    per scale record: one kernel call for the records that lack them.
+def _zero_sources(ctxs: list, k, certify: bool = False) -> list[TiltedMoments]:
+    """The zero-source tilted moments of each (context, scale) pair, in pair
+    order, for one scale k or a sequence of scales k, computed once per scale
+    record: one kernel call for the records that lack them.
 
     With ``certify`` their ln N_k (and ln I(0)) is certified as well, once
     per record and in one certificate for the records not yet certified,
@@ -618,8 +657,9 @@ def _zero_sources(ctxs: list, k: float, certify: bool = False) -> list[TiltedMom
     only those, the Newton start and d_k ln N_k, runs where no certificate
     can be had.
     """
-    records = [c.scale(k) for c in ctxs]
-    zero = np.zeros((len(ctxs), ctxs[0].measure.dim))
+    ks, _ = _scale_list(k)
+    records = [c.scale(s) for c in ctxs for s in ks]
+    zero = np.zeros((len(records), ctxs[0].measure.dim))
     lacking = np.flatnonzero([r.moments is None for r in records])
     if lacking.size:
         tm = tilted_moments(ctxs, k, zero[lacking], member=lacking)
@@ -640,22 +680,27 @@ def _zero_source(ctx: FunctionalContext, k: float, certify: bool = False) -> Til
     return _zero_sources([ctx], k, certify)[0]
 
 
-def _start_terms(ctx: FunctionalContext, k: float) -> StartTerms:
-    """The one-loop start's terms of scale k, computed once per scale record."""
-    record = ctx.scale(k)
-    if record.start is None:
-        z = _zero_source(ctx, k).cov
+def _start_terms(ctx: FunctionalContext, k) -> list[StartTerms]:
+    """The one-loop start's terms of each scale of k (one scale or a
+    sequence), computed once per scale record."""
+    ks, _ = _scale_list(k)
+    records = [ctx.scale(s) for s in ks]
+    if any(r.start is None for r in records):
         h, _ = ctx.spec.position_map
         jet, _ = ctx.spec.interaction_jet(np.zeros(ctx.measure.dim), [2, 4])
         d2, d4 = jet.T
-        with _overflow_out_of_range(k):
-            z_inv = np.linalg.inv(z)
-            z_inv = 0.5 * (z_inv + z_inv.T)
-            hessian = (h * d2) @ h.T
-            slope = record.prec + hessian + 0.5 * (h * (d4 * _spread(h, z))) @ h.T
-            record.start = StartTerms(z_inv, z_inv - hessian, z_inv - slope,
-                                      float(np.linalg.eigvalsh(z)[-1]))
-    return record.start
+        for s, record, zero in zip(ks, records, _zero_sources([ctx], k)):
+            if record.start is not None:
+                continue
+            z = zero.cov
+            with _overflow_out_of_range(s):
+                z_inv = np.linalg.inv(z)
+                z_inv = 0.5 * (z_inv + z_inv.T)
+                hessian = (h * d2) @ h.T
+                slope = record.prec + hessian + 0.5 * (h * (d4 * _spread(h, z))) @ h.T
+                record.start = StartTerms(z_inv, z_inv - hessian, z_inv - slope,
+                                          float(np.linalg.eigvalsh(z)[-1]))
+    return [r.start for r in records]
 
 
 def _spread(h: np.ndarray, cov: np.ndarray) -> np.ndarray:
@@ -675,9 +720,10 @@ def _definite_inverse(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return (vec / lam[:, None, :]) @ vec.mT, lam[:, 0], ok
 
 
-def _one_loop_start(ctx: FunctionalContext, k: float, phis: np.ndarray):
+def _one_loop_start(ctx: FunctionalContext, k, phis: np.ndarray, member=None):
     """Each lane's Newton start: its source J0 and the covariance G on which
-    its first rule sits, for a (B, M) batch of fields.
+    its first rule sits, for a (B, M) batch of fields, each lane at its scale
+    (k, or the entry of the sequence k that ``member`` names).
 
     With G(phi) = (Z^-1 + D^2 S(phi) - D^2 S(0))^-1, Z the scale's
     zero-source tilted covariance, J0 is the one-loop source
@@ -692,24 +738,29 @@ def _one_loop_start(ctx: FunctionalContext, k: float, phis: np.ndarray):
     sqrt(lambda_max(G)), exceeds ``NEWTON_TOL``: no source there has a mean
     the kernel resolves to the tolerance.
     """
-    record, terms = ctx.scale(k), _start_terms(ctx, k)
+    ks, _ = _scale_list(k)
+    terms = _start_terms(ctx, k)
+    prec, z_inv, curvature, matching, widest, zero_cov = (_per_lane(part, member) for part in (
+        [ctx.scale(s).prec for s in ks], [t.z_inv for t in terms], [t.curvature for t in terms],
+        [t.matching for t in terms], [t.widest for t in terms],
+        [z.cov for z in _zero_sources([ctx], k)]))
     h, _ = ctx.spec.position_map
     with _overflow_out_of_range(k):
         jet, size = ctx.spec.interaction_jet(phis, [1, 2, 3])
         d1, d2, d3 = jet[..., 0], jet[..., 1], jet[..., 2]
-        g, smallest, ok = _definite_inverse(terms.curvature + (h * d2[:, None, :]) @ h.T)
-        cov = np.where(ok[:, None, None], g, _zero_source(ctx, k).cov)
-        j = phis @ record.prec.T
+        g, smallest, ok = _definite_inverse(curvature + (h * d2[:, None, :]) @ h.T)
+        cov = np.where(ok[:, None, None], g, zero_cov)
+        j = _apply(phis, prec.mT)
         one_loop = (d1 @ h.T + 0.5 * (d3 * _spread(h, cov)) @ h.T
-                    + (cov @ (phis @ terms.z_inv)[:, :, None])[..., 0] @ terms.matching.T)
+                    + _apply((cov @ _apply(phis, z_inv)[:, :, None])[..., 0], matching.mT))
         j = np.where(ok[:, None], j + one_loop, j)
-        floor = _EPS * size * np.sqrt(np.where(ok, 1.0 / smallest, terms.widest))
+        floor = _EPS * size * np.sqrt(np.where(ok, 1.0 / smallest, widest))
     beyond = floor > NEWTON_TOL
     if beyond.any():
         i = int(np.argmax(beyond))
         raise RangeExceeded(
-            f"the interaction's rounding at phi={phis[i]}, k={k} moves the tilted "
-            f"mean by {floor[i]:.1e}, more than the Newton tolerance "
+            f"the interaction's rounding at phi={phis[i]}, k={_scale_at(k, member, i)} "
+            f"moves the tilted mean by {floor[i]:.1e}, more than the Newton tolerance "
             f"{NEWTON_TOL:.0e}; the field lies outside the resolvable range")
     return j, cov
 
@@ -766,18 +817,19 @@ def W(ctx, k: float, t_vec):
 
 def _certified(ctxs: list, k, t, moments: TiltedMoments, member) -> TiltedMoments:
     """``moments`` of a (B, M) batch of sources with the ln I of each lane
-    whose context self-checks certified; ``member`` indexes each lane's
-    context in ``ctxs``.
+    whose context self-checks certified; ``member`` numbers each lane's
+    (context, scale) pair of ``ctxs`` and k, as for ``tilted_moments``.
 
     Each lane's ln I is taken again on the next rule of ``measure.ladder``,
     placed on the lane's mean and covariance, which stay; the finer value is
     kept, and a lane whose two values differ by more than ``BUDGET``
     (1 + |ln I|) climbs on.  The relative part spares a large ln I its own
-    rounding.  Raises :class:`BudgetExceeded` naming k and the first source
-    (and its member) still over at the top, or whose next rule exceeds
+    rounding.  Raises :class:`BudgetExceeded` naming the first source, its
+    scale (and its context) still over at the top, or whose next rule exceeds
     ``MAX_GH_NODES``.
     """
-    lanes = np.flatnonzero(np.array([c.self_check for c in ctxs])[member])
+    checked = [c.self_check for c in ctxs for _ in _scale_list(k)[0]]
+    lanes = np.flatnonzero(np.array(checked)[member])
     if lanes.size == 0:
         return moments
     log_value, log_i = moments.log_value.copy(), moments.log_interaction.copy()
@@ -810,7 +862,7 @@ def connected_cov(ctx: FunctionalContext, k: float, t_vec) -> np.ndarray:
     return tilted_moments(ctx, k, t_vec).cov
 
 
-def invert_mean_field(ctx: FunctionalContext, k: float, phi) -> MeanFieldSolve:
+def invert_mean_field(ctx: FunctionalContext, k, phi) -> MeanFieldSolve:
     """Solve mean_field(J) = phi for one field (M,) or a batch (B, M).
 
     Newton with a backtracking line search on the residual, run on every
@@ -819,19 +871,41 @@ def invert_mean_field(ctx: FunctionalContext, k: float, phi) -> MeanFieldSolve:
     its residual is within ``NEWTON_TOL``.  Every kernel call places a
     lane's rule on its field, as wide as the lane's tilted measure last was
     (at the start, the one-loop covariance G).  Errors name the first field
-    that fails, except the kernel's refusals, which name its source.
+    that fails, and its scale, except the kernel's refusals, which name its
+    source.
+
+    ``k`` is one scale, or a sequence of S scales: then every field is
+    solved at every scale, one lane per (scale, field) pair, in the same
+    Newton loop and kernel calls, each lane on its own scale's record and
+    with the bits of its one-scale solve, and the source, residual and
+    moments gain a leading scale axis, (S, B, ...), or (S, ...) for one
+    field.
     """
     phis, single = _lanes(ctx, phi)
+    ks, one = _scale_list(k)
+    shape = (len(ks),) if single else (len(ks), len(phis))  # of several scales' lanes
+    member = lane_k = None  # lane_k: each lane's scale, for the errors
+    if not one:
+        member = np.repeat(np.arange(len(ks)), len(phis))
+        phis = np.tile(phis, (len(ks), 1))
+        lane_k = np.asarray(ks, dtype=float)[member]
     if not len(phis):
-        return MeanFieldSolve(np.empty(phis.shape), np.empty(0), 0, _join([], phis.shape[1]))
-    j, start_cov = _one_loop_start(ctx, k, phis)
-    tm = tilted_moments(ctx, k, j, start=(phis, start_cov))
+        solve = MeanFieldSolve(np.empty(phis.shape), np.empty(0), 0, _join([], phis.shape[1]))
+        return solve if one else _laid_out(solve, shape)
+
+    def where(i) -> str:  # the field and scale of lane i
+        return f"phi={phis[i]}, k={k if one else lane_k[i]}"
+
+    def members(lanes):
+        return None if one else member[lanes]
+
+    j, start_cov = _one_loop_start(ctx, k, phis, member)
+    tm = tilted_moments(ctx, k, j, start=(phis, start_cov), member=member)
     finite = np.isfinite(tm.mean).all(axis=-1) & np.isfinite(tm.cov).all(axis=(-2, -1))
     if not finite.all():
         raise RangeExceeded(
             f"tilted moments overflowed inverting the mean field at "
-            f"phi={phis[np.argmin(finite)]}, k={k}; the field lies outside "
-            f"the resolvable range"
+            f"{where(np.argmin(finite))}; the field lies outside the resolvable range"
         )
     log_value, log_i0, mean, cov = tm.log_value, tm.log_interaction, tm.mean, tm.cov
     res_norm = np.linalg.norm(mean - phis, axis=-1)
@@ -845,7 +919,7 @@ def invert_mean_field(ctx: FunctionalContext, k: float, phi) -> MeanFieldSolve:
         if lanes.size == 0:
             break
         iterations += lanes.size
-        step = _newton_step(k, phis, lanes, mean, cov)
+        step = _newton_step(k if one else lane_k, phis, lanes, mean, cov)
         alpha = np.ones(lanes.size)
         trying = np.arange(lanes.size)  # lanes (by position) still searching
         while trying.size:
@@ -856,9 +930,10 @@ def invert_mean_field(ctx: FunctionalContext, k: float, phi) -> MeanFieldSolve:
             if far.any():
                 raise RangeExceeded(
                     f"source magnitude diverged inverting the mean field at "
-                    f"phi={phis[at[np.argmax(far)]]}, k={k}"
+                    f"{where(at[np.argmax(far)])}"
                 )
-            tm_try = tilted_moments(ctx, k, j_try, start=(phis[at], cov[at]))
+            tm_try = tilted_moments(ctx, k, j_try, start=(phis[at], cov[at]),
+                                    member=members(at))
             new_norm = np.linalg.norm(tm_try.mean - phis[at], axis=-1)
             ok = (new_norm < res_norm[at] * (1.0 - 1e-4 * alpha[trying])) | (
                 new_norm <= NEWTON_TOL)
@@ -876,43 +951,62 @@ def invert_mean_field(ctx: FunctionalContext, k: float, phi) -> MeanFieldSolve:
                 i = lanes[trying[np.argmax(stalled)]]
                 raise NewtonStalled(
                     f"line search stalled at residual {res_norm[i]:.3e} "
-                    f"(phi={phis[i]}, k={k}); raise the quadrature budget"
+                    f"({where(i)}); raise the quadrature budget"
                 )
     unconverged = np.flatnonzero(res_norm > NEWTON_TOL)
     if unconverged.size:
         i = unconverged[0]
         raise NewtonStalled(
             f"Newton did not reach tolerance {NEWTON_TOL:.1e}; residual "
-            f"{res_norm[i]:.3e} at phi={phis[i]}, k={k}"
+            f"{res_norm[i]:.3e} at {where(i)}"
         )
-    tm = TiltedMoments(log_value, log_i0, mean, cov)
+    solve = MeanFieldSolve(j, res_norm, iterations, TiltedMoments(log_value, log_i0, mean, cov))
+    if not one:
+        return _laid_out(solve, shape)
     if single:
-        return MeanFieldSolve(j[0], float(res_norm[0]), iterations, _first_lane(tm))
-    return MeanFieldSolve(j, res_norm, iterations, tm)
+        return MeanFieldSolve(j[0], float(res_norm[0]), iterations, _first_lane(solve.moments))
+    return solve
+
+
+def _laid_out(solve: MeanFieldSolve, shape: tuple) -> MeanFieldSolve:
+    """``solve`` with its lanes laid out as ``shape``: (L,) in a row, or
+    (S, B) and (S,) by scale and field."""
+    m = solve.source.shape[-1]
+    tm = solve.moments
+    return MeanFieldSolve(
+        solve.source.reshape(shape + (m,)), np.reshape(solve.residual, shape),
+        solve.iterations,
+        TiltedMoments(np.reshape(tm.log_value, shape), np.reshape(tm.log_interaction, shape),
+                      tm.mean.reshape(shape + (m,)), tm.cov.reshape(shape + (m, m))))
 
 
 def _newton_step(k, phis, lanes, mean, cov) -> np.ndarray:
-    """Newton steps -cov^-1 (mean - phi) of the given lanes."""
+    """Newton steps -cov^-1 (mean - phi) of the given lanes; ``k`` names the
+    scale in the error, one scale or an array of each lane's."""
     cov = cov[lanes]
     try:
         return np.linalg.solve(cov, (phis[lanes] - mean[lanes])[:, :, None])[..., 0]
     except np.linalg.LinAlgError:
         singular = lanes[np.linalg.det(cov) == 0.0]
+        i = singular[0] if singular.size else lanes[0]
         raise RangeExceeded(
             f"tilted covariance degenerated inverting the mean field at "
-            f"phi={phis[singular[0] if singular.size else lanes[0]]}, k={k}; "
+            f"phi={phis[i]}, k={k if np.ndim(k) == 0 else k[i]}; "
             f"the field lies outside the resolvable range"
         ) from None
 
 
-def legendre_transform(ctx: FunctionalContext, k: float, fields):
+def legendre_transform(ctx: FunctionalContext, k, fields):
     """Effective average action at every field of a batch.
 
     ``fields`` is a sequence of B fields, each of shape (M,) (a float for
     M = 1); one (M,) field is a batch of one.  Returns ``(values, solve)``:
     the (B,) values gamma_k(phi) = J.phi - W_k(J) - F_k(phi, phi)/2 at the
     inverting sources J, and the one batched :class:`MeanFieldSolve` that
-    found them, its moments certified when the context self-checks.
+    found them, its moments certified when the context self-checks.  For a
+    sequence of S scales ``k`` the values are (S, B), one row per scale,
+    from one inversion of every (scale, field) lane, and the solve is laid
+    out (S, B) as well (:func:`invert_mean_field`).
 
     With mu = Sigma J the value is formed as phi.C^-1 phi / 2 - (phi - mu).
     (C^-1 + F_k)(phi - mu) / 2 - ln I(J) + ln I(0), ln I being the tilted
@@ -922,19 +1016,29 @@ def legendre_transform(ctx: FunctionalContext, k: float, fields):
     only the moments at its final sources.
     """
     phis, _ = _lanes(ctx, fields)
+    ks, one = _scale_list(k)
     solve = invert_mean_field(ctx, k, phis)
-    if not len(phis):
-        return np.empty(0), solve
-    solve = replace(solve, moments=_certified(
-        [ctx], k, solve.source, solve.moments, np.zeros(len(phis), dtype=np.intp)))
-    record = ctx.scale(k)
+    if not solve.residual.size:
+        return np.empty(solve.residual.shape), solve
+    shape = solve.residual.shape
+    member = np.repeat(np.arange(len(ks)), len(phis))
+    if not one:
+        phis = np.tile(phis, (len(ks), 1))
+        solve = _laid_out(solve, (len(phis),))
+    solve = replace(solve, moments=_certified([ctx], k, solve.source, solve.moments, member))
+    records = [ctx.scale(s) for s in ks]
+    sigma, prec, log_i_zero = (_per_lane(part, member) for part in (
+        [r.sigma for r in records], [r.prec for r in records],
+        [z.log_interaction for z in _zero_sources([ctx], k, certify=True)]))
     with _overflow_out_of_range(k):
-        gap = phis - solve.source @ record.sigma.T
+        gap = phis - _apply(solve.source, sigma.mT)
         values = (0.5 * np.sum(phis * (phis @ ctx.measure.inv.T), axis=-1)
-                  - 0.5 * np.sum(gap * (gap @ record.prec.T), axis=-1)
+                  - 0.5 * np.sum(gap * _apply(gap, prec.mT), axis=-1)
                   - solve.moments.log_interaction
-                  + _zero_source(ctx, k, certify=True).log_interaction)
-    return values, solve
+                  + log_i_zero)
+    if one:
+        return values, solve
+    return values.reshape(shape), _laid_out(solve, shape)
 
 
 def gamma(ctx: FunctionalContext, k: float, phi) -> float:
@@ -950,7 +1054,7 @@ def gamma_bar(ctx: FunctionalContext, k: float, phi) -> float:
     return float(values[0] - values[1])
 
 
-def grid_transform(ctx: FunctionalContext, k: float, grid):
+def grid_transform(ctx: FunctionalContext, k, grid):
     """One Legendre transform of a single-mode field grid and of the field 0.
 
     Returns (gamma, gamma_bar, source, residual, iterations): gamma_k,
@@ -959,21 +1063,24 @@ def grid_transform(ctx: FunctionalContext, k: float, grid):
     theory (c3 = 0) on an odd mirror-symmetric grid transforms the nodes
     phi >= 0, the first the field 0, and mirrors them: J as an odd function,
     the rest as even ones, exactly.  Any other grid transforms its nodes and,
-    in one extra lane, the field 0.
+    in one extra lane, the field 0.  For a sequence of S scales ``k`` the
+    arrays are (S, N), one row per scale, each the bits of its one-scale
+    transform, from one transform of every scale's lanes.
     """
     grid = np.asarray(grid, dtype=float)
     if ctx.spec.c3 == 0 and is_mirrored(grid):
         values, solve = legendre_transform(ctx, k, grid[grid.size // 2:])
-        return (unfold(values), unfold(values - values[0]),
-                unfold(solve.source[:, 0], odd=True), unfold(solve.residual),
+        return (unfold(values), unfold(values - values[..., :1]),
+                unfold(solve.source[..., 0], odd=True), unfold(solve.residual),
                 solve.iterations)
     values, solve = legendre_transform(ctx, k, np.append(grid, 0.0))
-    return (values[:-1], values[:-1] - values[-1], solve.source[:-1, 0],
-            solve.residual[:-1], solve.iterations)
+    return (values[..., :-1], values[..., :-1] - values[..., -1:], solve.source[..., :-1, 0],
+            solve.residual[..., :-1], solve.iterations)
 
 
-def exact_grid_values(ctx: FunctionalContext, k: float, grid) -> np.ndarray:
-    """Subtracted-action oracle values on the grid: grid_transform's gamma_bar."""
+def exact_grid_values(ctx: FunctionalContext, k, grid) -> np.ndarray:
+    """Subtracted-action oracle values on the grid: grid_transform's
+    gamma_bar, (N,) at one scale k and (S, N) at a sequence of S scales."""
     return grid_transform(ctx, k, grid)[1]
 
 
@@ -1030,7 +1137,8 @@ def frge_first_form_check(ctx: FunctionalContext, k: float, probes) -> list[dict
     gamma in k; the right side is half the regulator derivative against the
     regulated inverse curvature (gamma'' + F_k)^-1 = W''(J), the tilted
     covariance at the inverting source, plus the normalization drift.  One
-    batched inversion serves every probe.
+    Legendre transform of every probe at the four shifted scales and at k
+    serves both sides.
     """
     if ctx.measure.dim != 1:
         raise SpecValidationError("first-form check is single-mode only")
@@ -1038,15 +1146,12 @@ def frge_first_form_check(ctx: FunctionalContext, k: float, probes) -> list[dict
     if k < 0 or phis.size == 0:
         lhs = rhs = np.zeros(phis.size)
     else:
-
-        def central(hh):  # one transform of every probe per shifted scale
-            plus, _ = legendre_transform(ctx, k + hh, phis)
-            minus, _ = legendre_transform(ctx, k - hh, phis)
-            return (plus - minus) / (2.0 * hh)
-
-        lhs = (4.0 * central(FIRST_FORM_DK_STEP / 2.0)
-               - central(FIRST_FORM_DK_STEP)) / 3.0
-        w2 = invert_mean_field(ctx, k, phis[:, None]).moments.cov[:, 0, 0]
+        half, step = FIRST_FORM_DK_STEP / 2.0, FIRST_FORM_DK_STEP
+        values, solve = legendre_transform(
+            ctx, [k + half, k - half, k + step, k - step, k], phis)
+        lhs = (4.0 * ((values[0] - values[1]) / (2.0 * half))
+               - (values[2] - values[3]) / (2.0 * step)) / 3.0
+        w2 = solve.moments.cov[-1, :, 0, 0]
         rhs = (0.5 * float(ctx.scale(k).f_dot[0]) * w2
                + dk_log_normalization(ctx, k))
     return [

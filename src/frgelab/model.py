@@ -60,8 +60,9 @@ def is_even(axis: np.ndarray, values: np.ndarray) -> bool:
 
 
 def unfold(half: np.ndarray, odd: bool = False) -> np.ndarray:
-    """An even (or odd) function on a mirrored axis from its values at x >= 0."""
-    return np.concatenate([-half[:0:-1] if odd else half[:0:-1], half])
+    """An even (or odd) function on a mirrored axis from its values at x >= 0,
+    along the last axis."""
+    return np.concatenate([-half[..., :0:-1] if odd else half[..., :0:-1], half], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -156,17 +157,30 @@ class ModelSpec:
         The powers are products (v^2 = v v, v^3 = v^2 v, v^4 = v^2 v^2), not
         calls of libm's ``pow``.  Only the terms with a nonzero coefficient
         are computed: where the powers of v are finite a dropped term is a
-        zero, and adding it to a nonzero partial sum changes no bit.
+        zero, and adding it to a nonzero partial sum changes no bit.  A term
+        is scaled, and the sum formed, in place in a term's own array, and
+        v^4, the last power, over v^2: the same products and sums, with two
+        arrays of v's size fewer alive, which keeps the kernel's widest
+        temporaries few.
         """
         v2 = v * v
-        powers = ((self.c2, lambda: v2), (self.c3, lambda: v2 * v),
-                  (self.c4, lambda: v2 * v2))
-        out = None
-        for c, power in powers:
-            if c != 0:
-                term = c * power()
-                out = term if out is None else out + term
-        return np.zeros_like(v) if out is None else out
+        terms = []
+        if self.c2 != 0:
+            terms.append(self.c2 * v2)
+        if self.c3 != 0:
+            v3 = v2 * v
+            v3 *= self.c3
+            terms.append(v3)
+        if self.c4 != 0:
+            v2 *= v2  # v^2 has no later use
+            v2 *= self.c4
+            terms.append(v2)
+        if not terms:
+            return np.zeros_like(v)
+        out = terms[0]
+        for term in terms[1:]:
+            out += term
+        return out
 
     @property
     def interaction_key(self) -> tuple:

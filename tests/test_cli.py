@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import inspect
+import io
 import json
 import os
 import subprocess
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 from frgelab import flow, functionals
-from frgelab.cli import atomic_write, build_parser, config_hash, main
+from frgelab.cli import _grid_rows, atomic_write, build_parser, config_hash, main
 from frgelab.functionals import FunctionalContext, exact_grid_values
 from frgelab.model import spec_from_dict
 from frgelab.regulator import make_regulator
@@ -66,6 +67,21 @@ class TestPlumbing:
                                            "--out", "f.csv"])
         assert again.rtol == 1e-9
 
+    def test_grid_rows_are_csv_writers_rows(self):
+        # formatted numbers, signed zeros, extremes and non-finite values
+        # alike: no cell needs quoting, so the joined rows are csv's text
+        scales, grid = [10.0, 1e-3, 0.0], np.array([-2.5, -0.0, 1e-300])
+        columns = [np.array([[1.0, -0.0, np.inf], [np.nan, 1e300, -2.5e-7],
+                             [-np.inf, 5e-324, 123456.789]]),
+                   np.array([[0.0, 1e-17, 3.0], [1.5, -1.0, 7e22], [2.0, 0.1, 1e-5]])]
+        text = _grid_rows("{},{},{:.15g},{:.6e}\n", scales, grid, columns)
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(
+            [f"{k:.12g}", f"{phi:.12g}", f"{a:.15g}", f"{b:.6e}"]
+            for k, row_a, row_b in zip(scales, *(c.tolist() for c in columns))
+            for phi, a, b in zip(grid.tolist(), row_a, row_b))
+        assert text == buf.getvalue()
+
     def test_atomic_write(self, tmp_path):
         target = tmp_path / "out.txt"
         atomic_write(str(target), "hello\n")
@@ -109,12 +125,12 @@ class TestExact:
         again = json.loads(Path(out + ".manifest.json").read_text())["stats"]
         assert again["newton_iterations"] == stats["newton_iterations"]
 
-    def test_one_inversion_call_per_scale(self, config_path, tmp_path, monkeypatch):
+    def test_one_inversion_call_per_table(self, config_path, tmp_path, monkeypatch):
         lanes = []
         original = functionals.invert_mean_field
 
         def counted(ctx, k, phi):
-            lanes.append(len(phi))
+            lanes.append((k, len(phi)))
             return original(ctx, k, phi)
 
         monkeypatch.setattr(functionals, "invert_mean_field", counted)
@@ -122,8 +138,9 @@ class TestExact:
         odd = tmp_path / "odd.json"
         odd.write_text(json.dumps(dict(CONFIG, interaction={"c3": 0.05, "c4": 0.1},
                                        allow_unbounded=True)))
-        # an even theory: one batched inversion per k of the N + 1 nodes
-        # phi >= 0, phi = 0 among them; c3 != 0: every node plus the field 0
+        # one batched inversion of every scale, each with the fields of an
+        # even theory, the N + 1 nodes phi >= 0, phi = 0 among them, or of
+        # c3 != 0, every node plus the field 0
         for config, nodes, per_k in ((config_path, 11, 6), (str(odd), 11, 12),
                                      (config_path, 1, 1)):
             lanes.clear()
@@ -131,7 +148,7 @@ class TestExact:
                          "--phi-nodes", str(nodes), "--out", out]) == 0
             rows = [r.split(",") for r in Path(out).read_text().splitlines()[1:]]
             assert len(rows) == 2 * nodes
-            assert lanes == [per_k, per_k]
+            assert lanes == [([1.0, 0.0], per_k)]
             assert [r[3] for r in rows if r[1] == "0"] == ["0", "0"]
         assert [r[:2] for r in rows] == [["1", "0"], ["0", "0"]]
 
@@ -232,19 +249,27 @@ class TestFlowPipeline:
     def test_compare_reuses_the_start_oracle(
         self, config_path, tmp_path, monkeypatch
     ):
-        calls = []
+        calls, lanes = [], []
         original = flow.exact_grid_values
+        invert = functionals.invert_mean_field
 
         def counted(ctx, k, grid):
             calls.append(k)
             return original(ctx, k, grid)
 
+        def counted_inversion(ctx, k, phi):
+            lanes.append(np.size(k) * len(phi))
+            return invert(ctx, k, phi)
+
         monkeypatch.setattr(flow, "exact_grid_values", counted)
+        monkeypatch.setattr(functionals, "invert_mean_field", counted_inversion)
         out = str(tmp_path / "flow.csv")
         assert main(["flow", "--config", config_path, "--kuv", "20",
                      "--checkpoints", "1,0", "--compare", "--out", out]) == 0
-        # one sweep for the start, one per checkpoint below k_uv
-        assert calls == [20.0, 1.0, 0.0]
+        # one sweep for the start and one of every checkpoint below k_uv:
+        # the 51 nodes phi >= 0 of the 101-node grid at each scale
+        assert calls == [20.0, [1.0, 0.0]]
+        assert lanes == [51, 2 * 51]
         with open(out, newline="") as fh:
             start = [r for r in csv.DictReader(fh) if float(r["k"]) == 20.0]
         assert len(start) == 101
@@ -442,6 +467,17 @@ class TestExitCodes:
         assert main(["validate-regulator", "--regulator", f"table:{table}"]) == 2
         assert "table regulator" in capsys.readouterr().err
 
+    def test_failing_scale_of_the_sweep_exit_3(self, tmp_path, capsys):
+        # a double well the oracle answers at k = 1 and cannot certify at
+        # k = 0: the one transform of both scales names the failing one
+        config = tmp_path / "well.json"
+        config.write_text(json.dumps(dict(CONFIG, interaction={"c2": -0.75, "c4": 0.1})))
+        assert main(["exact", "--config", str(config), "--k", "1,0",
+                     "--out", str(tmp_path / "e.csv")]) == 3
+        err = capsys.readouterr().err
+        assert "at k=0.0, source=[0.]: no rule on the ladder certifies it" in err
+        assert not (tmp_path / "e.csv").exists()
+
     def test_indefinite_precision_exit_3(self, config_path, tmp_path, capsys):
         # R = -5 makes C^-1 + F_k = 1 - 5 indefinite at every scale
         table = tmp_path / "neg.csv"
@@ -537,6 +573,25 @@ def test_non_flow_commands_load_no_scipy(config_path, tmp_path):
     assert result["codes"] == [0, 0, 0, 0, 0]
     assert result["loaded"] == []
     assert result["flow"]  # the check can see scipy when it is loaded
+
+
+@pytest.mark.parametrize("argv", [
+    ["exact", "--k", "1,0", "--phi-nodes", "5"],
+    ["flow", "--kuv", "2", "--checkpoints", "1,0", "--compare"],
+    ["flow", "--kuv", "2", "--checkpoints", "1,0", "--init", "classical"],
+])
+def test_grid_tables_are_csv_writers_text(config_path, tmp_path, argv):
+    """The grid tables, joined without csv.writer, are its text of their cells."""
+    out = tmp_path / "t.csv"
+    assert main(argv + ["--config", config_path, "--out", str(out)]) == 0
+    with open(out, newline="") as fh:
+        rows = list(csv.reader(fh))
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    assert buf.getvalue() == out.read_text()
+    # a header, then a row per (scale, node): two scales of 5 nodes, or
+    # k_uv and two checkpoints of 101
+    assert len(rows) == 1 + (2 * 5 if argv[0] == "exact" else 3 * 101)
 
 
 MANIFEST_KEYS = {"tool_version", "subcommand", "config_hash", "tolerances", "stats",

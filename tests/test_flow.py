@@ -1071,7 +1071,8 @@ class TestFirstForm:
         report = frge_first_form_check(ctx, 1.0, [0.0, 0.5, 1.0])
         assert max(r["abs_diff"] for r in report) < 1e-6
 
-    def test_lhs_is_four_transforms(self, phi4_spec, litim, monkeypatch):
+    def test_lhs_is_one_transform_of_four_shifted_scales(self, phi4_spec, litim,
+                                                         monkeypatch):
         ctx = FunctionalContext(spec=phi4_spec, regulator=litim,
                                 self_check=False)
         probes, k, h = [0.0, 0.5, 1.0, 2.0], 1.0, functionals.FIRST_FORM_DK_STEP
@@ -1090,10 +1091,19 @@ class TestFirstForm:
             return original(ctx, k, fields)
 
         monkeypatch.setattr(functionals, "legendre_transform", counted)
+        inverted = []
+        invert = functionals.invert_mean_field
+
+        def counted_inversion(ctx, k, phi):
+            inverted.append(k)
+            return invert(ctx, k, phi)
+
+        monkeypatch.setattr(functionals, "invert_mean_field", counted_inversion)
         report = frge_first_form_check(ctx, k, probes)
-        # one transform of every probe at each of the four shifted scales
-        assert sorted(c[0] for c in calls) == [k - h, k - h / 2.0, k + h / 2.0, k + h]
-        assert all(fields == probes for _, fields in calls)
+        # one transform of every probe at the four shifted scales and at k,
+        # whose inversion gives the trace side: no other inversion
+        assert calls == [([k + h / 2.0, k - h / 2.0, k + h, k - h, k], probes)]
+        assert inverted == [calls[0][0]]
         assert [r["lhs"] for r in report] == reference
 
     def test_negative_scale_trivial(self, phi4_spec, litim):

@@ -943,6 +943,57 @@ class TestGridTransform:
         assert residual.tobytes() == solve.residual[:-1].tobytes()
         assert iterations == solve.iterations
 
+    @pytest.mark.parametrize("c3, scales", [
+        (0.0, [10.0, 1.0, 0.0]), (0.05, [10.0, 1.0, 0.0]), (0.0, [1.0, 0.5, 1.0, 1.0]),
+        (0.0, list(np.linspace(0.0, 4.0, SCALE_CACHE_SIZE + 6))),
+    ], ids=["even", "odd", "repeated", "past_the_scale_cache"])
+    def test_rows_of_a_scale_sequence_are_its_scales_own_bits(self, litim, c3, scales,
+                                                              monkeypatch):
+        # an even theory folds its grid, c3 != 0 takes every node and the
+        # field 0; each row is its scale's own transform bit for bit, from
+        # one inversion call, also where the scales outnumber the records a
+        # context keeps and a scale's record is rebuilt within the call
+        spec = ModelSpec(dimension=0, modes=1, mass=1.0, c3=c3, c4=0.1,
+                         allow_unbounded=True, phi_max=2.0, phi_nodes=5,
+                         window=WindowParams(kind="scalar", r=1.0))
+        own = [grid_transform(FunctionalContext(spec=spec, regulator=litim), k,
+                              spec.field_grid) for k in scales]
+        calls = []
+        invert = functionals.invert_mean_field
+
+        def counted(ctx, k, phi):
+            calls.append(k)
+            return invert(ctx, k, phi)
+
+        monkeypatch.setattr(functionals, "invert_mean_field", counted)
+        ctx = FunctionalContext(spec=spec, regulator=litim)
+        *rows, iterations = grid_transform(ctx, scales, spec.field_grid)
+        assert calls == [scales]
+        for i, column in enumerate(rows):
+            assert column.shape == (len(scales), spec.phi_nodes)
+            for row, one in zip(column, own):
+                assert row.tobytes() == one[i].tobytes()
+        assert iterations == sum(one[-1] for one in own)
+        assert exact_grid_values(ctx, scales, spec.field_grid).tobytes() == rows[1].tobytes()
+
+    @pytest.mark.parametrize("scales, failing, error", [
+        ([1.0, 0.0], 0.0, BudgetExceeded), ([10.0, 0.0], 0.0, NewtonStalled),
+    ], ids=["certificate", "newton"])
+    def test_a_failing_scale_raises_its_own_error(self, litim, scales, failing, error):
+        # double wells the oracle refuses at k = 0 (c2 -0.75: no rule certifies
+        # ln I; c2 -1.5: the line search stalls) and answers at the other scale
+        c2 = -0.75 if error is BudgetExceeded else -1.5
+        spec = ModelSpec(dimension=0, modes=1, mass=1.0, c2=c2, c4=0.1,
+                         allow_unbounded=True, phi_max=3.0, phi_nodes=101,
+                         window=WindowParams(kind="scalar", r=1.0))
+        ctx = FunctionalContext(spec=spec, regulator=litim)
+        with pytest.raises(error) as alone:
+            grid_transform(ctx, failing, spec.field_grid)
+        ctx = FunctionalContext(spec=spec, regulator=litim)
+        with pytest.raises(error, match=f"k={failing}") as batched:
+            grid_transform(ctx, scales, spec.field_grid)
+        assert str(batched.value) == str(alone.value)
+
 
 class TestNewtonStart:
     @pytest.mark.parametrize("k", [0.0, 100.0])
