@@ -12,10 +12,13 @@ On the grid the trace form u' = 1/2 d_kF_k / (D2 u + R_k) is a nonlinear
 diffusion, stiff in the node count, so it is stepped with the implicit BDF
 method and its analytic Jacobian diag(-1/2 d_kF_k / (D2 u + R_k)^2) D2,
 where D2 is the sparse second-difference matrix.  The stepper, _GridBDF, is
-scipy's variable-order BDF step ported operation for operation onto scipy's
-public OdeSolver base class, so its steps and states are scipy's bits; it
-evaluates the flow on the bare node vector.  J shares D2's pattern, so BDF's
-Newton matrix I - cJ is a band of half-width 3 (the 4-point edge stencils),
+scipy's variable-order BDF step ported operation for operation onto _Solver,
+frgelab's own copy of the solver protocol of scipy's OdeSolver, so its steps
+and states are scipy's bits and a grid flow never imports scipy.integrate.
+It evaluates the flow on the bare node vector, whose F_k and d_kF_k are
+taken once per scale: the Newton iterates of a step share its k, and so
+does the curvature margin after it.  J shares D2's pattern, so BDF's Newton
+matrix I - cJ is a band of half-width 3 (the 4-point edge stencils),
 written straight into LAPACK's band layout and factored with its band LU.
 D2 annihilates constants up to rounding (its solved central stencil sums to
 -6.9e-17), so the zero-field subtraction u - u(0) is taken at the
@@ -35,8 +38,9 @@ every checkpoint of an even flow is exactly even.  Any other action steps
 all 2N + 1 nodes.  The oracle's grid values fold alike
 (functionals.grid_transform, which `frgelab exact` shares).
 
-The vertex flow is not stiff and uses the explicit Runge-Kutta 5(4) pair.
-It steps only the independent components of the symmetric tensors, through
+The vertex flow is not stiff and uses scipy's explicit Runge-Kutta 5(4)
+pair, RK45, which the first vertex flow imports (the module name RK45).  It
+steps only the independent components of the symmetric tensors, through
 cached orbit index maps, and its right-hand side contracts that packed
 vector over the sorted index pairs alone: small matrix products and gathers.
 
@@ -58,7 +62,6 @@ from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.integrate import RK45, OdeSolver
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from . import functionals as fn
@@ -266,14 +269,30 @@ class _GridFlow:
             self.first_node = 0
         self.y0 = np.array(values[self.first_node:], dtype=float)
         self.h2 = float(grid[1] - grid[0]) ** 2
+        self._k = None  # the scale whose (R_k, d_k F_k) _diagonals holds
+
+    def _diagonals(self, k) -> tuple[float, float]:
+        """R_k and d_k F_k of the mode, evaluated once per scale: the Newton
+        iterates of a step share its k, and so does the margin after it."""
+        # 0 and -0 compare equal, and d_k F_k keeps the sign of k: zero is
+        # evaluated every time
+        if k != self._k or k == 0.0:
+            self._k = k
+            self._r_k = float(self.regulator.value(k, self.momentum)) * self.weight
+            self._f_dot = float(self.regulator.dk(k, self.momentum)) * self.weight
+        return self._r_k, self._f_dot
 
     def curvature(self, k, u: np.ndarray) -> tuple[float, np.ndarray]:
-        """d_k F_k and the regularised curvature D2 u + R_k at every node."""
-        r_k = float(self.regulator.value(k, self.momentum)) * self.weight
-        f_dot = float(self.regulator.dk(k, self.momentum)) * self.weight
-        return f_dot, self.d2 @ u / self.h2 + r_k
+        """d_k F_k and the regularised curvature D2 u + R_k at every node, a
+        new array."""
+        r_k, f_dot = self._diagonals(k)
+        denom = self.d2 @ u
+        denom /= self.h2
+        denom += r_k
+        return f_dot, denom
 
     def rhs(self, k, u: np.ndarray) -> np.ndarray:
+        """The flow 1/2 d_k F_k / (D2 u + R_k), a new array."""
         f_dot, denom = self.curvature(k, u)
         if f_dot == 0.0:
             return np.zeros_like(u)
@@ -285,19 +304,25 @@ class _GridFlow:
                 f"(phi={self.grid[node]:.4g}, k={k:.6g})",
                 k=k,
             )
-        return 0.5 * f_dot / denom
+        return np.divide(0.5 * f_dot, denom, out=denom)
 
     def jacobian_data(self, k, u: np.ndarray) -> np.ndarray:
         """The entries of J = diag(-1/2 d_k F_k / (D2 u + R_k)^2) D2 in D2's
-        stored (CSC) order."""
-        f_dot, denom = self.curvature(k, u)
+        stored (CSC) order, a new array."""
+        f_dot, row_scale = self.curvature(k, u)
         # denom^2 overflows from k ~ 1e77 on, where the entry rounds to 0 anyway
         with np.errstate(over="ignore"):
-            row_scale = -0.5 * f_dot / (denom * denom * self.h2)
+            row_scale *= row_scale
+            row_scale *= self.h2
+            np.divide(-0.5 * f_dot, row_scale, out=row_scale)
         return row_scale[self.d2.indices] * self.d2.data
 
-    def margin(self, k, u: np.ndarray) -> float:  # min(D2 u + R_k)
-        return float(self.curvature(k, u)[1].min())
+    def margin(self, k, u: np.ndarray) -> float:
+        """min(D2 u + R_k), taken as min(D2 u) / h^2 + R_k: dividing by
+        h^2 > 0 and adding R_k both round monotonically, so it is the same
+        float."""
+        r_k, _ = self._diagonals(k)
+        return float((self.d2 @ u).min()) / self.h2 + r_k
 
     def unfold(self, u: np.ndarray) -> np.ndarray:
         return unfold(u) if self.first_node else u
@@ -307,7 +332,7 @@ class _GridFlow:
         u = self.unfold(u)
         return GridAction(k=k, grid=self.grid, values=u - u[u.size // 2])
 
-    def solver(self, fun, jac, t0, y0, t_bound, rtol, atol) -> OdeSolver:
+    def solver(self, fun, jac, t0, y0, t_bound, rtol, atol) -> _GridBDF:
         return _GridBDF(fun, jac, self.d2, t0, y0, t_bound, rtol, atol)
 
 
@@ -390,6 +415,12 @@ def rhs_vertex(k, y: np.ndarray, regulator, momenta, weights) -> np.ndarray:
     return np.concatenate([d_g2, t.ravel()[channels].sum(axis=0)])
 
 
+# scipy.integrate.RK45, the vertex flows' stepper, bound by the first vertex
+# flow (_VertexFlow.solver), so that a grid flow never imports scipy.integrate;
+# read at every call, so another OdeSolver put here steps the vertex flows
+RK45 = None
+
+
 class _VertexFlow:
     """The vertex flow of one action and regulator on its packed state ``y0``:
     the independent components of gamma2, then of gamma4, in _orbit_map's
@@ -415,7 +446,10 @@ class _VertexFlow:
         return VertexAction(k=k, gamma2=_unpack_symmetric(y[:self.n2], self.modes, 2),
                             gamma4=_unpack_symmetric(y[self.n2:], self.modes, 4))
 
-    def solver(self, fun, jac, t0, y0, t_bound, rtol, atol) -> OdeSolver:
+    def solver(self, fun, jac, t0, y0, t_bound, rtol, atol):
+        global RK45
+        if RK45 is None:  # scipy.integrate costs about 0.24 s of start-up
+            from scipy.integrate import RK45
         return RK45(fun, t0, y0, t_bound, rtol=rtol, atol=atol)  # explicit: no jac
 
 
@@ -441,16 +475,20 @@ RG_TIME_SCALE = 2.0
 # -- the grid stepper --------------------------------------------------
 #
 # scipy 1.17's BDF step (scipy/integrate/_ivp/bdf.py), ported operation for
-# operation onto scipy's public OdeSolver base class: variable order 1 to 5
-# with the NDF corrector on a quasi-constant step (Shampine & Reichelt, SIAM
-# J. Sci. Comput. 18, 1997).  OdeSolver supplies the solver protocol (step,
-# status, the nfev-counting fun and the counters); the port keeps only BDF's
-# numerics.  Every array expression is scipy's, in its order and on its
-# dtypes, so the steps, the counters and the states are scipy's bits.  What
-# the port leaves out is scipy's general Jacobian machinery: J is held as its
-# entries in D2's stored order, I - cJ is written straight into LAPACK's band
-# layout, and the RMS norm is numpy's own formula sqrt(x.x) / sqrt(n) without
-# np.linalg.norm's dispatch.
+# operation: variable order 1 to 5 with the NDF corrector on a quasi-constant
+# step (Shampine & Reichelt, SIAM J. Sci. Comput. 18, 1997).  It runs on
+# _Solver, frgelab's copy of the solver protocol of scipy's OdeSolver (step,
+# status, dense output, the nfev-counting fun and the counters), so a grid
+# flow never imports scipy.integrate; the port keeps only BDF's numerics.
+# Every arithmetic operation is scipy's, on its operands in its order, so the
+# steps, the counters and the states are scipy's bits.  Some are taken in
+# place, in a work array, on Python floats where scipy has numpy scalars
+# (the norm's square root, the step's nextafter) or with the unit step's
+# rescaling matrix cached: the same IEEE operations on the same operands.
+# What the port leaves out is scipy's general Jacobian machinery: J is held as
+# its entries in D2's stored order, I - cJ is written straight into LAPACK's
+# band layout, and the RMS norm is numpy's own formula sqrt(x.x) / sqrt(n)
+# without np.linalg.norm's dispatch.
 
 _MAX_ORDER = 5
 _NEWTON_MAXITER = 4
@@ -473,9 +511,17 @@ def _compute_r(order, factor) -> np.ndarray:
     return np.cumprod(m, axis=0)
 
 
+@lru_cache(maxsize=_MAX_ORDER + 1)
+def _unit_r(order: int) -> np.ndarray:
+    """_compute_r(order, 1), read-only."""
+    r = _compute_r(order, 1)
+    r.flags.writeable = False
+    return r
+
+
 def _change_d(d: np.ndarray, order, factor) -> None:
     """Rescale the differences array in place to a step ``factor`` times as long."""
-    ru = _compute_r(order, factor).dot(_compute_r(order, 1))
+    ru = _compute_r(order, factor).dot(_unit_r(order))
     d[:order + 1] = np.dot(ru.T, d[:order + 1])
 
 
@@ -493,22 +539,82 @@ def _band_pattern(pattern: sp.csc_matrix) -> tuple[int, np.ndarray, np.ndarray]:
     return b, flat, unit
 
 
-class _GridBDF(OdeSolver):
-    """The BDF stepper of a grid flow, a scipy ``OdeSolver``.
+class _Solver:
+    """The solver protocol of scipy's OdeSolver, as ``integrate`` reads it.
+
+    It holds ``t``, ``y``, ``t_old`` (None before the first step),
+    ``t_bound``, ``direction`` (+1 or -1), ``n``, ``status`` ("running",
+    "finished" or "failed") and the counters ``nfev``, ``njev`` and ``nlu``;
+    ``fun(t, y)`` evaluates the right-hand side and counts it in ``nfev``.
+    ``step`` and ``dense_output`` behave as OdeSolver's; a subclass supplies
+    ``_step_impl`` and ``_dense_output_impl`` as an OdeSolver subclass does.
+    The right-hand side must return a new float array, which the subclass may
+    overwrite.
+    """
+
+    TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
+
+    def __init__(self, fun, t0: float, y0: np.ndarray, t_bound: float):
+        y0 = np.asarray(y0, dtype=float)
+        if not np.isfinite(y0).all():
+            raise ValueError("All components of the initial state `y0` must be finite.")
+        self._fun = fun
+        self.t_old, self.t, self.y, self.t_bound = None, t0, y0, t_bound
+        self.direction = -1.0 if t_bound < t0 else 1.0
+        self.n = y0.size
+        self.status = "running"
+        self.nfev = self.njev = self.nlu = 0
+
+    def fun(self, t, y: np.ndarray) -> np.ndarray:
+        self.nfev += 1
+        return self._fun(t, y)
+
+    def step(self) -> str | None:
+        """One step; a failed one sets ``status`` and returns its message."""
+        if self.status != "running":
+            raise RuntimeError("Attempt to step on a failed or finished solver.")
+        if self.t == self.t_bound:  # a segment shorter than an ulp of tau
+            self.t_old, self.t = self.t, self.t_bound
+            self.status = "finished"
+            return None
+        t = self.t
+        success, message = self._step_impl()
+        if not success:
+            self.status = "failed"
+        else:
+            self.t_old = t
+            if self.direction * (self.t - self.t_bound) >= 0:
+                self.status = "finished"
+        return message
+
+    def dense_output(self):
+        """The interpolant of the last successful step, a function of t."""
+        if self.t_old is None:
+            raise RuntimeError("Dense output is available after a successful "
+                               "step was made.")
+        if self.t == self.t_old:
+            y = self.y
+            return lambda t: y
+        return self._dense_output_impl()
+
+
+class _GridBDF(_Solver):
+    """The BDF stepper of a grid flow, on the :class:`_Solver` protocol.
 
     ``fun(t, u)`` is the flow's right-hand side in the stepped variable t
-    (the RG time, in ``integrate``) and ``jac(t, u)`` the entries of its
-    Jacobian J in the stored order of ``pattern``, the CSC matrix whose
-    pattern J shares (:meth:`_GridFlow.jacobian_data`, times dk/dt, on the
-    flow's D2).  A pattern of another size than ``y0`` raises GridMismatch.
-    The Newton matrix I - cJ has the entries 1 - c J_ii and 0 - c J_ij that
-    scipy's sparse I - c*J holds; dgbtrf factors it as a band, and a singular
-    factor raises StepUnderflow.
+    (the RG time, in ``integrate``), a new array at each call, and
+    ``jac(t, u)`` the entries of its Jacobian J in the stored order of
+    ``pattern``, the CSC matrix whose pattern J shares
+    (:meth:`_GridFlow.jacobian_data`, times dk/dt, on the flow's D2).  A
+    pattern of another size than ``y0`` raises GridMismatch.  The Newton
+    matrix I - cJ has the entries 1 - c J_ii and 0 - c J_ij that scipy's
+    sparse I - c*J holds; dgbtrf factors it as a band, and a singular factor
+    raises StepUnderflow.
     """
 
     def __init__(self, fun, jac, pattern: sp.csc_matrix, t0: float, y0: np.ndarray,
                  t_bound: float, rtol: float, atol: float):
-        super().__init__(fun, t0, y0, t_bound, vectorized=False)
+        super().__init__(fun, t0, y0, t_bound)
         if pattern.shape != (self.n, self.n):
             raise GridMismatch(
                 f"the Jacobian pattern is {pattern.shape[0]} x {pattern.shape[1]}, "
@@ -516,6 +622,7 @@ class _GridBDF(OdeSolver):
         self._jac = jac
         self.rtol, self.atol = rtol, atol
         self._root_n = self.n ** 0.5
+        self._work = np.empty(self.n)  # the norms' scaled vectors
         self.half_band, self._band_flat, self._band_unit = _band_pattern(pattern)
         f = self.fun(self.t, self.y)
         self.h_abs = self._initial_step(f)
@@ -529,9 +636,25 @@ class _GridBDF(OdeSolver):
         self.n_equal_steps = 0
         self.LU = None
 
-    def _norm(self, x: np.ndarray):
+    def _norm(self, x: np.ndarray) -> float:
         """RMS norm: np.linalg.norm(x) / sqrt(n), with its arithmetic."""
-        return np.sqrt(x.dot(x)) / self._root_n
+        return math.sqrt(x.dot(x)) / self._root_n
+
+    def _scaled_norm(self, x: np.ndarray, scale: np.ndarray, const=None) -> float:
+        """The RMS norm of x / scale, or of (const x) / scale, formed in the
+        work array."""
+        if const is None:
+            return self._norm(np.divide(x, scale, out=self._work))
+        w = np.multiply(x, const, out=self._work)
+        w /= scale
+        return self._norm(w)
+
+    def _scale(self, y: np.ndarray) -> np.ndarray:
+        """The error test's scale atol + rtol |y|, a new array."""
+        scale = np.abs(y)
+        scale *= self.rtol
+        scale += self.atol
+        return scale
 
     def _initial_step(self, f0: np.ndarray):
         """scipy's select_initial_step for order 1 (Hairer, Norsett & Wanner,
@@ -540,7 +663,7 @@ class _GridBDF(OdeSolver):
         interval_length = abs(self.t_bound - t0)
         if interval_length == 0.0:
             return 0.0
-        scale = self.atol + np.abs(y0) * self.rtol
+        scale = self._scale(y0)
         d0 = self._norm(y0 / scale)
         d1 = self._norm(f0 / scale)
         if d0 < 1e-5 or d1 < 1e-5:
@@ -587,8 +710,11 @@ class _GridBDF(OdeSolver):
             f = self.fun(t_new, y)
             if not np.isfinite(f).all():
                 break
-            dy = self._solve_lu(factor, c * f - psi - d)
-            dy_norm = self._norm(dy / scale)
+            f *= c  # c f - psi - d, in f
+            f -= psi
+            f -= d
+            dy = self._solve_lu(factor, f)
+            dy_norm = self._scaled_norm(dy, scale)
             if dy_norm_old is None:
                 rate = None
             else:
@@ -609,7 +735,7 @@ class _GridBDF(OdeSolver):
         """One accepted step, or failure where the step fell below ten ulps of t."""
         t = self.t
         D = self.D
-        min_step = 10 * np.abs(np.nextafter(t, self.direction * np.inf) - t)
+        min_step = 10 * abs(math.nextafter(t, self.direction * math.inf) - t)
         if self.h_abs < min_step:
             h_abs = min_step
             _change_d(D, self.order, min_step / self.h_abs)
@@ -617,7 +743,7 @@ class _GridBDF(OdeSolver):
         else:
             h_abs = self.h_abs
 
-        atol, rtol, order = self.atol, self.rtol, self.order
+        order = self.order
         J = self.J
         LU = self.LU
         current_jac = False
@@ -632,17 +758,18 @@ class _GridBDF(OdeSolver):
 
             if self.direction * (t_new - self.t_bound) > 0:
                 t_new = self.t_bound
-                _change_d(D, order, np.abs(t_new - t) / h_abs)
+                _change_d(D, order, abs(t_new - t) / h_abs)
                 self.n_equal_steps = 0
                 LU = None
 
             h = t_new - t
-            h_abs = np.abs(h)
+            h_abs = abs(h)
 
             y_predict = D[:order + 1].sum(axis=0)
 
-            scale = atol + rtol * np.abs(y_predict)
-            psi = np.dot(D[1: order + 1].T, _GAMMA[1: order + 1]) / _ALPHA[order]
+            scale = self._scale(y_predict)
+            psi = np.dot(D[1: order + 1].T, _GAMMA[1: order + 1])
+            psi /= _ALPHA[order]
 
             converged = False
             c = h / _ALPHA[order]
@@ -671,9 +798,8 @@ class _GridBDF(OdeSolver):
 
             safety = 0.9 * (2 * _NEWTON_MAXITER + 1) / (2 * _NEWTON_MAXITER + n_iter)
 
-            scale = atol + rtol * np.abs(y_new)
-            error = _ERROR_CONST[order] * d
-            error_norm = self._norm(error / scale)
+            scale = self._scale(y_new)
+            error_norm = self._scaled_norm(d, scale, _ERROR_CONST[order])
 
             if error_norm > 1:
                 factor = max(_MIN_FACTOR, safety * error_norm ** (-1 / (order + 1)))
@@ -694,7 +820,7 @@ class _GridBDF(OdeSolver):
         self.LU = LU
 
         # d = D^{k+1} y_n and D^{j+1} y_n = D^j y_n - D^j y_{n-1}
-        D[order + 2] = d - D[order + 1]
+        np.subtract(d, D[order + 1], out=D[order + 2])
         D[order + 1] = d
         for i in reversed(range(order + 1)):
             D[i] += D[i + 1]
@@ -703,14 +829,12 @@ class _GridBDF(OdeSolver):
             return True, None
 
         if order > 1:
-            error_m = _ERROR_CONST[order - 1] * D[order]
-            error_m_norm = self._norm(error_m / scale)
+            error_m_norm = self._scaled_norm(D[order], scale, _ERROR_CONST[order - 1])
         else:
             error_m_norm = np.inf
 
         if order < _MAX_ORDER:
-            error_p = _ERROR_CONST[order + 1] * D[order + 2]
-            error_p_norm = self._norm(error_p / scale)
+            error_p_norm = self._scaled_norm(D[order + 2], scale, _ERROR_CONST[order + 1])
         else:
             error_p_norm = np.inf
 
@@ -718,7 +842,7 @@ class _GridBDF(OdeSolver):
         with np.errstate(divide="ignore"):
             factors = error_norms ** (-1 / np.arange(order, order + 3))
 
-        delta_order = np.argmax(factors) - 1
+        delta_order = int(np.argmax(factors)) - 1
         order += delta_order
         self.order = order
 
@@ -775,8 +899,9 @@ def integrate(
     regulator on its own side of a kink.  The action's flow object steps it:
     a grid action (_GridFlow) with the ported BDF and the analytic Jacobian,
     its Newton matrix factored as a band of half-width 3, an even one on its
-    nodes phi >= 0 alone and reported on the full grid; a vertex action
-    (_VertexFlow) with scipy's RK45 on its packed state.  ``momenta`` and
+    nodes phi >= 0 alone and reported on the full grid, with no import of
+    scipy.integrate; a vertex action (_VertexFlow) with scipy's RK45 on its
+    packed state, imported by the first vertex flow.  ``momenta`` and
     ``weights`` give one entry per mode, one for a grid action; they default
     to a single zero momentum and unit weights.  Raises ConvexityLoss,
     carrying the last convex state, where the curvature margin reaches zero
@@ -840,12 +965,16 @@ def integrate(
             # it so the solver rejects the step and shrinks it
             pending_loss.append(exc)
             return np.full_like(y, np.nan)
-        # dk/dtau = kappa cosh(tau), taken at the k the flow is evaluated at
-        return math.hypot(kappa, k) * f
+        # dk/dtau = kappa cosh(tau), taken at the k the flow is evaluated at;
+        # f is the flow's own new array
+        f *= math.hypot(kappa, k)
+        return f
 
     def jac(tau, y):
         k = clamp(scale(tau))
-        return math.hypot(kappa, k) * flow.jacobian_data(k, y)
+        j = flow.jacobian_data(k, y)
+        j *= math.hypot(kappa, k)
+        return j
 
     kinks = [float(s) for s in regulator.kink_scales(flow.momenta) if k_to < s < k_from]
     breakpoints = sorted(set([k_from, k_to] + kinks), reverse=True)
@@ -912,10 +1041,9 @@ def integrate(
             stats["njev"] += solver.njev
             stats["nlu"] += solver.nlu
         finally:
-            # every OdeSolver, RK45 and _GridBDF alike, holds a closure over
-            # itself (its nfev-counting ``fun``); clearing the state breaks that
-            # cycle, so the solver is freed now rather than at the next cyclic
-            # garbage collection
+            # scipy's RK45 holds a closure over itself (its nfev-counting
+            # ``fun``); clearing the state breaks that cycle, so the solver is
+            # freed now rather than at the next cyclic garbage collection
             solver.__dict__.clear()
     return FlowTrajectory(checkpoints=snaps, stats=stats)
 

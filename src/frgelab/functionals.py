@@ -127,8 +127,22 @@ class FunctionalContext:
         self.gh_level = ladder(self.measure.dim)[0]
 
     def scale(self, k: float) -> ScaleRecord:
-        """The record of scale k, built on first use and kept for the last
-        ``SCALE_CACHE_SIZE`` scales used; its arrays are read-only."""
+        """The record of scale k (``scales``)."""
+        return self.scales([k])[0]
+
+    def scales(self, ks) -> list[ScaleRecord]:
+        """The records of the scales ks, each built on first use; their
+        arrays are read-only.  The cache keeps the last ``SCALE_CACHE_SIZE``
+        scales used, and never fewer than this lookup's, so a call that reads
+        the records of more scales than that, in one lookup per pass, builds
+        each once."""
+        records = [self._record(k) for k in ks]
+        while len(self._scales) > max(SCALE_CACHE_SIZE, len(ks)):
+            self._scales.popitem(last=False)
+        return records
+
+    def _record(self, k: float) -> ScaleRecord:
+        """The record of scale k, now the most recently used."""
         key = float(k)
         record = self._scales.get(key)
         if record is not None:
@@ -148,8 +162,6 @@ class FunctionalContext:
         for a in (f, f_dot, prec, chol_p, sigma, chol_s):
             a.setflags(write=False)
         self._scales[key] = record
-        if len(self._scales) > SCALE_CACHE_SIZE:
-            self._scales.popitem(last=False)
         return record
 
 
@@ -526,7 +538,7 @@ class _Gaussian:
         numbers; ``k`` is one scale or a sequence of them."""
         ks, _ = _scale_list(k)
         parts = [(r.sigma, r.chol_p, r.chol_s, r.logdet_s, c.measure.logdet)
-                 for c in ctxs for r in (c.scale(s) for s in ks)]
+                 for c in ctxs for r in c.scales(ks)]
         return cls(ctxs[0].spec, ctxs, member,
                    *(_per_lane(part, member) for part in zip(*parts)))
 
@@ -658,7 +670,7 @@ def _zero_sources(ctxs: list, k, certify: bool = False) -> list[TiltedMoments]:
     can be had.
     """
     ks, _ = _scale_list(k)
-    records = [c.scale(s) for c in ctxs for s in ks]
+    records = [r for c in ctxs for r in c.scales(ks)]
     zero = np.zeros((len(records), ctxs[0].measure.dim))
     lacking = np.flatnonzero([r.moments is None for r in records])
     if lacking.size:
@@ -684,7 +696,7 @@ def _start_terms(ctx: FunctionalContext, k) -> list[StartTerms]:
     """The one-loop start's terms of each scale of k (one scale or a
     sequence), computed once per scale record."""
     ks, _ = _scale_list(k)
-    records = [ctx.scale(s) for s in ks]
+    records = ctx.scales(ks)
     if any(r.start is None for r in records):
         h, _ = ctx.spec.position_map
         jet, _ = ctx.spec.interaction_jet(np.zeros(ctx.measure.dim), [2, 4])
@@ -741,7 +753,7 @@ def _one_loop_start(ctx: FunctionalContext, k, phis: np.ndarray, member=None):
     ks, _ = _scale_list(k)
     terms = _start_terms(ctx, k)
     prec, z_inv, curvature, matching, widest, zero_cov = (_per_lane(part, member) for part in (
-        [ctx.scale(s).prec for s in ks], [t.z_inv for t in terms], [t.curvature for t in terms],
+        [r.prec for r in ctx.scales(ks)], [t.z_inv for t in terms], [t.curvature for t in terms],
         [t.matching for t in terms], [t.widest for t in terms],
         [z.cov for z in _zero_sources([ctx], k)]))
     h, _ = ctx.spec.position_map
@@ -1026,7 +1038,7 @@ def legendre_transform(ctx: FunctionalContext, k, fields):
         phis = np.tile(phis, (len(ks), 1))
         solve = _laid_out(solve, (len(phis),))
     solve = replace(solve, moments=_certified([ctx], k, solve.source, solve.moments, member))
-    records = [ctx.scale(s) for s in ks]
+    records = ctx.scales(ks)
     sigma, prec, log_i_zero = (_per_lane(part, member) for part in (
         [r.sigma for r in records], [r.prec for r in records],
         [z.log_interaction for z in _zero_sources([ctx], k, certify=True)]))

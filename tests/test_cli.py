@@ -275,6 +275,27 @@ class TestFlowPipeline:
         assert len(start) == 101
         assert all(float(r["deviation"]) == 0.0 for r in start)
 
+    def test_deviation_by_band_shows_the_edge_leak(self, tmp_path):
+        # an odd theory on the box phi_max 3: the error of the box edge is
+        # 17x the deviation at |phi| <= 2, which is 8x that at |phi| <= 1
+        cfg = tmp_path / "odd.json"
+        cfg.write_text(json.dumps(dict(CONFIG, interaction={"c3": 0.4, "c4": 0.1},
+                                       allow_unbounded=True)))
+        out = tmp_path / "flow.csv"
+        assert main(["flow", "--config", str(cfg), "--kuv", "100", "--init", "exact",
+                     "--checkpoints", "1,0", "--compare", "--out", str(out)]) == 0
+        stats = json.loads(Path(f"{out}.manifest.json").read_text())["stats"]
+        inner, compared, whole = (stats[key] for key in (
+            "max_deviation_within_1", "max_deviation", "max_deviation_whole_grid"))
+        assert 0.0 < inner < compared < whole
+        assert whole > 10 * compared and compared > 5 * inner
+        with open(out, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        for key, radius in [("max_deviation_within_1", 1.0), ("max_deviation", 2.0),
+                            ("max_deviation_whole_grid", np.inf)]:
+            cells = [float(r["deviation"]) for r in rows if abs(float(r["phi"])) <= radius]
+            assert f"{stats[key]:.6e}" == f"{max(cells):.6e}"
+
     def test_exact_start_at_a_large_scale(self, config_path, tmp_path):
         # the oracle's source bound grows with its cold start, so an exact
         # start at k = 1e4 inverts (it exited 3 under an absolute bound)
@@ -573,6 +594,35 @@ def test_non_flow_commands_load_no_scipy(config_path, tmp_path):
     assert result["codes"] == [0, 0, 0, 0, 0]
     assert result["loaded"] == []
     assert result["flow"]  # the check can see scipy when it is loaded
+
+
+FLOW_COMMAND = """
+import json, sys
+from frgelab import cli
+cfg, out, *options = sys.argv[1:]
+code = cli.main(["flow", "--config", cfg, "--kuv", "2", "--checkpoints", "1,0",
+                 "--out", out + "/flow.csv", *options])
+print(json.dumps({"code": code, "flow": "frgelab.flow" in sys.modules,
+                  "integrate": "scipy.integrate" in sys.modules}))
+"""
+
+
+@pytest.mark.parametrize("options, integrate", [
+    (["--rep", "grid", "--compare"], False),
+    (["--rep", "vertex"], True),
+])
+def test_only_a_vertex_flow_loads_scipy_integrate(config_path, tmp_path, options,
+                                                  integrate):
+    """A grid flow steps on frgelab's own BDF stepper; the vertex flow's RK45
+    is scipy.integrate's, imported when a vertex flow first needs it."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, "-c", FLOW_COMMAND, config_path,
+                          str(tmp_path), *options], env=env, capture_output=True,
+                         text=True, check=True)
+    result = json.loads(run.stdout.splitlines()[-1])
+    assert result == {"code": 0, "flow": True, "integrate": integrate}
 
 
 @pytest.mark.parametrize("argv", [

@@ -379,6 +379,96 @@ class TestRhs:
             rhs_vertex(0.1, y, litim, np.zeros(1), np.ones(1))
 
 
+def _bits(x) -> bytes:
+    return np.asarray(x, dtype=float).tobytes()
+
+
+class TestGridFlowScaleCache:
+    """_GridFlow evaluates R_k and d_kF_k once per scale and forms its
+    arrays in place: every value keeps the bits of a fresh flow's."""
+
+    @staticmethod
+    def _state(nodes=41, c3=0.0):
+        grid = np.linspace(-3.0, 3.0, nodes)
+        return GridAction(k=1.0, grid=grid, values=0.5 * grid**2 + c3 * grid**3
+                          + 0.1 * grid**4)
+
+    @staticmethod
+    def _values(flow, k, u):
+        """rhs, jacobian_data, curvature and margin at (k, u), as bytes."""
+        f_dot, denom = flow.curvature(k, u)
+        return [_bits(flow.rhs(k, u)), _bits(flow.jacobian_data(k, u)),
+                _bits(f_dot), _bits(denom), _bits(flow.margin(k, u))]
+
+    @pytest.mark.parametrize("momentum", [0.0, 0.25])
+    @pytest.mark.parametrize("c3", [0.0, 0.05])
+    @pytest.mark.parametrize("name", ["litim", "exponential"])
+    def test_a_revisited_scale_reads_a_fresh_flows_bits(self, name, c3, momentum,
+                                                        request):
+        # k1, k2, k1 again; one ulp above and below a kink at |p| (litim's
+        # d_kF_k jumps there) and above again; 0 and -0, which compare equal
+        # while d_kF_k keeps the sign of k (p = 0)
+        regulator = request.getfixturevalue(name)
+        state = self._state(c3=c3)
+        kink = momentum or 0.5
+        above, below = np.nextafter(kink, 1.0), np.nextafter(kink, 0.0)
+        scales = [2.0, 0.7, 2.0, above, below, above, below, 0.0, -0.0, 0.0, 2.0]
+        flow = _GridFlow(state, regulator, [momentum], [1.5])
+        u = flow.y0 + 0.01 * np.cos(np.arange(flow.y0.size))
+        for k in scales:
+            fresh = _GridFlow(state, regulator, [momentum], [1.5])
+            assert self._values(flow, k, u) == self._values(fresh, k, u), k
+        if name == "litim" and momentum == 0.0:
+            # litim's d_kF_k = 2k, so the jacobian's zeros carry the sign of k
+            assert _bits(flow.jacobian_data(0.0, u)) != _bits(flow.jacobian_data(-0.0, u))
+
+    @pytest.mark.parametrize("name", ["litim", "exponential"])
+    def test_the_values_are_the_unfused_formulas(self, name, request):
+        regulator = request.getfixturevalue(name)
+        p, w = 0.25, 1.5
+        flow = _GridFlow(self._state(c3=0.05), regulator, [p], [w])
+        d2, h2 = flow.d2, flow.h2
+        for k in (3.0, 0.7, 0.1):
+            u = flow.y0
+            r_k = float(regulator.value(k, p)) * w
+            f_dot = float(regulator.dk(k, p)) * w
+            denom = d2 @ u / h2 + r_k
+            assert _bits(flow.curvature(k, u)[1]) == _bits(denom)
+            assert _bits(flow.rhs(k, u)) == _bits(0.5 * f_dot / denom)
+            row_scale = -0.5 * f_dot / (denom * denom * h2)
+            assert _bits(flow.jacobian_data(k, u)) == _bits(row_scale[d2.indices] * d2.data)
+            assert _bits(flow.margin(k, u)) == _bits(denom.min())
+
+    def test_one_regulator_evaluation_per_scale(self, litim, monkeypatch):
+        calls = []
+        value, dk = litim.value, litim.dk
+        monkeypatch.setattr(litim, "value", lambda k, p: calls.append(k) or value(k, p))
+        monkeypatch.setattr(litim, "dk", lambda k, p: calls.append(k) or dk(k, p))
+        flow = _GridFlow(self._state(), litim, [0.0], [1.0])
+        for k in (2.0, 2.0, 1.0, 2.0):
+            flow.rhs(k, flow.y0)
+            flow.jacobian_data(k, flow.y0)
+            flow.margin(k, flow.y0)
+        assert calls == [2.0, 2.0, 1.0, 1.0, 2.0, 2.0]
+
+    @pytest.mark.parametrize("case", ["convex", "nan", "nonpositive"])
+    @pytest.mark.parametrize("c3", [0.0, 0.05])
+    def test_margin_is_the_least_curvature_bit_for_bit(self, litim, case, c3):
+        # min(D2 u) / h^2 + R_k is min(D2 u / h^2 + R_k): both steps round
+        # monotonically; a NaN node propagates through either
+        flow = _GridFlow(self._state(c3=c3), litim, [0.0], [1.0])
+        u = flow.y0.copy()
+        if case == "nan":
+            u[3] = np.nan
+        elif case == "nonpositive":
+            u[5] += 0.1  # D2 u at phi = -2.25, about 7, falls by 2.5 * 0.1 / h^2 = 11
+        for k in (3.0, 1.0, 0.1, 0.0):
+            least = flow.curvature(k, u)[1].min()
+            assert _bits(flow.margin(k, u)) == _bits(least)
+            assert np.isnan(least) == (case == "nan")
+            assert (least <= 0.0) == (case == "nonpositive" and k < 3.0)
+
+
 class TestIntegrate:
     def test_direction_validation(self, litim):
         s = GridAction(k=1.0, grid=np.linspace(-1, 1, 11),

@@ -976,6 +976,31 @@ class TestGridTransform:
         assert iterations == sum(one[-1] for one in own)
         assert exact_grid_values(ctx, scales, spec.field_grid).tobytes() == rows[1].tobytes()
 
+    @pytest.mark.parametrize("c3", [0.0, 0.05])
+    def test_a_call_past_the_scale_cache_builds_each_record_once(self, litim, c3,
+                                                                 monkeypatch):
+        # the records of 70 scales outnumber the cache's 64, but one call
+        # holds them all: every pass of the transform finds its scales' records
+        spec = ModelSpec(dimension=0, modes=1, mass=1.0, c3=c3, c4=0.1,
+                         allow_unbounded=True, phi_max=2.0, phi_nodes=5,
+                         window=WindowParams(kind="scalar", r=1.0))
+        scales = list(np.linspace(0.0, 4.0, SCALE_CACHE_SIZE + 6))
+        built = []
+        diagonals = functionals.regulator_diagonals
+
+        def counted(regulator, k, *args):
+            built.append(k)
+            return diagonals(regulator, k, *args)
+
+        monkeypatch.setattr(functionals, "regulator_diagonals", counted)
+        ctx = FunctionalContext(spec=spec, regulator=litim)
+        grid_transform(ctx, scales, spec.field_grid)
+        assert built == scales
+        # a later one-scale lookup trims the cache back to its bound
+        ctx.scale(5.0)
+        assert len(ctx._scales) == SCALE_CACHE_SIZE
+        assert built == scales + [5.0]
+
     @pytest.mark.parametrize("scales, failing, error", [
         ([1.0, 0.0], 0.0, BudgetExceeded), ([10.0, 0.0], 0.0, NewtonStalled),
     ], ids=["certificate", "newton"])

@@ -1,11 +1,13 @@
-"""Static checks: only ``flow`` imports scipy, and only its public modules;
-no frgelab module imports another's private names or reads a private
-attribute of an object other than its own.
+"""Static checks: only ``flow`` imports scipy, and only its public modules,
+``scipy.integrate`` only inside the vertex flow's solver; no frgelab module
+imports another's private names or reads a private attribute of an object
+other than its own.
 
 scipy costs about half a second of start-up, so every command but ``flow``
-runs on numpy alone.  scipy keeps its internals in modules whose path has a
-component starting with an underscore (``scipy.integrate._ivp``,
-``scipy.sparse._csr``); they change between releases without notice.  What
+runs on numpy alone, and a grid flow without ``scipy.integrate``.  scipy
+keeps its internals in modules whose path has a component starting with an
+underscore (``scipy.integrate._ivp``, ``scipy.sparse._csr``); they change
+between releases without notice.  What
 one frgelab module shares with another is public, so a private helper can
 change with its own module.  Every source file is parsed, not imported, so an
 import inside a function is seen as well.
@@ -91,6 +93,55 @@ def test_flow_takes_only_the_band_lu_from_lapack():
     lapack = [name for name in scipy_imports(flow_source)
               if name.startswith("scipy.linalg.lapack")]
     assert sorted(lapack) == ["scipy.linalg.lapack.dgbtrf", "scipy.linalg.lapack.dgbtrs"]
+
+
+def scipy_import_sites(source: str, package: str) -> list[str]:
+    """The dotted names of the classes and functions, innermost last
+    (``"<module>"`` at the top level), around each import of ``package`` or
+    of a module below it in ``source``."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + [child.name])
+                continue
+            if isinstance(child, ast.Import):
+                names = [alias.name for alias in child.names]
+            elif isinstance(child, ast.ImportFrom) and child.level == 0:
+                names = [child.module]
+            else:
+                names = []
+            if any(name == package or name.startswith(package + ".") for name in names):
+                found.append(".".join(scope) or "<module>")
+            visit(child, scope)
+
+    visit(ast.parse(source), [])
+    return found
+
+
+def test_only_the_vertex_flow_imports_scipy_integrate():
+    # a grid flow steps on frgelab's own solver protocol: scipy.integrate,
+    # about a quarter second of start-up, is for the vertex flow's RK45 alone
+    flow_source = next(p for p in SOURCES if p.name == "flow.py").read_text()
+    assert scipy_import_sites(flow_source, "scipy.integrate") == ["_VertexFlow.solver"]
+
+
+def test_the_site_check_sees_every_scope():
+    source = """
+import scipy.integrate
+from scipy.integrate import RK45
+from scipy.integrate2 import nothing
+class A:
+    def f(self):
+        if True:
+            from scipy.integrate._ivp import base
+def g():
+    def h():
+        import scipy.integrate as si
+"""
+    assert scipy_import_sites(source, "scipy.integrate") == [
+        "<module>", "<module>", "A.f", "g.h"]
 
 
 def test_the_check_sees_nested_imports():
