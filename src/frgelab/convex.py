@@ -307,9 +307,10 @@ class ConvergenceReport:
 
 def _w_grid(ctxs, t_axis: np.ndarray) -> list[GridFunction]:
     """W_0 of each of a sequence of contexts that share a single-mode
-    interaction on a source axis, from one ``W`` call; an even theory
-    (c3 = 0) on a mirrored axis is evaluated at t >= 0 and mirrored,
-    exactly even."""
+    interaction on a source axis, from one ``W`` call, which refuses
+    contexts of another interaction than the first (SpecValidationError);
+    an even theory (c3 = 0) on a mirrored axis is evaluated at t >= 0 and
+    mirrored, exactly even."""
     fold = ctxs[0].spec.c3 == 0 and is_mirrored(t_axis)
     rows = fn.W(ctxs, 0.0, (t_axis[t_axis.size // 2:] if fold else t_axis)[:, None])
     return [GridFunction(axes=(t_axis,), values=unfold(row) if fold else row)
@@ -343,11 +344,14 @@ PROBE_SOURCES = (0.5, 1.0, 2.0)
 def convergence_suite(models, limit_model, regulator) -> ConvergenceReport:
     """Distances of a regularization sequence to its limit theory at k = 0.
 
-    W_0 of the limit and of every member comes from one batched ``W`` call
-    per distinct interaction (``ModelSpec.interaction_key``), so one call for
-    a sequence that varies only the window; the conjugate Gamma_0 = W_0*, the
-    distances and the probe are taken per member.  The characteristic-
-    function probe is a quadrature, so the report is deterministic.
+    The sequence regularises one theory: the limit and every member share
+    one interaction (``ModelSpec.interaction_key``) and vary the window.
+    W_0 of all of them comes from one batched ``W`` call, which refuses a
+    member of another interaction with SpecValidationError naming it, member
+    n being the n-th of ``models``, before any quadrature; the conjugate
+    Gamma_0 = W_0*, the distances and the probe are taken per member.  The
+    characteristic-function probe is a quadrature, so the report is
+    deterministic.
     """
     for m in models:
         if m.modes != limit_model.modes:
@@ -356,13 +360,7 @@ def convergence_suite(models, limit_model, regulator) -> ConvergenceReport:
     # one context per theory, the limit first, and so one Gaussian measure each
     ctxs = [FunctionalContext(spec=spec, regulator=regulator, self_check=False)
             for spec in [limit_model, *models]]
-    groups = {}
-    for i, ctx in enumerate(ctxs):
-        groups.setdefault(ctx.spec.interaction_key, []).append(i)
-    by_index = {}
-    for members in groups.values():
-        by_index.update(zip(members, _w_grid([ctxs[i] for i in members], t_axis)))
-    w_grids = [by_index[i] for i in range(len(ctxs))]
+    w_grids = _w_grid(ctxs, t_axis)
     gammas = [conjugate(w, -AW_RHO, AW_RHO, PRIMAL_NODES) for w in w_grids]
     probes = [_char_probe(ctx, PROBE_SOURCES) for ctx in ctxs]
     return ConvergenceReport(

@@ -12,14 +12,14 @@ On the grid the trace form u' = 1/2 d_kF_k / (D2 u + R_k) is a nonlinear
 diffusion, stiff in the node count, so it is stepped with the implicit BDF
 method and its analytic Jacobian diag(-1/2 d_kF_k / (D2 u + R_k)^2) D2,
 where D2 is the sparse second-difference matrix.  The stepper, _GridBDF, is
-scipy's variable-order BDF step ported operation for operation onto _Solver,
-frgelab's own copy of the solver protocol of scipy's OdeSolver, so its steps
-and states are scipy's bits and a grid flow never imports scipy.integrate.
-It evaluates the flow on the bare node vector, whose F_k and d_kF_k are
-taken once per scale: the Newton iterates of a step share its k, and so
-does the curvature margin after it.  J shares D2's pattern, so BDF's Newton
-matrix I - cJ is a band of half-width 3 (the 4-point edge stencils),
-written straight into LAPACK's band layout and factored with its band LU.
+scipy's variable-order BDF step ported operation for operation into one
+class of its own, so its steps and states are scipy's bits and a grid flow
+never imports scipy.integrate.  It evaluates the flow on the bare node
+vector, whose F_k and d_kF_k are taken once per scale: the Newton iterates
+of a step share its k, and so does the curvature margin after it.  J
+shares D2's pattern, so BDF's Newton matrix I - cJ is a band of half-width
+3 (the 4-point edge stencils), written straight into LAPACK's band layout
+and factored with its band LU.
 D2 annihilates constants up to rounding (its solved central stencil sums to
 -6.9e-17), so the zero-field subtraction u - u(0) is taken at the
 checkpoints only.
@@ -46,7 +46,9 @@ vector over the sorted index pairs alone: small matrix products and gathers.
 
 Each representation has one flow object, _GridFlow or _VertexFlow, holding
 the stepped start vector, the right-hand side, the curvature margin, the
-stepper and the action at a scale; `integrate` knows no more of either.
+stepper and the action at a scale; `integrate` knows no more of either.  Of
+a stepper, RK45 or _GridBDF, it reads ``t``, ``y``, ``status``, ``step()``,
+``dense_output()`` and the counters ``nfev``, ``njev`` and ``nlu``.
 
 After every accepted step the curvature margin min(Gamma_k'' + R_k) is
 checked directly: convexity loss is raised where it reaches zero or where
@@ -476,10 +478,9 @@ RG_TIME_SCALE = 2.0
 #
 # scipy 1.17's BDF step (scipy/integrate/_ivp/bdf.py), ported operation for
 # operation: variable order 1 to 5 with the NDF corrector on a quasi-constant
-# step (Shampine & Reichelt, SIAM J. Sci. Comput. 18, 1997).  It runs on
-# _Solver, frgelab's copy of the solver protocol of scipy's OdeSolver (step,
-# status, dense output, the nfev-counting fun and the counters), so a grid
-# flow never imports scipy.integrate; the port keeps only BDF's numerics.
+# step (Shampine & Reichelt, SIAM J. Sci. Comput. 18, 1997), as one class
+# that holds BDF's state and what ``integrate`` reads of a stepper, and no
+# base class of scipy's, so a grid flow never imports scipy.integrate.
 # Every arithmetic operation is scipy's, on its operands in its order, so the
 # steps, the counters and the states are scipy's bits.  Some are taken in
 # place, in a work array, on Python floats where scipy has numpy scalars
@@ -539,74 +540,18 @@ def _band_pattern(pattern: sp.csc_matrix) -> tuple[int, np.ndarray, np.ndarray]:
     return b, flat, unit
 
 
-class _Solver:
-    """The solver protocol of scipy's OdeSolver, as ``integrate`` reads it.
+class _GridBDF:
+    """The BDF stepper of a grid flow.
 
-    It holds ``t``, ``y``, ``t_old`` (None before the first step),
-    ``t_bound``, ``direction`` (+1 or -1), ``n``, ``status`` ("running",
-    "finished" or "failed") and the counters ``nfev``, ``njev`` and ``nlu``;
-    ``fun(t, y)`` evaluates the right-hand side and counts it in ``nfev``.
-    ``step`` and ``dense_output`` behave as OdeSolver's; a subclass supplies
-    ``_step_impl`` and ``_dense_output_impl`` as an OdeSolver subclass does.
-    The right-hand side must return a new float array, which the subclass may
-    overwrite.
-    """
-
-    TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
-
-    def __init__(self, fun, t0: float, y0: np.ndarray, t_bound: float):
-        y0 = np.asarray(y0, dtype=float)
-        if not np.isfinite(y0).all():
-            raise ValueError("All components of the initial state `y0` must be finite.")
-        self._fun = fun
-        self.t_old, self.t, self.y, self.t_bound = None, t0, y0, t_bound
-        self.direction = -1.0 if t_bound < t0 else 1.0
-        self.n = y0.size
-        self.status = "running"
-        self.nfev = self.njev = self.nlu = 0
-
-    def fun(self, t, y: np.ndarray) -> np.ndarray:
-        self.nfev += 1
-        return self._fun(t, y)
-
-    def step(self) -> str | None:
-        """One step; a failed one sets ``status`` and returns its message."""
-        if self.status != "running":
-            raise RuntimeError("Attempt to step on a failed or finished solver.")
-        if self.t == self.t_bound:  # a segment shorter than an ulp of tau
-            self.t_old, self.t = self.t, self.t_bound
-            self.status = "finished"
-            return None
-        t = self.t
-        success, message = self._step_impl()
-        if not success:
-            self.status = "failed"
-        else:
-            self.t_old = t
-            if self.direction * (self.t - self.t_bound) >= 0:
-                self.status = "finished"
-        return message
-
-    def dense_output(self):
-        """The interpolant of the last successful step, a function of t."""
-        if self.t_old is None:
-            raise RuntimeError("Dense output is available after a successful "
-                               "step was made.")
-        if self.t == self.t_old:
-            y = self.y
-            return lambda t: y
-        return self._dense_output_impl()
-
-
-class _GridBDF(_Solver):
-    """The BDF stepper of a grid flow, on the :class:`_Solver` protocol.
-
+    ``integrate`` reads of it what it reads of RK45: ``t``, ``y``,
+    ``status`` ("running", "finished" or "failed"), ``step()``,
+    ``dense_output()`` and the counters ``nfev``, ``njev`` and ``nlu``.
     ``fun(t, u)`` is the flow's right-hand side in the stepped variable t
-    (the RG time, in ``integrate``), a new array at each call, and
-    ``jac(t, u)`` the entries of its Jacobian J in the stored order of
-    ``pattern``, the CSC matrix whose pattern J shares
-    (:meth:`_GridFlow.jacobian_data`, times dk/dt, on the flow's D2).  A
-    pattern of another size than ``y0`` raises GridMismatch.  The Newton
+    (the RG time, in ``integrate``), a new array at each call, which the
+    stepper may overwrite, and ``jac(t, u)`` the entries of its Jacobian J
+    in the stored order of ``pattern``, the CSC matrix whose pattern J
+    shares (:meth:`_GridFlow.jacobian_data`, times dk/dt, on the flow's D2).
+    A pattern of another size than ``y0`` raises GridMismatch.  The Newton
     matrix I - cJ has the entries 1 - c J_ii and 0 - c J_ij that scipy's
     sparse I - c*J holds; dgbtrf factors it as a band, and a singular factor
     raises StepUnderflow.
@@ -614,12 +559,18 @@ class _GridBDF(_Solver):
 
     def __init__(self, fun, jac, pattern: sp.csc_matrix, t0: float, y0: np.ndarray,
                  t_bound: float, rtol: float, atol: float):
-        super().__init__(fun, t0, y0, t_bound)
+        if not np.isfinite(y0).all():
+            raise ValueError("All components of the initial state `y0` must be finite.")
+        self.n = y0.size
         if pattern.shape != (self.n, self.n):
             raise GridMismatch(
                 f"the Jacobian pattern is {pattern.shape[0]} x {pattern.shape[1]}, "
                 f"the state has {self.n} nodes")
-        self._jac = jac
+        self._fun, self._jac = fun, jac
+        self.t, self.y, self.t_bound = t0, y0, t_bound
+        self.direction = -1.0 if t_bound < t0 else 1.0
+        self.status = "running"
+        self.nfev = self.njev = self.nlu = 0
         self.rtol, self.atol = rtol, atol
         self._root_n = self.n ** 0.5
         self._work = np.empty(self.n)  # the norms' scaled vectors
@@ -635,6 +586,11 @@ class _GridBDF(_Solver):
         self.order = 1
         self.n_equal_steps = 0
         self.LU = None
+
+    def fun(self, t, y: np.ndarray) -> np.ndarray:
+        """The right-hand side, counted in ``nfev``."""
+        self.nfev += 1
+        return self._fun(t, y)
 
     def _norm(self, x: np.ndarray) -> float:
         """RMS norm: np.linalg.norm(x) / sqrt(n), with its arithmetic."""
@@ -731,9 +687,14 @@ class _GridBDF(_Solver):
             dy_norm_old = dy_norm
         return converged, k + 1, y, d
 
-    def _step_impl(self) -> tuple[bool, str | None]:
-        """One accepted step, or failure where the step fell below ten ulps of t."""
+    def step(self) -> None:
+        """One accepted step, and ``status`` "finished" once t reaches
+        t_bound, or ``status`` "failed" where the step fell below ten ulps of
+        t."""
         t = self.t
+        if t == self.t_bound:  # a segment shorter than an ulp of tau
+            self.status = "finished"
+            return
         D = self.D
         min_step = 10 * abs(math.nextafter(t, self.direction * math.inf) - t)
         if self.h_abs < min_step:
@@ -751,7 +712,8 @@ class _GridBDF(_Solver):
         step_accepted = False
         while not step_accepted:
             if h_abs < min_step:
-                return False, self.TOO_SMALL_STEP
+                self.status = "failed"
+                return
 
             h = h_abs * self.direction
             t_new = t + h
@@ -814,6 +776,8 @@ class _GridBDF(_Solver):
 
         self.t = t_new
         self.y = y_new
+        if self.direction * (t_new - self.t_bound) >= 0:
+            self.status = "finished"
 
         self.h_abs = h_abs
         self.J = J
@@ -826,7 +790,7 @@ class _GridBDF(_Solver):
             D[i] += D[i + 1]
 
         if self.n_equal_steps < order + 1:
-            return True, None
+            return
 
         if order > 1:
             error_m_norm = self._scaled_norm(D[order], scale, _ERROR_CONST[order - 1])
@@ -852,10 +816,13 @@ class _GridBDF(_Solver):
         self.n_equal_steps = 0
         self.LU = None
 
-        return True, None
-
-    def _dense_output_impl(self):
-        """The interpolant of the last accepted step, scipy's BdfDenseOutput."""
+    def dense_output(self):
+        """The interpolant of the last accepted step, scipy's BdfDenseOutput:
+        a function of t.  A segment shorter than an ulp of tau takes no step
+        (its initial step is 0), and its interpolant is its state."""
+        if self.h_abs == 0.0:
+            y = self.y
+            return lambda t: y
         h = self.h_abs * self.direction
         order = self.order
         t_shift = self.t - h * np.arange(order)

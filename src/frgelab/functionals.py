@@ -16,13 +16,15 @@ lane's tilted measure lies start the rule there: the mean-field Newton
 solve on the field and its last tilted covariance (at its one-loop start,
 the one-loop covariance), and ``W`` on the zero-source measure's linear
 response.  What the oracle returns is certified on the same placement by
-the next, finer rule of ``measure.ladder`` (see ``_certified``).  Each lane
-reads the regularised Gaussian part of its own (context, scale) pair, its
-``member``, so one kernel call serves several contexts that share an
-interaction and several scales: ``W`` takes every member of a window
-sequence at once, and ``invert_mean_field``, ``legendre_transform``,
-``grid_transform`` and ``exact_grid_values`` take a sequence of scales and
-solve every (scale, field) lane in one batch, one row per scale.
+the next, finer rule of ``measure.ladder`` (see ``_certified``).  Every lane
+names its (context, scale) pair, its ``member``, and reads that pair's
+regularised Gaussian part; a call of one context at one scale may leave
+the members out, as shorthand for that one pair.  So one kernel call
+serves several contexts that share an interaction and several scales:
+``W`` takes every member of a window sequence at once, and
+``invert_mean_field``, ``legendre_transform``, ``grid_transform`` and
+``exact_grid_values`` take a sequence of scales and solve every (scale,
+field) lane in one batch, one row per scale.
 
 Neither exponential of the kernel is evaluated where its result underflows.
 The log-sum-exp writes +0 for terms below -746, exactly what ``exp`` gives
@@ -242,19 +244,13 @@ def _apply(x: np.ndarray, mats: np.ndarray) -> np.ndarray:
     return x @ mats if mats.ndim == 2 else (x[:, None, :] @ mats)[:, 0, :]
 
 
-def _scale_at(k, member, lane: int):
-    """The scale of lane ``lane``: ``k``, or the entry of the sequence ``k``
-    that the lane's member names."""
-    ks, _ = _scale_list(k)
-    return ks[0] if member is None else ks[int(member[lane]) % len(ks)]
-
-
 def _naming(k, t, lane, ctxs, member) -> str:
     """A lane's scale and source, and its context (index and window) when the
     lanes read several contexts."""
-    where = f"k={_scale_at(k, member, lane)}, source={t[lane]}"
+    ks, _ = _scale_list(k)
+    i, s = divmod(int(member[lane]), len(ks))
+    where = f"k={ks[s]}, source={t[lane]}"
     if len(ctxs) > 1:
-        i = int(member[lane]) // len(_scale_list(k)[0])
         where += f", member {i} (window {ctxs[i].spec.window})"
     return where
 
@@ -347,11 +343,13 @@ def tilted_moments(
     count and an interaction (else SpecValidationError); ``k`` is one scale,
     or a sequence of S scales.  Their (context, scale) pairs are numbered
     context by context, pair i S + s being context i at scale s, and
-    ``member``, a (B,) array of pair numbers, gives each lane's pair: the
-    lane reads that context's regularised Gaussian part at that scale.  One
-    context at one scale needs none.  An entry that is not a pair number
-    raises SpecValidationError naming its lane.  A lane's bits do not depend
-    on the other lanes of its batch, nor on how many pairs the call was given.
+    ``member``, a (B,) array of pair numbers, names each lane's pair: the
+    lane reads that context's regularised Gaussian part at that scale.
+    ``member=None`` is shorthand for one context at one scale, every lane
+    naming its one pair, and is refused for several pairs.  An entry that
+    is not a pair number raises SpecValidationError naming its lane.  A
+    lane's bits do not depend on the other lanes of its batch, nor on how
+    many pairs the call was given.
 
     Each lane places its quadrature rule with its own centre c and
     Cholesky factor L, and re-places it on the tilted mean and covariance
@@ -377,7 +375,9 @@ def tilted_moments(
             "the lanes need one context at one scale, or several pairs and each lane's member")
     m = ctxs[0].measure.dim
     t, single = _lanes(ctxs[0], np.zeros(m) if t_vec is None else t_vec)
-    if member is not None:
+    if member is None:
+        member = np.zeros(len(t), dtype=np.intp)
+    else:
         member = np.asarray(member)
         if member.shape != (len(t),):
             raise SpecValidationError(
@@ -525,7 +525,7 @@ class _Gaussian:
 
     spec: ModelSpec
     ctxs: list
-    member: np.ndarray | None
+    member: np.ndarray
     sigma: np.ndarray
     root: np.ndarray
     chol_s: np.ndarray
@@ -732,10 +732,10 @@ def _definite_inverse(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return (vec / lam[:, None, :]) @ vec.mT, lam[:, 0], ok
 
 
-def _one_loop_start(ctx: FunctionalContext, k, phis: np.ndarray, member=None):
+def _one_loop_start(ctx: FunctionalContext, k, phis: np.ndarray, member: np.ndarray):
     """Each lane's Newton start: its source J0 and the covariance G on which
-    its first rule sits, for a (B, M) batch of fields, each lane at its scale
-    (k, or the entry of the sequence k that ``member`` names).
+    its first rule sits, for a (B, M) batch of fields, each lane at the scale
+    of k (one scale or a sequence) that its entry of ``member`` numbers.
 
     With G(phi) = (Z^-1 + D^2 S(phi) - D^2 S(0))^-1, Z the scale's
     zero-source tilted covariance, J0 is the one-loop source
@@ -771,7 +771,7 @@ def _one_loop_start(ctx: FunctionalContext, k, phis: np.ndarray, member=None):
     if beyond.any():
         i = int(np.argmax(beyond))
         raise RangeExceeded(
-            f"the interaction's rounding at phi={phis[i]}, k={_scale_at(k, member, i)} "
+            f"the interaction's rounding at phi={phis[i]}, k={ks[member[i]]} "
             f"moves the tilted mean by {floor[i]:.1e}, more than the Newton tolerance "
             f"{NEWTON_TOL:.0e}; the field lies outside the resolvable range")
     return j, cov
@@ -895,21 +895,25 @@ def invert_mean_field(ctx: FunctionalContext, k, phi) -> MeanFieldSolve:
     """
     phis, single = _lanes(ctx, phi)
     ks, one = _scale_list(k)
-    shape = (len(ks),) if single else (len(ks), len(phis))  # of several scales' lanes
-    member = lane_k = None  # lane_k: each lane's scale, for the errors
-    if not one:
-        member = np.repeat(np.arange(len(ks)), len(phis))
-        phis = np.tile(phis, (len(ks), 1))
-        lane_k = np.asarray(ks, dtype=float)[member]
-    if not len(phis):
+    shape = (() if one else (len(ks),)) + (() if single else (len(phis),))
+    # one lane per (scale, field) pair, scale by scale, each naming its scale
+    member = np.repeat(np.arange(len(ks)), len(phis))
+    phis = np.tile(phis, (len(ks), 1))
+    if len(phis):
+        solve = _newton(ctx, k, phis, member)
+    else:
         solve = MeanFieldSolve(np.empty(phis.shape), np.empty(0), 0, _join([], phis.shape[1]))
-        return solve if one else _laid_out(solve, shape)
+    return _laid_out(solve, shape)
+
+
+def _newton(ctx: FunctionalContext, k, phis: np.ndarray, member: np.ndarray) -> MeanFieldSolve:
+    """The Newton solve of :func:`invert_mean_field` on a (L, M) batch of
+    fields, each lane at the scale of k that its entry of ``member`` numbers;
+    its arrays are one row per lane."""
+    lane_k = np.asarray(_scale_list(k)[0], dtype=float)[member]  # for the errors
 
     def where(i) -> str:  # the field and scale of lane i
-        return f"phi={phis[i]}, k={k if one else lane_k[i]}"
-
-    def members(lanes):
-        return None if one else member[lanes]
+        return f"phi={phis[i]}, k={lane_k[i]}"
 
     j, start_cov = _one_loop_start(ctx, k, phis, member)
     tm = tilted_moments(ctx, k, j, start=(phis, start_cov), member=member)
@@ -931,7 +935,7 @@ def invert_mean_field(ctx: FunctionalContext, k, phi) -> MeanFieldSolve:
         if lanes.size == 0:
             break
         iterations += lanes.size
-        step = _newton_step(k if one else lane_k, phis, lanes, mean, cov)
+        step = _newton_step(lane_k, phis, lanes, mean, cov)
         alpha = np.ones(lanes.size)
         trying = np.arange(lanes.size)  # lanes (by position) still searching
         while trying.size:
@@ -944,8 +948,7 @@ def invert_mean_field(ctx: FunctionalContext, k, phi) -> MeanFieldSolve:
                     f"source magnitude diverged inverting the mean field at "
                     f"{where(at[np.argmax(far)])}"
                 )
-            tm_try = tilted_moments(ctx, k, j_try, start=(phis[at], cov[at]),
-                                    member=members(at))
+            tm_try = tilted_moments(ctx, k, j_try, start=(phis[at], cov[at]), member=member[at])
             new_norm = np.linalg.norm(tm_try.mean - phis[at], axis=-1)
             ok = (new_norm < res_norm[at] * (1.0 - 1e-4 * alpha[trying])) | (
                 new_norm <= NEWTON_TOL)
@@ -972,29 +975,28 @@ def invert_mean_field(ctx: FunctionalContext, k, phi) -> MeanFieldSolve:
             f"Newton did not reach tolerance {NEWTON_TOL:.1e}; residual "
             f"{res_norm[i]:.3e} at {where(i)}"
         )
-    solve = MeanFieldSolve(j, res_norm, iterations, TiltedMoments(log_value, log_i0, mean, cov))
-    if not one:
-        return _laid_out(solve, shape)
-    if single:
-        return MeanFieldSolve(j[0], float(res_norm[0]), iterations, _first_lane(solve.moments))
-    return solve
+    return MeanFieldSolve(j, res_norm, iterations, TiltedMoments(log_value, log_i0, mean, cov))
 
 
 def _laid_out(solve: MeanFieldSolve, shape: tuple) -> MeanFieldSolve:
-    """``solve`` with its lanes laid out as ``shape``: (L,) in a row, or
-    (S, B) and (S,) by scale and field."""
+    """``solve`` with its lanes laid out as ``shape``: (L,) in a row, (S, B),
+    (S,) or (B,) by scale and field, or () for one field at one scale, whose
+    residual and values are then floats."""
     m = solve.source.shape[-1]
     tm = solve.moments
+
+    def lay(a, *tail):
+        return np.reshape(a, shape + tail)[()]
+
     return MeanFieldSolve(
-        solve.source.reshape(shape + (m,)), np.reshape(solve.residual, shape),
-        solve.iterations,
-        TiltedMoments(np.reshape(tm.log_value, shape), np.reshape(tm.log_interaction, shape),
-                      tm.mean.reshape(shape + (m,)), tm.cov.reshape(shape + (m, m))))
+        lay(solve.source, m), lay(solve.residual), solve.iterations,
+        TiltedMoments(lay(tm.log_value), lay(tm.log_interaction), lay(tm.mean, m),
+                      lay(tm.cov, m, m)))
 
 
 def _newton_step(k, phis, lanes, mean, cov) -> np.ndarray:
-    """Newton steps -cov^-1 (mean - phi) of the given lanes; ``k`` names the
-    scale in the error, one scale or an array of each lane's."""
+    """Newton steps -cov^-1 (mean - phi) of the given lanes; ``k`` holds
+    each lane's scale, for the error."""
     cov = cov[lanes]
     try:
         return np.linalg.solve(cov, (phis[lanes] - mean[lanes])[:, :, None])[..., 0]
@@ -1003,8 +1005,7 @@ def _newton_step(k, phis, lanes, mean, cov) -> np.ndarray:
         i = singular[0] if singular.size else lanes[0]
         raise RangeExceeded(
             f"tilted covariance degenerated inverting the mean field at "
-            f"phi={phis[i]}, k={k if np.ndim(k) == 0 else k[i]}; "
-            f"the field lies outside the resolvable range"
+            f"phi={phis[i]}, k={k[i]}; the field lies outside the resolvable range"
         ) from None
 
 
@@ -1028,15 +1029,15 @@ def legendre_transform(ctx: FunctionalContext, k, fields):
     only the moments at its final sources.
     """
     phis, _ = _lanes(ctx, fields)
-    ks, one = _scale_list(k)
+    ks, _ = _scale_list(k)
     solve = invert_mean_field(ctx, k, phis)
-    if not solve.residual.size:
-        return np.empty(solve.residual.shape), solve
     shape = solve.residual.shape
+    if not solve.residual.size:
+        return np.empty(shape), solve
+    # the lanes in a row, scale by scale, as invert_mean_field solved them
     member = np.repeat(np.arange(len(ks)), len(phis))
-    if not one:
-        phis = np.tile(phis, (len(ks), 1))
-        solve = _laid_out(solve, (len(phis),))
+    phis = np.tile(phis, (len(ks), 1))
+    solve = _laid_out(solve, member.shape)
     solve = replace(solve, moments=_certified([ctx], k, solve.source, solve.moments, member))
     records = ctx.scales(ks)
     sigma, prec, log_i_zero = (_per_lane(part, member) for part in (
@@ -1048,8 +1049,6 @@ def legendre_transform(ctx: FunctionalContext, k, fields):
                   - 0.5 * np.sum(gap * _apply(gap, prec.mT), axis=-1)
                   - solve.moments.log_interaction
                   + log_i_zero)
-    if one:
-        return values, solve
     return values.reshape(shape), _laid_out(solve, shape)
 
 

@@ -184,6 +184,9 @@ class ConditionReport:
 # symmetric-difference step of condition (e)
 FD_STEP = 1e-6
 SAMPLE_MAX = 10.0  # the sampled k and p lie in (0, SAMPLE_MAX]
+# the most samples one check draws: it holds about 50 B per sample at its peak,
+# so the cap keeps it near 50 MB, 100 times the default count
+MAX_SAMPLES = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -192,8 +195,9 @@ class SamplePlan:
     seed: int = 1234
 
     def __post_init__(self):
-        if not (self.count >= 1 and self.seed >= 0):
-            raise SpecValidationError("a sample plan needs count >= 1 and seed >= 0")
+        if not (1 <= self.count <= MAX_SAMPLES and self.seed >= 0):
+            raise SpecValidationError(
+                f"a sample plan needs 1 <= count <= {MAX_SAMPLES} and seed >= 0")
 
 
 def _record(report: ConditionReport, name: str, bad: np.ndarray, *columns) -> None:

@@ -460,7 +460,7 @@ class TestExitCodes:
                             "--out", str(tmp_path / "o.csv")]) == 2
 
     @pytest.mark.parametrize("option", [["--count", "-5"], ["--count", "0"],
-                                        ["--seed", "-1"]])
+                                        ["--seed", "-1"], ["--count", "1000000000000"]])
     def test_bad_sample_plan_exit_2(self, option):
         assert main(["validate-regulator", *option]) == 2
 

@@ -24,7 +24,7 @@ from frgelab.convex import (
     supercoercivity_certificate,
     uniform_distance,
 )
-from frgelab.errors import EmptyEpigraphWindow, GridMismatch, NotProper
+from frgelab.errors import EmptyEpigraphWindow, GridMismatch, NotProper, SpecValidationError
 from frgelab.functionals import FunctionalContext
 from frgelab.model import ModelSpec, WindowParams, mirrored_axis, unfold
 from frgelab.regulator import make_regulator
@@ -545,6 +545,18 @@ class TestConvergenceSuite:
         limit, *models = self.specs([1.0] + [1.0 - 2.0 ** (-n) for n in range(1, members + 1)])
         convergence_suite(models, limit, make_regulator("litim"))
         assert calls == ["W", "kernel", "kernel"]
+
+    def test_a_member_of_another_interaction_is_refused(self, monkeypatch):
+        # the sequence regularises one theory: the member at another c4, third
+        # in the sequence, is named and refused before any quadrature
+        def no_kernel(*args, **kwargs):
+            raise AssertionError("the kernel was called")
+
+        monkeypatch.setattr(fn, "tilted_moments", no_kernel)
+        (limit,) = self.specs([1.0])
+        models = self.specs([0.5, 0.75]) + self.specs([0.875], c4=0.2)
+        with pytest.raises(SpecValidationError, match="member 3 has another interaction"):
+            convergence_suite(models, limit, make_regulator("litim"))
 
     def test_w_grid_is_w_on_the_dual_axis(self, phi4_spec, litim, monkeypatch):
         calls = []

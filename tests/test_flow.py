@@ -1034,6 +1034,16 @@ class TestBandNewtonMatrix:
         with pytest.raises(StepUnderflow, match="k = 2.5"):
             solver._factor(1.0, unit)  # I - I = 0
 
+    def test_a_segment_shorter_than_an_ulp_takes_no_step(self):
+        # tau_start == tau_end: the stepper finishes without a step, and the
+        # interpolant of the segment is its state
+        y0 = np.linspace(0.0, 1.0, 5) ** 2
+        solver = _GridBDF(lambda t, y: np.ones_like(y), lambda t, y: None,
+                          second_difference_matrix(5), 0.5, y0, 0.5, 1e-8, 1e-10)
+        solver.step()
+        assert (solver.status, solver.t, solver.nfev) == ("finished", 0.5, 1)
+        assert solver.dense_output()(0.5) is y0
+
     def test_pattern_of_another_size_is_refused(self):
         # the band layout is read off the pattern: the full D2 of 151 nodes
         # for the 76 nodes phi >= 0 of a folded state is refused with a typed

@@ -174,6 +174,34 @@ class TestMeanField:
             cc = connected_cov(phi4_ctx, 0.5, t)
             assert np.linalg.eigvalsh(cc).min() > 0
 
+    @pytest.mark.parametrize("k", [1.0, [1.0, 0.5, 1.0]], ids=["scale", "scales"])
+    @pytest.mark.parametrize("fields", ["field", "batch", "empty"])
+    def test_layouts_hold_the_one_scale_batch_bits(self, phi4_ctx, fields, k):
+        # one field (M,) or a batch (B, M), at one scale or a sequence of S
+        # scales: the lanes are laid out (), (B,), (S,) or (S, B), and each
+        # holds the bits of its lane of the one-scale batch call
+        batch = np.array([[0.3], [-1.2], [2.0]])[:{"field": 1, "batch": 3, "empty": 0}[fields]]
+        ks = [k] if np.ndim(k) == 0 else k
+        shape = (() if np.ndim(k) == 0 else (len(ks),)) + (() if fields == "field" else
+                                                         (len(batch),))
+        solve = invert_mean_field(phi4_ctx, k, batch[0] if fields == "field" else batch)
+        tm = solve.moments
+        assert solve.source.shape == tm.mean.shape == shape + (1,)
+        assert tm.cov.shape == shape + (1, 1)
+        for a in (solve.residual, tm.log_value, tm.log_interaction):
+            assert np.shape(a) == shape
+            assert isinstance(a, float) == (shape == ())
+        references = [invert_mean_field(phi4_ctx, s, batch) for s in ks]
+        for index in np.ndindex(shape):
+            s = 0 if np.ndim(k) == 0 else index[0]
+            b = 0 if fields == "field" else index[-1]
+            ref = references[s]
+            for got, want in [(solve.source, ref.source), (solve.residual, ref.residual),
+                              (tm.log_value, ref.moments.log_value),
+                              (tm.log_interaction, ref.moments.log_interaction),
+                              (tm.mean, ref.moments.mean), (tm.cov, ref.moments.cov)]:
+                assert np.asarray(got)[index].tobytes() == want[b].tobytes()
+
     def test_inversion_frozen_source(self, phi4_ctx):
         solve = invert_mean_field(phi4_ctx, 0.0, np.array([1.0]))
         assert solve.source[0] == pytest.approx(SOURCE_K0_PHI1, abs=1e-8)
@@ -1041,7 +1069,7 @@ class TestNewtonStart:
         spec = ModelSpec(dimension=0, modes=1, mass=1.0, c3=0.4, c4=0.1,
                          allow_unbounded=True, window=WindowParams(kind="scalar", r=1.0))
         ctx = FunctionalContext(spec=spec, regulator=phi4_ctx.regulator)
-        j, cov = functionals._one_loop_start(ctx, 0.0, np.array([[-1.0], [1.0]]))
+        j, cov = functionals._one_loop_start(ctx, 0.0, np.array([[-1.0], [1.0]]), np.zeros(2, int))
         prec, zero_cov = ctx.scale(0.0).prec[0, 0], ctx.scale(0.0).moments.cov[0]
         assert j[0, 0] == -prec and np.array_equal(cov[0], zero_cov)
         assert j[1, 0] != prec
@@ -1055,7 +1083,8 @@ class TestNewtonStart:
 
         monkeypatch.setattr(functionals, "_definite_inverse", first_indefinite)
         fields = [3.0, 4.5]
-        j, _ = functionals._one_loop_start(phi4_ctx, 0.0, np.array(fields)[:, None])
+        j, _ = functionals._one_loop_start(phi4_ctx, 0.0, np.array(fields)[:, None],
+                                          np.zeros(2, int))
         assert j[0, 0] == 3.0 * phi4_ctx.scale(0.0).prec[0, 0]
         values, solve = legendre_transform(phi4_ctx, 0.0, fields)
         assert solve.residual.max() <= functionals.NEWTON_TOL

@@ -1,7 +1,7 @@
 """Static checks: only ``flow`` imports scipy, and only its public modules,
 ``scipy.integrate`` only inside the vertex flow's solver; no frgelab module
 imports another's private names or reads a private attribute of an object
-other than its own.
+other than its own; no frgelab module holds an ``assert`` statement.
 
 scipy costs about half a second of start-up, so every command but ``flow``
 runs on numpy alone, and a grid flow without ``scipy.integrate``.  scipy
@@ -9,8 +9,9 @@ keeps its internals in modules whose path has a component starting with an
 underscore (``scipy.integrate._ivp``, ``scipy.sparse._csr``); they change
 between releases without notice.  What
 one frgelab module shares with another is public, so a private helper can
-change with its own module.  Every source file is parsed, not imported, so an
-import inside a function is seen as well.
+change with its own module.  ``python -O`` strips asserts, so a check the
+program relies on raises a typed error instead.  Every source file is
+parsed, not imported, so an import inside a function is seen as well.
 """
 
 import ast
@@ -69,6 +70,12 @@ def foreign_private_attributes(source: str) -> list[str]:
         if owner not in ("self", "cls"):
             found.append(f"{owner}.{node.attr}")
     return found
+
+
+def assert_statements(source: str) -> list[int]:
+    """The lines of the ``assert`` statements in ``source``."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Assert)]
 
 
 def test_sources_found():
@@ -206,3 +213,18 @@ def g(ctx, solver):
 """
     assert sorted(foreign_private_attributes(source)) == [
         "Attribute._position_map", "BoolOp._cache", "ctx._scales", "other._theirs"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_assert_statement(path):
+    assert assert_statements(path.read_text()) == []
+
+
+def test_the_check_sees_assert_statements():
+    source = """
+def f(x):
+    assert x > 0, "positive"
+    if x:
+        assert x
+"""
+    assert assert_statements(source) == [3, 5]
