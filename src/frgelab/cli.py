@@ -39,6 +39,9 @@ COMPARE_RADIUS = 2.0
 # flow --compare's stats keys of the largest deviation within each |phi| bound
 DEVIATION_BANDS = (("max_deviation_within_1", 1.0), ("max_deviation", COMPARE_RADIUS),
                    ("max_deviation_whole_grid", np.inf))
+# converge's deepest level: its window r_n = 1 - 2^-n rounds to 1 from n = 54 on,
+# as 1 - 2^-53 is the last double below 1
+MAX_CONVERGE_LEVEL = np.finfo(float).nmant + 1
 
 
 def config_hash(doc) -> str:
@@ -282,8 +285,10 @@ def frge_check_table(args, spec, regulator):
 def converge_table(args, spec, regulator):
     if spec.dimension != 0:
         raise SpecValidationError("the convergence sweep varies a d=0 scalar window")
-    if args.levels < 1:
-        raise SpecValidationError("--levels must be at least 1")
+    if not 1 <= args.levels <= MAX_CONVERGE_LEVEL:
+        raise SpecValidationError(
+            f"--levels must be between 1 and {MAX_CONVERGE_LEVEL}: the window "
+            f"1 - 2^-n rounds to 1 past n = {MAX_CONVERGE_LEVEL}")
     if args.seed is not None:
         print("converge: --seed is ignored; the probe is a deterministic quadrature",
               file=sys.stderr)

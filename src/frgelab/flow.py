@@ -13,13 +13,12 @@ diffusion, stiff in the node count, so it is stepped with the implicit BDF
 method and its analytic Jacobian diag(-1/2 d_kF_k / (D2 u + R_k)^2) D2,
 where D2 is the sparse second-difference matrix.  The stepper, _GridBDF, is
 scipy's variable-order BDF step ported operation for operation into one
-class of its own, so its steps and states are scipy's bits and a grid flow
-never imports scipy.integrate.  It evaluates the flow on the bare node
-vector, whose F_k and d_kF_k are taken once per scale: the Newton iterates
-of a step share its k, and so does the curvature margin after it.  J
-shares D2's pattern, so BDF's Newton matrix I - cJ is a band of half-width
-3 (the 4-point edge stencils), written straight into LAPACK's band layout
-and factored with its band LU.
+class of its own, so its steps and states are scipy's bits.  It evaluates
+the flow on the bare node vector, whose F_k and d_kF_k are taken once per
+scale: the Newton iterates of a step share its k, and so does the
+curvature margin after it.  J shares D2's pattern, so BDF's Newton matrix
+I - cJ is a band of half-width 3 (the 4-point edge stencils), written
+straight into LAPACK's band layout and factored with its band LU.
 D2 annihilates constants up to rounding (its solved central stencil sums to
 -6.9e-17), so the zero-field subtraction u - u(0) is taken at the
 checkpoints only.
@@ -38,17 +37,20 @@ every checkpoint of an even flow is exactly even.  Any other action steps
 all 2N + 1 nodes.  The oracle's grid values fold alike
 (functionals.grid_transform, which `frgelab exact` shares).
 
-The vertex flow is not stiff and uses scipy's explicit Runge-Kutta 5(4)
-pair, RK45, which the first vertex flow imports (the module name RK45).  It
-steps only the independent components of the symmetric tensors, through
-cached orbit index maps, and its right-hand side contracts that packed
-vector over the sorted index pairs alone: small matrix products and gathers.
+The vertex flow is not stiff and uses the explicit Runge-Kutta 5(4) pair of
+Dormand and Prince.  Its stepper, _VertexRK45, is scipy's RK45 step ported
+alike, so its steps and states are scipy's bits too, and no flow imports
+scipy.integrate.  It steps only the independent components of the
+symmetric tensors, through cached orbit index maps, and its right-hand side
+contracts that packed vector over the sorted index pairs alone: small
+matrix products and gathers.
 
 Each representation has one flow object, _GridFlow or _VertexFlow, holding
 the stepped start vector, the right-hand side, the curvature margin, the
 stepper and the action at a scale; `integrate` knows no more of either.  Of
-a stepper, RK45 or _GridBDF, it reads ``t``, ``y``, ``status``, ``step()``,
-``dense_output()`` and the counters ``nfev``, ``njev`` and ``nlu``.
+a stepper, _GridBDF or _VertexRK45, it reads ``t``, ``y``, ``status``,
+``step()``, ``dense_output()`` and the counters ``nfev``, ``njev`` and
+``nlu``.
 
 After every accepted step the curvature margin min(Gamma_k'' + R_k) is
 checked directly: convexity loss is raised where it reaches zero or where
@@ -280,8 +282,9 @@ class _GridFlow:
         # evaluated every time
         if k != self._k or k == 0.0:
             self._k = k
-            self._r_k = float(self.regulator.value(k, self.momentum)) * self.weight
-            self._f_dot = float(self.regulator.dk(k, self.momentum)) * self.weight
+            r_k, r_dot = self.regulator.diagonals(k, self.momentum)
+            self._r_k = float(r_k) * self.weight
+            self._f_dot = float(r_dot) * self.weight
         return self._r_k, self._f_dot
 
     def curvature(self, k, u: np.ndarray) -> tuple[float, np.ndarray]:
@@ -390,12 +393,14 @@ def rhs_vertex(k, y: np.ndarray, regulator, momenta, weights) -> np.ndarray:
     where gamma2 + F_k is not positive definite.
     """
     momenta = np.asarray(momenta, dtype=float)
-    f_diag = regulator.value(k, momenta) * weights
-    f_dot = regulator.dk(k, momenta) * weights
+    r, r_dot = regulator.diagonals(k, momenta)
+    f_dot = r_dot * weights
     m = momenta.size
     rows, channels = _pair_maps(m)
     n2 = rows.shape[0]
-    a = _unpack_symmetric(y[:n2], m, 2) + np.diag(f_diag)
+    a = _unpack_symmetric(y[:n2], m, 2)  # a new array: F_k goes onto its diagonal
+    diagonal = a.reshape(-1)[::m + 1]
+    diagonal += r * weights
     # np.linalg, not scipy's dpotrf/dpotri, whose OpenBLAS runs a second thread
     # here: the vertex flow's CPU time would rise to twice its wall time
     try:
@@ -415,12 +420,6 @@ def rhs_vertex(k, y: np.ndarray, regulator, momenta, weights) -> np.ndarray:
     w = z.transpose(0, 2, 1).reshape(n2 * m, m) @ p
     t = w.reshape(n2, m * m) @ a_h.T
     return np.concatenate([d_g2, t.ravel()[channels].sum(axis=0)])
-
-
-# scipy.integrate.RK45, the vertex flows' stepper, bound by the first vertex
-# flow (_VertexFlow.solver), so that a grid flow never imports scipy.integrate;
-# read at every call, so another OdeSolver put here steps the vertex flows
-RK45 = None
 
 
 class _VertexFlow:
@@ -448,11 +447,8 @@ class _VertexFlow:
         return VertexAction(k=k, gamma2=_unpack_symmetric(y[:self.n2], self.modes, 2),
                             gamma4=_unpack_symmetric(y[self.n2:], self.modes, 4))
 
-    def solver(self, fun, jac, t0, y0, t_bound, rtol, atol):
-        global RK45
-        if RK45 is None:  # scipy.integrate costs about 0.24 s of start-up
-            from scipy.integrate import RK45
-        return RK45(fun, t0, y0, t_bound, rtol=rtol, atol=atol)  # explicit: no jac
+    def solver(self, fun, jac, t0, y0, t_bound, rtol, atol) -> _VertexRK45:
+        return _VertexRK45(fun, t0, y0, t_bound, rtol=rtol, atol=atol)  # explicit: no jac
 
 
 # -- integration -------------------------------------------------------
@@ -474,25 +470,30 @@ CONVEXITY_HORIZON = 1e-3
 RG_TIME_SCALE = 2.0
 
 
-# -- the grid stepper --------------------------------------------------
+# -- the steppers ------------------------------------------------------
 #
-# scipy 1.17's BDF step (scipy/integrate/_ivp/bdf.py), ported operation for
-# operation: variable order 1 to 5 with the NDF corrector on a quasi-constant
-# step (Shampine & Reichelt, SIAM J. Sci. Comput. 18, 1997), as one class
-# that holds BDF's state and what ``integrate`` reads of a stepper, and no
-# base class of scipy's, so a grid flow never imports scipy.integrate.
-# Every arithmetic operation is scipy's, on its operands in its order, so the
-# steps, the counters and the states are scipy's bits.  Some are taken in
-# place, in a work array, on Python floats where scipy has numpy scalars
-# (the norm's square root, the step's nextafter) or with the unit step's
-# rescaling matrix cached: the same IEEE operations on the same operands.
-# What the port leaves out is scipy's general Jacobian machinery: J is held as
-# its entries in D2's stored order, I - cJ is written straight into LAPACK's
-# band layout, and the RMS norm is numpy's own formula sqrt(x.x) / sqrt(n)
-# without np.linalg.norm's dispatch.
+# scipy 1.17's BDF and RK45 steps (scipy/integrate/_ivp/bdf.py and rk.py),
+# each ported operation for operation into one class that holds the method's
+# state and what ``integrate`` reads of a stepper, and no base class of
+# scipy's, so no flow imports scipy.integrate: _GridBDF, variable order 1 to
+# 5 with the NDF corrector on a quasi-constant step (Shampine & Reichelt,
+# SIAM J. Sci. Comput. 18, 1997), and _VertexRK45, the Dormand-Prince 5(4)
+# pair with its quartic dense output (J. Comput. Appl. Math. 6, 1980).  Both
+# open with scipy's initial step (_initial_step) and measure errors in its
+# RMS norm (_norm).  Every arithmetic operation is scipy's, on its operands
+# in its order, so the steps, the counters and the states are scipy's bits.
+# Some are taken in place, in a work array, on Python floats where scipy has
+# numpy scalars (the norm's square root, the step's nextafter) or with BDF's
+# unit-step rescaling matrix cached: the same IEEE operations on the same
+# operands, as IEEE addition and multiplication commute.  What the ports
+# leave out is scipy's general machinery: the argument checks and vectorised
+# calls of OdeSolver, and BDF's Jacobian handling, where J is held as its
+# entries in D2's stored order and I - cJ is written straight into LAPACK's
+# band layout.
 
 _MAX_ORDER = 5
 _NEWTON_MAXITER = 4
+_SAFETY = 0.9  # RK45's step factor on the asymptotic estimate
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 10
 _EPS = np.finfo(float).eps
@@ -500,6 +501,40 @@ _KAPPA = np.array([0, -0.1850, -1 / 9, -0.0823, -0.0415, 0])
 _GAMMA = np.hstack((0, np.cumsum(1 / np.arange(1, _MAX_ORDER + 1))))
 _ALPHA = (1 - _KAPPA) * _GAMMA
 _ERROR_CONST = _KAPPA * _GAMMA + 1 / np.arange(1, _MAX_ORDER + 2)
+
+
+def _norm(x: np.ndarray) -> float:
+    """RMS norm: np.linalg.norm(x) / sqrt(n), numpy's own formula
+    sqrt(x.x) / sqrt(n) without its dispatch."""
+    return math.sqrt(x.dot(x)) / x.size ** 0.5
+
+
+def _initial_step(fun, t0, y0: np.ndarray, f0: np.ndarray, t_bound, direction,
+                  order: int, rtol, atol):
+    """scipy's select_initial_step (Hairer, Norsett & Wanner I, Sec. II.4)
+    for an error estimator of order ``order``: one evaluation of ``fun``;
+    the step is unbounded but by the interval."""
+    interval_length = abs(t_bound - t0)
+    if interval_length == 0.0:
+        return 0.0
+    scale = np.abs(y0)  # atol + |y0| rtol
+    scale *= rtol
+    scale += atol
+    d0 = _norm(y0 / scale)
+    d1 = _norm(f0 / scale)
+    if d0 < 1e-5 or d1 < 1e-5:
+        h0 = 1e-6
+    else:
+        h0 = 0.01 * d0 / d1
+    h0 = min(h0, interval_length)
+    y1 = y0 + h0 * direction * f0
+    f1 = fun(t0 + h0 * direction, y1)
+    d2 = _norm((f1 - f0) / scale) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1 / (order + 1))
+    return min(100 * h0, h1, interval_length)
 
 
 def _compute_r(order, factor) -> np.ndarray:
@@ -543,7 +578,7 @@ def _band_pattern(pattern: sp.csc_matrix) -> tuple[int, np.ndarray, np.ndarray]:
 class _GridBDF:
     """The BDF stepper of a grid flow.
 
-    ``integrate`` reads of it what it reads of RK45: ``t``, ``y``,
+    ``integrate`` reads of it what it reads of _VertexRK45: ``t``, ``y``,
     ``status`` ("running", "finished" or "failed"), ``step()``,
     ``dense_output()`` and the counters ``nfev``, ``njev`` and ``nlu``.
     ``fun(t, u)`` is the flow's right-hand side in the stepped variable t
@@ -572,11 +607,11 @@ class _GridBDF:
         self.status = "running"
         self.nfev = self.njev = self.nlu = 0
         self.rtol, self.atol = rtol, atol
-        self._root_n = self.n ** 0.5
         self._work = np.empty(self.n)  # the norms' scaled vectors
         self.half_band, self._band_flat, self._band_unit = _band_pattern(pattern)
         f = self.fun(self.t, self.y)
-        self.h_abs = self._initial_step(f)
+        self.h_abs = _initial_step(self.fun, t0, y0, f, t_bound, self.direction, 1,
+                                   rtol, atol)
         self.newton_tol = max(10 * _EPS / rtol, min(0.03, rtol ** 0.5))
         self.J = jac(self.t, self.y)
         self.njev += 1
@@ -592,18 +627,14 @@ class _GridBDF:
         self.nfev += 1
         return self._fun(t, y)
 
-    def _norm(self, x: np.ndarray) -> float:
-        """RMS norm: np.linalg.norm(x) / sqrt(n), with its arithmetic."""
-        return math.sqrt(x.dot(x)) / self._root_n
-
     def _scaled_norm(self, x: np.ndarray, scale: np.ndarray, const=None) -> float:
         """The RMS norm of x / scale, or of (const x) / scale, formed in the
         work array."""
         if const is None:
-            return self._norm(np.divide(x, scale, out=self._work))
+            return _norm(np.divide(x, scale, out=self._work))
         w = np.multiply(x, const, out=self._work)
         w /= scale
-        return self._norm(w)
+        return _norm(w)
 
     def _scale(self, y: np.ndarray) -> np.ndarray:
         """The error test's scale atol + rtol |y|, a new array."""
@@ -611,30 +642,6 @@ class _GridBDF:
         scale *= self.rtol
         scale += self.atol
         return scale
-
-    def _initial_step(self, f0: np.ndarray):
-        """scipy's select_initial_step for order 1 (Hairer, Norsett & Wanner,
-        Sec. II.4); the step is unbounded but by the interval."""
-        t0, y0, direction = self.t, self.y, self.direction
-        interval_length = abs(self.t_bound - t0)
-        if interval_length == 0.0:
-            return 0.0
-        scale = self._scale(y0)
-        d0 = self._norm(y0 / scale)
-        d1 = self._norm(f0 / scale)
-        if d0 < 1e-5 or d1 < 1e-5:
-            h0 = 1e-6
-        else:
-            h0 = 0.01 * d0 / d1
-        h0 = min(h0, interval_length)
-        y1 = y0 + h0 * direction * f0
-        f1 = self.fun(t0 + h0 * direction, y1)
-        d2 = self._norm((f1 - f0) / scale) / h0
-        if d1 <= 1e-15 and d2 <= 1e-15:
-            h1 = max(1e-6, h0 * 1e-3)
-        else:
-            h1 = (0.01 / max(d1, d2)) ** (1 / 2)
-        return min(100 * h0, h1, interval_length)
 
     def _factor(self, c, jac_data: np.ndarray):
         """dgbtrf's band LU of I - cJ."""
@@ -838,6 +845,151 @@ class _GridBDF:
         return dense
 
 
+class _VertexRK45:
+    """The RK45 stepper of a vertex flow, called as scipy's
+    ``RK45(fun, t0, y0, t_bound, rtol=rtol, atol=atol)``.
+
+    ``integrate`` reads of it what it reads of _GridBDF: ``t``, ``y``,
+    ``status`` ("running", "finished" or "failed"), ``step()``,
+    ``dense_output()`` and the counters ``nfev``, ``njev`` and ``nlu``, the
+    last two 0 for an explicit method.  ``fun(t, y)`` is the flow's
+    right-hand side in the stepped variable t, a new array at each call.
+    The stages go into one preallocated array K, whose last row is the
+    derivative at the step's end; the error estimate, the step-size
+    controller and the dense output read K as scipy's do.
+    """
+
+    C = np.array([0, 1/5, 3/10, 4/5, 8/9, 1])
+    A = np.array([
+        [0, 0, 0, 0, 0],
+        [1/5, 0, 0, 0, 0],
+        [3/40, 9/40, 0, 0, 0],
+        [44/45, -56/15, 32/9, 0, 0],
+        [19372/6561, -25360/2187, 64448/6561, -212/729, 0],
+        [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656]
+    ])
+    B = np.array([35/384, 0, 500/1113, 125/192, -2187/6784, 11/84])
+    E = np.array([-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525,
+                  1/40])
+    # the quartic interpolant's coefficients, Shampine's optimum c_6
+    # (Math. Comp. 46, 1986)
+    P = np.array([
+        [1, -8048581381/2820520608, 8663915743/2820520608,
+         -12715105075/11282082432],
+        [0, 0, 0, 0],
+        [0, 131558114200/32700410799, -68118460800/10900136933,
+         87487479700/32700410799],
+        [0, -1754552775/470086768, 14199869525/1410260304,
+         -10690763975/1880347072],
+        [0, 127303824393/49829197408, -318862633887/49829197408,
+         701980252875 / 199316789632],
+        [0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
+        [0, 40617522/29380423, -110615467/29380423, 69997945/29380423]])
+    N_STAGES = 6
+    ERROR_EXPONENT = -1 / (4 + 1)  # the error estimator is of order 4
+
+    def __init__(self, fun, t0: float, y0: np.ndarray, t_bound: float, rtol: float,
+                 atol: float):
+        self._fun = fun
+        self.t, self.y, self.t_bound = t0, y0, t_bound
+        self.direction = -1.0 if t_bound < t0 else 1.0
+        self.status = "running"
+        self.nfev = self.njev = self.nlu = 0
+        self.rtol, self.atol = rtol, atol
+        self.f = self.fun(t0, y0)
+        self.h_abs = _initial_step(self.fun, t0, y0, self.f, t_bound, self.direction, 4,
+                                   rtol, atol)
+        self.K = np.empty((self.N_STAGES + 1, y0.size))
+        self.t_old = self.y_old = None  # the last step's start
+
+    def fun(self, t, y: np.ndarray) -> np.ndarray:
+        """The right-hand side, counted in ``nfev``."""
+        self.nfev += 1
+        return self._fun(t, y)
+
+    def _rk_step(self, t, y: np.ndarray, h) -> tuple[np.ndarray, np.ndarray, float]:
+        """One trial step of length h: (y_new, f_new, error norm), the
+        stages in K."""
+        K = self.K
+        K[0] = self.f
+        for s in range(1, self.N_STAGES):
+            dy = np.dot(K[:s].T, self.A[s, :s])  # y + h K^T a, formed in place
+            dy *= h
+            dy += y
+            K[s] = self.fun(t + self.C[s] * h, dy)
+        y_new = np.dot(K[:-1].T, self.B)
+        y_new *= h
+        y_new += y
+        f_new = self.fun(t + h, y_new)
+        K[-1] = f_new
+        scale = np.abs(y)  # atol + max(|y|, |y_new|) rtol
+        np.maximum(scale, np.abs(y_new), out=scale)
+        scale *= self.rtol
+        scale += self.atol
+        error = np.dot(K.T, self.E)
+        error *= h
+        error /= scale
+        return y_new, f_new, _norm(error)
+
+    def step(self) -> None:
+        """One accepted step, and ``status`` "finished" once t reaches
+        t_bound, or ``status`` "failed" where the step fell below ten ulps of
+        t."""
+        t, y = self.t, self.y
+        self.t_old, self.y_old = t, y
+        if t == self.t_bound:  # a segment shorter than an ulp of tau
+            self.status = "finished"
+            return
+        min_step = 10 * abs(math.nextafter(t, self.direction * math.inf) - t)
+        h_abs = max(self.h_abs, min_step)
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                self.status = "failed"
+                return
+            t_new = t + h_abs * self.direction
+            if self.direction * (t_new - self.t_bound) > 0:
+                t_new = self.t_bound
+            h = t_new - t
+            h_abs = abs(h)
+            y_new, f_new, error_norm = self._rk_step(t, y, h)
+            if error_norm < 1:
+                break
+            h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm ** self.ERROR_EXPONENT)
+            rejected = True
+        if error_norm == 0:
+            factor = _MAX_FACTOR
+        else:
+            factor = min(_MAX_FACTOR, _SAFETY * error_norm ** self.ERROR_EXPONENT)
+        if rejected:
+            factor = min(1, factor)
+        self.h_abs = h_abs * factor
+        self.t, self.y, self.f = t_new, y_new, f_new
+        if self.direction * (t_new - self.t_bound) >= 0:
+            self.status = "finished"
+
+    def dense_output(self):
+        """The interpolant of the last accepted step, scipy's RkDenseOutput:
+        a function of t.  A segment shorter than an ulp of tau takes no step,
+        and its interpolant is its state."""
+        t_old, y_old = self.t_old, self.y_old
+        if self.t == t_old:
+            y = self.y
+            return lambda t: y
+        h = self.t - t_old
+        q = self.K.T.dot(self.P)
+        powers = self.P.shape[1]
+
+        def dense(t):
+            x = (t - t_old) / h
+            y = np.dot(q, np.cumprod(np.full(powers, x)))  # x, x^2, x^3, x^4
+            y *= h
+            y += y_old
+            return y
+
+        return dense
+
+
 def integrate(
     initial,
     k_from: float,
@@ -866,18 +1018,18 @@ def integrate(
     regulator on its own side of a kink.  The action's flow object steps it:
     a grid action (_GridFlow) with the ported BDF and the analytic Jacobian,
     its Newton matrix factored as a band of half-width 3, an even one on its
-    nodes phi >= 0 alone and reported on the full grid, with no import of
-    scipy.integrate; a vertex action (_VertexFlow) with scipy's RK45 on its
-    packed state, imported by the first vertex flow.  ``momenta`` and
-    ``weights`` give one entry per mode, one for a grid action; they default
-    to a single zero momentum and unit weights.  Raises ConvexityLoss,
-    carrying the last convex state, where the curvature margin reaches zero
-    or its extrapolation over the last step, linear in k^2, reaches zero
-    within CONVEXITY_HORIZON * k of it; ``k`` is the extrapolated crossing
-    scale.  Raises StepUnderflow where the step underflows or the Newton
-    matrix is singular, and SpecValidationError where rtol is below 100 eps,
-    the floor of scipy's solvers, the momenta or weights are not one per
-    mode, or the initial action is not finite.
+    nodes phi >= 0 alone and reported on the full grid; a vertex action
+    (_VertexFlow) with the ported RK45 on its packed state.  Both ports
+    give scipy's steps bit for bit, and neither imports scipy.integrate.
+    ``momenta`` and ``weights`` give one entry per mode, one for a grid
+    action; they default to a single zero momentum and unit weights.
+    Raises ConvexityLoss, carrying the last convex state, where the
+    curvature margin reaches zero or its extrapolation over the last step,
+    linear in k^2, reaches zero within CONVEXITY_HORIZON * k of it; ``k`` is
+    the extrapolated crossing scale.  Raises StepUnderflow where the step
+    underflows or the Newton matrix is singular, and SpecValidationError
+    where rtol is below 100 eps, the floor of scipy's solvers, the momenta
+    or weights are not one per mode, or the initial action is not finite.
     """
     if not k_to <= k_from:
         raise SpecValidationError(
@@ -966,52 +1118,46 @@ def integrate(
         tau_start, tau_end = rg_time(seg_start), rg_time(seg_end)
         pending_loss.clear()
         solver = flow.solver(rhs, jac, tau_start, y, tau_end, rtol, atol)
-        try:
-            while solver.status == "running":
-                try:
-                    solver.step()
-                except StepUnderflow:  # _GridBDF's message names tau
-                    raise StepUnderflow(
-                        f"BDF's Newton matrix is singular near k = {t:.6g}") from None
-                if solver.status == "failed":
-                    if not pending_loss:
-                        raise StepUnderflow(f"integrator failed near k = {t:.6g}")
-                    pending_loss[-1].last_state = flow.action(t, y)
-                    raise pending_loss[-1]
-                stats["steps"] += 1
-                t_new = scale(solver.t)
-                m = flow.margin(t_new, solver.y)
-                # the margin's secant in k^2, exact for a margin k^2 + c such as
-                # litim's in the UV, where one step spans decades of k and a
-                # secant in k would overstate the tangent by that span
-                slope = (last_margin - m) / (t - t_new) / (t + t_new)
-                # the secant's zero is within CONVEXITY_HORIZON * t_new of t_new
-                # where m / slope <= (1 - (1 - CONVEXITY_HORIZON)^2) t_new^2
-                if m <= 0.0 or (slope > 0.0 and m / slope <= CONVEXITY_HORIZON
-                                * (2.0 - CONVEXITY_HORIZON) * t_new * t_new):
-                    crossing = math.sqrt(t_new * t_new - m / slope)
-                    if m > 0.0:
-                        t, y = t_new, solver.y
-                    raise ConvexityLoss(
-                        f"regularized curvature margin reaches zero at "
-                        f"k={crossing:.6g} (margin {m:.3g} at k={t_new:.6g})",
-                        k=crossing, last_state=flow.action(t, y),
-                    )
-                # both steppers assign a new array at each step: no copy needed
-                t, y, last_margin = t_new, solver.y, m
-                if queue and queue[0] >= t:
-                    dense = solver.dense_output()
-                    while queue and queue[0] >= t:
-                        c = queue.pop(0)
-                        snaps.append((c, flow.action(c, dense(rg_time(c)) if c > t else y)))
-            stats["nfev"] += solver.nfev
-            stats["njev"] += solver.njev
-            stats["nlu"] += solver.nlu
-        finally:
-            # scipy's RK45 holds a closure over itself (its nfev-counting
-            # ``fun``); clearing the state breaks that cycle, so the solver is
-            # freed now rather than at the next cyclic garbage collection
-            solver.__dict__.clear()
+        while solver.status == "running":
+            try:
+                solver.step()
+            except StepUnderflow:  # _GridBDF's message names tau
+                raise StepUnderflow(
+                    f"BDF's Newton matrix is singular near k = {t:.6g}") from None
+            if solver.status == "failed":
+                if not pending_loss:
+                    raise StepUnderflow(f"integrator failed near k = {t:.6g}")
+                pending_loss[-1].last_state = flow.action(t, y)
+                raise pending_loss[-1]
+            stats["steps"] += 1
+            t_new = scale(solver.t)
+            m = flow.margin(t_new, solver.y)
+            # the margin's secant in k^2, exact for a margin k^2 + c such as
+            # litim's in the UV, where one step spans decades of k and a
+            # secant in k would overstate the tangent by that span
+            slope = (last_margin - m) / (t - t_new) / (t + t_new)
+            # the secant's zero is within CONVEXITY_HORIZON * t_new of t_new
+            # where m / slope <= (1 - (1 - CONVEXITY_HORIZON)^2) t_new^2
+            if m <= 0.0 or (slope > 0.0 and m / slope <= CONVEXITY_HORIZON
+                            * (2.0 - CONVEXITY_HORIZON) * t_new * t_new):
+                crossing = math.sqrt(t_new * t_new - m / slope)
+                if m > 0.0:
+                    t, y = t_new, solver.y
+                raise ConvexityLoss(
+                    f"regularized curvature margin reaches zero at "
+                    f"k={crossing:.6g} (margin {m:.3g} at k={t_new:.6g})",
+                    k=crossing, last_state=flow.action(t, y),
+                )
+            # both steppers assign a new array at each step: no copy needed
+            t, y, last_margin = t_new, solver.y, m
+            if queue and queue[0] >= t:
+                dense = solver.dense_output()
+                while queue and queue[0] >= t:
+                    c = queue.pop(0)
+                    snaps.append((c, flow.action(c, dense(rg_time(c)) if c > t else y)))
+        stats["nfev"] += solver.nfev
+        stats["njev"] += solver.njev
+        stats["nlu"] += solver.nlu
     return FlowTrajectory(checkpoints=snaps, stats=stats)
 
 

@@ -21,7 +21,7 @@ class Regulator:
     """Shape function R_k(p) with k-derivative; vanishes identically for k < 0.
 
     ``value`` and ``dk`` broadcast over k and p: each takes floats or numpy
-    arrays of any broadcast-compatible shapes.
+    arrays of any broadcast-compatible shapes.  ``diagonals`` gives both.
     """
 
     kind = "abstract"
@@ -31,6 +31,10 @@ class Regulator:
 
     def dk(self, k, p):
         raise NotImplementedError
+
+    def diagonals(self, k, p):
+        """(value(k, p), dk(k, p)) in one call, bit for bit."""
+        return self.value(k, p), self.dk(k, p)
 
     def kink_scales(self, momenta: np.ndarray) -> np.ndarray:
         """k values where k-differentiability may fail (step clamp loci)."""
@@ -47,6 +51,15 @@ class LitimRegulator(Regulator):
         # two-sided value on the kink locus p^2 = k^2
         return 2.0 * k * ((k * k - p * p >= 0.0) & (k >= 0))
 
+    def diagonals(self, k, p):
+        gap = k * k - p * p
+        if isinstance(k, float) and k >= 0.0:
+            # the masks k >= 0 are all True, and multiplying by True is exact
+            return np.maximum(gap, 0.0), 2.0 * k * (gap >= 0.0)
+        nonnegative = k >= 0
+        return (np.maximum(gap, 0.0) * nonnegative,
+                2.0 * k * ((gap >= 0.0) & nonnegative))
+
     def kink_scales(self, momenta):
         return np.unique(np.abs(np.asarray(momenta, dtype=float)))
 
@@ -59,30 +72,43 @@ def _exponential_variable(k, p):
     the overflow of e^x; ``live`` marks k > 0 and x < 700, beyond which the
     suppression underflows.  k' is k where k > 0 and 1 elsewhere.
     """
+    if isinstance(k, float) and k > 0.0:  # k' = k, and ``positive &`` is exact
+        x = (np.minimum(np.abs(p), 26.5 * k) / k) ** 2
+        return k, x, x < 700.0
     positive = k > 0
     k = np.where(positive, k, 1.0)
     x = (np.minimum(np.abs(p), 26.5 * k) / k) ** 2
     return k, x, positive & (x < 700.0)
 
 
+def _exponential_value(k, x, live):
+    # k^2 x/(e^x - 1), with x/(e^x - 1) ~ 1 - x/2 near p = 0
+    shape = np.where(x < 1e-8, 1.0 - x / 2.0, x / np.expm1(np.maximum(x, 1e-8)))
+    return k * k * shape * live
+
+
+def _exponential_dk(k, x, live):
+    # closed form p^4 / (2 k^3 sinh^2(p^2 / (2 k^2))) = k x^2 / (2 sinh^2(x/2)),
+    # -> 2k at p = 0
+    shape = np.where(
+        x < 1e-8, 2.0 * (1.0 - x),
+        x * x / (2.0 * np.sinh(np.maximum(x, 1e-8) / 2.0) ** 2),
+    )
+    return k * shape * live
+
+
 class ExponentialRegulator(Regulator):
     kind = "exponential"
 
     def value(self, k, p):
-        k, x, live = _exponential_variable(k, p)
-        # k^2 x/(e^x - 1), with x/(e^x - 1) ~ 1 - x/2 near p = 0
-        shape = np.where(x < 1e-8, 1.0 - x / 2.0, x / np.expm1(np.maximum(x, 1e-8)))
-        return k * k * shape * live
+        return _exponential_value(*_exponential_variable(k, p))
 
     def dk(self, k, p):
-        k, x, live = _exponential_variable(k, p)
-        # closed form p^4 / (2 k^3 sinh^2(p^2 / (2 k^2))) = k x^2 / (2 sinh^2(x/2)),
-        # -> 2k at p = 0
-        shape = np.where(
-            x < 1e-8, 2.0 * (1.0 - x),
-            x * x / (2.0 * np.sinh(np.maximum(x, 1e-8) / 2.0) ** 2),
-        )
-        return k * shape * live
+        return _exponential_dk(*_exponential_variable(k, p))
+
+    def diagonals(self, k, p):
+        variable = _exponential_variable(k, p)
+        return _exponential_value(*variable), _exponential_dk(*variable)
 
 
 def regulator_diagonals(regulator: Regulator, k, momenta, weights):
@@ -92,8 +118,8 @@ def regulator_diagonals(regulator: Regulator, k, momenta, weights):
     is not finite raises :class:`SpecValidationError`.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        f = regulator.value(k, momenta) * weights
-        f_dot = regulator.dk(k, momenta) * weights
+        r, r_dot = regulator.diagonals(k, momenta)
+        f, f_dot = r * weights, r_dot * weights
     if not (np.all(np.isfinite(f)) and np.all(np.isfinite(f_dot))):
         raise SpecValidationError(
             f"the regulator is not finite at the scale k={k:.6g}: "

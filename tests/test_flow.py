@@ -1,12 +1,14 @@
+import gc
 import math
 import warnings
+import weakref
 from itertools import combinations_with_replacement, permutations
 from math import comb
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.integrate import BDF, DOP853
+from scipy.integrate import BDF, DOP853, RK45
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 from scipy.sparse.linalg import splu
 
@@ -17,6 +19,7 @@ from frgelab.flow import (
     _GridBDF,
     _GridFlow,
     _VertexFlow,
+    _VertexRK45,
     _band_pattern,
     _fourth_derivative_at_zero,
     VertexAction,
@@ -440,16 +443,17 @@ class TestGridFlowScaleCache:
             assert _bits(flow.margin(k, u)) == _bits(denom.min())
 
     def test_one_regulator_evaluation_per_scale(self, litim, monkeypatch):
+        # one ``diagonals`` call gives both R_k and d_kF_k
         calls = []
-        value, dk = litim.value, litim.dk
-        monkeypatch.setattr(litim, "value", lambda k, p: calls.append(k) or value(k, p))
-        monkeypatch.setattr(litim, "dk", lambda k, p: calls.append(k) or dk(k, p))
+        diagonals = litim.diagonals
+        monkeypatch.setattr(litim, "diagonals",
+                            lambda k, p: calls.append(k) or diagonals(k, p))
         flow = _GridFlow(self._state(), litim, [0.0], [1.0])
         for k in (2.0, 2.0, 1.0, 2.0):
             flow.rhs(k, flow.y0)
             flow.jacobian_data(k, flow.y0)
             flow.margin(k, flow.y0)
-        assert calls == [2.0, 2.0, 1.0, 1.0, 2.0, 2.0]
+        assert calls == [2.0, 1.0, 2.0]
 
     @pytest.mark.parametrize("case", ["convex", "nan", "nonpositive"])
     @pytest.mark.parametrize("c3", [0.0, 0.05])
@@ -744,6 +748,31 @@ class TestIntegrate:
         assert traj.stats["steps"] > 0
         assert traj.stats["njev"] == traj.stats["nlu"] == 0  # explicit RK45
 
+    @pytest.mark.parametrize("rep", ["grid", "vertex"])
+    def test_steppers_are_freed_without_the_cyclic_gc(self, phi4_spec, litim, rep,
+                                                       monkeypatch):
+        # no stepper holds a reference cycle: reference counting frees each
+        # one, of both segments and with its dense output read, by the time
+        # integrate returns
+        name = "_GridBDF" if rep == "grid" else "_VertexRK45"
+        steppers = []
+
+        class Recorded(getattr(flow_module, name)):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                steppers.append(weakref.ref(self))
+
+        monkeypatch.setattr(flow_module, name, Recorded)
+        ctx = FunctionalContext(spec=phi4_spec, regulator=litim, self_check=False)
+        init, _ = initial_condition(ctx, "classical", 10.0, rep=rep)
+        gc.disable()
+        try:
+            integrate(init, 10.0, 0.0, litim, momenta=[0.25], weights=[1.5],
+                      checkpoints=[5.0, 0.1])
+            assert len(steppers) == 2 and all(ref() is None for ref in steppers)
+        finally:
+            gc.enable()
+
     def test_vertex_error_is_the_integrators(self, line_spec, litim, monkeypatch):
         # d = 1, identity window, c4 = 0.05, k 10 -> 0 at default tolerances:
         # the error is 1.2e-11 of max|gamma2| (2.6e-11 stepped in k at rtol
@@ -754,7 +783,7 @@ class TestIntegrate:
         kwargs = dict(momenta=line_spec.momenta, weights=line_spec.momentum_weights,
                       checkpoints=[0.0])
         g2 = integrate(init, 10.0, 0.0, litim, **kwargs).checkpoints[-1][1].gamma2
-        monkeypatch.setattr(flow_module, "RK45", DOP853)
+        monkeypatch.setattr(flow_module, "_VertexRK45", DOP853)
         ref = integrate(init, 10.0, 0.0, litim, rtol=1e-12, atol=1e-14,
                         **kwargs).checkpoints[-1][1].gamma2
         assert np.abs(g2 - ref).max() <= 2.5e-11 * np.abs(ref).max()
@@ -967,6 +996,48 @@ class TestGridStepper:
         traj = self._flow(1201, exponential, rtol=RTOL_FLOOR)
         assert [k for k, _ in traj.checkpoints] == [100.0, 10.0, 1.0, 0.5, 0.1, 0.0]
         assert np.isfinite(traj.checkpoints[-1][1].values).all()
+
+
+class TestVertexStepper:
+    D0 = ModelSpec(dimension=0, modes=1, mass=1.0,
+                   window=WindowParams(kind="scalar", r=1.0), c4=0.1)
+
+    @staticmethod
+    def _flow(spec, regulator, momenta, weights, **kwargs):
+        """The classical start's vertex flow, k 10 -> 0, with checkpoints
+        that fall inside steps (dense output)."""
+        ctx = FunctionalContext(spec=spec, regulator=regulator, self_check=False)
+        init, _ = initial_condition(ctx, "classical", 10.0, rep="vertex")
+        return integrate(init, 10.0, 0.0, regulator, momenta=momenta, weights=weights,
+                         checkpoints=[5.0, 0.5, 0.1, 0.0], **kwargs)
+
+    @pytest.mark.parametrize("rtol", [1e-9, RTOL_FLOOR])
+    @pytest.mark.parametrize("modes", [1, 3])
+    @pytest.mark.parametrize("name", ["litim", "exponential"])
+    def test_steps_are_scipys_rk45(self, name, modes, rtol, line_spec, request,
+                                   monkeypatch):
+        # d = 0, M = 1 at p = 0.25, which tells the regulators apart and puts
+        # litim's kink there, or the d = 1, M = 3 line with its kink at |p| = 1
+        regulator = request.getfixturevalue(name)
+        spec = self.D0 if modes == 1 else line_spec
+        momenta, weights = ([0.25], [1.5]) if modes == 1 else (
+            line_spec.momenta, line_spec.momentum_weights)
+        ported = self._flow(spec, regulator, momenta, weights, rtol=rtol)
+        monkeypatch.setattr(flow_module, "_VertexRK45", RK45)
+        reference = self._flow(spec, regulator, momenta, weights, rtol=rtol)
+        assert ported.stats == reference.stats
+        assert [k for k, _ in ported.checkpoints] == [k for k, _ in reference.checkpoints]
+        for (_, state), (_, expected) in zip(ported.checkpoints, reference.checkpoints):
+            assert state.gamma2.tobytes() == expected.gamma2.tobytes()
+            assert state.gamma4.tobytes() == expected.gamma4.tobytes()
+
+    def test_a_segment_shorter_than_an_ulp_takes_no_step(self):
+        y0 = np.linspace(0.0, 1.0, 5) ** 2
+        solver = _VertexRK45(lambda t, y: np.ones_like(y), 0.5, y0, 0.5,
+                             rtol=1e-8, atol=1e-10)
+        solver.step()
+        assert (solver.status, solver.t, solver.nfev) == ("finished", 0.5, 1)
+        assert solver.dense_output()(0.5) is y0
 
 
 class TestBandNewtonMatrix:

@@ -1,10 +1,11 @@
 """Static checks: only ``flow`` imports scipy, and only its public modules,
-``scipy.integrate`` only inside the vertex flow's solver; no frgelab module
+and no frgelab module imports ``scipy.integrate``; no frgelab module
 imports another's private names or reads a private attribute of an object
 other than its own; no frgelab module holds an ``assert`` statement.
 
 scipy costs about half a second of start-up, so every command but ``flow``
-runs on numpy alone, and a grid flow without ``scipy.integrate``.  scipy
+runs on numpy alone, and every flow, grid or vertex, steps on frgelab's
+own ports of scipy's steppers without ``scipy.integrate``.  scipy
 keeps its internals in modules whose path has a component starting with an
 underscore (``scipy.integrate._ivp``, ``scipy.sparse._csr``); they change
 between releases without notice.  What
@@ -127,11 +128,11 @@ def scipy_import_sites(source: str, package: str) -> list[str]:
     return found
 
 
-def test_only_the_vertex_flow_imports_scipy_integrate():
-    # a grid flow steps on frgelab's own solver protocol: scipy.integrate,
-    # about a quarter second of start-up, is for the vertex flow's RK45 alone
-    flow_source = next(p for p in SOURCES if p.name == "flow.py").read_text()
-    assert scipy_import_sites(flow_source, "scipy.integrate") == ["_VertexFlow.solver"]
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_module_imports_scipy_integrate(path):
+    # both flows step on frgelab's own ports of BDF and RK45: scipy.integrate,
+    # about a quarter second of start-up, is imported at no depth
+    assert scipy_import_sites(path.read_text(), "scipy.integrate") == []
 
 
 def test_the_site_check_sees_every_scope():

@@ -121,6 +121,24 @@ class TestArrayCalls:
             [fn(float(k), float(ps[3])) for k in ks]).tobytes()
 
 
+    @pytest.mark.parametrize("p", [pytest.param(0.5, id="scalar"),
+                                   pytest.param(np.arange(-4.0, 5.0), id="M9")])
+    @pytest.mark.parametrize("name", sorted(REGULATORS))
+    def test_diagonals_are_value_and_dk(self, name, p):
+        # bit for bit at float and array k: k < 0, -0 and 0, the kinks k = |p|
+        # at 0.5 and 2, a tiny and a huge k (R_k overflows past 1.3e154), and
+        # p scalar or the momenta of a nine-mode d = 1 line at unit spacing
+        regulator = REGULATORS[name]
+        ks = [-1.0, -0.0, 0.0, 0.5, 1.7, 2.0, np.float64(3.0), 1e-300, 5e153]
+        column = np.array(ks)[:, None] if np.ndim(p) else np.array(ks)
+        for k in ks + [column]:
+            expected = (regulator.value(k, p), regulator.dk(k, p))
+            for got, want in zip(regulator.diagonals(k, p), expected):
+                got, want = np.asarray(got), np.asarray(want)
+                assert (got.dtype, got.shape, got.tobytes()) == (
+                    want.dtype, want.shape, want.tobytes()), k
+
+
 class TestMatrix:
     def test_diagonal_weighted(self, litim):
         momenta = np.array([-1.0, 0.0, 1.0])
